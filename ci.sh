@@ -107,6 +107,13 @@ echo "== obs_overhead (observability overhead gate) =="
 # breaks the 5%-plus-jitter-floor budget (ARCHITECTURE §9 contract).
 TUCKER_OBS_SMOKE=1 cargo run --release -p tucker-bench --bin obs_overhead
 
+echo "== bench_e2e all --smoke (end-to-end functional gate) =="
+# All five ledger workloads on tiny shapes (~15 s; timings are not compared).
+# The run's own checks — served responses == a direct reader bit for bit,
+# streamed artifact == in-memory artifact, TCP artifact == in-process
+# artifact, error within the header budget — fail the build on exit != 0.
+cargo run --release -p tucker-bench --bin bench_e2e -- all --smoke
+
 echo "== cargo doc -p tucker-api (missing/broken docs are errors) =="
 # The facade crate carries #![deny(missing_docs)]; this pass additionally
 # promotes rustdoc warnings (broken intra-doc links, bad code fences) to
@@ -117,12 +124,16 @@ echo "== panic-grep gate on the fallible-surface modules =="
 # The try_* validation layers promise "every failure is a returned value".
 # The microkernel hot-path modules (pack/microkernel/simd) make the same
 # promise: misconfiguration warns and falls back, it never aborts a kernel.
+# So does the store's read side (codec/lazy/shared): a query on an opened
+# artifact fails with a typed error or not at all.
 # Fail CI if a panic!/unwrap/expect/assert lands in them (doc comments and
 # #[cfg(test)] modules are stripped before grepping).
 gate_ok=1
 for f in crates/api/src/lib.rs crates/api/src/error.rs \
          crates/api/src/compressor.rs crates/api/src/query.rs \
          crates/core/src/validate.rs crates/store/src/error.rs \
+         crates/store/src/codec.rs crates/store/src/lazy.rs \
+         crates/store/src/shared.rs \
          crates/serve/src/proto.rs crates/serve/src/client.rs \
          crates/serve/src/metrics.rs crates/obs/src/lib.rs \
          crates/obs/src/metrics.rs crates/obs/src/trace.rs \

@@ -2,7 +2,7 @@
 //!
 //! `tucker-store` grew two reader types with identical query semantics but
 //! unrelated APIs: the eager [`TkrArtifact`] (core decoded at open) and the
-//! lazy [`TkrReader`] (chunk directory at open, bounded LRU cache, chunks
+//! lazy [`TkrReader`] (chunk directory at open, bounded chunk cache, chunks
 //! decoded on demand). Their answers are byte-identical by contract — so
 //! benches, examples, and service code should not care which one they hold.
 //! [`TensorQuery`] is that seam: both readers implement it, the [`Reader`]
@@ -30,14 +30,13 @@ use tucker_tensor::{DenseTensor, SubtensorSpec};
 /// A uniform, backend-agnostic view of a compressed-tensor artifact.
 ///
 /// Every reconstruction method validates its request against the artifact's
-/// shape and returns a typed [`QueryError`] instead of panicking. The
-/// window/subtensor/slice/full reconstructions and per-point
-/// [`element`](TensorQuery::element) answer **byte-identically** on both
-/// backends; the batched [`elements`](TensorQuery::elements) contract is
-/// per-backend — the lazy walk is bit-identical to the per-point walk,
-/// while the eager batch shares contraction work across points and is
-/// round-off-equivalent (the same sum in a different association order).
-/// Both pinned by `tests/api_equivalence.rs`.
+/// shape and returns a typed [`QueryError`] instead of panicking. Every
+/// method answers **byte-identically** on both backends, and the point
+/// queries agree with the reconstructions: [`element`](TensorQuery::element)
+/// at `idx`, every [`elements`](TensorQuery::elements) batch containing
+/// `idx`, the unit window at `idx` and entry `idx` of the full
+/// reconstruction are the same bits. Pinned by `tests/api_equivalence.rs`
+/// and `tests/query_contract.rs`.
 pub trait TensorQuery {
     /// The parsed header (shape, ranks, ε, codec, quantization bound,
     /// metadata).
@@ -85,8 +84,8 @@ pub trait TensorQuery {
     /// Reconstructs a single element.
     fn element(&self, idx: &[usize]) -> Result<f64, QueryError>;
 
-    /// Reconstructs a batch of elements (shared contraction work; see the
-    /// readers' docs).
+    /// Reconstructs a batch of elements, each bit-identical to
+    /// [`element`](TensorQuery::element) at that point.
     fn elements(&self, points: &[&[usize]]) -> Result<Vec<f64>, QueryError>;
 }
 
@@ -264,7 +263,7 @@ enum OpenMode {
 ///
 /// [`Open::eager`] decodes the whole core at open — lowest per-query
 /// latency, resident memory `O(core)`. [`Open::lazy`] scans the framing
-/// only and decodes core chunks on demand behind a bounded LRU cache —
+/// only and decodes core chunks on demand behind a bounded chunk cache —
 /// resident memory `O(cache)`, right choice for artifacts larger than the
 /// working set. Both yield byte-identical answers.
 #[derive(Debug, Clone)]
@@ -287,7 +286,8 @@ impl Open {
     }
 
     /// Open lazily: the framing is scanned and validated at open time, core
-    /// chunks are decoded on first touch and kept in a bounded LRU cache.
+    /// chunks are decoded on demand behind a bounded, scan-resistant cache
+    /// (see `tucker_store::shared` for the admission rule).
     pub fn lazy() -> Open {
         Open {
             mode: OpenMode::Lazy,

@@ -51,6 +51,7 @@ fn main() {
     println!(
         "\nShape check (paper Fig. 1b): ratio grows monotonically by orders of\n\
          magnitude from eps = 1e-6 to 1e-2. Absolute values differ because the\n\
-         surrogate is far smaller than the 550 GB original (see DESIGN.md)."
+         surrogate is far smaller than the 550 GB original (see README.md,\n\
+         \"Reproducing the paper's figures and tables\")."
     );
 }

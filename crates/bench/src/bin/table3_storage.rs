@@ -15,10 +15,10 @@
 //! * **budget**      — the artifact's declared error budget `ε + q`, which
 //!   the measured round-trip error must not exceed.
 //!
-//! A second table compares point-query throughput: the per-point
-//! `O(N·∏R)` [`TkrArtifact::element`] walk versus the batched
-//! [`TkrArtifact::elements`] contraction (`O(∏R)` per point, shared
-//! buffers), asserting the two agree to round-off.
+//! A second table compares point-query throughput: per-point
+//! [`TkrArtifact::element`] calls versus one batched
+//! [`TkrArtifact::elements`] call (the same `O(∏R)`-per-point contraction,
+//! scratch shared across the batch), asserting the two agree bit for bit.
 //!
 //! Every ratio is asserted finite and every round-trip error is asserted
 //! within budget, so CI fails loudly if the storage layer regresses.
@@ -134,7 +134,7 @@ fn main() {
             preset.name()
         );
     }
-    // Point-query throughput: per-element walk vs the batched contraction.
+    // Point-query throughput: per-point calls vs one batched call.
     println!("\nPoint queries — element() vs batched elements()");
     let widths = [8usize, 8, 14, 14, 9];
     print_header(
@@ -178,8 +178,9 @@ fn main() {
         });
         let (batched, batch_s) = timed(|| artifact.elements(&refs).unwrap());
         for (a, b) in singles.iter().zip(batched.iter()) {
-            assert!(
-                (a - b).abs() <= 1e-10 * a.abs().max(1.0),
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
                 "{}: batched point query diverged ({a} vs {b})",
                 preset.name()
             );
@@ -199,7 +200,7 @@ fn main() {
     println!(
         "\nShape check passed: every ratio is finite, quantized codecs beat the\n\
          f64 file ratio, every round-trip error is within the declared\n\
-         eps + quantization budget, and batched point queries agree with the\n\
-         per-element walk."
+         eps + quantization budget, and batched point queries agree bit for\n\
+         bit with per-point ones."
     );
 }

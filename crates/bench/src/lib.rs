@@ -1,7 +1,8 @@
 //! Shared harness utilities for the figure/table regeneration binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the experiment index). They share the helpers here:
+//! (see README.md, "Reproducing the paper's figures and tables", for the
+//! experiment index). They share the helpers here:
 //! simple fixed-width table printing, a flop counter for reporting effective
 //! GFLOP/s, and wrappers that run the distributed ST-HOSVD on a given grid and
 //! return its kernel-timing breakdown.

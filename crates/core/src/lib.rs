@@ -57,8 +57,8 @@ pub use hooi::{hooi, hooi_ctx, try_hooi, try_hooi_ctx, HooiOptions, HooiResult};
 pub use ordering::ModeOrder;
 pub use rank::{select_rank_by_threshold, RankSelection};
 pub use reconstruct::{
-    reconstruct_element, reconstruct_full, reconstruct_full_ctx, reconstruct_subtensor,
-    reconstruct_subtensor_ctx,
+    reconstruct_element, reconstruct_elements, reconstruct_full, reconstruct_full_ctx,
+    reconstruct_subtensor, reconstruct_subtensor_ctx, PointContraction,
 };
 pub use sthosvd::{
     st_hosvd, st_hosvd_ctx, try_st_hosvd, try_st_hosvd_ctx, SthosvdOptions, SthosvdResult,

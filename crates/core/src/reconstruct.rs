@@ -10,6 +10,7 @@
 
 use crate::tucker::TuckerTensor;
 use tucker_exec::ExecContext;
+use tucker_linalg::blas1::fiber_dots;
 use tucker_linalg::Matrix;
 use tucker_tensor::{ttm_chain_ctx, DenseTensor, SubtensorSpec, TtmTranspose};
 
@@ -66,41 +67,166 @@ pub fn reconstruct_slice(t: &TuckerTensor, mode: usize, idx: usize) -> DenseTens
 /// row of every factor matrix:
 /// `X̃[i₁,…,i_N] = Σ_{r₁,…,r_N} G[r₁,…,r_N] · ∏_n U⁽ⁿ⁾[i_n, r_n]`.
 ///
-/// Cost is `O(N · ∏ R_n)` — it never touches the original dimensions, which is
+/// Cost is `O(∏ R_n)` — it never touches the original dimensions, which is
 /// what makes random-access queries against a compressed artifact cheap
 /// (Sec. II-C of the paper; the `tucker-store` query engine is built on this).
+/// The value is bit-identical to the same entry of [`reconstruct_full`] and of
+/// any [`reconstruct_subtensor`] window containing it (see
+/// [`PointContraction`]).
+///
+/// # Panics
+/// Panics if `idx` does not cover every mode or is out of range.
 pub fn reconstruct_element(t: &TuckerTensor, idx: &[usize]) -> f64 {
-    assert_eq!(
-        idx.len(),
-        t.ndims(),
-        "reconstruct_element: index must cover every mode"
-    );
-    for (n, (&i, u)) in idx.iter().zip(t.factors.iter()).enumerate() {
-        assert!(
-            i < u.rows(),
-            "reconstruct_element: index {i} out of range in mode {n} (dim {})",
-            u.rows()
+    reconstruct_elements(t, &[idx])[0]
+}
+
+/// Batched [`reconstruct_element`]: one value per point, each bit-identical
+/// to the single-point call.
+///
+/// # Panics
+/// Panics if a point does not cover every mode or is out of range.
+pub fn reconstruct_elements(t: &TuckerTensor, points: &[&[usize]]) -> Vec<f64> {
+    let mut contraction = PointContraction::new(&t.factors, points);
+    contraction.accumulate(t.core.as_slice());
+    contraction.finish()
+}
+
+/// The point-contraction engine: evaluates `X̃` at a batch of indices while
+/// the core streams past in storage order, a run of whole last-mode slabs at
+/// a time (the whole core at once, or one `.tkr` chunk after another).
+///
+/// Each run is contracted mode by mode, 0 first: mode `n < N−1` collapses
+/// every contiguous length-`R_n` fiber against the factor row
+/// `U⁽ⁿ⁾[i_n, :]` ([`tucker_linalg::blas1::fiber_dots`]), shrinking the
+/// buffer by `R_n`; what is left is one scalar per last-mode slab `s`, folded
+/// into the point's running sum through `U⁽ᴺ⁻¹⁾[i, s]` — across run
+/// boundaries. Every sum is seeded `+0.0` and adds one unfused product per
+/// term in ascending index order: the recurrence the GEMM-based TTM chain
+/// applies to the same entry, in the same mode order. So the value equals
+/// that entry of the full or windowed reconstruction **bit for bit**, for
+/// any split of the core into runs — at `O(∏ R_n)` per point instead of the
+/// `O(N·∏ R_n)` of a storage-order walk, and without packing one-row GEMMs.
+pub struct PointContraction<'a> {
+    points: Vec<Point<'a>>,
+    /// Core elements per last-mode slab: `∏ R_n` over the non-last modes.
+    slab_len: usize,
+    /// Last-mode index of the next slab [`PointContraction::accumulate`]
+    /// expects.
+    next_slab: usize,
+    scratch: [Vec<f64>; 2],
+}
+
+/// One index under evaluation: its factor rows and its running sum.
+struct Point<'a> {
+    /// `U⁽ⁿ⁾[i_n, :]` for the non-last modes.
+    inner_rows: Vec<&'a [f64]>,
+    /// `U⁽ᴺ⁻¹⁾[i, :]`.
+    last_row: &'a [f64],
+    acc: f64,
+}
+
+impl<'a> PointContraction<'a> {
+    /// Prepares the contraction of a core with `factors` at `points`.
+    ///
+    /// # Panics
+    /// Panics if there are no factors, or a point does not cover every mode
+    /// or is out of range.
+    pub fn new(factors: &'a [Matrix], points: &[&[usize]]) -> Self {
+        let (last_factor, inner_factors) = factors
+            .split_last()
+            .expect("PointContraction: a decomposition has at least one mode");
+        let row = |n: usize, u: &'a Matrix, i: usize| {
+            assert!(
+                i < u.rows(),
+                "PointContraction: index {i} out of range in mode {n} (dim {})",
+                u.rows()
+            );
+            u.row(i)
+        };
+        let points = points
+            .iter()
+            .map(|idx| {
+                assert_eq!(
+                    idx.len(),
+                    factors.len(),
+                    "PointContraction: index must cover every mode"
+                );
+                let last = inner_factors.len();
+                Point {
+                    inner_rows: idx
+                        .iter()
+                        .zip(inner_factors)
+                        .enumerate()
+                        .map(|(n, (&i, u))| row(n, u, i))
+                        .collect(),
+                    last_row: row(last, last_factor, idx[last]),
+                    acc: 0.0,
+                }
+            })
+            .collect();
+        PointContraction {
+            points,
+            slab_len: inner_factors.iter().map(Matrix::cols).product(),
+            next_slab: 0,
+            scratch: [Vec::new(), Vec::new()],
+        }
+    }
+
+    /// Folds the next run of whole last-mode core slabs into every point.
+    ///
+    /// # Panics
+    /// Panics if `slabs` is not a whole number of slabs or runs past the
+    /// last mode's rank.
+    pub fn accumulate(&mut self, slabs: &[f64]) {
+        if slabs.is_empty() {
+            return;
+        }
+        assert_eq!(
+            slabs.len() % self.slab_len,
+            0,
+            "PointContraction: run is not a whole number of last-mode slabs"
         );
-    }
-    let ranks = t.ranks();
-    let mut r_idx = vec![0usize; ranks.len()];
-    let mut acc = 0.0;
-    for &g in t.core.as_slice() {
-        let mut w = g;
-        for (n, &r) in r_idx.iter().enumerate() {
-            w *= t.factors[n].get(idx[n], r);
-        }
-        acc += w;
-        // Advance the core multi-index, first mode fastest (storage order).
-        for (k, i) in r_idx.iter_mut().enumerate() {
-            *i += 1;
-            if *i < ranks[k] {
-                break;
+        let width = slabs.len() / self.slab_len;
+        let s0 = self.next_slab;
+        for point in &mut self.points {
+            let per_slab = contract_inner_modes(&point.inner_rows, slabs, &mut self.scratch);
+            for (&u, &t) in point.last_row[s0..s0 + width].iter().zip(per_slab) {
+                point.acc += u * t;
             }
-            *i = 0;
         }
+        self.next_slab += width;
     }
-    acc
+
+    /// The accumulated values, one per point in construction order.
+    pub fn finish(self) -> Vec<f64> {
+        self.points.iter().map(|p| p.acc).collect()
+    }
+}
+
+/// Contracts modes `0..N−1` of a run of slabs against one point's factor
+/// rows, ping-ponging between the two scratch buffers; returns one value per
+/// slab (the run itself for a 1-way core).
+fn contract_inner_modes<'s>(
+    inner_rows: &[&[f64]],
+    slabs: &'s [f64],
+    scratch: &'s mut [Vec<f64>; 2],
+) -> &'s [f64] {
+    if inner_rows.is_empty() {
+        return slabs;
+    }
+    let [mut src, mut dst] = scratch.each_mut();
+    let mut len = slabs.len();
+    for (n, row) in inner_rows.iter().enumerate() {
+        let out_len = len / row.len();
+        if dst.len() < out_len {
+            dst.resize(out_len, 0.0);
+        }
+        let input = if n == 0 { slabs } else { &src[..len] };
+        fiber_dots(row, input, &mut dst[..out_len]);
+        std::mem::swap(&mut src, &mut dst);
+        len = out_len;
+    }
+    &src[..len]
 }
 
 /// Reconstructs a coarsened view: every `stride`-th index in the given modes,
@@ -209,6 +335,49 @@ mod tests {
                 "element {idx:?}: {e} vs {}",
                 full.get(&idx)
             );
+        }
+    }
+
+    #[test]
+    fn element_equals_full_and_unit_window_bit_for_bit_for_any_core_split() {
+        let mut rng = StdRng::seed_from_u64(107);
+        for dims in [vec![9usize, 7, 8], vec![6, 5, 4, 7], vec![13, 11], vec![17]] {
+            let (_, t) = compressed_random(&mut rng, &dims, 1e-6);
+            let full = reconstruct_full(&t);
+            let points: Vec<Vec<usize>> = (0..12)
+                .map(|_| dims.iter().map(|&d| rng.gen_range(0..d)).collect())
+                .collect();
+            let refs: Vec<&[usize]> = points.iter().map(|p| p.as_slice()).collect();
+            let batched = reconstruct_elements(&t, &refs);
+            let slab_len = t.core.last_mode_stride();
+            let r_last = *t.core.dims().last().unwrap();
+            for (p, &b) in refs.iter().zip(&batched) {
+                let want = full.get(p).to_bits();
+                assert_eq!(reconstruct_element(&t, p).to_bits(), want, "{dims:?} {p:?}");
+                assert_eq!(b.to_bits(), want, "batched {dims:?} {p:?}");
+                let unit: Vec<(usize, usize)> = p.iter().map(|&i| (i, 1)).collect();
+                let window = reconstruct_subtensor(&t, &SubtensorSpec::from_ranges(&unit));
+                assert_eq!(
+                    window.as_slice()[0].to_bits(),
+                    want,
+                    "window {dims:?} {p:?}"
+                );
+            }
+            // Feeding the core in ragged runs of slabs changes nothing.
+            for widths in [vec![1usize], vec![2, 1, 3]] {
+                let mut contraction = PointContraction::new(&t.factors, &refs);
+                let (mut s, mut k) = (0usize, 0usize);
+                while s < r_last {
+                    let w = widths[k % widths.len()].min(r_last - s);
+                    contraction.accumulate(&t.core.as_slice()[s * slab_len..(s + w) * slab_len]);
+                    s += w;
+                    k += 1;
+                }
+                let split = contraction.finish();
+                for (a, b) in split.iter().zip(&batched) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "split {widths:?} {dims:?}");
+                }
+            }
         }
     }
 

@@ -1,9 +1,10 @@
 //! Simulated distributed-memory runtime for the parallel Tucker decomposition.
 //!
 //! The paper runs on MPI over a Cray XC30. This crate substitutes an
-//! in-process message-passing runtime (see DESIGN.md §2): every MPI *rank*
-//! becomes an OS thread with its own private data, communicating only through
-//! typed point-to-point channels and collectives implemented on top of them.
+//! in-process message-passing runtime (see docs/ARCHITECTURE.md §1): every
+//! MPI *rank* becomes an OS thread with its own private data, communicating
+//! only through typed point-to-point channels and collectives implemented on
+//! top of them.
 //! Nothing is shared behind the API — algorithms written against
 //! [`Communicator`] have the same structure they would have against MPI, and
 //! the runtime records exactly how many messages and words each rank moves so

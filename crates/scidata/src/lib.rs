@@ -6,8 +6,9 @@
 //! built from traveling coherent structures with low-rank species correlations
 //! and smooth temporal evolution, whose mode-wise singular-value decay can be
 //! controlled so that the relative compressibility ordering of the paper
-//! (SP ≫ HCCI ≫ TJLR) is reproduced by construction. See DESIGN.md §2 for the
-//! substitution argument.
+//! (SP ≫ HCCI ≫ TJLR) is reproduced by construction. See README.md
+//! ("Reproducing the paper's figures and tables") for what the surrogates do
+//! and do not reproduce.
 //!
 //! * [`spectra`]   — prescribed singular-value decay profiles.
 //! * [`synthetic`] — random Tucker tensors with prescribed per-mode spectra.

@@ -39,7 +39,8 @@
 //!   internally synchronized), so one misbehaving connection cannot poison
 //!   another.
 //! * **Graceful shutdown** — [`ServerHandle::shutdown`] flips the shutdown
-//!   flag, joins the accept thread, then joins sessions: each session
+//!   flag, wakes the accept thread out of its blocking `accept()` with a
+//!   loopback self-connect and joins it, then joins sessions: each session
 //!   finishes (and responds to) any request already in flight, refuses new
 //!   frames with `ShuttingDown`, and exits at the next idle read. Only then
 //!   is the job sender dropped — `std::sync::mpsc` receivers drain every
@@ -59,7 +60,7 @@ use crate::proto::{
 };
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -70,7 +71,8 @@ use tucker_exec::ExecContext;
 use tucker_store::{SharedChunkCache, TkrReader};
 
 /// How long a session sleeps between polls while waiting for a frame to
-/// start (also bounds shutdown latency).
+/// start (also bounds shutdown latency), and how long the acceptor backs off
+/// after a failed `accept`.
 const IDLE_POLL: Duration = Duration::from_millis(20);
 /// How long a session waits for the rest of a frame once its first byte
 /// arrived, before dropping the connection as truncated.
@@ -172,6 +174,13 @@ impl ServerHandle {
     pub fn shutdown(mut self) -> ServeStats {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
+            // The acceptor blocks in `accept()`; a throwaway connection to
+            // our own port makes it return and see the flag. A failed wake-up
+            // is retried unless the acceptor got out on its own.
+            let wake = wake_addr(self.addr);
+            while !h.is_finished() && TcpStream::connect_timeout(&wake, WRITE_TIMEOUT).is_err() {
+                std::thread::sleep(IDLE_POLL);
+            }
             let _ = h.join();
         }
         // Sessions are joined while the job sender is still alive, so their
@@ -212,7 +221,6 @@ pub fn serve(
     config: ServeConfig,
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
     let pool = ExecContext::global();
@@ -298,9 +306,28 @@ fn stats_snapshot(shared: &Shared) -> ServeStats {
     }
 }
 
+/// Where [`ServerHandle::shutdown`] connects to wake the blocked acceptor:
+/// the bound address, with a wildcard bind reached through loopback.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
+/// Blocks in `accept()` — a new connection is picked up the moment it
+/// arrives, not at the next poll — until shutdown's wake-up connection (or
+/// any other) makes it return with the flag set; that socket is dropped
+/// unserved.
 fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((mut stream, _)) => {
                 // Session cap: decide *before* spawning, so a connection
                 // flood costs one synchronous write per reject rather than
@@ -333,7 +360,7 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
                 let mut sessions = shared.sessions.lock().unwrap_or_else(|e| e.into_inner());
                 sessions.push(handle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(IDLE_POLL),
+            // A failing accept (descriptor exhaustion, say) must not spin.
             Err(_) => std::thread::sleep(IDLE_POLL),
         }
     }

@@ -135,38 +135,46 @@ impl Codec {
     }
 
     /// Decodes a block of `len` values previously written by
-    /// [`Codec::encode_block`].
+    /// [`Codec::encode_block`]: one bulk read of the block's payload, then
+    /// [`Codec::decode_into`].
     pub fn decode_block(&self, r: &mut impl Read, len: usize) -> io::Result<Vec<f64>> {
-        let mut out = Vec::with_capacity(len);
+        let mut payload = vec![0u8; self.block_bytes(len)];
+        r.read_exact(&mut payload)?;
+        let mut out = vec![0.0f64; len];
+        self.decode_into(&payload, &mut out);
+        Ok(out)
+    }
+
+    /// Decodes an in-memory block payload (the [`Codec::block_bytes`] bytes
+    /// [`Codec::encode_block`] wrote for `out.len()` values) into `out`.
+    ///
+    /// Total: with the payload already in memory nothing can fail. A payload
+    /// of the wrong size decodes the values both sides have and leaves the
+    /// rest of `out` untouched; callers size both from the same length.
+    pub fn decode_into(&self, payload: &[u8], out: &mut [f64]) {
         match self {
             Codec::F64 => {
-                let mut buf = [0u8; 8];
-                for _ in 0..len {
-                    r.read_exact(&mut buf)?;
-                    out.push(f64::from_le_bytes(buf));
+                for (o, b) in out.iter_mut().zip(payload.as_chunks::<8>().0) {
+                    *o = f64::from_le_bytes(*b);
                 }
             }
             Codec::F32 => {
-                let mut buf = [0u8; 4];
-                for _ in 0..len {
-                    r.read_exact(&mut buf)?;
-                    out.push(f32::from_le_bytes(buf) as f64);
+                for (o, b) in out.iter_mut().zip(payload.as_chunks::<4>().0) {
+                    *o = f32::from_le_bytes(*b) as f64;
                 }
             }
             Codec::Q16 => {
-                let mut sbuf = [0u8; 8];
-                r.read_exact(&mut sbuf)?;
-                let scale = f64::from_le_bytes(sbuf);
-                let mut buf = [0u8; 2];
-                for _ in 0..len {
-                    r.read_exact(&mut buf)?;
-                    out.push(i16::from_le_bytes(buf) as f64 * scale);
+                let Some((scale, body)) = payload.split_first_chunk::<8>() else {
+                    return;
+                };
+                let scale = f64::from_le_bytes(*scale);
+                for (o, b) in out.iter_mut().zip(body.as_chunks::<2>().0) {
+                    *o = i16::from_le_bytes(*b) as f64 * scale;
                 }
             }
         }
         DECODE_BLOCKS.inc();
-        DECODE_BYTES.add(self.block_bytes(len) as u64);
-        Ok(out)
+        DECODE_BYTES.add(self.block_bytes(out.len()) as u64);
     }
 
     /// On-disk payload size of a block of `len` values.
@@ -227,6 +235,27 @@ mod tests {
         assert!((sq_err - actual).abs() < 1e-20);
         for (a, b) in values.iter().zip(&decoded) {
             assert!((a - b).abs() <= 0.5 * step + 1e-12);
+        }
+    }
+
+    #[test]
+    fn decode_into_is_total_on_mis_sized_payloads() {
+        for codec in Codec::all() {
+            let mut buf = Vec::new();
+            codec.encode_block(&mut buf, &[1.5, -2.25, 3.0]).unwrap();
+            // Exactly sized: every value lands, as `decode_block` reads it.
+            let values = codec.decode_block(&mut io::Cursor::new(&buf), 3).unwrap();
+            let mut out = [f64::NAN; 3];
+            codec.decode_into(&buf, &mut out);
+            assert_eq!(&out[..], &values[..], "{}", codec.name());
+            // Short payloads (down to empty) decode a prefix and never panic.
+            for cut in 0..buf.len() {
+                let mut out = [f64::NAN; 3];
+                codec.decode_into(&buf[..cut], &mut out);
+                let decoded = out.iter().take_while(|v| !v.is_nan()).count();
+                assert_eq!(&out[..decoded], &values[..decoded]);
+                assert!(out[decoded..].iter().all(|v| v.is_nan()));
+            }
         }
     }
 

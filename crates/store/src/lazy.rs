@@ -6,42 +6,59 @@
 //! disk**: `open` makes one scan pass that parses the header, decodes the
 //! (small) factor matrices, and builds a *chunk directory* — the file offset
 //! and core range of every `TAG_CORE_CHUNK` block — without reading any
-//! core payload. Queries then pull chunks on demand through a bounded LRU
-//! cache; cache misses within one wave are codec-decoded in parallel on the
+//! core payload. Queries then stream the chunks past in ascending order, in
+//! waves: each wave probes the chunk cache, and its misses are fetched with
+//! positional reads (no shared file cursor, so concurrent queries on one
+//! reader never serialise on IO) and bulk-decoded in parallel on the
 //! reader's `ExecContext`.
 //!
 //! Caching always goes through a [`crate::shared::CacheSession`]:
 //! [`TkrReader::open_with`] gives the reader a private single-stripe
-//! [`crate::shared::SharedChunkCache`] (exactly the historical per-reader
-//! LRU), while [`TkrReader::open_shared`] registers the reader in a cache
-//! shared with other sessions, so many readers of one artifact decode each
-//! chunk once and stay within one global residency budget — the service
-//! posture `tucker-serve` builds on.
+//! [`crate::shared::SharedChunkCache`], while [`TkrReader::open_shared`]
+//! registers the reader in a cache shared with other sessions, so many
+//! readers of one artifact decode each chunk once and stay within one global
+//! residency budget — the service posture `tucker-serve` builds on. Either
+//! way residency follows the cache's admission rule (see [`crate::shared`]):
+//! because every query scans every chunk, an artifact larger than the budget
+//! keeps a stable resident prefix and decodes the rest per query, instead of
+//! flooding an LRU.
 //!
-//! Partial reconstruction never assembles the core: each chunk is a run of
-//! whole last-mode core slabs, so a window query contracts chunk `c` with
-//! the non-last sub-factors and accumulates its contribution through the
-//! last-mode factor columns `[start_c, start_c + len_c)` — splitting the
-//! final TTM's contraction dimension at chunk boundaries. Because the GEMM
-//! kernel accumulates each output element as one running sum in ascending
-//! contraction order, the result is **byte-identical** to the eager reader
-//! for every chunk layout and cache size (pinned in
-//! `tests/store_roundtrip.rs`); peak memory is `O(decoded chunks in cache +
-//! output + one chunk-sized intermediate)`.
+//! Nothing ever assembles the core, and no query copies a cached chunk:
+//!
+//! * **Windows** — each chunk is a run of whole last-mode core slabs, so a
+//!   window query contracts chunk `c` (borrowed from the cache, in place)
+//!   with the non-last sub-factors and accumulates its contribution through
+//!   the last-mode factor columns `[start_c, start_c + len_c)` — splitting
+//!   the final TTM's contraction dimension at chunk boundaries. Because the
+//!   GEMM kernel accumulates each output element as one running sum in
+//!   ascending contraction order, the result is **byte-identical** to the
+//!   eager reader for every chunk layout and cache size (pinned in
+//!   `tests/store_roundtrip.rs`); peak memory is `O(decoded chunks in cache +
+//!   output + one chunk-sized intermediate)`.
+//! * **Points** — [`TkrReader::element`]/[`TkrReader::elements`] feed the
+//!   chunks to the one [`tucker_core::reconstruct::PointContraction`] the
+//!   eager reader and `tucker_core::reconstruct_element` also use: `O(∏R)`
+//!   per point, and the same per-element recurrence as the window path, so
+//!   `element(idx)` ≡ the unit window at `idx` ≡ `reconstruct()[idx]`, bit
+//!   for bit.
 
+use crate::codec::Codec;
 use crate::error::{FormatError, StoreError};
 use crate::format::{invalid, read_u32, read_u64, TkrHeader, TAG_CORE_CHUNK, TAG_END, TAG_FACTOR};
 use crate::query::{validate_point, validate_ranges, validate_slice, validate_spec, QueryError};
 use crate::shared::{CacheSession, SharedChunkCache};
 use crate::writer::codec_wave_chunks;
 use std::fs::File;
-use std::io::{self, BufReader, Read, Seek, SeekFrom};
+use std::io::{self, BufReader, Read, Seek};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use tucker_core::reconstruct::PointContraction;
 use tucker_exec::ExecContext;
 use tucker_linalg::gemm::{gemm_slices, Transpose};
 use tucker_linalg::Matrix;
-use tucker_tensor::{ttm_ctx, DenseTensor, SubtensorSpec, TtmTranspose};
+use tucker_obs::span;
+use tucker_tensor::{ttm_ctx, ttm_slice_ctx, DenseTensor, SubtensorSpec, TtmTranspose};
 
 /// Default number of decoded chunks the cache keeps resident.
 pub const DEFAULT_CACHE_CHUNKS: usize = 16;
@@ -67,8 +84,30 @@ pub(crate) struct ScannedArtifact {
     pub factors: Vec<Matrix>,
     pub chunks: Vec<ChunkEntry>,
     pub core_total: usize,
-    pub file: BufReader<File>,
+    pub file: File,
     pub file_bytes: u64,
+}
+
+/// Fetches core chunk `entry` with one positional read into `payload` (a
+/// buffer the caller reuses from chunk to chunk) and bulk-decodes it into
+/// `out`, which must hold `entry.len` values. The one chunk-IO path of both
+/// readers; `&File` + `read_exact_at` share no cursor, so callers need no
+/// lock.
+pub(crate) fn read_chunk(
+    file: &File,
+    codec: Codec,
+    entry: &ChunkEntry,
+    payload: &mut Vec<u8>,
+    out: &mut [f64],
+) -> io::Result<()> {
+    payload.resize(codec.block_bytes(entry.len), 0);
+    {
+        let _span = span!("store.chunk_fetch", bytes = payload.len());
+        file.read_exact_at(payload, entry.offset)?;
+    }
+    let _span = span!("store.chunk_decode", values = entry.len);
+    codec.decode_into(payload, out);
+    Ok(())
 }
 
 /// Parses the framing of a `.tkr` file: validates the header and every
@@ -205,25 +244,26 @@ pub(crate) fn scan_artifact(path: impl AsRef<Path>) -> io::Result<ScannedArtifac
         factors,
         chunks,
         core_total,
-        file: r,
+        file: r.into_inner(),
         file_bytes,
     })
 }
 
 /// A lazily decoding `.tkr` reader: chunk directory built at open, chunks
-/// decoded on demand behind a bounded LRU cache (private by default, shared
-/// across readers via [`TkrReader::open_shared`]).
+/// decoded on demand behind a bounded, scan-resistant chunk cache (private
+/// by default, shared across readers via [`TkrReader::open_shared`]).
 ///
-/// All queries are `&self` (internally synchronized) and return the same
-/// bytes the eager [`crate::TkrArtifact`] would, while decoding only the
-/// chunks a query touches and keeping at most the cache capacity resident.
+/// All queries are `&self` — positional reads and the internally
+/// synchronized cache are the only shared state — and return the same bytes
+/// the eager [`crate::TkrArtifact`] would, while decoding only the chunks
+/// not already resident and keeping at most the cache capacity resident.
 pub struct TkrReader {
     header: TkrHeader,
     factors: Vec<Matrix>,
     chunks: Vec<ChunkEntry>,
     core_total: usize,
     file_bytes: u64,
-    io: Mutex<BufReader<File>>,
+    file: File,
     cache: CacheSession,
     ctx: ExecContext,
 }
@@ -305,7 +345,7 @@ impl TkrReader {
             chunks: scanned.chunks,
             core_total: scanned.core_total,
             file_bytes: scanned.file_bytes,
-            io: Mutex::new(scanned.file),
+            file: scanned.file,
             cache,
             ctx: ctx.clone(),
         })
@@ -372,64 +412,74 @@ impl TkrReader {
         self.file_bytes
     }
 
-    /// Streams every chunk, in order, through `f`. Misses are fetched in
-    /// waves — payloads read sequentially, then codec-decoded in parallel on
-    /// the reader's context — so at most `min(wave, capacity)` chunks are
-    /// decoded per batch and the cache bound is never exceeded by more than
-    /// the wave in flight.
+    /// Streams every chunk, in order, through `f` — one scan, as the cache
+    /// counts them. Chunks are resolved in waves: cache probes first, then the
+    /// wave's misses fetched and decoded in parallel on the reader's context
+    /// (each into a payload buffer reused from wave to wave), offered to the
+    /// cache, and handed to `f` whether or not they were admitted. At most
+    /// `min(wave, capacity)` chunks are in flight beyond the cache bound.
     fn for_each_chunk(&self, mut f: impl FnMut(&ChunkEntry, &[f64])) -> Result<(), QueryError> {
+        /// A chunk to fetch and decode: its reused payload buffer, the
+        /// decoded values, and how the read went.
+        struct Miss<'p> {
+            payload: &'p mut Vec<u8>,
+            values: Vec<f64>,
+            read: io::Result<()>,
+        }
+        /// One wave slot: resident already, or a miss.
+        enum Slot<'p> {
+            Hit(Arc<Vec<f64>>),
+            Miss(Miss<'p>),
+        }
+        self.cache.begin_scan();
         let wave_len = codec_wave_chunks(&self.ctx)
             .min(self.cache.capacity())
             .max(1);
         let codec = self.header.codec;
-        let mut base = 0usize;
-        while base < self.chunks.len() {
-            let wave = &self.chunks[base..(base + wave_len).min(self.chunks.len())];
-
-            // Probe the cache for the whole wave (hits counted per artifact
-            // by the session).
-            let mut resolved: Vec<Option<Arc<Vec<f64>>>> = wave
-                .iter()
+        let mut payloads: Vec<Vec<u8>> = vec![Vec::new(); wave_len.min(self.chunks.len())];
+        for (w, wave) in self.chunks.chunks(wave_len).enumerate() {
+            let base = w * wave_len;
+            let mut slots: Vec<Slot> = payloads
+                .iter_mut()
+                .take(wave.len())
                 .enumerate()
-                .map(|(i, _)| self.cache.get(base + i))
+                .map(|(i, payload)| match self.cache.get(base + i) {
+                    Some(data) => Slot::Hit(data),
+                    None => Slot::Miss(Miss {
+                        payload,
+                        values: Vec::new(),
+                        read: Ok(()),
+                    }),
+                })
                 .collect();
-
-            // Read the payloads of every miss (sequential IO, ascending).
-            let mut misses: Vec<(usize, Vec<u8>, Vec<f64>)> = Vec::new();
-            {
-                let mut io = self.io.lock().unwrap_or_else(|e| e.into_inner());
-                for (i, slot) in resolved.iter().enumerate() {
-                    if slot.is_none() {
-                        let entry = &wave[i];
-                        let mut payload = vec![0u8; codec.block_bytes(entry.len)];
-                        io.seek(SeekFrom::Start(entry.offset))?;
-                        io.read_exact(&mut payload)?;
-                        misses.push((i, payload, Vec::new()));
+            // Only the misses go to the pool: an all-hit wave costs no
+            // scatter, a mixed one is balanced over its misses.
+            let mut misses: Vec<(usize, &mut Miss)> = slots
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(i, slot)| match slot {
+                    Slot::Miss(miss) => Some((i, miss)),
+                    Slot::Hit(_) => None,
+                })
+                .collect();
+            self.ctx.for_each_slot(&mut misses, |_, (i, miss)| {
+                let entry = &wave[*i];
+                miss.values = vec![0.0; entry.len];
+                miss.read = read_chunk(&self.file, codec, entry, miss.payload, &mut miss.values);
+            });
+            for (i, (entry, slot)) in wave.iter().zip(slots).enumerate() {
+                let data = match slot {
+                    Slot::Hit(data) => data,
+                    Slot::Miss(Miss { values, read, .. }) => {
+                        read?;
+                        let data = Arc::new(values);
+                        self.cache.insert(base + i, Arc::clone(&data));
+                        data
                     }
-                }
+                };
+                let _span = span!("store.chunk_contract", chunk = base + i);
+                f(entry, &data);
             }
-
-            // Decode the wave's misses in parallel: exactly-sized in-memory
-            // payloads make the per-chunk decode infallible.
-            if !misses.is_empty() {
-                self.ctx.for_each_slot(&mut misses, |_, (i, payload, out)| {
-                    let len = wave[*i].len;
-                    *out = codec
-                        .decode_block(&mut io::Cursor::new(&payload[..]), len)
-                        .expect("in-memory decode of an exactly-sized payload cannot fail");
-                });
-                for (i, _, decoded) in misses {
-                    let data = Arc::new(decoded);
-                    self.cache.insert(base + i, Arc::clone(&data));
-                    resolved[i] = Some(data);
-                }
-            }
-
-            for (i, entry) in wave.iter().enumerate() {
-                let data = resolved[i].as_ref().expect("every wave slot resolved");
-                f(entry, data);
-            }
-            base += wave.len();
         }
         Ok(())
     }
@@ -473,11 +523,23 @@ impl TkrReader {
             let wc = entry.len / core_stride;
             let s0 = entry.start / core_stride;
             // Contract the chunk with the non-last sub-factors: bitwise the
-            // last-mode slab [s0, s0+wc) of the full intermediate.
-            let mut cur = DenseTensor::from_vec(&chunk_dims(wc), data.to_vec());
+            // last-mode slab [s0, s0+wc) of the full intermediate. The first
+            // TTM reads the cached chunk where it lies.
+            let mut contracted: Option<DenseTensor> = None;
             for (n, u) in sub_factors[..last].iter().enumerate() {
-                cur = ttm_ctx(&self.ctx, &cur, u, n, TtmTranspose::NoTranspose);
+                contracted = Some(match &contracted {
+                    None => ttm_slice_ctx(
+                        &self.ctx,
+                        &chunk_dims(wc),
+                        data,
+                        u,
+                        n,
+                        TtmTranspose::NoTranspose,
+                    ),
+                    Some(cur) => ttm_ctx(&self.ctx, cur, u, n, TtmTranspose::NoTranspose),
+                });
             }
+            let cur = contracted.as_ref().map_or(data, DenseTensor::as_slice);
             if ndims == 1 {
                 // Degenerate 1-way artifact: mirror the eager kernel's GEMM
                 // orientation (chunk on the left, factor transposed) so even
@@ -486,7 +548,7 @@ impl TkrReader {
                     Transpose::No,
                     Transpose::Yes,
                     1.0,
-                    cur.as_slice(),
+                    cur,
                     1,
                     wc,
                     wc,
@@ -511,7 +573,7 @@ impl TkrReader {
                     d_last,
                     wc,
                     r_last,
-                    cur.as_slice(),
+                    cur,
                     wc,
                     left,
                     left,
@@ -537,16 +599,18 @@ impl TkrReader {
         self.reconstruct_subtensor(&SubtensorSpec::all(&self.header.dims))
     }
 
-    /// Evaluates one element in `O(N·∏R_n)`, decoding only chunks not
-    /// already cached — bit-identical to [`crate::TkrArtifact::element`]
-    /// (same storage-order walk, continued across chunk boundaries).
+    /// Evaluates one element in `O(∏R_n)`, decoding only chunks not already
+    /// cached — bit-identical to [`crate::TkrArtifact::element`], to the unit
+    /// window [`TkrReader::reconstruct_range`] returns at `idx`, and to entry
+    /// `idx` of [`TkrReader::reconstruct`] (one
+    /// [`PointContraction`], fed chunk by chunk).
     pub fn element(&self, idx: &[usize]) -> Result<f64, QueryError> {
         Ok(self.elements(&[idx])?[0])
     }
 
-    /// Batched element queries: every chunk is decoded at most once for the
-    /// whole batch, and each point's accumulation is bit-identical to
-    /// [`TkrReader::element`].
+    /// Batched element queries: every chunk is fetched at most once for the
+    /// whole batch, and each value is bit-identical to
+    /// [`TkrReader::element`] at that point, whatever the batch order.
     pub fn elements(&self, points: &[&[usize]]) -> Result<Vec<f64>, QueryError> {
         for p in points {
             validate_point(p, &self.header.dims)?;
@@ -554,31 +618,9 @@ impl TkrReader {
         if points.is_empty() {
             return Ok(Vec::new());
         }
-        let ranks = self.header.ranks.clone();
-        let ndims = ranks.len();
-        let mut acc = vec![0.0f64; points.len()];
-        let mut r_idx = vec![0usize; ndims];
-        self.for_each_chunk(|_, data| {
-            for &g in data {
-                for (a, point) in acc.iter_mut().zip(points.iter()) {
-                    let mut w = g;
-                    for (n, &r) in r_idx.iter().enumerate() {
-                        w *= self.factors[n].get(point[n], r);
-                    }
-                    *a += w;
-                }
-                // Advance the core multi-index, first mode fastest (storage
-                // order), continuing seamlessly across chunk boundaries.
-                for (k, i) in r_idx.iter_mut().enumerate() {
-                    *i += 1;
-                    if *i < ranks[k] {
-                        break;
-                    }
-                    *i = 0;
-                }
-            }
-        })?;
-        Ok(acc)
+        let mut contraction = PointContraction::new(&self.factors, points);
+        self.for_each_chunk(|_, data| contraction.accumulate(data))?;
+        Ok(contraction.finish())
     }
 
     /// Materializes the whole decomposition — decodes every chunk once and

@@ -24,9 +24,10 @@
 //!    [`gather_and_write`] for distributed output, and two readers:
 //!    the eager [`TkrArtifact`] (core decoded at open) and the lazy
 //!    [`TkrReader`] (chunk directory at open, chunks decoded on demand
-//!    behind a bounded LRU cache) — both serving `reconstruct_range` /
-//!    `reconstruct_slice` / `element` queries whose cost scales with the
-//!    request, never with the original data, with byte-identical answers.
+//!    behind a bounded, scan-resistant chunk cache) — both serving
+//!    `reconstruct_range` / `reconstruct_slice` / `element` queries whose
+//!    cost scales with the request, never with the original data, with
+//!    byte-identical answers.
 //!
 //! # Example
 //!
@@ -523,16 +524,15 @@ mod tests {
         let refs: Vec<&[usize]> = points.iter().map(|p| p.as_slice()).collect();
         let batched = artifact.elements(&refs).unwrap();
         let lazy_batched = lazy.elements(&refs).unwrap();
+        let full = artifact.reconstruct();
         for ((p, &b), lb) in refs.iter().zip(batched.iter()).zip(lazy_batched.iter()) {
             let single = artifact.element(p).unwrap();
-            // Same sum in a different association order: round-off only.
-            let scale = single.abs().max(1.0);
-            assert!(
-                (b - single).abs() <= 1e-12 * scale,
-                "batched {b} vs single {single} at {p:?}"
-            );
-            // The lazy batch walk is bit-identical to the eager element walk.
-            assert_eq!(lb.to_bits(), single.to_bits());
+            // One point-contraction routine everywhere: batched, per-point,
+            // eager and lazy agree bit for bit — with each other and with
+            // the same entry of the full reconstruction.
+            assert_eq!(b.to_bits(), single.to_bits(), "batched vs single at {p:?}");
+            assert_eq!(lb.to_bits(), single.to_bits(), "lazy vs eager at {p:?}");
+            assert_eq!(single.to_bits(), full.get(p).to_bits(), "vs full at {p:?}");
             // And everything approximates the original field.
             assert!((single - x.get(p)).abs() < 1e-2);
         }
@@ -734,8 +734,8 @@ mod tests {
         let (_, t) = compressed(&[8, 7, 12], 1e-4);
         let path = write_chunked("shared_conc", &t, Codec::F64);
         let ctx = tucker_exec::ExecContext::global();
-        // A budget smaller than the chunk count keeps eviction live under
-        // the concurrent load.
+        // A budget smaller than the chunk count keeps admission and bypass
+        // live under the concurrent load.
         let cache = SharedChunkCache::new(5, 2);
         let reader = std::sync::Arc::new(TkrReader::open_shared(&path, "x", &cache, ctx).unwrap());
         let expected = TkrArtifact::open(&path).unwrap();
@@ -797,10 +797,44 @@ mod tests {
     }
 
     #[test]
+    fn repeated_queries_keep_a_resident_prefix_instead_of_flooding_the_cache() {
+        // 10 chunks behind a 4-chunk cache: under LRU every query evicted
+        // exactly the chunks the next one needed first (0 hits, 10 decodes,
+        // forever). Under the admission rule each query after the first is
+        // served 4 chunks from memory and decodes the other 6.
+        let t = st_hosvd(
+            &wavy(&[8, 7, 10]),
+            &SthosvdOptions::with_ranks(vec![3, 3, 10]),
+        )
+        .tucker;
+        let path = write_chunked("scan_resistant", &t, Codec::F32);
+        let lazy = TkrReader::open_with(&path, 4, tucker_exec::ExecContext::global()).unwrap();
+        std::fs::remove_file(&path).ok();
+        let chunks = lazy.chunk_count();
+        assert_eq!(chunks, 10);
+        lazy.element(&[1, 2, 3]).unwrap();
+        assert_eq!((lazy.cache_hits(), lazy.decoded_chunks()), (0, chunks));
+        for q in 1..=6 {
+            match q % 3 {
+                0 => drop(lazy.element(&[q, 0, q]).unwrap()),
+                1 => drop(lazy.reconstruct_range(&[(0, 2), (1, 3), (q, 2)]).unwrap()),
+                _ => drop(lazy.reconstruct_slice(1, q).unwrap()),
+            }
+            assert_eq!(lazy.cache_hits(), 4 * q, "query {q}");
+            assert_eq!(
+                lazy.decoded_chunks(),
+                chunks + (chunks - 4) * q,
+                "query {q}"
+            );
+            assert_eq!(lazy.resident_chunks(), 4);
+        }
+    }
+
+    #[test]
     fn private_cache_accounting_matches_shared_single_session() {
-        // The historical private-LRU accounting and a single-session shared
-        // cache must agree stat-for-stat on the same workload: the private
-        // path *is* a one-stripe shared cache, and this pins it.
+        // A private reader cache and a single-session shared cache must
+        // agree stat-for-stat on the same workload: the private path *is* a
+        // one-stripe shared cache, and this pins it.
         let (_, t) = compressed(&[8, 7, 10], 1e-4);
         let path = write_chunked("parity", &t, Codec::Q16);
         let ctx = tucker_exec::ExecContext::global();

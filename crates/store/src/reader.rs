@@ -7,22 +7,24 @@
 //! [`TkrArtifact::reconstruct_subtensor`] contract the core against **row
 //! subsets** of the factors (cost scales with the requested window),
 //! [`TkrArtifact::reconstruct_slice`] pulls one plane (one species, one
-//! timestep), [`TkrArtifact::element`] evaluates a single entry in
-//! `O(N·∏R)`, and [`TkrArtifact::elements`] batches point queries through a
-//! shared `O(∏R)`-per-point contraction — the laptop-scale analysis
-//! workflow the paper motivates in Secs. II-C and VII.
+//! timestep), and [`TkrArtifact::element`] / [`TkrArtifact::elements`]
+//! evaluate single entries in `O(∏R)` each through the one point-contraction
+//! routine (`tucker_core::reconstruct::PointContraction`), bit-identical to
+//! the same entries of a window or of the full reconstruction — the
+//! laptop-scale analysis workflow the paper motivates in Secs. II-C and VII.
 //!
 //! Degenerate requests (wrong arity, empty or out-of-range windows, bad
 //! indices) return a typed [`QueryError`] instead of panicking; the lazy
 //! reader validates identically.
 
 use crate::codec::Codec;
-use crate::lazy::{scan_artifact, ChunkEntry, ScannedArtifact};
+use crate::lazy::{read_chunk, scan_artifact, ChunkEntry, ScannedArtifact};
 use crate::query::{validate_point, validate_ranges, validate_slice, validate_spec, QueryError};
 use crate::writer::codec_wave_chunks;
-use std::io::{self, BufReader, Read, Seek, SeekFrom};
+use std::fs::File;
+use std::io;
 use std::path::Path;
-use tucker_core::reconstruct::{reconstruct_element, reconstruct_slice, reconstruct_subtensor};
+use tucker_core::reconstruct::{reconstruct_elements, reconstruct_slice, reconstruct_subtensor};
 use tucker_core::TuckerTensor;
 use tucker_exec::ExecContext;
 use tucker_tensor::{DenseTensor, SubtensorSpec};
@@ -53,11 +55,11 @@ impl TkrArtifact {
             factors,
             chunks,
             core_total,
-            mut file,
+            file,
             file_bytes,
         } = scan_artifact(path)?;
         let mut core_data = vec![0.0f64; core_total];
-        decode_all_chunks(header.codec, ctx, &chunks, &mut file, &mut core_data)?;
+        decode_all_chunks(header.codec, ctx, &chunks, &file, &mut core_data)?;
         let core = DenseTensor::from_vec(&header.ranks, core_data);
         Ok(TkrArtifact {
             tucker: TuckerTensor::new(core, factors),
@@ -126,93 +128,64 @@ impl TkrArtifact {
         Ok(reconstruct_slice(&self.tucker, mode, idx))
     }
 
-    /// Evaluates one element in `O(N·∏R_n)`.
+    /// Evaluates one element in `O(∏R_n)` — bit-identical to the unit window
+    /// [`TkrArtifact::reconstruct_range`] returns at `idx` and to entry `idx`
+    /// of [`TkrArtifact::reconstruct`].
     pub fn element(&self, idx: &[usize]) -> Result<f64, QueryError> {
-        validate_point(idx, &self.header.dims)?;
-        Ok(reconstruct_element(&self.tucker, idx))
+        Ok(self.elements(&[idx])?[0])
     }
 
-    /// Batched element queries.
-    ///
-    /// Instead of paying [`TkrArtifact::element`]'s full `O(N·∏R)` walk per
-    /// point, each point contracts the core against its factor rows one mode
-    /// at a time from the last mode inward — `O(∏R·(1 + 1/R_N + …)) ≈
-    /// O(∏R)` per point — with the factor-row slices and the two ping-pong
-    /// contraction buffers shared across the whole batch (no per-point
-    /// allocation). Same sum as `element` in a different association order,
-    /// so results agree to floating-point round-off, not bit-for-bit.
+    /// Batched element queries: each value is bit-identical to
+    /// [`TkrArtifact::element`] at that point, whatever the batch order.
     pub fn elements(&self, points: &[&[usize]]) -> Result<Vec<f64>, QueryError> {
         for p in points {
             validate_point(p, &self.header.dims)?;
         }
-        let core = &self.tucker.core;
-        let ranks = core.dims();
-        let ndims = ranks.len();
-        // One contraction buffer shared by the whole batch. Contracting in
-        // place is safe: output `l` reads positions `l + r·stride ≥ l`, and
-        // only positions `< l` have been overwritten when it is computed.
-        let mut cur: Vec<f64> = Vec::with_capacity(core.len());
-        let mut out = Vec::with_capacity(points.len());
-        for point in points {
-            cur.clear();
-            cur.extend_from_slice(core.as_slice());
-            let mut cur_len: usize = core.len();
-            for n in (0..ndims).rev() {
-                let stride = cur_len / ranks[n];
-                let row = self.tucker.factors[n].row(point[n]);
-                for l in 0..stride {
-                    let mut s = 0.0;
-                    for (r, &u) in row.iter().enumerate() {
-                        s += cur[l + r * stride] * u;
-                    }
-                    cur[l] = s;
-                }
-                cur_len = stride;
-            }
-            out.push(cur[0]);
-        }
-        Ok(out)
+        Ok(reconstruct_elements(&self.tucker, points))
     }
 }
 
 /// Decodes every chunk of a scanned artifact into `core_data`, in waves of a
-/// few chunks per pool thread: payloads are read sequentially, decoded in
-/// parallel into disjoint core ranges, and no more than one wave of encoded
-/// payloads is ever held alongside the decoded core.
+/// few chunks per pool thread: each chunk is fetched and decoded straight
+/// into its (disjoint) core range, in parallel, through a payload buffer
+/// reused from wave to wave — no more than one wave of encoded payloads is
+/// ever held alongside the decoded core.
 fn decode_all_chunks(
     codec: Codec,
     ctx: &ExecContext,
     chunks: &[ChunkEntry],
-    file: &mut BufReader<std::fs::File>,
+    file: &File,
     core_data: &mut [f64],
 ) -> io::Result<()> {
-    let wave = codec_wave_chunks(ctx);
-    let mut base = 0usize;
-    while base < chunks.len() {
-        let batch = &chunks[base..(base + wave).min(chunks.len())];
-        // Read this wave's payloads (sequential IO, ascending offsets).
-        let mut slots: Vec<(ChunkEntry, Vec<u8>, &mut [f64])> = Vec::with_capacity(batch.len());
-        let mut rest = &mut core_data[batch[0].start..];
-        let mut upto = batch[0].start;
-        for entry in batch {
-            let mut payload = vec![0u8; codec.block_bytes(entry.len)];
-            file.seek(SeekFrom::Start(entry.offset))?;
-            file.read_exact(&mut payload)?;
-            debug_assert_eq!(entry.start, upto);
-            let (dst, tail) = rest.split_at_mut(entry.len);
+    /// One chunk of a wave: where it comes from, where it decodes to.
+    struct Slot<'a> {
+        entry: &'a ChunkEntry,
+        payload: &'a mut Vec<u8>,
+        dst: &'a mut [f64],
+        read: io::Result<()>,
+    }
+    let wave = codec_wave_chunks(ctx).max(1);
+    let mut payloads: Vec<Vec<u8>> = vec![Vec::new(); wave.min(chunks.len())];
+    // The scan pass checked that the chunks tile the core in order.
+    let mut rest = core_data;
+    for batch in chunks.chunks(wave) {
+        let mut slots: Vec<Slot> = Vec::with_capacity(batch.len());
+        for (entry, payload) in batch.iter().zip(payloads.iter_mut()) {
+            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(entry.len);
             rest = tail;
-            upto += entry.len;
-            slots.push((*entry, payload, dst));
+            slots.push(Slot {
+                entry,
+                payload,
+                dst,
+                read: Ok(()),
+            });
         }
-        // Decode in parallel; the exactly-sized payload buffers make the
-        // in-memory decode infallible.
-        ctx.for_each_slot(&mut slots, |_, (entry, payload, dst)| {
-            let decoded = codec
-                .decode_block(&mut io::Cursor::new(&payload[..]), entry.len)
-                .expect("in-memory decode of an exactly-sized payload cannot fail");
-            dst.copy_from_slice(&decoded);
+        ctx.for_each_slot(&mut slots, |_, s| {
+            s.read = read_chunk(file, codec, s.entry, s.payload, s.dst);
         });
-        base += batch.len();
+        for slot in slots {
+            slot.read?;
+        }
     }
     Ok(())
 }

@@ -1,4 +1,4 @@
-//! A lock-striped chunk cache shared across reader sessions.
+//! A lock-striped, scan-resistant chunk cache shared across reader sessions.
 //!
 //! Historically every [`crate::TkrReader`] owned a private LRU of decoded
 //! core chunks, so two sessions on the same artifact each decoded (and each
@@ -31,11 +31,29 @@
 //!   the stripes (stripe count is clamped to the capacity so every stripe
 //!   owns at least one slot); chunks map to stripes round-robin
 //!   (`chunk % stripes`), so a single artifact's chunks spread evenly.
-//! * **Eviction** — LRU per stripe, ordered by a cache-global clock, with
-//!   the evicted entry's artifact `resident` count decremented.
+//! * **Residency is decided by admission, not recency.** Every query scans
+//!   its artifact's chunks `0..C` in ascending order (each output depends on
+//!   every core entry), so with `C` above the budget any recency policy
+//!   evicts exactly the chunk the next scan needs first — sequential
+//!   flooding, a 0% hit rate. Instead a freshly decoded chunk is *admitted*
+//!   only into a free slot of its stripe, or over a chunk of an artifact
+//!   that has gone **cold** (see below); it never displaces a chunk of its
+//!   own artifact. A chunk that is not admitted is used by the query that
+//!   decoded it and dropped (`store.cache.bypassed`). Steady state for one
+//!   artifact: a stable resident prefix, `budget / C` of every scan served
+//!   from memory, no evictions.
+//! * **Cold artifacts give their slots up.** The pool counts scans
+//!   ([`CacheSession::begin_scan`], one per query); an artifact is cold once
+//!   the pool has served [`COLD_AFTER_SCANS`] scans since its own last one.
+//!   An idle artifact therefore loses its slots to whatever is being
+//!   queried, while artifacts queried alternately (any interleaving that
+//!   revisits each within that many scans) keep theirs and never flush each
+//!   other. Displacing a cold chunk is the only eviction
+//!   (`store.cache.evictions`), and it never costs the displacing artifact a
+//!   decode it would not have done anyway.
 //! * **No cross-session blocking** — misses are *not* deduplicated across
 //!   sessions: two sessions racing on the same cold chunk may both decode
-//!   it (the results are identical; the second insert wins). This is a
+//!   it (the results are identical; the first insert stays). This is a
 //!   deliberate trade — a slow session can never stall another one behind
 //!   an in-flight marker — and it only costs duplicate work under exact
 //!   races, never under re-query of a warm cache.
@@ -52,12 +70,20 @@ use tucker_obs::metrics::Counter;
 static CACHE_HITS: Counter = Counter::new("store.cache.hits");
 static CACHE_DECODES: Counter = Counter::new("store.cache.decodes");
 static CACHE_EVICTIONS: Counter = Counter::new("store.cache.evictions");
+static CACHE_BYPASSED: Counter = Counter::new("store.cache.bypassed");
+
+/// Pool-wide scans after which an artifact that was not scanned itself
+/// counts as cold: its resident chunks may be displaced by another
+/// artifact's. Eight keeps any rotation over up to eight artifacts stable
+/// and costs an abandoned artifact's slots eight queries of lingering.
+pub const COLD_AFTER_SCANS: u64 = 8;
 
 /// A point-in-time snapshot of one artifact's cache accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArtifactCacheStats {
     /// Cumulative chunk decodes charged to this artifact (every insert is
-    /// one decode; duplicate decodes under cross-session races count).
+    /// one decode, admitted or not; duplicate decodes under cross-session
+    /// races count).
     pub decoded_chunks: usize,
     /// Cumulative cache hits across all sessions of this artifact.
     pub cache_hits: usize,
@@ -72,11 +98,12 @@ struct ArtifactSlot {
     decoded: AtomicUsize,
     hits: AtomicUsize,
     resident: AtomicUsize,
+    /// The pool's scan clock at this artifact's latest scan.
+    last_scan: AtomicU64,
 }
 
-/// One stripe entry: LRU stamp, owning artifact, decoded values.
+/// One stripe entry: owning artifact, decoded values.
 struct StripeEntry {
-    stamp: u64,
     slot: Arc<ArtifactSlot>,
     data: Arc<Vec<f64>>,
 }
@@ -89,31 +116,25 @@ struct Stripe {
 }
 
 impl Stripe {
-    /// Evicts least-recently-used entries (an `O(len)` min-stamp scan, as in
-    /// the historical private LRU) until the stripe budget holds.
-    fn enforce_budget(&mut self) {
-        while self.entries.len() > self.capacity {
-            let Some(oldest) = self
-                .entries
-                .iter()
-                .map(|(&k, e)| (e.stamp, k))
-                .min()
-                .map(|(_, k)| k)
-            else {
-                return;
-            };
-            if let Some(evicted) = self.entries.remove(&oldest) {
-                evicted.slot.resident.fetch_sub(1, Ordering::Relaxed);
-                CACHE_EVICTIONS.inc();
-            }
-        }
+    /// The resident chunk of the coldest artifact other than `own` that has
+    /// gone cold by scan clock `now` (an `O(len)` scan, paid only by a miss
+    /// on a full stripe).
+    fn coldest_foreign_entry(&self, own: u64, now: u64) -> Option<(u64, usize)> {
+        self.entries
+            .iter()
+            .filter(|(_, e)| e.slot.id != own)
+            .map(|(&k, e)| (e.slot.last_scan.load(Ordering::Relaxed), k))
+            .filter(|&(last, _)| now.saturating_sub(last) >= COLD_AFTER_SCANS)
+            .min()
+            .map(|(_, k)| k)
     }
 }
 
 struct CacheInner {
     stripes: Vec<Mutex<Stripe>>,
     capacity: usize,
-    tick: AtomicU64,
+    /// Scan clock: scans begun on the pool, across every artifact.
+    scans: AtomicU64,
     registry: Mutex<HashMap<String, Arc<ArtifactSlot>>>,
     next_id: AtomicU64,
 }
@@ -121,7 +142,7 @@ struct CacheInner {
 /// A shared, bounded, lock-striped pool of decoded core chunks.
 ///
 /// Cloning is cheap (an `Arc` bump); clones see the same pool. See the
-/// module docs for the keying, budget, and eviction contracts.
+/// module docs for the keying, budget, and admission contracts.
 #[derive(Clone)]
 pub struct SharedChunkCache {
     inner: Arc<CacheInner>,
@@ -152,7 +173,7 @@ impl SharedChunkCache {
             inner: Arc::new(CacheInner {
                 stripes,
                 capacity,
-                tick: AtomicU64::new(0),
+                scans: AtomicU64::new(0),
                 registry: Mutex::new(HashMap::new()),
                 next_id: AtomicU64::new(0),
             }),
@@ -177,6 +198,7 @@ impl SharedChunkCache {
                     decoded: AtomicUsize::new(0),
                     hits: AtomicUsize::new(0),
                     resident: AtomicUsize::new(0),
+                    last_scan: AtomicU64::new(0),
                 })
             })
             .clone();
@@ -262,43 +284,59 @@ impl CacheSession {
         &self.inner.stripes[chunk % self.inner.stripes.len()]
     }
 
-    /// Probes chunk `chunk` of this session's artifact, refreshing its LRU
-    /// stamp and counting a hit when present.
+    /// Marks the start of one query's scan over this session's artifact:
+    /// advances the pool's scan clock and stamps the artifact with it (the
+    /// coldness measure of the module docs). Readers call it once per query.
+    pub fn begin_scan(&self) {
+        let now = self.inner.scans.fetch_add(1, Ordering::Relaxed) + 1;
+        self.slot.last_scan.store(now, Ordering::Relaxed);
+    }
+
+    /// Probes chunk `chunk` of this session's artifact, counting a hit when
+    /// present.
     pub fn get(&self, chunk: usize) -> Option<Arc<Vec<f64>>> {
-        let stamp = self.inner.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut stripe = self.stripe(chunk).lock().unwrap_or_else(|e| e.into_inner());
-        let entry = stripe.entries.get_mut(&(self.slot.id, chunk))?;
-        entry.stamp = stamp;
-        let data = Arc::clone(&entry.data);
+        let stripe = self.stripe(chunk).lock().unwrap_or_else(|e| e.into_inner());
+        let data = Arc::clone(&stripe.entries.get(&(self.slot.id, chunk))?.data);
         drop(stripe);
         self.slot.hits.fetch_add(1, Ordering::Relaxed);
         CACHE_HITS.inc();
         Some(data)
     }
 
-    /// Inserts a freshly decoded chunk (counted against this artifact's
-    /// `decoded_chunks`), evicting least-recently-used entries from the
-    /// chunk's stripe until the budget holds again.
+    /// Offers a freshly decoded chunk (counted against this artifact's
+    /// `decoded_chunks` whatever happens next). It becomes resident only if
+    /// its stripe has a free slot or holds a chunk of a cold artifact, which
+    /// it then displaces; otherwise the caller's copy is the only one and
+    /// dies with the query.
     pub fn insert(&self, chunk: usize, data: Arc<Vec<f64>>) {
         self.slot.decoded.fetch_add(1, Ordering::Relaxed);
         CACHE_DECODES.inc();
-        let stamp = self.inner.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        let key = (self.slot.id, chunk);
         let mut stripe = self.stripe(chunk).lock().unwrap_or_else(|e| e.into_inner());
-        let fresh = stripe
-            .entries
-            .insert(
-                (self.slot.id, chunk),
-                StripeEntry {
-                    stamp,
-                    slot: Arc::clone(&self.slot),
-                    data,
-                },
-            )
-            .is_none();
-        if fresh {
-            self.slot.resident.fetch_add(1, Ordering::Relaxed);
+        if stripe.entries.contains_key(&key) {
+            // Lost a decode race; the resident copy holds the same values.
+            return;
         }
-        stripe.enforce_budget();
+        if stripe.entries.len() >= stripe.capacity {
+            let now = self.inner.scans.load(Ordering::Relaxed);
+            let victim = stripe
+                .coldest_foreign_entry(self.slot.id, now)
+                .and_then(|k| stripe.entries.remove(&k));
+            let Some(victim) = victim else {
+                CACHE_BYPASSED.inc();
+                return;
+            };
+            victim.slot.resident.fetch_sub(1, Ordering::Relaxed);
+            CACHE_EVICTIONS.inc();
+        }
+        stripe.entries.insert(
+            key,
+            StripeEntry {
+                slot: Arc::clone(&self.slot),
+                data,
+            },
+        );
+        self.slot.resident.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The pool's global capacity budget in chunks.
@@ -350,22 +388,106 @@ mod tests {
         Arc::new(vec![v; 4])
     }
 
+    /// One query's scan over chunks `0..chunks`: probe, decode-and-offer on
+    /// a miss. Returns the number of hits.
+    fn scan(s: &CacheSession, chunks: usize) -> usize {
+        s.begin_scan();
+        let mut hits = 0;
+        for c in 0..chunks {
+            match s.get(c) {
+                Some(_) => hits += 1,
+                None => s.insert(c, chunk(c as f64)),
+            }
+        }
+        hits
+    }
+
     #[test]
-    fn single_stripe_behaves_like_the_old_private_lru() {
+    fn a_full_stripe_bypasses_rather_than_evict_its_own_artifact() {
         let cache = SharedChunkCache::new(2, 1);
         let s = cache.register("a");
         s.insert(0, chunk(0.0));
         s.insert(1, chunk(1.0));
         assert_eq!(s.resident_chunks(), 2);
-        // Touch 0 so 1 is the LRU victim.
+        // No recency: touching 0 does not make 1 a victim.
         assert!(s.get(0).is_some());
         s.insert(2, chunk(2.0));
         assert_eq!(s.resident_chunks(), 2);
-        assert!(s.get(1).is_none(), "LRU entry 1 should have been evicted");
-        assert!(s.get(0).is_some() && s.get(2).is_some());
+        assert!(s.get(2).is_none(), "chunk 2 must have been bypassed");
+        assert!(s.get(0).is_some() && s.get(1).is_some());
+        // The bypassed chunk still counts as a decode.
         assert_eq!(s.decoded_chunks(), 3);
-        // Hits: the miss probe of 1 does not count, the other three do.
+        // Hits: the miss probe of 2 does not count, the other three do.
         assert_eq!(s.cache_hits(), 3);
+        // Re-offering a resident chunk (a lost decode race) is a decode and
+        // nothing else.
+        s.insert(1, chunk(1.0));
+        assert_eq!((s.decoded_chunks(), s.resident_chunks()), (4, 2));
+    }
+
+    #[test]
+    fn cyclic_scans_hit_exactly_the_budget_and_never_evict() {
+        for (chunks, budget, stripes) in
+            [(21usize, 8usize, 8usize), (21, 8, 1), (10, 3, 2), (5, 1, 1)]
+        {
+            let cache = SharedChunkCache::new(budget, stripes);
+            let s = cache.register("a");
+            assert_eq!(scan(&s, chunks), 0, "cold pass");
+            assert_eq!(s.resident_chunks(), budget);
+            for pass in 1..=5 {
+                let hits = scan(&s, chunks);
+                assert_eq!(hits, budget, "{chunks}/{budget}/{stripes} pass {pass}");
+                assert_eq!(s.resident_chunks(), budget);
+                // Every miss was decoded, none admitted: had any resident
+                // chunk been evicted, a later pass would fall short of
+                // `budget` hits.
+                assert_eq!(s.decoded_chunks(), chunks + pass * (chunks - budget));
+            }
+            // The resident set is the prefix that was decoded first.
+            for c in 0..budget {
+                assert!(s.get(c).is_some(), "chunk {c} not resident");
+            }
+        }
+    }
+
+    #[test]
+    fn artifacts_scanned_alternately_keep_stable_resident_sets() {
+        let cache = SharedChunkCache::new(8, 1);
+        let a = cache.register("a");
+        let b = cache.register("b");
+        // A arrives first and takes 6 slots, B the remaining 2; from then on
+        // neither moves, however long they alternate.
+        assert_eq!((scan(&a, 6), scan(&b, 6)), (0, 0));
+        for round in 0..(3 * COLD_AFTER_SCANS) {
+            assert_eq!(scan(&a, 6), 6, "round {round}");
+            assert_eq!(scan(&b, 6), 2, "round {round}");
+            assert_eq!((a.resident_chunks(), b.resident_chunks()), (6, 2));
+        }
+    }
+
+    #[test]
+    fn an_idle_artifact_loses_its_slots_to_the_one_being_queried() {
+        let cache = SharedChunkCache::new(4, 2);
+        let a = cache.register("a");
+        let b = cache.register("b");
+        scan(&a, 4);
+        assert_eq!(a.resident_chunks(), 4);
+        // While A is merely lukewarm, B decodes everything and displaces
+        // nothing.
+        for _ in 1..COLD_AFTER_SCANS {
+            assert_eq!(scan(&b, 4), 0);
+            assert_eq!((a.resident_chunks(), b.resident_chunks()), (4, 0));
+        }
+        // The scan that finds A cold takes its slots over, and the next one
+        // is served from memory.
+        assert_eq!(scan(&b, 4), 0);
+        assert_eq!((a.resident_chunks(), b.resident_chunks()), (0, 4));
+        assert_eq!(scan(&b, 4), 4);
+        // A comes back to a pool whose owner is hot: it is served, bypassed,
+        // and leaves B alone.
+        assert_eq!(scan(&a, 4), 0);
+        assert_eq!((a.resident_chunks(), b.resident_chunks()), (0, 4));
+        assert_eq!(cache.resident_total(), 4);
     }
 
     #[test]

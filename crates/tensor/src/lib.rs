@@ -37,5 +37,5 @@ pub use slice::{extract_subtensor, SubtensorSpec};
 pub use stream::{take_slab, ttm_slab_chain_ctx, ttm_slab_ctx, SlabSource};
 pub use ttm::{
     multi_ttm, multi_ttm_ctx, ttm, ttm_chain, ttm_chain_ctx, ttm_ctx, ttm_into, ttm_into_ctx,
-    TtmTranspose,
+    ttm_slice_ctx, TtmTranspose,
 };

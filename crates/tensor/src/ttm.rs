@@ -64,10 +64,33 @@ pub fn ttm_ctx(
     mode: usize,
     trans: TtmTranspose,
 ) -> DenseTensor {
-    let dims = x.dims();
+    ttm_slice_ctx(ctx, x.dims(), x.as_slice(), v, mode, trans)
+}
+
+/// [`ttm_ctx`] on a borrowed input: `data` is a tensor of shape `dims` in
+/// natural layout that the caller does not own as a [`DenseTensor`] (a
+/// decoded `.tkr` chunk shared through a cache, say), multiplied in place —
+/// no copy into a tensor first. Same kernel, same bits.
+///
+/// # Panics
+/// Panics if `data.len() != ∏ dims` or the matrix dimensions are
+/// incompatible with mode `mode`.
+pub fn ttm_slice_ctx(
+    ctx: &ExecContext,
+    dims: &[usize],
+    data: &[f64],
+    v: &Matrix,
+    mode: usize,
+    trans: TtmTranspose,
+) -> DenseTensor {
     assert!(mode < dims.len(), "ttm: mode {mode} out of range");
+    assert_eq!(
+        data.len(),
+        dims.iter().product::<usize>(),
+        "ttm: data length does not match dims {dims:?}"
+    );
     let in_dim = dims[mode];
-    let (vk, vin) = match trans {
+    let (k, vin) = match trans {
         TtmTranspose::NoTranspose => (v.rows(), v.cols()),
         TtmTranspose::Transpose => (v.cols(), v.rows()),
     };
@@ -75,16 +98,15 @@ pub fn ttm_ctx(
         vin, in_dim,
         "ttm: matrix inner dimension {vin} does not match tensor mode {mode} size {in_dim}"
     );
-    let k = vk;
 
     let mut out_dims = dims.to_vec();
     out_dims[mode] = k;
     let mut y = DenseTensor::zeros(&out_dims);
-    if x.is_empty() || k == 0 {
+    if data.is_empty() || k == 0 {
         return y;
     }
 
-    ttm_into_ctx(ctx, x, v, mode, trans, &mut y);
+    ttm_kernel(ctx, dims, data, v, mode, trans, &mut y);
     y
 }
 
@@ -120,7 +142,20 @@ pub fn ttm_into_ctx(
     trans: TtmTranspose,
     y: &mut DenseTensor,
 ) {
-    let dims = x.dims();
+    ttm_kernel(ctx, x.dims(), x.as_slice(), v, mode, trans, y)
+}
+
+/// The TTM kernel on a raw input buffer of shape `dims` — shared by the
+/// tensor-typed and slice-typed entries.
+fn ttm_kernel(
+    ctx: &ExecContext,
+    dims: &[usize],
+    xdata: &[f64],
+    v: &Matrix,
+    mode: usize,
+    trans: TtmTranspose,
+    y: &mut DenseTensor,
+) {
     let in_dim = dims[mode];
     let (k, vin) = match trans {
         TtmTranspose::NoTranspose => (v.rows(), v.cols()),
@@ -136,12 +171,11 @@ pub fn ttm_into_ctx(
 
     let _span = tucker_obs::span!("ttm", mode = mode, k_out = k);
     TTM_CALLS.inc();
-    TTM_FLOPS.add(2 * (x.len() as u64) * (k as u64));
+    TTM_FLOPS.add(2 * (xdata.len() as u64) * (k as u64));
 
     let unf = Unfolding::new(dims, mode);
     let left = unf.left;
     let right = unf.right;
-    let xdata = x.as_slice();
     let ydata = y.as_mut_slice();
     let in_block = left * in_dim;
     let out_block = left * k;
@@ -583,6 +617,41 @@ mod tests {
                 assert_eq!(out.as_slice(), baseline.as_slice(), "mode {mode}");
             }
         }
+    }
+
+    #[test]
+    fn slice_entry_is_the_tensor_entry() {
+        let mut rng = StdRng::seed_from_u64(60);
+        let dims = [5usize, 4, 6];
+        let x = random_tensor(&mut rng, &dims);
+        let ctx = tucker_exec::ExecContext::new(2);
+        for mode in 0..dims.len() {
+            let v = random_matrix(&mut rng, 3, dims[mode]);
+            let owned = ttm_ctx(&ctx, &x, &v, mode, TtmTranspose::NoTranspose);
+            let borrowed = ttm_slice_ctx(
+                &ctx,
+                &dims,
+                x.as_slice(),
+                &v,
+                mode,
+                TtmTranspose::NoTranspose,
+            );
+            assert_eq!(owned, borrowed, "mode {mode}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn slice_entry_rejects_a_buffer_of_the_wrong_length() {
+        let v = Matrix::zeros(2, 3);
+        ttm_slice_ctx(
+            tucker_exec::ExecContext::global(),
+            &[3, 4],
+            &[0.0; 11],
+            &v,
+            0,
+            TtmTranspose::NoTranspose,
+        );
     }
 
     #[test]

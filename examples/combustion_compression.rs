@@ -11,7 +11,7 @@ use parallel_tucker::prelude::*;
 use tucker_tensor::max_abs_diff;
 
 fn main() -> Result<(), TuckerError> {
-    println!("Dataset surrogates (paper originals are 70–550 GB; see DESIGN.md):\n");
+    println!("Dataset surrogates (paper originals are 70–550 GB; see README.md):\n");
     for preset in DatasetPreset::all() {
         let ds = preset.generate(1, 2024);
         let dims = ds.data.dims().to_vec();

@@ -23,13 +23,17 @@ TUCKER_THREADS=4 cargo test -q
 # pipeline determinism suites under a forced-scalar tier and under explicit
 # auto-dispatch; both must pass the same bitwise assertions. (The in-process
 # force_tier sweeps inside `microkernel`/`simd_tiers` additionally compare
-# the tiers directly against each other.)
+# the tiers directly against each other.) The streaming and facade-equivalence
+# suites ride along: the first-mode Gram (a transposed-A SYRK) and the masked
+# edge tiles both run on the tier's vector kernel and the blocking's tile grid.
 echo "== linalg + determinism suites (TUCKER_SIMD=scalar) =="
 TUCKER_SIMD=scalar cargo test -q -p tucker-linalg
-TUCKER_SIMD=scalar cargo test -q --test determinism --test simd_tiers
+TUCKER_SIMD=scalar cargo test -q --test determinism --test simd_tiers \
+  --test streaming --test api_equivalence
 echo "== linalg + determinism suites (TUCKER_SIMD=auto) =="
 TUCKER_SIMD=auto cargo test -q -p tucker-linalg
-TUCKER_SIMD=auto cargo test -q --test determinism --test simd_tiers
+TUCKER_SIMD=auto cargo test -q --test determinism --test simd_tiers \
+  --test streaming --test api_equivalence
 
 # The blocking contract (ISSUE 9) says MC/KC/NC only schedule the packed tile
 # grid — a TUCKER_BLOCK override must be invisible in the result bits, for
@@ -39,7 +43,8 @@ TUCKER_SIMD=auto cargo test -q --test determinism --test simd_tiers
 # `simd_tiers` additionally compare overridden runs against the default.)
 echo "== linalg + determinism suites (TUCKER_BLOCK=16,16,16) =="
 TUCKER_BLOCK=16,16,16 cargo test -q -p tucker-linalg
-TUCKER_BLOCK=16,16,16 cargo test -q --test determinism --test simd_tiers
+TUCKER_BLOCK=16,16,16 cargo test -q --test determinism --test simd_tiers \
+  --test streaming --test api_equivalence
 
 echo "== cargo test -q --test service (TUCKER_THREADS=1 and 4) =="
 # The daemon's concurrency suite under both pool shapes: 8-client

@@ -5,6 +5,12 @@
 //! factor matrix, and immediately shrinks the tensor by a transposed TTM. The
 //! truncation of earlier modes makes later modes cheaper — the property the
 //! mode-ordering experiments (Fig. 8b) exploit.
+//!
+//! The input is read in place: the first processed mode's Gram and TTM read
+//! the borrowed `x`, and only already-shrunk tensors are ever owned. Peak
+//! memory is therefore about the input plus the first mode's TTM output
+//! (plus, briefly, the next mode's smaller output) — never a second copy
+//! of the input.
 
 use crate::ordering::ModeOrder;
 use crate::rank::{discarded_tail, RankSelection};
@@ -13,6 +19,7 @@ use crate::validate::{self, CoreError};
 use serde::{Deserialize, Serialize};
 use tucker_exec::ExecContext;
 use tucker_linalg::eig::sym_eig_desc;
+use tucker_linalg::Matrix;
 use tucker_obs::metrics::Counter;
 use tucker_tensor::{gram_ctx, ttm_ctx, DenseTensor, TtmTranspose};
 
@@ -140,16 +147,21 @@ fn st_hosvd_unchecked(x: &DenseTensor, opts: &SthosvdOptions, ctx: &ExecContext)
         .order
         .resolve(x.dims(), &validate::rank_hint(&opts.rank, x.dims()));
 
-    let mut y = x.clone();
-    let mut factors: Vec<Option<tucker_linalg::Matrix>> = vec![None; nmodes];
+    // `y` only ever holds an already-shrunk tensor: until the first TTM the
+    // current tensor is the borrowed input itself.
+    let mut y: Option<DenseTensor> = None;
+    // `order` is a permutation of the modes (validated), so every
+    // placeholder below is overwritten.
+    let mut factors = vec![Matrix::zeros(0, 0); nmodes];
     let mut ranks = vec![0usize; nmodes];
     let mut mode_eigenvalues: Vec<Vec<f64>> = vec![Vec::new(); nmodes];
     let mut discarded_energy = 0.0;
 
     for &n in &order {
         let _mode_span = tucker_obs::span!("st_hosvd.mode", mode = n);
+        let current = y.as_ref().unwrap_or(x);
         // Gram matrix of the current tensor's mode-n unfolding.
-        let s = gram_ctx(ctx, &y, n);
+        let s = gram_ctx(ctx, current, n);
         let eig = sym_eig_desc(&s);
         let r = opts.rank.select(n, &eig.values, norm_x_sq, nmodes);
         let u = eig.leading_vectors(r);
@@ -157,15 +169,13 @@ fn st_hosvd_unchecked(x: &DenseTensor, opts: &SthosvdOptions, ctx: &ExecContext)
         mode_eigenvalues[n] = eig.values;
         ranks[n] = r;
         // Shrink the tensor: Y ← Y ×_n U⁽ⁿ⁾ᵀ.
-        y = ttm_ctx(ctx, &y, &u, n, TtmTranspose::Transpose);
-        factors[n] = Some(u);
+        y = Some(ttm_ctx(ctx, current, &u, n, TtmTranspose::Transpose));
+        factors[n] = u;
     }
 
-    let factors: Vec<tucker_linalg::Matrix> = factors
-        .into_iter()
-        .map(|f| f.expect("every mode must be processed"))
-        .collect();
-    let tucker = TuckerTensor::new(y, factors);
+    // With no mode processed the core is the input itself.
+    let core = y.unwrap_or_else(|| x.clone());
+    let tucker = TuckerTensor::new(core, factors);
 
     SthosvdResult {
         tucker,

@@ -121,17 +121,20 @@ pub fn gemm_slices(
     GEMM_FLOPS.add(2 * (m as u64) * (n as u64) * (k as u64));
 
     // Both paths below realize the identical per-element recurrence (module
-    // docs), so the cutover threshold is invisible in the result bits.
-    if m * n * k <= DIRECT_WORK_MAX {
+    // docs), so the cutover threshold is invisible in the result bits. A
+    // single-row product with op(B) = B (the unit-window contraction of a
+    // query) streams B once in the direct loop; packing would copy all of B
+    // for one use and leave every tile 1/MR live.
+    if m * n * k <= DIRECT_WORK_MAX || (m == 1 && tb == Transpose::No) {
         gemm_direct(ta, tb, alpha, a, lda, b, ldb, c, ldc, m, n, k);
     } else {
         gemm_blocked(ta, tb, alpha, a, lda, b, ldb, c, ldc, m, n, k);
     }
 }
 
-/// Direct (unpacked) scalar path for tiny products: per-element running sum
-/// over ascending `p`, `alpha` folded into the A term — the contract
-/// recurrence with no packing overhead.
+/// Direct (unpacked) scalar path for tiny and single-row products:
+/// per-element running sum over ascending `p`, `alpha` folded into the A
+/// term — the contract recurrence with no packing overhead.
 #[allow(clippy::too_many_arguments)]
 fn gemm_direct(
     ta: Transpose,

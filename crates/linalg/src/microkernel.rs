@@ -17,9 +17,11 @@
 //! and `TUCKER_THREADS` vary freely without perturbing a single output bit
 //! (`docs/ARCHITECTURE.md` §4).
 //!
-//! Ragged tiles (block edges, and the diagonal tiles of SYRK's lower
-//! triangle) run a scalar edge kernel that follows the identical per-element
-//! recurrence, so edge elements round exactly like interior ones.
+//! Ragged tiles (block edges) and the diagonal-crossing tiles of SYRK's
+//! lower triangle run the same vector kernel on an `MR × NR` scratch tile
+//! ([`ukr_masked`]): live elements are seeded from C, the zero-padded packs
+//! fill the rest, and only live elements are written back — so edge
+//! elements round exactly like interior ones, at vector speed.
 //!
 //! This file is covered by the `ci.sh` panic-free grep gate: no `assert`-
 //! family macros, no `unwrap`/`expect`. Callers guarantee the packed-panel
@@ -42,7 +44,7 @@ pub static TILES_AVX2: Counter = Counter::new("linalg.kernel.tiles.avx2");
 pub static TILES_SSE2: Counter = Counter::new("linalg.kernel.tiles.sse2");
 /// Full `MR × NR` tiles retired by the scalar kernel (process-wide).
 pub static TILES_SCALAR: Counter = Counter::new("linalg.kernel.tiles.scalar");
-/// Ragged / triangle-masked tiles retired by the scalar edge kernel.
+/// Ragged / triangle-masked tiles retired through [`ukr_masked`] (any tier).
 pub static TILES_EDGE: Counter = Counter::new("linalg.kernel.tiles.edge");
 
 /// Updates one full `MR × NR` tile: `c[i·ldc + j] += Σ_p a[p·MR+i]·b[p·NR+j]`
@@ -210,15 +212,24 @@ unsafe fn ukr_full_avx512(kb: usize, a: &[f64], b: &[f64], c: &mut [f64], ldc: u
     }
 }
 
-/// Scalar edge kernel for ragged and triangle-masked tiles: `mr × nr`
-/// (`mr ≤ MR`, `nr ≤ NR`) live elements, same per-element recurrence as
-/// [`ukr_full`].
+/// Masked tile for ragged and diagonal-crossing tiles: updates the live
+/// elements of an `mr × nr` (`mr ≤ MR`, `nr ≤ NR`) corner of C through the
+/// full-width [`ukr_full`] on an `MR × NR` scratch tile.
 ///
 /// `tri_cut` masks columns to the lower triangle in tile-local terms: the
-/// element `(i, j)` is updated only when `j ≤ i + tri_cut` (callers pass
+/// element `(i, j)` is live only when `j ≤ i + tri_cut` (callers pass
 /// `global_row0 − global_col0`; any value `≥ nr − 1` disables masking, and
 /// `isize::MAX` is the conventional "no mask").
-pub fn ukr_edge(
+///
+/// Live elements are copied into the scratch tile, run through the tier's
+/// vector kernel, and copied back; dead elements and C beyond the live
+/// columns are never read or written. The packs are zero-padded past
+/// `mr`/`nr`, and every lane is an independent accumulator, so each live
+/// element follows exactly the [`ukr_full`] recurrence. `a`/`b` satisfy the
+/// `ukr_full` panel bounds; `c` holds at least `(mr-1)·ldc + nr` values.
+#[allow(clippy::too_many_arguments)]
+pub fn ukr_masked(
+    tier: SimdTier,
     kb: usize,
     a: &[f64],
     b: &[f64],
@@ -228,21 +239,23 @@ pub fn ukr_edge(
     nr: usize,
     tri_cut: isize,
 ) {
+    // Live columns of tile row `i`: `j < nr` and `j ≤ i + tri_cut`, with the
+    // "no mask" cut saturating instead of overflowing.
+    let live = |i: usize| -> usize {
+        (i as isize)
+            .saturating_add(tri_cut)
+            .saturating_add(1)
+            .clamp(0, nr as isize) as usize
+    };
+    let mut tile = [0.0f64; MR * NR];
     for i in 0..mr {
-        let jmax = if tri_cut >= nr as isize {
-            nr
-        } else {
-            // tri_cut < nr ≤ NR here, so i + tri_cut + 1 cannot overflow.
-            (i as isize + tri_cut + 1).clamp(0, nr as isize) as usize
-        };
-        let crow = &mut c[i * ldc..i * ldc + jmax];
-        for (j, cell) in crow.iter_mut().enumerate() {
-            let mut sum = *cell;
-            for p in 0..kb {
-                sum += a[p * MR + i] * b[p * NR + j];
-            }
-            *cell = sum;
-        }
+        let w = live(i);
+        tile[i * NR..i * NR + w].copy_from_slice(&c[i * ldc..i * ldc + w]);
+    }
+    ukr_full(tier, kb, a, b, &mut tile, NR);
+    for i in 0..mr {
+        let w = live(i);
+        c[i * ldc..i * ldc + w].copy_from_slice(&tile[i * NR..i * NR + w]);
     }
 }
 
@@ -253,10 +266,11 @@ pub fn ukr_edge(
 ///
 /// `tri = Some((row0, col0))` gives the block's global position inside a
 /// lower-triangular output: tiles fully above the diagonal are skipped,
-/// tiles crossing it run the masked edge kernel, and only full tiles fully
-/// on/below it use the vector kernel. `tri = None` is a plain dense block.
+/// tiles crossing it run [`ukr_masked`], and full tiles fully on/below it
+/// run [`ukr_full`] in place. Ragged tiles also run [`ukr_masked`]. `tri =
+/// None` is a plain dense block.
 ///
-/// Returns `(full_tiles, edge_tiles)` retired, for the tier counters.
+/// Returns `(full_tiles, masked_tiles)` retired, for the tier counters.
 #[allow(clippy::too_many_arguments)]
 pub fn block_kernel(
     tier: SimdTier,
@@ -269,7 +283,7 @@ pub fn block_kernel(
     ldc: usize,
     tri: Option<(usize, usize)>,
 ) -> (u64, u64) {
-    let (mut full, mut edge) = (0u64, 0u64);
+    let (mut full, mut masked) = (0u64, 0u64);
     for jp in 0..nb.div_ceil(NR) {
         let j0 = jp * NR;
         let nr = NR.min(nb - j0);
@@ -296,17 +310,17 @@ pub fn block_kernel(
                 ukr_full(tier, kb, apanel, bpanel, ctile, ldc);
                 full += 1;
             } else {
-                ukr_edge(kb, apanel, bpanel, ctile, ldc, mr, nr, tri_cut);
-                edge += 1;
+                ukr_masked(tier, kb, apanel, bpanel, ctile, ldc, mr, nr, tri_cut);
+                masked += 1;
             }
         }
     }
-    record_tiles(tier, full, edge);
-    (full, edge)
+    record_tiles(tier, full, masked);
+    (full, masked)
 }
 
 /// Adds retired-tile counts to the per-tier process counters.
-fn record_tiles(tier: SimdTier, full: u64, edge: u64) {
+fn record_tiles(tier: SimdTier, full: u64, masked: u64) {
     if full > 0 {
         match tier {
             SimdTier::Avx512 => TILES_AVX512.add(full),
@@ -315,8 +329,8 @@ fn record_tiles(tier: SimdTier, full: u64, edge: u64) {
             SimdTier::Scalar => TILES_SCALAR.add(full),
         }
     }
-    if edge > 0 {
-        TILES_EDGE.add(edge);
+    if masked > 0 {
+        TILES_EDGE.add(masked);
     }
 }
 
@@ -385,23 +399,29 @@ mod tests {
     }
 
     #[test]
-    fn edge_kernel_matches_contract_for_every_shape_and_cut() {
+    fn masked_tiles_match_contract_on_every_tier() {
+        // Live elements follow the contract bitwise; dead (masked or ragged)
+        // elements and the `ldc` gutter column keep their sentinel values,
+        // which `reference_tile` never touches either.
         let kb = 9;
         let (a, b) = panel_pair(kb, 7);
         let ldc = NR + 1;
-        for mr in 1..=MR {
-            for nr in 1..=NR {
-                for tri_cut in [-2isize, 0, 1, 3, isize::MAX] {
-                    let c0: Vec<f64> = (0..MR * ldc).map(|v| v as f64 * 0.5 - 7.0).collect();
-                    let mut want = c0.clone();
-                    reference_tile(kb, &a, &b, &mut want, ldc, mr, nr, tri_cut);
-                    let mut got = c0.clone();
-                    ukr_edge(kb, &a, &b, &mut got, ldc, mr, nr, tri_cut);
-                    assert_eq!(
-                        got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                        "mr {mr} nr {nr} cut {tri_cut}"
-                    );
+        for tier in supported_tiers() {
+            for mr in 1..=MR {
+                for nr in 1..=NR {
+                    for tri_cut in [isize::MIN, -9, -2, 0, 1, 3, isize::MAX] {
+                        let c0: Vec<f64> = (0..MR * ldc).map(|v| v as f64 * 0.5 - 7.0).collect();
+                        let mut want = c0.clone();
+                        reference_tile(kb, &a, &b, &mut want, ldc, mr, nr, tri_cut);
+                        let mut got = c0.clone();
+                        ukr_masked(tier, kb, &a, &b, &mut got, ldc, mr, nr, tri_cut);
+                        assert_eq!(
+                            got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                            want.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                            "tier {} mr {mr} nr {nr} cut {tri_cut}",
+                            tier.name()
+                        );
+                    }
                 }
             }
         }
@@ -409,9 +429,10 @@ mod tests {
 
     #[test]
     fn block_kernel_masks_the_lower_triangle() {
-        // A 10×10 triangular block at global (0, 0): strictly-upper elements
-        // must remain untouched, everything else must follow the contract.
-        let (m, k) = (10usize, 6usize);
+        // An 18×18 triangular block at global (0, 0) — full, diagonal-
+        // crossing and ragged tiles: strictly-upper elements must remain
+        // untouched, everything else must follow the contract.
+        let (m, k) = (18usize, 6usize);
         let kb = k;
         let mb_p = m.div_ceil(MR) * MR;
         let nb_p = m.div_ceil(NR) * NR;
@@ -440,29 +461,27 @@ mod tests {
             m,
         );
         let sentinel = -1234.5;
-        let mut c = vec![sentinel; m * m];
-        let (full, edge) = block_kernel(
-            SimdTier::Scalar,
-            &a_pack,
-            &b_pack,
-            m,
-            m,
-            kb,
-            &mut c,
-            m,
-            Some((0, 0)),
-        );
-        assert!(full + edge > 0);
-        for i in 0..m {
-            for j in 0..m {
-                if j > i {
-                    assert_eq!(c[i * m + j], sentinel, "upper ({i},{j}) was written");
-                } else {
-                    let mut want = sentinel;
-                    for p in 0..k {
-                        want += src[i * k + p] * src[j * k + p];
+        for tier in supported_tiers() {
+            let mut c = vec![sentinel; m * m];
+            let (full, masked) =
+                block_kernel(tier, &a_pack, &b_pack, m, m, kb, &mut c, m, Some((0, 0)));
+            assert!(full > 0 && masked > 0);
+            for i in 0..m {
+                for j in 0..m {
+                    if j > i {
+                        assert_eq!(c[i * m + j], sentinel, "upper ({i},{j}) was written");
+                    } else {
+                        let mut want = sentinel;
+                        for p in 0..k {
+                            want += src[i * k + p] * src[j * k + p];
+                        }
+                        assert_eq!(
+                            c[i * m + j].to_bits(),
+                            want.to_bits(),
+                            "tier {} ({i},{j})",
+                            tier.name()
+                        );
                     }
-                    assert_eq!(c[i * m + j].to_bits(), want.to_bits(), "({i},{j})");
                 }
             }
         }

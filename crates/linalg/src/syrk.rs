@@ -4,6 +4,8 @@
 //! line 5) is the single most expensive kernel of ST-HOSVD for the first mode,
 //! so it gets a dedicated symmetric kernel that only computes the lower
 //! triangle and mirrors it, roughly halving the flops compared to a plain GEMM.
+//! [`syrk_rows_slices`] also accepts a transposed A, so that first-mode Gram
+//! `Dᵀ·D` reads the tensor buffer in place.
 //!
 //! **Determinism contract (renegotiated in the microkernel PR):** each
 //! lower-triangle element `c[i][j]` is one running accumulator adding
@@ -71,7 +73,7 @@ pub fn syrk_slices(
     }
     SYRK_CALLS.inc();
     SYRK_FLOPS.add(triangle_flops(m, k));
-    syrk_lower(alpha, a, k, lda, 0..m, c, ldc);
+    syrk_lower(Transpose::No, alpha, a, k, lda, 0..m, c, ldc);
     // Mirror to the upper triangle.
     for i in 0..m {
         for j in i + 1..m {
@@ -108,16 +110,23 @@ pub fn syrk_into(alpha: f64, a: &Matrix, beta: f64, c: &mut Matrix) {
     );
 }
 
-/// Accumulates the **lower-triangle rows** `rows` of `alpha · A·Aᵀ` into a
-/// row panel `c_panel` whose first row corresponds to global row
+/// Accumulates the **lower-triangle rows** `rows` of `alpha · op(A)·op(A)ᵀ`
+/// into a row panel `c_panel` whose first row corresponds to global row
 /// `rows.start` (leading dimension `ldc`). No mirroring is performed.
+///
+/// `op(A)` has `k` columns: with `ta = No`, `a` is stored row-major `m × k`
+/// (row `i` of `op(A)` is stored row `i`); with `ta = Yes`, `a` is stored
+/// `k × m` and `op(A) = Aᵀ` — the first-mode Gram `Dᵀ·D` of a tensor read
+/// in place. `lda` is the stored leading dimension either way.
 ///
 /// This is the scatter unit of the pool-backed Gram kernels: disjoint row
 /// ranges touch disjoint panel slices, and each element `c[i][j]` follows
 /// exactly the per-element recurrence the sequential [`syrk_slices`]
 /// computes (module docs), so triangular row-parallelism is bit-identical to
 /// the sequential kernel.
+#[allow(clippy::too_many_arguments)]
 pub fn syrk_rows_slices(
+    ta: Transpose,
     alpha: f64,
     a: &[f64],
     k: usize,
@@ -132,26 +141,31 @@ pub fn syrk_rows_slices(
     }
     SYRK_CALLS.inc();
     SYRK_FLOPS.add(triangle_flops(rows.end, k) - triangle_flops(rows.start, k));
-    assert!(
-        a.len() >= (rows.end - 1) * lda + k,
-        "syrk_rows: A slice too short"
-    );
+    let a_need = match ta {
+        Transpose::No => (rows.end - 1) * lda + k,
+        Transpose::Yes => k.checked_sub(1).map_or(0, |last| last * lda + rows.end),
+    };
+    assert!(a.len() >= a_need, "syrk_rows: A slice too short");
     assert!(
         c_panel.len() >= (rows.end - 1 - row0) * ldc + rows.end,
         "syrk_rows: C panel too short"
     );
-    syrk_lower(alpha, a, k, lda, rows, c_panel, ldc);
+    syrk_lower(ta, alpha, a, k, lda, rows, c_panel, ldc);
 }
 
 /// Shared lower-triangle engine behind [`syrk_slices`] and
-/// [`syrk_rows_slices`]: accumulates rows `rows` of `alpha · A·Aᵀ`'s lower
-/// triangle into `c_panel` (first panel row = global row `rows.start`).
+/// [`syrk_rows_slices`]: accumulates rows `rows` of `alpha ·
+/// op(A)·op(A)ᵀ`'s lower triangle into `c_panel` (first panel row = global
+/// row `rows.start`).
 ///
 /// Small row ranges run a direct scalar loop; larger ones run the packed
-/// microkernel driver with `op(B) = Aᵀ` and triangle masking. Both realize
-/// the per-element recurrence from the module docs, so the cutover — like
-/// the SIMD tier and the block sizes — is invisible in the bits.
+/// microkernel driver with `op(B) = op(A)ᵀ` and triangle masking. Both
+/// realize the per-element recurrence from the module docs, so the cutover
+/// — like the SIMD tier, the block sizes and the storage layout of A — is
+/// invisible in the bits.
+#[allow(clippy::too_many_arguments)]
 fn syrk_lower(
+    ta: Transpose,
     alpha: f64,
     a: &[f64],
     k: usize,
@@ -170,19 +184,33 @@ fn syrk_lower(
     let madds = (triangle_flops(m_end, k) - triangle_flops(row0, k)) / 2;
     if madds as usize <= SMALL_PROBLEM_MADDS {
         for i in rows {
-            let arow_i = &a[i * lda..i * lda + k];
             let crow = &mut c_panel[(i - row0) * ldc..(i - row0) * ldc + i + 1];
             for (j, cv) in crow.iter_mut().enumerate() {
-                let arow_j = &a[j * lda..j * lda + k];
                 let mut acc = *cv;
-                for p in 0..k {
-                    acc += (alpha * arow_i[p]) * arow_j[p];
+                match ta {
+                    Transpose::No => {
+                        let arow_i = &a[i * lda..i * lda + k];
+                        let arow_j = &a[j * lda..j * lda + k];
+                        for (&x, &y) in arow_i.iter().zip(arow_j) {
+                            acc += (alpha * x) * y;
+                        }
+                    }
+                    Transpose::Yes => {
+                        for p in 0..k {
+                            acc += (alpha * a[p * lda + i]) * a[p * lda + j];
+                        }
+                    }
                 }
                 *cv = acc;
             }
         }
         return;
     }
+    // Packing op(B) = op(A)ᵀ reads the stored A with the opposite flag.
+    let tb = match ta {
+        Transpose::No => Transpose::Yes,
+        Transpose::Yes => Transpose::No,
+    };
     let tier = crate::simd::current_tier();
     let blk = crate::blocking::current_blocking();
     let a_len =
@@ -195,15 +223,15 @@ fn syrk_lower(
             let mut pc = 0;
             while pc < k {
                 let kb = blk.kc.min(k - pc);
-                // op(B) = Aᵀ: column j of the update is row j of A.
-                crate::pack::pack_b(b_pack, Transpose::Yes, a, lda, pc, kb, jc, nb);
+                // Column j of the update is row j of op(A).
+                crate::pack::pack_b(b_pack, tb, a, lda, pc, kb, jc, nb);
                 let mut ic = row0;
                 while ic < m_end {
                     let mb = blk.mc.min(m_end - ic);
                     // Skip row blocks that lie entirely above this column
                     // block's diagonal intersection.
                     if ic + mb > jc {
-                        crate::pack::pack_a(a_pack, Transpose::No, alpha, a, lda, ic, mb, pc, kb);
+                        crate::pack::pack_a(a_pack, ta, alpha, a, lda, ic, mb, pc, kb);
                         crate::microkernel::block_kernel(
                             tier,
                             a_pack,
@@ -309,7 +337,7 @@ pub fn syrk_ctx(ctx: &ExecContext, a: &Matrix) -> Matrix {
     let lda = a.cols();
     let a_slice = a.as_slice();
     triangular_scatter_mirror(ctx, c.as_mut_slice(), m, m, parts, |rows, panel| {
-        syrk_rows_slices(1.0, a_slice, k, lda, rows, panel, m);
+        syrk_rows_slices(Transpose::No, 1.0, a_slice, k, lda, rows, panel, m);
     });
     c
 }
@@ -429,6 +457,7 @@ mod tests {
         for rows in [0..17usize, 17..64, 64..m] {
             let row0 = rows.start;
             syrk_rows_slices(
+                Transpose::No,
                 1.0,
                 a.as_slice(),
                 k,

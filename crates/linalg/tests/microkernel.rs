@@ -14,6 +14,7 @@
 
 use proptest::prelude::*;
 use std::sync::Mutex;
+use tucker_linalg::blocking::{force_blocking, Blocking};
 use tucker_linalg::gemm::{gemm_slices, gemm_slices_reference, Transpose};
 use tucker_linalg::simd::{detected_tier, force_tier, supported_tiers};
 use tucker_linalg::syrk::{syrk_rows_slices, syrk_slices, syrk_slices_reference};
@@ -134,6 +135,14 @@ fn check_syrk_case(
 
     let mut want = c0.clone();
     syrk_slices_reference(alpha, &a, m, k, lda, beta, &mut want, ldc);
+    // The same op(A) stored transposed: `k × m` with its own padding.
+    let ldt = m + pad_a;
+    let mut at = fill(k * ldt, seed ^ 0x7);
+    for i in 0..m {
+        for p in 0..k {
+            at[p * ldt + i] = a[i * lda + p];
+        }
+    }
 
     let _g = tier_guard();
     for tier in supported_tiers() {
@@ -154,25 +163,28 @@ fn check_syrk_case(
             }
         }
         // Panel decomposition: rebuilding the lower triangle from uneven row
-        // panels must reproduce the same bits on this tier.
+        // panels must reproduce the same bits on this tier — from A as
+        // stored and from its explicit transpose.
         if beta == 0.0 && m >= 3 {
-            let mut panels = vec![0.0f64; m * ldc];
-            let cut1 = m / 3;
-            let cut2 = (2 * m) / 3;
-            for rows in [0..cut1, cut1..cut2, cut2..m] {
-                if rows.is_empty() {
-                    continue;
+            for (ta, src, ld) in [(Transpose::No, &a, lda), (Transpose::Yes, &at, ldt)] {
+                let mut panels = vec![0.0f64; m * ldc];
+                let cut1 = m / 3;
+                let cut2 = (2 * m) / 3;
+                for rows in [0..cut1, cut1..cut2, cut2..m] {
+                    if rows.is_empty() {
+                        continue;
+                    }
+                    let row0 = rows.start;
+                    syrk_rows_slices(ta, alpha, src, k, ld, rows, &mut panels[row0 * ldc..], ldc);
                 }
-                let row0 = rows.start;
-                syrk_rows_slices(alpha, &a, k, lda, rows, &mut panels[row0 * ldc..], ldc);
-            }
-            for i in 0..m {
-                for j in 0..=i {
-                    if panels[i * ldc + j].to_bits() != want[i * ldc + j].to_bits() {
-                        return Err(format!(
-                            "tier {} panel split diverged at ({i},{j})",
-                            tier.name()
-                        ));
+                for i in 0..m {
+                    for j in 0..=i {
+                        if panels[i * ldc + j].to_bits() != want[i * ldc + j].to_bits() {
+                            return Err(format!(
+                                "tier {} {ta:?} panel split diverged at ({i},{j})",
+                                tier.name()
+                            ));
+                        }
                     }
                 }
             }
@@ -258,6 +270,29 @@ fn block_edge_crossing_shapes_match_reference_on_all_tiers() {
         .unwrap();
     }
     check_syrk_case(150, 260, 2, 3, 1.0, 0.0, 0xbeef).unwrap();
+}
+
+/// SYRK rows from a transposed A — the first-mode Gram `Dᵀ·D` — at sizes that
+/// cross the block edges, on every tier, under the detected blocking and
+/// under a tiny 16³ one. (Other tests in this binary may briefly run under
+/// the forced blocking too; the contract makes that invisible in their bits.)
+#[test]
+fn transposed_syrk_rows_match_reference_under_forced_blocking() {
+    let shapes = [(37usize, 300usize), (150, 260)];
+    let run = || {
+        shapes
+            .iter()
+            .try_for_each(|&(m, k)| check_syrk_case(m, k, 3, 1, 1.0, 0.0, 0xd00d ^ m as u64))
+    };
+    run().unwrap();
+    let prev = force_blocking(Blocking {
+        mc: 16,
+        kc: 16,
+        nc: 16,
+    });
+    let forced = run();
+    force_blocking(prev);
+    forced.unwrap();
 }
 
 /// The transpose-heavy variants at block-edge size (packing takes different

@@ -5,13 +5,13 @@
 //! how ST-HOSVD and HOOI obtain factor matrices. With the natural layout, the
 //! Gram matrix accumulates one SYRK per contiguous subblock (the row-major
 //! `I_n × left` view of the block), and for the first mode the whole buffer is
-//! processed with a single transposed GEMM.
+//! processed with a single transposed-A SYRK (`Dᵀ·D`, read in place).
 
 use crate::dense::DenseTensor;
 use crate::layout::Unfolding;
 use tucker_exec::{chunk_ranges, ExecContext};
 use tucker_linalg::gemm::{gemm_slices, gemm_slices_ctx, Transpose};
-use tucker_linalg::syrk::{syrk_rows_slices, syrk_slices, triangular_scatter_mirror};
+use tucker_linalg::syrk::{syrk_rows_slices, triangular_scatter_mirror};
 use tucker_linalg::Matrix;
 use tucker_obs::metrics::Counter;
 
@@ -43,10 +43,9 @@ pub fn gram_into(y: &DenseTensor, mode: usize, s: &mut Matrix) {
 
 /// [`gram_into`] on an explicit execution context.
 ///
-/// Parallelism: the first mode is one large transposed GEMM scattered over
-/// row panels of `S`; general modes scatter **area-balanced lower-triangle
-/// row ranges** of `S` via [`triangular_scatter_mirror`] — every thread
-/// walks all blocks in the same ascending order and owns its rows
+/// Parallelism: every mode scatters **area-balanced lower-triangle row
+/// ranges** of `S` via [`triangular_scatter_mirror`] — every thread walks
+/// the whole unfolding in the same ascending order and owns its rows
 /// exclusively, then the strict upper triangle is mirrored once. Each
 /// element of `S` accumulates in exactly the sequential order, so results
 /// are bit-identical across thread counts.
@@ -71,8 +70,13 @@ pub fn gram_accumulate(y: &DenseTensor, mode: usize, s: &mut Matrix) {
 /// exactly the per-element additions of [`gram_into_ctx`] on the full tensor:
 /// the result is **bit-identical** for every slab width (general modes add
 /// one SYRK contribution per block in ascending block order; the first mode
-/// splits the GEMM contraction dimension, whose per-element accumulation in
-/// `gemm_slices` is a single running sum in ascending order).
+/// splits the SYRK contraction dimension, whose per-element accumulation is
+/// a single running sum in ascending order).
+///
+/// The first mode's `Dᵀ·D` matches a full `Dᵀ·D` GEMM bit for bit in both
+/// triangles: `alpha = 1` folds in exactly (`fl(1·a) = a`), and the
+/// mirrored upper element `Σ d[p,j]·d[p,i]` equals `Σ d[p,i]·d[p,j]` term by
+/// term (`fl(a·b) = fl(b·a)`), slab after slab.
 pub fn gram_accumulate_ctx(ctx: &ExecContext, y: &DenseTensor, mode: usize, s: &mut Matrix) {
     let dims = y.dims();
     assert!(
@@ -97,51 +101,32 @@ pub fn gram_accumulate_ctx(ctx: &ExecContext, y: &DenseTensor, mode: usize, s: &
     GRAM_CALLS.inc();
     GRAM_FLOPS.add((n as u64 + 1) * (y.len() as u64));
 
-    if unf.left == 1 {
-        // First mode: the whole buffer is a column-major I_n × Î_n matrix,
-        // i.e. a row-major Î_n × I_n matrix D, and S += Dᵀ·D — one blocked
-        // GEMM with beta = 1 (the caller zeroes S, so a single call matches
-        // the historical beta = 0 path bit for bit).
-        let cols = unf.cols();
-        gemm_slices_ctx(
-            ctx,
-            Transpose::Yes,
-            Transpose::No,
-            1.0,
-            data,
-            cols,
-            n,
-            n,
-            data,
-            cols,
-            n,
-            n,
-            1.0,
-            s.as_mut_slice(),
-            ldc,
-        );
-        return;
-    }
-
-    // General mode: accumulate one SYRK contribution per contiguous subblock
-    // (each block is a row-major I_n × left matrix with leading dimension
-    // `left`).
-    let left = unf.left;
-    let right = unf.right;
-    let work = right.saturating_mul(left).saturating_mul(n * (n + 1) / 2);
+    let (left, right) = (unf.left, unf.right);
+    let work = unf.cols().saturating_mul(n * (n + 1) / 2);
     let parts = ctx.partition_for_work(n, work);
-    if parts <= 1 {
-        for t in 0..right {
-            let block = unf.block(data, t);
-            syrk_slices(1.0, block, n, left, left, 1.0, s.as_mut_slice(), ldc);
-        }
-        return;
-    }
-
     triangular_scatter_mirror(ctx, s.as_mut_slice(), n, ldc, parts, |rows, panel| {
+        if left == 1 {
+            // First mode: the whole buffer is a column-major I_n × Î_n
+            // matrix, i.e. a row-major Î_n × I_n matrix D, and S += Dᵀ·D —
+            // one transposed-A SYRK over the borrowed buffer.
+            syrk_rows_slices(Transpose::Yes, 1.0, data, right, n, rows, panel, ldc);
+            return;
+        }
+        // General mode: one SYRK contribution per contiguous subblock (each
+        // block is a row-major I_n × left matrix with leading dimension
+        // `left`), in ascending block order.
         for t in 0..right {
             let block = unf.block(data, t);
-            syrk_rows_slices(1.0, block, left, left, rows.clone(), panel, ldc);
+            syrk_rows_slices(
+                Transpose::No,
+                1.0,
+                block,
+                left,
+                left,
+                rows.clone(),
+                panel,
+                ldc,
+            );
         }
     });
 }
@@ -406,6 +391,55 @@ mod tests {
                         full.as_slice(),
                         "mode {mode}, width {width}, threads {threads}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_mode_gram_is_the_gemm_contract_in_both_triangles() {
+        // The first-mode Gram runs a transposed-A SYRK and mirrors; both
+        // triangles must equal the full Dᵀ·D GEMM contract bit for bit, for
+        // extents off the MR/NR grid, any thread count and any slab width.
+        use tucker_linalg::gemm::gemm_slices_reference;
+        let mut rng = StdRng::seed_from_u64(69);
+        for n in [13usize, 37] {
+            let dims = [n, 11, 5, 29];
+            let y = random_tensor(&mut rng, &dims);
+            let cols = y.len() / n;
+            let mut want = vec![0.0f64; n * n];
+            gemm_slices_reference(
+                Transpose::Yes,
+                Transpose::No,
+                1.0,
+                y.as_slice(),
+                cols,
+                n,
+                n,
+                y.as_slice(),
+                cols,
+                n,
+                n,
+                0.0,
+                &mut want,
+                n,
+            );
+            let want: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+            let stride = y.last_mode_stride();
+            for threads in [1usize, 2, 4, 32] {
+                let ctx = tucker_exec::ExecContext::new(threads);
+                for width in [1usize, 7, 29] {
+                    let mut s = Matrix::zeros(n, n);
+                    for start in (0..29).step_by(width) {
+                        let w = width.min(29 - start);
+                        let slab = DenseTensor::from_vec(
+                            &[n, 11, 5, w],
+                            y.as_slice()[start * stride..(start + w) * stride].to_vec(),
+                        );
+                        gram_accumulate_ctx(&ctx, &slab, 0, &mut s);
+                    }
+                    let got: Vec<u64> = s.as_slice().iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "n {n}, threads {threads}, width {width}");
                 }
             }
         }

@@ -348,7 +348,8 @@ pub fn multi_ttm(
     multi_ttm_ctx(ExecContext::global(), x, matrices, trans, order)
 }
 
-/// [`multi_ttm`] on an explicit execution context.
+/// [`multi_ttm`] on an explicit execution context. `x` is read in place
+/// until the first product; only intermediate results are owned.
 pub fn multi_ttm_ctx(
     ctx: &ExecContext,
     x: &DenseTensor,
@@ -361,13 +362,13 @@ pub fn multi_ttm_ctx(
         x.ndims(),
         "multi_ttm: need one (optional) matrix per mode"
     );
-    let mut current = x.clone();
+    let mut current: Option<DenseTensor> = None;
     for &n in order {
         if let Some(v) = matrices[n] {
-            current = ttm_ctx(ctx, &current, v, n, trans);
+            current = Some(ttm_ctx(ctx, current.as_ref().unwrap_or(x), v, n, trans));
         }
     }
-    current
+    current.unwrap_or_else(|| x.clone())
 }
 
 /// Convenience wrapper: applies `op(V_n)` for every mode `n` in natural order.

@@ -23,17 +23,19 @@ TUCKER_THREADS=4 cargo test -q
 # pipeline determinism suites under a forced-scalar tier and under explicit
 # auto-dispatch; both must pass the same bitwise assertions. (The in-process
 # force_tier sweeps inside `microkernel`/`simd_tiers` additionally compare
-# the tiers directly against each other.) The streaming and facade-equivalence
-# suites ride along: the first-mode Gram (a transposed-A SYRK) and the masked
-# edge tiles both run on the tier's vector kernel and the blocking's tile grid.
+# the tiers directly against each other.) The streaming, facade-equivalence
+# and distributed-equivalence suites ride along: the first-mode Gram (a
+# transposed-A SYRK), the masked edge tiles and the distributed Gram's
+# SYRK/pair blocks all run on the tier's vector kernel and the blocking's
+# tile grid.
 echo "== linalg + determinism suites (TUCKER_SIMD=scalar) =="
 TUCKER_SIMD=scalar cargo test -q -p tucker-linalg
 TUCKER_SIMD=scalar cargo test -q --test determinism --test simd_tiers \
-  --test streaming --test api_equivalence
+  --test streaming --test api_equivalence --test distributed_equivalence
 echo "== linalg + determinism suites (TUCKER_SIMD=auto) =="
 TUCKER_SIMD=auto cargo test -q -p tucker-linalg
 TUCKER_SIMD=auto cargo test -q --test determinism --test simd_tiers \
-  --test streaming --test api_equivalence
+  --test streaming --test api_equivalence --test distributed_equivalence
 
 # The blocking contract (ISSUE 9) says MC/KC/NC only schedule the packed tile
 # grid — a TUCKER_BLOCK override must be invisible in the result bits, for
@@ -44,7 +46,7 @@ TUCKER_SIMD=auto cargo test -q --test determinism --test simd_tiers \
 echo "== linalg + determinism suites (TUCKER_BLOCK=16,16,16) =="
 TUCKER_BLOCK=16,16,16 cargo test -q -p tucker-linalg
 TUCKER_BLOCK=16,16,16 cargo test -q --test determinism --test simd_tiers \
-  --test streaming --test api_equivalence
+  --test streaming --test api_equivalence --test distributed_equivalence
 
 echo "== cargo test -q --test service (TUCKER_THREADS=1 and 4) =="
 # The daemon's concurrency suite under both pool shapes: 8-client
@@ -81,6 +83,9 @@ echo "== table7_transport (cross-backend artifact-identity gate) =="
 # moved none. Exits non-zero on any mismatch; the watchdog turns a wedged
 # transport into exit code 3.
 TUCKER_RANKS=2 cargo run --release -p tucker-bench --bin table7_transport
+# P = 3 runs grid [3,1,1] on 16 rows: the only case in which a block
+# received on the Gram ring has a different mode-n extent than the local one.
+TUCKER_RANKS=3 cargo run --release -p tucker-bench --bin table7_transport
 TUCKER_RANKS=4 cargo run --release -p tucker-bench --bin table7_transport
 
 echo "== table3_storage (storage-layer shape check) =="

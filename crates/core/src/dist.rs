@@ -10,7 +10,9 @@
 //!   re-blocking of the shrunken mode.
 //! * [`parallel_gram`] — Alg. 4: a ring (shifted sendrecv) over the mode-`n`
 //!   processor column to build this rank's row block of `S = Y(n)·Y(n)ᵀ`,
-//!   followed by an all-reduce across the mode-`n`  processor row.
+//!   followed by an all-reduce across the mode-`n` processor row. It runs on
+//!   the in-place `gram`/`gram_pair` kernels and moves blocks in their
+//!   natural layout.
 //! * [`parallel_evecs`] — Alg. 5: the Gram row blocks are all-gathered within
 //!   the processor column and the (small) `I_n × I_n` eigenproblem is solved
 //!   redundantly on every rank, which keeps the factor matrices replicated.
@@ -34,12 +36,11 @@ use tucker_distmem::collectives::{all_gather, all_reduce, reduce_scatter_blocks}
 use tucker_distmem::{Communicator, ProcGrid, SubCommunicator};
 use tucker_exec::ExecContext;
 use tucker_linalg::eig::{sym_eig_desc, SymEig};
-use tucker_linalg::gemm::{gemm_ctx, Transpose};
 use tucker_linalg::Matrix;
-use tucker_tensor::layout::Unfolding;
 use tucker_tensor::slice::insert_subtensor;
 use tucker_tensor::{
-    extract_subtensor, gram_ctx, ttm_ctx, DenseTensor, SubtensorSpec, TtmTranspose,
+    extract_subtensor, gram_ctx, gram_pair_ctx, ttm_ctx, DenseTensor, SubtensorSpec, TtmTranspose,
+    Unfolding,
 };
 
 /// The execution context a simulated rank uses when the caller did not pass
@@ -355,29 +356,30 @@ pub fn parallel_ttm_ctx(
 
     // Re-index the partial product into block-major order along mode n: the
     // slab owned by column member q (mode-n indices `block_range(k, P_n, q)`)
-    // becomes one contiguous chunk, flattened in natural order.
+    // becomes one contiguous chunk, flattened in natural order. In every
+    // unfolding block those indices are one contiguous run of `qlen · left`
+    // elements, so the chunk is the concatenation of `right` runs.
     let pn = col_group.size();
-    let jhat = partial.codim(n);
+    let unf = Unfolding::new(partial.dims(), n);
+    let data = partial.as_slice();
     let mut packed = Vec::with_capacity(partial.len());
     let mut counts = Vec::with_capacity(pn);
-    let mut block_ranges: Vec<(usize, usize)> =
-        partial.dims().iter().map(|&d| (0usize, d)).collect();
     for q in 0..pn {
         let (qoff, qlen) = ProcGrid::block_range(k, pn, q);
-        counts.push(qlen * jhat);
-        if qlen > 0 {
-            block_ranges[n] = (qoff, qlen);
-            let block = extract_subtensor(&partial, &spec_from_ranges(&block_ranges));
-            packed.extend_from_slice(block.as_slice());
+        counts.push(qlen * unf.cols());
+        for t in 0..unf.right {
+            packed
+                .extend_from_slice(&unf.block(data, t)[qoff * unf.left..(qoff + qlen) * unf.left]);
         }
     }
+    let mut local_dims = partial.dims().to_vec();
+    drop(partial);
 
     // Mode-aware reduce-scatter: each member receives exactly its own fully
     // summed block, already flattened in the natural order of the local tensor.
-    let mine = reduce_scatter_blocks(&col_group, &packed, &counts);
+    let mine = reduce_scatter_blocks(&col_group, packed, &counts);
 
     let (ks, kl) = comm.grid().local_range(comm.rank(), n, k);
-    let mut local_dims = partial.dims().to_vec();
     local_dims[n] = kl;
     let local = DenseTensor::from_vec(&local_dims, mine);
 
@@ -391,10 +393,16 @@ pub fn parallel_ttm_ctx(
 ///
 /// The ranks of a mode-`n` processor column share the same non-`n` local
 /// ranges, so their unfolding panels cover the same global columns; the ring
-/// of shifted sendrecv exchanges (Alg. 4 lines 9–10) rotates those panels so
+/// of shifted sendrecv exchanges (Alg. 4 lines 9–10) rotates those blocks so
 /// each rank accumulates `W_me · W_qᵀ` into the column block of every owner
 /// `q`. The partial row block is then sum-reduced across the mode-`n`
 /// processor row (the ranks owning the remaining global columns).
+///
+/// No unfolding is materialized: the diagonal block is [`gram_ctx`] (a SYRK
+/// on the local block in place) and each received block goes through
+/// [`gram_pair_ctx`]. Both sum over the unfolding columns in ascending
+/// order, so on a grid that splits only mode `n` the rows equal those of
+/// the sequential `gram` bit for bit.
 pub fn parallel_gram(comm: &Communicator, y: &DistTensor, n: usize) -> Matrix {
     parallel_gram_ctx(comm, y, n, &hybrid_ctx(comm))
 }
@@ -410,44 +418,46 @@ pub fn parallel_gram_ctx(
     assert!(n < dims.len(), "parallel_gram: mode {n} out of range");
     let col_group = SubCommunicator::mode_column(comm, n);
     let row_group = SubCommunicator::mode_row(comm, n);
-
-    if col_group.size() == 1 && row_group.size() == 1 {
-        // Single rank: defer to the local kernel (bit-identical).
-        return gram_ctx(ctx, y.local(), n);
-    }
-
     let in_total = dims[n];
     let pn = col_group.size();
-    let my_pos = col_group.pos();
-    let (_, my_len) = y.ranges()[n];
+    let local = y.local();
+    let (my_off, my_len) = y.ranges()[n];
 
-    // This rank's panel of the mode-n unfolding: my_len × (local columns).
-    let w_me = Unfolding::new(y.local().dims(), n).materialize(y.local());
-    let mut s_partial = Matrix::zeros(my_len, in_total);
-
-    // Ring over the processor column: after step s we hold the panel of the
-    // member at position (my_pos + s) mod P_n.
-    let mut current: Vec<f64> = w_me.as_slice().to_vec();
-    let mut owner = my_pos;
-    for step in 0..pn {
-        let (q_off, q_len) = ProcGrid::block_range(in_total, pn, owner);
-        if q_len > 0 && my_len > 0 {
-            let panel_q = Matrix::from_vec(q_len, w_me.cols(), current.clone());
-            // W_me · W_qᵀ — the (my rows × owner's rows) block over the shared
-            // local columns.
-            let contrib = gemm_ctx(ctx, Transpose::No, Transpose::Yes, 1.0, &w_me, &panel_q);
-            for i in 0..my_len {
-                s_partial.row_mut(i)[q_off..q_off + q_len].copy_from_slice(contrib.row(i));
-            }
+    // The diagonal block W_me · W_meᵀ is the local Gram: a SYRK on the
+    // block's own buffer.
+    let diag = gram_ctx(ctx, local, n);
+    let s_partial = if pn == 1 {
+        diag
+    } else {
+        let mut s_partial = Matrix::zeros(my_len, in_total);
+        place_columns(&mut s_partial, my_off, &diag);
+        // Ring over the processor column: after step s we hold the block of
+        // the member at position (my_pos + s) mod P_n. Blocks travel in
+        // their natural layout; a received buffer becomes a tensor by move
+        // and is forwarded by move at the next step.
+        let my_pos = col_group.pos();
+        let dst = (my_pos + pn - 1) % pn;
+        let src = (my_pos + 1) % pn;
+        let mut held: Option<DenseTensor> = None;
+        for step in 1..pn {
+            let incoming = match held.take() {
+                None => col_group.sendrecv(dst, local.as_slice(), src),
+                Some(block) => {
+                    col_group.send_vec(dst, block.into_vec());
+                    col_group.recv(src)
+                }
+            };
+            let (q_off, q_len) = ProcGrid::block_range(in_total, pn, (my_pos + step) % pn);
+            let mut q_dims = local.dims().to_vec();
+            q_dims[n] = q_len;
+            let block = DenseTensor::from_vec(&q_dims, incoming);
+            // W_me · W_qᵀ — the (my rows × owner's rows) block over the
+            // shared local columns (Alg. 4 line 11).
+            place_columns(&mut s_partial, q_off, &gram_pair_ctx(ctx, local, &block, n));
+            held = Some(block);
         }
-        if step + 1 < pn {
-            // Shift panels one position around the ring.
-            let dst = (my_pos + pn - 1) % pn;
-            let src = (my_pos + 1) % pn;
-            current = col_group.sendrecv(dst, &current, src);
-            owner = (owner + 1) % pn;
-        }
-    }
+        s_partial
+    };
 
     // Sum the contributions of all column sets (the mode-n processor row).
     if row_group.size() == 1 {
@@ -455,6 +465,14 @@ pub fn parallel_gram_ctx(
     }
     let summed = all_reduce(&row_group, s_partial.as_slice());
     Matrix::from_vec(my_len, in_total, summed)
+}
+
+/// Copies `block` into the columns `[col_off, col_off + block.cols())` of
+/// every row of `s`.
+fn place_columns(s: &mut Matrix, col_off: usize, block: &Matrix) {
+    for i in 0..block.rows() {
+        s.row_mut(i)[col_off..col_off + block.cols()].copy_from_slice(block.row(i));
+    }
 }
 
 /// Parallel leading-eigenvector computation (Alg. 5).
@@ -520,8 +538,12 @@ pub fn dist_st_hosvd_ctx(
         &validate::rank_hint(&opts.rank, x.global_dims()),
     );
 
-    let mut y = x.clone();
-    let mut factors: Vec<Option<Matrix>> = vec![None; nmodes];
+    // `y` only ever holds an already-shrunk tensor: until the first TTM the
+    // current tensor is the borrowed input itself.
+    let mut y: Option<DistTensor> = None;
+    // `order` is a permutation of the modes, so every placeholder below is
+    // overwritten.
+    let mut factors = vec![Matrix::zeros(0, 0); nmodes];
     let mut ranks = vec![0usize; nmodes];
     let mut mode_eigenvalues: Vec<Vec<f64>> = vec![Vec::new(); nmodes];
     let mut discarded_energy = 0.0;
@@ -530,10 +552,11 @@ pub fn dist_st_hosvd_ctx(
 
     for &n in &order {
         let _mode_span = tucker_obs::span!("dist_st_hosvd.mode", mode = n);
+        let current = y.as_ref().unwrap_or(x);
         let s_block = {
             let _k = tucker_obs::span!("dist.gram", mode = n);
             let t0 = Instant::now();
-            let s_block = parallel_gram_ctx(comm, &y, n, ctx);
+            let s_block = parallel_gram_ctx(comm, current, n, ctx);
             timings.gram[n] += t0.elapsed().as_secs_f64();
             s_block
         };
@@ -541,7 +564,7 @@ pub fn dist_st_hosvd_ctx(
         let eig = {
             let _k = tucker_obs::span!("dist.evecs", mode = n);
             let t0 = Instant::now();
-            let eig = parallel_evecs(comm, &y, n, &s_block);
+            let eig = parallel_evecs(comm, current, n, &s_block);
             timings.evecs[n] += t0.elapsed().as_secs_f64();
             eig
         };
@@ -555,20 +578,25 @@ pub fn dist_st_hosvd_ctx(
         {
             let _k = tucker_obs::span!("dist.ttm", mode = n);
             let t0 = Instant::now();
-            y = parallel_ttm_ctx(comm, &y, &u, n, TtmTranspose::Transpose, ctx);
+            y = Some(parallel_ttm_ctx(
+                comm,
+                current,
+                &u,
+                n,
+                TtmTranspose::Transpose,
+                ctx,
+            ));
             timings.ttm[n] += t0.elapsed().as_secs_f64();
         }
 
-        factors[n] = Some(u);
+        factors[n] = u;
     }
 
-    let factors: Vec<Matrix> = factors
-        .into_iter()
-        .map(|f| f.expect("every mode must be processed"))
-        .collect();
+    // With no mode processed the core is the input itself.
+    let core = y.unwrap_or_else(|| x.clone());
 
     DistSthosvdResult {
-        tucker: DistTucker { core: y, factors },
+        tucker: DistTucker { core, factors },
         ranks,
         mode_eigenvalues,
         discarded_energy,
@@ -663,34 +691,43 @@ pub fn dist_hooi_ctx(
     let ranks = init.ranks.clone();
     let mut factors = init.tucker.factors;
     let mut core = init.tucker.core;
-    let mut fit_history = vec![norm_x_sq - core.global_norm_sq(comm)];
+    let mut prev_fit = norm_x_sq - core.global_norm_sq(comm);
+    let mut fit_history = vec![prev_fit];
 
     let mut iterations = 0;
     for _ in 0..opts.max_iterations {
         let _iter_span = tucker_obs::span!("dist_hooi.iteration", iteration = iterations);
         for n in 0..nmodes {
             // Y = X ×_{m≠n} U⁽ᵐ⁾ᵀ, applied in natural order (as the
-            // sequential multi_ttm does).
-            let mut y = x.clone();
-            for m in 0..nmodes {
-                if m != n {
-                    y = parallel_ttm_ctx(comm, &y, &factors[m], m, TtmTranspose::Transpose, ctx);
-                }
+            // sequential multi_ttm does), reading X in place until the first
+            // product.
+            let mut y: Option<DistTensor> = None;
+            for m in (0..nmodes).filter(|&m| m != n) {
+                let current = y.as_ref().unwrap_or(x);
+                y = Some(parallel_ttm_ctx(
+                    comm,
+                    current,
+                    &factors[m],
+                    m,
+                    TtmTranspose::Transpose,
+                    ctx,
+                ));
             }
-            let s_block = parallel_gram_ctx(comm, &y, n, ctx);
-            let eig = parallel_evecs(comm, &y, n, &s_block);
+            let y = y.as_ref().unwrap_or(x);
+            let s_block = parallel_gram_ctx(comm, y, n, ctx);
+            let eig = parallel_evecs(comm, y, n, &s_block);
             factors[n] = eig.leading_vectors(ranks[n]);
             if n == nmodes - 1 {
-                core = parallel_ttm_ctx(comm, &y, &factors[n], n, TtmTranspose::Transpose, ctx);
+                core = parallel_ttm_ctx(comm, y, &factors[n], n, TtmTranspose::Transpose, ctx);
             }
         }
         iterations += 1;
         let fit = norm_x_sq - core.global_norm_sq(comm);
-        let prev = *fit_history.last().unwrap();
         fit_history.push(fit);
-        if prev - fit <= opts.fit_tolerance * norm_x_sq {
+        if prev_fit - fit <= opts.fit_tolerance * norm_x_sq {
             break;
         }
+        prev_fit = fit;
     }
 
     DistHooiResult {

@@ -1,14 +1,20 @@
 //! ST-HOSVD reads its input in place. A counting global allocator records
-//! the largest single allocation made while `st_hosvd_ctx` runs, and it must
-//! stay below the size of the input: the first processed mode's Gram and TTM
-//! read the borrowed tensor, and only already-shrunk tensors are ever owned.
+//! the largest single allocation made while `st_hosvd_ctx` (or the
+//! distributed driver on a 1×…×1 grid) runs, and it must stay below the size
+//! of the input: the first processed mode's Gram and TTM read the borrowed
+//! tensor, and only already-shrunk tensors are ever owned.
 //!
-//! The allocator is process-wide, so this binary holds exactly one test.
+//! The allocator is process-wide, so the tests in this binary take turns
+//! through one lock, held from input construction to the last check.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use tucker_core::dist::{dist_st_hosvd_ctx, DistTensor};
 use tucker_core::ordering::ModeOrder;
 use tucker_core::sthosvd::{st_hosvd_ctx, SthosvdOptions};
+use tucker_distmem::runtime::spmd_with_grid;
+use tucker_distmem::ProcGrid;
 use tucker_exec::ExecContext;
 use tucker_tensor::DenseTensor;
 
@@ -17,6 +23,7 @@ struct Counting;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
+static SERIAL: Mutex<()> = Mutex::new(());
 
 fn record(size: usize) {
     if ARMED.load(Ordering::Relaxed) {
@@ -51,31 +58,71 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-#[test]
-fn st_hosvd_never_allocates_a_buffer_as_large_as_its_input() {
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs `f` with the allocator armed and returns the largest allocation it
+/// made.
+fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    LARGEST.store(0, Ordering::Relaxed);
+    ARMED.store(true, Ordering::Relaxed);
+    let out = f();
+    ARMED.store(false, Ordering::Relaxed);
+    (out, LARGEST.load(Ordering::Relaxed))
+}
+
+fn input() -> DenseTensor {
     let dims = [48usize, 40, 30, 20];
-    let x = DenseTensor::from_fn(&dims, |idx| {
+    DenseTensor::from_fn(&dims, |idx| {
         idx.iter()
             .enumerate()
             .map(|(k, &i)| ((k + 1) as f64 * 0.13 * i as f64).sin())
             .sum::<f64>()
-    });
+    })
+}
+
+#[test]
+fn st_hosvd_never_allocates_a_buffer_as_large_as_its_input() {
+    let _turn = serial();
+    let x = input();
     let input_bytes = x.len() * std::mem::size_of::<f64>();
     let contexts = [ExecContext::new(1), ExecContext::new(2)];
     for order in [ModeOrder::Natural, ModeOrder::Custom(vec![3, 1, 0, 2])] {
         let opts = SthosvdOptions::with_ranks(vec![6, 5, 4, 3]).order(order);
         for ctx in &contexts {
-            LARGEST.store(0, Ordering::Relaxed);
-            ARMED.store(true, Ordering::Relaxed);
-            let result = st_hosvd_ctx(&x, &opts, ctx);
-            ARMED.store(false, Ordering::Relaxed);
-            let largest = LARGEST.load(Ordering::Relaxed);
+            let (result, largest) = largest_allocation(|| st_hosvd_ctx(&x, &opts, ctx));
             assert_eq!(result.tucker.core.dims(), &[6, 5, 4, 3]);
             assert!(
                 largest < input_bytes,
                 "threads {}, order {:?}: largest allocation {largest} B >= input {input_bytes} B",
                 ctx.threads(),
                 result.processed_order
+            );
+        }
+    }
+}
+
+#[test]
+fn dist_st_hosvd_on_one_rank_never_allocates_a_buffer_as_large_as_its_input() {
+    let _turn = serial();
+    let x = input();
+    let input_bytes = x.len() * std::mem::size_of::<f64>();
+    let contexts = [ExecContext::new(1), ExecContext::new(2)];
+    for order in [ModeOrder::Natural, ModeOrder::Custom(vec![3, 1, 0, 2])] {
+        let opts = SthosvdOptions::with_ranks(vec![6, 5, 4, 3]).order(order);
+        for ctx in &contexts {
+            let results = spmd_with_grid(ProcGrid::new(&[1, 1, 1, 1]), |comm| {
+                let dx = DistTensor::from_global(&comm, &x);
+                let (r, largest) = largest_allocation(|| dist_st_hosvd_ctx(&comm, &dx, &opts, ctx));
+                (r.ranks, r.processed_order, largest)
+            });
+            let (ranks, order, largest) = &results[0];
+            assert_eq!(ranks, &[6, 5, 4, 3]);
+            assert!(
+                *largest < input_bytes,
+                "threads {}, order {order:?}: largest allocation {largest} B >= input {input_bytes} B",
+                ctx.threads(),
             );
         }
     }

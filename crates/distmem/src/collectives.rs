@@ -174,9 +174,8 @@ fn all_gather_inner(group: &SubCommunicator<'_>, data: &[f64]) -> Vec<f64> {
     for s in 0..p - 1 {
         let send_owner = (me + p - s) % p;
         let recv_owner = (me + p - s - 1) % p;
-        let send_chunk =
-            out[offsets[send_owner]..offsets[send_owner] + lengths[send_owner]].to_vec();
-        let received = group.sendrecv(right, &send_chunk, left);
+        let send_chunk = &out[offsets[send_owner]..offsets[send_owner] + lengths[send_owner]];
+        let received = group.sendrecv(right, send_chunk, left);
         assert_eq!(received.len(), lengths[recv_owner]);
         out[offsets[recv_owner]..offsets[recv_owner] + lengths[recv_owner]]
             .copy_from_slice(&received);
@@ -208,7 +207,7 @@ fn all_gather_lengths(group: &SubCommunicator<'_>, len: usize) -> Vec<usize> {
 pub fn reduce_scatter(group: &SubCommunicator<'_>, data: &[f64]) -> Vec<f64> {
     let p = group.size();
     let counts: Vec<usize> = (0..p).map(|i| chunk_range(data.len(), p, i).1).collect();
-    reduce_scatter_blocks(group, data, &counts)
+    reduce_scatter_blocks(group, data.to_vec(), &counts)
 }
 
 /// Ring reduce-scatter with caller-specified chunk boundaries: the elementwise
@@ -218,12 +217,16 @@ pub fn reduce_scatter(group: &SubCommunicator<'_>, data: &[f64]) -> Vec<f64> {
 /// TTM (Alg. 3), where the chunks are the mode-`n` tensor blocks owned by each
 /// member of a processor column and therefore not near-equal in general.
 ///
+/// The buffer is taken by value: partial sums accumulate in it, outgoing
+/// chunks are sent straight from it, and the returned chunk reuses its
+/// allocation, so the collective copies no buffer of its own.
+///
 /// # Panics
 /// Panics if `counts.len() != group.size()` or the counts do not sum to
 /// `data.len()`.
 pub fn reduce_scatter_blocks(
     group: &SubCommunicator<'_>,
-    data: &[f64],
+    data: Vec<f64>,
     counts: &[usize],
 ) -> Vec<f64> {
     timed(&REDUCE_SCATTER_US, || {
@@ -233,7 +236,7 @@ pub fn reduce_scatter_blocks(
 
 fn reduce_scatter_blocks_inner(
     group: &SubCommunicator<'_>,
-    data: &[f64],
+    mut work: Vec<f64>,
     counts: &[usize],
 ) -> Vec<f64> {
     group.note_collective();
@@ -246,11 +249,11 @@ fn reduce_scatter_blocks_inner(
     let total: usize = counts.iter().sum();
     assert_eq!(
         total,
-        data.len(),
+        work.len(),
         "reduce_scatter_blocks: chunk sizes must cover the buffer"
     );
     if p == 1 {
-        return data.to_vec();
+        return work;
     }
     let offsets: Vec<usize> = counts
         .iter()
@@ -263,7 +266,6 @@ fn reduce_scatter_blocks_inner(
     let me = group.pos();
     let right = (me + 1) % p;
     let left = (me + p - 1) % p;
-    let mut work = data.to_vec();
 
     // Ring schedule chosen so that after p-1 steps each rank holds the fully
     // reduced chunk with *its own* index `me` (so the follow-up all-gather in
@@ -275,8 +277,7 @@ fn reduce_scatter_blocks_inner(
         let send_idx = (me + 2 * p - s - 1) % p;
         let recv_idx = (me + 2 * p - s - 2) % p;
         let (soff, slen) = (offsets[send_idx], counts[send_idx]);
-        let send_chunk = work[soff..soff + slen].to_vec();
-        let received = group.sendrecv(right, &send_chunk, left);
+        let received = group.sendrecv(right, &work[soff..soff + slen], left);
         let (roff, rlen) = (offsets[recv_idx], counts[recv_idx]);
         assert_eq!(
             received.len(),
@@ -287,7 +288,11 @@ fn reduce_scatter_blocks_inner(
             *w += r;
         }
     }
-    work[offsets[me]..offsets[me] + counts[me]].to_vec()
+    // Keep only the owned chunk, in the buffer it was reduced in.
+    work.truncate(offsets[me] + counts[me]);
+    work.drain(..offsets[me]);
+    work.shrink_to_fit();
+    work
 }
 
 /// All-reduce (elementwise sum): every member returns the full sum.
@@ -498,7 +503,7 @@ mod tests {
         let total: usize = counts.iter().sum();
         let results = with_group(4, |g| {
             let data: Vec<f64> = (0..total).map(|i| (i * (g.pos() + 1)) as f64).collect();
-            reduce_scatter_blocks(g, &data, &counts)
+            reduce_scatter_blocks(g, data, &counts)
         });
         let sum_factor = (4 * 5 / 2) as f64;
         let mut reassembled = Vec::new();

@@ -3,9 +3,14 @@
 //! Identical discipline to `tucker-serve`'s wire protocol (`serve/src/proto.rs`):
 //! every frame is a little-endian `u32` payload length followed by that many
 //! bytes, the first of which is the opcode. The length is validated against
-//! [`MAX_FRAME`] *before* any allocation, and bodies are decoded with the
-//! bounds-checked [`tucker_distmem::WireReader`] — arbitrary bytes can fail
-//! a read but can never panic it or make it allocate unboundedly.
+//! [`MAX_FRAME`] *before* any allocation, and control bodies are decoded with
+//! the bounds-checked [`tucker_distmem::WireReader`] — arbitrary bytes can
+//! fail a read but can never panic it or make it allocate unboundedly.
+//!
+//! `MSG` frames carry the bulk data and have a single-pass codec of their
+//! own ([`encode_msg_frame`] / [`decode_msg`]): one buffer per frame on the
+//! way out, one conversion on the way in, and the same bytes the generic
+//! [`tucker_distmem::Wire`] encoding of `(region, Vec<f64>)` would produce.
 //!
 //! Every byte that crosses a socket is counted here, in both the process-wide
 //! `tucker-obs` counters (`net.bytes_sent` / `net.bytes_recv`) and, when the
@@ -63,20 +68,88 @@ pub const OP_TABLE: u8 = 0x16;
 /// Any → any: `(region, rank, message)` — abandon the region (and session).
 pub const OP_ABORT: u8 = 0x17;
 
-/// Encodes one frame (`length ‖ opcode ‖ body`) into a fresh buffer.
-pub fn encode_frame(op: u8, body: &[u8]) -> Result<Vec<u8>, NetError> {
-    let payload = body.len() as u64 + 1;
+/// Bytes of a `MSG` body ahead of its words: the `u64` region stamp and the
+/// `u64` word count.
+const MSG_HEADER: usize = 16;
+
+/// The 5-byte frame prefix (`length ‖ opcode`) for a body of `body_len`
+/// bytes, refusing payloads over [`MAX_FRAME`].
+fn frame_prefix(op: u8, body_len: usize) -> Result<[u8; 5], NetError> {
+    let payload = (body_len as u64).saturating_add(1);
     if payload > MAX_FRAME as u64 {
         return Err(NetError::FrameTooLarge {
             len: payload,
             max: MAX_FRAME as u64,
         });
     }
-    let mut out = Vec::with_capacity(4 + 1 + body.len());
-    out.extend_from_slice(&(payload as u32).to_le_bytes());
-    out.push(op);
+    let [a, b, c, d] = (payload as u32).to_le_bytes();
+    Ok([a, b, c, d, op])
+}
+
+/// Encodes one frame (`length ‖ opcode ‖ body`) into a fresh buffer.
+pub fn encode_frame(op: u8, body: &[u8]) -> Result<Vec<u8>, NetError> {
+    let prefix = frame_prefix(op, body.len())?;
+    let mut out = Vec::with_capacity(prefix.len() + body.len());
+    out.extend_from_slice(&prefix);
     out.extend_from_slice(body);
     Ok(out)
+}
+
+/// Encodes one `MSG` frame — `length ‖ OP_MSG ‖ region ‖ count ‖ words` —
+/// into a single buffer: the header is written once and the words in one
+/// pass, each as its little-endian bit pattern. The bytes are exactly those
+/// of `encode_frame(OP_MSG, &(region, words).to_wire_bytes())`.
+pub fn encode_msg_frame(region: u64, words: &[f64]) -> Result<Vec<u8>, NetError> {
+    let body_len = words.len().saturating_mul(8).saturating_add(MSG_HEADER);
+    let prefix = frame_prefix(OP_MSG, body_len)?;
+    let mut out = vec![0u8; prefix.len() + body_len];
+    let (head, payload) = out.split_at_mut(prefix.len() + MSG_HEADER);
+    head[..5].copy_from_slice(&prefix);
+    head[5..13].copy_from_slice(&region.to_le_bytes());
+    head[13..].copy_from_slice(&(words.len() as u64).to_le_bytes());
+    for (dst, w) in payload.chunks_exact_mut(8).zip(words) {
+        dst.copy_from_slice(&w.to_bits().to_le_bytes());
+    }
+    Ok(out)
+}
+
+/// Decodes a `MSG` body into `(region, words)` in one pass.
+///
+/// The declared word count must match the body length exactly; the words
+/// are allocated from the body length, never from the declared count, so a
+/// lying header cannot make the decoder allocate.
+pub fn decode_msg(body: &[u8]) -> Result<(u64, Vec<f64>), NetError> {
+    if body.len() < MSG_HEADER {
+        return Err(NetError::Malformed {
+            detail: format!(
+                "MSG body of {} bytes is shorter than its {MSG_HEADER}-byte header",
+                body.len()
+            ),
+        });
+    }
+    let (head, payload) = body.split_at(MSG_HEADER);
+    let region = le_u64(&head[..8]);
+    let count = le_u64(&head[8..]);
+    if payload.len() % 8 != 0 || count != (payload.len() / 8) as u64 {
+        return Err(NetError::Malformed {
+            detail: format!(
+                "MSG declares {count} words but carries {} payload bytes",
+                payload.len()
+            ),
+        });
+    }
+    let words = payload
+        .chunks_exact(8)
+        .map(|w| f64::from_bits(le_u64(w)))
+        .collect();
+    Ok((region, words))
+}
+
+/// Reads a little-endian `u64` from an 8-byte slice.
+fn le_u64(bytes: &[u8]) -> u64 {
+    let mut b = [0u8; 8];
+    b.copy_from_slice(bytes);
+    u64::from_le_bytes(b)
 }
 
 /// Writes an already-encoded frame, bumping the global and (optionally) the
@@ -130,17 +203,18 @@ pub fn read_frame(r: &mut impl Read, stats: Option<&CommStats>) -> Result<(u8, V
             max: MAX_FRAME as u64,
         });
     }
-    let mut payload = vec![0u8; len as usize];
-    read_exact_body(r, &mut payload)?;
-    let op = payload[0];
-    let body = payload.split_off(1);
+    // The opcode is read on its own so the body lands in its final buffer.
+    let mut op = [0u8; 1];
+    read_exact_body(r, &mut op)?;
+    let mut body = vec![0u8; len as usize - 1];
+    read_exact_body(r, &mut body)?;
     let on_wire = 4 + len as u64;
     NET_BYTES_RECV.add(on_wire);
     NET_FRAMES_RECV.inc();
     if let Some(s) = stats {
         s.record_wire_recv(on_wire);
     }
-    Ok((op, body))
+    Ok((op[0], body))
 }
 
 /// `read_exact` for the frame prefix: a clean close before any byte is

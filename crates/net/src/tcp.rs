@@ -38,7 +38,8 @@ use tucker_distmem::{CommStats, Wire};
 
 use crate::error::NetError;
 use crate::frame::{
-    encode_frame, note_sent, read_frame, OP_ABORT, OP_BARRIER, OP_MSG, OP_PANIC, OP_RELEASE,
+    decode_msg, encode_frame, encode_msg_frame, note_sent, read_frame, OP_ABORT, OP_BARRIER,
+    OP_MSG, OP_PANIC, OP_RELEASE,
 };
 
 /// Locks a mutex, riding through poisoning (a panicked peer thread must not
@@ -237,7 +238,7 @@ impl PeerLink {
             let (op, body) = self.read_raw(&mut st, stats)?;
             match op {
                 OP_MSG => {
-                    let (r, data) = <(u64, Vec<f64>)>::from_wire_bytes(&body)?;
+                    let (r, data) = decode_msg(&body)?;
                     if r != region {
                         return Err(NetError::Malformed {
                             detail: format!("message stamped region {r}, expected {region}"),
@@ -306,10 +307,7 @@ impl PeerLink {
         loop {
             let (op, body) = self.read_raw(&mut st, stats)?;
             match op {
-                OP_MSG => {
-                    let (r, data) = <(u64, Vec<f64>)>::from_wire_bytes(&body)?;
-                    st.inbox.push_back((r, data));
-                }
+                OP_MSG => st.inbox.push_back(decode_msg(&body)?),
                 OP_BARRIER | OP_RELEASE => {
                     let tok = Self::decode_token(&body)?;
                     if (op == OP_RELEASE) == release {
@@ -415,17 +413,6 @@ impl TcpTransport {
             }),
         }
     }
-
-    /// Encodes a `MSG` frame for this region.
-    fn msg_frame(&self, data: &[f64]) -> Result<Vec<u8>, NetError> {
-        let mut body = Vec::with_capacity(16 + data.len() * 8);
-        self.region.encode(&mut body);
-        (data.len() as u64).encode(&mut body);
-        for x in data {
-            body.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        encode_frame(OP_MSG, &body)
-    }
 }
 
 impl Transport for TcpTransport {
@@ -435,7 +422,7 @@ impl Transport for TcpTransport {
 
     fn send(&self, dst: usize, data: &[f64]) -> Result<(), TransportError> {
         let link = self.link(dst)?;
-        let frame = self.msg_frame(data).map_err(|e| e.into_transport(dst))?;
+        let frame = encode_msg_frame(self.region, data).map_err(|e| e.into_transport(dst))?;
         link.enqueue(frame, Some(&self.stats))
             .map_err(|e| e.into_transport(dst))
     }

@@ -131,10 +131,12 @@ pub fn gram_accumulate_ctx(ctx: &ExecContext, y: &DenseTensor, mode: usize, s: &
     });
 }
 
-/// Computes the *non-symmetric* Gram pair `Y(n) · W(n)ᵀ` for two tensors of the
-/// same shape. This is the kernel of Alg. 4 line 11, where a processor
-/// multiplies its own unfolded block with a block received from another
-/// processor in the same mode-n processor "column".
+/// Computes the *non-symmetric* Gram pair `Y(n) · W(n)ᵀ` for two tensors that
+/// agree in every mode except possibly `n`. This is the kernel of Alg. 4
+/// line 11, where a processor multiplies its own unfolded block with a block
+/// received from another processor in the same mode-n processor "column".
+/// Differing sizes in the contracted (non-`n`) modes are not supported: the
+/// members of a processor column own the same non-`n` ranges.
 pub fn gram_pair(y: &DenseTensor, w: &DenseTensor, mode: usize) -> Matrix {
     gram_pair_ctx(ExecContext::global(), y, w, mode)
 }
@@ -232,12 +234,8 @@ pub fn gram_pair_ctx(ctx: &ExecContext, y: &DenseTensor, w: &DenseTensor, mode: 
     s
 }
 
-/// Computes the Gram pair where the two tensors may have different sizes in the
-/// *contracted* (non-mode) dimensions is **not** supported; the distributed
-/// Gram always exchanges equally-shaped local blocks, matching the paper's
-/// uniform block distribution assumption.
-///
-/// Reference (definition-based) Gram used by the test suite.
+/// Reference (definition-based) Gram used by the test suite: materializes the
+/// unfolding and multiplies it by its transpose.
 pub fn gram_reference(y: &DenseTensor, mode: usize) -> Matrix {
     let unf = Unfolding::new(y.dims(), mode);
     let m = unf.materialize(y);

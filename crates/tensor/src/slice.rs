@@ -99,35 +99,57 @@ impl SubtensorSpec {
     }
 }
 
-/// Extracts the subtensor described by `spec` from `x` as a new dense tensor.
-pub fn extract_subtensor(x: &DenseTensor, spec: &SubtensorSpec) -> DenseTensor {
-    spec.validate(x.dims());
+/// Walks the subtensor `spec` of a tensor with dimensions `dims` one mode-0
+/// fiber at a time, in storage order: calls `f(at, base)` where `at` is the
+/// fiber's offset in the subtensor and `base` the offset in the tensor of
+/// its element with mode-0 index 0, so the fiber's `i`-th element sits at
+/// `base + spec.mode_indices(0)[i]`.
+fn for_each_fiber(dims: &[usize], spec: &SubtensorSpec, mut f: impl FnMut(usize, usize)) {
+    if spec.is_empty() {
+        return;
+    }
     let sub_dims = spec.sub_dims();
-    let mut out = DenseTensor::zeros(&sub_dims);
-    let ndims = x.ndims();
-    let mut src_idx = vec![0usize; ndims];
-    // Iterate over the output in storage order, mapping indices through the spec.
-    let mut out_idx = vec![0usize; ndims];
-    for off in 0..out.len() {
-        for (k, s) in out_idx.iter().enumerate() {
-            src_idx[k] = spec.mode_indices(k)[*s];
-        }
-        let v = x.get(&src_idx);
-        out.as_mut_slice()[off] = v;
-        // advance out_idx (first mode fastest — matches storage order)
-        for (k, i) in out_idx.iter_mut().enumerate() {
-            *i += 1;
-            if *i < sub_dims[k] {
+    let fiber_len = sub_dims[0];
+    let mut strides = vec![1usize; dims.len()];
+    for k in 1..dims.len() {
+        strides[k] = strides[k - 1] * dims[k - 1];
+    }
+    // Multi-index of the current fiber over modes 1.. (mode 0 stays 0).
+    let mut idx = vec![0usize; dims.len()];
+    for fiber in 0..spec.len() / fiber_len {
+        let base = (1..dims.len())
+            .map(|k| spec.mode_indices(k)[idx[k]] * strides[k])
+            .sum();
+        f(fiber * fiber_len, base);
+        for k in 1..dims.len() {
+            idx[k] += 1;
+            if idx[k] < sub_dims[k] {
                 break;
             }
-            *i = 0;
+            idx[k] = 0;
         }
     }
+}
+
+/// Extracts the subtensor described by `spec` from `x` as a new dense tensor.
+///
+/// Each mode-0 fiber of the result is one gather over mode 0's index list.
+pub fn extract_subtensor(x: &DenseTensor, spec: &SubtensorSpec) -> DenseTensor {
+    spec.validate(x.dims());
+    let mut out = DenseTensor::zeros(&spec.sub_dims());
+    let rows = spec.mode_indices(0);
+    let src = x.as_slice();
+    let dst = out.as_mut_slice();
+    for_each_fiber(x.dims(), spec, |at, base| {
+        for (d, &i) in dst[at..at + rows.len()].iter_mut().zip(rows) {
+            *d = src[base + i];
+        }
+    });
     out
 }
 
 /// Writes the subtensor `sub` into `x` at the positions described by `spec`
-/// (the inverse of [`extract_subtensor`]).
+/// (the inverse of [`extract_subtensor`]): one scatter per mode-0 fiber.
 pub fn insert_subtensor(x: &mut DenseTensor, spec: &SubtensorSpec, sub: &DenseTensor) {
     spec.validate(x.dims());
     assert_eq!(
@@ -135,23 +157,15 @@ pub fn insert_subtensor(x: &mut DenseTensor, spec: &SubtensorSpec, sub: &DenseTe
         sub.dims(),
         "insert_subtensor: subtensor shape does not match spec"
     );
-    let ndims = x.ndims();
-    let sub_dims = spec.sub_dims();
-    let mut src_idx = vec![0usize; ndims];
-    let mut out_idx = vec![0usize; ndims];
-    for off in 0..sub.len() {
-        for (k, s) in out_idx.iter().enumerate() {
-            src_idx[k] = spec.mode_indices(k)[*s];
+    let dims = x.dims().to_vec();
+    let rows = spec.mode_indices(0);
+    let src = sub.as_slice();
+    let dst = x.as_mut_slice();
+    for_each_fiber(&dims, spec, |at, base| {
+        for (s, &i) in src[at..at + rows.len()].iter().zip(rows) {
+            dst[base + i] = *s;
         }
-        x.set(&src_idx, sub.as_slice()[off]);
-        for (k, i) in out_idx.iter_mut().enumerate() {
-            *i += 1;
-            if *i < sub_dims[k] {
-                break;
-            }
-            *i = 0;
-        }
-    }
+    });
 }
 
 #[cfg(test)]

@@ -4,11 +4,14 @@
 //! match the paper's α-β-γ model.
 
 use parallel_tucker::prelude::*;
-use tucker_core::dist::{dist_hooi, dist_reconstruct, parallel_gram, parallel_ttm};
+use tucker_core::dist::{
+    dist_hooi, dist_reconstruct, parallel_gram, parallel_gram_ctx, parallel_ttm,
+};
 use tucker_core::hooi::{hooi, HooiOptions};
 use tucker_distmem::runtime::spmd_with_grid_handle;
+use tucker_exec::ExecContext;
 use tucker_linalg::Matrix;
-use tucker_tensor::{gram, ttm};
+use tucker_tensor::{gram, gram_ctx, ttm};
 
 fn structured_tensor(dims: &[usize]) -> DenseTensor {
     DenseTensor::from_fn(dims, |idx| {
@@ -119,6 +122,74 @@ fn parallel_kernels_match_sequential_on_a_4way_tensor() {
     for i in 0..n2 {
         for j in 0..n2 {
             assert!((assembled.get(i, j) - seq_gram.get(i, j)).abs() < 1e-9);
+        }
+    }
+}
+
+#[test]
+fn parallel_gram_rows_are_bitwise_sequential_when_only_mode_n_is_split() {
+    // Grid [3,1,1] shifted to each mode n, with I_n = 16 split 6/5/5: the
+    // ring sees received blocks whose mode-n extent differs from the local
+    // one. For the split mode the column group is the whole world and the
+    // row group is 1: every rank sees all unfolding columns in the
+    // sequential order, so its rows of S must equal the sequential Gram's
+    // bit for bit. For every other mode m the column group is 1 and the row
+    // group is all 3 ranks: the all-reduce fixes its own summation order, so
+    // those rows agree with the sequential Gram to round-off, and bitwise
+    // across thread budgets and ranks.
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let pool = ExecContext::new(4);
+    for n in 0..3 {
+        let mut dims = [13usize, 9, 11];
+        dims[n] = 16;
+        let mut grid_shape = [1usize; 3];
+        grid_shape[n] = 3;
+        let x = structured_tensor(&dims);
+        let seq: Vec<Matrix> = (0..3)
+            .map(|m| gram_ctx(&ExecContext::sequential(), &x, m))
+            .collect();
+        let mut reduced: Vec<Option<Vec<u64>>> = vec![None; 3];
+        for budget in [1usize, 4] {
+            let ctx = pool.with_budget(budget);
+            let x2 = x.clone();
+            let results = spmd_with_grid(ProcGrid::new(&grid_shape), move |comm| {
+                let dx = DistTensor::from_global(&comm, &x2);
+                let blocks: Vec<Matrix> = (0..3)
+                    .map(|m| parallel_gram_ctx(&comm, &dx, m, &ctx))
+                    .collect();
+                (dx.ranges().to_vec(), blocks)
+            });
+            for (ranges, blocks) in &results {
+                for m in 0..3 {
+                    let (off, len) = ranges[m];
+                    let want = &seq[m];
+                    let got = &blocks[m];
+                    assert_eq!(got.shape(), (len, dims[m]));
+                    if m == n {
+                        for r in 0..len {
+                            assert_eq!(
+                                bits(got.row(r)),
+                                bits(want.row(off + r)),
+                                "split mode {n}, budget {budget}, row {}",
+                                off + r
+                            );
+                        }
+                    } else {
+                        for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                            assert!(
+                                (a - b).abs() <= 1e-12 * (1.0 + b.abs()),
+                                "grid {grid_shape:?}, mode {m}: {a} vs {b}"
+                            );
+                        }
+                        let first = reduced[m].get_or_insert_with(|| bits(got.as_slice()));
+                        assert_eq!(
+                            *first,
+                            bits(got.as_slice()),
+                            "grid {grid_shape:?}, mode {m}: budgets and ranks must agree bitwise"
+                        );
+                    }
+                }
+            }
         }
     }
 }

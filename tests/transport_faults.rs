@@ -21,7 +21,9 @@ use tucker_distmem::collectives::all_reduce;
 use tucker_distmem::subcomm::SubCommunicator;
 use tucker_distmem::transport::TransportError;
 use tucker_distmem::{CommStats, Communicator, ProcGrid, Wire};
-use tucker_net::frame::{encode_frame, read_frame, MAX_FRAME, OP_ABORT, OP_MSG};
+use tucker_net::frame::{
+    decode_msg, encode_frame, encode_msg_frame, read_frame, MAX_FRAME, OP_ABORT, OP_MSG,
+};
 use tucker_net::{
     local_mesh, test_exec_args, try_spmd_transport, NetError, SpmdHandle, TcpTransport, Transport,
     TransportKind,
@@ -97,6 +99,47 @@ proptest! {
         }
     }
 
+    /// The single-pass `MSG` codec puts exactly the bytes of the generic
+    /// `Wire` encoding on the wire, and decodes them back bit for bit.
+    #[test]
+    fn msg_codec_matches_the_generic_wire_encoding(
+        region in 0u64..u64::MAX,
+        word_bits in prop::collection::vec(0u64..u64::MAX, 0..64),
+    ) {
+        let words: Vec<f64> = word_bits.iter().copied().map(f64::from_bits).collect();
+        let frame = encode_msg_frame(region, &words).unwrap();
+        let generic = encode_frame(OP_MSG, &(region, words.clone()).to_wire_bytes()).unwrap();
+        prop_assert_eq!(&frame, &generic);
+        let (op, body) = read_frame(&mut Cursor::new(&frame), None).unwrap();
+        prop_assert_eq!(op, OP_MSG);
+        let (r, back) = decode_msg(&body).unwrap();
+        prop_assert_eq!(r, region);
+        let back_bits: Vec<u64> = back.iter().map(|w| w.to_bits()).collect();
+        prop_assert_eq!(back_bits, word_bits);
+    }
+
+    /// A `MSG` body whose declared word count disagrees with its length —
+    /// by any amount, up to `u64::MAX` — is `Malformed`, and the decoder
+    /// never sizes an allocation from the declared count.
+    #[test]
+    fn msg_count_disagreeing_with_the_body_is_malformed(
+        words in 0usize..16,
+        sel in 0usize..5,
+        extra in 0usize..8,
+    ) {
+        let mut body = Vec::new();
+        0u64.encode(&mut body);
+        let real = words as u64;
+        let declared = [0u64, 1, 7, 1 << 40, u64::MAX][sel];
+        let declared = if declared == real && extra == 0 { real + 1 } else { declared };
+        declared.encode(&mut body);
+        body.extend(std::iter::repeat(0x5a).take(words * 8 + extra));
+        match decode_msg(&body) {
+            Err(NetError::Malformed { detail }) => prop_assert!(detail.contains("words")),
+            other => prop_assert!(false, "count {declared} over {} bytes: {other:?}", words * 8 + extra),
+        }
+    }
+
     /// Every length past the cap is refused with the declared value echoed.
     #[test]
     fn oversized_declared_lengths_are_rejected_before_allocation(
@@ -110,6 +153,27 @@ proptest! {
             other => prop_assert!(false, "expected FrameTooLarge, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn msg_bodies_shorter_than_the_header_are_malformed() {
+    for len in 0..16 {
+        match decode_msg(&vec![0u8; len]) {
+            Err(NetError::Malformed { detail }) => {
+                assert!(detail.contains("header"), "unhelpful detail: {detail}")
+            }
+            other => panic!("a {len}-byte MSG body must be Malformed, got {other:?}"),
+        }
+    }
+    // The same body on a live socket is a typed protocol error.
+    let (victim, mut attacker) = rigged_pair(Duration::from_secs(5));
+    attacker
+        .write_all(&encode_frame(OP_MSG, &[0u8; 9]).unwrap())
+        .unwrap();
+    assert!(
+        matches!(victim.recv(1), Err(TransportError::Protocol { .. })),
+        "a short MSG body must be Protocol"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -27,15 +27,20 @@ TUCKER_THREADS=4 cargo test -q
 # and distributed-equivalence suites ride along: the first-mode Gram (a
 # transposed-A SYRK), the masked edge tiles and the distributed Gram's
 # SYRK/pair blocks all run on the tier's vector kernel and the blocking's
-# tile grid.
+# tile grid. So do the query-contract and store round-trip suites: window
+# queries contract in a window-shaped mode order, which sends TTM shapes of
+# its own through the packed tile grid, and eager ≡ lazy ≡ daemon must hold
+# bit for bit under every tier and blocking.
 echo "== linalg + determinism suites (TUCKER_SIMD=scalar) =="
 TUCKER_SIMD=scalar cargo test -q -p tucker-linalg
 TUCKER_SIMD=scalar cargo test -q --test determinism --test simd_tiers \
-  --test streaming --test api_equivalence --test distributed_equivalence
+  --test streaming --test api_equivalence --test distributed_equivalence \
+  --test query_contract --test store_roundtrip
 echo "== linalg + determinism suites (TUCKER_SIMD=auto) =="
 TUCKER_SIMD=auto cargo test -q -p tucker-linalg
 TUCKER_SIMD=auto cargo test -q --test determinism --test simd_tiers \
-  --test streaming --test api_equivalence --test distributed_equivalence
+  --test streaming --test api_equivalence --test distributed_equivalence \
+  --test query_contract --test store_roundtrip
 
 # The blocking contract (ISSUE 9) says MC/KC/NC only schedule the packed tile
 # grid — a TUCKER_BLOCK override must be invisible in the result bits, for
@@ -46,7 +51,8 @@ TUCKER_SIMD=auto cargo test -q --test determinism --test simd_tiers \
 echo "== linalg + determinism suites (TUCKER_BLOCK=16,16,16) =="
 TUCKER_BLOCK=16,16,16 cargo test -q -p tucker-linalg
 TUCKER_BLOCK=16,16,16 cargo test -q --test determinism --test simd_tiers \
-  --test streaming --test api_equivalence --test distributed_equivalence
+  --test streaming --test api_equivalence --test distributed_equivalence \
+  --test query_contract --test store_roundtrip
 
 echo "== cargo test -q --test service (TUCKER_THREADS=1 and 4) =="
 # The daemon's concurrency suite under both pool shapes: 8-client

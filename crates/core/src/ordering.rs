@@ -6,6 +6,10 @@
 //! paper: the natural order, arbitrary user orders, the greedy flop-minimizing
 //! heuristic of Vannieuwenhoven et al., and the greedy compression-ratio
 //! heuristic the paper proposes as an alternative.
+//!
+//! The read side has the mirror-image problem: reconstructing a window also
+//! applies one TTM per mode, in any order, and the order decides how large
+//! the intermediates grow. [`window_order`] picks it for every window query.
 
 use serde::{Deserialize, Serialize};
 
@@ -112,6 +116,39 @@ fn greedy_order(dims: &[usize], ranks: &[usize], criterion: GreedyCriterion) -> 
     order
 }
 
+/// The mode order in which a window query contracts the core: a pure
+/// function of the core `ranks` and the window `extents` (rows kept per
+/// mode), so every reader, chunk layout and cache size applies the same
+/// order to the same window.
+///
+/// If every extent is ≤ its rank (a point or a small box) or every extent is
+/// ≥ its rank (a full or wide window), the order is natural, `0..N`. That
+/// keeps unit windows bit-identical to `element` and the full window
+/// bit-identical to `reconstruct()`. Otherwise the window is *mixed* — a
+/// hyperslice, say — and the modes whose extent is below their rank come
+/// first, then the rest, each group in ascending mode order: the narrow
+/// modes shrink the core before the wide ones expand it.
+///
+/// # Panics
+/// Panics if `ranks` and `extents` differ in length.
+pub fn window_order(ranks: &[usize], extents: &[usize]) -> Vec<usize> {
+    assert_eq!(
+        ranks.len(),
+        extents.len(),
+        "window_order: one extent per core mode"
+    );
+    let narrow = |n: &usize| extents[*n] < ranks[*n];
+    let natural = 0..ranks.len();
+    let all_narrow = extents.iter().zip(ranks).all(|(e, r)| e <= r);
+    let all_wide = extents.iter().zip(ranks).all(|(e, r)| e >= r);
+    if all_narrow || all_wide {
+        return natural.collect();
+    }
+    let (mut order, wide): (Vec<usize>, Vec<usize>) = natural.partition(narrow);
+    order.extend(wide);
+    order
+}
+
 /// Enumerates every permutation of `0..n` — used by the Fig. 8b harness to
 /// sweep all mode orders of a 4-way tensor (24 permutations, of which the
 /// paper plots the 12 distinct-cost ones).
@@ -203,6 +240,100 @@ mod tests {
             let mut order = strat.resolve(&dims, &ranks);
             order.sort_unstable();
             assert_eq!(order, vec![0, 1, 2, 3]);
+        }
+    }
+
+    /// Multiply-adds of reconstructing a window in `order`: each TTM costs
+    /// its output size times the rank it contracts.
+    fn window_madds(ranks: &[usize], extents: &[usize], order: &[usize]) -> u64 {
+        let mut cur: Vec<u64> = ranks.iter().map(|&r| r as u64).collect();
+        let mut total = 0;
+        for &n in order {
+            cur[n] = extents[n] as u64;
+            total += cur.iter().product::<u64>() * ranks[n] as u64;
+        }
+        total
+    }
+
+    fn is_permutation(order: &[usize], n: usize) -> bool {
+        let mut sorted = order.to_vec();
+        sorted.sort_unstable();
+        sorted.into_iter().eq(0..n)
+    }
+
+    #[test]
+    fn window_order_is_always_a_permutation() {
+        // Every (rank, extent) pair in 1..=4 over 1- to 4-way cores.
+        for ndims in 1..=4usize {
+            let cases = 16usize.pow(ndims as u32);
+            for code in 0..cases {
+                let (mut ranks, mut extents) = (Vec::new(), Vec::new());
+                let mut c = code;
+                for _ in 0..ndims {
+                    ranks.push(1 + c % 4);
+                    extents.push(1 + (c / 4) % 4);
+                    c /= 16;
+                }
+                let order = window_order(&ranks, &extents);
+                assert!(
+                    is_permutation(&order, ndims),
+                    "{ranks:?} {extents:?} → {order:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn window_order_is_natural_unless_the_window_is_mixed() {
+        let ranks = [114usize, 106, 8, 21];
+        let natural = vec![0, 1, 2, 3];
+        // Unit window, full window, all-narrow box, all-wide window.
+        for extents in [
+            [1usize, 1, 1, 1],
+            [144, 144, 16, 40],
+            [100, 3, 8, 20],
+            [114, 120, 9, 21],
+        ] {
+            assert_eq!(window_order(&ranks, &extents), natural, "{extents:?}");
+        }
+        // A slice in mode 0 is mixed, but its narrow mode already leads.
+        assert_eq!(window_order(&ranks, &[1, 144, 16, 40]), natural);
+        // Narrow modes lead otherwise, each group in ascending order.
+        assert_eq!(window_order(&ranks, &[144, 1, 16, 40]), vec![1, 0, 2, 3]);
+        assert_eq!(window_order(&ranks, &[144, 144, 1, 40]), vec![2, 0, 1, 3]);
+        assert_eq!(window_order(&ranks, &[144, 144, 16, 1]), vec![3, 0, 1, 2]);
+        assert_eq!(window_order(&ranks, &[144, 5, 16, 2]), vec![1, 3, 0, 2]);
+        // An extent equal to its rank counts as wide.
+        assert_eq!(window_order(&ranks, &[144, 106, 1, 40]), vec![2, 0, 1, 3]);
+        assert_eq!(window_order(&[3], &[1]), vec![0]);
+    }
+
+    #[test]
+    fn window_order_depends_only_on_ranks_and_extents() {
+        let ranks = [5usize, 7, 3];
+        let extents = [9usize, 2, 3];
+        let first = window_order(&ranks, &extents);
+        for _ in 0..3 {
+            assert_eq!(window_order(&ranks, &extents), first);
+        }
+        // Scaling a wide mode's extent further leaves the order alone.
+        assert_eq!(window_order(&ranks, &[90, 2, 3]), first);
+    }
+
+    #[test]
+    fn hyperslices_of_the_hcci_shape_contract_at_least_five_times_fewer_madds() {
+        // The HCCI ledger artifact: ranks [114,106,8,21] of 144×144×16×40.
+        let ranks = [114usize, 106, 8, 21];
+        let dims = [144usize, 144, 16, 40];
+        for mode in 1..4 {
+            let mut extents = dims;
+            extents[mode] = 1;
+            let chosen = window_madds(&ranks, &extents, &window_order(&ranks, &extents));
+            let natural = window_madds(&ranks, &extents, &[0, 1, 2, 3]);
+            assert!(
+                natural >= 5 * chosen,
+                "slice in mode {mode}: {natural} vs {chosen} multiply-adds"
+            );
         }
     }
 

@@ -8,11 +8,14 @@
 //! not the original data, which is what makes laptop-scale analysis of
 //! terabyte simulations possible.
 
+use crate::ordering::window_order;
 use crate::tucker::TuckerTensor;
 use tucker_exec::ExecContext;
 use tucker_linalg::blas1::fiber_dots;
 use tucker_linalg::Matrix;
-use tucker_tensor::{ttm_chain_ctx, DenseTensor, SubtensorSpec, TtmTranspose};
+use tucker_obs::span;
+use tucker_obs::trace::SpanGuard;
+use tucker_tensor::{multi_ttm_ctx, DenseTensor, SubtensorSpec, TtmTranspose};
 
 /// Reconstructs the full tensor `X̃ = G × {U⁽ⁿ⁾}`.
 pub fn reconstruct_full(t: &TuckerTensor) -> DenseTensor {
@@ -27,6 +30,12 @@ pub fn reconstruct_full_ctx(t: &TuckerTensor, ctx: &ExecContext) -> DenseTensor 
 /// Reconstructs only the subtensor selected by `spec`, without ever forming the
 /// full tensor: mode `n` of the result contains the rows `spec.mode_indices(n)`
 /// of the reconstruction.
+///
+/// The modes are contracted in [`window_order`]: narrow modes first when the
+/// window is mixed (a hyperslice), natural order otherwise. So a point-sized
+/// or full window is bit-identical to the same entries of
+/// [`reconstruct_full`], and a mixed one agrees with them within
+/// [`window_roundoff_bound`].
 pub fn reconstruct_subtensor(t: &TuckerTensor, spec: &SubtensorSpec) -> DenseTensor {
     reconstruct_subtensor_ctx(t, spec, ExecContext::global())
 }
@@ -44,15 +53,55 @@ pub fn reconstruct_subtensor_ctx(
     );
     let dims = t.original_dims();
     spec.validate(&dims);
-    // Select the requested rows of each factor, then apply the usual chain.
+    // Select the requested rows of each factor, then contract in the
+    // window's order.
     let sub_factors: Vec<Matrix> = t
         .factors
         .iter()
         .enumerate()
         .map(|(n, u)| u.select_rows(spec.mode_indices(n)))
         .collect();
-    let refs: Vec<&Matrix> = sub_factors.iter().collect();
-    ttm_chain_ctx(ctx, &t.core, &refs, TtmTranspose::NoTranspose)
+    let order = window_order(&t.ranks(), &spec.sub_dims());
+    let _span = window_span(&order);
+    let refs: Vec<Option<&Matrix>> = sub_factors.iter().map(Some).collect();
+    multi_ttm_ctx(ctx, &t.core, &refs, TtmTranspose::NoTranspose, &order)
+}
+
+/// Opens the `query.window` span of one window query contracted in `order`:
+/// `fold_at` is the position of the last mode in the order (where a chunked
+/// reader folds its chunks together), `reordered` is 1 unless the order is
+/// natural.
+pub fn window_span(order: &[usize]) -> SpanGuard {
+    let last = order.len().saturating_sub(1);
+    let fold_at = order.iter().take_while(|&&n| n != last).count();
+    let reordered = !order.iter().copied().eq(0..order.len());
+    span!("query.window", fold_at = fold_at, reordered = reordered)
+}
+
+/// The proved round-off bound between a window computed in
+/// [`window_order`] and the same window of the full reconstruction, which
+/// contracts in natural order: elementwise,
+/// `|w − W| ≤ 2·γ_K · (|G| ×₀ |U⁽⁰⁾| ⋯ ×_{N−1} |U⁽ᴺ⁻¹⁾|)` on the window, with
+/// `K = Σₙ Rₙ` and `γ_K = K·u / (1 − K·u)`, `u = 2⁻⁵³`. Each entry of either
+/// result is the same sum of products `G[r]·∏ₙ U⁽ⁿ⁾[iₙ, rₙ]`, evaluated by a
+/// different bracketing of at most `K` roundings per term, so each lies
+/// within `γ_K` (relative to the sum of the terms' magnitudes) of the exact
+/// value. The magnitude tensor is itself computed in floating point, which
+/// the extra `1 / (1 − γ_K)` accounts for.
+pub fn window_roundoff_bound(t: &TuckerTensor, spec: &SubtensorSpec) -> DenseTensor {
+    let abs = |values: &[f64]| values.iter().map(|v| v.abs()).collect::<Vec<f64>>();
+    let core = DenseTensor::from_vec(t.core.dims(), abs(t.core.as_slice()));
+    let factors = t
+        .factors
+        .iter()
+        .map(|u| Matrix::from_vec(u.rows(), u.cols(), abs(u.as_slice())))
+        .collect();
+    let magnitude = reconstruct_subtensor(&TuckerTensor::new(core, factors), spec);
+    let k = t.ranks().iter().sum::<usize>() as f64;
+    let gamma = k * f64::EPSILON / 2.0 / (1.0 - k * f64::EPSILON / 2.0);
+    let scale = 2.0 * gamma / (1.0 - gamma);
+    let bound = magnitude.as_slice().iter().map(|m| scale * m).collect();
+    DenseTensor::from_vec(magnitude.dims(), bound)
 }
 
 /// Reconstructs a single mode-`n` slice at index `idx` (e.g. one variable or
@@ -71,8 +120,8 @@ pub fn reconstruct_slice(t: &TuckerTensor, mode: usize, idx: usize) -> DenseTens
 /// what makes random-access queries against a compressed artifact cheap
 /// (Sec. II-C of the paper; the `tucker-store` query engine is built on this).
 /// The value is bit-identical to the same entry of [`reconstruct_full`] and of
-/// any [`reconstruct_subtensor`] window containing it (see
-/// [`PointContraction`]).
+/// the unit [`reconstruct_subtensor`] window at `idx` — and of any window that
+/// [`window_order`] contracts in natural order (see [`PointContraction`]).
 ///
 /// # Panics
 /// Panics if `idx` does not cover every mode or is out of range.
@@ -102,9 +151,12 @@ pub fn reconstruct_elements(t: &TuckerTensor, points: &[&[usize]]) -> Vec<f64> {
 /// into the point's running sum through `U⁽ᴺ⁻¹⁾[i, s]` — across run
 /// boundaries. Every sum is seeded `+0.0` and adds one unfused product per
 /// term in ascending index order: the recurrence the GEMM-based TTM chain
-/// applies to the same entry, in the same mode order. So the value equals
-/// that entry of the full or windowed reconstruction **bit for bit**, for
-/// any split of the core into runs — at `O(∏ R_n)` per point instead of the
+/// applies to the same entry in natural mode order — the order of the full
+/// reconstruction and, by [`window_order`]'s rule, of every unit window. So
+/// the value equals that entry of the full reconstruction and of the unit
+/// window **bit for bit**, for any split of the core into runs (a mixed
+/// window contracts in another order and agrees within
+/// [`window_roundoff_bound`]) — at `O(∏ R_n)` per point instead of the
 /// `O(N·∏ R_n)` of a storage-order walk, and without packing one-row GEMMs.
 pub struct PointContraction<'a> {
     points: Vec<Point<'a>>,

@@ -1,8 +1,8 @@
 //! Out-of-core ST-HOSVD: the two-phase streaming driver.
 //!
 //! [`st_hosvd`](crate::sthosvd::st_hosvd) needs the full tensor resident
-//! (twice, in fact — it clones its input before shrinking). This module
-//! computes the *identical* decomposition from a [`SlabSource`] that yields
+//! (it reads its input borrowed, without a copy, but all of it at once). This
+//! module computes the *identical* decomposition from a [`SlabSource`] that yields
 //! whole last-mode slabs on demand, so peak memory is
 //! `O(slab + truncated tensor)` instead of `O(full tensor)`:
 //!

@@ -25,22 +25,26 @@
 //!
 //! Nothing ever assembles the core, and no query copies a cached chunk:
 //!
-//! * **Windows** — each chunk is a run of whole last-mode core slabs, so a
-//!   window query contracts chunk `c` (borrowed from the cache, in place)
-//!   with the non-last sub-factors and accumulates its contribution through
-//!   the last-mode factor columns `[start_c, start_c + len_c)` — splitting
-//!   the final TTM's contraction dimension at chunk boundaries. Because the
-//!   GEMM kernel accumulates each output element as one running sum in
-//!   ascending contraction order, the result is **byte-identical** to the
-//!   eager reader for every chunk layout and cache size (pinned in
-//!   `tests/store_roundtrip.rs`); peak memory is `O(decoded chunks in cache +
-//!   output + one chunk-sized intermediate)`.
+//! * **Windows** — contract in the eager reader's order,
+//!   [`tucker_core::ordering::window_order`] (narrow modes first for a mixed
+//!   window such as a hyperslice, natural otherwise), split at the last
+//!   mode. Each chunk is a run of whole last-mode core slabs, so the modes
+//!   before the last one in that order run per chunk (borrowed from the
+//!   cache, in place); the chunk's contribution then accumulates through the
+//!   last-mode factor columns `[start_c, start_c + len_c)` — the last mode's
+//!   contraction dimension split at chunk boundaries; the modes after it run
+//!   once on the folded tensor. Because the GEMM kernel accumulates each
+//!   output element as one running sum in ascending contraction order, the
+//!   result is **byte-identical** to the eager reader for every window,
+//!   chunk layout and cache size (pinned in `tests/query_contract.rs`); peak
+//!   memory is `O(decoded chunks in cache + output + one chunk-sized
+//!   intermediate)`.
 //! * **Points** — [`TkrReader::element`]/[`TkrReader::elements`] feed the
 //!   chunks to the one [`tucker_core::reconstruct::PointContraction`] the
 //!   eager reader and `tucker_core::reconstruct_element` also use: `O(∏R)`
-//!   per point, and the same per-element recurrence as the window path, so
-//!   `element(idx)` ≡ the unit window at `idx` ≡ `reconstruct()[idx]`, bit
-//!   for bit.
+//!   per point, and the same per-element recurrence as the natural-order
+//!   window path, so `element(idx)` ≡ the unit window at `idx` ≡
+//!   `reconstruct()[idx]`, bit for bit.
 
 use crate::codec::Codec;
 use crate::error::{FormatError, StoreError};
@@ -53,7 +57,8 @@ use std::io::{self, BufReader, Read, Seek};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
-use tucker_core::reconstruct::PointContraction;
+use tucker_core::ordering::window_order;
+use tucker_core::reconstruct::{window_span, PointContraction};
 use tucker_exec::ExecContext;
 use tucker_linalg::gemm::{gemm_slices, Transpose};
 use tucker_linalg::Matrix;
@@ -485,8 +490,8 @@ impl TkrReader {
     }
 
     /// Reconstructs the window given by per-mode `(start, len)` ranges —
-    /// byte-identical to [`crate::TkrArtifact::reconstruct_range`] — while
-    /// decoding the core chunk by chunk.
+    /// byte-identical to [`crate::TkrArtifact::reconstruct_range`], in the
+    /// same [`window_order`] — while decoding the core chunk by chunk.
     pub fn reconstruct_range(&self, ranges: &[(usize, usize)]) -> Result<DenseTensor, QueryError> {
         validate_ranges(ranges, &self.header.dims)?;
         self.reconstruct_subtensor(&SubtensorSpec::from_ranges(ranges))
@@ -506,9 +511,24 @@ impl TkrReader {
             .map(|(n, u)| u.select_rows(spec.mode_indices(n)))
             .collect();
         let sub_dims = spec.sub_dims();
-        let mut out = DenseTensor::zeros(&sub_dims);
-        // The mode-N unfolding of the output: row-major d_last × left.
-        let left: usize = sub_dims[..last].iter().product();
+        // The eager reader's order, split at the last mode: the modes before
+        // it run per chunk, the last mode folds the chunks together, the
+        // modes after it run once on the folded tensor.
+        let order = window_order(ranks, &sub_dims);
+        let _span = window_span(&order);
+        let mut parts = order.split(|&n| n == last);
+        let per_chunk = parts.next().unwrap_or_default();
+        let after_fold = parts.next().unwrap_or_default();
+        // Shape of the folded tensor: the per-chunk modes at their window
+        // extents, the others still at their ranks.
+        let mut folded_dims = ranks.clone();
+        for &n in per_chunk {
+            folded_dims[n] = sub_dims[n];
+        }
+        folded_dims[last] = sub_dims[last];
+        let mut out = DenseTensor::zeros(&folded_dims);
+        // The mode-N unfolding of the folded tensor: row-major d_last × left.
+        let left: usize = folded_dims[..last].iter().product();
         let d_last = sub_dims[last];
         let r_last = ranks[last];
         let core_stride: usize = ranks[..last].iter().product::<usize>().max(1);
@@ -522,11 +542,12 @@ impl TkrReader {
         self.for_each_chunk(|entry, data| {
             let wc = entry.len / core_stride;
             let s0 = entry.start / core_stride;
-            // Contract the chunk with the non-last sub-factors: bitwise the
-            // last-mode slab [s0, s0+wc) of the full intermediate. The first
-            // TTM reads the cached chunk where it lies.
+            // Contract the chunk in the per-chunk modes: bitwise the
+            // last-mode slab [s0, s0+wc) of the eager reader's intermediate.
+            // The first TTM reads the cached chunk where it lies.
             let mut contracted: Option<DenseTensor> = None;
-            for (n, u) in sub_factors[..last].iter().enumerate() {
+            for &n in per_chunk {
+                let u = &sub_factors[n];
                 contracted = Some(match &contracted {
                     None => ttm_slice_ctx(
                         &self.ctx,
@@ -562,7 +583,7 @@ impl TkrReader {
                 );
             } else {
                 // out(d_last × left) += U_last[:, s0..s0+wc] · cur(wc × left):
-                // the last TTM's contraction dimension split at the chunk
+                // the last mode's contraction dimension split at the chunk
                 // boundary — the per-element running sum in `gemm_slices`
                 // makes this bit-identical to the unsplit contraction.
                 gemm_slices(
@@ -583,6 +604,15 @@ impl TkrReader {
                 );
             }
         })?;
+        for &n in after_fold {
+            out = ttm_ctx(
+                &self.ctx,
+                &out,
+                &sub_factors[n],
+                n,
+                TtmTranspose::NoTranspose,
+            );
+        }
         Ok(out)
     }
 

@@ -5,12 +5,14 @@
 //! core chunk decoded up front. Queries then never touch the original data
 //! size: [`TkrArtifact::reconstruct_range`] /
 //! [`TkrArtifact::reconstruct_subtensor`] contract the core against **row
-//! subsets** of the factors (cost scales with the requested window),
+//! subsets** of the factors in the window's mode order
+//! (`tucker_core::ordering::window_order`: narrow modes first for a
+//! hyperslice, so its cost scales with the requested window),
 //! [`TkrArtifact::reconstruct_slice`] pulls one plane (one species, one
 //! timestep), and [`TkrArtifact::element`] / [`TkrArtifact::elements`]
 //! evaluate single entries in `O(∏R)` each through the one point-contraction
 //! routine (`tucker_core::reconstruct::PointContraction`), bit-identical to
-//! the same entries of a window or of the full reconstruction — the
+//! the same entries of the unit window and of the full reconstruction — the
 //! laptop-scale analysis workflow the paper motivates in Secs. II-C and VII.
 //!
 //! Degenerate requests (wrong arity, empty or out-of-range windows, bad

@@ -16,6 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Mutex;
 use tucker_api::{Compressor, Open, TensorQuery};
+use tucker_core::ordering::window_order;
 use tucker_obs::metrics::{self, Counter, Gauge, Histogram};
 use tucker_obs::trace;
 use tucker_tensor::DenseTensor;
@@ -213,6 +214,31 @@ fn tracing_and_metrics_never_change_the_bits() {
         trace_text.lines().count() > 0 && trace_text.contains("\"ph\":\"X\""),
         "instrumented run emitted no span events:\n{trace_text}"
     );
+
+    // Each window query opens one `query.window` span that records where its
+    // mode order folds the chunks (`fold_at`) and whether it left the
+    // natural order (`reordered`).
+    let ranks = Open::eager()
+        .open(&lit_tkr)
+        .unwrap_or_else(|e| panic!("reopen failed: {e}"))
+        .header()
+        .ranks
+        .clone();
+    let window_spans: Vec<&str> = trace_text
+        .lines()
+        .filter(|l| l.contains("\"name\":\"query.window\""))
+        .collect();
+    assert_eq!(window_spans.len(), 2, "{window_spans:?}");
+    for (span, extents) in window_spans
+        .iter()
+        .zip([[5usize, 13, 3, 4], [17, 13, 1, 7]])
+    {
+        let order = window_order(&ranks, &extents);
+        let fold_at = order.iter().position(|&n| n == 3).unwrap_or_default();
+        let reordered = u8::from(order != [0, 1, 2, 3]);
+        let args = format!("\"args\":{{\"fold_at\":{fold_at},\"reordered\":{reordered}}}");
+        assert!(span.contains(&args), "{extents:?}: want {args} in {span}");
+    }
 
     std::fs::remove_file(&dark_tkr).ok();
     std::fs::remove_file(&lit_tkr).ok();

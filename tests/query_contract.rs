@@ -1,27 +1,40 @@
-//! The query engine's bit contract (ISSUE 12), property-based.
+//! The query engine's bit contract, property-based.
 //!
-//! One point-contraction routine serves `element`/`elements` on every read
-//! path, and it applies the recurrence the GEMM-based TTM chain applies to
-//! the same entry. So for any artifact, at any index:
+//! **Windows.** Every window is contracted in the one mode order
+//! `tucker_core::ordering::window_order` picks from the core ranks and the
+//! window extents: natural (`0..N−1`) unless the window is *mixed* — some
+//! extent below its rank, some above, a hyperslice say — in which case the
+//! narrow modes go first. The order depends on nothing else, so every window
+//! is **bit-identical** across the eager reader, the lazy reader at every
+//! cache size (1, below the chunk count, above it) and the daemon. Against
+//! the same window of the full reconstruction (natural order), a window
+//! contracted in natural order is bit-identical; a mixed one agrees within
+//! the proved round-off bound `|w − W| ≤ 2·γ_K·(|G| ×₀ |U⁽⁰⁾| ⋯)` with
+//! `K = Σₙ Rₙ` (`tucker_core::reconstruct::window_roundoff_bound`).
 //!
-//! `element(idx)` ≡ every `elements` batch containing `idx` (any order) ≡
-//! the unit window `reconstruct_range` returns at `idx` ≡ entry `idx` of the
-//! full reconstruction — **bit for bit**, on the eager reader, on the lazy
-//! reader at every cache size (1, below the chunk count, above it), and
-//! through the daemon; and every reader agrees with every other.
+//! **Points.** One point-contraction routine serves `element`/`elements` on
+//! every read path, and it applies the recurrence the natural-order TTM chain
+//! applies to the same entry. Unit windows and the full window are never
+//! mixed, so for any artifact, at any index: `element(idx)` ≡ every
+//! `elements` batch containing `idx` (any order) ≡ the unit window
+//! `reconstruct_range` returns at `idx` ≡ entry `idx` of the full
+//! reconstruction — **bit for bit**, on every read path.
 //!
 //! Swept: all three codecs, ragged chunk layouts, 1-way to 4-way artifacts,
-//! rank-1 cores, factor rows and core values of both signs.
+//! rank-1 cores, factor rows and core values of both signs, a random window
+//! that is mixed whenever the shape allows one, and a slice in every mode.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use tucker_core::ordering::window_order;
+use tucker_core::reconstruct::window_roundoff_bound;
 use tucker_core::TuckerTensor;
 use tucker_exec::ExecContext;
 use tucker_linalg::Matrix;
 use tucker_serve::{serve, ServeClient, ServeConfig};
 use tucker_store::{Codec, TkrArtifact, TkrHeader, TkrMetadata, TkrReader, TkrWriter};
-use tucker_tensor::DenseTensor;
+use tucker_tensor::{extract_subtensor, DenseTensor, SubtensorSpec};
 
 static COUNTER: AtomicUsize = AtomicUsize::new(0);
 
@@ -107,18 +120,94 @@ struct ReadPath<'a> {
     range: Box<dyn FnMut(&[(usize, usize)]) -> DenseTensor + 'a>,
 }
 
+/// Windows to sweep besides the unit ones: one that is mixed whenever the
+/// shape allows (a mode narrower than its rank, another wider, the rest
+/// random), then a slice in every mode. `raw` holds two values per mode.
+fn sweep_windows(dims: &[usize], ranks: &[usize], raw: &[usize]) -> Vec<Vec<(usize, usize)>> {
+    let n = dims.len();
+    let pick = |d: usize, len: usize, r: usize| (r % (d - len + 1), len);
+    let mut mixed: Vec<(usize, usize)> = (0..n)
+        .map(|m| pick(dims[m], 1 + raw[2 * m] % dims[m], raw[2 * m + 1]))
+        .collect();
+    let first = raw[0] % n;
+    let narrow = (0..n).map(|k| (first + k) % n).find(|&m| ranks[m] > 1);
+    let wide = (0..n)
+        .map(|k| (first + k) % n)
+        .find(|&m| Some(m) != narrow && ranks[m] < dims[m]);
+    if let (Some(a), Some(b)) = (narrow, wide) {
+        mixed[a] = pick(dims[a], 1 + raw[2 * a] % (ranks[a] - 1), raw[2 * a + 1]);
+        let len = ranks[b] + 1 + raw[2 * b] % (dims[b] - ranks[b]);
+        mixed[b] = pick(dims[b], len, raw[2 * b + 1]);
+    }
+    let mut windows = vec![mixed];
+    for m in 0..n {
+        let mut slice: Vec<(usize, usize)> = dims.iter().map(|&d| (0, d)).collect();
+        slice[m] = (raw[2 * m + 1] % dims[m], 1);
+        windows.push(slice);
+    }
+    windows
+}
+
+/// Checks the eager reader's sweep windows against its full reconstruction
+/// `want`: bit for bit when [`window_order`] keeps the natural order, within
+/// the proved round-off bound otherwise.
+fn check_windows_against_full(
+    t: &TuckerTensor,
+    windows: &[Vec<(usize, usize)>],
+    got: &[DenseTensor],
+    want: &DenseTensor,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    for (ranges, window) in windows.iter().zip(got) {
+        let spec = SubtensorSpec::from_ranges(ranges);
+        let expected = extract_subtensor(want, &spec);
+        let natural = window_order(&t.ranks(), &spec.sub_dims())
+            .into_iter()
+            .eq(0..ranges.len());
+        if natural {
+            prop_assert_eq!(window, &expected, "{}: window {:?} vs full", label, ranges);
+            continue;
+        }
+        prop_assert_eq!(window.dims(), expected.dims());
+        let bound = window_roundoff_bound(t, &spec);
+        for ((w, e), b) in window
+            .as_slice()
+            .iter()
+            .zip(expected.as_slice())
+            .zip(bound.as_slice())
+        {
+            prop_assert!(
+                (w - e).abs() <= *b,
+                "{}: mixed window {:?}: |{} - {}| above the bound {}",
+                label,
+                ranges,
+                w,
+                e,
+                b
+            );
+        }
+    }
+    Ok(())
+}
+
 /// Checks the whole contract on one read path against the eager reader's
-/// full reconstruction `want`.
+/// full reconstruction `want` and its sweep windows `want_windows`.
 fn check_path(
     path: &mut ReadPath<'_>,
     dims: &[usize],
     points: &[Vec<usize>],
     want: &DenseTensor,
+    windows: &[Vec<(usize, usize)>],
+    want_windows: &[DenseTensor],
 ) -> Result<(), TestCaseError> {
     let label = &path.label;
     let everything: Vec<(usize, usize)> = dims.iter().map(|&d| (0, d)).collect();
     let full = (path.range)(&everything);
     prop_assert_eq!(&full, want, "{}: full reconstruction", label);
+    for (ranges, expected) in windows.iter().zip(want_windows) {
+        let window = (path.range)(ranges);
+        prop_assert_eq!(&window, expected, "{}: window {:?} vs eager", label, ranges);
+    }
 
     let refs: Vec<&[usize]> = points.iter().map(|p| p.as_slice()).collect();
     let batch = (path.elements)(&refs);
@@ -159,18 +248,31 @@ proptest! {
         t in arbitrary_tucker(),
         widths in prop::collection::vec(1usize..=3, 1..=4),
         raw_points in prop::collection::vec(0usize..1000, 24),
+        raw_windows in prop::collection::vec(0usize..1000, 8),
     ) {
         let dims = t.original_dims();
         let points: Vec<Vec<usize>> = raw_points
             .chunks(4)
             .map(|raw| dims.iter().zip(raw).map(|(&d, &r)| r % d).collect())
             .collect();
+        let windows = sweep_windows(&dims, &t.ranks(), &raw_windows);
         let ctx = ExecContext::global();
 
         for codec in Codec::all() {
             let (file, chunks) = write_chunked(&t, codec, &widths);
             let eager = TkrArtifact::open(&file).expect("eager open");
             let want = eager.reconstruct();
+            let want_windows: Vec<DenseTensor> = windows
+                .iter()
+                .map(|w| eager.reconstruct_range(w).expect("window"))
+                .collect();
+            check_windows_against_full(
+                eager.tucker(),
+                &windows,
+                &want_windows,
+                &want,
+                codec.name(),
+            )?;
             check_path(
                 &mut ReadPath {
                     label: format!("{} eager", codec.name()),
@@ -181,6 +283,8 @@ proptest! {
                 &dims,
                 &points,
                 &want,
+                &windows,
+                &want_windows,
             )?;
 
             // One resident chunk, fewer than the artifact has, more than it has.
@@ -196,6 +300,8 @@ proptest! {
                     &dims,
                     &points,
                     &want,
+                    &windows,
+                    &want_windows,
                 )?;
                 prop_assert!(lazy.resident_chunks() <= cache_chunks);
 
@@ -224,6 +330,8 @@ proptest! {
                     &dims,
                     &points,
                     &want,
+                    &windows,
+                    &want_windows,
                 );
                 drop(client);
                 handle.shutdown();

@@ -56,8 +56,10 @@ TUCKER_BLOCK=16,16,16 cargo test -q --test determinism --test simd_tiers \
 
 echo "== cargo test -q --test service (TUCKER_THREADS=1 and 4) =="
 # The daemon's concurrency suite under both pool shapes: 8-client
-# byte-identity, graceful-shutdown drain, typed-Busy backpressure, and
-# both fault-injection batteries must hold on a single-thread pool too.
+# byte-identity, graceful-shutdown drain, typed-Busy backpressure, and the
+# socket-level fault injection at the daemon (§4) and at the client (§5)
+# must hold on a single-thread pool too. (The cursor-level battery of the
+# frame codec both wires share is tests/transport_faults.rs §1.)
 TUCKER_THREADS=1 cargo test -q --test service
 TUCKER_THREADS=4 cargo test -q --test service
 
@@ -141,7 +143,10 @@ echo "== panic-grep gate on the fallible-surface modules =="
 # The microkernel hot-path modules (pack/microkernel/simd) make the same
 # promise: misconfiguration warns and falls back, it never aborts a kernel.
 # So does the store's read side (codec/lazy/shared): a query on an opened
-# artifact fails with a typed error or not at all.
+# artifact fails with a typed error or not at all. And so does every file
+# the decode path of both wires runs through: the frame codec (net/frame),
+# the shared body cursor (distmem/transport), the mesh reader (net/tcp), the
+# daemon's session loop (serve/server) and the client (serve/client).
 # Fail CI if a panic!/unwrap/expect/assert lands in them (doc comments and
 # #[cfg(test)] modules are stripped before grepping).
 gate_ok=1
@@ -151,7 +156,9 @@ for f in crates/api/src/lib.rs crates/api/src/error.rs \
          crates/store/src/codec.rs crates/store/src/lazy.rs \
          crates/store/src/shared.rs \
          crates/serve/src/proto.rs crates/serve/src/client.rs \
-         crates/serve/src/metrics.rs crates/obs/src/lib.rs \
+         crates/serve/src/server.rs crates/serve/src/metrics.rs \
+         crates/net/src/tcp.rs crates/distmem/src/transport.rs \
+         crates/obs/src/lib.rs \
          crates/obs/src/metrics.rs crates/obs/src/trace.rs \
          crates/linalg/src/pack.rs crates/linalg/src/microkernel.rs \
          crates/linalg/src/simd.rs crates/linalg/src/blocking.rs \

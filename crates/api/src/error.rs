@@ -110,6 +110,14 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
+/// A body that fails the shared bounds-checked decoder
+/// ([`tucker_distmem::WireReader`]) is a malformed frame.
+impl From<tucker_distmem::WireError> for ProtocolError {
+    fn from(e: tucker_distmem::WireError) -> Self {
+        ProtocolError::Malformed(e.detail)
+    }
+}
+
 /// The workspace-wide error hierarchy of the public facade.
 #[derive(Debug)]
 pub enum TuckerError {

@@ -143,29 +143,30 @@ pub struct InProcTransport {
 impl InProcTransport {
     /// Creates the transports for a `p`-rank in-process world, in rank order.
     pub fn create_world(p: usize) -> Vec<InProcTransport> {
-        // channels[src][dst]
-        let mut senders: Vec<Vec<Option<Sender<Vec<f64>>>>> =
-            (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
-        let mut receivers: Vec<Vec<Option<Receiver<Vec<f64>>>>> =
-            (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
-        for src in 0..p {
-            for dst in 0..p {
-                let (tx, rx) = unbounded();
-                senders[src][dst] = Some(tx);
-                receivers[dst][src] = Some(rx);
-            }
-        }
+        // One channel per (src, dst) pair: rank `dst` keeps the receiving
+        // ends in source order, rank `src` the sending ends in destination
+        // order.
+        let mut to_peer: Vec<Vec<Sender<Vec<f64>>>> =
+            (0..p).map(|_| Vec::with_capacity(p)).collect();
+        let from_peer: Vec<Vec<Receiver<Vec<f64>>>> = (0..p)
+            .map(|_dst| {
+                to_peer
+                    .iter_mut()
+                    .map(|senders| {
+                        let (tx, rx) = unbounded();
+                        senders.push(tx);
+                        rx
+                    })
+                    .collect()
+            })
+            .collect();
         let barrier = Arc::new(Barrier::new(p));
-        (0..p)
-            .map(|rank| InProcTransport {
-                to_peer: senders[rank]
-                    .iter_mut()
-                    .map(|s| s.take().expect("sender already taken"))
-                    .collect(),
-                from_peer: receivers[rank]
-                    .iter_mut()
-                    .map(|r| r.take().expect("receiver already taken"))
-                    .collect(),
+        to_peer
+            .into_iter()
+            .zip(from_peer)
+            .map(|(to_peer, from_peer)| InProcTransport {
+                to_peer,
+                from_peer,
                 barrier: Arc::clone(&barrier),
             })
             .collect()
@@ -225,11 +226,14 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// A bounds-checked reader over a wire-encoded byte buffer.
+/// A bounds-checked reader over a wire-encoded byte buffer: the one body
+/// decoder of both wires (`tucker-net`'s mesh frames and `tucker-serve`'s
+/// requests and responses).
 ///
-/// Same discipline as `tucker-serve`'s protocol decoder: every access checks
-/// the remaining length and returns a typed error, so arbitrary bytes can
-/// never panic the decoder or make it allocate unboundedly.
+/// Every access checks the remaining length and returns a typed error, and
+/// every declared count is checked against the bytes present before anything
+/// is allocated, so arbitrary bytes can never panic the decoder or make it
+/// allocate unboundedly.
 pub struct WireReader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -272,15 +276,47 @@ impl<'a> WireReader<'a> {
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
+        Ok(le_u64(self.take(8)?))
     }
 
     /// Reads an `f64` by bit pattern (exact).
     pub fn f64(&mut self) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// Reads a string sent as a `u32` byte length plus UTF-8 bytes, refusing
+    /// a length over `max`; `what` names it in the error.
+    pub fn str32(&mut self, max: usize, what: &str) -> Result<String, WireError> {
+        let len = self.u32()? as usize;
+        if len > max {
+            return Err(WireError::new(format!(
+                "{what} of {len} bytes exceeds cap {max}"
+            )));
+        }
+        let bytes = self.take(len)?;
+        String::from_utf8(bytes.to_vec())
+            .map_err(|_| WireError::new(format!("{what} is not UTF-8")))
+    }
+
+    /// Reads `n` little-endian `u64`s in one pass.
+    pub fn u64s(&mut self, n: usize) -> Result<Vec<u64>, WireError> {
+        self.words(n, |w| w)
+    }
+
+    /// Reads `n` `f64`s by bit pattern (exact) in one pass.
+    pub fn f64s(&mut self, n: usize) -> Result<Vec<f64>, WireError> {
+        self.words(n, f64::from_bits)
+    }
+
+    fn words<T>(&mut self, n: usize, from: fn(u64) -> T) -> Result<Vec<T>, WireError> {
+        let len = n
+            .checked_mul(8)
+            .ok_or_else(|| WireError::new(format!("{n} words overflow the address space")))?;
+        Ok(self
+            .take(len)?
+            .chunks_exact(8)
+            .map(|w| from(le_u64(w)))
+            .collect())
     }
 
     /// Asserts the buffer is fully consumed.
@@ -293,6 +329,13 @@ impl<'a> WireReader<'a> {
         }
         Ok(())
     }
+}
+
+/// A little-endian `u64` from an eight-byte slice.
+fn le_u64(bytes: &[u8]) -> u64 {
+    let mut a = [0u8; 8];
+    a.copy_from_slice(bytes);
+    u64::from_le_bytes(a)
 }
 
 /// An exact, bit-preserving byte encoding for values that cross process

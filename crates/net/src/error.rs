@@ -14,11 +14,11 @@ use tucker_distmem::WireError;
 /// Everything that can go wrong in `tucker-net`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
-    /// A frame declared a length outside `[1, MAX_FRAME]`.
+    /// A frame declared (or would carry) a payload length outside `1..=cap`.
     FrameTooLarge {
-        /// The declared payload length.
+        /// The payload length.
         len: u64,
-        /// The enforced cap ([`crate::frame::MAX_FRAME`]).
+        /// The enforced cap ([`crate::frame::MAX_FRAME`] on the mesh).
         max: u64,
     },
     /// The stream ended mid-frame.
@@ -147,11 +147,10 @@ impl NetError {
     /// attributing the failure to `peer`.
     pub fn into_transport(self, peer: usize) -> TransportError {
         match self {
-            NetError::Closed { detail } | NetError::Truncated { detail } => {
-                // A vanished endpoint mid-region means the peer process died:
-                // the same condition the in-process backend reports when a
-                // rank's channel endpoints drop.
-                let _ = detail;
+            // A vanished endpoint mid-region means the peer process died: the
+            // same condition the in-process backend reports when a rank's
+            // channel endpoints drop.
+            NetError::Closed { .. } | NetError::Truncated { .. } => {
                 TransportError::PeerGone { peer }
             }
             NetError::Timeout { detail } => TransportError::Timeout { peer, detail },

@@ -1,27 +1,33 @@
-//! Length-prefix framing for the TCP mesh.
+//! Length-prefix framing: the one frame codec of the workspace.
 //!
-//! Identical discipline to `tucker-serve`'s wire protocol (`serve/src/proto.rs`):
-//! every frame is a little-endian `u32` payload length followed by that many
-//! bytes, the first of which is the opcode. The length is validated against
-//! [`MAX_FRAME`] *before* any allocation, and control bodies are decoded with
-//! the bounds-checked [`tucker_distmem::WireReader`] — arbitrary bytes can
-//! fail a read but can never panic it or make it allocate unboundedly.
+//! The TCP mesh and `tucker-serve`'s daemon wire send the same frame: a
+//! little-endian `u32` payload length, then the payload, whose first byte is
+//! the opcode. Only this module knows it. [`encode_with`] writes a payload
+//! into the frame's own buffer and fills in the prefix; [`read_frame`] checks
+//! the declared length against the caller's cap *before* allocating, and
+//! lets the caller decide what an idle socket at a frame boundary and a stall
+//! inside a frame mean. Bodies are decoded with the bounds-checked
+//! [`tucker_distmem::WireReader`], so arbitrary bytes can fail a decode but
+//! never panic it or make it allocate unboundedly. Each wire brings its caps:
+//! [`MAX_FRAME`] here, `MAX_REQUEST_FRAME` / `MAX_RESPONSE_FRAME` in
+//! `tucker-serve`.
 //!
 //! `MSG` frames carry the bulk data and have a single-pass codec of their
 //! own ([`encode_msg_frame`] / [`decode_msg`]): one buffer per frame on the
 //! way out, one conversion on the way in, and the same bytes the generic
 //! [`tucker_distmem::Wire`] encoding of `(region, Vec<f64>)` would produce.
 //!
-//! Every byte that crosses a socket is counted here, in both the process-wide
-//! `tucker-obs` counters (`net.bytes_sent` / `net.bytes_recv`) and, when the
-//! caller passes the rank's [`CommStats`], in the per-rank wire-byte counters
-//! — *including* the 4-byte length prefix, the opcode and any frame header
-//! fields, so the `CommStats` volume assertions stay exact (ISSUE 10
-//! satellite: framing/header overhead is part of the measured volume).
+//! Every mesh byte that crosses a socket is counted here ([`write_encoded`],
+//! [`note_sent`], [`recv_frame`]), in both the process-wide `tucker-obs`
+//! counters (`net.bytes_sent` / `net.bytes_recv`) and, when the caller passes
+//! the rank's [`CommStats`], in the per-rank wire-byte counters — *including*
+//! the 4-byte length prefix, the opcode and any frame header fields, so the
+//! `CommStats` volume assertions stay exact.
 
 use crate::error::NetError;
-use std::io::{Read, Write};
-use tucker_distmem::CommStats;
+use std::io::{ErrorKind, Read, Write};
+use std::time::{Duration, Instant};
+use tucker_distmem::{CommStats, WireReader};
 use tucker_obs::metrics::Counter;
 
 /// Process-wide on-wire byte counters (both directions), frame overhead
@@ -40,9 +46,6 @@ pub static NET_CONNECT: Counter = Counter::new("net.connect");
 /// per-rank tensor block the benches exchange, small enough that a hostile
 /// length can't OOM the process.
 pub const MAX_FRAME: u32 = 1 << 28;
-
-/// Overhead bytes per frame beyond the body: 4-byte length prefix + opcode.
-pub const FRAME_OVERHEAD: u64 = 5;
 
 // Opcodes. Rendezvous first, then region traffic.
 /// Worker → launcher: `(job, rank, world, listen_addr)`.
@@ -72,27 +75,45 @@ pub const OP_ABORT: u8 = 0x17;
 /// `u64` word count.
 const MSG_HEADER: usize = 16;
 
-/// The 5-byte frame prefix (`length ‖ opcode`) for a body of `body_len`
-/// bytes, refusing payloads over [`MAX_FRAME`].
-fn frame_prefix(op: u8, body_len: usize) -> Result<[u8; 5], NetError> {
-    let payload = (body_len as u64).saturating_add(1);
-    if payload > MAX_FRAME as u64 {
-        return Err(NetError::FrameTooLarge {
-            len: payload,
-            max: MAX_FRAME as u64,
-        });
-    }
-    let [a, b, c, d] = (payload as u32).to_le_bytes();
-    Ok([a, b, c, d, op])
+/// Checks a payload length against `1..=cap`.
+fn payload_len(len: usize, cap: u32) -> Result<u32, NetError> {
+    u32::try_from(len)
+        .ok()
+        .filter(|&l| l >= 1 && l <= cap)
+        .ok_or(NetError::FrameTooLarge {
+            len: len as u64,
+            max: cap as u64,
+        })
 }
 
-/// Encodes one frame (`length ‖ opcode ‖ body`) into a fresh buffer.
+/// Fills in the length prefix of `frame`: four reserved bytes, then the
+/// payload.
+fn seal(mut frame: Vec<u8>, cap: u32) -> Result<Vec<u8>, NetError> {
+    let len = payload_len(frame.len().saturating_sub(4), cap)?;
+    frame[..4].copy_from_slice(&len.to_le_bytes());
+    Ok(frame)
+}
+
+/// Encodes one frame of at most `cap` payload bytes. `payload` appends the
+/// payload, opcode first, to the frame's own buffer behind four reserved
+/// bytes, which then receive its length: the payload is never copied into a
+/// second buffer.
+pub fn encode_with(cap: u32, payload: impl FnOnce(&mut Vec<u8>)) -> Result<Vec<u8>, NetError> {
+    let mut frame = Vec::with_capacity(64);
+    frame.extend_from_slice(&[0; 4]);
+    payload(&mut frame);
+    seal(frame, cap)
+}
+
+/// Encodes one mesh frame (`length ‖ opcode ‖ body`), refusing bodies over
+/// [`MAX_FRAME`] before allocating.
 pub fn encode_frame(op: u8, body: &[u8]) -> Result<Vec<u8>, NetError> {
-    let prefix = frame_prefix(op, body.len())?;
-    let mut out = Vec::with_capacity(prefix.len() + body.len());
-    out.extend_from_slice(&prefix);
-    out.extend_from_slice(body);
-    Ok(out)
+    payload_len(body.len().saturating_add(1), MAX_FRAME)?;
+    encode_with(MAX_FRAME, |frame| {
+        frame.reserve(1 + body.len());
+        frame.push(op);
+        frame.extend_from_slice(body);
+    })
 }
 
 /// Encodes one `MSG` frame — `length ‖ OP_MSG ‖ region ‖ count ‖ words` —
@@ -101,16 +122,16 @@ pub fn encode_frame(op: u8, body: &[u8]) -> Result<Vec<u8>, NetError> {
 /// of `encode_frame(OP_MSG, &(region, words).to_wire_bytes())`.
 pub fn encode_msg_frame(region: u64, words: &[f64]) -> Result<Vec<u8>, NetError> {
     let body_len = words.len().saturating_mul(8).saturating_add(MSG_HEADER);
-    let prefix = frame_prefix(OP_MSG, body_len)?;
-    let mut out = vec![0u8; prefix.len() + body_len];
-    let (head, payload) = out.split_at_mut(prefix.len() + MSG_HEADER);
-    head[..5].copy_from_slice(&prefix);
+    let len = payload_len(body_len.saturating_add(1), MAX_FRAME)?;
+    let mut frame = vec![0u8; 4 + len as usize];
+    let (head, payload) = frame.split_at_mut(5 + MSG_HEADER);
+    head[4] = OP_MSG;
     head[5..13].copy_from_slice(&region.to_le_bytes());
     head[13..].copy_from_slice(&(words.len() as u64).to_le_bytes());
     for (dst, w) in payload.chunks_exact_mut(8).zip(words) {
         dst.copy_from_slice(&w.to_bits().to_le_bytes());
     }
-    Ok(out)
+    seal(frame, MAX_FRAME)
 }
 
 /// Decodes a `MSG` body into `(region, words)` in one pass.
@@ -127,29 +148,19 @@ pub fn decode_msg(body: &[u8]) -> Result<(u64, Vec<f64>), NetError> {
             ),
         });
     }
-    let (head, payload) = body.split_at(MSG_HEADER);
-    let region = le_u64(&head[..8]);
-    let count = le_u64(&head[8..]);
-    if payload.len() % 8 != 0 || count != (payload.len() / 8) as u64 {
+    let mut r = WireReader::new(body);
+    let region = r.u64()?;
+    let count = r.u64()?;
+    let words = r.remaining() / 8;
+    if count != words as u64 || words * 8 != r.remaining() {
         return Err(NetError::Malformed {
             detail: format!(
                 "MSG declares {count} words but carries {} payload bytes",
-                payload.len()
+                r.remaining()
             ),
         });
     }
-    let words = payload
-        .chunks_exact(8)
-        .map(|w| f64::from_bits(le_u64(w)))
-        .collect();
-    Ok((region, words))
-}
-
-/// Reads a little-endian `u64` from an 8-byte slice.
-fn le_u64(bytes: &[u8]) -> u64 {
-    let mut b = [0u8; 8];
-    b.copy_from_slice(bytes);
-    u64::from_le_bytes(b)
+    Ok((region, r.f64s(words)?))
 }
 
 /// Writes an already-encoded frame, bumping the global and (optionally) the
@@ -186,78 +197,97 @@ pub fn write_frame(
     write_encoded(w, &frame, stats)
 }
 
-/// Reads one frame; returns `(opcode, body)`.
-///
-/// The declared length is validated before allocating; a clean EOF at the
-/// length prefix is [`NetError::Closed`], EOF mid-frame is
-/// [`NetError::Truncated`], and a read past the socket's deadline is
-/// [`NetError::Timeout`]. Counters are bumped by the full on-wire size
-/// (prefix + opcode + body).
-pub fn read_frame(r: &mut impl Read, stats: Option<&CommStats>) -> Result<(u8, Vec<u8>), NetError> {
-    let mut len_bytes = [0u8; 4];
-    read_exact_or(r, &mut len_bytes, "frame length prefix")?;
-    let len = u32::from_le_bytes(len_bytes);
-    if len == 0 || len > MAX_FRAME {
-        return Err(NetError::FrameTooLarge {
-            len: len as u64,
-            max: MAX_FRAME as u64,
-        });
+/// Reads one frame of at most `cap` payload bytes and returns the payload,
+/// opcode first (never empty); with the bytes there, the prefix and the
+/// payload take one `read` each. A declared length outside `1..=cap` is
+/// [`NetError::FrameTooLarge`] before anything is allocated. A read that
+/// times out before the frame's first byte asks `keep_waiting` whether to go
+/// on (a daemon session polling its shutdown flag) or fail with
+/// [`NetError::Timeout`] (a mesh link past its deadline); inside a frame,
+/// timed-out reads are retried until no byte has arrived for `patience`. A
+/// close before the first byte is [`NetError::Closed`], after it
+/// [`NetError::Truncated`].
+pub fn read_frame(
+    r: &mut impl Read,
+    cap: u32,
+    patience: Duration,
+    mut keep_waiting: impl FnMut() -> bool,
+) -> Result<Vec<u8>, NetError> {
+    let mut prefix = [0u8; 4];
+    let mut started = false;
+    fill(r, &mut prefix, &mut started, patience, &mut keep_waiting)?;
+    let len = payload_len(u32::from_le_bytes(prefix) as usize, cap)?;
+    let mut payload = vec![0u8; len as usize];
+    fill(r, &mut payload, &mut started, patience, &mut keep_waiting)?;
+    Ok(payload)
+}
+
+/// Fills `buf` for [`read_frame`]; `started` records whether any byte of the
+/// frame has arrived.
+fn fill(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    started: &mut bool,
+    patience: Duration,
+    keep_waiting: &mut impl FnMut() -> bool,
+) -> Result<(), NetError> {
+    let mut filled = 0usize;
+    let mut stalled_since: Option<Instant> = None;
+    while filled < buf.len() {
+        match r.read(&mut buf[filled..]) {
+            Ok(0) if !*started => {
+                return Err(NetError::Closed {
+                    detail: "EOF at a frame boundary".into(),
+                })
+            }
+            Ok(0) => {
+                return Err(NetError::Truncated {
+                    detail: format!("EOF inside a frame ({filled}/{} bytes)", buf.len()),
+                })
+            }
+            Ok(n) => {
+                filled += n;
+                *started = true;
+                stalled_since = None;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                let wait = if *started {
+                    stalled_since.get_or_insert_with(Instant::now).elapsed() < patience
+                } else {
+                    keep_waiting()
+                };
+                if !wait {
+                    return Err(NetError::from_io(&e, "read frame"));
+                }
+            }
+            Err(e) => return Err(NetError::from_io(&e, "read frame")),
+        }
     }
-    // The opcode is read on its own so the body lands in its final buffer.
-    let mut op = [0u8; 1];
-    read_exact_body(r, &mut op)?;
-    let mut body = vec![0u8; len as usize - 1];
-    read_exact_body(r, &mut body)?;
-    let on_wire = 4 + len as u64;
+    Ok(())
+}
+
+/// Reads one mesh frame: [`MAX_FRAME`] cap, and the socket's read deadline
+/// is final at a frame boundary and inside a frame alike. Counts the full
+/// on-wire size (prefix included) like [`write_encoded`].
+pub fn recv_frame(r: &mut impl Read, stats: Option<&CommStats>) -> Result<Vec<u8>, NetError> {
+    let payload = read_frame(r, MAX_FRAME, Duration::ZERO, || false)?;
+    let on_wire = 4 + payload.len() as u64;
     NET_BYTES_RECV.add(on_wire);
     NET_FRAMES_RECV.inc();
     if let Some(s) = stats {
         s.record_wire_recv(on_wire);
     }
-    Ok((op[0], body))
+    Ok(payload)
 }
 
-/// `read_exact` for the frame prefix: a clean close before any byte is
-/// `Closed`, a close after some bytes is `Truncated`.
-fn read_exact_or(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<(), NetError> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if filled == 0 {
-                    NetError::Closed {
-                        detail: format!("EOF before {what}"),
-                    }
-                } else {
-                    NetError::Truncated {
-                        detail: format!("EOF inside {what} ({filled}/{} bytes)", buf.len()),
-                    }
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(NetError::from_io(&e, what)),
-        }
-    }
-    Ok(())
-}
-
-/// `read_exact` for the frame body: any EOF is mid-frame, hence `Truncated`.
-fn read_exact_body(r: &mut impl Read, buf: &mut [u8]) -> Result<(), NetError> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(NetError::Truncated {
-                    detail: format!("EOF inside frame body ({filled}/{} bytes)", buf.len()),
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(NetError::from_io(&e, "frame body")),
-        }
-    }
-    Ok(())
+/// Splits a payload from [`read_frame`] into its opcode and body. Opcode 0
+/// is on neither wire, so the empty payload `read_frame` never returns would
+/// land in every caller's unknown-opcode arm.
+pub fn split_op(payload: &[u8]) -> (u8, &[u8]) {
+    payload
+        .split_first()
+        .map_or((0, payload), |(&op, body)| (op, body))
 }
 
 #[cfg(test)]
@@ -265,61 +295,44 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    fn read_mesh(bytes: &[u8]) -> Result<Vec<u8>, NetError> {
+        recv_frame(&mut Cursor::new(bytes), None)
+    }
+
     #[test]
     fn frame_round_trip() {
         let frame = encode_frame(OP_MSG, &[1, 2, 3]).unwrap();
         assert_eq!(frame.len(), 4 + 1 + 3);
-        let (op, body) = read_frame(&mut Cursor::new(&frame), None).unwrap();
-        assert_eq!(op, OP_MSG);
-        assert_eq!(body, vec![1, 2, 3]);
+        let payload = read_mesh(&frame).unwrap();
+        assert_eq!(split_op(&payload), (OP_MSG, &[1u8, 2, 3][..]));
     }
 
     #[test]
     fn empty_body_is_valid() {
         let frame = encode_frame(OP_BARRIER, &[]).unwrap();
-        let (op, body) = read_frame(&mut Cursor::new(&frame), None).unwrap();
-        assert_eq!(op, OP_BARRIER);
-        assert!(body.is_empty());
-    }
-
-    #[test]
-    fn oversized_length_is_rejected_before_allocation() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        bytes.extend_from_slice(&[0; 16]);
-        match read_frame(&mut Cursor::new(&bytes), None) {
-            Err(NetError::FrameTooLarge { len, .. }) => assert_eq!(len, u32::MAX as u64),
-            other => panic!("expected FrameTooLarge, got {other:?}"),
-        }
+        let payload = read_mesh(&frame).unwrap();
+        assert_eq!(split_op(&payload), (OP_BARRIER, &[][..]));
     }
 
     #[test]
     fn zero_length_is_rejected() {
-        let bytes = 0u32.to_le_bytes();
         assert!(matches!(
-            read_frame(&mut Cursor::new(&bytes), None),
+            read_mesh(&0u32.to_le_bytes()),
+            Err(NetError::FrameTooLarge { len: 0, .. })
+        ));
+        assert!(matches!(
+            encode_with(MAX_FRAME, |_| {}),
             Err(NetError::FrameTooLarge { len: 0, .. })
         ));
     }
 
     #[test]
-    fn clean_eof_is_closed_partial_is_truncated() {
+    fn encode_rejects_oversized_body() {
+        let frame = encode_with(3, |out| out.extend_from_slice(&[9, 8, 7])).unwrap();
+        assert_eq!(frame, vec![3, 0, 0, 0, 9, 8, 7]);
         assert!(matches!(
-            read_frame(&mut Cursor::new(&[] as &[u8]), None),
-            Err(NetError::Closed { .. })
-        ));
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&[5u8, 0]), None),
-            Err(NetError::Truncated { .. })
-        ));
-        // Full prefix, truncated body.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&100u32.to_le_bytes());
-        bytes.push(OP_MSG);
-        bytes.extend_from_slice(&[0; 10]);
-        assert!(matches!(
-            read_frame(&mut Cursor::new(&bytes), None),
-            Err(NetError::Truncated { .. })
+            encode_with(3, |out| out.extend_from_slice(&[9, 8, 7, 6])),
+            Err(NetError::FrameTooLarge { len: 4, max: 3 })
         ));
     }
 
@@ -329,18 +342,63 @@ mod tests {
         let frame = encode_frame(OP_MSG, &[0u8; 11]).unwrap();
         let mut sink = Vec::new();
         write_encoded(&mut sink, &frame, Some(&stats)).unwrap();
-        let (_, _) = read_frame(&mut Cursor::new(&sink), Some(&stats)).unwrap();
+        recv_frame(&mut Cursor::new(&sink), Some(&stats)).unwrap();
         let snap = stats.snapshot();
         assert_eq!(snap.wire_bytes_sent, 4 + 1 + 11);
         assert_eq!(snap.wire_bytes_received, 4 + 1 + 11);
     }
 
+    /// Serves `script` one step per `read`: `Some(bytes)` delivers them,
+    /// `None` times out.
+    struct Scripted(std::collections::VecDeque<Option<Vec<u8>>>);
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.pop_front() {
+                Some(Some(bytes)) => {
+                    buf[..bytes.len()].copy_from_slice(&bytes);
+                    Ok(bytes.len())
+                }
+                Some(None) => Err(ErrorKind::WouldBlock.into()),
+                None => Ok(0),
+            }
+        }
+    }
+
     #[test]
-    fn encode_rejects_oversized_body() {
-        let body = vec![0u8; MAX_FRAME as usize];
+    fn boundary_timeouts_follow_the_caller_and_stalls_the_patience() {
+        let script = |steps: Vec<Option<Vec<u8>>>| Scripted(steps.into());
+        // At a boundary, `keep_waiting` decides: waiting through two
+        // timeouts reads the frame; refusing is a Timeout.
+        let mut polls = 0;
+        let mut r = script(vec![None, None, Some(vec![1, 0, 0, 0]), Some(vec![7])]);
+        let payload = read_frame(&mut r, 8, Duration::ZERO, || {
+            polls += 1;
+            true
+        });
+        assert_eq!((payload.unwrap(), polls), (vec![7], 2));
+        let mut r = script(vec![None, Some(vec![1, 0, 0, 0]), Some(vec![7])]);
         assert!(matches!(
-            encode_frame(OP_MSG, &body),
-            Err(NetError::FrameTooLarge { .. })
+            read_frame(&mut r, 8, Duration::ZERO, || false),
+            Err(NetError::Timeout { .. })
+        ));
+        // Inside a frame, a stall within the patience is ridden out (the
+        // boundary policy is not asked); with no patience it is a Timeout.
+        let steps = vec![
+            Some(vec![2, 0]),
+            None,
+            Some(vec![0, 0]),
+            Some(vec![7]),
+            None,
+            Some(vec![8]),
+        ];
+        let mut r = script(steps.clone());
+        let payload = read_frame(&mut r, 8, Duration::from_secs(60), || false);
+        assert_eq!(payload.unwrap(), vec![7, 8]);
+        let mut r = script(steps);
+        assert!(matches!(
+            read_frame(&mut r, 8, Duration::ZERO, || true),
+            Err(NetError::Timeout { .. })
         ));
     }
 }

@@ -63,8 +63,8 @@ use tucker_distmem::{
 
 use crate::error::NetError;
 use crate::frame::{
-    encode_frame, read_frame, write_frame, NET_CONNECT, OP_ABORT, OP_ADDRS, OP_BARRIER, OP_HELLO,
-    OP_MSG, OP_PANIC, OP_PEER, OP_REGION, OP_RELEASE, OP_RESULT, OP_TABLE,
+    encode_frame, recv_frame, split_op, write_frame, NET_CONNECT, OP_ABORT, OP_ADDRS, OP_BARRIER,
+    OP_HELLO, OP_MSG, OP_PANIC, OP_PEER, OP_REGION, OP_RELEASE, OP_RESULT, OP_TABLE,
 };
 use crate::tcp::{send_abort, PeerLink, TcpTransport};
 
@@ -320,14 +320,8 @@ fn create_parent_session(exec_args: &[String], world: usize) -> Result<NetSessio
                         .map_err(|e| NetError::from_io(&e, "accepted socket blocking"))?;
                     s.set_read_timeout(Some(timeout))
                         .map_err(|e| NetError::from_io(&e, "accepted socket timeout"))?;
-                    let (op, body) = read_frame(&mut s, None)?;
-                    if op != OP_HELLO {
-                        return Err(NetError::Handshake {
-                            detail: format!("expected HELLO, got opcode {op:#04x}"),
-                        });
-                    }
-                    let (hjob, hrank, hworld, haddr) =
-                        <(String, u64, u64, String)>::from_wire_bytes(&body)?;
+                    let (hjob, hrank, hworld, haddr): (String, u64, u64, String) =
+                        recv_handshake(&mut s, OP_HELLO, "HELLO")?;
                     let hrank = hrank as usize;
                     if hjob != job || hworld as usize != world {
                         return Err(NetError::Handshake {
@@ -472,13 +466,7 @@ fn create_worker_session(env: &WorkerEnv) -> Result<NetSession, NetError> {
     write_frame(&mut to_parent, OP_HELLO, &hello, None)?;
     NET_CONNECT.inc();
     // The launcher answers with everyone's addresses once all hellos are in.
-    let (op, body) = read_frame(&mut to_parent, None)?;
-    if op != OP_ADDRS {
-        return Err(NetError::Handshake {
-            detail: format!("expected ADDRS, got opcode {op:#04x}"),
-        });
-    }
-    let (ajob, addrs) = <(String, Vec<String>)>::from_wire_bytes(&body)?;
+    let (ajob, addrs): (String, Vec<String>) = recv_handshake(&mut to_parent, OP_ADDRS, "ADDRS")?;
     if ajob != env.job || addrs.len() != env.world {
         return Err(NetError::Handshake {
             detail: format!(
@@ -514,13 +502,7 @@ fn create_worker_session(env: &WorkerEnv) -> Result<NetSession, NetError> {
                     .map_err(|e| NetError::from_io(&e, "peer socket blocking"))?;
                 s.set_read_timeout(Some(timeout))
                     .map_err(|e| NetError::from_io(&e, "peer socket timeout"))?;
-                let (op, body) = read_frame(&mut s, None)?;
-                if op != OP_PEER {
-                    return Err(NetError::Handshake {
-                        detail: format!("expected PEER, got opcode {op:#04x}"),
-                    });
-                }
-                let (pjob, prank) = <(String, u64)>::from_wire_bytes(&body)?;
+                let (pjob, prank): (String, u64) = recv_handshake(&mut s, OP_PEER, "PEER")?;
                 let prank = prank as usize;
                 if pjob != env.job || prank <= env.rank || prank >= env.world {
                     return Err(NetError::Handshake {
@@ -559,18 +541,35 @@ fn create_worker_session(env: &WorkerEnv) -> Result<NetSession, NetError> {
     })
 }
 
+/// Reads one rendezvous frame, which must carry `op` (`name` in errors), and
+/// decodes its body.
+pub(crate) fn recv_handshake<T: Wire>(
+    s: &mut TcpStream,
+    op: u8,
+    name: &str,
+) -> Result<T, NetError> {
+    let payload = recv_frame(s, None)?;
+    match split_op(&payload) {
+        (got, body) if got == op => Ok(T::from_wire_bytes(body)?),
+        (got, _) => Err(NetError::Handshake {
+            detail: format!("expected {name}, got opcode {got:#04x}"),
+        }),
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Regions
 // ---------------------------------------------------------------------------
 
 /// Reads control frames, skipping any data-plane traffic still in flight
-/// from an aborted region. Bounded so a babbling peer cannot spin us.
-fn read_control_skipping(link: &PeerLink) -> Result<(u8, Vec<u8>), NetError> {
+/// from an aborted region, and returns the first control payload. Bounded so
+/// a babbling peer cannot spin us.
+fn read_control_skipping(link: &PeerLink) -> Result<Vec<u8>, NetError> {
     for _ in 0..65_536 {
-        let (op, body) = link.read_control(None)?;
-        match op {
+        let payload = link.read_control(None)?;
+        match split_op(&payload).0 {
             OP_MSG | OP_BARRIER | OP_RELEASE => continue,
-            _ => return Ok((op, body)),
+            _ => return Ok(payload),
         }
     }
     Err(NetError::Malformed {
@@ -645,10 +644,10 @@ where
         let outcome = session
             .link(w)
             .and_then(|l| read_control_skipping(l))
-            .and_then(|(op, body)| match op {
-                OP_RESULT => {
+            .and_then(|payload| match split_op(&payload) {
+                (OP_RESULT, body) => {
                     let (r, rank, snap, bytes) =
-                        <(u64, u64, StatsSnapshot, Vec<u8>)>::from_wire_bytes(&body)?;
+                        <(u64, u64, StatsSnapshot, Vec<u8>)>::from_wire_bytes(body)?;
                     if r != region || rank as usize != w {
                         return Err(NetError::Malformed {
                             detail: format!(
@@ -659,11 +658,11 @@ where
                     }
                     Ok(Outcome::Done(snap, bytes))
                 }
-                OP_PANIC | OP_ABORT => {
-                    let (_r, rank, message) = <(u64, u64, String)>::from_wire_bytes(&body)?;
+                (OP_PANIC | OP_ABORT, body) => {
+                    let (_r, rank, message) = <(u64, u64, String)>::from_wire_bytes(body)?;
                     Ok(Outcome::Failed(rank as usize, message))
                 }
-                other => Err(NetError::Malformed {
+                (other, _) => Err(NetError::Malformed {
                     detail: format!("unexpected opcode {other:#04x} while collecting results"),
                 }),
             });
@@ -770,16 +769,16 @@ where
     let start = Instant::now();
     // Wait for the launcher to open the region, and verify we agree on what
     // it is — a divergent SPMD program must fail loudly, not exchange bytes.
-    let (op, body) = match session.link(0)?.read_control(None) {
+    let payload = match session.link(0)?.read_control(None) {
         Ok(x) => x,
         Err(e) => {
             session.poison(&format!("region {region}: no REGION header: {e}"));
             return Err(e);
         }
     };
-    match op {
-        OP_REGION => {
-            let (r, rname, rshape) = <(u64, String, Vec<usize>)>::from_wire_bytes(&body)?;
+    match split_op(&payload) {
+        (OP_REGION, body) => {
+            let (r, rname, rshape) = <(u64, String, Vec<usize>)>::from_wire_bytes(body)?;
             if r != region || rname != name || rshape != grid.shape() {
                 let detail = format!(
                     "launcher opened region {r} '{rname}' grid {rshape:?}; \
@@ -795,12 +794,12 @@ where
                 return Err(NetError::RegionMismatch { detail });
             }
         }
-        OP_ABORT => {
-            let e = decode_abort(&body);
+        (OP_ABORT, body) => {
+            let e = decode_abort(body);
             session.poison(&e.to_string());
             return Err(e);
         }
-        other => {
+        (other, _) => {
             let e = NetError::Malformed {
                 detail: format!("expected REGION header, got opcode {other:#04x}"),
             };
@@ -821,10 +820,11 @@ where
                 session.poison(&format!("region {region}: RESULT send: {e}"));
                 return Err(e);
             }
-            match session.link(0).and_then(|l| read_control_skipping(l)) {
+            let table = session.link(0).and_then(|l| read_control_skipping(l));
+            match table.as_deref().map(split_op) {
                 Ok((OP_TABLE, tbody)) => {
                     let (r, stats_vec, res_vec) =
-                        <(u64, Vec<StatsSnapshot>, Vec<Vec<u8>>)>::from_wire_bytes(&tbody)?;
+                        <(u64, Vec<StatsSnapshot>, Vec<Vec<u8>>)>::from_wire_bytes(tbody)?;
                     if r != region || res_vec.len() != p {
                         let e = NetError::Malformed {
                             detail: format!("TABLE for region {r}, expected {region}"),
@@ -840,7 +840,7 @@ where
                     })
                 }
                 Ok((OP_ABORT, abody)) => {
-                    let e = decode_abort(&abody);
+                    let e = decode_abort(abody);
                     session.poison(&e.to_string());
                     Err(e)
                 }
@@ -853,7 +853,7 @@ where
                 }
                 Err(e) => {
                     session.poison(&e.to_string());
-                    Err(e)
+                    Err(e.clone())
                 }
             }
         }
@@ -876,8 +876,9 @@ where
             if let Ok(frame) = encode_frame(OP_PANIC, &pbody) {
                 let _ = session.link(0)?.enqueue(frame, None);
             }
-            let err = match session.link(0).and_then(|l| read_control_skipping(l)) {
-                Ok((OP_ABORT, abody)) => decode_abort(&abody),
+            let reply = session.link(0).and_then(|l| read_control_skipping(l));
+            let err = match reply.as_deref().map(split_op) {
+                Ok((OP_ABORT, abody)) => decode_abort(abody),
                 _ => NetError::RankPanicked { rank, message: msg },
             };
             session.poison(&err.to_string());

@@ -16,7 +16,7 @@
 //!
 //! | module | provides |
 //! |--------|----------|
-//! | [`frame`] | length-prefix framing (serve-style), opcodes, on-wire byte counters |
+//! | [`frame`] | the workspace's one length-prefix frame codec (the mesh's and `tucker-serve`'s), opcodes, on-wire byte counters |
 //! | [`error`] | [`NetError`] — every failure typed, nothing panics, nothing hangs |
 //! | [`tcp`] | [`TcpTransport`]: the `Transport` impl; eager writer threads, region-stamped barriers |
 //! | [`launch`] | worker spawning, rendezvous, the region protocol, [`spmd_transport`] |

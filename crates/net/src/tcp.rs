@@ -38,8 +38,8 @@ use tucker_distmem::{CommStats, Wire};
 
 use crate::error::NetError;
 use crate::frame::{
-    decode_msg, encode_frame, encode_msg_frame, note_sent, read_frame, OP_ABORT, OP_BARRIER,
-    OP_MSG, OP_PANIC, OP_RELEASE,
+    decode_msg, encode_frame, encode_msg_frame, note_sent, recv_frame, split_op, write_frame,
+    NET_CONNECT, OP_ABORT, OP_BARRIER, OP_MSG, OP_PANIC, OP_PEER, OP_RELEASE,
 };
 
 /// Locks a mutex, riding through poisoning (a panicked peer thread must not
@@ -197,15 +197,6 @@ impl PeerLink {
         Ok(())
     }
 
-    /// Reads one raw frame off the socket (deadline armed).
-    fn read_raw(
-        &self,
-        state: &mut ReadState,
-        stats: Option<&CommStats>,
-    ) -> Result<(u8, Vec<u8>), NetError> {
-        read_frame(&mut state.stream, stats)
-    }
-
     /// Decodes a region-stamped `(region, seq)` token body.
     fn decode_token(body: &[u8]) -> Result<(u64, u64), NetError> {
         Ok(<(u64, u64)>::from_wire_bytes(body)?)
@@ -235,10 +226,11 @@ impl PeerLink {
             });
         }
         loop {
-            let (op, body) = self.read_raw(&mut st, stats)?;
+            let payload = recv_frame(&mut st.stream, stats)?;
+            let (op, body) = split_op(&payload);
             match op {
                 OP_MSG => {
-                    let (r, data) = decode_msg(&body)?;
+                    let (r, data) = decode_msg(body)?;
                     if r != region {
                         return Err(NetError::Malformed {
                             detail: format!("message stamped region {r}, expected {region}"),
@@ -246,12 +238,12 @@ impl PeerLink {
                     }
                     return Ok(data);
                 }
-                OP_BARRIER => st.barriers.push_back(Self::decode_token(&body)?),
-                OP_RELEASE => st.releases.push_back(Self::decode_token(&body)?),
+                OP_BARRIER => st.barriers.push_back(Self::decode_token(body)?),
+                OP_RELEASE => st.releases.push_back(Self::decode_token(body)?),
                 // A peer announcing its death unblocks us with the rank
                 // attribution, whether it addressed us as a peer (ABORT) or
                 // we are rank 0 hearing the launcher-bound report (PANIC).
-                OP_ABORT | OP_PANIC => return Err(Self::abort_error(&body)),
+                OP_ABORT | OP_PANIC => return Err(Self::abort_error(body)),
                 other => {
                     return Err(NetError::Malformed {
                         detail: format!("unexpected opcode {other:#04x} while receiving"),
@@ -305,11 +297,12 @@ impl PeerLink {
             });
         }
         loop {
-            let (op, body) = self.read_raw(&mut st, stats)?;
+            let payload = recv_frame(&mut st.stream, stats)?;
+            let (op, body) = split_op(&payload);
             match op {
-                OP_MSG => st.inbox.push_back(decode_msg(&body)?),
+                OP_MSG => st.inbox.push_back(decode_msg(body)?),
                 OP_BARRIER | OP_RELEASE => {
-                    let tok = Self::decode_token(&body)?;
+                    let tok = Self::decode_token(body)?;
                     if (op == OP_RELEASE) == release {
                         if tok == (region, seq) {
                             return Ok(());
@@ -327,7 +320,7 @@ impl PeerLink {
                         st.barriers.push_back(tok);
                     }
                 }
-                OP_ABORT | OP_PANIC => return Err(Self::abort_error(&body)),
+                OP_ABORT | OP_PANIC => return Err(Self::abort_error(body)),
                 other => {
                     return Err(NetError::Malformed {
                         detail: format!("unexpected opcode {other:#04x} at barrier"),
@@ -337,13 +330,12 @@ impl PeerLink {
         }
     }
 
-    /// Reads one control frame (region/result/table handshakes). Used only
-    /// at region boundaries, where no message or barrier traffic is in
-    /// flight on a correct SPMD program — anything unexpected is a typed
-    /// protocol error.
-    pub fn read_control(&self, stats: Option<&CommStats>) -> Result<(u8, Vec<u8>), NetError> {
-        let mut st = lock_clean(&self.read);
-        self.read_raw(&mut st, stats)
+    /// Reads one control frame (region/result/table handshakes) and returns
+    /// its payload, opcode first (see [`split_op`]). Used only at region
+    /// boundaries, where no message or barrier traffic is in flight on a
+    /// correct SPMD program — anything unexpected is a typed protocol error.
+    pub fn read_control(&self, stats: Option<&CommStats>) -> Result<Vec<u8>, NetError> {
+        recv_frame(&mut lock_clean(&self.read).stream, stats)
     }
 }
 
@@ -503,13 +495,8 @@ pub fn local_mesh(p: usize, timeout: Duration) -> Result<Vec<TcpTransport>, NetE
         for i in 0..j {
             let mut s = TcpStream::connect(addrs[i])
                 .map_err(|e| NetError::from_io(&e, "local mesh connect"))?;
-            crate::frame::write_frame(
-                &mut s,
-                crate::frame::OP_PEER,
-                &(j as u64).to_wire_bytes(),
-                None,
-            )?;
-            crate::frame::NET_CONNECT.inc();
+            write_frame(&mut s, OP_PEER, &(j as u64).to_wire_bytes(), None)?;
+            NET_CONNECT.inc();
             streams[j][i] = Some(s);
         }
     }
@@ -520,13 +507,7 @@ pub fn local_mesh(p: usize, timeout: Duration) -> Result<Vec<TcpTransport>, NetE
                 .map_err(|e| NetError::from_io(&e, "local mesh accept"))?;
             s.set_read_timeout(Some(timeout))
                 .map_err(|e| NetError::from_io(&e, "set_read_timeout"))?;
-            let (op, body) = read_frame(&mut s, None)?;
-            if op != crate::frame::OP_PEER {
-                return Err(NetError::Malformed {
-                    detail: format!("expected PEER header, got opcode {op:#04x}"),
-                });
-            }
-            let j = u64::from_wire_bytes(&body)? as usize;
+            let j = crate::launch::recv_handshake::<u64>(&mut s, OP_PEER, "PEER header")? as usize;
             if j >= p || j <= i {
                 return Err(NetError::Malformed {
                     detail: format!("peer header names invalid rank {j}"),

@@ -22,14 +22,15 @@
 //! | `ERR_INTERNAL` | [`TuckerError::Io`] (`Other`) |
 
 use crate::proto::{
-    check_frame_len, encode_frame, ArtifactInfo, RemoteHeader, Request, Response, ServeStats,
-    ERR_BUSY, ERR_DEADLINE, ERR_OPEN, ERR_PROTOCOL, ERR_SHUTTING_DOWN, ERR_UNKNOWN_ARTIFACT,
-    MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME,
+    ArtifactInfo, RemoteHeader, Request, Response, ServeStats, ERR_BUSY, ERR_DEADLINE, ERR_OPEN,
+    ERR_PROTOCOL, ERR_SHUTTING_DOWN, ERR_UNKNOWN_ARTIFACT, MAX_RESPONSE_FRAME,
 };
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 use tucker_api::{ProtocolError, TuckerError};
+use tucker_net::frame::read_frame;
+use tucker_net::NetError;
 use tucker_store::QueryError;
 use tucker_tensor::DenseTensor;
 
@@ -131,17 +132,18 @@ impl ServeClient {
         }
     }
 
-    /// Reconstructs a batch of elements (values in request order).
+    /// Reconstructs a batch of elements (values in request order). An
+    /// empty batch answers no values without a round trip, as the
+    /// in-process readers do.
     pub fn elements(&mut self, name: &str, points: &[&[usize]]) -> Result<Vec<f64>, TuckerError> {
+        if points.is_empty() {
+            return Ok(Vec::new());
+        }
         let ndims = points.first().map_or(0, |p| p.len());
-        if points.iter().any(|p| p.len() != ndims) {
+        if let Some(bad) = points.iter().find(|p| p.len() != ndims) {
             return Err(TuckerError::Query(QueryError::ModeCountMismatch {
                 expected: ndims,
-                got: points
-                    .iter()
-                    .map(|p| p.len())
-                    .find(|&l| l != ndims)
-                    .unwrap_or(0),
+                got: bad.len(),
             }));
         }
         let req = Request::Elements {
@@ -185,16 +187,13 @@ impl ServeClient {
 
     /// One request/response exchange, fully validated.
     fn rpc(&mut self, req: &Request) -> Result<Response, TuckerError> {
-        let frame = encode_frame(&req.encode(), MAX_REQUEST_FRAME)?;
+        let frame = req.frame().map_err(frame_error)?;
         self.stream.write_all(&frame).map_err(TuckerError::Io)?;
-        self.stream.flush().map_err(TuckerError::Io)?;
-
-        let mut prefix = [0u8; 4];
-        read_exact_mapped(&mut self.stream, &mut prefix)?;
-        let len = check_frame_len(u32::from_le_bytes(prefix), MAX_RESPONSE_FRAME)?;
-        let mut payload = vec![0u8; len];
-        read_exact_mapped(&mut self.stream, &mut payload)?;
-
+        // The socket's timeout is final anywhere in the response frame.
+        let payload = read_frame(&mut self.stream, MAX_RESPONSE_FRAME, Duration::ZERO, || {
+            false
+        })
+        .map_err(frame_error)?;
         match Response::decode(&payload)? {
             Response::Err {
                 code,
@@ -206,17 +205,22 @@ impl ServeClient {
     }
 }
 
-/// Reads exactly `buf.len()` bytes, mapping a clean EOF onto the typed
-/// truncation error (a server vanishing mid-response is a protocol event,
-/// not a bare IO error).
-fn read_exact_mapped(stream: &mut TcpStream, buf: &mut [u8]) -> Result<(), TuckerError> {
-    stream.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
+/// Maps a failure of the frame layer onto the facade hierarchy: a server
+/// vanishing mid-response is a protocol event (`Truncated`), a bad length
+/// prefix is `FrameLength`, and a stall is an `Io` error of kind `TimedOut`.
+fn frame_error(e: NetError) -> TuckerError {
+    match e {
+        NetError::Closed { .. } | NetError::Truncated { .. } => {
             TuckerError::Protocol(ProtocolError::Truncated)
-        } else {
-            TuckerError::Io(e)
         }
-    })
+        NetError::FrameTooLarge { len, max } => {
+            TuckerError::Protocol(ProtocolError::FrameLength { len, max })
+        }
+        NetError::Timeout { detail } => {
+            TuckerError::Io(io::Error::new(io::ErrorKind::TimedOut, detail))
+        }
+        other => TuckerError::Io(io::Error::other(other.to_string())),
+    }
 }
 
 fn unexpected(resp: &Response) -> TuckerError {

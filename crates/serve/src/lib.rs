@@ -10,7 +10,8 @@
 //! Everything is hand-rolled over `std::net`; there is no async runtime
 //! and no external dependency. The pieces:
 //!
-//! - [`proto`] — the length-prefixed binary wire format. Both directions
+//! - [`proto`] — the requests and responses, carried in `tucker-net`'s
+//!   frames (the workspace's one frame codec). Both directions
 //!   are fully bounds-checked: a hostile peer gets a typed
 //!   [`ProtocolError`](tucker_api::ProtocolError), never a panic or an
 //!   unbounded allocation.

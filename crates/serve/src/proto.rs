@@ -1,19 +1,20 @@
-//! The `tucker-serve` wire protocol: length-prefixed binary frames.
+//! The `tucker-serve` wire protocol: requests and responses, one per frame.
 //!
-//! Every message — request or response — is one **frame**: a little-endian
-//! `u32` payload length followed by exactly that many payload bytes. The
-//! payload starts with a one-byte opcode; integers are little-endian,
-//! strings are a `u32` byte length plus UTF-8 bytes, and tensor data is raw
-//! little-endian `f64`s. There is no pipelining: a connection carries one
-//! request, then one response, in strict alternation.
+//! Frames are `tucker-net`'s, the one frame codec of the workspace
+//! ([`tucker_net::frame`]): a little-endian `u32` payload length, then the
+//! payload, whose first byte is the opcode. This module only adds the two
+//! caps of this wire ([`MAX_REQUEST_FRAME`], [`MAX_RESPONSE_FRAME`]) and the
+//! payloads: integers are little-endian, strings are a `u32` byte length
+//! plus UTF-8 bytes, and tensor data is raw little-endian `f64`s. There is
+//! no pipelining: a connection carries one request, then one response, in
+//! strict alternation.
 //!
-//! Both directions are decoded defensively: every length is bounds-checked
-//! against the side's frame cap *before* allocation, every string is
-//! UTF-8-checked, element counts are capped, and a payload with trailing
-//! bytes is rejected. A malformed frame is a typed
-//! [`ProtocolError`] — this module cannot panic (it is under the CI
-//! panic-grep gate) and never trusts a declared length further than the
-//! bytes actually present.
+//! Payloads are decoded with the workspace's one bounds-checked cursor,
+//! [`tucker_distmem::WireReader`]: every declared length is checked against
+//! the bytes present before allocation, every string against its cap and for
+//! UTF-8, element counts are capped, and a payload with trailing bytes is
+//! rejected. A malformed payload is a typed [`ProtocolError`] — this module
+//! cannot panic (it is under the CI panic-grep gate).
 //!
 //! The server handles protocol failures per-connection: a frame that parses
 //! badly gets a typed [`Response::Err`] with [`ERR_PROTOCOL`] and the
@@ -21,6 +22,9 @@
 //! drops only that connection. See `crate::server`.
 
 use tucker_api::ProtocolError;
+use tucker_distmem::{Wire, WireReader};
+use tucker_net::frame::encode_with;
+use tucker_net::NetError;
 use tucker_store::Codec;
 
 /// Cap on a request frame's payload (bounds the server's per-request
@@ -240,208 +244,112 @@ pub enum Response {
     },
 }
 
-fn malformed(msg: &str) -> ProtocolError {
-    ProtocolError::Malformed(msg.to_string())
+/// Appends a string as a `u32` byte length plus its UTF-8 bytes.
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    (s.len() as u32).encode(out);
+    out.extend_from_slice(s.as_bytes());
 }
 
-/// A bounds-checked payload reader.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| malformed("declared length runs past the payload"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtocolError> {
-        let b = self.take(4)?;
-        let mut a = [0u8; 4];
-        a.copy_from_slice(b);
-        Ok(u32::from_le_bytes(a))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtocolError> {
-        let b = self.take(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtocolError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self, max: usize, what: &str) -> Result<String, ProtocolError> {
-        let len = self.u32()? as usize;
-        if len > max {
-            return Err(malformed(&format!(
-                "{what} of {len} bytes exceeds cap {max}"
-            )));
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| malformed(&format!("{what} is not UTF-8")))
-    }
-
-    fn u64s(&mut self, n: usize) -> Result<Vec<u64>, ProtocolError> {
-        let bytes = self.take(
-            n.checked_mul(8)
-                .ok_or_else(|| malformed("index count overflow"))?,
-        )?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| {
-                let mut a = [0u8; 8];
-                a.copy_from_slice(c);
-                u64::from_le_bytes(a)
-            })
-            .collect())
-    }
-
-    fn f64s(&mut self, n: usize) -> Result<Vec<f64>, ProtocolError> {
-        Ok(self.u64s(n)?.into_iter().map(f64::from_bits).collect())
-    }
-
-    fn finish(self) -> Result<(), ProtocolError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(malformed("trailing bytes after the message"))
-        }
-    }
-
-    fn modes(&mut self, what: &str) -> Result<usize, ProtocolError> {
-        let n = self.u32()? as usize;
-        if n == 0 || n > MAX_MODES {
-            return Err(malformed(&format!(
-                "{what} of {n} modes outside the accepted range 1..={MAX_MODES}"
-            )));
-        }
-        Ok(n)
+/// Appends eight-byte values back to back, without a count.
+fn put_all<T: Wire>(out: &mut Vec<u8>, vs: &[T]) {
+    out.reserve(std::mem::size_of_val(vs));
+    for v in vs {
+        v.encode(out);
     }
 }
 
-/// A little-endian payload writer (infallible; the frame cap is enforced by
-/// [`encode_frame`]).
-#[derive(Default)]
-struct Enc {
-    out: Vec<u8>,
+/// Reads a mode count, refusing counts outside `1..=MAX_MODES`.
+fn modes(d: &mut WireReader<'_>, what: &str) -> Result<usize, ProtocolError> {
+    let n = d.u32()? as usize;
+    if n == 0 || n > MAX_MODES {
+        return Err(ProtocolError::Malformed(format!(
+            "{what} of {n} modes outside the accepted range 1..={MAX_MODES}"
+        )));
+    }
+    Ok(n)
 }
 
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.out.push(v);
+/// Reads a list length, refusing lengths over [`MAX_POINTS`].
+fn count(d: &mut WireReader<'_>, what: &str) -> Result<usize, ProtocolError> {
+    let n = d.u32()? as usize;
+    if n > MAX_POINTS {
+        return Err(ProtocolError::Malformed(format!(
+            "{what} of {n} entries exceeds cap {MAX_POINTS}"
+        )));
     }
-
-    fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.out.extend_from_slice(s.as_bytes());
-    }
-
-    fn u64s(&mut self, vs: &[u64]) {
-        self.out.reserve(vs.len() * 8);
-        for &v in vs {
-            self.u64(v);
-        }
-    }
-
-    fn f64s(&mut self, vs: &[f64]) {
-        self.out.reserve(vs.len() * 8);
-        for &v in vs {
-            self.f64(v);
-        }
-    }
+    Ok(n)
 }
 
 impl Request {
     /// Encodes the request payload (no frame prefix).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::default();
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Encodes the request as one frame, refusing payloads over
+    /// [`MAX_REQUEST_FRAME`].
+    pub(crate) fn frame(&self) -> Result<Vec<u8>, NetError> {
+        encode_with(MAX_REQUEST_FRAME, |out| self.encode_into(out))
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Open { name } => {
-                e.u8(OP_OPEN);
-                e.str(name);
+                out.push(OP_OPEN);
+                put_str(out, name);
             }
-            Request::List => e.u8(OP_LIST),
+            Request::List => out.push(OP_LIST),
             Request::ReconstructRange { name, ranges } => {
-                e.u8(OP_RANGE);
-                e.str(name);
-                e.u32(ranges.len() as u32);
+                out.push(OP_RANGE);
+                put_str(out, name);
+                (ranges.len() as u32).encode(out);
                 for &(start, len) in ranges {
-                    e.u64(start);
-                    e.u64(len);
+                    start.encode(out);
+                    len.encode(out);
                 }
             }
             Request::ReconstructSlice { name, mode, index } => {
-                e.u8(OP_SLICE);
-                e.str(name);
-                e.u64(*mode);
-                e.u64(*index);
+                out.push(OP_SLICE);
+                put_str(out, name);
+                mode.encode(out);
+                index.encode(out);
             }
             Request::Element { name, idx } => {
-                e.u8(OP_ELEMENT);
-                e.str(name);
-                e.u32(idx.len() as u32);
-                e.u64s(idx);
+                out.push(OP_ELEMENT);
+                put_str(out, name);
+                (idx.len() as u32).encode(out);
+                put_all(out, idx);
             }
             Request::Elements {
                 name,
                 ndims,
                 points,
             } => {
-                e.u8(OP_ELEMENTS);
-                e.str(name);
-                e.u32((points.len() / (*ndims).max(1) as usize) as u32);
-                e.u32(*ndims);
-                e.u64s(points);
+                out.push(OP_ELEMENTS);
+                put_str(out, name);
+                ((points.len() / (*ndims).max(1) as usize) as u32).encode(out);
+                ndims.encode(out);
+                put_all(out, points);
             }
-            Request::Stats => e.u8(OP_STATS),
-            Request::Metrics => e.u8(OP_METRICS),
+            Request::Stats => out.push(OP_STATS),
+            Request::Metrics => out.push(OP_METRICS),
         }
-        e.out
     }
 
     /// Decodes a request payload, rejecting unknown opcodes, out-of-cap
     /// counts, non-UTF-8 names, and trailing bytes.
     pub fn decode(payload: &[u8]) -> Result<Request, ProtocolError> {
-        let mut d = Dec::new(payload);
-        let op = d.u8()?;
-        let req = match op {
+        let mut d = WireReader::new(payload);
+        let req = match d.u8()? {
             OP_OPEN => Request::Open {
-                name: d.str(MAX_NAME_BYTES, "artifact name")?,
+                name: d.str32(MAX_NAME_BYTES, "artifact name")?,
             },
             OP_LIST => Request::List,
             OP_RANGE => {
-                let name = d.str(MAX_NAME_BYTES, "artifact name")?;
-                let n = d.modes("range request")?;
+                let name = d.str32(MAX_NAME_BYTES, "artifact name")?;
+                let n = modes(&mut d, "range request")?;
                 let flat = d.u64s(n * 2)?;
                 Request::ReconstructRange {
                     name,
@@ -449,27 +357,22 @@ impl Request {
                 }
             }
             OP_SLICE => Request::ReconstructSlice {
-                name: d.str(MAX_NAME_BYTES, "artifact name")?,
+                name: d.str32(MAX_NAME_BYTES, "artifact name")?,
                 mode: d.u64()?,
                 index: d.u64()?,
             },
             OP_ELEMENT => {
-                let name = d.str(MAX_NAME_BYTES, "artifact name")?;
-                let n = d.modes("element request")?;
+                let name = d.str32(MAX_NAME_BYTES, "artifact name")?;
+                let n = modes(&mut d, "element request")?;
                 Request::Element {
                     name,
                     idx: d.u64s(n)?,
                 }
             }
             OP_ELEMENTS => {
-                let name = d.str(MAX_NAME_BYTES, "artifact name")?;
-                let npoints = d.u32()? as usize;
-                if npoints > MAX_POINTS {
-                    return Err(malformed(&format!(
-                        "batch of {npoints} points exceeds cap {MAX_POINTS}"
-                    )));
-                }
-                let ndims = d.modes("elements request")?;
+                let name = d.str32(MAX_NAME_BYTES, "artifact name")?;
+                let npoints = count(&mut d, "elements batch")?;
+                let ndims = modes(&mut d, "elements request")?;
                 Request::Elements {
                     name,
                     ndims: ndims as u32,
@@ -488,89 +391,101 @@ impl Request {
 impl Response {
     /// Encodes the response payload (no frame prefix).
     pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::default();
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Encodes the response as one frame, refusing payloads over
+    /// [`MAX_RESPONSE_FRAME`].
+    pub(crate) fn frame(&self) -> Result<Vec<u8>, NetError> {
+        encode_with(MAX_RESPONSE_FRAME, |out| self.encode_into(out))
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Open(h) => {
-                e.u8(RESP_OPEN);
-                e.u32(h.dims.len() as u32);
-                e.u64s(&h.dims);
-                e.u64s(&h.ranks);
-                e.u8(h.codec.id());
-                e.f64(h.eps);
-                e.f64(h.quant_error_bound);
-                e.u64(h.chunk_count);
-                e.u64(h.file_bytes);
+                out.push(RESP_OPEN);
+                (h.dims.len() as u32).encode(out);
+                put_all(out, &h.dims);
+                put_all(out, &h.ranks);
+                out.push(h.codec.id());
+                h.eps.encode(out);
+                h.quant_error_bound.encode(out);
+                h.chunk_count.encode(out);
+                h.file_bytes.encode(out);
             }
             Response::List(items) => {
-                e.u8(RESP_LIST);
-                e.u32(items.len() as u32);
+                out.push(RESP_LIST);
+                (items.len() as u32).encode(out);
                 for item in items {
-                    e.str(&item.name);
-                    e.u8(u8::from(item.opened));
+                    put_str(out, &item.name);
+                    out.push(u8::from(item.opened));
                 }
             }
             Response::Tensor { dims, data } => {
-                e.u8(RESP_TENSOR);
-                e.u32(dims.len() as u32);
-                e.u64s(dims);
-                e.f64s(data);
+                out.push(RESP_TENSOR);
+                (dims.len() as u32).encode(out);
+                put_all(out, dims);
+                put_all(out, data);
             }
             Response::Scalar(v) => {
-                e.u8(RESP_SCALAR);
-                e.f64(*v);
+                out.push(RESP_SCALAR);
+                v.encode(out);
             }
             Response::Vector(vs) => {
-                e.u8(RESP_VECTOR);
-                e.u32(vs.len() as u32);
-                e.f64s(vs);
+                out.push(RESP_VECTOR);
+                (vs.len() as u32).encode(out);
+                put_all(out, vs);
             }
             Response::Stats(s) => {
-                e.u8(RESP_STATS);
-                e.u64(s.served);
-                e.u64(s.busy_rejections);
-                e.u64(s.shed_sessions);
-                e.u64(s.protocol_errors);
-                e.u64(s.in_flight);
-                e.u32(s.artifacts.len() as u32);
+                out.push(RESP_STATS);
+                for v in [
+                    s.served,
+                    s.busy_rejections,
+                    s.shed_sessions,
+                    s.protocol_errors,
+                    s.in_flight,
+                ] {
+                    v.encode(out);
+                }
+                (s.artifacts.len() as u32).encode(out);
                 for a in &s.artifacts {
-                    e.str(&a.name);
-                    e.u64(a.decoded_chunks);
-                    e.u64(a.cache_hits);
-                    e.u64(a.resident_chunks);
+                    put_str(out, &a.name);
+                    put_all(out, &[a.decoded_chunks, a.cache_hits, a.resident_chunks]);
                 }
             }
             Response::Metrics(text) => {
-                e.u8(RESP_METRICS);
-                e.str(text);
+                out.push(RESP_METRICS);
+                put_str(out, text);
             }
             Response::Err {
                 code,
                 in_flight,
                 message,
             } => {
-                e.u8(RESP_ERR);
-                e.u8(*code);
-                e.u64(*in_flight);
-                e.str(message);
+                out.push(RESP_ERR);
+                out.push(*code);
+                in_flight.encode(out);
+                put_str(out, message);
             }
         }
-        e.out
     }
 
     /// Decodes a response payload with the same defensive posture as
     /// [`Request::decode`]; a `Tensor` additionally requires its declared
     /// dims product to match the values actually present (overflow-checked).
     pub fn decode(payload: &[u8]) -> Result<Response, ProtocolError> {
-        let mut d = Dec::new(payload);
-        let op = d.u8()?;
-        let resp = match op {
+        let mut d = WireReader::new(payload);
+        let resp = match d.u8()? {
             RESP_OPEN => {
-                let n = d.modes("header summary")?;
+                let n = modes(&mut d, "header summary")?;
                 let dims = d.u64s(n)?;
                 let ranks = d.u64s(n)?;
                 let codec_id = d.u8()?;
-                let codec = Codec::try_from_id(codec_id)
-                    .map_err(|_| malformed(&format!("unknown codec id {codec_id}")))?;
+                let codec = Codec::try_from_id(codec_id).map_err(|_| {
+                    ProtocolError::Malformed(format!("unknown codec id {codec_id}"))
+                })?;
                 Response::Open(RemoteHeader {
                     dims,
                     ranks,
@@ -582,38 +497,32 @@ impl Response {
                 })
             }
             RESP_LIST => {
-                let n = d.u32()? as usize;
-                if n > MAX_POINTS {
-                    return Err(malformed("artifact listing implausibly long"));
-                }
+                let n = count(&mut d, "artifact listing")?;
                 let mut items = Vec::with_capacity(n.min(64));
                 for _ in 0..n {
                     items.push(ArtifactInfo {
-                        name: d.str(MAX_NAME_BYTES, "artifact name")?,
+                        name: d.str32(MAX_NAME_BYTES, "artifact name")?,
                         opened: d.u8()? != 0,
                     });
                 }
                 Response::List(items)
             }
             RESP_TENSOR => {
-                let n = d.modes("tensor response")?;
+                let n = modes(&mut d, "tensor response")?;
                 let dims = d.u64s(n)?;
                 let count = dims
                     .iter()
                     .try_fold(1u64, |acc, &dim| acc.checked_mul(dim))
                     .and_then(|c| usize::try_from(c).ok())
-                    .ok_or_else(|| malformed("tensor dims product overflows"))?;
+                    .ok_or_else(|| {
+                        ProtocolError::Malformed("tensor dims product overflows".into())
+                    })?;
                 let data = d.f64s(count)?;
                 Response::Tensor { dims, data }
             }
             RESP_SCALAR => Response::Scalar(d.f64()?),
             RESP_VECTOR => {
-                let n = d.u32()? as usize;
-                if n > MAX_POINTS {
-                    return Err(malformed(&format!(
-                        "vector of {n} values exceeds cap {MAX_POINTS}"
-                    )));
-                }
+                let n = count(&mut d, "vector")?;
                 Response::Vector(d.f64s(n)?)
             }
             RESP_STATS => {
@@ -622,14 +531,11 @@ impl Response {
                 let shed_sessions = d.u64()?;
                 let protocol_errors = d.u64()?;
                 let in_flight = d.u64()?;
-                let n = d.u32()? as usize;
-                if n > MAX_POINTS {
-                    return Err(malformed("stats listing implausibly long"));
-                }
+                let n = count(&mut d, "stats listing")?;
                 let mut artifacts = Vec::with_capacity(n.min(64));
                 for _ in 0..n {
                     artifacts.push(ArtifactStats {
-                        name: d.str(MAX_NAME_BYTES, "artifact name")?,
+                        name: d.str32(MAX_NAME_BYTES, "artifact name")?,
                         decoded_chunks: d.u64()?,
                         cache_hits: d.u64()?,
                         resident_chunks: d.u64()?,
@@ -644,44 +550,16 @@ impl Response {
                     artifacts,
                 })
             }
-            RESP_METRICS => Response::Metrics(d.str(MAX_METRICS_BYTES, "metrics exposition")?),
+            RESP_METRICS => Response::Metrics(d.str32(MAX_METRICS_BYTES, "metrics exposition")?),
             RESP_ERR => Response::Err {
                 code: d.u8()?,
                 in_flight: d.u64()?,
-                message: d.str(MAX_MESSAGE_BYTES, "error message")?,
+                message: d.str32(MAX_MESSAGE_BYTES, "error message")?,
             },
             other => return Err(ProtocolError::UnknownOpcode(other)),
         };
         d.finish()?;
         Ok(resp)
-    }
-}
-
-/// Prepends the `u32` length prefix to a payload, rejecting payloads
-/// outside `1..=max` with a typed [`ProtocolError::FrameLength`].
-pub fn encode_frame(payload: &[u8], max: u32) -> Result<Vec<u8>, ProtocolError> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&l| l >= 1 && l <= max)
-        .ok_or(ProtocolError::FrameLength {
-            len: payload.len() as u64,
-            max: max as u64,
-        })?;
-    let mut frame = Vec::with_capacity(payload.len() + 4);
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(payload);
-    Ok(frame)
-}
-
-/// Validates a received length prefix against `1..=max`.
-pub fn check_frame_len(len: u32, max: u32) -> Result<usize, ProtocolError> {
-    if len >= 1 && len <= max {
-        Ok(len as usize)
-    } else {
-        Err(ProtocolError::FrameLength {
-            len: len as u64,
-            max: max as u64,
-        })
     }
 }
 
@@ -835,19 +713,6 @@ mod tests {
         bad.extend_from_slice(&(MAX_NAME_BYTES as u32 + 1).to_le_bytes());
         bad.extend_from_slice(&vec![b'n'; MAX_NAME_BYTES + 1]);
         assert!(Request::decode(&bad).is_err());
-    }
-
-    #[test]
-    fn frame_lengths_are_validated_both_ways() {
-        assert!(matches!(
-            encode_frame(&[], MAX_REQUEST_FRAME),
-            Err(ProtocolError::FrameLength { len: 0, .. })
-        ));
-        let frame = encode_frame(&[OP_LIST], MAX_REQUEST_FRAME).unwrap();
-        assert_eq!(frame, vec![1, 0, 0, 0, OP_LIST]);
-        assert!(check_frame_len(0, MAX_REQUEST_FRAME).is_err());
-        assert!(check_frame_len(MAX_REQUEST_FRAME + 1, MAX_REQUEST_FRAME).is_err());
-        assert_eq!(check_frame_len(17, MAX_REQUEST_FRAME).unwrap(), 17);
     }
 
     #[test]

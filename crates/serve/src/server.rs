@@ -54,12 +54,12 @@
 
 use crate::metrics;
 use crate::proto::{
-    check_frame_len, encode_frame, ArtifactInfo, ArtifactStats, RemoteHeader, Request, Response,
-    ServeStats, ERR_BUSY, ERR_DEADLINE, ERR_INTERNAL, ERR_OPEN, ERR_PROTOCOL, ERR_QUERY,
-    ERR_SHUTTING_DOWN, ERR_UNKNOWN_ARTIFACT, MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME,
+    ArtifactInfo, ArtifactStats, RemoteHeader, Request, Response, ServeStats, ERR_BUSY,
+    ERR_DEADLINE, ERR_INTERNAL, ERR_OPEN, ERR_PROTOCOL, ERR_QUERY, ERR_SHUTTING_DOWN,
+    ERR_UNKNOWN_ARTIFACT, MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME,
 };
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -68,6 +68,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tucker_exec::ExecContext;
+use tucker_net::frame::read_frame;
+use tucker_net::NetError;
 use tucker_store::{SharedChunkCache, TkrReader};
 
 /// How long a session sleeps between polls while waiting for a frame to
@@ -366,95 +368,6 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// What reading one request frame from a session socket produced.
-enum FrameRead {
-    /// A complete payload.
-    Payload(Vec<u8>),
-    /// Clean close at a frame boundary (or shutdown while idle): end the
-    /// session silently.
-    End,
-    /// The peer declared an unusable frame length; answer then drop.
-    BadLength(u64),
-    /// The connection died mid-frame (disconnect or stalled past patience):
-    /// drop without answering.
-    Dead,
-}
-
-/// Reads one length-prefixed frame with a short poll so the session notices
-/// shutdown while idle, and bounded patience once a frame has started.
-fn read_request_frame(stream: &mut TcpStream, shared: &Shared) -> FrameRead {
-    let mut prefix = [0u8; 4];
-    match read_buf_polling(stream, &mut prefix, shared, true) {
-        BufRead::Done => {}
-        BufRead::CleanEof | BufRead::ShutdownIdle => return FrameRead::End,
-        BufRead::Dead => return FrameRead::Dead,
-    }
-    let declared = u32::from_le_bytes(prefix);
-    let len = match check_frame_len(declared, MAX_REQUEST_FRAME) {
-        Ok(len) => len,
-        Err(_) => return FrameRead::BadLength(declared as u64),
-    };
-    let mut payload = vec![0u8; len];
-    match read_buf_polling(stream, &mut payload, shared, false) {
-        BufRead::Done => FrameRead::Payload(payload),
-        _ => FrameRead::Dead,
-    }
-}
-
-enum BufRead {
-    Done,
-    /// EOF before the first byte of this buffer (idle position only).
-    CleanEof,
-    /// Shutdown observed while no byte of this buffer had arrived.
-    ShutdownIdle,
-    Dead,
-}
-
-/// Fills `buf` from a socket with a read timeout, polling the shutdown flag
-/// while idle. `idle_start`: whether byte 0 of `buf` is a frame boundary
-/// (where EOF and shutdown are clean exits rather than truncation).
-fn read_buf_polling(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shared: &Shared,
-    idle_start: bool,
-) -> BufRead {
-    let mut got = 0usize;
-    let mut started_at: Option<Instant> = None;
-    while got < buf.len() {
-        match stream.read(&mut buf[got..]) {
-            Ok(0) => {
-                return if got == 0 && idle_start {
-                    BufRead::CleanEof
-                } else {
-                    BufRead::Dead
-                }
-            }
-            Ok(n) => {
-                got += n;
-                started_at.get_or_insert_with(Instant::now);
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted =>
-            {
-                if got == 0 && idle_start {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        return BufRead::ShutdownIdle;
-                    }
-                } else if started_at.get_or_insert_with(Instant::now).elapsed() > MID_FRAME_PATIENCE
-                {
-                    // A peer that started a frame and stalled: truncated.
-                    return BufRead::Dead;
-                }
-            }
-            Err(_) => return BufRead::Dead,
-        }
-    }
-    BufRead::Done
-}
-
 fn err_response(code: u8, message: String) -> Response {
     Response::Err {
         code,
@@ -465,23 +378,12 @@ fn err_response(code: u8, message: String) -> Response {
 
 /// Writes one response frame; `false` drops the connection.
 fn write_response(stream: &mut TcpStream, resp: &Response) -> bool {
-    let payload = resp.encode();
-    let frame = match encode_frame(&payload, MAX_RESPONSE_FRAME) {
-        Ok(f) => f,
-        // A response too large for the frame cap (pre-checked for tensor
-        // data; belt and braces here) degrades to a query error.
-        Err(e) => match encode_frame(
-            &err_response(ERR_QUERY, format!("response exceeds frame cap: {e}")).encode(),
-            MAX_RESPONSE_FRAME,
-        ) {
-            Ok(f) => f,
-            Err(_) => return false,
-        },
-    };
-    stream
-        .write_all(&frame)
-        .and_then(|_| stream.flush())
-        .is_ok()
+    // A response too large for the frame cap (pre-checked for tensor data;
+    // belt and braces here) degrades to a query error.
+    let frame = resp
+        .frame()
+        .or_else(|e| err_response(ERR_QUERY, format!("response exceeds frame cap: {e}")).frame());
+    frame.is_ok_and(|frame| stream.write_all(&frame).is_ok())
 }
 
 fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
@@ -489,10 +391,13 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let _ = stream.set_nodelay(true);
     loop {
-        let payload = match read_request_frame(&mut stream, shared) {
-            FrameRead::Payload(p) => p,
-            FrameRead::End => return,
-            FrameRead::BadLength(len) => {
+        // Idle between frames, the session polls the shutdown flag every
+        // IDLE_POLL; once a frame has started, a stall longer than
+        // MID_FRAME_PATIENCE drops the connection.
+        let idle = || !shared.shutdown.load(Ordering::SeqCst);
+        let payload = match read_frame(&mut stream, MAX_REQUEST_FRAME, MID_FRAME_PATIENCE, idle) {
+            Ok(payload) => payload,
+            Err(NetError::FrameTooLarge { len, .. }) => {
                 shared.proto_errors.fetch_add(1, Ordering::Relaxed);
                 metrics::PROTO_ERRORS.inc();
                 let resp = err_response(
@@ -506,7 +411,9 @@ fn session_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
                 let _ = write_response(&mut stream, &resp);
                 return;
             }
-            FrameRead::Dead => return,
+            // A close, shutdown while idle, a stalled frame or a dead
+            // socket: end the session without answering.
+            Err(_) => return,
         };
 
         let request = match Request::decode(&payload) {

@@ -18,7 +18,7 @@
 //! mixed, so for any artifact, at any index: `element(idx)` ≡ every
 //! `elements` batch containing `idx` (any order) ≡ the unit window
 //! `reconstruct_range` returns at `idx` ≡ entry `idx` of the full
-//! reconstruction — **bit for bit**, on every read path.
+//! reconstruction — **bit for bit**, on every read path; an empty batch is empty.
 //!
 //! Swept: all three codecs, ragged chunk layouts, 1-way to 4-way artifacts,
 //! rank-1 cores, factor rows and core values of both signs, a random window
@@ -209,6 +209,7 @@ fn check_path(
         prop_assert_eq!(&window, expected, "{}: window {:?} vs eager", label, ranges);
     }
 
+    prop_assert_eq!((path.elements)(&[]), vec![], "{}: empty batch", label);
     let refs: Vec<&[usize]> = points.iter().map(|p| p.as_slice()).collect();
     let batch = (path.elements)(&refs);
     let reversed: Vec<&[usize]> = refs.iter().rev().copied().collect();

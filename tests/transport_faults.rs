@@ -8,7 +8,7 @@
 //! errors ([`NetError`] / [`TransportError`]), within their deadlines.
 //!
 //! Three layers, mirroring `tests/service.rs`:
-//! 1. cursor-level proptest over the frame decoder (no sockets);
+//! 1. cursor-level proptest over the one frame codec, at each wire's caps;
 //! 2. real-socket injection through [`TcpTransport::over_streams`], with an
 //!    attacker-held [`TcpStream`] as the "peer";
 //! 3. the full multi-process launcher, with a worker killed mid-region.
@@ -22,12 +22,21 @@ use tucker_distmem::subcomm::SubCommunicator;
 use tucker_distmem::transport::TransportError;
 use tucker_distmem::{CommStats, Communicator, ProcGrid, Wire};
 use tucker_net::frame::{
-    decode_msg, encode_frame, encode_msg_frame, read_frame, MAX_FRAME, OP_ABORT, OP_MSG,
+    decode_msg, encode_frame, encode_msg_frame, read_frame, split_op, MAX_FRAME, OP_ABORT, OP_MSG,
 };
 use tucker_net::{
     local_mesh, test_exec_args, try_spmd_transport, NetError, SpmdHandle, TcpTransport, Transport,
     TransportKind,
 };
+use tucker_serve::proto::{MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME};
+
+/// The frame codec's caps: the mesh's, the daemon's request and response.
+const CAPS: [u32; 3] = [MAX_FRAME, MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME];
+
+/// Reads one frame from `bytes` under `cap`; a cursor never times out.
+fn read_capped(bytes: &[u8], cap: u32) -> Result<Vec<u8>, NetError> {
+    read_frame(&mut Cursor::new(bytes), cap, Duration::ZERO, || false)
+}
 
 /// A victim transport whose single peer (rank 1) is an attacker-held raw
 /// socket: whatever bytes the test writes there are what `recv(1)` reads.
@@ -47,7 +56,7 @@ fn rigged_pair(timeout: Duration) -> (TcpTransport, TcpStream) {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Cursor-level: the frame decoder under arbitrary bytes.
+// 1. Cursor-level: the frame codec under arbitrary bytes, at every cap.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -58,22 +67,24 @@ proptest! {
     /// oversized declarations are rejected *before* allocation.
     #[test]
     fn arbitrary_prefixes_and_tails_never_panic_the_reader(
+        cap_sel in 0usize..3,
         sel in 0usize..3,
         len_small in 1u32..=2048,
-        len_big in (MAX_FRAME + 1)..=u32::MAX,
+        raw_big in 0u32..=u32::MAX,
         tail in prop::collection::vec(0u8..=255, 0..256),
     ) {
+        let cap = CAPS[cap_sel];
         let len = match sel {
             0 => 0u32,
             1 => len_small,
-            _ => len_big,
+            _ => cap + 1 + raw_big % (u32::MAX - cap),
         };
         let mut bytes = len.to_le_bytes().to_vec();
         bytes.extend_from_slice(&tail);
-        match read_frame(&mut Cursor::new(&bytes), None) {
-            Ok((_op, body)) => {
+        match read_capped(&bytes, cap) {
+            Ok(payload) => {
                 // Only possible when the tail really contained the payload.
-                prop_assert!(len >= 1 && tail.len() + 1 > body.len());
+                prop_assert!(len >= 1 && payload.len() == len as usize && tail.len() >= payload.len());
             }
             Err(e) => { let _ = e.to_string(); }
         }
@@ -92,10 +103,12 @@ proptest! {
         (0u64, words).encode(&mut body);
         let frame = encode_frame(OP_MSG, &body).unwrap();
         let cut = ((frame.len() - 1) as f64 * cut_frac) as usize;
-        match read_frame(&mut Cursor::new(&frame[..cut]), None) {
-            Err(NetError::Closed { .. }) => prop_assert!(cut == 0),
-            Err(NetError::Truncated { .. }) => prop_assert!(cut >= 1),
-            other => prop_assert!(false, "cut at {cut} must be typed, got {other:?}"),
+        for cap in CAPS {
+            match read_capped(&frame[..cut], cap) {
+                Err(NetError::Closed { .. }) => prop_assert!(cut == 0),
+                Err(NetError::Truncated { .. }) => prop_assert!(cut >= 1),
+                other => prop_assert!(false, "cut at {cut} must be typed, got {other:?}"),
+            }
         }
     }
 
@@ -110,9 +123,10 @@ proptest! {
         let frame = encode_msg_frame(region, &words).unwrap();
         let generic = encode_frame(OP_MSG, &(region, words.clone()).to_wire_bytes()).unwrap();
         prop_assert_eq!(&frame, &generic);
-        let (op, body) = read_frame(&mut Cursor::new(&frame), None).unwrap();
+        let payload = read_capped(&frame, MAX_FRAME).unwrap();
+        let (op, body) = split_op(&payload);
         prop_assert_eq!(op, OP_MSG);
-        let (r, back) = decode_msg(&body).unwrap();
+        let (r, back) = decode_msg(body).unwrap();
         prop_assert_eq!(r, region);
         let back_bits: Vec<u64> = back.iter().map(|w| w.to_bits()).collect();
         prop_assert_eq!(back_bits, word_bits);
@@ -142,15 +156,15 @@ proptest! {
 
     /// Every length past the cap is refused with the declared value echoed.
     #[test]
-    fn oversized_declared_lengths_are_rejected_before_allocation(
-        len in (MAX_FRAME + 1)..=u32::MAX,
-    ) {
-        let bytes = len.to_le_bytes();
-        match read_frame(&mut Cursor::new(&bytes), None) {
-            Err(NetError::FrameTooLarge { len: got, .. }) => {
-                prop_assert_eq!(got, len as u64);
+    fn oversized_declared_lengths_are_rejected_before_allocation(raw in 0u32..=u32::MAX) {
+        for cap in CAPS {
+            let len = cap + 1 + raw % (u32::MAX - cap);
+            match read_capped(&len.to_le_bytes(), cap) {
+                Err(NetError::FrameTooLarge { len: got, max }) => {
+                    prop_assert_eq!((got, max), (len as u64, cap as u64));
+                }
+                other => prop_assert!(false, "expected FrameTooLarge, got {other:?}"),
             }
-            other => prop_assert!(false, "expected FrameTooLarge, got {other:?}"),
         }
     }
 }

@@ -308,7 +308,7 @@ impl<'a> WireReader<'a> {
         self.words(n, f64::from_bits)
     }
 
-    fn words<T>(&mut self, n: usize, from: fn(u64) -> T) -> Result<Vec<T>, WireError> {
+    fn words<T>(&mut self, n: usize, from: impl Fn(u64) -> T) -> Result<Vec<T>, WireError> {
         let len = n
             .checked_mul(8)
             .ok_or_else(|| WireError::new(format!("{n} words overflow the address space")))?;

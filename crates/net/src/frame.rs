@@ -18,7 +18,7 @@
 //! [`tucker_distmem::Wire`] encoding of `(region, Vec<f64>)` would produce.
 //!
 //! Every mesh byte that crosses a socket is counted here ([`write_encoded`],
-//! [`note_sent`], [`recv_frame`]), in both the process-wide `tucker-obs`
+//! [`note_sent`], `recv_frame`), in both the process-wide `tucker-obs`
 //! counters (`net.bytes_sent` / `net.bytes_recv`) and, when the caller passes
 //! the rank's [`CommStats`], in the per-rank wire-byte counters — *including*
 //! the 4-byte length prefix, the opcode and any frame header fields, so the
@@ -116,22 +116,27 @@ pub fn encode_frame(op: u8, body: &[u8]) -> Result<Vec<u8>, NetError> {
     })
 }
 
+/// Appends 64-bit words back to back, little-endian, in one pass: the bulk
+/// path of `MSG` bodies and of the daemon's tensors and index lists.
+pub fn put_words(out: &mut Vec<u8>, words: impl Iterator<Item = u64>) {
+    out.reserve(words.size_hint().0.saturating_mul(8));
+    out.extend(words.flat_map(u64::to_le_bytes));
+}
+
 /// Encodes one `MSG` frame — `length ‖ OP_MSG ‖ region ‖ count ‖ words` —
-/// into a single buffer: the header is written once and the words in one
-/// pass, each as its little-endian bit pattern. The bytes are exactly those
-/// of `encode_frame(OP_MSG, &(region, words).to_wire_bytes())`.
+/// into a single buffer, refusing payloads over [`MAX_FRAME`] before
+/// allocating: the header is written once and the words in one pass, each
+/// as its little-endian bit pattern. The bytes are exactly those of
+/// `encode_frame(OP_MSG, &(region, words).to_wire_bytes())`.
 pub fn encode_msg_frame(region: u64, words: &[f64]) -> Result<Vec<u8>, NetError> {
     let body_len = words.len().saturating_mul(8).saturating_add(MSG_HEADER);
-    let len = payload_len(body_len.saturating_add(1), MAX_FRAME)?;
-    let mut frame = vec![0u8; 4 + len as usize];
-    let (head, payload) = frame.split_at_mut(5 + MSG_HEADER);
-    head[4] = OP_MSG;
-    head[5..13].copy_from_slice(&region.to_le_bytes());
-    head[13..].copy_from_slice(&(words.len() as u64).to_le_bytes());
-    for (dst, w) in payload.chunks_exact_mut(8).zip(words) {
-        dst.copy_from_slice(&w.to_bits().to_le_bytes());
-    }
-    seal(frame, MAX_FRAME)
+    payload_len(body_len.saturating_add(1), MAX_FRAME)?;
+    encode_with(MAX_FRAME, |frame| {
+        frame.push(OP_MSG);
+        frame.extend_from_slice(&region.to_le_bytes());
+        frame.extend_from_slice(&(words.len() as u64).to_le_bytes());
+        put_words(frame, words.iter().map(|w| w.to_bits()));
+    })
 }
 
 /// Decodes a `MSG` body into `(region, words)` in one pass.
@@ -270,7 +275,10 @@ fn fill(
 /// Reads one mesh frame: [`MAX_FRAME`] cap, and the socket's read deadline
 /// is final at a frame boundary and inside a frame alike. Counts the full
 /// on-wire size (prefix included) like [`write_encoded`].
-pub fn recv_frame(r: &mut impl Read, stats: Option<&CommStats>) -> Result<Vec<u8>, NetError> {
+pub(crate) fn recv_frame(
+    r: &mut impl Read,
+    stats: Option<&CommStats>,
+) -> Result<Vec<u8>, NetError> {
     let payload = read_frame(r, MAX_FRAME, Duration::ZERO, || false)?;
     let on_wire = 4 + payload.len() as u64;
     NET_BYTES_RECV.add(on_wire);

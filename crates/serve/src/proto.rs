@@ -23,7 +23,7 @@
 
 use tucker_api::ProtocolError;
 use tucker_distmem::{Wire, WireReader};
-use tucker_net::frame::encode_with;
+use tucker_net::frame::{encode_with, put_words};
 use tucker_net::NetError;
 use tucker_store::Codec;
 
@@ -250,14 +250,6 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Appends eight-byte values back to back, without a count.
-fn put_all<T: Wire>(out: &mut Vec<u8>, vs: &[T]) {
-    out.reserve(std::mem::size_of_val(vs));
-    for v in vs {
-        v.encode(out);
-    }
-}
-
 /// Reads a mode count, refusing counts outside `1..=MAX_MODES`.
 fn modes(d: &mut WireReader<'_>, what: &str) -> Result<usize, ProtocolError> {
     let n = d.u32()? as usize;
@@ -305,10 +297,7 @@ impl Request {
                 out.push(OP_RANGE);
                 put_str(out, name);
                 (ranges.len() as u32).encode(out);
-                for &(start, len) in ranges {
-                    start.encode(out);
-                    len.encode(out);
-                }
+                put_words(out, ranges.iter().flat_map(|&(start, len)| [start, len]));
             }
             Request::ReconstructSlice { name, mode, index } => {
                 out.push(OP_SLICE);
@@ -320,7 +309,7 @@ impl Request {
                 out.push(OP_ELEMENT);
                 put_str(out, name);
                 (idx.len() as u32).encode(out);
-                put_all(out, idx);
+                put_words(out, idx.iter().copied());
             }
             Request::Elements {
                 name,
@@ -331,7 +320,7 @@ impl Request {
                 put_str(out, name);
                 ((points.len() / (*ndims).max(1) as usize) as u32).encode(out);
                 ndims.encode(out);
-                put_all(out, points);
+                put_words(out, points.iter().copied());
             }
             Request::Stats => out.push(OP_STATS),
             Request::Metrics => out.push(OP_METRICS),
@@ -407,8 +396,7 @@ impl Response {
             Response::Open(h) => {
                 out.push(RESP_OPEN);
                 (h.dims.len() as u32).encode(out);
-                put_all(out, &h.dims);
-                put_all(out, &h.ranks);
+                put_words(out, h.dims.iter().chain(&h.ranks).copied());
                 out.push(h.codec.id());
                 h.eps.encode(out);
                 h.quant_error_bound.encode(out);
@@ -426,8 +414,8 @@ impl Response {
             Response::Tensor { dims, data } => {
                 out.push(RESP_TENSOR);
                 (dims.len() as u32).encode(out);
-                put_all(out, dims);
-                put_all(out, data);
+                put_words(out, dims.iter().copied());
+                put_words(out, data.iter().map(|v| v.to_bits()));
             }
             Response::Scalar(v) => {
                 out.push(RESP_SCALAR);
@@ -436,23 +424,25 @@ impl Response {
             Response::Vector(vs) => {
                 out.push(RESP_VECTOR);
                 (vs.len() as u32).encode(out);
-                put_all(out, vs);
+                put_words(out, vs.iter().map(|v| v.to_bits()));
             }
             Response::Stats(s) => {
                 out.push(RESP_STATS);
-                for v in [
+                let counters = [
                     s.served,
                     s.busy_rejections,
                     s.shed_sessions,
                     s.protocol_errors,
                     s.in_flight,
-                ] {
-                    v.encode(out);
-                }
+                ];
+                put_words(out, counters.into_iter());
                 (s.artifacts.len() as u32).encode(out);
                 for a in &s.artifacts {
                     put_str(out, &a.name);
-                    put_all(out, &[a.decoded_chunks, a.cache_hits, a.resident_chunks]);
+                    put_words(
+                        out,
+                        [a.decoded_chunks, a.cache_hits, a.resident_chunks].into_iter(),
+                    );
                 }
             }
             Response::Metrics(text) => {

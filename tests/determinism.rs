@@ -225,3 +225,137 @@ fn env_transport_repeated_dist_runs_are_bit_identical() {
         }
     }
 }
+
+/// A decomposition with deterministic core and factors: `ranks` → `dims`.
+fn decomposition(ranks: &[usize], dims: &[usize]) -> tucker_core::TuckerTensor {
+    let core = DenseTensor::from_fn(ranks, |idx| {
+        idx.iter()
+            .enumerate()
+            .map(|(k, &i)| ((k + 1) as f64 * 0.41 * i as f64 + 0.2).sin())
+            .sum()
+    });
+    let factors = dims
+        .iter()
+        .zip(ranks)
+        .enumerate()
+        .map(|(n, (&d, &r))| test_matrix(d, r, 0.3 * n as f64))
+        .collect();
+    tucker_core::TuckerTensor::new(core, factors)
+}
+
+/// A hand-written chain of single-mode products in `order`: the reference
+/// every reconstruction must equal bit for bit.
+fn per_mode_chain(
+    ctx: &ExecContext,
+    core: &DenseTensor,
+    factors: &[Matrix],
+    order: &[usize],
+) -> DenseTensor {
+    order.iter().fold(core.clone(), |cur, &n| {
+        ttm_ctx(ctx, &cur, &factors[n], n, TtmTranspose::NoTranspose)
+    })
+}
+
+/// Full reconstructions and windows take the fused expanding tail of the
+/// TTM chain whenever the chain ends in growing modes `m..N−1` and the
+/// leading extent holds two tiles. The battery compares them with a
+/// per-mode `ttm_ctx` chain in the same order, bit for bit, on shapes that
+/// cross every seam: tail lengths 1 to N−1, a tail cut short by a mode of
+/// rank equal to its dimension, rank 1, a leading extent that is not a
+/// multiple of the tile width, one below two tiles, 1-way and 2-way
+/// tensors, and slice windows of an SP-like shape — at 1, 2, 4 and 16
+/// threads, under every supported SIMD tier and two blockings.
+#[test]
+fn reconstructions_equal_the_per_mode_chain_bit_for_bit() {
+    use tucker_core::ordering::window_order;
+    use tucker_core::reconstruct::reconstruct_subtensor_ctx;
+    use tucker_linalg::blocking::{force_blocking, Blocking};
+    use tucker_linalg::simd::{current_tier, force_tier, supported_tiers};
+    use tucker_tensor::SubtensorSpec;
+
+    let cases: [(&[usize], &[usize]); 9] = [
+        (&[4], &[90]),                            // 1-way: no tail
+        (&[3, 2], &[75, 5]),                      // 2-way, tail of 1, ragged last tile
+        (&[3, 2], &[50, 5]),                      // leading extent below two tiles
+        (&[3, 2, 3], &[99, 6, 7]),                // tail of up to 2
+        (&[4, 2, 3, 2], &[130, 5, 6, 4]),         // tail of up to 3
+        (&[4, 5, 3, 2], &[70, 5, 6, 4]),          // rank = dim in mode 1 cuts the tail
+        (&[4, 3, 3], &[80, 6, 3]),                // rank = dim in the last mode: no tail
+        (&[1, 1, 1], &[67, 5, 9]),                // rank 1
+        (&[5, 5, 5, 2, 6], &[12, 12, 12, 8, 16]), // SP-like
+    ];
+    let decompositions: Vec<_> = cases
+        .iter()
+        .map(|(ranks, dims)| decomposition(ranks, dims))
+        .collect();
+    let contexts: Vec<ExecContext> = [1usize, 2, 4, 16].map(ExecContext::new).into();
+    let blockings = [
+        Blocking {
+            mc: 8,
+            kc: 3,
+            nc: 4,
+        },
+        Blocking {
+            mc: 16,
+            kc: 16,
+            nc: 16,
+        },
+    ];
+    let (prev_tier, prev_blocking) = (current_tier(), tucker_linalg::blocking::current_blocking());
+    for blocking in blockings {
+        force_blocking(blocking);
+        for tier in supported_tiers() {
+            assert!(force_tier(tier), "cannot force supported tier {tier:?}");
+            for ctx in &contexts {
+                for t in &decompositions {
+                    let dims = t.original_dims();
+                    let natural: Vec<usize> = (0..dims.len()).collect();
+                    let want = per_mode_chain(ctx, &t.core, &t.factors, &natural);
+                    let got = t.reconstruct_ctx(ctx);
+                    assert_eq!(got.dims(), want.dims());
+                    assert!(
+                        got.as_slice()
+                            .iter()
+                            .zip(want.as_slice())
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "reconstruct {dims:?}, {tier:?}, {blocking:?}, {} threads",
+                        ctx.threads()
+                    );
+                    // Slices in the first, second and last mode, and a
+                    // window cropped in every mode.
+                    let last = dims.len() - 1;
+                    let mut specs = vec![
+                        SubtensorSpec::all(&dims).restrict_mode(0, vec![dims[0] / 2]),
+                        SubtensorSpec::all(&dims).restrict_mode(last, vec![0]),
+                        SubtensorSpec::from_ranges(
+                            &dims.iter().map(|&d| (1, d - 1)).collect::<Vec<_>>(),
+                        ),
+                    ];
+                    if dims.len() > 2 {
+                        specs.push(SubtensorSpec::all(&dims).restrict_mode(1, vec![1]));
+                    }
+                    for spec in &specs {
+                        let rows: Vec<Matrix> = (0..dims.len())
+                            .map(|n| t.factors[n].select_rows(spec.mode_indices(n)))
+                            .collect();
+                        let order = window_order(&t.ranks(), &spec.sub_dims());
+                        let want = per_mode_chain(ctx, &t.core, &rows, &order);
+                        let got = reconstruct_subtensor_ctx(t, spec, ctx);
+                        assert_eq!(got.dims(), want.dims());
+                        assert!(
+                            got.as_slice()
+                                .iter()
+                                .zip(want.as_slice())
+                                .all(|(a, b)| a.to_bits() == b.to_bits()),
+                            "window {:?} of {dims:?}, {tier:?}, {blocking:?}, {} threads",
+                            spec.sub_dims(),
+                            ctx.threads()
+                        );
+                    }
+                }
+            }
+        }
+    }
+    force_tier(prev_tier);
+    force_blocking(prev_blocking);
+}

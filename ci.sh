@@ -30,7 +30,10 @@ TUCKER_THREADS=4 cargo test -q
 # tile grid. So do the query-contract and store round-trip suites: window
 # queries contract in a window-shaped mode order, which sends TTM shapes of
 # its own through the packed tile grid, and eager ≡ lazy ≡ daemon must hold
-# bit for bit under every tier and blocking.
+# bit for bit under every tier and blocking. The determinism suite's
+# reconstruction battery (the TTM chain's fused expanding tail against a
+# per-mode chain) rides along too: its in-tile GEMMs are shaped by the tile
+# width, not by the tensor.
 echo "== linalg + determinism suites (TUCKER_SIMD=scalar) =="
 TUCKER_SIMD=scalar cargo test -q -p tucker-linalg
 TUCKER_SIMD=scalar cargo test -q --test determinism --test simd_tiers \
@@ -62,6 +65,14 @@ echo "== cargo test -q --test service (TUCKER_THREADS=1 and 4) =="
 # frame codec both wires share is tests/transport_faults.rs §1.)
 TUCKER_THREADS=1 cargo test -q --test service
 TUCKER_THREADS=4 cargo test -q --test service
+
+echo "== cargo test -q -p tucker-core --test no_input_copy (TUCKER_THREADS=1 and 4) =="
+# The allocation pins: ST-HOSVD never copies its input, and a full
+# reconstruction never allocates its expanding tail's intermediate. The
+# tail's tile buffers are allocated once per scatter part, so the pin must
+# hold on a single-thread pool and on a 4-thread one.
+TUCKER_THREADS=1 cargo test -q -p tucker-core --test no_input_copy
+TUCKER_THREADS=4 cargo test -q -p tucker-core --test no_input_copy
 
 echo "== cargo test -q --test streaming (TUCKER_THREADS=32, oversubscribed) =="
 # The streaming determinism suite again, on a pool far larger than any CI

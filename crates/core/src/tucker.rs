@@ -72,6 +72,13 @@ impl TuckerTensor {
     }
 
     /// Reconstructs the full tensor `X̃ = G × {U⁽ⁿ⁾}` (eq. (1) of the paper).
+    ///
+    /// The products run in natural mode order ([`tucker_tensor::ttm_chain_ctx`]).
+    /// The trailing modes whose factors grow them form the chain's fused
+    /// expanding tail: they run tile by tile on the pool in cache-sized
+    /// buffers, so their intermediates are never formed and each output
+    /// element is written once. The bits are those of applying the
+    /// products one by one.
     pub fn reconstruct(&self) -> DenseTensor {
         self.reconstruct_ctx(tucker_exec::ExecContext::global())
     }

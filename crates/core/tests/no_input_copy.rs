@@ -4,6 +4,10 @@
 //! of the input: the first processed mode's Gram and TTM read the borrowed
 //! tensor, and only already-shrunk tensors are ever owned.
 //!
+//! Reconstruction runs its expanding tail in tile buffers: the same
+//! allocator counts the allocations at least as large as the intermediate
+//! the tail's first product would form, and only the output may be one.
+//!
 //! The allocator is process-wide, so the tests in this binary take turns
 //! through one lock, held from input construction to the last check.
 
@@ -13,9 +17,11 @@ use std::sync::{Mutex, MutexGuard};
 use tucker_core::dist::{dist_st_hosvd_ctx, DistTensor};
 use tucker_core::ordering::ModeOrder;
 use tucker_core::sthosvd::{st_hosvd_ctx, SthosvdOptions};
+use tucker_core::TuckerTensor;
 use tucker_distmem::runtime::spmd_with_grid;
 use tucker_distmem::ProcGrid;
 use tucker_exec::ExecContext;
+use tucker_linalg::Matrix;
 use tucker_tensor::DenseTensor;
 
 /// Forwards to [`System`], remembering the largest request while armed.
@@ -23,11 +29,16 @@ struct Counting;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
+static LARGE_SIZE: AtomicUsize = AtomicUsize::new(usize::MAX);
+static LARGE_COUNT: AtomicUsize = AtomicUsize::new(0);
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn record(size: usize) {
     if ARMED.load(Ordering::Relaxed) {
         LARGEST.fetch_max(size, Ordering::Relaxed);
+        if size >= LARGE_SIZE.load(Ordering::Relaxed) {
+            LARGE_COUNT.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -70,6 +81,16 @@ fn largest_allocation<R>(f: impl FnOnce() -> R) -> (R, usize) {
     let out = f();
     ARMED.store(false, Ordering::Relaxed);
     (out, LARGEST.load(Ordering::Relaxed))
+}
+
+/// Runs `f` with the allocator armed and returns how many of its
+/// allocations were at least `bytes` long.
+fn allocations_at_least<R>(bytes: usize, f: impl FnOnce() -> R) -> (R, usize) {
+    LARGE_SIZE.store(bytes, Ordering::Relaxed);
+    LARGE_COUNT.store(0, Ordering::Relaxed);
+    let (out, _) = largest_allocation(f);
+    LARGE_SIZE.store(usize::MAX, Ordering::Relaxed);
+    (out, LARGE_COUNT.load(Ordering::Relaxed))
 }
 
 fn input() -> DenseTensor {
@@ -125,5 +146,39 @@ fn dist_st_hosvd_on_one_rank_never_allocates_a_buffer_as_large_as_its_input() {
                 ctx.threads(),
             );
         }
+    }
+}
+
+#[test]
+fn reconstruct_never_allocates_its_tail_intermediate() {
+    let _turn = serial();
+    let ranks = [5usize, 5, 5, 2, 6];
+    let dims = [36usize, 36, 36, 8, 16];
+    let core = DenseTensor::from_fn(&ranks, |idx| {
+        idx.iter()
+            .enumerate()
+            .map(|(k, &i)| ((k + 1) as f64 * 0.29 * i as f64).cos())
+            .sum::<f64>()
+    });
+    let factors = dims
+        .iter()
+        .zip(&ranks)
+        .map(|(&d, &r)| Matrix::from_fn(d, r, |i, j| ((i * 5 + j * 3) as f64 * 0.07).sin()))
+        .collect();
+    let t = TuckerTensor::new(core, factors);
+    // The chain's mode-3 product: the SP-shaped [36, 36, 36, 8, 6].
+    let intermediate_bytes = 36 * 36 * 36 * 8 * 6 * std::mem::size_of::<f64>();
+    let contexts = [ExecContext::new(1), ExecContext::new(4)];
+    let runs = [ExecContext::global()].into_iter().chain(&contexts);
+    for ctx in runs {
+        let (x, large) = allocations_at_least(intermediate_bytes, || t.reconstruct_ctx(ctx));
+        assert_eq!(x.dims(), &dims);
+        assert_eq!(
+            large,
+            1,
+            "threads {}: {large} allocations of at least {intermediate_bytes} B; only the \
+             output may be that large",
+            ctx.threads()
+        );
     }
 }

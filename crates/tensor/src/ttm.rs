@@ -6,11 +6,20 @@
 //! `right` contiguous subblocks of `X` is a column-major `left × I_n` matrix,
 //! so the per-block computation is a single GEMM and the result blocks land in
 //! the output tensor's natural layout directly — no transposition, no copies.
+//!
+//! Chains of products ([`multi_ttm_ctx`]) run mode by mode, except for an
+//! *expanding tail*: when the chain ends in modes `m, m+1, …, N−1`, each
+//! growing its mode (a reconstruction), those products run tile by tile
+//! over `w`-wide ranges of the leading `∏_{n<m} I_n` index, inside
+//! cache-sized buffers, and each finished tile is written into the output
+//! once. The trailing intermediates are never formed, and the tiles spread
+//! over the pool even where the last mode's own product has a single block.
 
 use crate::dense::DenseTensor;
 use crate::layout::Unfolding;
 use std::ops::Range;
 use tucker_exec::{chunk_ranges, ExecContext};
+use tucker_linalg::blocking::detected_caches;
 use tucker_linalg::gemm::{gemm_slices, gemm_slices_ctx, Transpose};
 use tucker_linalg::Matrix;
 use tucker_obs::metrics::Counter;
@@ -28,6 +37,11 @@ const FUSE_MAX_LEFT: usize = 32;
 /// Target column count of a fused GEMM (the batch size is
 /// `FUSE_TARGET_COLS / left`, at least 2 blocks).
 const FUSE_TARGET_COLS: usize = 256;
+
+/// Narrowest tile of an expanding tail: a tile is a run of this many
+/// contiguous output elements in every output column, and narrower runs
+/// make the copy-out and the in-tile GEMMs too thin to beat the chain.
+const TAIL_MIN_TILE: usize = 32;
 
 /// Whether the multiplying matrix is applied as stored or transposed.
 ///
@@ -260,7 +274,27 @@ struct BlockMul<'a> {
     out_block: usize,
 }
 
-impl BlockMul<'_> {
+impl<'a> BlockMul<'a> {
+    /// The mode product `op(v)` on blocks of `left × in_dim` input values.
+    fn new(v: &'a Matrix, trans: TtmTranspose, in_dim: usize, k: usize, left: usize) -> Self {
+        let ta = match trans {
+            TtmTranspose::NoTranspose => Transpose::No,
+            TtmTranspose::Transpose => Transpose::Yes,
+        };
+        BlockMul {
+            v: v.as_slice(),
+            ta,
+            a_rows: v.rows(),
+            a_cols: v.cols(),
+            lda: v.cols(),
+            in_dim,
+            k,
+            left,
+            in_block: left * in_dim,
+            out_block: left * k,
+        }
+    }
+
     /// Multiplies blocks `ts` of `xdata` into `ychunk` (whose first element
     /// corresponds to block `ts.start`).
     fn run(&self, xdata: &[f64], ychunk: &mut [f64], ts: Range<usize>) {
@@ -350,6 +384,16 @@ pub fn multi_ttm(
 
 /// [`multi_ttm`] on an explicit execution context. `x` is read in place
 /// until the first product; only intermediate results are owned.
+///
+/// When the chain ends in an expanding tail (module docs), the products
+/// before it run mode by mode and the tail runs over tiles of the leading
+/// index scattered over `ctx`: its intermediates live in per-part buffers
+/// of about half an L2 cache, so the peak is the output, the last
+/// intermediate before the tail and `parts ×` two tile buffers. The tail
+/// length and tile width come from the shapes and the detected cache
+/// sizes only. Every output element keeps the chain's recurrence — one
+/// running sum per product, seeded `+0.0`, ascending, unfused — so the
+/// result is bit-identical to applying the products one by one.
 pub fn multi_ttm_ctx(
     ctx: &ExecContext,
     x: &DenseTensor,
@@ -362,13 +406,194 @@ pub fn multi_ttm_ctx(
         x.ndims(),
         "multi_ttm: need one (optional) matrix per mode"
     );
+    let applied: Vec<(usize, &Matrix)> = order
+        .iter()
+        .filter_map(|&n| matrices[n].map(|v| (n, v)))
+        .collect();
+    let out_dim = |n: usize| match (matrices[n], trans) {
+        (None, _) => x.dim(n),
+        (Some(v), TtmTranspose::NoTranspose) => v.rows(),
+        (Some(v), TtmTranspose::Transpose) => v.cols(),
+    };
+    let out_dims: Vec<usize> = (0..x.ndims()).map(out_dim).collect();
+    let modes: Vec<usize> = applied.iter().map(|&(n, _)| n).collect();
+    let tail = plan_tail(x.dims(), &out_dims, &modes);
+    let (prefix, tail_mats) = applied.split_at(applied.len() - tail.map_or(0, |t| t.k));
+
     let mut current: Option<DenseTensor> = None;
-    for &n in order {
-        if let Some(v) = matrices[n] {
-            current = Some(ttm_ctx(ctx, current.as_ref().unwrap_or(x), v, n, trans));
+    for &(n, v) in prefix {
+        current = Some(ttm_ctx(ctx, current.as_ref().unwrap_or(x), v, n, trans));
+    }
+    match tail {
+        Some(plan) => {
+            let p = current.as_ref().unwrap_or(x);
+            let mats: Vec<&Matrix> = tail_mats.iter().map(|&(_, v)| v).collect();
+            ExpandingTail::new(p, &out_dims, mats, trans, plan.w).run(ctx)
+        }
+        None => current.unwrap_or_else(|| x.clone()),
+    }
+}
+
+/// How a chain's expanding tail is fused: its last `k` products run over
+/// tiles `w` wide.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TailPlan {
+    k: usize,
+    w: usize,
+}
+
+/// Plans the expanding tail of a chain that maps `dims` to `out_dims` by
+/// applying `modes` in order, or `None` to run every product on its own.
+///
+/// The candidates are the suffixes of `modes` that read `m, m+1, …, N−1`
+/// with `m ≥ 1` and every product growing its mode. The longest one wins
+/// whose two tile buffers of `w` columns (each column holding the tail's
+/// final `∏_{n≥m} out_dims[n]` values, the largest stage since every
+/// product grows) fit in half of L2 with `w ≥ TAIL_MIN_TILE`, and whose
+/// leading extent `∏_{n<m} out_dims[n]` holds at least two tiles.
+fn plan_tail(dims: &[usize], out_dims: &[usize], modes: &[usize]) -> Option<TailPlan> {
+    let nd = dims.len();
+    let longest = modes
+        .iter()
+        .rev()
+        .zip((1..nd).rev())
+        .take_while(|&(&n, expected)| n == expected && 0 < dims[n] && dims[n] < out_dims[n])
+        .count();
+    let (_, l2, _) = detected_caches();
+    let budget = l2 / (2 * std::mem::size_of::<f64>());
+    (1..=longest).rev().find_map(|k| {
+        let m = nd - k;
+        let lead: usize = out_dims[..m].iter().product();
+        let cols: usize = out_dims[m..].iter().product();
+        let w = (budget / (2 * cols)).min(lead / 2) / 8 * 8;
+        (w >= TAIL_MIN_TILE).then_some(TailPlan { k, w })
+    })
+}
+
+/// The fused expanding tail of a chain: the products in modes
+/// `m = N − k, …, N−1` applied to the prefix result `p`, tile by tile.
+///
+/// `p` is read as a `lead × ∏_{n≥m} p_n` column-major matrix (`lead =
+/// ∏_{n<m} p_n`, the leading index fastest). A tile is `w` consecutive
+/// rows of it: gathered into a buffer shaped `[w, p_m, …, p_{N−1}]`, it is
+/// itself a small tensor in natural layout, so each tail product is the
+/// mode product on that buffer ([`BlockMul`], the packed GEMM). The last
+/// stage, shaped `[w, out_m, …, out_{N−1}]`, is copied into the output as
+/// one `w`-long run per output column. Tiles are independent and each
+/// output element belongs to one tile, so parts of the tile range run on
+/// the pool, each owning the disjoint column ranges of its rows.
+struct ExpandingTail<'a> {
+    p: &'a [f64],
+    p_dims: &'a [usize],
+    out_dims: &'a [usize],
+    mats: Vec<&'a Matrix>,
+    trans: TtmTranspose,
+    /// First tail mode.
+    m: usize,
+    /// Leading extent `∏_{n<m}`, shared by `p` and the output.
+    lead: usize,
+    /// Tile width.
+    w: usize,
+}
+
+/// One scatter part of the tail: a range of tiles and, per output column,
+/// the part of the column those tiles cover.
+struct TailPart<'y> {
+    tiles: Range<usize>,
+    runs: Vec<&'y mut [f64]>,
+}
+
+impl<'a> ExpandingTail<'a> {
+    fn new(
+        p: &'a DenseTensor,
+        out_dims: &'a [usize],
+        mats: Vec<&'a Matrix>,
+        trans: TtmTranspose,
+        w: usize,
+    ) -> Self {
+        let m = p.ndims() - mats.len();
+        ExpandingTail {
+            p: p.as_slice(),
+            p_dims: p.dims(),
+            out_dims,
+            lead: out_dims[..m].iter().product(),
+            mats,
+            trans,
+            m,
+            w,
         }
     }
-    current.unwrap_or_else(|| x.clone())
+
+    /// Runs the tail into a freshly allocated output.
+    fn run(&self, ctx: &ExecContext) -> DenseTensor {
+        let (m, w, lead) = (self.m, self.w, self.lead);
+        let _span = tucker_obs::span!("ttm.tail", m = m, k = self.mats.len(), w = w);
+        // Kernel accounting as if the tail products ran one by one.
+        let (mut len, mut work) = (self.p.len(), 0usize);
+        for n in m..self.p_dims.len() {
+            TTM_CALLS.inc();
+            TTM_FLOPS.add(2 * (len as u64) * (self.out_dims[n] as u64));
+            len = len / self.p_dims[n] * self.out_dims[n];
+            work = work.saturating_add(len.saturating_mul(self.p_dims[n]));
+        }
+
+        let mut y = DenseTensor::zeros(self.out_dims);
+        let tiles = lead.div_ceil(w);
+        let ranges = chunk_ranges(tiles, ctx.partition_for_work(tiles, work));
+        let cols: usize = self.out_dims[m..].iter().product();
+        let mut parts: Vec<TailPart<'_>> = ranges
+            .into_iter()
+            .map(|tiles| TailPart {
+                tiles,
+                runs: Vec::with_capacity(cols),
+            })
+            .collect();
+        for column in y.as_mut_slice().chunks_exact_mut(lead) {
+            let mut rest = column;
+            for part in &mut parts {
+                let rows = (part.tiles.end * w).min(lead) - part.tiles.start * w;
+                let (run, tail) = rest.split_at_mut(rows);
+                part.runs.push(run);
+                rest = tail;
+            }
+        }
+        ctx.for_each_slot(&mut parts, |_, part| self.run_part(part));
+        y
+    }
+
+    /// Runs one part's tiles in two buffers allocated once for the part.
+    fn run_part(&self, part: &mut TailPart<'_>) {
+        let (m, w, lead) = (self.m, self.w, self.lead);
+        let cols_in: usize = self.p_dims[m..].iter().product();
+        let cols_out: usize = self.out_dims[m..].iter().product();
+        let mut src = vec![0.0f64; w * cols_out];
+        let mut dst = vec![0.0f64; w * cols_out];
+        let first_row = part.tiles.start * w;
+        for t in part.tiles.clone() {
+            let l0 = t * w;
+            let wt = w.min(lead - l0);
+            for (c, run) in src[..wt * cols_in].chunks_exact_mut(wt).enumerate() {
+                run.copy_from_slice(&self.p[c * lead + l0..c * lead + l0 + wt]);
+            }
+            let mut left = wt;
+            for (j, &v) in self.mats.iter().enumerate() {
+                let n = m + j;
+                let (in_dim, k) = (self.p_dims[n], self.out_dims[n]);
+                let right: usize = self.p_dims[n + 1..].iter().product();
+                BlockMul::new(v, self.trans, in_dim, k, left).run(
+                    &src[..left * in_dim * right],
+                    &mut dst[..left * k * right],
+                    0..right,
+                );
+                std::mem::swap(&mut src, &mut dst);
+                left *= k;
+            }
+            let at = l0 - first_row;
+            for (run, tile) in part.runs.iter_mut().zip(src.chunks_exact(wt)) {
+                run[at..at + wt].copy_from_slice(tile);
+            }
+        }
+    }
 }
 
 /// Convenience wrapper: applies `op(V_n)` for every mode `n` in natural order.
@@ -616,6 +841,87 @@ mod tests {
                 let ctx = tucker_exec::ExecContext::new(threads);
                 let out = ttm_ctx(&ctx, &x, &v, mode, TtmTranspose::NoTranspose);
                 assert_eq!(out.as_slice(), baseline.as_slice(), "mode {mode}");
+            }
+        }
+    }
+
+    #[test]
+    fn tail_plan_takes_only_ascending_growing_suffixes() {
+        let sp_dims = [5usize, 5, 5, 2, 6];
+        let sp_out = [72usize, 72, 72, 8, 16];
+        let plan = plan_tail(&sp_dims, &sp_out, &[0, 1, 2, 3, 4]).expect("SP fuses");
+        assert!((1..=4).contains(&plan.k) && plan.w >= TAIL_MIN_TILE && plan.w.is_multiple_of(8));
+        let lead: usize = sp_out[..5 - plan.k].iter().product();
+        assert!(lead >= 2 * plan.w);
+        // The suffix must read m..N−1 ascending.
+        assert_eq!(
+            plan_tail(&sp_dims, &sp_out, &[0, 1, 2, 4, 3]).map(|p| p.k),
+            None
+        );
+        assert_eq!(
+            plan_tail(&sp_dims, &sp_out, &[4, 0, 1, 2, 3]).map(|p| p.k),
+            None
+        );
+        // A mode that does not grow ends it.
+        let flat_last = [72usize, 72, 72, 8, 6];
+        assert_eq!(plan_tail(&sp_dims, &flat_last, &[0, 1, 2, 3, 4]), None);
+        let shrink = [2usize, 2, 2, 1, 3];
+        assert_eq!(plan_tail(&sp_dims, &shrink, &[0, 1, 2, 3, 4]), None);
+        // Mode 0 never joins, so a 1-way chain never fuses.
+        assert_eq!(plan_tail(&[3], &[900], &[0]), None);
+        // A leading extent below two narrowest tiles runs the chain.
+        assert_eq!(plan_tail(&[3, 2], &[50, 5], &[0, 1]), None);
+        assert_eq!(
+            plan_tail(&[3, 2], &[75, 5], &[0, 1]),
+            Some(TailPlan { k: 1, w: 32 })
+        );
+    }
+
+    #[test]
+    fn expanding_tail_is_the_per_mode_chain_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(61);
+        let dims = [3usize, 2, 3, 2];
+        let out = [70usize, 5, 6, 4];
+        let x = random_tensor(&mut rng, &dims);
+        for trans in [TtmTranspose::NoTranspose, TtmTranspose::Transpose] {
+            let ms: Vec<Matrix> = dims
+                .iter()
+                .zip(&out)
+                .map(|(&d, &k)| match trans {
+                    TtmTranspose::NoTranspose => random_matrix(&mut rng, k, d),
+                    TtmTranspose::Transpose => random_matrix(&mut rng, d, k),
+                })
+                .collect();
+            // Natural order, a reordered prefix, a skipped mode (the tail
+            // then starts past it) and an empty prefix.
+            let cases: [(Vec<Option<&Matrix>>, Vec<usize>); 4] = [
+                (ms.iter().map(Some).collect(), vec![0, 1, 2, 3]),
+                (ms.iter().map(Some).collect(), vec![1, 0, 2, 3]),
+                (
+                    vec![Some(&ms[0]), None, Some(&ms[2]), Some(&ms[3])],
+                    vec![0, 2, 3],
+                ),
+                (
+                    vec![None, Some(&ms[1]), Some(&ms[2]), Some(&ms[3])],
+                    vec![1, 2, 3],
+                ),
+            ];
+            for (mats, order) in &cases {
+                for threads in [1usize, 2, 4] {
+                    let ctx = tucker_exec::ExecContext::new(threads);
+                    let want = order.iter().fold(x.clone(), |cur, &n| {
+                        ttm_ctx(&ctx, &cur, mats[n].unwrap(), n, trans)
+                    });
+                    let got = multi_ttm_ctx(&ctx, &x, mats, trans, order);
+                    assert_eq!(got.dims(), want.dims());
+                    assert!(
+                        got.as_slice()
+                            .iter()
+                            .zip(want.as_slice())
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{trans:?}, order {order:?}, {threads} threads"
+                    );
+                }
             }
         }
     }

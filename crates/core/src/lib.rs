@@ -57,8 +57,8 @@ pub use hooi::{hooi, hooi_ctx, try_hooi, try_hooi_ctx, HooiOptions, HooiResult};
 pub use ordering::ModeOrder;
 pub use rank::{select_rank_by_threshold, RankSelection};
 pub use reconstruct::{
-    reconstruct_element, reconstruct_elements, reconstruct_full, reconstruct_full_ctx,
-    reconstruct_subtensor, reconstruct_subtensor_ctx, PointContraction,
+    reconstruct_element, reconstruct_elements, reconstruct_subtensor, reconstruct_subtensor_ctx,
+    PointContraction,
 };
 pub use sthosvd::{
     st_hosvd, st_hosvd_ctx, try_st_hosvd, try_st_hosvd_ctx, SthosvdOptions, SthosvdResult,
@@ -78,7 +78,7 @@ pub mod prelude {
     pub use crate::hooi::{hooi, hooi_ctx, try_hooi, try_hooi_ctx, HooiOptions, HooiResult};
     pub use crate::ordering::ModeOrder;
     pub use crate::rank::RankSelection;
-    pub use crate::reconstruct::{reconstruct_element, reconstruct_full, reconstruct_subtensor};
+    pub use crate::reconstruct::{reconstruct_element, reconstruct_subtensor};
     pub use crate::sthosvd::{
         st_hosvd, st_hosvd_ctx, try_st_hosvd, try_st_hosvd_ctx, SthosvdOptions, SthosvdResult,
     };

@@ -17,16 +17,6 @@ use tucker_obs::span;
 use tucker_obs::trace::SpanGuard;
 use tucker_tensor::{multi_ttm_ctx, DenseTensor, SubtensorSpec, TtmTranspose};
 
-/// Reconstructs the full tensor `X̃ = G × {U⁽ⁿ⁾}`.
-pub fn reconstruct_full(t: &TuckerTensor) -> DenseTensor {
-    t.reconstruct()
-}
-
-/// [`reconstruct_full`] on an explicit execution context.
-pub fn reconstruct_full_ctx(t: &TuckerTensor, ctx: &ExecContext) -> DenseTensor {
-    t.reconstruct_ctx(ctx)
-}
-
 /// Reconstructs only the subtensor selected by `spec`, without ever forming the
 /// full tensor: mode `n` of the result contains the rows `spec.mode_indices(n)`
 /// of the reconstruction.
@@ -34,8 +24,10 @@ pub fn reconstruct_full_ctx(t: &TuckerTensor, ctx: &ExecContext) -> DenseTensor 
 /// The modes are contracted in [`window_order`]: narrow modes first when the
 /// window is mixed (a hyperslice), natural order otherwise. So a point-sized
 /// or full window is bit-identical to the same entries of
-/// [`reconstruct_full`], and a mixed one agrees with them within
-/// [`window_roundoff_bound`].
+/// [`TuckerTensor::reconstruct`], and a mixed one agrees with them within
+/// [`window_roundoff_bound`]. Like the full reconstruction, a window whose
+/// order ends in growing modes `m..N−1` runs them as the fused expanding
+/// tail of [`multi_ttm_ctx`], tile by tile on `ctx` — same bits.
 pub fn reconstruct_subtensor(t: &TuckerTensor, spec: &SubtensorSpec) -> DenseTensor {
     reconstruct_subtensor_ctx(t, spec, ExecContext::global())
 }
@@ -119,7 +111,7 @@ pub fn reconstruct_slice(t: &TuckerTensor, mode: usize, idx: usize) -> DenseTens
 /// Cost is `O(∏ R_n)` — it never touches the original dimensions, which is
 /// what makes random-access queries against a compressed artifact cheap
 /// (Sec. II-C of the paper; the `tucker-store` query engine is built on this).
-/// The value is bit-identical to the same entry of [`reconstruct_full`] and of
+/// The value is bit-identical to the same entry of [`TuckerTensor::reconstruct`] and of
 /// the unit [`reconstruct_subtensor`] window at `idx` — and of any window that
 /// [`window_order`] contracts in natural order (see [`PointContraction`]).
 ///
@@ -282,12 +274,21 @@ fn contract_inner_modes<'s>(
 }
 
 /// Reconstructs a coarsened view: every `stride`-th index in the given modes,
-/// all indices elsewhere. `stride` must be at least 1.
+/// all indices elsewhere.
+///
+/// # Panics
+/// Panics if `stride` is 0 or an entry of `coarse_modes` is not a mode of
+/// `t` (`>= t.ndims()`).
 pub fn reconstruct_coarse(t: &TuckerTensor, coarse_modes: &[usize], stride: usize) -> DenseTensor {
     assert!(stride >= 1, "reconstruct_coarse: stride must be >= 1");
     let dims = t.original_dims();
     let mut spec = SubtensorSpec::all(&dims);
     for &m in coarse_modes {
+        assert!(
+            m < dims.len(),
+            "reconstruct_coarse: coarse mode {m} out of range for a {}-way tensor",
+            dims.len()
+        );
         let indices: Vec<usize> = (0..dims[m]).step_by(stride).collect();
         spec = spec.restrict_mode(m, indices);
     }
@@ -322,7 +323,7 @@ mod tests {
     fn subtensor_matches_full_reconstruction() {
         let mut rng = StdRng::seed_from_u64(100);
         let (_, t) = compressed_random(&mut rng, &[12, 10, 8], 1e-6);
-        let full = reconstruct_full(&t);
+        let full = t.reconstruct();
         let spec = SubtensorSpec::from_indices(vec![vec![0, 5, 11], vec![2, 3], vec![7]]);
         let partial = reconstruct_subtensor(&t, &spec);
         let expected = extract_subtensor(&full, &spec);
@@ -336,7 +337,7 @@ mod tests {
     fn slice_reconstruction_matches_full() {
         let mut rng = StdRng::seed_from_u64(101);
         let (_, t) = compressed_random(&mut rng, &[9, 8, 7], 1e-6);
-        let full = reconstruct_full(&t);
+        let full = t.reconstruct();
         let slice = reconstruct_slice(&t, 1, 3);
         assert_eq!(slice.dims(), &[9, 1, 7]);
         for i in 0..9 {
@@ -350,7 +351,7 @@ mod tests {
     fn coarse_reconstruction_strides_spatial_modes() {
         let mut rng = StdRng::seed_from_u64(102);
         let (_, t) = compressed_random(&mut rng, &[10, 10, 6], 1e-6);
-        let full = reconstruct_full(&t);
+        let full = t.reconstruct();
         let coarse = reconstruct_coarse(&t, &[0, 1], 2);
         assert_eq!(coarse.dims(), &[5, 5, 6]);
         for i in 0..5 {
@@ -379,7 +380,7 @@ mod tests {
     fn element_matches_full_reconstruction() {
         let mut rng = StdRng::seed_from_u64(105);
         let (_, t) = compressed_random(&mut rng, &[9, 7, 8], 1e-6);
-        let full = reconstruct_full(&t);
+        let full = t.reconstruct();
         for idx in [[0usize, 0, 0], [8, 6, 7], [4, 3, 2], [1, 6, 0]] {
             let e = reconstruct_element(&t, &idx);
             assert!(
@@ -395,7 +396,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(107);
         for dims in [vec![9usize, 7, 8], vec![6, 5, 4, 7], vec![13, 11], vec![17]] {
             let (_, t) = compressed_random(&mut rng, &dims, 1e-6);
-            let full = reconstruct_full(&t);
+            let full = t.reconstruct();
             let points: Vec<Vec<usize>> = (0..12)
                 .map(|_| dims.iter().map(|&d| rng.gen_range(0..d)).collect())
                 .collect();
@@ -439,6 +440,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(106);
         let (_, t) = compressed_random(&mut rng, &[5, 5, 5], 1e-3);
         reconstruct_element(&t, &[5, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "reconstruct_coarse: coarse mode 3 out of range for a 3-way tensor")]
+    fn coarse_mode_out_of_range_panics_with_the_mode() {
+        let mut rng = StdRng::seed_from_u64(108);
+        let (_, t) = compressed_random(&mut rng, &[6, 6, 6], 1e-3);
+        reconstruct_coarse(&t, &[0, 3], 2);
     }
 
     #[test]

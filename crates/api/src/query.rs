@@ -323,8 +323,18 @@ impl Open {
         self
     }
 
-    /// Caps the parallelism budget of open-time (eager) and on-demand
-    /// (lazy) chunk decoding. Default: the whole global pool.
+    /// Caps the parallelism budget of a reader. Default: the whole global
+    /// pool. The two backends honour it differently:
+    ///
+    /// - **lazy**: the reader keeps the capped context and runs both the
+    ///   on-demand chunk decoding of every query and its window
+    ///   contractions (`reconstruct`, ranges, slices) on it;
+    /// - **eager**: only the open-time decode of the core runs on it. A
+    ///   [`TkrArtifact`] keeps no context, so its window queries afterwards
+    ///   compute on the global pool.
+    ///
+    /// The point contraction of `element(s)` runs on the calling thread on
+    /// both backends.
     pub fn threads(mut self, n: usize) -> Open {
         self.threads = Some(n);
         self

@@ -32,6 +32,13 @@ use tucker_exec::ExecContext;
 use tucker_tensor::{DenseTensor, SubtensorSpec};
 
 /// An opened `.tkr` artifact: parsed header plus the decoded decomposition.
+///
+/// The context passed to [`TkrArtifact::open_ctx`] only decodes the core;
+/// the artifact keeps no context, so every query afterwards
+/// (`reconstruct`, windows, slices) computes on the global pool, whatever
+/// budget the artifact was opened with; point queries run on the calling
+/// thread. The lazy [`crate::TkrReader`] instead keeps its context and runs
+/// both chunk decoding and window contractions on it.
 #[derive(Debug, Clone)]
 pub struct TkrArtifact {
     header: crate::format::TkrHeader,

@@ -427,8 +427,7 @@ pub fn multi_ttm_ctx(
     match tail {
         Some(plan) => {
             let p = current.as_ref().unwrap_or(x);
-            let mats: Vec<&Matrix> = tail_mats.iter().map(|&(_, v)| v).collect();
-            ExpandingTail::new(p, &out_dims, mats, trans, plan.w).run(ctx)
+            ExpandingTail::new(p, &out_dims, tail_mats, trans, plan.w).run(ctx)
         }
         None => current.unwrap_or_else(|| x.clone()),
     }
@@ -486,7 +485,8 @@ struct ExpandingTail<'a> {
     p: &'a [f64],
     p_dims: &'a [usize],
     out_dims: &'a [usize],
-    mats: Vec<&'a Matrix>,
+    /// The tail products `(mode, matrix)`, modes `m..N−1` in order.
+    mats: &'a [(usize, &'a Matrix)],
     trans: TtmTranspose,
     /// First tail mode.
     m: usize,
@@ -507,7 +507,7 @@ impl<'a> ExpandingTail<'a> {
     fn new(
         p: &'a DenseTensor,
         out_dims: &'a [usize],
-        mats: Vec<&'a Matrix>,
+        mats: &'a [(usize, &'a Matrix)],
         trans: TtmTranspose,
         w: usize,
     ) -> Self {
@@ -576,8 +576,7 @@ impl<'a> ExpandingTail<'a> {
                 run.copy_from_slice(&self.p[c * lead + l0..c * lead + l0 + wt]);
             }
             let mut left = wt;
-            for (j, &v) in self.mats.iter().enumerate() {
-                let n = m + j;
+            for &(n, v) in self.mats {
                 let (in_dim, k) = (self.p_dims[n], self.out_dims[n]);
                 let right: usize = self.p_dims[n + 1..].iter().product();
                 BlockMul::new(v, self.trans, in_dim, k, left).run(

@@ -6,16 +6,43 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-echo "== cargo build --release =="
+# Every `section` prints its `== … ==` banner and closes the one before it;
+# `section_summary` prints each section's wall time (bash's $SECONDS) so the
+# cost of every step of the matrix is visible in the log.
+section_names=()
+section_secs=()
+section_started=$SECONDS
+section() {
+  close_section
+  section_names+=("$1")
+  section_started=$SECONDS
+  echo "== $1 =="
+}
+close_section() {
+  if [ "${#section_names[@]}" -gt "${#section_secs[@]}" ]; then
+    section_secs+=($((SECONDS - section_started)))
+  fi
+}
+section_summary() {
+  close_section
+  echo "== section times =="
+  local i
+  for i in "${!section_names[@]}"; do
+    printf '%6ds  %s\n' "${section_secs[$i]}" "${section_names[$i]}"
+  done
+  printf '%6ds  %s\n' "$SECONDS" "total"
+}
+
+section "cargo build --release"
 cargo build --release
 
 # The whole suite runs twice: single-threaded and on a 4-thread pool. The
 # execution layer's determinism contract says results are bit-identical, so
 # both runs must pass the *same* assertions.
-echo "== cargo test -q (TUCKER_THREADS=1) =="
+section "cargo test -q (TUCKER_THREADS=1)"
 TUCKER_THREADS=1 cargo test -q
 
-echo "== cargo test -q (TUCKER_THREADS=4) =="
+section "cargo test -q (TUCKER_THREADS=4)"
 TUCKER_THREADS=4 cargo test -q
 
 # The microkernel determinism contract (ISSUE 8) says the TUCKER_SIMD tier is
@@ -34,12 +61,12 @@ TUCKER_THREADS=4 cargo test -q
 # reconstruction battery (the TTM chain's fused expanding tail against a
 # per-mode chain) rides along too: its in-tile GEMMs are shaped by the tile
 # width, not by the tensor.
-echo "== linalg + determinism suites (TUCKER_SIMD=scalar) =="
+section "linalg + determinism suites (TUCKER_SIMD=scalar)"
 TUCKER_SIMD=scalar cargo test -q -p tucker-linalg
 TUCKER_SIMD=scalar cargo test -q --test determinism --test simd_tiers \
   --test streaming --test api_equivalence --test distributed_equivalence \
   --test query_contract --test store_roundtrip
-echo "== linalg + determinism suites (TUCKER_SIMD=auto) =="
+section "linalg + determinism suites (TUCKER_SIMD=auto)"
 TUCKER_SIMD=auto cargo test -q -p tucker-linalg
 TUCKER_SIMD=auto cargo test -q --test determinism --test simd_tiers \
   --test streaming --test api_equivalence --test distributed_equivalence \
@@ -51,13 +78,13 @@ TUCKER_SIMD=auto cargo test -q --test determinism --test simd_tiers \
 # the same suites under a deliberately tiny blocking so every tile-grid edge
 # case fires. (The in-process force_blocking sweeps inside `factorizations`/
 # `simd_tiers` additionally compare overridden runs against the default.)
-echo "== linalg + determinism suites (TUCKER_BLOCK=16,16,16) =="
+section "linalg + determinism suites (TUCKER_BLOCK=16,16,16)"
 TUCKER_BLOCK=16,16,16 cargo test -q -p tucker-linalg
 TUCKER_BLOCK=16,16,16 cargo test -q --test determinism --test simd_tiers \
   --test streaming --test api_equivalence --test distributed_equivalence \
   --test query_contract --test store_roundtrip
 
-echo "== cargo test -q --test service (TUCKER_THREADS=1 and 4) =="
+section "cargo test -q --test service (TUCKER_THREADS=1 and 4)"
 # The daemon's concurrency suite under both pool shapes: 8-client
 # byte-identity, graceful-shutdown drain, typed-Busy backpressure, and the
 # socket-level fault injection at the daemon (§4) and at the client (§5)
@@ -66,7 +93,7 @@ echo "== cargo test -q --test service (TUCKER_THREADS=1 and 4) =="
 TUCKER_THREADS=1 cargo test -q --test service
 TUCKER_THREADS=4 cargo test -q --test service
 
-echo "== cargo test -q -p tucker-core --test no_input_copy (TUCKER_THREADS=1 and 4) =="
+section "cargo test -q -p tucker-core --test no_input_copy (TUCKER_THREADS=1 and 4)"
 # The allocation pins: ST-HOSVD never copies its input, and a full
 # reconstruction never allocates its expanding tail's intermediate. The
 # tail's tile buffers are allocated once per scatter part, so the pin must
@@ -74,7 +101,7 @@ echo "== cargo test -q -p tucker-core --test no_input_copy (TUCKER_THREADS=1 and
 TUCKER_THREADS=1 cargo test -q -p tucker-core --test no_input_copy
 TUCKER_THREADS=4 cargo test -q -p tucker-core --test no_input_copy
 
-echo "== cargo test -q --test streaming (TUCKER_THREADS=32, oversubscribed) =="
+section "cargo test -q --test streaming (TUCKER_THREADS=32, oversubscribed)"
 # The streaming determinism suite again, on a pool far larger than any CI
 # machine has cores: slab decomposition and oversubscription must both be
 # invisible in the bits.
@@ -86,16 +113,16 @@ TUCKER_THREADS=32 cargo test -q --test streaming
 # distributed-equivalence suites with the TCP backend at 2 and 4 real
 # worker processes; the env-driven tests in each suite re-exec this very
 # test binary as the worker fleet.
-echo "== transport suites (TUCKER_TRANSPORT=tcp, TUCKER_RANKS=2) =="
+section "transport suites (TUCKER_TRANSPORT=tcp, TUCKER_RANKS=2)"
 TUCKER_TRANSPORT=tcp TUCKER_RANKS=2 cargo test -q \
   --test transport --test transport_faults \
   --test determinism --test distributed_equivalence
-echo "== transport suites (TUCKER_TRANSPORT=tcp, TUCKER_RANKS=4) =="
+section "transport suites (TUCKER_TRANSPORT=tcp, TUCKER_RANKS=4)"
 TUCKER_TRANSPORT=tcp TUCKER_RANKS=4 cargo test -q \
   --test transport --test transport_faults \
   --test determinism --test distributed_equivalence
 
-echo "== table7_transport (cross-backend artifact-identity gate) =="
+section "table7_transport (cross-backend artifact-identity gate)"
 # Runs the same distributed ST-HOSVD grid over the in-process and TCP
 # backends and diffs the serialized .tkr artifacts byte-for-byte; also
 # checks the TCP run moved real bytes on the wire and the in-process run
@@ -107,49 +134,49 @@ TUCKER_RANKS=2 cargo run --release -p tucker-bench --bin table7_transport
 TUCKER_RANKS=3 cargo run --release -p tucker-bench --bin table7_transport
 TUCKER_RANKS=4 cargo run --release -p tucker-bench --bin table7_transport
 
-echo "== table3_storage (storage-layer shape check) =="
+section "table3_storage (storage-layer shape check)"
 # The binary asserts finite compression ratios and round-trip errors within
 # the declared eps + quantization budget; any violation exits non-zero.
 cargo run --release -p tucker-bench --bin table3_storage
 
-echo "== table4_threads (kernel determinism across thread counts) =="
+section "table4_threads (kernel determinism across thread counts)"
 # Exits non-zero if any multi-threaded kernel produces different results
 # than the single-threaded run (smoke shape keeps this fast).
 TUCKER_TABLE4_SMOKE=1 cargo run --release -p tucker-bench --bin table4_threads
 
-echo "== table5_memory (out-of-core peak-memory gate) =="
+section "table5_memory (out-of-core peak-memory gate)"
 # Tracking-allocator measurement of the compress-and-store pipelines; exits
 # non-zero if the streaming path peaks at >= 50% of the in-memory path or
 # the two artifacts are not byte-identical.
 cargo run --release -p tucker-bench --bin table5_memory
 
-echo "== table6_service (daemon byte-identity + liveness gate) =="
+section "table6_service (daemon byte-identity + liveness gate)"
 # In-process load generation against the tucker-serve daemon: 8 concurrent
 # clients, mixed workload, every response compared bit-for-bit against a
 # direct reader. Exits non-zero on any mismatch, lost reply, or deadlock
 # (the watchdog turns a wedged service into exit code 3).
 TUCKER_TABLE6_SMOKE=1 cargo run --release -p tucker-bench --bin table6_service
 
-echo "== obs_overhead (observability overhead gate) =="
+section "obs_overhead (observability overhead gate)"
 # Full compress→store→query pipeline on the SP surrogate, alternating
 # metrics-off / metrics-on trials; exits non-zero if the metrics-on median
 # breaks the 5%-plus-jitter-floor budget (ARCHITECTURE §9 contract).
 TUCKER_OBS_SMOKE=1 cargo run --release -p tucker-bench --bin obs_overhead
 
-echo "== bench_e2e all --smoke (end-to-end functional gate) =="
+section "bench_e2e all --smoke (end-to-end functional gate)"
 # All five ledger workloads on tiny shapes (~15 s; timings are not compared).
 # The run's own checks — served responses == a direct reader bit for bit,
 # streamed artifact == in-memory artifact, TCP artifact == in-process
 # artifact, error within the header budget — fail the build on exit != 0.
 cargo run --release -p tucker-bench --bin bench_e2e -- all --smoke
 
-echo "== cargo doc -p tucker-api (missing/broken docs are errors) =="
+section "cargo doc -p tucker-api (missing/broken docs are errors)"
 # The facade crate carries #![deny(missing_docs)]; this pass additionally
 # promotes rustdoc warnings (broken intra-doc links, bad code fences) to
 # errors so the documented surface cannot rot.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p tucker-api --quiet
 
-echo "== panic-grep gate on the fallible-surface modules =="
+section "panic-grep gate on the fallible-surface modules"
 # The try_* validation layers promise "every failure is a returned value".
 # The microkernel hot-path modules (pack/microkernel/simd) make the same
 # promise: misconfiguration warns and falls back, it never aborts a kernel.
@@ -192,7 +219,8 @@ if [ "$gate_ok" -ne 1 ]; then
 fi
 echo "panic-grep gate OK"
 
-echo "== cargo fmt --check =="
+section "cargo fmt --check"
 cargo fmt --check
 
+section_summary
 echo "CI OK"

@@ -18,11 +18,27 @@
 //!
 //! The three presets in [`crate::datasets`] differ only in these knobs, chosen
 //! so the relative compressibility ordering (SP ≫ HCCI ≫ TJLR) matches Fig. 7.
+//!
+//! One structural kernel fills the noise-free field a time step at a time.
+//! Within a time step it walks the grid in tiles of bounded size (a 64 KB
+//! scratch buffer whatever the grid) and evaluates each kernel's Gaussian
+//! once per tile point; every variable's run over the tile is then built
+//! from that buffer. [`CombustionConfig::generate`] runs the kernel over the
+//! time steps in parallel and adds its noise afterwards in one sequential
+//! pass in storage order, so each rng draw lands on the element it always
+//! has and the bits do not depend on the thread count.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use tucker_exec::{chunk_ranges, ExecContext};
 use tucker_tensor::DenseTensor;
+
+/// Scratch bound of the structural kernel, in `f64`s (64 KB): a tile of
+/// grid points holds one Gaussian per kernel per point. Kept under glibc's
+/// default mmap threshold (128 KB): a larger buffer is mmapped, and freeing
+/// it raises the process-wide threshold every later allocation then sees.
+const TILE_WORDS: usize = 1 << 13;
 
 /// Configuration of the surrogate combustion field generator.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -76,10 +92,11 @@ struct Kernel {
 }
 
 /// The deterministic (noise-free) part of a surrogate field: precomputed
-/// kernel trajectories plus a pure per-index evaluator. Shared by the
-/// materializing [`CombustionConfig::generate`] (which layers sequential rng
-/// noise on top) and the offset-addressable slab source of
-/// [`crate::slab`] (which layers counter-based noise on top).
+/// kernel trajectories plus the one structural kernel,
+/// [`SurrogateModel::fill_steps`], that writes whole time steps. Shared by
+/// the materializing [`CombustionConfig::generate`] (time steps spread over
+/// the pool, sequential rng noise on top) and the offset-addressable slab
+/// source of [`crate::slab`] (caller's thread, counter-based noise on top).
 pub(crate) struct SurrogateModel {
     pub(crate) grid: Vec<usize>,
     pub(crate) dims: Vec<usize>,
@@ -200,8 +217,105 @@ impl SurrogateModel {
         }
     }
 
-    /// The noise-free field value at a multi-index — byte-for-byte the
-    /// historical `from_fn` closure body minus the rng noise term.
+    /// Grid points per variable and time step (`∏ grid`).
+    fn points(&self) -> usize {
+        self.grid.iter().product()
+    }
+
+    /// Elements per time step: one spatial field per variable.
+    pub(crate) fn step_len(&self) -> usize {
+        self.points() * self.dims[self.var_mode]
+    }
+
+    /// Number of time steps (the last mode's extent).
+    pub(crate) fn timesteps(&self) -> usize {
+        self.dims[self.time_mode]
+    }
+
+    /// Writes the noise-free field of time steps `t0, t0 + 1, …` into `out`,
+    /// one whole time step per [`SurrogateModel::step_len`] elements, in
+    /// storage order.
+    ///
+    /// A kernel's Gaussian depends on the time step and the grid point but
+    /// not on the variable, so it is evaluated once per tile of grid points
+    /// into a scratch buffer of at most [`TILE_WORDS`] values and then shared
+    /// by every variable's run over that tile. Each element still performs
+    /// exactly the operations of the per-element reference
+    /// (`structural_value`), in the same order, so the bits do not depend on
+    /// the tiling, on `t0` or on how the caller splits the time steps.
+    pub(crate) fn fill_steps(&self, t0: usize, out: &mut [f64]) {
+        let points = self.points();
+        let step = self.step_len();
+        if step == 0 {
+            return;
+        }
+        debug_assert_eq!(out.len() % step, 0, "fill_steps: partial time step");
+        let nk = self.kernels.len();
+        let tile = (TILE_WORDS / nk.max(1)).clamp(1, points);
+        let mut shapes = vec![0.0f64; nk * tile];
+        let mut idx = vec![0usize; self.nspace];
+        let mut pos = vec![0.0f64; self.nspace];
+        for (j, field) in out.chunks_exact_mut(step).enumerate() {
+            let t = t0 + j;
+            for p0 in (0..points).step_by(tile) {
+                let len = tile.min(points - p0);
+                let mut rest = p0;
+                for (i, &g) in idx.iter_mut().zip(&self.grid) {
+                    *i = rest % g;
+                    rest /= g;
+                }
+                for p in 0..len {
+                    for ((x, &i), &g) in pos.iter_mut().zip(&idx).zip(&self.grid) {
+                        *x = i as f64 / g as f64;
+                    }
+                    for (ki, k) in self.kernels.iter().enumerate() {
+                        let mut dist2 = 0.0;
+                        for (&x, &c) in pos.iter().zip(&self.centers[ki][t]) {
+                            let delta = x - c;
+                            dist2 += delta * delta;
+                        }
+                        shapes[ki * tile + p] = (-dist2 / (2.0 * k.width * k.width)).exp();
+                    }
+                    for (i, &g) in idx.iter_mut().zip(&self.grid) {
+                        *i += 1;
+                        if *i < g {
+                            break;
+                        }
+                        *i = 0;
+                    }
+                }
+                for (v, &background) in self.background.iter().enumerate() {
+                    let run = &mut field[v * points + p0..][..len];
+                    run.fill(background);
+                    for ki in 0..nk {
+                        let coef = self.intensities[ki][t] * self.species_amp[ki][v];
+                        for (o, &shape) in run.iter_mut().zip(&shapes[ki * tile..][..len]) {
+                            *o += coef * shape;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`SurrogateModel::fill_steps`] over every time step of `out` (which
+    /// starts at time step 0), the steps split into contiguous runs across
+    /// `ctx`'s pool. Each run writes its own disjoint time steps.
+    pub(crate) fn fill_steps_ctx(&self, ctx: &ExecContext, out: &mut [f64]) {
+        let step = self.step_len();
+        if step == 0 {
+            return;
+        }
+        let nt = out.len() / step;
+        let parts = ctx.partition_for_work(nt, out.len() * self.kernels.len().max(1));
+        ctx.for_each_row_panel(out, step, chunk_ranges(nt, parts), |steps, panel| {
+            self.fill_steps(steps.start, panel)
+        });
+    }
+
+    /// The noise-free field value at a multi-index: the per-element
+    /// definition [`SurrogateModel::fill_steps`] is checked against.
+    #[cfg(test)]
     pub(crate) fn structural_value(&self, idx: &[usize]) -> f64 {
         // Normalized spatial coordinates.
         let pos: Vec<f64> = (0..self.nspace)
@@ -236,17 +350,32 @@ impl SurrogateModel {
 
 impl CombustionConfig {
     /// Generates the surrogate field.
+    ///
+    /// The noise-free structure is filled by the tiled kernel with the time
+    /// steps spread over the global execution pool; the noise is then added
+    /// in one sequential pass in storage order, so every draw of the seeded
+    /// rng lands on the same element whatever the thread count.
     pub fn generate(&self) -> CombustionField {
+        let ctx = ExecContext::global();
+        let _span = tucker_obs::span!(
+            "scidata.generate",
+            nx = self.grid.first().copied().unwrap_or(1),
+            ny = self.grid.get(1).copied().unwrap_or(1),
+            nz = self.grid.get(2).copied().unwrap_or(1),
+            variables = self.n_variables,
+            timesteps = self.n_timesteps,
+            threads = ctx.threads(),
+        );
         let mut rng = StdRng::seed_from_u64(self.seed);
         let model = SurrogateModel::new(self, &mut rng);
+        let mut data = DenseTensor::zeros(&model.dims);
+        model.fill_steps_ctx(ctx, data.as_mut_slice());
         let noise = self.noise_level;
-        let data = DenseTensor::from_fn(&model.dims, |idx| {
-            let mut value = model.structural_value(idx);
-            if noise > 0.0 {
-                value += noise * rng.gen_range(-1.0..1.0);
+        if noise > 0.0 {
+            for value in data.as_mut_slice() {
+                *value += noise * rng.gen_range(-1.0..1.0);
             }
-            value
-        });
+        }
 
         CombustionField {
             data,
@@ -372,6 +501,76 @@ mod tests {
         assert_eq!(field.data.dims(), &[8, 8, 8, 4, 5]);
         assert_eq!(field.variable_mode, 3);
         assert_eq!(field.time_mode, 4);
+    }
+
+    /// Every element of the tiled kernel's output against the per-element
+    /// reference, bit for bit, from every starting time step.
+    fn assert_kernel_matches_reference(cfg: &CombustionConfig) {
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let model = SurrogateModel::new(cfg, &mut rng);
+        let step = model.step_len();
+        let nt = model.timesteps();
+        let mut all = vec![0.0; step * nt];
+        model.fill_steps_ctx(&ExecContext::new(3), &mut all);
+        let reference = DenseTensor::from_fn(&model.dims, |idx| model.structural_value(idx));
+        for (off, (a, b)) in all.iter().zip(reference.as_slice()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "element {off}: {a} vs {b}");
+        }
+        for t0 in 0..nt {
+            let mut tail = vec![0.0; step * (nt - t0)];
+            model.fill_steps(t0, &mut tail);
+            assert_eq!(tail, all[t0 * step..], "fill from time step {t0}");
+        }
+    }
+
+    #[test]
+    fn tiled_kernel_is_the_per_element_definition() {
+        // 2-D, one tile per time step.
+        assert_kernel_matches_reference(&small_config());
+        // 3-D, 5 kernels: 1 638-point tiles over 8 000 points, so tile
+        // boundaries fall inside grid lines.
+        assert_kernel_matches_reference(&CombustionConfig {
+            grid: vec![20, 20, 20],
+            n_variables: 3,
+            n_timesteps: 2,
+            ..small_config()
+        });
+        // 1-D, and a field with no kernels (background only).
+        assert_kernel_matches_reference(&CombustionConfig {
+            grid: vec![37],
+            ..small_config()
+        });
+        assert_kernel_matches_reference(&CombustionConfig {
+            n_kernels: 0,
+            ..small_config()
+        });
+    }
+
+    #[test]
+    fn generate_opens_a_traced_span() {
+        let path = std::env::temp_dir().join(format!(
+            "tucker_scidata_generate_{}.trace",
+            std::process::id()
+        ));
+        tucker_obs::trace::install(path.to_str().unwrap_or_default())
+            .unwrap_or_else(|e| panic!("cannot install trace sink: {e}"));
+        CombustionConfig {
+            grid: vec![11, 7],
+            ..small_config()
+        }
+        .generate();
+        tucker_obs::trace::uninstall();
+        let text = std::fs::read_to_string(&path).unwrap_or_default();
+        std::fs::remove_file(&path).ok();
+        let args = format!(
+            "\"args\":{{\"nx\":11,\"ny\":7,\"nz\":1,\"variables\":8,\"timesteps\":10,\"threads\":{}}}",
+            ExecContext::global().threads()
+        );
+        assert!(
+            text.lines()
+                .any(|l| l.contains("\"name\":\"scidata.generate\"") && l.contains(&args)),
+            "want a scidata.generate span with {args} in:\n{text}"
+        );
     }
 
     #[test]

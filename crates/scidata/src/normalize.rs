@@ -5,9 +5,17 @@
 //! `10⁻¹⁰`, in which case the division is skipped (exactly the paper's rule).
 //! The returned [`Normalization`] stores the per-slice statistics so the
 //! transformation can be inverted after reconstruction.
+//!
+//! Both passes work on the tensor in place, as runs of the elements that
+//! share one index of the normalized mode (`∏` of the earlier extents long).
+//! The statistics pass sums each slice run after run — the slice's own
+//! storage order, so the bits are those of summing a copied-out slice — with
+//! the slices spread over the global execution pool; the transform applies
+//! one slice's constants to a whole run, blocks of runs spread over the pool.
 
 use serde::{Deserialize, Serialize};
-use tucker_tensor::{extract_subtensor, DenseTensor, SubtensorSpec};
+use tucker_exec::{chunk_ranges, ExecContext};
+use tucker_tensor::DenseTensor;
 
 /// The threshold below which a slice's standard deviation is treated as zero.
 pub const STD_GUARD: f64 = 1e-10;
@@ -31,21 +39,35 @@ impl Normalization {
 
     /// Applies the inverse transformation in place (de-normalization).
     pub fn invert(&self, x: &mut DenseTensor) {
-        apply_slicewise(x, self.mode, |i, v| {
-            let scaled = if self.scaled(i) { v * self.stds[i] } else { v };
-            scaled + self.means[i]
+        apply_slicewise(x, self.mode, |i, run| {
+            let mean = self.means[i];
+            if self.scaled(i) {
+                let std = self.stds[i];
+                for v in run {
+                    *v = *v * std + mean;
+                }
+            } else {
+                for v in run {
+                    *v += mean;
+                }
+            }
         });
     }
 
     /// Applies the forward transformation in place (e.g. to new data with the
     /// same statistics).
     pub fn apply(&self, x: &mut DenseTensor) {
-        apply_slicewise(x, self.mode, |i, v| {
-            let centered = v - self.means[i];
+        apply_slicewise(x, self.mode, |i, run| {
+            let mean = self.means[i];
             if self.scaled(i) {
-                centered / self.stds[i]
+                let std = self.stds[i];
+                for v in run {
+                    *v = (*v - mean) / std;
+                }
             } else {
-                centered
+                for v in run {
+                    *v -= mean;
+                }
             }
         });
     }
@@ -55,56 +77,68 @@ impl Normalization {
 /// statistics needed to invert the transformation.
 pub fn normalize_per_slice(x: &mut DenseTensor, mode: usize) -> Normalization {
     let n = x.dim(mode);
-    let mut means = vec![0.0f64; n];
-    let mut stds = vec![0.0f64; n];
-    let slice_len = x.codim(mode);
+    let count = x.codim(mode).max(1) as f64;
+    let inner: usize = x.dims()[..mode].iter().product();
+    let data = x.as_slice();
 
-    // Pass 1: means and standard deviations per slice.
-    for i in 0..n {
-        let spec = SubtensorSpec::all(x.dims()).restrict_mode(mode, vec![i]);
-        let slice = extract_subtensor(x, &spec);
-        let mean = slice.as_slice().iter().sum::<f64>() / slice_len.max(1) as f64;
-        let var = slice
-            .as_slice()
-            .iter()
-            .map(|&v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / slice_len.max(1) as f64;
-        means[i] = mean;
-        stds[i] = var.sqrt();
-    }
-
-    let norm = Normalization { mode, means, stds };
-    // Pass 2: transform in place.
-    let norm_ref = norm.clone();
-    apply_slicewise(x, mode, |i, v| {
-        let centered = v - norm_ref.means[i];
-        if norm_ref.scaled(i) {
-            centered / norm_ref.stds[i]
-        } else {
-            centered
-        }
+    // Pass 1: mean and standard deviation of each slice, the slices spread
+    // over the pool. A slice's elements are every `n`-th run of `inner`
+    // values; summed run after run they accumulate in the slice's own
+    // storage order, exactly as a copied-out slice would.
+    let mut stats = vec![(0.0f64, 0.0f64); n];
+    ExecContext::global().for_each_slot(&mut stats, |i, (mean, std)| {
+        let slice = || {
+            data.chunks_exact(inner.max(1))
+                .skip(i)
+                .step_by(n)
+                .flatten()
+                .copied()
+        };
+        let m = slice().sum::<f64>() / count;
+        let var = slice().map(|v| (v - m) * (v - m)).sum::<f64>() / count;
+        *mean = m;
+        *std = var.sqrt();
     });
+
+    let norm = Normalization {
+        mode,
+        means: stats.iter().map(|s| s.0).collect(),
+        stds: stats.iter().map(|s| s.1).collect(),
+    };
+    // Pass 2: transform in place.
+    norm.apply(x);
     norm
 }
 
-/// Applies `f(slice_index, value)` to every element, where `slice_index` is the
-/// element's index in the given mode.
-fn apply_slicewise(x: &mut DenseTensor, mode: usize, f: impl Fn(usize, f64) -> f64) {
-    let dims = x.dims().to_vec();
-    // Stride pattern of the natural layout: index in `mode` changes every
-    // `inner` elements and wraps every `inner * dims[mode]`.
-    let inner: usize = dims[..mode].iter().product();
-    let modal = dims[mode];
-    for (off, v) in x.as_mut_slice().iter_mut().enumerate() {
-        let i = (off / inner) % modal;
-        *v = f(i, *v);
+/// Calls `f(slice_index, run)` on every run of consecutive elements that
+/// share their index in `mode` (the modes before `mode` vary within a run),
+/// spreading blocks of whole runs over the pool.
+fn apply_slicewise(x: &mut DenseTensor, mode: usize, f: impl Fn(usize, &mut [f64]) + Sync) {
+    let inner: usize = x.dims()[..mode].iter().product();
+    let modal = x.dim(mode);
+    let block = inner * modal;
+    if x.is_empty() {
+        return;
     }
+    let outer = x.len() / block;
+    let ctx = ExecContext::global();
+    let parts = ctx.partition_for_work(outer, x.len());
+    ctx.for_each_row_panel(
+        x.as_mut_slice(),
+        block,
+        chunk_ranges(outer, parts),
+        |_, panel| {
+            for (r, run) in panel.chunks_exact_mut(inner).enumerate() {
+                f(r % modal, run);
+            }
+        },
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tucker_tensor::{extract_subtensor, SubtensorSpec};
 
     fn species_tensor() -> DenseTensor {
         // 4x3x5 tensor where species s (mode 1) has values centered at 10*s

@@ -22,6 +22,11 @@
 //!   it** — the sequential generator is kept unchanged so historical
 //!   datasets stay stable.
 //!
+//! Both generators run the same structural kernel
+//! (`SurrogateModel::fill_steps`, see [`crate::combustion`]): a slab is
+//! whole time steps, filled on the caller's thread, and its counter-based
+//! noise is added afterwards element by element.
+//!
 //! The source is raw (un-normalized): per-species normalization needs global
 //! statistics and therefore a pass of its own, which the out-of-core
 //! pipeline leaves to the caller.
@@ -91,15 +96,6 @@ impl CombustionSlabSource {
         }
         DenseTensor::from_vec(&self.model.dims, data)
     }
-
-    /// The field value at linear offset `off` (natural storage order).
-    fn value_at(&self, idx: &[usize], off: usize) -> f64 {
-        let mut v = self.model.structural_value(idx);
-        if self.noise_level > 0.0 {
-            v += self.noise_level * hashed_unit(self.noise_seed, off as u64);
-        }
-        v
-    }
 }
 
 impl SlabSource for CombustionSlabSource {
@@ -108,31 +104,24 @@ impl SlabSource for CombustionSlabSource {
     }
 
     fn fill_slab(&self, start: usize, len: usize, out: &mut [f64]) {
-        let dims = &self.model.dims;
-        let last = *dims.last().expect("surrogate has at least one mode");
+        let last = self.model.timesteps();
         assert!(
             start + len <= last,
             "fill_slab: range {start}+{len} exceeds time dim {last}"
         );
-        let stride = self.slab_stride();
+        let stride = self.model.step_len();
         assert_eq!(
             out.len(),
             len * stride,
             "fill_slab: output buffer length mismatch"
         );
-        // Walk the slab in storage order, advancing the multi-index in place
-        // (first mode fastest; the last-mode component starts at `start`).
-        let mut idx = vec![0usize; dims.len()];
-        *idx.last_mut().unwrap() = start;
-        let base = start * stride;
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.value_at(&idx, base + i);
-            for (k, c) in idx.iter_mut().enumerate() {
-                *c += 1;
-                if *c < dims[k] || k == dims.len() - 1 {
-                    break;
-                }
-                *c = 0;
+        // The structure of the slab's time steps, then each element's noise
+        // keyed by its linear offset in the whole field.
+        self.model.fill_steps(start, out);
+        if self.noise_level > 0.0 {
+            let base = start * stride;
+            for (i, o) in out.iter_mut().enumerate() {
+                *o += self.noise_level * hashed_unit(self.noise_seed, (base + i) as u64);
             }
         }
     }

@@ -27,9 +27,21 @@ const SEED: u64 = 2024;
 fn presets_generate_their_historical_bits() {
     // (preset, hash of the normalized data, hash of means ‖ stds)
     let golden = [
-        (DatasetPreset::Hcci, 0xd4cf_a550_d41f_66d7, 0xf1c7_7f3e_93a1_2533),
-        (DatasetPreset::Tjlr, 0x55e5_db6f_b4c3_5287, 0xfff3_38e0_3e5c_a68e),
-        (DatasetPreset::Sp, 0x3e83_9952_c023_1c25, 0xe997_da91_38e3_a339),
+        (
+            DatasetPreset::Hcci,
+            0xd4cf_a550_d41f_66d7,
+            0xf1c7_7f3e_93a1_2533,
+        ),
+        (
+            DatasetPreset::Tjlr,
+            0x55e5_db6f_b4c3_5287,
+            0xfff3_38e0_3e5c_a68e,
+        ),
+        (
+            DatasetPreset::Sp,
+            0x3e83_9952_c023_1c25,
+            0xe997_da91_38e3_a339,
+        ),
     ];
     for (preset, data_hash, stats_hash) in golden {
         let ds = preset.generate(1, SEED);

@@ -20,7 +20,7 @@
 //!   [`CombustionConfig::generate`] (identical kernels, identical noise
 //!   amplitude, both uniform in [-1, 1)), but is **not byte-identical to
 //!   it** — the sequential generator is kept unchanged so historical
-//!   datasets stay stable.
+//!   datasets stay stable (`tests/golden.rs` pins both generators' bits).
 //!
 //! Both generators run the same structural kernel
 //! (`SurrogateModel::fill_steps`, see [`crate::combustion`]): a slab is

@@ -1,8 +1,9 @@
-//! ST-HOSVD reads its input in place. A counting global allocator records
-//! the largest single allocation made while `st_hosvd_ctx` (or the
-//! distributed driver on a 1×…×1 grid) runs, and it must stay below the size
-//! of the input: the first processed mode's Gram and TTM read the borrowed
-//! tensor, and only already-shrunk tensors are ever owned.
+//! ST-HOSVD and HOOI read their input in place. A counting global allocator
+//! records the largest single allocation made while `st_hosvd_ctx`,
+//! `hooi_ctx` or the distributed driver on a 1×…×1 grid runs, and it must
+//! stay below the size of the input: every Gram and TTM that touches the
+//! input reads the borrowed tensor, and only already-shrunk tensors are ever
+//! owned.
 //!
 //! Reconstruction runs its expanding tail in tile buffers: the same
 //! allocator counts the allocations at least as large as the intermediate
@@ -15,6 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use tucker_core::dist::{dist_st_hosvd_ctx, DistTensor};
+use tucker_core::hooi::{hooi_ctx, HooiOptions};
 use tucker_core::ordering::ModeOrder;
 use tucker_core::sthosvd::{st_hosvd_ctx, SthosvdOptions};
 use tucker_core::TuckerTensor;
@@ -146,6 +148,23 @@ fn dist_st_hosvd_on_one_rank_never_allocates_a_buffer_as_large_as_its_input() {
                 ctx.threads(),
             );
         }
+    }
+}
+
+#[test]
+fn hooi_never_allocates_a_buffer_as_large_as_its_input() {
+    let _turn = serial();
+    let x = input();
+    let input_bytes = x.len() * std::mem::size_of::<f64>();
+    let opts = HooiOptions::with_ranks(vec![6, 5, 4, 3], 2);
+    for ctx in [ExecContext::new(1), ExecContext::new(2)] {
+        let (result, largest) = largest_allocation(|| hooi_ctx(&x, &opts, &ctx));
+        assert_eq!(result.tucker.core.dims(), &[6, 5, 4, 3]);
+        assert!(
+            largest < input_bytes,
+            "threads {}: largest allocation {largest} B >= input {input_bytes} B",
+            ctx.threads()
+        );
     }
 }
 

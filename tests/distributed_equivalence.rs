@@ -5,9 +5,10 @@
 
 use parallel_tucker::prelude::*;
 use tucker_core::dist::{
-    dist_hooi, dist_reconstruct, parallel_gram, parallel_gram_ctx, parallel_ttm,
+    dist_hooi, dist_hooi_ctx, dist_reconstruct, dist_st_hosvd_ctx, parallel_gram,
+    parallel_gram_ctx, parallel_ttm,
 };
-use tucker_core::hooi::{hooi, HooiOptions};
+use tucker_core::hooi::{hooi, hooi_ctx, HooiOptions};
 use tucker_distmem::runtime::spmd_with_grid_handle;
 use tucker_exec::ExecContext;
 use tucker_linalg::Matrix;
@@ -269,26 +270,84 @@ fn ttm_communication_volume_matches_cost_model() {
     );
 }
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// The bit patterns of a decomposition: the core, then every factor.
+fn tucker_bits(t: &TuckerTensor) -> Vec<Vec<u64>> {
+    std::iter::once(bits(t.core.as_slice()))
+        .chain(t.factors.iter().map(|u| bits(u.as_slice())))
+        .collect()
+}
+
+/// The sequential drivers are the one-rank case of the distributed ones, bit
+/// for bit. ST-HOSVD: ranks, order, `‖X‖²`, discarded energy, every
+/// eigenvalue, core and factors. HOOI (three forced sweeps): ranks, fit
+/// history, core and factors. Over five shapes, the natural, largest-first
+/// and a custom order, tolerance and fixed ranks, and 1, 2 and 4 threads.
 #[test]
 fn single_rank_distributed_run_is_exactly_sequential() {
-    let dims = [9usize, 8, 7];
-    let x = structured_tensor(&dims);
-    let opts = SthosvdOptions::with_ranks(vec![3, 3, 3]);
-    let seq = st_hosvd(&x, &opts);
+    let shapes: [&[usize]; 5] = [
+        &[9, 8, 7],
+        &[13, 11, 6, 5],
+        &[40, 33, 17],
+        &[20, 20, 20, 5, 8],
+        &[150, 9, 10],
+    ];
+    for dims in shapes {
+        let x = structured_tensor(dims);
+        let fixed: Vec<usize> = dims.iter().map(|&d| (d / 3).max(1)).collect();
+        let reversed: Vec<usize> = (0..dims.len()).rev().collect();
+        let cases = [
+            SthosvdOptions::with_tolerance(1e-3),
+            SthosvdOptions::with_tolerance(1e-6).order(ModeOrder::LargestFirst),
+            SthosvdOptions::with_ranks(fixed).order(ModeOrder::Custom(reversed)),
+        ];
+        for opts in &cases {
+            let hooi_opts = HooiOptions {
+                init: opts.clone(),
+                max_iterations: 3,
+                fit_tolerance: f64::NEG_INFINITY,
+            };
+            for threads in [1, 2, 4] {
+                let ctx = ExecContext::new(threads);
+                let label = format!("{dims:?}, {opts:?}, {threads} threads");
+                let st = st_hosvd_ctx(&x, opts, &ctx);
+                let ho = hooi_ctx(&x, &hooi_opts, &ctx);
+                let mut results = spmd_with_grid(ProcGrid::new(&vec![1; dims.len()]), |comm| {
+                    let dx = DistTensor::from_global(&comm, &x);
+                    let dst = dist_st_hosvd_ctx(&comm, &dx, opts, &ctx);
+                    let dho = dist_hooi_ctx(&comm, &dx, &hooi_opts, &ctx);
+                    let st_tucker = dst.tucker.gather_to_root(&comm).expect("one rank");
+                    let ho_tucker = dho.tucker.gather_to_root(&comm).expect("one rank");
+                    (dst, st_tucker, dho, ho_tucker)
+                });
+                let (dst, st_tucker, dho, ho_tucker) = results.remove(0);
 
-    let x2 = x.clone();
-    let opts2 = opts.clone();
-    let results = spmd_with_grid(ProcGrid::new(&[1, 1, 1]), move |comm| {
-        let dx = DistTensor::from_global(&comm, &x2);
-        let r = dist_st_hosvd(&comm, &dx, &opts2);
-        (r.ranks.clone(), r.tucker.gather_to_root(&comm))
-    });
-    let (ranks, gathered) = &results[0];
-    assert_eq!(*ranks, seq.ranks);
-    // On a single rank the arithmetic is performed in the same order, so the
-    // cores agree to machine precision.
-    let diff = normalized_rms_error(&seq.tucker.core, &gathered.as_ref().unwrap().core);
-    assert!(diff < 1e-13);
+                assert_eq!(dst.ranks, st.ranks, "{label}");
+                assert_eq!(dst.processed_order, st.processed_order, "{label}");
+                assert_eq!(dst.norm_x_sq.to_bits(), st.norm_x_sq.to_bits(), "{label}");
+                assert_eq!(
+                    dst.discarded_energy.to_bits(),
+                    st.discarded_energy.to_bits(),
+                    "{label}"
+                );
+                let eig_bits = |e: &[Vec<f64>]| e.iter().map(|v| bits(v)).collect::<Vec<_>>();
+                assert_eq!(
+                    eig_bits(&dst.mode_eigenvalues),
+                    eig_bits(&st.mode_eigenvalues),
+                    "{label}"
+                );
+                assert_eq!(tucker_bits(&st_tucker), tucker_bits(&st.tucker), "{label}");
+
+                assert_eq!(dho.iterations, 3, "{label}");
+                assert_eq!((dho.iterations, &dho.ranks), (ho.iterations, &ho.ranks));
+                assert_eq!(bits(&dho.fit_history), bits(&ho.fit_history), "{label}");
+                assert_eq!(tucker_bits(&ho_tucker), tucker_bits(&ho.tucker), "{label}");
+            }
+        }
+    }
 }
 
 /// The env-selected transport (`TUCKER_TRANSPORT` / `TUCKER_RANKS` — the

@@ -1,16 +1,16 @@
 //! The [`Compressor`] builder: one entry point over every pipeline variant.
 //!
-//! Four PRs of growth left the workspace with ~10 compression entry points
-//! (`st_hosvd`, `st_hosvd_ctx`, `st_hosvd_streaming{,_ctx}`, `hooi{,_ctx}`,
-//! `dist_st_hosvd{,_ctx}`, `write_tucker{,_ctx}`, `compress_streaming`,
-//! `gather_and_write`). They are all still there — and this module adds
-//! nothing algorithmic on top of them. A [`Compressor`] composes *which* of
-//! them to run:
+//! The workspace has three compression drivers — the ST-HOSVD and HOOI loops
+//! of `tucker_core::dist` (which the in-memory entries run on a one-rank
+//! world) and the streaming ST-HOSVD — plus the `.tkr` writers
+//! (`write_tucker{,_ctx}`, `compress_streaming`, `gather_and_write`). This
+//! module adds nothing algorithmic on top of them. A [`Compressor`]
+//! composes *which* of them to run:
 //!
 //! | source | `.refine(..)`? | kernel dispatched |
 //! |---|---|---|
-//! | [`Compressor::new`] (resident tensor)     | no  | `try_st_hosvd_ctx` |
-//! | [`Compressor::new`]                       | yes | `try_hooi_ctx` |
+//! | [`Compressor::new`] (resident tensor)     | no  | `try_st_hosvd_ctx` (one-rank `try_dist_st_hosvd_ctx`) |
+//! | [`Compressor::new`]                       | yes | `try_hooi_ctx` (one-rank `try_dist_hooi_ctx`) |
 //! | [`Compressor::from_slabs`] (out-of-core)  | no  | `try_st_hosvd_streaming_ctx` |
 //! | [`Compressor::from_slabs`]                | yes | rejected ([`PlanError::RefineNeedsResident`]) |
 //! | [`Compressor::distributed`] (grid)        | no  | `try_dist_st_hosvd_ctx` per rank + gather |

@@ -16,16 +16,20 @@
 //! * [`parallel_evecs`] — Alg. 5: the Gram row blocks are all-gathered within
 //!   the processor column and the (small) `I_n × I_n` eigenproblem is solved
 //!   redundantly on every rank, which keeps the factor matrices replicated.
-//! * [`dist_st_hosvd`] / [`dist_hooi`] — the distributed ST-HOSVD (Alg. 1) and
-//!   HOOI (Alg. 2) drivers, mirroring their sequential counterparts in
-//!   [`crate::sthosvd`] / [`crate::hooi`](mod@crate::hooi) step for step. On a single rank they
-//!   perform bit-identical arithmetic to the sequential code.
+//! * [`dist_st_hosvd`] / [`dist_hooi`] — the ST-HOSVD (Alg. 1) and HOOI
+//!   (Alg. 2) drivers. They are the only implementation of either algorithm:
+//!   the sequential [`crate::sthosvd::st_hosvd_ctx`] and
+//!   [`crate::hooi::hooi_ctx`] run them on [`Communicator::single_rank`], the
+//!   `1 × … × 1` world, over their input borrowed as its one block. There
+//!   every processor group has one member, so no kernel communicates and no
+//!   block is copied.
 //! * [`dist_reconstruct`] — distributed reconstruction `X̂ = G ×₁ U⁽¹⁾ ⋯ ×_N U⁽ᴺ⁾`.
 //!
 //! Factor matrices are small (`I_n × R_n`) and kept **replicated** on every
 //! rank, exactly as the paper stores them; only the tensor (and the core) is
 //! distributed.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use crate::hooi::HooiOptions;
@@ -34,14 +38,22 @@ use crate::tucker::TuckerTensor;
 use crate::validate::{self, CoreError};
 use tucker_distmem::collectives::{all_gather, all_reduce, reduce_scatter_blocks};
 use tucker_distmem::{Communicator, ProcGrid, SubCommunicator};
-use tucker_exec::ExecContext;
+use tucker_exec::{ExecContext, Workspace};
 use tucker_linalg::eig::{sym_eig_desc, SymEig};
 use tucker_linalg::Matrix;
+use tucker_obs::metrics::Counter;
 use tucker_tensor::slice::insert_subtensor;
 use tucker_tensor::{
-    extract_subtensor, gram_ctx, gram_pair_ctx, ttm_ctx, DenseTensor, SubtensorSpec, TtmTranspose,
-    Unfolding,
+    extract_subtensor, gram_ctx, gram_pair_ctx, ttm_into_ctx, DenseTensor, SubtensorSpec,
+    TtmTranspose, Unfolding,
 };
+
+/// Completed ST-HOSVD runs, once per run and rank (see `tucker-obs`).
+static ST_HOSVD_RUNS: Counter = Counter::new("core.st_hosvd.runs");
+
+/// Outer HOOI iterations executed (convergence may stop early), once per
+/// iteration and rank.
+static HOOI_ITERATIONS: Counter = Counter::new("core.hooi.iterations");
 
 /// The execution context a simulated rank uses when the caller did not pass
 /// one: an even share of the global pool, `max(1, threads / ranks)` — the
@@ -59,19 +71,22 @@ use crate::sthosvd::SthosvdOptions;
 ///
 /// Every rank owns the sub-block `ranges[0] × … × ranges[N-1]` (per-mode
 /// `(offset, len)` in global coordinates) of a tensor with dimensions
-/// `global_dims`. Blocks tile the global tensor exactly.
+/// `global_dims`. Blocks tile the global tensor exactly. The local block is
+/// either owned or borrowed: a one-rank world's single block is the global
+/// tensor itself, so [`DistTensor::from_global`] borrows it there.
 #[derive(Debug, Clone)]
-pub struct DistTensor {
+pub struct DistTensor<'a> {
     global_dims: Vec<usize>,
     ranges: Vec<(usize, usize)>,
-    local: DenseTensor,
+    local: Cow<'a, DenseTensor>,
 }
 
-impl DistTensor {
+impl<'a> DistTensor<'a> {
     /// Distributes a globally replicated tensor: every rank extracts its own
-    /// block. This is how the test harnesses and examples stage data; a real
-    /// deployment would read each block from parallel storage instead.
-    pub fn from_global(comm: &Communicator, global: &DenseTensor) -> DistTensor {
+    /// block (on a one-rank world it borrows `global` instead, copying
+    /// nothing). This is how the test harnesses and examples stage data; a
+    /// real deployment would read each block from parallel storage instead.
+    pub fn from_global(comm: &Communicator, global: &'a DenseTensor) -> DistTensor<'a> {
         let grid = comm.grid();
         assert_eq!(
             global.ndims(),
@@ -81,7 +96,11 @@ impl DistTensor {
             grid.ndims()
         );
         let ranges = Self::rank_ranges(grid, comm.rank(), global.dims());
-        let local = extract_subtensor(global, &spec_from_ranges(&ranges));
+        let local = if comm.size() == 1 {
+            Cow::Borrowed(global)
+        } else {
+            Cow::Owned(extract_subtensor(global, &spec_from_ranges(&ranges)))
+        };
         DistTensor {
             global_dims: global.dims().to_vec(),
             ranges,
@@ -94,7 +113,7 @@ impl DistTensor {
         global_dims: Vec<usize>,
         ranges: Vec<(usize, usize)>,
         local: DenseTensor,
-    ) -> DistTensor {
+    ) -> DistTensor<'static> {
         debug_assert_eq!(
             ranges.iter().map(|r| r.1).collect::<Vec<_>>(),
             local.dims().to_vec(),
@@ -103,7 +122,7 @@ impl DistTensor {
         DistTensor {
             global_dims,
             ranges,
-            local,
+            local: Cow::Owned(local),
         }
     }
 
@@ -128,11 +147,16 @@ impl DistTensor {
         &self.local
     }
 
+    /// This rank's local block by value (a copy only if it is borrowed).
+    pub(crate) fn into_local(self) -> DenseTensor {
+        self.local.into_owned()
+    }
+
     /// Gathers the distributed tensor onto rank 0, which returns the assembled
     /// global tensor; other ranks return `None`.
     pub fn gather_to_root(&self, comm: &Communicator) -> Option<DenseTensor> {
         if comm.size() == 1 {
-            return Some(self.local.clone());
+            return Some(self.local().clone());
         }
         if comm.rank() == 0 {
             let mut out = DenseTensor::zeros(&self.global_dims);
@@ -168,7 +192,7 @@ fn spec_from_ranges(ranges: &[(usize, usize)]) -> SubtensorSpec {
 #[derive(Debug, Clone)]
 pub struct DistTucker {
     /// The distributed core tensor `G`.
-    pub core: DistTensor,
+    pub core: DistTensor<'static>,
     /// Replicated factor matrices `U⁽ⁿ⁾` (`I_n × R_n`), indexed by mode.
     pub factors: Vec<Matrix>,
 }
@@ -305,7 +329,7 @@ pub fn parallel_ttm(
     v: &Matrix,
     n: usize,
     trans: TtmTranspose,
-) -> DistTensor {
+) -> DistTensor<'static> {
     parallel_ttm_ctx(comm, y, v, n, trans, &hybrid_ctx(comm))
 }
 
@@ -318,7 +342,21 @@ pub fn parallel_ttm_ctx(
     n: usize,
     trans: TtmTranspose,
     ctx: &ExecContext,
-) -> DistTensor {
+) -> DistTensor<'static> {
+    parallel_ttm_ws(comm, y, v, n, trans, ctx, &mut Workspace::new())
+}
+
+/// [`parallel_ttm_ctx`] whose local product is written into a buffer taken
+/// from `ws` — the HOOI loop's recycled intermediates.
+fn parallel_ttm_ws(
+    comm: &Communicator,
+    y: &DistTensor,
+    v: &Matrix,
+    n: usize,
+    trans: TtmTranspose,
+    ctx: &ExecContext,
+    ws: &mut Workspace,
+) -> DistTensor<'static> {
     let dims = y.global_dims();
     assert!(n < dims.len(), "parallel_ttm: mode {n} out of range");
     let in_dim = dims[n];
@@ -339,7 +377,16 @@ pub fn parallel_ttm_ctx(
         TtmTranspose::NoTranspose => v.col_block(off, off + len),
         TtmTranspose::Transpose => v.row_block(off, off + len),
     };
-    let partial = ttm_ctx(ctx, y.local(), &v_slice, n, trans);
+    let mut partial_dims = y.local().dims().to_vec();
+    partial_dims[n] = k;
+    let partial_len = partial_dims.iter().product();
+    let mut partial = DenseTensor::from_vec(&partial_dims, ws.take(partial_len));
+    if y.local().is_empty() || partial.is_empty() {
+        // A rank owning none of mode n contributes zeros.
+        partial.as_mut_slice().fill(0.0);
+    } else {
+        ttm_into_ctx(ctx, y.local(), &v_slice, n, trans, &mut partial);
+    }
 
     let mut new_dims = y.global_dims().to_vec();
     new_dims[n] = k;
@@ -373,6 +420,8 @@ pub fn parallel_ttm_ctx(
         }
     }
     let mut local_dims = partial.dims().to_vec();
+    // Freed before the reduce-scatter allocates, not recycled: keeping it
+    // would raise every rank's peak by a partial product.
     drop(partial);
 
     // Mode-aware reduce-scatter: each member receives exactly its own fully
@@ -501,13 +550,29 @@ pub fn assemble_gram(comm: &Communicator, y: &DistTensor, n: usize, s_block: &Ma
     Matrix::from_vec(in_total, in_total, data)
 }
 
+/// Runs `run` on the one-rank world ([`Communicator::single_rank`]) over `x`
+/// borrowed as its only block: how the sequential drivers run the
+/// distributed ones, with no thread, no message and no copy of `x`.
+pub(crate) fn on_one_rank<R>(
+    x: &DenseTensor,
+    run: impl FnOnce(&Communicator, &DistTensor) -> Result<R, CoreError>,
+) -> Result<R, CoreError> {
+    // The `1 × … × 1` grid needs at least one mode.
+    validate::validate_shape(x.dims())?;
+    let comm = Communicator::single_rank(x.ndims());
+    run(&comm, &DistTensor::from_global(&comm, x))
+}
+
 /// Distributed ST-HOSVD (Alg. 1 over Algs. 3–5).
 ///
-/// Mirrors [`crate::sthosvd::st_hosvd`] step for step: for each mode in the
-/// resolved order, Gram → eigenvectors → rank selection → truncating TTM.
-/// Rank selection is driven by the global `‖X‖²`, so every rank picks the
-/// same ranks; on a single rank the arithmetic is identical to the
-/// sequential algorithm.
+/// For each mode in the resolved order: Gram → eigenvectors → rank
+/// selection → truncating TTM. Rank selection is driven by the global
+/// `‖X‖²`, so every rank picks the same ranks.
+///
+/// # Panics
+/// Panics on structurally invalid input, with the message of
+/// [`crate::sthosvd::st_hosvd`]; use [`try_dist_st_hosvd_ctx`] for a
+/// [`CoreError`] instead.
 pub fn dist_st_hosvd(
     comm: &Communicator,
     x: &DistTensor,
@@ -524,15 +589,34 @@ pub fn dist_st_hosvd_ctx(
     opts: &SthosvdOptions,
     ctx: &ExecContext,
 ) -> DistSthosvdResult {
+    crate::valid_or_panic("st_hosvd", try_dist_st_hosvd_ctx(comm, x, opts, ctx))
+}
+
+/// Fallible [`dist_st_hosvd_ctx`]: validates the global shape, mode order,
+/// rank selection and processor grid, returning a [`CoreError`] instead of
+/// panicking. Every rank of the grid must call this (it is itself
+/// collective); on valid input the result is the same, bit for bit.
+pub fn try_dist_st_hosvd_ctx(
+    comm: &Communicator,
+    x: &DistTensor,
+    opts: &SthosvdOptions,
+    ctx: &ExecContext,
+) -> Result<DistSthosvdResult, CoreError> {
+    validate::validate_sthosvd_inputs(x.global_dims(), opts)?;
+    validate::validate_grid(x.global_dims(), comm.grid().shape())?;
+
     let nmodes = x.global_dims().len();
     let _span = tucker_obs::span!(
-        "dist_st_hosvd",
+        "st_hosvd",
         nmodes = nmodes,
         ranks = comm.size(),
-        thread_budget = ctx.threads(),
+        threads = ctx.threads(),
     );
+    ST_HOSVD_RUNS.inc();
     let norm_x_sq = x.global_norm_sq(comm);
 
+    // Greedy strategies consume the shared rank hint: fixed ranks when
+    // available, the dimensions otherwise.
     let order = opts.order.resolve(
         x.global_dims(),
         &validate::rank_hint(&opts.rank, x.global_dims()),
@@ -540,9 +624,9 @@ pub fn dist_st_hosvd_ctx(
 
     // `y` only ever holds an already-shrunk tensor: until the first TTM the
     // current tensor is the borrowed input itself.
-    let mut y: Option<DistTensor> = None;
-    // `order` is a permutation of the modes, so every placeholder below is
-    // overwritten.
+    let mut y: Option<DistTensor<'static>> = None;
+    // `order` is a permutation of the modes (validated), so every
+    // placeholder below is overwritten.
     let mut factors = vec![Matrix::zeros(0, 0); nmodes];
     let mut ranks = vec![0usize; nmodes];
     let mut mode_eigenvalues: Vec<Vec<f64>> = vec![Vec::new(); nmodes];
@@ -551,7 +635,7 @@ pub fn dist_st_hosvd_ctx(
     timings.thread_budget = ctx.threads();
 
     for &n in &order {
-        let _mode_span = tucker_obs::span!("dist_st_hosvd.mode", mode = n);
+        let _mode_span = tucker_obs::span!("st_hosvd.mode", mode = n);
         let current = y.as_ref().unwrap_or(x);
         let s_block = {
             let _k = tucker_obs::span!("dist.gram", mode = n);
@@ -592,81 +676,28 @@ pub fn dist_st_hosvd_ctx(
         factors[n] = u;
     }
 
-    // With no mode processed the core is the input itself.
-    let core = y.unwrap_or_else(|| x.clone());
-
-    DistSthosvdResult {
-        tucker: DistTucker { core, factors },
+    Ok(DistSthosvdResult {
+        tucker: DistTucker {
+            core: y.expect("a validated tensor has at least one mode"),
+            factors,
+        },
         ranks,
         mode_eigenvalues,
         discarded_energy,
         norm_x_sq,
         processed_order: order,
         timings,
-    }
-}
-
-/// Validates the global shape / order / rank selection of a distributed run
-/// plus the processor grid itself (no mode may have more processes than
-/// elements, or some ranks would own empty blocks).
-fn validate_dist_inputs(
-    comm: &Communicator,
-    x: &DistTensor,
-    opts: &SthosvdOptions,
-) -> Result<(), CoreError> {
-    validate::validate_sthosvd_inputs(x.global_dims(), opts)?;
-    validate::validate_grid(x.global_dims(), comm.grid().shape())?;
-    Ok(())
-}
-
-/// Fallible [`dist_st_hosvd`]: validates the global shape, mode order, rank
-/// selection, and processor grid, returning a [`CoreError`] instead of
-/// panicking. Every rank of the grid must call this (it is itself
-/// collective); on valid input the result is the same, bit for bit.
-pub fn try_dist_st_hosvd(
-    comm: &Communicator,
-    x: &DistTensor,
-    opts: &SthosvdOptions,
-) -> Result<DistSthosvdResult, CoreError> {
-    try_dist_st_hosvd_ctx(comm, x, opts, &hybrid_ctx(comm))
-}
-
-/// Fallible [`dist_st_hosvd_ctx`]; see [`try_dist_st_hosvd`].
-pub fn try_dist_st_hosvd_ctx(
-    comm: &Communicator,
-    x: &DistTensor,
-    opts: &SthosvdOptions,
-    ctx: &ExecContext,
-) -> Result<DistSthosvdResult, CoreError> {
-    validate_dist_inputs(comm, x, opts)?;
-    Ok(dist_st_hosvd_ctx(comm, x, opts, ctx))
-}
-
-/// Fallible [`dist_hooi`]: validates like [`try_dist_st_hosvd`] and returns
-/// a [`CoreError`] instead of panicking.
-pub fn try_dist_hooi(
-    comm: &Communicator,
-    x: &DistTensor,
-    opts: &HooiOptions,
-) -> Result<DistHooiResult, CoreError> {
-    try_dist_hooi_ctx(comm, x, opts, &hybrid_ctx(comm))
-}
-
-/// Fallible [`dist_hooi_ctx`]; see [`try_dist_hooi`].
-pub fn try_dist_hooi_ctx(
-    comm: &Communicator,
-    x: &DistTensor,
-    opts: &HooiOptions,
-    ctx: &ExecContext,
-) -> Result<DistHooiResult, CoreError> {
-    validate_dist_inputs(comm, x, &opts.init)?;
-    Ok(dist_hooi_ctx(comm, x, opts, ctx))
+    })
 }
 
 /// Distributed HOOI (Alg. 2 over Algs. 3–5), initialized with
-/// [`dist_st_hosvd`]. Mirrors [`crate::hooi::hooi`] step for step; the fit
-/// `‖X‖² − ‖G‖²` is computed from globally reduced norms, so every rank makes
-/// the same convergence decision.
+/// [`dist_st_hosvd`]. The fit `‖X‖² − ‖G‖²` is computed from globally
+/// reduced norms, so every rank makes the same convergence decision.
+///
+/// # Panics
+/// Panics on structurally invalid input, with the message of
+/// [`crate::hooi::hooi`]; use [`try_dist_hooi_ctx`] for a [`CoreError`]
+/// instead.
 pub fn dist_hooi(comm: &Communicator, x: &DistTensor, opts: &HooiOptions) -> DistHooiResult {
     dist_hooi_ctx(comm, x, opts, &hybrid_ctx(comm))
 }
@@ -678,75 +709,119 @@ pub fn dist_hooi_ctx(
     opts: &HooiOptions,
     ctx: &ExecContext,
 ) -> DistHooiResult {
+    crate::valid_or_panic("hooi", try_dist_hooi_ctx(comm, x, opts, ctx))
+}
+
+/// Fallible [`dist_hooi_ctx`]: validates like [`try_dist_st_hosvd_ctx`]
+/// (which is its initialization) and returns a [`CoreError`] instead of
+/// panicking.
+///
+/// The TTM chain of every factor update runs through a [`Workspace`]: the
+/// shrinking intermediates of Alg. 2 line 5 ping-pong between recycled
+/// buffers instead of allocating `O(iterations × modes²)` fresh tensors.
+pub fn try_dist_hooi_ctx(
+    comm: &Communicator,
+    x: &DistTensor,
+    opts: &HooiOptions,
+    ctx: &ExecContext,
+) -> Result<DistHooiResult, CoreError> {
     let nmodes = x.global_dims().len();
     let _span = tucker_obs::span!(
-        "dist_hooi",
+        "hooi",
         nmodes = nmodes,
         ranks = comm.size(),
-        thread_budget = ctx.threads(),
+        threads = ctx.threads(),
     );
-    let norm_x_sq = x.global_norm_sq(comm);
-
-    let init = dist_st_hosvd_ctx(comm, x, &opts.init, ctx);
-    let ranks = init.ranks.clone();
+    // Line 2: initialize with ST-HOSVD; the ranks are frozen afterwards.
+    let init = try_dist_st_hosvd_ctx(comm, x, &opts.init, ctx)?;
+    let norm_x_sq = init.norm_x_sq;
+    let ranks = init.ranks;
     let mut factors = init.tucker.factors;
     let mut core = init.tucker.core;
-    let mut prev_fit = norm_x_sq - core.global_norm_sq(comm);
-    let mut fit_history = vec![prev_fit];
+    let mut fit_history = vec![norm_x_sq - core.global_norm_sq(comm)];
+    let mut ws = Workspace::new();
 
     let mut iterations = 0;
     for _ in 0..opts.max_iterations {
-        let _iter_span = tucker_obs::span!("dist_hooi.iteration", iteration = iterations);
+        let _iter_span = tucker_obs::span!("hooi.iteration", iteration = iterations);
+        HOOI_ITERATIONS.inc();
+        // Lines 4–8: update each factor in turn.
         for n in 0..nmodes {
-            // Y = X ×_{m≠n} U⁽ᵐ⁾ᵀ, applied in natural order (as the
-            // sequential multi_ttm does), reading X in place until the first
-            // product.
-            let mut y: Option<DistTensor> = None;
+            // Y = X ×_{m≠n} U⁽ᵐ⁾ᵀ, applied in natural order, reading X in
+            // place until the first product (`None` means "still X").
+            let mut y: Option<DistTensor<'static>> = None;
             for m in (0..nmodes).filter(|&m| m != n) {
                 let current = y.as_ref().unwrap_or(x);
-                y = Some(parallel_ttm_ctx(
+                let next = parallel_ttm_ws(
                     comm,
                     current,
                     &factors[m],
                     m,
                     TtmTranspose::Transpose,
                     ctx,
-                ));
+                    &mut ws,
+                );
+                if let Some(prev) = y.replace(next) {
+                    ws.give(prev.into_local().into_vec());
+                }
             }
-            let y = y.as_ref().unwrap_or(x);
-            let s_block = parallel_gram_ctx(comm, y, n, ctx);
-            let eig = parallel_evecs(comm, y, n, &s_block);
+            let current = y.as_ref().unwrap_or(x);
+            let s_block = parallel_gram_ctx(comm, current, n, ctx);
+            let eig = parallel_evecs(comm, current, n, &s_block);
             factors[n] = eig.leading_vectors(ranks[n]);
+            // Line 9 (on the last mode): the current Y already has every
+            // product but mode n's, so the new core is Y ×_n U⁽ⁿ⁾ᵀ.
             if n == nmodes - 1 {
-                core = parallel_ttm_ctx(comm, y, &factors[n], n, TtmTranspose::Transpose, ctx);
+                let new_core = parallel_ttm_ws(
+                    comm,
+                    current,
+                    &factors[n],
+                    n,
+                    TtmTranspose::Transpose,
+                    ctx,
+                    &mut ws,
+                );
+                ws.give(
+                    std::mem::replace(&mut core, new_core)
+                        .into_local()
+                        .into_vec(),
+                );
+            }
+            if let Some(t) = y {
+                ws.give(t.into_local().into_vec());
             }
         }
         iterations += 1;
         let fit = norm_x_sq - core.global_norm_sq(comm);
+        let prev = fit_history[fit_history.len() - 1];
         fit_history.push(fit);
-        if prev_fit - fit <= opts.fit_tolerance * norm_x_sq {
+        // Line 10: stop when the fit ceases to decrease meaningfully.
+        if prev - fit <= opts.fit_tolerance * norm_x_sq {
             break;
         }
-        prev_fit = fit;
     }
 
-    DistHooiResult {
+    Ok(DistHooiResult {
         tucker: DistTucker { core, factors },
         ranks,
         fit_history,
         iterations,
-    }
+    })
 }
 
 /// Distributed reconstruction `X̂ = G ×₁ U⁽¹⁾ ⋯ ×_N U⁽ᴺ⁾`: a chain of
 /// parallel TTMs that grows the distributed core back to the original
 /// (distributed) dimensions.
-pub fn dist_reconstruct(comm: &Communicator, t: &DistTucker) -> DistTensor {
+pub fn dist_reconstruct(comm: &Communicator, t: &DistTucker) -> DistTensor<'static> {
     dist_reconstruct_ctx(comm, t, &hybrid_ctx(comm))
 }
 
 /// [`dist_reconstruct`] on an explicit per-rank execution context.
-pub fn dist_reconstruct_ctx(comm: &Communicator, t: &DistTucker, ctx: &ExecContext) -> DistTensor {
+pub fn dist_reconstruct_ctx(
+    comm: &Communicator,
+    t: &DistTucker,
+    ctx: &ExecContext,
+) -> DistTensor<'static> {
     let mut y = t.core.clone();
     for (n, u) in t.factors.iter().enumerate() {
         y = parallel_ttm_ctx(comm, &y, u, n, TtmTranspose::NoTranspose, ctx);

@@ -6,16 +6,18 @@
 //! transposed, the Gram matrix of the result's mode-n unfolding is formed, and
 //! its leading eigenvectors replace `U⁽ⁿ⁾`. The fit is tracked through
 //! `‖X‖² − ‖G‖²` (line 10), which decreases monotonically.
+//!
+//! The algorithm itself lives once, in [`crate::dist`]: [`hooi_ctx`] runs
+//! [`crate::dist::try_dist_hooi_ctx`] on the one-rank world, over the input
+//! borrowed as that world's only block.
 
-use crate::sthosvd::{st_hosvd_ctx, SthosvdOptions};
+use crate::dist::{self, DistHooiResult};
+use crate::sthosvd::SthosvdOptions;
 use crate::tucker::TuckerTensor;
-use crate::validate::{self, CoreError};
+use crate::validate::CoreError;
 use serde::{Deserialize, Serialize};
-use tucker_exec::{ExecContext, Workspace};
-use tucker_linalg::eig::sym_eig_desc;
-use tucker_linalg::Matrix;
-use tucker_obs::metrics::Counter;
-use tucker_tensor::{gram_ctx, ttm_ctx, ttm_into_ctx, DenseTensor, TtmTranspose};
+use tucker_exec::ExecContext;
+use tucker_tensor::DenseTensor;
 
 /// Options controlling HOOI.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -74,6 +76,16 @@ impl HooiResult {
             (last.max(0.0) / norm_x_sq).sqrt()
         }
     }
+
+    /// The result of a one-rank run, whose core block is the whole core.
+    fn from_one_rank(r: DistHooiResult) -> Self {
+        HooiResult {
+            tucker: TuckerTensor::new(r.tucker.core.into_local(), r.tucker.factors),
+            ranks: r.ranks,
+            fit_history: r.fit_history,
+            iterations: r.iterations,
+        }
+    }
 }
 
 /// Computes a Tucker decomposition by HOOI (Alg. 2), initialized with
@@ -82,114 +94,29 @@ pub fn hooi(x: &DenseTensor, opts: &HooiOptions) -> HooiResult {
     hooi_ctx(x, opts, ExecContext::global())
 }
 
-/// [`hooi`] on an explicit execution context.
-///
-/// The TTM chain of every factor update runs through a [`Workspace`]: the
-/// shrinking intermediates of Alg. 2 line 5 ping-pong between recycled
-/// buffers instead of allocating `O(iterations × modes²)` fresh tensors.
-/// Results are bit-identical to the allocating formulation and across thread
-/// counts.
+/// [`hooi`] on an explicit execution context. The TTM intermediates of every
+/// factor update are recycled through a workspace (see
+/// [`crate::dist::try_dist_hooi_ctx`]). Results are bit-identical across
+/// thread counts.
 ///
 /// # Panics
 /// Panics on structurally invalid input (see
 /// [`crate::sthosvd::st_hosvd`]); use [`try_hooi_ctx`] for a
 /// [`CoreError`] instead.
 pub fn hooi_ctx(x: &DenseTensor, opts: &HooiOptions, ctx: &ExecContext) -> HooiResult {
-    match try_hooi_ctx(x, opts, ctx) {
-        Ok(r) => r,
-        Err(e) => panic!("hooi: invalid input: {e}"),
-    }
+    crate::valid_or_panic("hooi", try_hooi_ctx(x, opts, ctx))
 }
 
-/// Fallible [`hooi`]: validates the initialization options (shape, mode
+/// Fallible [`hooi_ctx`]: validates the initialization options (shape, mode
 /// order, rank selection) and returns a [`CoreError`] instead of panicking.
 /// On valid input the result is the same, bit for bit.
-pub fn try_hooi(x: &DenseTensor, opts: &HooiOptions) -> Result<HooiResult, CoreError> {
-    try_hooi_ctx(x, opts, ExecContext::global())
-}
-
-/// Fallible [`hooi_ctx`]; see [`try_hooi`].
 pub fn try_hooi_ctx(
     x: &DenseTensor,
     opts: &HooiOptions,
     ctx: &ExecContext,
 ) -> Result<HooiResult, CoreError> {
-    validate::validate_sthosvd_inputs(x.dims(), &opts.init)?;
-    Ok(hooi_unchecked(x, opts, ctx))
-}
-
-/// Outer HOOI iterations actually executed (convergence may stop early);
-/// see `tucker-obs` — driver-level counterpart of the kernel flop counters.
-static HOOI_ITERATIONS: Counter = Counter::new("core.hooi.iterations");
-
-/// The Alg. 2 kernel itself; inputs have been validated.
-fn hooi_unchecked(x: &DenseTensor, opts: &HooiOptions, ctx: &ExecContext) -> HooiResult {
-    let nmodes = x.ndims();
-    let _span = tucker_obs::span!("hooi", nmodes = nmodes, threads = ctx.threads());
-    let norm_x_sq = x.norm_sq();
-
-    // Line 2: initialize with ST-HOSVD; the ranks are frozen afterwards.
-    let init = st_hosvd_ctx(x, &opts.init, ctx);
-    let ranks = init.ranks.clone();
-    let mut factors: Vec<Matrix> = init.tucker.factors.clone();
-    let mut core = init.tucker.core.clone();
-    let mut fit_history = vec![norm_x_sq - core.norm_sq()];
-    let mut ws = Workspace::new();
-
-    let mut iterations = 0;
-    for _ in 0..opts.max_iterations {
-        let _iter_span = tucker_obs::span!("hooi.iteration", iteration = iterations);
-        HOOI_ITERATIONS.inc();
-        // Lines 4–8: update each factor in turn.
-        for n in 0..nmodes {
-            // Y = X ×_{m≠n} U⁽ᵐ⁾ᵀ, applied in natural order through
-            // workspace-recycled intermediates (`None` means "still X").
-            let mut cur: Option<DenseTensor> = None;
-            for m in (0..nmodes).filter(|&m| m != n) {
-                let src: &DenseTensor = cur.as_ref().unwrap_or(x);
-                let mut out_dims = src.dims().to_vec();
-                out_dims[m] = ranks[m];
-                let len = out_dims.iter().product();
-                let mut out = DenseTensor::from_vec(&out_dims, ws.take(len));
-                ttm_into_ctx(ctx, src, &factors[m], m, TtmTranspose::Transpose, &mut out);
-                if let Some(prev) = cur.take() {
-                    ws.give(prev.into_vec());
-                }
-                cur = Some(out);
-            }
-            let y: &DenseTensor = cur.as_ref().unwrap_or(x);
-            let s = gram_ctx(ctx, y, n);
-            let eig = sym_eig_desc(&s);
-            factors[n] = eig.leading_vectors(ranks[n]);
-            // Line 9 (executed on the last mode): the current Y already has all
-            // products except mode n applied, so the new core is Y ×_n U⁽ⁿ⁾ᵀ.
-            if n == nmodes - 1 {
-                let old = std::mem::replace(
-                    &mut core,
-                    ttm_ctx(ctx, y, &factors[n], n, TtmTranspose::Transpose),
-                );
-                ws.give(old.into_vec());
-            }
-            if let Some(t) = cur {
-                ws.give(t.into_vec());
-            }
-        }
-        iterations += 1;
-        let fit = norm_x_sq - core.norm_sq();
-        let prev = *fit_history.last().unwrap();
-        fit_history.push(fit);
-        // Line 10: stop when the fit ceases to decrease meaningfully.
-        if prev - fit <= opts.fit_tolerance * norm_x_sq {
-            break;
-        }
-    }
-
-    HooiResult {
-        tucker: TuckerTensor::new(core, factors),
-        ranks,
-        fit_history,
-        iterations,
-    }
+    dist::on_one_rank(x, |comm, dx| dist::try_dist_hooi_ctx(comm, dx, opts, ctx))
+        .map(HooiResult::from_one_rank)
 }
 
 #[cfg(test)]
@@ -198,7 +125,8 @@ mod tests {
     use crate::sthosvd::st_hosvd;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use tucker_tensor::{normalized_rms_error, ttm_chain};
+    use tucker_linalg::Matrix;
+    use tucker_tensor::{normalized_rms_error, ttm_chain, TtmTranspose};
 
     fn random_tensor(rng: &mut StdRng, dims: &[usize]) -> DenseTensor {
         DenseTensor::from_fn(dims, |_| rng.gen_range(-1.0..1.0))

@@ -5,13 +5,16 @@
 //! (Austin, Ballard & Kolda, *Parallel Tensor Compression for Large-Scale
 //! Scientific Data*, IPDPS 2016):
 //!
-//! * **Sequential algorithms** — [`sthosvd`] (Alg. 1), [`hooi`](mod@hooi) (Alg. 2),
-//!   [`thosvd`] (the classical truncated HOSVD baseline), and
-//!   [`reconstruct`] (full and partial reconstruction, eq. (1)).
-//! * **Distributed algorithms** — the [`dist`] module provides the
+//! * **ST-HOSVD and HOOI** (Algs. 1–2) — the [`dist`] module provides the
 //!   block-distributed tensor (Sec. IV), the parallel TTM / Gram /
-//!   eigenvector kernels (Algs. 3–5), and distributed ST-HOSVD / HOOI built
-//!   on top of the simulated message-passing runtime in `tucker-distmem`.
+//!   eigenvector kernels (Algs. 3–5), and the one ST-HOSVD loop and the one
+//!   HOOI loop, built on the message-passing runtime in `tucker-distmem`.
+//!   The sequential entries [`sthosvd`] and [`hooi`](mod@hooi) are those
+//!   loops run on a one-rank world, over their input borrowed in place;
+//!   [`streaming`] is the out-of-core ST-HOSVD.
+//! * **Other algorithms** — [`thosvd`] (the classical truncated HOSVD
+//!   baseline) and [`reconstruct`] (full and partial reconstruction,
+//!   eq. (1)).
 //! * **Compression machinery** — [`rank`] (ε-driven rank selection),
 //!   [`error`] (mode-wise error analysis, the error bound eq. (3), and
 //!   compression ratios), and [`ordering`] (mode-ordering strategies,
@@ -53,38 +56,40 @@ pub mod tucker;
 pub mod validate;
 
 pub use error::{compression_ratio, error_bound, mode_wise_error_curves, ModeErrorCurve};
-pub use hooi::{hooi, hooi_ctx, try_hooi, try_hooi_ctx, HooiOptions, HooiResult};
+pub use hooi::{hooi, hooi_ctx, try_hooi_ctx, HooiOptions, HooiResult};
 pub use ordering::ModeOrder;
 pub use rank::{select_rank_by_threshold, RankSelection};
 pub use reconstruct::{
     reconstruct_element, reconstruct_elements, reconstruct_subtensor, reconstruct_subtensor_ctx,
     PointContraction,
 };
-pub use sthosvd::{
-    st_hosvd, st_hosvd_ctx, try_st_hosvd, try_st_hosvd_ctx, SthosvdOptions, SthosvdResult,
-};
+pub use sthosvd::{st_hosvd, st_hosvd_ctx, try_st_hosvd_ctx, SthosvdOptions, SthosvdResult};
 pub use streaming::{
-    st_hosvd_streaming, st_hosvd_streaming_ctx, try_st_hosvd_streaming, try_st_hosvd_streaming_ctx,
-    StreamingOptions,
+    st_hosvd_streaming, st_hosvd_streaming_ctx, try_st_hosvd_streaming_ctx, StreamingOptions,
 };
 pub use thosvd::{t_hosvd, ThosvdResult};
 pub use tucker::TuckerTensor;
 pub use validate::{CoreError, RankError, ShapeError};
 
+/// Unwraps the result of a `try_*` entry point for its panicking twin, with
+/// the one message both share: `"{what}: invalid input: {e}"`.
+pub(crate) fn valid_or_panic<T>(what: &str, r: Result<T, CoreError>) -> T {
+    r.unwrap_or_else(|e| panic!("{what}: invalid input: {e}"))
+}
+
 /// Convenience re-exports for downstream code and examples.
 pub mod prelude {
     pub use crate::dist::{DistTensor, DistTucker};
     pub use crate::error::{compression_ratio, error_bound, mode_wise_error_curves};
-    pub use crate::hooi::{hooi, hooi_ctx, try_hooi, try_hooi_ctx, HooiOptions, HooiResult};
+    pub use crate::hooi::{hooi, hooi_ctx, try_hooi_ctx, HooiOptions, HooiResult};
     pub use crate::ordering::ModeOrder;
     pub use crate::rank::RankSelection;
     pub use crate::reconstruct::{reconstruct_element, reconstruct_subtensor};
     pub use crate::sthosvd::{
-        st_hosvd, st_hosvd_ctx, try_st_hosvd, try_st_hosvd_ctx, SthosvdOptions, SthosvdResult,
+        st_hosvd, st_hosvd_ctx, try_st_hosvd_ctx, SthosvdOptions, SthosvdResult,
     };
     pub use crate::streaming::{
-        st_hosvd_streaming, st_hosvd_streaming_ctx, try_st_hosvd_streaming,
-        try_st_hosvd_streaming_ctx, StreamingOptions,
+        st_hosvd_streaming, st_hosvd_streaming_ctx, try_st_hosvd_streaming_ctx, StreamingOptions,
     };
     pub use crate::thosvd::t_hosvd;
     pub use crate::tucker::TuckerTensor;

@@ -6,25 +6,23 @@
 //! truncation of earlier modes makes later modes cheaper — the property the
 //! mode-ordering experiments (Fig. 8b) exploit.
 //!
-//! The input is read in place: the first processed mode's Gram and TTM read
-//! the borrowed `x`, and only already-shrunk tensors are ever owned. Peak
-//! memory is therefore about the input plus the first mode's TTM output
-//! (plus, briefly, the next mode's smaller output) — never a second copy
-//! of the input.
+//! The algorithm itself lives once, in [`crate::dist`]: [`st_hosvd_ctx`]
+//! validates its input and runs [`crate::dist::try_dist_st_hosvd_ctx`] on the
+//! one-rank world, over the input borrowed as that world's only block. The
+//! input is therefore read in place: the first processed mode's Gram and TTM
+//! read the borrowed `x`, and only already-shrunk tensors are ever owned.
+//! Peak memory is about the input plus the first mode's TTM output (plus,
+//! briefly, the next mode's smaller output) — never a second copy of the
+//! input.
 
+use crate::dist::{self, DistSthosvdResult};
 use crate::ordering::ModeOrder;
-use crate::rank::{discarded_tail, RankSelection};
+use crate::rank::RankSelection;
 use crate::tucker::TuckerTensor;
-use crate::validate::{self, CoreError};
+use crate::validate::CoreError;
 use serde::{Deserialize, Serialize};
 use tucker_exec::ExecContext;
-use tucker_linalg::eig::sym_eig_desc;
-use tucker_linalg::Matrix;
-use tucker_obs::metrics::Counter;
-use tucker_tensor::{gram_ctx, ttm_ctx, DenseTensor, TtmTranspose};
-
-/// Completed in-memory ST-HOSVD decompositions (see `tucker-obs`).
-static ST_HOSVD_RUNS: Counter = Counter::new("core.st_hosvd.runs");
+use tucker_tensor::DenseTensor;
 
 /// Options controlling ST-HOSVD.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -91,6 +89,18 @@ impl SthosvdResult {
         }
         (self.discarded_energy.max(0.0) / self.norm_x_sq).sqrt()
     }
+
+    /// The result of a one-rank run, whose core block is the whole core.
+    fn from_one_rank(r: DistSthosvdResult) -> Self {
+        SthosvdResult {
+            tucker: TuckerTensor::new(r.tucker.core.into_local(), r.tucker.factors),
+            ranks: r.ranks,
+            mode_eigenvalues: r.mode_eigenvalues,
+            discarded_energy: r.discarded_energy,
+            norm_x_sq: r.norm_x_sq,
+            processed_order: r.processed_order,
+        }
+    }
 }
 
 /// Computes the ST-HOSVD of `x` (Alg. 1) on the global execution context.
@@ -98,7 +108,7 @@ impl SthosvdResult {
 /// # Panics
 /// Panics on structurally invalid input (empty/zero-extent shape, fixed
 /// ranks exceeding the mode dims, a non-permutation custom order); use
-/// [`try_st_hosvd`] for a [`CoreError`] instead.
+/// [`try_st_hosvd_ctx`] for a [`CoreError`] instead.
 pub fn st_hosvd(x: &DenseTensor, opts: &SthosvdOptions) -> SthosvdResult {
     st_hosvd_ctx(x, opts, ExecContext::global())
 }
@@ -111,80 +121,21 @@ pub fn st_hosvd(x: &DenseTensor, opts: &SthosvdOptions) -> SthosvdResult {
 /// Panics on structurally invalid input; use [`try_st_hosvd_ctx`] for a
 /// [`CoreError`] instead.
 pub fn st_hosvd_ctx(x: &DenseTensor, opts: &SthosvdOptions, ctx: &ExecContext) -> SthosvdResult {
-    match try_st_hosvd_ctx(x, opts, ctx) {
-        Ok(r) => r,
-        Err(e) => panic!("st_hosvd: invalid input: {e}"),
-    }
+    crate::valid_or_panic("st_hosvd", try_st_hosvd_ctx(x, opts, ctx))
 }
 
-/// Fallible [`st_hosvd`]: validates the input shape, mode order, and rank
+/// Fallible [`st_hosvd_ctx`]: validates the input shape, mode order, and rank
 /// selection, returning a [`CoreError`] instead of panicking. On valid input
 /// the result is the same, bit for bit.
-pub fn try_st_hosvd(x: &DenseTensor, opts: &SthosvdOptions) -> Result<SthosvdResult, CoreError> {
-    try_st_hosvd_ctx(x, opts, ExecContext::global())
-}
-
-/// Fallible [`st_hosvd_ctx`]; see [`try_st_hosvd`].
 pub fn try_st_hosvd_ctx(
     x: &DenseTensor,
     opts: &SthosvdOptions,
     ctx: &ExecContext,
 ) -> Result<SthosvdResult, CoreError> {
-    validate::validate_sthosvd_inputs(x.dims(), opts)?;
-    Ok(st_hosvd_unchecked(x, opts, ctx))
-}
-
-/// The Alg. 1 kernel itself; inputs have been validated.
-fn st_hosvd_unchecked(x: &DenseTensor, opts: &SthosvdOptions, ctx: &ExecContext) -> SthosvdResult {
-    let nmodes = x.ndims();
-    let _span = tucker_obs::span!("st_hosvd", nmodes = nmodes, threads = ctx.threads());
-    ST_HOSVD_RUNS.inc();
-    let norm_x_sq = x.norm_sq();
-
-    // Resolve the processing order (greedy strategies consume the shared
-    // rank hint: fixed ranks when available, the dimensions otherwise).
-    let order = opts
-        .order
-        .resolve(x.dims(), &validate::rank_hint(&opts.rank, x.dims()));
-
-    // `y` only ever holds an already-shrunk tensor: until the first TTM the
-    // current tensor is the borrowed input itself.
-    let mut y: Option<DenseTensor> = None;
-    // `order` is a permutation of the modes (validated), so every
-    // placeholder below is overwritten.
-    let mut factors = vec![Matrix::zeros(0, 0); nmodes];
-    let mut ranks = vec![0usize; nmodes];
-    let mut mode_eigenvalues: Vec<Vec<f64>> = vec![Vec::new(); nmodes];
-    let mut discarded_energy = 0.0;
-
-    for &n in &order {
-        let _mode_span = tucker_obs::span!("st_hosvd.mode", mode = n);
-        let current = y.as_ref().unwrap_or(x);
-        // Gram matrix of the current tensor's mode-n unfolding.
-        let s = gram_ctx(ctx, current, n);
-        let eig = sym_eig_desc(&s);
-        let r = opts.rank.select(n, &eig.values, norm_x_sq, nmodes);
-        let u = eig.leading_vectors(r);
-        discarded_energy += discarded_tail(&eig.values, r);
-        mode_eigenvalues[n] = eig.values;
-        ranks[n] = r;
-        // Shrink the tensor: Y ← Y ×_n U⁽ⁿ⁾ᵀ.
-        y = Some(ttm_ctx(ctx, current, &u, n, TtmTranspose::Transpose));
-        factors[n] = u;
-    }
-
-    // With no mode processed the core is the input itself.
-    let core = y.unwrap_or_else(|| x.clone());
-    let tucker = TuckerTensor::new(core, factors);
-
-    SthosvdResult {
-        tucker,
-        ranks,
-        mode_eigenvalues,
-        discarded_energy,
-        norm_x_sq,
-        processed_order: order,
-    }
+    dist::on_one_rank(x, |comm, dx| {
+        dist::try_dist_st_hosvd_ctx(comm, dx, opts, ctx)
+    })
+    .map(SthosvdResult::from_one_rank)
 }
 
 #[cfg(test)]
@@ -193,7 +144,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tucker_linalg::Matrix;
-    use tucker_tensor::{normalized_rms_error, ttm_chain};
+    use tucker_tensor::{normalized_rms_error, ttm_chain, TtmTranspose};
 
     /// Builds an exactly low-rank tensor: random core × random orthonormal factors.
     fn low_rank_tensor(rng: &mut StdRng, dims: &[usize], ranks: &[usize]) -> DenseTensor {

@@ -100,25 +100,16 @@ pub fn st_hosvd_streaming_ctx(
     stream: &StreamingOptions,
     ctx: &ExecContext,
 ) -> SthosvdResult {
-    match try_st_hosvd_streaming_ctx(src, opts, stream, ctx) {
-        Ok(r) => r,
-        Err(e) => panic!("st_hosvd_streaming: invalid input: {e}"),
-    }
+    crate::valid_or_panic(
+        "st_hosvd_streaming",
+        try_st_hosvd_streaming_ctx(src, opts, stream, ctx),
+    )
 }
 
-/// Fallible [`st_hosvd_streaming`]: validates the source shape, mode order
-/// (which must process the streaming mode last), and rank selection,
+/// Fallible [`st_hosvd_streaming_ctx`]: validates the source shape, mode
+/// order (which must process the streaming mode last), and rank selection,
 /// returning a [`CoreError`] instead of panicking. On valid input the result
 /// is the same, bit for bit.
-pub fn try_st_hosvd_streaming(
-    src: &impl SlabSource,
-    opts: &SthosvdOptions,
-    stream: &StreamingOptions,
-) -> Result<SthosvdResult, CoreError> {
-    try_st_hosvd_streaming_ctx(src, opts, stream, ExecContext::global())
-}
-
-/// Fallible [`st_hosvd_streaming_ctx`]; see [`try_st_hosvd_streaming`].
 pub fn try_st_hosvd_streaming_ctx(
     src: &impl SlabSource,
     opts: &SthosvdOptions,

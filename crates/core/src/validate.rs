@@ -1,22 +1,24 @@
 //! Input validation and the typed errors of the fallible (`try_*`) API.
 //!
-//! Every `try_*` entry point of this crate — [`try_st_hosvd`],
-//! [`try_hooi`], [`try_st_hosvd_streaming`], [`try_dist_st_hosvd`] — runs
-//! the validators below *before* touching a kernel, so malformed input
-//! (an empty shape, a zero-length mode, fixed ranks exceeding the mode
-//! dimensions, a mode order that is not a permutation) surfaces as a
-//! [`CoreError`] instead of a panic deep inside a GEMM. The historical
-//! panicking names (`st_hosvd`, `hooi`, …) are thin wrappers over the
-//! `try_*` forms that panic with the same diagnostic, so the two surfaces
-//! can never drift apart.
+//! Every `try_*` entry point of this crate — [`try_dist_st_hosvd_ctx`]
+//! (which [`try_st_hosvd_ctx`], [`try_dist_hooi_ctx`] and [`try_hooi_ctx`]
+//! all run) and [`try_st_hosvd_streaming_ctx`] — runs the validators below
+//! *before* touching a kernel, so malformed input (an empty shape, a
+//! zero-length mode, fixed ranks exceeding the mode dimensions, a mode order
+//! that is not a permutation, a processor grid finer than the tensor)
+//! surfaces as a [`CoreError`] instead of a panic deep inside a GEMM. The
+//! panicking names (`st_hosvd`, `dist_st_hosvd`, `hooi`, …) are thin
+//! wrappers over the `try_*` forms that panic with the same diagnostic, so
+//! the two surfaces can never drift apart.
 //!
 //! This module is covered by the CI panic-grep gate: no `panic!`, `unwrap`,
 //! `expect`, or `assert` may appear here — every failure is a returned value.
 //!
-//! [`try_st_hosvd`]: crate::sthosvd::try_st_hosvd
-//! [`try_hooi`]: crate::hooi::try_hooi
-//! [`try_st_hosvd_streaming`]: crate::streaming::try_st_hosvd_streaming
-//! [`try_dist_st_hosvd`]: crate::dist::try_dist_st_hosvd
+//! [`try_st_hosvd_ctx`]: crate::sthosvd::try_st_hosvd_ctx
+//! [`try_hooi_ctx`]: crate::hooi::try_hooi_ctx
+//! [`try_st_hosvd_streaming_ctx`]: crate::streaming::try_st_hosvd_streaming_ctx
+//! [`try_dist_st_hosvd_ctx`]: crate::dist::try_dist_st_hosvd_ctx
+//! [`try_dist_hooi_ctx`]: crate::dist::try_dist_hooi_ctx
 
 use crate::ordering::ModeOrder;
 use crate::rank::RankSelection;

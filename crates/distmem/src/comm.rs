@@ -49,6 +49,19 @@ impl Communicator {
             .collect()
     }
 
+    /// The one-rank world on the `1 × … × 1` grid of order `ndims`, built on
+    /// the calling thread (no [`crate::runtime::spmd`] region). Every group
+    /// of it has a single member, so the kernels above it never send a
+    /// message: this is the world the sequential Tucker drivers run on.
+    ///
+    /// # Panics
+    /// Panics if `ndims == 0` (a processor grid needs at least one mode).
+    pub fn single_rank(ndims: usize) -> Communicator {
+        Communicator::create_world(ProcGrid::new(&vec![1; ndims]))
+            .pop()
+            .expect("a one-rank world has one communicator")
+    }
+
     /// Wraps an arbitrary [`Transport`] endpoint as rank `rank` of a
     /// `grid.size()`-rank world. This is how `tucker-net` plugs its TCP mesh
     /// under the unchanged SPMD surface.
@@ -259,6 +272,15 @@ mod tests {
             assert_eq!(s.wire_bytes_sent, 0);
             assert_eq!(s.wire_bytes_received, 0);
         }
+    }
+
+    #[test]
+    fn single_rank_world_is_the_unit_grid() {
+        let comm = Communicator::single_rank(3);
+        assert_eq!((comm.rank(), comm.size()), (0, 1));
+        assert_eq!(comm.grid().shape(), &[1, 1, 1]);
+        assert_eq!(comm.sendrecv(0, &[7.0], 0), vec![7.0]);
+        comm.barrier();
     }
 
     #[test]

@@ -154,7 +154,8 @@ impl Workspace {
         let best = (0..self.free.len()).max_by_key(|&i| self.free[i].capacity());
         let mut buf = match best {
             Some(i) => self.free.swap_remove(i),
-            None => Vec::new(),
+            // An empty pool hands out allocator-zeroed memory: no fill pass.
+            None => return vec![0.0; len],
         };
         // Only growth beyond the retained length is zero-filled.
         buf.truncate(len);

@@ -60,8 +60,8 @@ pub mod prelude {
         TensorQuery, TuckerError, Written,
     };
     pub use tucker_core::dist::{
-        dist_hooi, dist_reconstruct, dist_st_hosvd, try_dist_hooi, try_dist_st_hosvd, DistTensor,
-        DistTucker,
+        dist_hooi, dist_reconstruct, dist_st_hosvd, hybrid_ctx, try_dist_hooi_ctx,
+        try_dist_st_hosvd_ctx, DistTensor, DistTucker,
     };
     pub use tucker_core::prelude::*;
     pub use tucker_distmem::{

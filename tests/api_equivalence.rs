@@ -409,7 +409,11 @@ fn bad_rank_selections_are_typed_errors() {
         }))
     ));
     assert!(matches!(
-        tucker_core::try_st_hosvd(&x, &SthosvdOptions::with_ranks(vec![6, 9, 4])),
+        tucker_core::try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_ranks(vec![6, 9, 4]),
+            ExecContext::global()
+        ),
         Err(tucker_core::CoreError::Rank(RankError::ExceedsDim { .. }))
     ));
     // Wrong arity and zero rank.

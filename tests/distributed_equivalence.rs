@@ -5,7 +5,7 @@
 
 use parallel_tucker::prelude::*;
 use tucker_core::dist::{
-    dist_hooi, dist_hooi_ctx, dist_reconstruct, dist_st_hosvd_ctx, parallel_gram,
+    dist_hooi, dist_hooi_ctx, dist_reconstruct, dist_st_hosvd_ctx, hybrid_ctx, parallel_gram,
     parallel_gram_ctx, parallel_ttm,
 };
 use tucker_core::hooi::{hooi, hooi_ctx, HooiOptions};
@@ -346,6 +346,72 @@ fn single_rank_distributed_run_is_exactly_sequential() {
                 assert_eq!(bits(&dho.fit_history), bits(&ho.fit_history), "{label}");
                 assert_eq!(tucker_bits(&ho_tucker), tucker_bits(&ho.tucker), "{label}");
             }
+        }
+    }
+}
+
+/// Every entry validates: on any grid, the distributed drivers reject what
+/// the sequential ones reject, with the same panic message and the same
+/// typed error.
+#[test]
+fn distributed_entries_validate_like_the_sequential_ones() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use tucker_core::dist::{try_dist_hooi_ctx, try_dist_st_hosvd_ctx};
+    use tucker_core::hooi::try_hooi_ctx;
+    use tucker_core::sthosvd::try_st_hosvd_ctx;
+    use tucker_distmem::try_spmd_with_grid_handle;
+
+    let x = structured_tensor(&[6, 5, 4]);
+    let opts = SthosvdOptions::with_ranks(vec![9, 2, 2]);
+    let hooi_opts = HooiOptions::with_ranks(vec![9, 2, 2], 2);
+    let panic_message = |f: &dyn Fn()| -> String {
+        let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("invalid input must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
+    };
+    let st_message = panic_message(&|| {
+        st_hosvd(&x, &opts);
+    });
+    let hooi_message = panic_message(&|| {
+        hooi(&x, &hooi_opts);
+    });
+    assert!(
+        st_message.starts_with("st_hosvd: invalid input"),
+        "{st_message}"
+    );
+    assert!(
+        hooi_message.starts_with("hooi: invalid input"),
+        "{hooi_message}"
+    );
+    let st_error = try_st_hosvd_ctx(&x, &opts, ExecContext::global()).err();
+    let hooi_error = try_hooi_ctx(&x, &hooi_opts, ExecContext::global()).err();
+    assert!(st_error.is_some() && hooi_error == st_error);
+
+    for grid in [vec![1usize, 1, 1], vec![2, 1, 1]] {
+        let st_panic = try_spmd_with_grid_handle(ProcGrid::new(&grid), |comm| {
+            dist_st_hosvd(&comm, &DistTensor::from_global(&comm, &x), &opts);
+        })
+        .expect_err("dist_st_hosvd must reject ranks above an extent");
+        assert_eq!(st_panic.message, st_message, "grid {grid:?}");
+        let hooi_panic = try_spmd_with_grid_handle(ProcGrid::new(&grid), |comm| {
+            dist_hooi(&comm, &DistTensor::from_global(&comm, &x), &hooi_opts);
+        })
+        .expect_err("dist_hooi must reject ranks above an extent");
+        assert_eq!(hooi_panic.message, hooi_message, "grid {grid:?}");
+
+        let errors = spmd_with_grid(ProcGrid::new(&grid), |comm| {
+            let dx = DistTensor::from_global(&comm, &x);
+            let ctx = hybrid_ctx(&comm);
+            (
+                try_dist_st_hosvd_ctx(&comm, &dx, &opts, &ctx).err(),
+                try_dist_hooi_ctx(&comm, &dx, &hooi_opts, &ctx).err(),
+            )
+        });
+        for (st, ho) in errors {
+            assert_eq!(st, st_error, "grid {grid:?}");
+            assert_eq!(ho, hooi_error, "grid {grid:?}");
         }
     }
 }

@@ -65,12 +65,12 @@ section "linalg + determinism suites (TUCKER_SIMD=scalar)"
 TUCKER_SIMD=scalar cargo test -q -p tucker-linalg
 TUCKER_SIMD=scalar cargo test -q --test determinism --test simd_tiers \
   --test streaming --test api_equivalence --test distributed_equivalence \
-  --test query_contract --test store_roundtrip
+  --test query_contract --test store_roundtrip --test gram_contract
 section "linalg + determinism suites (TUCKER_SIMD=auto)"
 TUCKER_SIMD=auto cargo test -q -p tucker-linalg
 TUCKER_SIMD=auto cargo test -q --test determinism --test simd_tiers \
   --test streaming --test api_equivalence --test distributed_equivalence \
-  --test query_contract --test store_roundtrip
+  --test query_contract --test store_roundtrip --test gram_contract
 
 # The blocking contract (ISSUE 9) says MC/KC/NC only schedule the packed tile
 # grid — a TUCKER_BLOCK override must be invisible in the result bits, for
@@ -82,7 +82,7 @@ section "linalg + determinism suites (TUCKER_BLOCK=16,16,16)"
 TUCKER_BLOCK=16,16,16 cargo test -q -p tucker-linalg
 TUCKER_BLOCK=16,16,16 cargo test -q --test determinism --test simd_tiers \
   --test streaming --test api_equivalence --test distributed_equivalence \
-  --test query_contract --test store_roundtrip
+  --test query_contract --test store_roundtrip --test gram_contract
 
 section "cargo test -q --test service (TUCKER_THREADS=1 and 4)"
 # The daemon's concurrency suite under both pool shapes: 8-client

@@ -6,8 +6,7 @@
 //! primary entry point here is [`gemm_slices`]; [`gemm`] / [`gemm_into`] are
 //! `Matrix`-typed conveniences. [`gemm_slices_ctx`] / [`gemm_ctx`] run the
 //! same kernel over row panels scattered onto the shared `tucker-exec` pool
-//! (one panel per thread, no per-call spawning), and [`par_gemm`] survives as
-//! a thin compatibility wrapper over that pool-backed path.
+//! (one panel per thread, no per-call spawning).
 //!
 //! **Determinism contract (renegotiated in the microkernel PR):** every
 //! element of C is one running accumulator, seeded from the beta-scaled C
@@ -20,6 +19,8 @@
 //! [`gemm_slices_reference`] restates it as an executable oracle).
 
 use crate::matrix::Matrix;
+use crate::microkernel::Panels;
+use crate::pack::Source;
 use tucker_exec::ExecContext;
 use tucker_obs::metrics::Counter;
 
@@ -204,6 +205,7 @@ fn gemm_blocked(
     let blk = crate::blocking::current_blocking();
     let a_len = crate::pack::padded(blk.mc.min(m), crate::microkernel::MR) * blk.kc.min(k);
     let b_len = blk.kc.min(k) * crate::pack::padded(blk.nc.min(n), crate::microkernel::NR);
+    let (a_src, b_src) = (Source::of_a(ta, lda), Source::of_b(tb, ldb));
     crate::pack::with_pack_buffers(a_len, b_len, |a_pack, b_pack| {
         let mut jc = 0;
         while jc < n {
@@ -211,15 +213,15 @@ fn gemm_blocked(
             let mut pc = 0;
             while pc < k {
                 let kb = blk.kc.min(k - pc);
-                crate::pack::pack_b(b_pack, tb, b, ldb, pc, kb, jc, nb);
+                crate::pack::pack_b(b_pack, b_src, b, pc, kb, jc, nb);
                 let mut ic = 0;
                 while ic < m {
                     let mb = blk.mc.min(m - ic);
-                    crate::pack::pack_a(a_pack, ta, alpha, a, lda, ic, mb, pc, kb);
+                    crate::pack::pack_a(a_pack, a_src, alpha, a, ic, mb, pc, kb);
                     crate::microkernel::block_kernel(
                         tier,
-                        a_pack,
-                        b_pack,
+                        Panels::Packed(a_pack),
+                        Panels::Packed(b_pack),
                         mb,
                         nb,
                         kb,
@@ -335,10 +337,6 @@ pub fn gemm_into(
 /// Work (in multiply-adds) below which parallel GEMM entry points stay
 /// sequential (shared workspace-wide threshold, re-exported for callers).
 pub use tucker_exec::PAR_MIN_WORK;
-
-/// [`par_gemm`]'s legacy row threshold: with fewer than `2 · threads` result
-/// rows it falls back to the sequential kernel.
-pub const PAR_MIN_ROWS_PER_THREAD: usize = 2;
 
 /// Pool-backed [`gemm_slices`]: `C ← alpha · op(A) · op(B) + beta · C`,
 /// splitting the rows of `C` into one panel per available thread of `ctx`.
@@ -496,36 +494,6 @@ pub fn gemm_into_ctx(
     );
 }
 
-/// Thread-parallel GEMM: `alpha · op(A) · op(B)`, splitting the rows of the
-/// result across up to `threads` workers of the **shared process pool** (no
-/// threads are spawned per call).
-///
-/// Kept as a thin wrapper over [`gemm_slices_ctx`] for source compatibility.
-/// The historical small-size fallbacks are preserved exactly: the sequential
-/// kernel is used when `threads <= 1`, when `m < `[`PAR_MIN_ROWS_PER_THREAD`]` · threads`,
-/// or when `m·n·k < `[`PAR_MIN_WORK`] — and since the pool-backed path is
-/// bit-identical to the sequential kernel, crossing those boundaries can
-/// never change results.
-pub fn par_gemm(
-    ta: Transpose,
-    tb: Transpose,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    threads: usize,
-) -> Matrix {
-    let (m, ka) = ta.effective(a.rows(), a.cols());
-    let (kb, n) = tb.effective(b.rows(), b.cols());
-    assert_eq!(ka, kb, "par_gemm: inner dimension mismatch");
-    let k = ka;
-    let work = m.saturating_mul(n).saturating_mul(k);
-    if threads <= 1 || m < PAR_MIN_ROWS_PER_THREAD * threads || work < PAR_MIN_WORK {
-        return gemm(ta, tb, alpha, a, b);
-    }
-    let ctx = ExecContext::global().with_budget(threads);
-    gemm_ctx(&ctx, ta, tb, alpha, a, b)
-}
-
 /// Reference (naive triple-loop) GEMM used by tests to validate the blocked kernel.
 pub fn gemm_reference(ta: Transpose, tb: Transpose, alpha: f64, a: &Matrix, b: &Matrix) -> Matrix {
     let (m, k) = ta.effective(a.rows(), a.cols());
@@ -668,58 +636,10 @@ mod tests {
         let b = random_matrix(&mut rng, 90, 75);
         let seq = gemm(Transpose::No, Transpose::No, 1.0, &a, &b);
         for threads in [1, 2, 4, 7] {
-            let par = par_gemm(Transpose::No, Transpose::No, 1.0, &a, &b, threads);
-            assert_close(&par, &seq, 1e-10);
+            let ctx = tucker_exec::ExecContext::new(threads);
+            let par = gemm_ctx(&ctx, Transpose::No, Transpose::No, 1.0, &a, &b);
+            assert_eq!(par.as_slice(), seq.as_slice(), "threads {threads}");
         }
-    }
-
-    #[test]
-    fn par_gemm_row_count_boundary_is_seamless() {
-        // Satellite guard for the pool cutover: straddle the historical
-        // `m < 2*threads` fallback boundary and require *exact* equality with
-        // the sequential kernel on both sides, so changing which path runs
-        // can never silently change results.
-        let mut rng = StdRng::seed_from_u64(40);
-        let threads = 4;
-        for m in [
-            PAR_MIN_ROWS_PER_THREAD * threads - 1, // fallback side
-            PAR_MIN_ROWS_PER_THREAD * threads,     // pool side
-        ] {
-            // Keep the work term above PAR_MIN_WORK so only `m` decides.
-            let (k, n) = (160, 100);
-            assert!(m * k * n >= PAR_MIN_WORK);
-            let a = random_matrix(&mut rng, m, k);
-            let b = random_matrix(&mut rng, k, n);
-            let par = par_gemm(Transpose::No, Transpose::No, 1.0, &a, &b, threads);
-            let seq = gemm(Transpose::No, Transpose::No, 1.0, &a, &b);
-            assert_eq!(par.as_slice(), seq.as_slice(), "m = {m}");
-        }
-    }
-
-    #[test]
-    fn par_gemm_work_boundary_is_seamless() {
-        // Same guard across the `m·n·k < 1<<16` work fallback: 32·32·63 sits
-        // just below the threshold, 32·32·64 exactly on it.
-        let mut rng = StdRng::seed_from_u64(41);
-        for k in [63usize, 64] {
-            let (m, n) = (32, 32);
-            assert_eq!(m * n * 64, PAR_MIN_WORK);
-            let a = random_matrix(&mut rng, m, k);
-            let b = random_matrix(&mut rng, k, n);
-            let par = par_gemm(Transpose::No, Transpose::No, 1.0, &a, &b, 4);
-            let seq = gemm(Transpose::No, Transpose::No, 1.0, &a, &b);
-            assert_eq!(par.as_slice(), seq.as_slice(), "k = {k}");
-        }
-    }
-
-    #[test]
-    fn par_gemm_single_thread_falls_back() {
-        let mut rng = StdRng::seed_from_u64(42);
-        let a = random_matrix(&mut rng, 50, 50);
-        let b = random_matrix(&mut rng, 50, 50);
-        let par = par_gemm(Transpose::No, Transpose::No, 2.0, &a, &b, 1);
-        let seq = gemm(Transpose::No, Transpose::No, 2.0, &a, &b);
-        assert_eq!(par.as_slice(), seq.as_slice());
     }
 
     #[test]
@@ -777,8 +697,9 @@ mod tests {
         let a = random_matrix(&mut rng, 90, 110);
         let b = random_matrix(&mut rng, 90, 60);
         let seq = gemm(Transpose::Yes, Transpose::No, 1.0, &a, &b);
-        let par = par_gemm(Transpose::Yes, Transpose::No, 1.0, &a, &b, 4);
-        assert_close(&par, &seq, 1e-10);
+        let ctx = tucker_exec::ExecContext::new(4);
+        let par = gemm_ctx(&ctx, Transpose::Yes, Transpose::No, 1.0, &a, &b);
+        assert_eq!(par.as_slice(), seq.as_slice());
     }
 
     #[test]

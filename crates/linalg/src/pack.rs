@@ -13,6 +13,20 @@
 //!   (`dst[p·NR + t]`), so each microkernel step loads one contiguous
 //!   `NR`-vector.
 //!
+//! Both packers read through one [`Source`], which says where element
+//! `(i, p)` of the operand lives: a row-major or transposed matrix, or the
+//! block-strided mode-n unfolding of a tensor (`right` row-major
+//! `I_n × left` blocks one after another), whose contraction index
+//! `p = t·left + q` walks the blocks `t` in order and each block's columns
+//! `q` in order. The copy loops visit `(t, q)`-runs, never dividing per
+//! element.
+//!
+//! A source whose every contraction step is one contiguous stored row (the
+//! first-mode unfolding, [`Source::in_place_stride`]) already *is* a packed
+//! panel, only at stride `ld` instead of `MR`/`NR`: the SYRK driver hands
+//! such panels to the microkernel where they lie and packs only the block's
+//! ragged last panel.
+//!
 //! Ragged block edges are zero-padded up to the `MR`/`NR` grid; the padded
 //! rows/columns are computed by the full-width microkernel and discarded at
 //! writeback, never read back, so padding is invisible in the results.
@@ -32,122 +46,188 @@ pub fn padded(n: usize, unit: usize) -> usize {
     n.div_ceil(unit.max(1)) * unit.max(1)
 }
 
-/// Packs `alpha · op(A)[row0 .. row0+mb, p0 .. p0+kb]` into `dst` as
-/// `MR`-row k-major panels, zero-padding rows `mb..` of the last panel.
-///
-/// `src` is the stored (untransposed) matrix with leading dimension `ld`;
-/// `row0`/`mb` index rows *of `op(A)`*. `dst` must hold at least
-/// `padded(mb, MR) · kb` elements; every one of them is written.
-pub fn pack_a(
+/// Where element `(i, p)` of a packed operand lives in its stored slice:
+/// `i` indexes the rows of `op(A)` (the columns of `op(B)`), `p` the
+/// contraction, and the element sits at `i·row + (p / run)·jump + p % run`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Source {
+    row: usize,
+    run: usize,
+    jump: usize,
+}
+
+impl Source {
+    /// A row-major matrix with leading dimension `ld`, indexed `(i, p)`:
+    /// element at `i·ld + p`.
+    pub fn rows(ld: usize) -> Source {
+        Source {
+            row: ld,
+            run: usize::MAX,
+            jump: 0,
+        }
+    }
+
+    /// The transpose of a row-major matrix with leading dimension `ld`:
+    /// element `(i, p)` at `p·ld + i`, one stored row per contraction step.
+    pub fn cols(ld: usize) -> Source {
+        Source {
+            row: 1,
+            run: 1,
+            jump: ld,
+        }
+    }
+
+    /// The mode-n unfolding of a tensor in natural layout, `op(A) = Y(n)`
+    /// (`n × left·right`): `right` blocks of `n × left`, row-major, one after
+    /// another, so element `(i, t·left + q)` sits at
+    /// `t·(n·left) + i·left + q`. `left == 1` is [`Source::cols`]`(n)`.
+    pub fn blocks(left: usize, n: usize) -> Source {
+        let left = left.max(1);
+        Source {
+            row: left,
+            run: left,
+            jump: n * left,
+        }
+    }
+
+    /// `op(A)` of a stored `A` with leading dimension `ld`.
+    pub fn of_a(trans: Transpose, ld: usize) -> Source {
+        match trans {
+            Transpose::No => Source::rows(ld),
+            Transpose::Yes => Source::cols(ld),
+        }
+    }
+
+    /// `op(B)` of a stored `B` with leading dimension `ld`, indexed by
+    /// `(column of op(B), contraction)`.
+    pub fn of_b(trans: Transpose, ld: usize) -> Source {
+        match trans {
+            Transpose::No => Source::cols(ld),
+            Transpose::Yes => Source::rows(ld),
+        }
+    }
+
+    /// Offset of element `(i, p)` in the stored slice.
+    pub fn offset(&self, i: usize, p: usize) -> usize {
+        i * self.row + (p / self.run) * self.jump + p % self.run
+    }
+
+    /// `Some(ld)` when contraction step `p` is the contiguous stored row
+    /// `p·ld ..` ([`Source::cols`]): a panel of `W` rows starting at row
+    /// `i0` is then `src[i0 ..]` read at stride `ld`, the packed layout at a
+    /// wider stride.
+    pub fn in_place_stride(&self) -> Option<usize> {
+        (self.row == 1 && self.run == 1).then_some(self.jump)
+    }
+
+    /// The contraction range `p0 .. p0 + kb` as maximal runs that are
+    /// contiguous in storage: `(d, off, len)` covers `p0 + d .. p0 + d + len`,
+    /// whose element `(i, p0 + d + x)` sits at `i·row + off + x`. Runs come
+    /// in ascending `p`, so visiting them in order visits `(t, q)` in
+    /// lexicographic order.
+    pub fn runs(&self, p0: usize, kb: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        let Source { run, jump, .. } = *self;
+        let (mut t, mut q, mut d) = (p0 / run, p0 % run, 0);
+        std::iter::from_fn(move || {
+            if d >= kb {
+                return None;
+            }
+            let len = (run - q).min(kb - d);
+            let item = (d, t * jump + q, len);
+            d += len;
+            t += 1;
+            q = 0;
+            Some(item)
+        })
+    }
+}
+
+/// Packs `scale(op(X)[i0 + i][p0 + p])` for `i < mb`, `p < kb` into `dst` as
+/// `W`-wide k-major panels (`dst[ip·W·kb + p·W + r]`), zero-padding rows
+/// `mb..` of the last panel. Every element of the first `padded(mb, W)·kb`
+/// is written.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn pack_panels<const W: usize>(
     dst: &mut [f64],
-    trans: Transpose,
-    alpha: f64,
+    source: Source,
     src: &[f64],
-    ld: usize,
-    row0: usize,
+    i0: usize,
     mb: usize,
     p0: usize,
     kb: usize,
+    scale: impl Fn(f64) -> f64,
 ) {
-    let mb_p = padded(mb, MR);
-    match trans {
-        Transpose::No => {
-            // op(A)[i][p] = src[i·ld + p]: copy row slices into stride-MR
-            // positions of the owning panel.
-            for ip in 0..mb_p / MR {
-                let panel = &mut dst[ip * MR * kb..(ip + 1) * MR * kb];
-                for r in 0..MR {
-                    let i = ip * MR + r;
-                    if i < mb {
-                        let row = &src[(row0 + i) * ld + p0..(row0 + i) * ld + p0 + kb];
-                        for (p, &v) in row.iter().enumerate() {
-                            panel[p * MR + r] = alpha * v;
-                        }
-                    } else {
-                        for p in 0..kb {
-                            panel[p * MR + r] = 0.0;
-                        }
-                    }
+    for ip in 0..padded(mb, W) / W {
+        let panel = &mut dst[ip * W * kb..(ip + 1) * W * kb];
+        let base = i0 + ip * W;
+        let live = W.min(mb - ip * W);
+        if let Some(ld) = source.in_place_stride() {
+            // Each stored row p holds the panel's rows contiguously, landing
+            // contiguously in the panel too.
+            for p in 0..kb {
+                let srow = &src[(p0 + p) * ld + base..];
+                for (r, o) in panel[p * W..(p + 1) * W].iter_mut().enumerate() {
+                    *o = if r < live { scale(srow[r]) } else { 0.0 };
                 }
             }
+            continue;
         }
-        Transpose::Yes => {
-            // op(A)[i][p] = src[p·ld + i]: each stored row p is contiguous in
-            // i, landing contiguously in the panel too.
-            for ip in 0..mb_p / MR {
-                let panel = &mut dst[ip * MR * kb..(ip + 1) * MR * kb];
-                let i_base = row0 + ip * MR;
-                let rows_here = MR.min(mb - (ip * MR).min(mb));
+        // One panel row at a time: each (t, q)-run is contiguous in storage
+        // and lands at stride W.
+        for r in 0..W {
+            if r >= live {
                 for p in 0..kb {
-                    let srow = &src[(p0 + p) * ld..];
-                    let out = &mut panel[p * MR..p * MR + MR];
-                    for (r, o) in out.iter_mut().enumerate() {
-                        *o = if r < rows_here {
-                            alpha * srow[i_base + r]
-                        } else {
-                            0.0
-                        };
-                    }
+                    panel[p * W + r] = 0.0;
+                }
+                continue;
+            }
+            let row_off = (base + r) * source.row;
+            for (d, off, len) in source.runs(p0, kb) {
+                let s = &src[row_off + off..row_off + off + len];
+                for (x, &v) in s.iter().enumerate() {
+                    panel[(d + x) * W + r] = scale(v);
                 }
             }
         }
     }
 }
 
+/// Packs `alpha · op(A)[row0 .. row0+mb, p0 .. p0+kb]` into `dst` as
+/// `MR`-row k-major panels, zero-padding rows `mb..` of the last panel.
+///
+/// `source` locates `op(A)`'s elements in `src`. `dst` must hold at least
+/// `padded(mb, MR) · kb` elements; every one of them is written.
+#[allow(clippy::too_many_arguments)]
+pub fn pack_a(
+    dst: &mut [f64],
+    source: Source,
+    alpha: f64,
+    src: &[f64],
+    row0: usize,
+    mb: usize,
+    p0: usize,
+    kb: usize,
+) {
+    pack_panels::<MR>(dst, source, src, row0, mb, p0, kb, |v| alpha * v);
+}
+
 /// Packs `op(B)[p0 .. p0+kb, col0 .. col0+nb]` into `dst` as `NR`-column
 /// k-major panels, zero-padding columns `nb..` of the last panel.
 ///
-/// `src` is the stored matrix with leading dimension `ld`; `col0`/`nb` index
-/// columns *of `op(B)`*. `dst` must hold at least `kb · padded(nb, NR)`
-/// elements; every one of them is written.
+/// `source` locates `op(B)`'s elements in `src`, indexed (column,
+/// contraction). `dst` must hold at least `kb · padded(nb, NR)` elements;
+/// every one of them is written.
+#[allow(clippy::too_many_arguments)]
 pub fn pack_b(
     dst: &mut [f64],
-    trans: Transpose,
+    source: Source,
     src: &[f64],
-    ld: usize,
     p0: usize,
     kb: usize,
     col0: usize,
     nb: usize,
 ) {
-    let nb_p = padded(nb, NR);
-    match trans {
-        Transpose::No => {
-            // op(B)[p][j] = src[p·ld + j]: stored rows are contiguous in j.
-            for jp in 0..nb_p / NR {
-                let panel = &mut dst[jp * kb * NR..(jp + 1) * kb * NR];
-                let j_base = col0 + jp * NR;
-                let cols_here = NR.min(nb - (jp * NR).min(nb));
-                for p in 0..kb {
-                    let srow = &src[(p0 + p) * ld..];
-                    let out = &mut panel[p * NR..p * NR + NR];
-                    for (t, o) in out.iter_mut().enumerate() {
-                        *o = if t < cols_here { srow[j_base + t] } else { 0.0 };
-                    }
-                }
-            }
-        }
-        Transpose::Yes => {
-            // op(B)[p][j] = src[j·ld + p]: stored row j is contiguous in p,
-            // written at stride NR within the panel.
-            for jp in 0..nb_p / NR {
-                let panel = &mut dst[jp * kb * NR..(jp + 1) * kb * NR];
-                for t in 0..NR {
-                    let j = jp * NR + t;
-                    if j < nb {
-                        let row = &src[(col0 + j) * ld + p0..(col0 + j) * ld + p0 + kb];
-                        for (p, &v) in row.iter().enumerate() {
-                            panel[p * NR + t] = v;
-                        }
-                    } else {
-                        for p in 0..kb {
-                            panel[p * NR + t] = 0.0;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    pack_panels::<NR>(dst, source, src, col0, nb, p0, kb, |v| v);
 }
 
 thread_local! {
@@ -218,7 +298,7 @@ mod tests {
         // 3 rows (pads to MR), k = 2, alpha = 2.
         let src = seq_matrix(3, 2);
         let mut dst = vec![-1.0; MR * 2];
-        pack_a(&mut dst, Transpose::No, 2.0, &src, 2, 0, 3, 0, 2);
+        pack_a(&mut dst, Source::rows(2), 2.0, &src, 0, 3, 0, 2);
         for p in 0..2 {
             for r in 0..MR {
                 let want = if r < 3 { 2.0 * src[r * 2 + p] } else { 0.0 };
@@ -233,7 +313,7 @@ mod tests {
         let src = seq_matrix(3, 5);
         let (row0, mb, p0, kb) = (1usize, 3usize, 1usize, 2usize);
         let mut dst = vec![-1.0; padded(mb, MR) * kb];
-        pack_a(&mut dst, Transpose::Yes, 1.0, &src, 5, row0, mb, p0, kb);
+        pack_a(&mut dst, Source::cols(5), 1.0, &src, row0, mb, p0, kb);
         for p in 0..kb {
             for r in 0..MR {
                 let want = if r < mb {
@@ -252,7 +332,15 @@ mod tests {
         let src = seq_matrix(4, 6);
         let (p0, kb, col0, nb) = (1usize, 3usize, 3usize, 3usize);
         let mut dst = vec![-1.0; kb * padded(nb, NR)];
-        pack_b(&mut dst, Transpose::No, &src, 6, p0, kb, col0, nb);
+        pack_b(
+            &mut dst,
+            Source::of_b(Transpose::No, 6),
+            &src,
+            p0,
+            kb,
+            col0,
+            nb,
+        );
         for p in 0..kb {
             for t in 0..NR {
                 let want = if t < nb {
@@ -271,7 +359,15 @@ mod tests {
         let src = seq_matrix(5, 4);
         let (p0, kb, col0, nb) = (1usize, 3usize, 0usize, 5usize);
         let mut dst = vec![-1.0; kb * padded(nb, NR)];
-        pack_b(&mut dst, Transpose::Yes, &src, 4, p0, kb, col0, nb);
+        pack_b(
+            &mut dst,
+            Source::of_b(Transpose::Yes, 4),
+            &src,
+            p0,
+            kb,
+            col0,
+            nb,
+        );
         for jp in 0..padded(nb, NR) / NR {
             let panel = &dst[jp * kb * NR..(jp + 1) * kb * NR];
             for p in 0..kb {

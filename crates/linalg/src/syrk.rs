@@ -1,24 +1,31 @@
 //! Symmetric rank-k update: `C = alpha · A·Aᵀ + beta · C` (the `dsyrk` replacement).
 //!
 //! The Gram-matrix computation `S = Y(n) Y(n)ᵀ` (paper Alg. 1 line 4, Alg. 4
-//! line 5) is the single most expensive kernel of ST-HOSVD for the first mode,
-//! so it gets a dedicated symmetric kernel that only computes the lower
-//! triangle and mirrors it, roughly halving the flops compared to a plain GEMM.
-//! [`syrk_rows_slices`] also accepts a transposed A, so that first-mode Gram
-//! `Dᵀ·D` reads the tensor buffer in place.
+//! line 5) is the single most expensive kernel of ST-HOSVD, so it gets a
+//! dedicated symmetric kernel that only computes the lower triangle and
+//! mirrors it, roughly halving the flops compared to a plain GEMM.
+//! [`syrk_rows_slices`] reads `A` through a [`Source`], so one call covers a
+//! whole tensor unfolding where it lies: the block-strided mode-n unfolding
+//! ([`Source::blocks`]) is packed with its `(t, q)` runs in order, and the
+//! first-mode unfolding `Dᵀ·D` ([`Source::cols`]) is not packed at all at
+//! `alpha = 1` — each contraction step is a contiguous row of `D`, which the
+//! microkernel reads at stride `ld` ([`crate::microkernel::Panels`]). Only a
+//! block's ragged last panel, which would read past the row, is packed.
 //!
 //! **Determinism contract (renegotiated in the microkernel PR):** each
 //! lower-triangle element `c[i][j]` is one running accumulator adding
 //! `fl(fl(alpha·a[i,p]) · a[j,p])` for `p` strictly ascending, with no FMA —
-//! the same recurrence as [`crate::gemm`] with `op(B) = Aᵀ`. This *changed
-//! the bits once*: the previous kernel computed `alpha · dot(aᵢ, aⱼ)` with
-//! [`crate::blas1::dot`]'s 4-lane split accumulation. In exchange, the bits
-//! are now pinned by the shared microkernel contract: independent of the
-//! SIMD tier, the cache blocking, the packed/direct cutover, and the row
-//! partition (thread count).
+//! the same recurrence as [`crate::gemm`](mod@crate::gemm) with
+//! `op(B) = Aᵀ`. This *changed the bits once*: the previous kernel computed
+//! `alpha · dot(aᵢ, aⱼ)` with [`crate::blas1::dot`]'s 4-lane split
+//! accumulation. In exchange, the bits are now pinned by the shared
+//! microkernel contract: independent of the SIMD tier, the cache blocking,
+//! the packed/in-place/direct paths, and the row partition (thread count).
+//! Reading in place skips only the pack's `fl(1·a)`, which is `a` exactly.
 
-use crate::gemm::Transpose;
 use crate::matrix::Matrix;
+use crate::microkernel::{Panels, MR, NR};
+use crate::pack::Source;
 use std::ops::Range;
 use tucker_exec::{triangle_row_chunks, ExecContext};
 use tucker_obs::metrics::Counter;
@@ -73,7 +80,7 @@ pub fn syrk_slices(
     }
     SYRK_CALLS.inc();
     SYRK_FLOPS.add(triangle_flops(m, k));
-    syrk_lower(Transpose::No, alpha, a, k, lda, 0..m, c, ldc);
+    syrk_lower(Source::rows(lda), alpha, a, k, 0..m, c, ldc);
     // Mirror to the upper triangle.
     for i in 0..m {
         for j in i + 1..m {
@@ -110,14 +117,14 @@ pub fn syrk_into(alpha: f64, a: &Matrix, beta: f64, c: &mut Matrix) {
     );
 }
 
-/// Accumulates the **lower-triangle rows** `rows` of `alpha · op(A)·op(A)ᵀ`
-/// into a row panel `c_panel` whose first row corresponds to global row
+/// Accumulates the **lower-triangle rows** `rows` of `alpha · A·Aᵀ` into a
+/// row panel `c_panel` whose first row corresponds to global row
 /// `rows.start` (leading dimension `ldc`). No mirroring is performed.
 ///
-/// `op(A)` has `k` columns: with `ta = No`, `a` is stored row-major `m × k`
-/// (row `i` of `op(A)` is stored row `i`); with `ta = Yes`, `a` is stored
-/// `k × m` and `op(A) = Aᵀ` — the first-mode Gram `Dᵀ·D` of a tensor read
-/// in place. `lda` is the stored leading dimension either way.
+/// `A` has `k` columns, and `source` says where element `(i, p)` lives in
+/// `a`: [`Source::rows`]`(lda)` for a row-major `A`, [`Source::cols`]`(lda)`
+/// for `A = Dᵀ` of a stored `D` (the first-mode Gram), or
+/// [`Source::blocks`]`(left, n)` for a whole mode-n tensor unfolding.
 ///
 /// This is the scatter unit of the pool-backed Gram kernels: disjoint row
 /// ranges touch disjoint panel slices, and each element `c[i][j]` follows
@@ -126,11 +133,10 @@ pub fn syrk_into(alpha: f64, a: &Matrix, beta: f64, c: &mut Matrix) {
 /// the sequential kernel.
 #[allow(clippy::too_many_arguments)]
 pub fn syrk_rows_slices(
-    ta: Transpose,
+    source: Source,
     alpha: f64,
     a: &[f64],
     k: usize,
-    lda: usize,
     rows: Range<usize>,
     c_panel: &mut [f64],
     ldc: usize,
@@ -141,35 +147,32 @@ pub fn syrk_rows_slices(
     }
     SYRK_CALLS.inc();
     SYRK_FLOPS.add(triangle_flops(rows.end, k) - triangle_flops(rows.start, k));
-    let a_need = match ta {
-        Transpose::No => (rows.end - 1) * lda + k,
-        Transpose::Yes => k.checked_sub(1).map_or(0, |last| last * lda + rows.end),
-    };
+    let a_need = k
+        .checked_sub(1)
+        .map_or(0, |last| source.offset(rows.end - 1, last) + 1);
     assert!(a.len() >= a_need, "syrk_rows: A slice too short");
     assert!(
         c_panel.len() >= (rows.end - 1 - row0) * ldc + rows.end,
         "syrk_rows: C panel too short"
     );
-    syrk_lower(ta, alpha, a, k, lda, rows, c_panel, ldc);
+    syrk_lower(source, alpha, a, k, rows, c_panel, ldc);
 }
 
 /// Shared lower-triangle engine behind [`syrk_slices`] and
-/// [`syrk_rows_slices`]: accumulates rows `rows` of `alpha ·
-/// op(A)·op(A)ᵀ`'s lower triangle into `c_panel` (first panel row = global
-/// row `rows.start`).
+/// [`syrk_rows_slices`]: accumulates rows `rows` of `alpha · A·Aᵀ`'s lower
+/// triangle into `c_panel` (first panel row = global row `rows.start`).
 ///
-/// Small row ranges run a direct scalar loop; larger ones run the packed
-/// microkernel driver with `op(B) = op(A)ᵀ` and triangle masking. Both
-/// realize the per-element recurrence from the module docs, so the cutover
-/// — like the SIMD tier, the block sizes and the storage layout of A — is
-/// invisible in the bits.
-#[allow(clippy::too_many_arguments)]
+/// Small row ranges run a direct scalar loop; larger ones run the blocked
+/// microkernel driver with `op(B) = Aᵀ` and triangle masking, packing both
+/// operands — or, for the first-mode layout at `alpha = 1`, reading them in
+/// place. All paths realize the per-element recurrence from the module
+/// docs, so the cutover — like the SIMD tier, the block sizes and the
+/// storage layout of A — is invisible in the bits.
 fn syrk_lower(
-    ta: Transpose,
+    source: Source,
     alpha: f64,
     a: &[f64],
     k: usize,
-    lda: usize,
     rows: Range<usize>,
     c_panel: &mut [f64],
     ldc: usize,
@@ -184,21 +187,16 @@ fn syrk_lower(
     let madds = (triangle_flops(m_end, k) - triangle_flops(row0, k)) / 2;
     if madds as usize <= SMALL_PROBLEM_MADDS {
         for i in rows {
+            let ri = source.offset(i, 0);
             let crow = &mut c_panel[(i - row0) * ldc..(i - row0) * ldc + i + 1];
             for (j, cv) in crow.iter_mut().enumerate() {
+                let rj = source.offset(j, 0);
                 let mut acc = *cv;
-                match ta {
-                    Transpose::No => {
-                        let arow_i = &a[i * lda..i * lda + k];
-                        let arow_j = &a[j * lda..j * lda + k];
-                        for (&x, &y) in arow_i.iter().zip(arow_j) {
-                            acc += (alpha * x) * y;
-                        }
-                    }
-                    Transpose::Yes => {
-                        for p in 0..k {
-                            acc += (alpha * a[p * lda + i]) * a[p * lda + j];
-                        }
+                for (_, off, len) in source.runs(0, k) {
+                    let ai = &a[ri + off..ri + off + len];
+                    let aj = &a[rj + off..rj + off + len];
+                    for (&x, &y) in ai.iter().zip(aj) {
+                        acc += (alpha * x) * y;
                     }
                 }
                 *cv = acc;
@@ -206,16 +204,14 @@ fn syrk_lower(
         }
         return;
     }
-    // Packing op(B) = op(A)ᵀ reads the stored A with the opposite flag.
-    let tb = match ta {
-        Transpose::No => Transpose::Yes,
-        Transpose::Yes => Transpose::No,
-    };
     let tier = crate::simd::current_tier();
     let blk = crate::blocking::current_blocking();
-    let a_len =
-        crate::pack::padded(blk.mc.min(m_end - row0), crate::microkernel::MR) * blk.kc.min(k);
-    let b_len = blk.kc.min(k) * crate::pack::padded(blk.nc.min(m_end), crate::microkernel::NR);
+    let a_len = crate::pack::padded(blk.mc.min(m_end - row0), MR) * blk.kc.min(k);
+    let b_len = blk.kc.min(k) * crate::pack::padded(blk.nc.min(m_end), NR);
+    // `fl(1·a) = a`, so at alpha = 1 a first-mode panel needs no pack.
+    let in_place = source
+        .in_place_stride()
+        .filter(|&ld| alpha == 1.0 && m_end <= ld);
     crate::pack::with_pack_buffers(a_len, b_len, |a_pack, b_pack| {
         let mut jc = 0;
         while jc < m_end {
@@ -223,19 +219,30 @@ fn syrk_lower(
             let mut pc = 0;
             while pc < k {
                 let kb = blk.kc.min(k - pc);
-                // Column j of the update is row j of op(A).
-                crate::pack::pack_b(b_pack, tb, a, lda, pc, kb, jc, nb);
+                // Column j of the update is row j of A, unscaled.
+                let b_panels =
+                    block_panels::<NR>(in_place, source, a, b_pack, |v| v, jc, nb, pc, kb);
                 let mut ic = row0;
                 while ic < m_end {
                     let mb = blk.mc.min(m_end - ic);
                     // Skip row blocks that lie entirely above this column
                     // block's diagonal intersection.
                     if ic + mb > jc {
-                        crate::pack::pack_a(a_pack, ta, alpha, a, lda, ic, mb, pc, kb);
+                        let a_panels = block_panels::<MR>(
+                            in_place,
+                            source,
+                            a,
+                            a_pack,
+                            |v| alpha * v,
+                            ic,
+                            mb,
+                            pc,
+                            kb,
+                        );
                         crate::microkernel::block_kernel(
                             tier,
-                            a_pack,
-                            b_pack,
+                            a_panels,
+                            b_panels,
                             mb,
                             nb,
                             kb,
@@ -251,6 +258,43 @@ fn syrk_lower(
             jc += nb;
         }
     });
+}
+
+/// The `W`-wide panels of rows `i0 .. i0+ib` of `A` over contraction steps
+/// `pc .. pc+kb`, as [`crate::microkernel::block_kernel`] reads them:
+/// `scale`d into `pack`, or — when `in_place` gives the stride `ld` of a
+/// first-mode source — where they lie in `a`. In place, only the block's
+/// last panel can run past the readable rows (row `ld` of a step, or the
+/// end of `a` at the last step, since `i0 + ib ≤ ld`); that one is packed
+/// into `pack` and read from there.
+#[allow(clippy::too_many_arguments)]
+fn block_panels<'a, const W: usize>(
+    in_place: Option<usize>,
+    source: Source,
+    a: &'a [f64],
+    pack: &'a mut [f64],
+    scale: impl Fn(f64) -> f64,
+    i0: usize,
+    ib: usize,
+    pc: usize,
+    kb: usize,
+) -> Panels<'a> {
+    let Some(ld) = in_place else {
+        crate::pack::pack_panels::<W>(pack, source, a, i0, ib, pc, kb, scale);
+        return Panels::Packed(pack);
+    };
+    let last_step = (pc + kb - 1) * ld;
+    let avail = ld.min(a.len() - last_step) - i0;
+    let last = (ib - 1) / W * W;
+    if last + W > avail {
+        crate::pack::pack_panels::<W>(pack, source, a, i0 + last, ib - last, pc, kb, scale);
+    }
+    Panels::InPlace {
+        src: &a[pc * ld + i0..],
+        ld,
+        avail,
+        edge: pack,
+    }
 }
 
 /// Executable statement of the SYRK determinism contract (lower triangle +
@@ -308,7 +352,22 @@ pub fn triangular_scatter_mirror<F>(
 ) where
     F: Fn(Range<usize>, &mut [f64]) + Sync,
 {
-    ctx.for_each_row_panel(c, ldc, triangle_row_chunks(m, parts), fill);
+    // Inner boundaries snap to the nearest multiple of MR, so every chunk's
+    // tile rows start on the MR grid and only the last chunk has a ragged one.
+    let mut chunks = Vec::with_capacity(parts);
+    let mut start = 0;
+    for r in triangle_row_chunks(m, parts) {
+        let end = if r.end == m {
+            m
+        } else {
+            ((r.end + MR / 2) / MR * MR).min(m)
+        };
+        if end > start {
+            chunks.push(start..end);
+            start = end;
+        }
+    }
+    ctx.for_each_row_panel(c, ldc, chunks, fill);
     for i in 0..m {
         for j in i + 1..m {
             c[i * ldc + j] = c[j * ldc + i];
@@ -337,21 +396,9 @@ pub fn syrk_ctx(ctx: &ExecContext, a: &Matrix) -> Matrix {
     let lda = a.cols();
     let a_slice = a.as_slice();
     triangular_scatter_mirror(ctx, c.as_mut_slice(), m, m, parts, |rows, panel| {
-        syrk_rows_slices(Transpose::No, 1.0, a_slice, k, lda, rows, panel, m);
+        syrk_rows_slices(Source::rows(lda), 1.0, a_slice, k, rows, panel, m);
     });
     c
-}
-
-/// Thread-parallel `A·Aᵀ` over up to `threads` workers of the **shared
-/// process pool** (no threads are spawned per call). Thin wrapper over
-/// [`syrk_ctx`] preserving the historical small-size fallbacks.
-pub fn par_syrk(a: &Matrix, threads: usize) -> Matrix {
-    let m = a.rows();
-    let k = a.cols();
-    if threads <= 1 || m < 2 * threads || m * m * k < 1 << 16 {
-        return syrk(a);
-    }
-    syrk_ctx(&ExecContext::global().with_budget(threads), a)
 }
 
 #[cfg(test)]
@@ -419,10 +466,9 @@ mod tests {
         let a = random_matrix(&mut rng, 100, 60);
         let seq = syrk(&a);
         for threads in [2, 4, 5] {
-            let par = par_syrk(&a, threads);
-            for (x, y) in par.as_slice().iter().zip(seq.as_slice()) {
-                assert!((x - y).abs() < 1e-10);
-            }
+            let ctx = ExecContext::new(threads);
+            let par = syrk_ctx(&ctx, &a);
+            assert_eq!(par.as_slice(), seq.as_slice(), "threads {threads}");
         }
     }
 
@@ -457,10 +503,9 @@ mod tests {
         for rows in [0..17usize, 17..64, 64..m] {
             let row0 = rows.start;
             syrk_rows_slices(
-                Transpose::No,
+                Source::rows(k),
                 1.0,
                 a.as_slice(),
-                k,
                 k,
                 rows,
                 &mut panels.as_mut_slice()[row0 * m..],
@@ -474,6 +519,36 @@ mod tests {
                     full.get(i, j).to_bits(),
                     "({i},{j})"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_rows_touch_only_the_lower_triangle() {
+        // The first-mode layout at alpha = 1 is read where it lies: full,
+        // diagonal-crossing and ragged tiles over uneven row panels, across
+        // two kc slabs. Strictly-upper elements keep their sentinel; every
+        // lower element is the contract sum seeded from it.
+        let mut rng = StdRng::seed_from_u64(16);
+        let k = 300;
+        for n in [37usize, 72] {
+            let d: Vec<f64> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let sentinel = -1234.5;
+            let mut c = vec![sentinel; n * n];
+            for rows in [0..13, 13..n] {
+                let row0 = rows.start;
+                syrk_rows_slices(Source::cols(n), 1.0, &d, k, rows, &mut c[row0 * n..], n);
+            }
+            for i in 0..n {
+                for j in 0..n {
+                    let mut want = sentinel;
+                    if j <= i {
+                        for p in 0..k {
+                            want += d[p * n + i] * d[p * n + j];
+                        }
+                    }
+                    assert_eq!(c[i * n + j].to_bits(), want.to_bits(), "n {n} ({i},{j})");
+                }
             }
         }
     }

@@ -16,6 +16,7 @@ use proptest::prelude::*;
 use std::sync::Mutex;
 use tucker_linalg::blocking::{force_blocking, Blocking};
 use tucker_linalg::gemm::{gemm_slices, gemm_slices_reference, Transpose};
+use tucker_linalg::pack::Source;
 use tucker_linalg::simd::{detected_tier, force_tier, supported_tiers};
 use tucker_linalg::syrk::{syrk_rows_slices, syrk_slices, syrk_slices_reference};
 
@@ -166,7 +167,7 @@ fn check_syrk_case(
         // panels must reproduce the same bits on this tier — from A as
         // stored and from its explicit transpose.
         if beta == 0.0 && m >= 3 {
-            for (ta, src, ld) in [(Transpose::No, &a, lda), (Transpose::Yes, &at, ldt)] {
+            for (source, src) in [(Source::rows(lda), &a), (Source::cols(ldt), &at)] {
                 let mut panels = vec![0.0f64; m * ldc];
                 let cut1 = m / 3;
                 let cut2 = (2 * m) / 3;
@@ -175,13 +176,13 @@ fn check_syrk_case(
                         continue;
                     }
                     let row0 = rows.start;
-                    syrk_rows_slices(ta, alpha, src, k, ld, rows, &mut panels[row0 * ldc..], ldc);
+                    syrk_rows_slices(source, alpha, src, k, rows, &mut panels[row0 * ldc..], ldc);
                 }
                 for i in 0..m {
                     for j in 0..=i {
                         if panels[i * ldc + j].to_bits() != want[i * ldc + j].to_bits() {
                             return Err(format!(
-                                "tier {} {ta:?} panel split diverged at ({i},{j})",
+                                "tier {} {source:?} panel split diverged at ({i},{j})",
                                 tier.name()
                             ));
                         }

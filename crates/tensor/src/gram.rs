@@ -2,15 +2,19 @@
 //!
 //! This is the kernel of Alg. 1 line 4 and Alg. 4 line 5 of the paper. The
 //! eigenvectors of `S` are the left singular vectors of the unfolding, which is
-//! how ST-HOSVD and HOOI obtain factor matrices. With the natural layout, the
-//! Gram matrix accumulates one SYRK per contiguous subblock (the row-major
-//! `I_n × left` view of the block), and for the first mode the whole buffer is
-//! processed with a single transposed-A SYRK (`Dᵀ·D`, read in place).
+//! how ST-HOSVD and HOOI obtain factor matrices. With the natural layout the
+//! mode-n unfolding is `right` row-major `I_n × left` blocks one after
+//! another, and every mode's Gram is **one** SYRK that reads them where they
+//! lie ([`Source::blocks`]): its contraction index `p = t·left + q` walks
+//! the blocks `t` in order and each block's columns `q` in order. The first
+//! mode (`left == 1`) is `Dᵀ·D` of the buffer seen as a row-major
+//! `Î_n × I_n` matrix `D`, whose rows the microkernel reads without packing.
 
 use crate::dense::DenseTensor;
 use crate::layout::Unfolding;
 use tucker_exec::{chunk_ranges, ExecContext};
 use tucker_linalg::gemm::{gemm_slices, gemm_slices_ctx, Transpose};
+use tucker_linalg::pack::Source;
 use tucker_linalg::syrk::{syrk_rows_slices, triangular_scatter_mirror};
 use tucker_linalg::Matrix;
 use tucker_obs::metrics::Counter;
@@ -68,10 +72,9 @@ pub fn gram_accumulate(y: &DenseTensor, mode: usize, s: &mut Matrix) {
 /// the last mode, the slab's unfolding blocks are a contiguous run of the
 /// full tensor's blocks, so accumulating consecutive slabs in order performs
 /// exactly the per-element additions of [`gram_into_ctx`] on the full tensor:
-/// the result is **bit-identical** for every slab width (general modes add
-/// one SYRK contribution per block in ascending block order; the first mode
-/// splits the SYRK contraction dimension, whose per-element accumulation is
-/// a single running sum in ascending order).
+/// the result is **bit-identical** for every slab width. Each element is one
+/// running sum over the contraction index in ascending order, and a slab
+/// boundary only splits that index range between two calls.
 ///
 /// The first mode's `Dᵀ·D` matches a full `Dᵀ·D` GEMM bit for bit in both
 /// triangles: `alpha = 1` folds in exactly (`fl(1·a) = a`), and the
@@ -101,33 +104,13 @@ pub fn gram_accumulate_ctx(ctx: &ExecContext, y: &DenseTensor, mode: usize, s: &
     GRAM_CALLS.inc();
     GRAM_FLOPS.add((n as u64 + 1) * (y.len() as u64));
 
-    let (left, right) = (unf.left, unf.right);
-    let work = unf.cols().saturating_mul(n * (n + 1) / 2);
+    // One SYRK over the whole unfolding, seen in place.
+    let source = Source::blocks(unf.left, n);
+    let k = unf.cols();
+    let work = k.saturating_mul(n * (n + 1) / 2);
     let parts = ctx.partition_for_work(n, work);
     triangular_scatter_mirror(ctx, s.as_mut_slice(), n, ldc, parts, |rows, panel| {
-        if left == 1 {
-            // First mode: the whole buffer is a column-major I_n × Î_n
-            // matrix, i.e. a row-major Î_n × I_n matrix D, and S += Dᵀ·D —
-            // one transposed-A SYRK over the borrowed buffer.
-            syrk_rows_slices(Transpose::Yes, 1.0, data, right, n, rows, panel, ldc);
-            return;
-        }
-        // General mode: one SYRK contribution per contiguous subblock (each
-        // block is a row-major I_n × left matrix with leading dimension
-        // `left`), in ascending block order.
-        for t in 0..right {
-            let block = unf.block(data, t);
-            syrk_rows_slices(
-                Transpose::No,
-                1.0,
-                block,
-                left,
-                left,
-                rows.clone(),
-                panel,
-                ldc,
-            );
-        }
+        syrk_rows_slices(source, 1.0, data, k, rows, panel, ldc);
     });
 }
 

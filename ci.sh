@@ -170,11 +170,12 @@ section "bench_e2e all --smoke (end-to-end functional gate)"
 # artifact, error within the header budget — fail the build on exit != 0.
 cargo run --release -p tucker-bench --bin bench_e2e -- all --smoke
 
-section "cargo doc -p tucker-api (missing/broken docs are errors)"
+section "cargo doc --workspace (missing/broken docs are errors)"
 # The facade crate carries #![deny(missing_docs)]; this pass additionally
-# promotes rustdoc warnings (broken intra-doc links, bad code fences) to
-# errors so the documented surface cannot rot.
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p tucker-api --quiet
+# promotes rustdoc warnings (broken or private intra-doc links, ambiguous
+# link targets, bad code fences) to errors in every crate of the workspace,
+# so no crate's documented surface can rot.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
 section "panic-grep gate on the fallible-surface modules"
 # The try_* validation layers promise "every failure is a returned value".

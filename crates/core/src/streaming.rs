@@ -8,9 +8,10 @@
 //!
 //! * **Phase 1 — Gram/truncate.** For each non-streaming mode `n` (in
 //!   processing order), stream the source once: every slab is shrunk through
-//!   the factors found so far ([`ttm_slab_chain_ctx`]) and its mode-`n` Gram
-//!   contribution accumulated ([`gram_accumulate_ctx`]); the mode is then
-//!   truncated exactly as in Alg. 1. The source is touched once per
+//!   the factors found so far
+//!   ([`ttm_slab_chain_ctx`](tucker_tensor::ttm_slab_chain_ctx)) and its
+//!   mode-`n` Gram contribution accumulated ([`gram_accumulate_ctx`]); the
+//!   mode is then truncated exactly as in Alg. 1. The source is touched once per
 //!   non-streaming mode — the compute/memory trade the paper makes explicit
 //!   for its out-of-core variant (Sec. II-B): redundant TTM work buys a
 //!   resident set that never exceeds one slab plus the running Gram.

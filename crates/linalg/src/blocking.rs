@@ -19,7 +19,7 @@
 //!    `KC×NC` B panel takes a slice of L3 (see [`Blocking`] field docs).
 //!
 //! **The blocking is invisible in the results.** The per-element
-//! accumulation contract ([`crate::gemm`] module docs) makes every output
+//! accumulation contract ([`crate::gemm`](mod@crate::gemm) module docs) makes every output
 //! bit independent of `MC`/`KC`/`NC`, so these values — like the SIMD tier —
 //! are performance tuning only. CI re-runs the kernel and determinism suites
 //! under a deliberately shrunken `TUCKER_BLOCK` override to keep the

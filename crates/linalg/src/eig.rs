@@ -14,10 +14,11 @@
 //!   tridiagonalization factors [`EIG_BLOCK`] reflectors per panel
 //!   (latrd-style): each panel accumulates the reflectors `V` and the update
 //!   vectors `W` lazily, then the trailing matrix takes one rank-`2·EIG_BLOCK`
-//!   two-sided update `M ← M − V·Wᵀ − W·Vᵀ` as two [`crate::gemm`] calls.
+//!   two-sided update `M ← M − V·Wᵀ − W·Vᵀ` as two
+//!   [`crate::gemm`](mod@crate::gemm) calls.
 //!   The tridiagonal problem is then solved by a QL variant whose Givens
 //!   rotations sweep contiguous *rows* of a transposed eigenvector store
-//!   ([`tql2_rows`]), and the eigenvectors are back-transformed by applying
+//!   (`tql2_rows`), and the eigenvectors are back-transformed by applying
 //!   the panels' compact-WY products `I − V·T·Vᵀ` in reverse order with
 //!   three GEMMs per panel — the same `T` recurrence the blocked QR uses.
 //!
@@ -31,7 +32,7 @@
 //! restatement with plain `Vec` storage and
 //! [`crate::gemm::gemm_slices_reference`] for every Level-3 update, which the
 //! production path must match **bit for bit**. The scalar panel recurrence
-//! ([`tridiag_factor_panel`]) and the QL iteration ([`tql2_rows`]) are pinned
+//! (`tridiag_factor_panel`) and the QL iteration (`tql2_rows`) are pinned
 //! leaf helpers shared verbatim by both. Because the GEMM contract already
 //! pins bits across SIMD tiers, `MC/KC/NC` blocking (including `TUCKER_BLOCK`
 //! overrides), and thread counts, the eigendecomposition bits inherit the
@@ -733,7 +734,7 @@ fn sym_eig_blocked(ctx: &ExecContext, a: &Matrix) -> SymEig {
 /// [`crate::gemm::gemm_slices_reference`] for every Level-3 update. The
 /// pinned scalar leaves are shared verbatim: the small-problem path *is* the
 /// pre-blocking scalar solver ([`sym_eig_unblocked`]), the panel recurrence
-/// is [`tridiag_factor_panel`], the tridiagonal solve is [`tql2_rows`], and
+/// is `tridiag_factor_panel`, the tridiagonal solve is `tql2_rows`, and
 /// the QL-failure fallback is [`jacobi_eig`]. The production [`sym_eig`]
 /// must match this function bit for bit on every input, every SIMD tier,
 /// every `TUCKER_BLOCK` setting, and every thread count.

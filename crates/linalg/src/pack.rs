@@ -1,8 +1,9 @@
 //! Panel packing for the cache-blocked GEMM/SYRK microkernels.
 //!
-//! The blocked drivers in [`crate::gemm`] / [`crate::syrk`] copy each
-//! `MC × KC` block of `op(A)` and `KC × NC` block of `op(B)` into contiguous,
-//! 64-byte-aligned buffers before the microkernel runs over them:
+//! The blocked drivers in [`crate::gemm`](mod@crate::gemm) /
+//! [`crate::syrk`](mod@crate::syrk) copy each `MC × KC` block of `op(A)` and
+//! `KC × NC` block of `op(B)` into contiguous, 64-byte-aligned buffers before
+//! the microkernel runs over them:
 //!
 //! * `op(A)` blocks are stored as a sequence of `MR`-row panels, each laid
 //!   out k-major (`dst[p·MR + r]` = row `r`, contraction index `p`), so the
@@ -124,8 +125,13 @@ impl Source {
     /// contiguous in storage: `(d, off, len)` covers `p0 + d .. p0 + d + len`,
     /// whose element `(i, p0 + d + x)` sits at `i·row + off + x`. Runs come
     /// in ascending `p`, so visiting them in order visits `(t, q)` in
-    /// lexicographic order.
-    pub fn runs(&self, p0: usize, kb: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+    /// lexicographic order. The runs do not depend on `i`: build them once
+    /// and clone them per row (building divides, iterating does not).
+    pub fn runs(
+        &self,
+        p0: usize,
+        kb: usize,
+    ) -> impl Iterator<Item = (usize, usize, usize)> + Clone {
         let Source { run, jump, .. } = *self;
         let (mut t, mut q, mut d) = (p0 / run, p0 % run, 0);
         std::iter::from_fn(move || {
@@ -157,6 +163,7 @@ pub(crate) fn pack_panels<const W: usize>(
     kb: usize,
     scale: impl Fn(f64) -> f64,
 ) {
+    let runs = source.runs(p0, kb);
     for ip in 0..padded(mb, W) / W {
         let panel = &mut dst[ip * W * kb..(ip + 1) * W * kb];
         let base = i0 + ip * W;
@@ -182,7 +189,7 @@ pub(crate) fn pack_panels<const W: usize>(
                 continue;
             }
             let row_off = (base + r) * source.row;
-            for (d, off, len) in source.runs(p0, kb) {
+            for (d, off, len) in runs.clone() {
                 let s = &src[row_off + off..row_off + off + len];
                 for (x, &v) in s.iter().enumerate() {
                     panel[(d + x) * W + r] = scale(v);

@@ -13,7 +13,7 @@
 //! recurrence the unblocked path uses, a small upper-triangular `T` is
 //! accumulated per panel so that the panel's reflector product is
 //! `H_{j0}·…·H_{j1-1} = I − V·T·Vᵀ`, and the trailing matrix and the explicit
-//! `Q` are updated with Level-3 [`crate::gemm`] calls that flow through the
+//! `Q` are updated with Level-3 [`crate::gemm`](mod@crate::gemm) calls that flow through the
 //! packed microkernels. Panel/`T`/workspace storage is recycled through the
 //! thread-local scratch pool ([`crate::pack::with_scratch`]) — no per-call
 //! allocations beyond the returned factors.

@@ -14,7 +14,7 @@
 //! For inputs whose (dispatched) column count exceeds [`SVD_BLOCKED_MIN`],
 //! the sweeps run over [`SVD_BLOCK`]-wide *column blocks*: each pair's
 //! `2·SVD_BLOCK`-column Gram matrix is formed with a Level-3
-//! [`crate::gemm`] call, its eigenvectors (from the scalar solver
+//! [`crate::gemm`](mod@crate::gemm) call, its eigenvectors (from the scalar solver
 //! [`crate::eig::sym_eig_unblocked`]) are the block rotation, and the
 //! rotation is applied to the `W`/`V` column groups with two more GEMMs —
 //! all flowing through the packed microkernels. Smaller problems keep the

@@ -186,13 +186,14 @@ fn syrk_lower(
     // Lower-triangle multiply-add count for this row range.
     let madds = (triangle_flops(m_end, k) - triangle_flops(row0, k)) / 2;
     if madds as usize <= SMALL_PROBLEM_MADDS {
+        let runs = source.runs(0, k);
         for i in rows {
             let ri = source.offset(i, 0);
             let crow = &mut c_panel[(i - row0) * ldc..(i - row0) * ldc + i + 1];
             for (j, cv) in crow.iter_mut().enumerate() {
                 let rj = source.offset(j, 0);
                 let mut acc = *cv;
-                for (_, off, len) in source.runs(0, k) {
+                for (_, off, len) in runs.clone() {
                     let ai = &a[ri + off..ri + off + len];
                     let aj = &a[rj + off..rj + off + len];
                     for (&x, &y) in ai.iter().zip(aj) {

@@ -16,7 +16,7 @@
 //! | `ERR_QUERY` | [`TuckerError::Query`] with [`QueryError::Remote`] |
 //! | `ERR_UNKNOWN_ARTIFACT` | [`TuckerError::Query`] with [`QueryError::Remote`] |
 //! | `ERR_PROTOCOL` | [`TuckerError::Protocol`] with [`ProtocolError::Remote`] |
-//! | `ERR_OPEN` | [`TuckerError::Format`] ([`FormatError::Invalid`]) |
+//! | `ERR_OPEN` | [`TuckerError::Format`] ([`FormatError::Invalid`](tucker_store::FormatError::Invalid)) |
 //! | `ERR_DEADLINE` | [`TuckerError::Io`] (`TimedOut`) |
 //! | `ERR_SHUTTING_DOWN` | [`TuckerError::Io`] (`ConnectionAborted`) |
 //! | `ERR_INTERNAL` | [`TuckerError::Io`] (`Other`) |

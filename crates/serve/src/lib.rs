@@ -21,8 +21,8 @@
 //!   pool) that executes reconstructions. Admission control caps queued
 //!   work — excess requests are refused with a typed `Busy` instead of
 //!   piling up — and every request carries a server-side deadline.
-//!   Readers for all sessions share one [`SharedChunkCache`]
-//!   (`tucker_store::SharedChunkCache`), so a chunk decoded for one client
+//!   Readers for all sessions share one
+//!   [`SharedChunkCache`](tucker_store::SharedChunkCache), so a chunk decoded for one client
 //!   is a cache hit for every other. [`ServerHandle::shutdown`] drains
 //!   in-flight requests before returning.
 //! - [`client`] — [`ServeClient`], the matching blocking client, which

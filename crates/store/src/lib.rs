@@ -8,7 +8,7 @@
 //! without ever materializing the original. This crate plays the role the
 //! TuckerMPI file format plays for the original code, in three layers:
 //!
-//! 1. **Container format** ([`format`]) — the versioned `.tkr` binary layout:
+//! 1. **Container format** ([`format`](mod@format)) — the versioned `.tkr` binary layout:
 //!    fixed header (shape, ranks, ε, codec, quantization bound), provenance
 //!    metadata (dataset label, mode labels, per-species normalization), then
 //!    tagged factor and core blocks.

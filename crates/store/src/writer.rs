@@ -175,7 +175,7 @@ impl TkrWriter<BufWriter<File>> {
 
     /// Fallible [`TkrWriter::create`]: a structurally invalid header (zero
     /// extents or ranks, rank exceeding a mode) is a typed
-    /// [`FormatError`](crate::FormatError) instead of an opaque
+    /// [`FormatError`] instead of an opaque
     /// `InvalidData`. The header is validated **before** the file is
     /// created, so a rejected request never truncates an existing artifact
     /// at `path`.
@@ -236,7 +236,7 @@ impl<W: Write + Seek> TkrWriter<W> {
 
     /// Fallible [`TkrWriter::write_factor`]: a factor for an out-of-range
     /// mode, a mode written twice, or a shape disagreeing with the header is
-    /// a typed [`FormatError`](crate::FormatError) instead of a panic.
+    /// a typed [`FormatError`] instead of a panic.
     pub fn try_write_factor(&mut self, mode: usize, u: &Matrix) -> Result<(), StoreError> {
         if mode >= self.header.ndims() {
             return Err(FormatError::ModeOutOfRange {
@@ -292,7 +292,7 @@ impl<W: Write + Seek> TkrWriter<W> {
 
     /// Fallible [`TkrWriter::write_core_chunk`]: a zero-size chunk, a chunk
     /// that is not a whole number of last-mode slabs, or a chunk overrunning
-    /// the declared core is a typed [`FormatError`](crate::FormatError)
+    /// the declared core is a typed [`FormatError`]
     /// instead of a panic. Nothing is written when the chunk is rejected.
     pub fn try_write_core_chunk(&mut self, slab: &[f64]) -> Result<(), StoreError> {
         self.validate_chunk(self.core_elems_written, slab)?;
@@ -421,7 +421,7 @@ impl<W: Write + Seek> TkrWriter<W> {
     }
 
     /// Fallible [`TkrWriter::finish`]: a missing factor or an incomplete
-    /// core is a typed [`FormatError`](crate::FormatError) instead of a
+    /// core is a typed [`FormatError`] instead of a
     /// panic (and the end marker is not written).
     pub fn try_finish(mut self) -> Result<EncodeReport, StoreError> {
         for (n, &written) in self.factor_written.iter().enumerate() {
@@ -496,7 +496,7 @@ pub fn write_tucker_ctx(
 
 /// Fallible [`write_tucker`]: a degenerate decomposition (zero extents or
 /// ranks) or inconsistent metadata is a typed
-/// [`StoreError`](crate::StoreError) instead of an opaque `InvalidData`.
+/// [`StoreError`] instead of an opaque `InvalidData`.
 pub fn try_write_tucker(
     path: impl AsRef<Path>,
     t: &TuckerTensor,

@@ -143,8 +143,8 @@ pub fn ttm_into(
 /// Parallelism: the first mode is one large GEMM scattered over row panels;
 /// every other mode scatters contiguous ranges of the `right` block loop,
 /// each range writing its own disjoint slice of `y`. Narrow blocks
-/// (`left < `[`FUSE_MAX_LEFT`]) are additionally **fused**: runs of tiny
-/// per-block GEMMs are packed into one GEMM of ~[`FUSE_TARGET_COLS`] columns
+/// (`left < FUSE_MAX_LEFT`) are additionally **fused**: runs of tiny
+/// per-block GEMMs are packed into one GEMM of ~`FUSE_TARGET_COLS` columns
 /// (the `left == 1` trick generalized). Neither choice changes the
 /// per-element accumulation order, so results are bit-identical across
 /// thread counts and across the fused/unfused boundary.

@@ -23,7 +23,7 @@
 //! element.
 //!
 //! A source whose every contraction step is one contiguous stored row (the
-//! first-mode unfolding, [`Source::in_place_stride`]) already *is* a packed
+//! first-mode unfolding, [`Source::cols`]) already *is* a packed
 //! panel, only at stride `ld` instead of `MR`/`NR`: the SYRK driver hands
 //! such panels to the microkernel where they lie and packs only the block's
 //! ragged last panel.
@@ -109,7 +109,7 @@ impl Source {
     }
 
     /// Offset of element `(i, p)` in the stored slice.
-    pub fn offset(&self, i: usize, p: usize) -> usize {
+    pub(crate) fn offset(&self, i: usize, p: usize) -> usize {
         i * self.row + (p / self.run) * self.jump + p % self.run
     }
 
@@ -117,7 +117,7 @@ impl Source {
     /// `p·ld ..` ([`Source::cols`]): a panel of `W` rows starting at row
     /// `i0` is then `src[i0 ..]` read at stride `ld`, the packed layout at a
     /// wider stride.
-    pub fn in_place_stride(&self) -> Option<usize> {
+    pub(crate) fn in_place_stride(&self) -> Option<usize> {
         (self.row == 1 && self.run == 1).then_some(self.jump)
     }
 
@@ -127,7 +127,7 @@ impl Source {
     /// in ascending `p`, so visiting them in order visits `(t, q)` in
     /// lexicographic order. The runs do not depend on `i`: build them once
     /// and clone them per row (building divides, iterating does not).
-    pub fn runs(
+    pub(crate) fn runs(
         &self,
         p0: usize,
         kb: usize,

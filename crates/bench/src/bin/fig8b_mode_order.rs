@@ -14,6 +14,10 @@ use tucker_core::prelude::*;
 use tucker_distmem::{CostModel, MachineParams, ProcGrid};
 use tucker_scidata::random_low_rank;
 
+/// One table row: the mode order, its wall time and its (Gram, evecs, TTM)
+/// kernel totals.
+type OrderRow = (Vec<usize>, f64, (f64, f64, f64));
+
 fn main() {
     // Scaled-down Fig. 8b problem: 5x50x50x50 -> 2x2x20x20 on a 2x2x2x2 grid
     // keeps the paper's anisotropy (one tiny mode, two high-compression modes).
@@ -41,7 +45,7 @@ fn main() {
         ],
         &widths,
     );
-    let mut rows: Vec<(Vec<usize>, f64, (f64, f64, f64))> = Vec::new();
+    let mut rows: Vec<OrderRow> = Vec::new();
     for order in &orders {
         let opts =
             SthosvdOptions::with_ranks(ranks.clone()).order(ModeOrder::Custom(order.clone()));

@@ -135,16 +135,10 @@ fn best_grid(p: usize, ranks: &[usize]) -> Vec<usize> {
         .into_iter()
         .filter(|g| g.iter().zip(ranks.iter()).all(|(&pg, &r)| pg <= r))
         .min_by(|a, b| {
-            let ta = CostModel::new(ProcGrid::new(a), params).st_hosvd_time(
-                &dims,
-                &ranks.to_vec(),
-                &[0, 1, 2, 3],
-            );
-            let tb = CostModel::new(ProcGrid::new(b), params).st_hosvd_time(
-                &dims,
-                &ranks.to_vec(),
-                &[0, 1, 2, 3],
-            );
+            let ta =
+                CostModel::new(ProcGrid::new(a), params).st_hosvd_time(&dims, ranks, &[0, 1, 2, 3]);
+            let tb =
+                CostModel::new(ProcGrid::new(b), params).st_hosvd_time(&dims, ranks, &[0, 1, 2, 3]);
             ta.partial_cmp(&tb).unwrap()
         })
         .expect("at least one admissible grid")

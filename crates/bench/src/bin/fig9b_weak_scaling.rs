@@ -93,7 +93,7 @@ fn main() {
                     + model.hooi_iteration_time(&dims, &ranks)
             })
             .fold(f64::INFINITY, f64::min);
-        let model1 = CostModel::new(ProcGrid::new(&vec![1; 4]), params);
+        let model1 = CostModel::new(ProcGrid::new(&[1; 4]), params);
         let total_flops = model1.st_hosvd(&dims, &ranks, &[0, 1, 2, 3]).flops
             + model1.hooi_iteration(&dims, &ranks).flops;
         let gflops_per_core = total_flops / best / cores as f64 / 1e9;

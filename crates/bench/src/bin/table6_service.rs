@@ -243,7 +243,7 @@ fn run_client(
                 got.dims() == want.dims() && bits_equal(got.as_slice(), want.as_slice())
             }
             Op::Control => {
-                if rng.next() % 2 == 0 {
+                if rng.next().is_multiple_of(2) {
                     out.attempts.stats += 1;
                     let stats = client.stats()?;
                     stats.artifacts.len() == names.len()

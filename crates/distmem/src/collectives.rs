@@ -326,9 +326,9 @@ fn gather_inner(group: &SubCommunicator<'_>, root: usize, data: &[f64]) -> Optio
     if group.pos() == root {
         let mut parts: Vec<Vec<f64>> = vec![Vec::new(); p];
         parts[root] = data.to_vec();
-        for pos in 0..p {
+        for (pos, part) in parts.iter_mut().enumerate() {
             if pos != root {
-                parts[pos] = group.recv(pos);
+                *part = group.recv(pos);
             }
         }
         Some(parts.concat())

@@ -173,7 +173,7 @@ impl ProcGrid {
             }
             let mut d = 1;
             while d <= p {
-                if p % d == 0 {
+                if p.is_multiple_of(d) {
                     current[pos] = d;
                     rec(p / d, pos + 1, current, out);
                 }

@@ -14,8 +14,8 @@
 //! Module map:
 //! * [`grid`]        — the logical N-way processor grid of Sec. IV.
 //! * [`transport`]   — the [`transport::Transport`] trait under the communicator
-//!                     (in-process channels here; TCP mesh in `tucker-net`) and
-//!                     the exact [`transport::Wire`] encoding for cross-process values.
+//!   (in-process channels here; TCP mesh in `tucker-net`) and the exact
+//!   [`transport::Wire`] encoding for cross-process values.
 //! * [`comm`]        — point-to-point communicator between ranks.
 //! * [`collectives`] — broadcast, reduce, all-reduce, all-gather, reduce-scatter.
 //! * [`subcomm`]     — communicators over processor-grid slices (mode columns/rows).

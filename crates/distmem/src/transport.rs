@@ -436,7 +436,7 @@ impl Wire for f64 {
 
 impl Wire for String {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.as_bytes().len().encode(out);
+        self.len().encode(out);
         out.extend_from_slice(self.as_bytes());
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {

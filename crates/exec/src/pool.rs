@@ -399,7 +399,7 @@ pub fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
 pub fn triangle_row_chunks(m: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.clamp(1, m.max(1));
     if parts <= 1 {
-        return vec![0..m];
+        return std::iter::once(0..m).collect();
     }
     let total = m * (m + 1) / 2;
     let mut ranges = Vec::with_capacity(parts);

@@ -122,7 +122,7 @@ fn tridiagonalize(a: &Matrix) -> (Vec<f64>, Vec<f64>, Matrix) {
                 h -= f * g;
                 z.set(i, l - 1, f - g);
                 f = 0.0;
-                for j in 0..l {
+                for (j, ej) in e.iter_mut().enumerate().take(l) {
                     z.set(j, i, z.get(i, j) / h);
                     let mut g = 0.0;
                     for k in 0..=j {
@@ -131,16 +131,16 @@ fn tridiagonalize(a: &Matrix) -> (Vec<f64>, Vec<f64>, Matrix) {
                     for k in j + 1..l {
                         g += z.get(k, j) * z.get(i, k);
                     }
-                    e[j] = g / h;
-                    f += e[j] * z.get(i, j);
+                    *ej = g / h;
+                    f += *ej * z.get(i, j);
                 }
                 let hh = f / (h + h);
                 for j in 0..l {
                     let fj = z.get(i, j);
                     let gj = e[j] - hh * fj;
                     e[j] = gj;
-                    for k in 0..=j {
-                        let v = z.get(j, k) - (fj * e[k] + gj * z.get(i, k));
+                    for (k, &ek) in e.iter().enumerate().take(j + 1) {
+                        let v = z.get(j, k) - (fj * ek + gj * z.get(i, k));
                         z.set(j, k, v);
                     }
                 }
@@ -153,9 +153,9 @@ fn tridiagonalize(a: &Matrix) -> (Vec<f64>, Vec<f64>, Matrix) {
     d[0] = 0.0;
     e[0] = 0.0;
     // Accumulate transformation.
-    for i in 0..n {
+    for (i, di) in d.iter_mut().enumerate() {
         let l = i;
-        if d[i] != 0.0 {
+        if *di != 0.0 {
             for j in 0..l {
                 let mut g = 0.0;
                 for k in 0..l {
@@ -167,7 +167,7 @@ fn tridiagonalize(a: &Matrix) -> (Vec<f64>, Vec<f64>, Matrix) {
                 }
             }
         }
-        d[i] = z.get(i, i);
+        *di = z.get(i, i);
         z.set(i, i, 1.0);
         for j in 0..l {
             z.set(j, i, 0.0);
@@ -363,6 +363,10 @@ pub fn sym_eig_desc(a: &Matrix) -> SymEig {
 ///    corrected by `V·(Wᵀv_j) + W·(Vᵀv_j)` through `wv`/`vv`.
 /// 4. `w_j = 2·(u − (v_jᵀu)·v_j)`, scattered into `w`; `Vᵀv_j` (already in
 ///    `vv`) feeds the `T` column.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "LAPACK-style panel kernel (DLATRD): the panel bounds and every work array are explicit"
+)]
 fn tridiag_factor_panel(
     m: &Matrix,
     j0: usize,

@@ -49,6 +49,10 @@ fn triangle_flops(n: usize, k: usize) -> u64 {
 /// Only the lower triangle is computed directly; the strict upper triangle is
 /// filled by mirroring at the end, so `beta` must scale a symmetric `C` for the
 /// result to remain symmetric (this is always the case in the Tucker kernels).
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the BLAS DSYRK signature (alpha, A, m, k, lda, beta, C, ldc) is the contract"
+)]
 pub fn syrk_slices(
     alpha: f64,
     a: &[f64],
@@ -301,6 +305,10 @@ fn block_panels<'a, const W: usize>(
 /// Executable statement of the SYRK determinism contract (lower triangle +
 /// mirror): [`syrk_slices`] must agree with this **bit for bit** on every
 /// input — enforced by the proptest battery.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the reference mirrors syrk_slices' BLAS DSYRK signature"
+)]
 pub fn syrk_slices_reference(
     alpha: f64,
     a: &[f64],

@@ -245,8 +245,11 @@ fn pick_root(fails: &[(usize, String)]) -> (usize, String) {
 
 static JOB_SEQ: AtomicU64 = AtomicU64::new(0);
 
-fn parent_sessions() -> &'static Mutex<HashMap<(String, usize), Arc<NetSession>>> {
-    static MAP: OnceLock<Mutex<HashMap<(String, usize), Arc<NetSession>>>> = OnceLock::new();
+/// Live parent-side sessions, keyed by (joined exec args, world size).
+type SessionMap = Mutex<HashMap<(String, usize), Arc<NetSession>>>;
+
+fn parent_sessions() -> &'static SessionMap {
+    static MAP: OnceLock<SessionMap> = OnceLock::new();
     MAP.get_or_init(|| Mutex::new(HashMap::new()))
 }
 

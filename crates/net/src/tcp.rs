@@ -491,13 +491,13 @@ pub fn local_mesh(p: usize, timeout: Duration) -> Result<Vec<TcpTransport>, NetE
         (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
     // Dial lower ranks from higher ranks; identify each connection with a
     // one-frame rank header so the acceptor knows who called.
-    for j in 0..p {
-        for i in 0..j {
-            let mut s = TcpStream::connect(addrs[i])
+    for (j, row) in streams.iter_mut().enumerate() {
+        for (addr, slot) in addrs.iter().zip(row.iter_mut()).take(j) {
+            let mut s = TcpStream::connect(addr)
                 .map_err(|e| NetError::from_io(&e, "local mesh connect"))?;
             write_frame(&mut s, OP_PEER, &(j as u64).to_wire_bytes(), None)?;
             NET_CONNECT.inc();
-            streams[j][i] = Some(s);
+            *slot = Some(s);
         }
     }
     for (i, l) in listeners.iter().enumerate() {

@@ -227,7 +227,7 @@ pub fn serve(
 
     let pool = ExecContext::global();
     let workers = if config.workers == 0 {
-        pool.threads().min(4).max(1)
+        pool.threads().clamp(1, 4)
     } else {
         config.workers
     };

@@ -201,7 +201,7 @@ pub(crate) fn scan_artifact(path: impl AsRef<Path>) -> io::Result<ScannedArtifac
                 if len > core_total - start {
                     return Err(invalid("core chunk overruns the core"));
                 }
-                if len == 0 || len % slab_stride != 0 {
+                if len == 0 || !len.is_multiple_of(slab_stride) {
                     return Err(invalid(&format!(
                         "core chunk of {len} elements is not a whole number of \
                          last-mode slabs (stride {slab_stride})"

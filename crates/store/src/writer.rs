@@ -313,7 +313,7 @@ impl<W: Write + Seek> TkrWriter<W> {
         if slab.is_empty() {
             return Err(FormatError::EmptyChunk);
         }
-        if slab.len() % self.slab_stride != 0 {
+        if !slab.len().is_multiple_of(self.slab_stride) {
             return Err(FormatError::MisalignedChunk {
                 len: slab.len(),
                 stride: self.slab_stride,

@@ -213,7 +213,7 @@ pub fn gram_pair_ctx(ctx: &ExecContext, y: &DenseTensor, w: &DenseTensor, mode: 
         block_pair(0..ny, s.as_mut_slice());
         return s;
     }
-    ctx.for_each_row_panel(s.as_mut_slice(), ldc, chunk_ranges(ny, parts), &block_pair);
+    ctx.for_each_row_panel(s.as_mut_slice(), ldc, chunk_ranges(ny, parts), block_pair);
     s
 }
 

@@ -57,7 +57,9 @@ TUCKER_THREADS=4 cargo test -q
 # tile grid. So do the query-contract and store round-trip suites: window
 # queries contract in a window-shaped mode order, which sends TTM shapes of
 # its own through the packed tile grid, and eager ≡ lazy ≡ daemon must hold
-# bit for bit under every tier and blocking. The determinism suite's
+# bit for bit under every tier and blocking. So does the norm-contract
+# suite: ‖X‖² is the trace of the first processed mode's Gram, which runs on
+# the tier's kernel and the blocking's grid. The determinism suite's
 # reconstruction battery (the TTM chain's fused expanding tail against a
 # per-mode chain) rides along too: its in-tile GEMMs are shaped by the tile
 # width, not by the tensor.
@@ -65,12 +67,14 @@ section "linalg + determinism suites (TUCKER_SIMD=scalar)"
 TUCKER_SIMD=scalar cargo test -q -p tucker-linalg
 TUCKER_SIMD=scalar cargo test -q --test determinism --test simd_tiers \
   --test streaming --test api_equivalence --test distributed_equivalence \
-  --test query_contract --test store_roundtrip --test gram_contract
+  --test query_contract --test store_roundtrip --test gram_contract \
+  --test norm_contract
 section "linalg + determinism suites (TUCKER_SIMD=auto)"
 TUCKER_SIMD=auto cargo test -q -p tucker-linalg
 TUCKER_SIMD=auto cargo test -q --test determinism --test simd_tiers \
   --test streaming --test api_equivalence --test distributed_equivalence \
-  --test query_contract --test store_roundtrip --test gram_contract
+  --test query_contract --test store_roundtrip --test gram_contract \
+  --test norm_contract
 
 # The blocking contract (ISSUE 9) says MC/KC/NC only schedule the packed tile
 # grid — a TUCKER_BLOCK override must be invisible in the result bits, for
@@ -82,7 +86,8 @@ section "linalg + determinism suites (TUCKER_BLOCK=16,16,16)"
 TUCKER_BLOCK=16,16,16 cargo test -q -p tucker-linalg
 TUCKER_BLOCK=16,16,16 cargo test -q --test determinism --test simd_tiers \
   --test streaming --test api_equivalence --test distributed_equivalence \
-  --test query_contract --test store_roundtrip --test gram_contract
+  --test query_contract --test store_roundtrip --test gram_contract \
+  --test norm_contract
 
 section "cargo test -q --test service (TUCKER_THREADS=1 and 4)"
 # The daemon's concurrency suite under both pool shapes: 8-client

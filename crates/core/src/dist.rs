@@ -177,6 +177,10 @@ impl<'a> DistTensor<'a> {
 
     /// `‖X‖²` of the **global** tensor (an all-reduce of the local values; on a
     /// single rank this is exactly the sequential `norm_sq`).
+    ///
+    /// The drivers use it for the core only (HOOI's fit): the input's `‖X‖²`
+    /// is the trace of the first processed mode's Gram, see
+    /// [`try_dist_st_hosvd_ctx`].
     pub fn global_norm_sq(&self, comm: &Communicator) -> f64 {
         let group = SubCommunicator::world_group(comm);
         all_reduce(&group, &[self.local.norm_sq()])[0]
@@ -288,7 +292,8 @@ pub struct DistSthosvdResult {
     pub mode_eigenvalues: Vec<Vec<f64>>,
     /// Sum of discarded eigenvalues over all modes (eq. (3) bookkeeping).
     pub discarded_energy: f64,
-    /// `‖X‖²` of the global input tensor.
+    /// `‖X‖²` of the global input tensor: the trace of the first processed
+    /// mode's Gram, summed over the diagonal in ascending order.
     pub norm_x_sq: f64,
     /// The order in which modes were processed.
     pub processed_order: Vec<usize>,
@@ -567,7 +572,9 @@ pub(crate) fn on_one_rank<R>(
 ///
 /// For each mode in the resolved order: Gram → eigenvectors → rank
 /// selection → truncating TTM. Rank selection is driven by the global
-/// `‖X‖²`, so every rank picks the same ranks.
+/// `‖X‖²`, taken as the trace of the first processed mode's assembled Gram
+/// (no separate pass over X, no extra collective), so every rank picks the
+/// same ranks.
 ///
 /// # Panics
 /// Panics on structurally invalid input, with the message of
@@ -613,7 +620,6 @@ pub fn try_dist_st_hosvd_ctx(
         threads = ctx.threads(),
     );
     ST_HOSVD_RUNS.inc();
-    let norm_x_sq = x.global_norm_sq(comm);
 
     // Greedy strategies consume the shared rank hint: fixed ranks when
     // available, the dimensions otherwise.
@@ -631,10 +637,13 @@ pub fn try_dist_st_hosvd_ctx(
     let mut ranks = vec![0usize; nmodes];
     let mut mode_eigenvalues: Vec<Vec<f64>> = vec![Vec::new(); nmodes];
     let mut discarded_energy = 0.0;
+    // ‖X‖² is the trace of the first processed mode's Gram, which has read
+    // every element of X by then; set before the first rank selection.
+    let mut norm_x_sq = 0.0;
     let mut timings = KernelTimings::new(nmodes);
     timings.thread_budget = ctx.threads();
 
-    for &n in &order {
+    for (step, &n) in order.iter().enumerate() {
         let _mode_span = tucker_obs::span!("st_hosvd.mode", mode = n);
         let current = y.as_ref().unwrap_or(x);
         let s_block = {
@@ -648,7 +657,13 @@ pub fn try_dist_st_hosvd_ctx(
         let eig = {
             let _k = tucker_obs::span!("dist.evecs", mode = n);
             let t0 = Instant::now();
-            let eig = parallel_evecs(comm, current, n, &s_block);
+            let s = assemble_gram(comm, current, n, &s_block);
+            if step == 0 {
+                // The assembled Gram is bitwise the same on every rank (the
+                // redundant eigensolve relies on it), so is its trace.
+                norm_x_sq = s.trace();
+            }
+            let eig = sym_eig_desc(&s);
             timings.evecs[n] += t0.elapsed().as_secs_f64();
             eig
         };

@@ -74,7 +74,8 @@ pub struct SthosvdResult {
     /// by `ε²‖X‖²` in eq. (3); its square root over `‖X‖` is an a-priori bound
     /// on the relative reconstruction error.
     pub discarded_energy: f64,
-    /// `‖X‖²` of the input tensor.
+    /// `‖X‖²` of the input tensor: the trace of the first processed mode's
+    /// Gram, summed over the diagonal in ascending order.
     pub norm_x_sq: f64,
     /// The order in which modes were processed.
     pub processed_order: Vec<usize>,

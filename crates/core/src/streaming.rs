@@ -25,12 +25,13 @@
 //! **Bit-identity contract.** The output — factors, core, ranks,
 //! eigenvalues, discarded energy, error bound — is bit-identical to
 //! [`st_hosvd_ctx`](crate::sthosvd::st_hosvd_ctx) on the materialized tensor,
-//! for every slab width and thread count. This rests on three kernel
+//! for every slab width and thread count. This rests on two kernel
 //! invariants (see `crates/tensor/src/stream.rs` and
 //! `docs/ARCHITECTURE.md` §6): non-last-mode TTM maps slabs to slabs
-//! bitwise, Gram accumulation over consecutive slabs performs the sequential
-//! per-element additions in the same order, and the running `‖X‖²` sum below
-//! folds elements in storage order exactly like `DenseTensor::norm_sq`.
+//! bitwise, and Gram accumulation over consecutive slabs performs the
+//! sequential per-element additions in the same order. `‖X‖²`, as in the
+//! in-memory driver, is the trace of the first sweep's Gram, which the
+//! second invariant makes bitwise the in-memory one.
 //! Pinned by `tests/streaming.rs` across odd shapes, slab widths (1, prime,
 //! full) and thread counts including oversubscription.
 
@@ -167,9 +168,9 @@ fn st_hosvd_streaming_unchecked(
 
     // Phase 1: one streaming sweep per non-streaming mode, in processing
     // order. Each sweep shrinks every slab through the factors found so far
-    // and accumulates the mode's Gram; the first sweep also folds ‖X‖²
-    // element by element in storage order (identical to `norm_sq` on the
-    // materialized tensor, which rank selection depends on).
+    // and accumulates the mode's Gram; the first sweep's Gram has read every
+    // element of X, and its trace is ‖X‖² (bitwise the in-memory driver's,
+    // which rank selection depends on).
     for (step, &n) in order[..nmodes - 1].iter().enumerate() {
         let _sweep_span = tucker_obs::span!("streaming.sweep", mode = n, step = step);
         let mut s = Matrix::zeros(dims[n], dims[n]);
@@ -177,11 +178,6 @@ fn st_hosvd_streaming_unchecked(
         while start < last_dim {
             let w = width.min(last_dim - start);
             let slab = take_slab(src, start, w, std::mem::take(&mut slab_buf));
-            if step == 0 {
-                for &v in slab.as_slice() {
-                    norm_x_sq += v * v;
-                }
-            }
             let shrunk = shrink_slab(ctx, slab, &factors, &order, &mut slab_buf);
             gram_accumulate_ctx(ctx, &shrunk, n, &mut s);
             if slab_buf.is_empty() {
@@ -190,6 +186,9 @@ fn st_hosvd_streaming_unchecked(
                 slab_buf = shrunk.into_vec();
             }
             start += w;
+        }
+        if step == 0 {
+            norm_x_sq = s.trace();
         }
         let eig = sym_eig_desc(&s);
         let r = opts.rank.select(n, &eig.values, norm_x_sq, nmodes);

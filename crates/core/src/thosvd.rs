@@ -26,7 +26,7 @@ pub struct ThosvdResult {
     pub mode_eigenvalues: Vec<Vec<f64>>,
     /// Total discarded eigenvalue energy, Σₙ Σ_{i>Rₙ} λ⁽ⁿ⁾ᵢ.
     pub discarded_energy: f64,
-    /// `‖X‖²` of the input.
+    /// `‖X‖²` of the input: the trace of the mode-0 Gram.
     pub norm_x_sq: f64,
 }
 
@@ -44,7 +44,8 @@ impl ThosvdResult {
 /// Computes the T-HOSVD of `x` with the given rank-selection rule.
 pub fn t_hosvd(x: &DenseTensor, rank: &RankSelection) -> ThosvdResult {
     let nmodes = x.ndims();
-    let norm_x_sq = x.norm_sq();
+    // ‖X‖² is the trace of the mode-0 Gram, set before its rank selection.
+    let mut norm_x_sq = 0.0;
 
     let mut factors: Vec<Matrix> = Vec::with_capacity(nmodes);
     let mut ranks = Vec::with_capacity(nmodes);
@@ -54,6 +55,9 @@ pub fn t_hosvd(x: &DenseTensor, rank: &RankSelection) -> ThosvdResult {
     // Every factor comes from the original tensor.
     for n in 0..nmodes {
         let s = gram(x, n);
+        if n == 0 {
+            norm_x_sq = s.trace();
+        }
         let eig = sym_eig_desc(&s);
         let r = rank.select(n, &eig.values, norm_x_sq, nmodes);
         discarded_energy += discarded_tail(&eig.values, r);

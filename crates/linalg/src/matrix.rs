@@ -193,6 +193,12 @@ impl Matrix {
         crate::blas1::nrm2(&self.data)
     }
 
+    /// Sum of the diagonal, `Σᵢ aᵢᵢ`: one running sum from `+0.0` over `i`
+    /// ascending, so its bits are fixed by the diagonal alone.
+    pub fn trace(&self) -> f64 {
+        (0..self.rows.min(self.cols)).fold(0.0, |acc, i| acc + self.get(i, i))
+    }
+
     /// Maximum absolute entry (0 for an empty matrix).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0f64, |m, &v| m.max(v.abs()))
@@ -305,6 +311,16 @@ mod tests {
         let m = Matrix::from_fn(2, 3, |i, j| (i * 10 + j) as f64);
         assert_eq!(m.as_slice(), &[0.0, 1.0, 2.0, 10.0, 11.0, 12.0]);
         assert_eq!(m.get(1, 2), 12.0);
+    }
+
+    #[test]
+    fn trace_adds_the_diagonal_in_ascending_order() {
+        // Ascending: (1 + 2⁵³) rounds to 2⁵³, then − 2⁵³ gives 0; descending,
+        // (−2⁵³ + 2⁵³) + 1 gives 1.
+        let big = 2f64.powi(53);
+        let m = Matrix::from_fn(3, 4, |i, j| if i == j { [1.0, big, -big][i] } else { 7.0 });
+        assert_eq!(m.trace().to_bits(), 0f64.to_bits());
+        assert_eq!(Matrix::zeros(0, 0).trace().to_bits(), 0f64.to_bits());
     }
 
     #[test]

@@ -103,7 +103,7 @@ fn query_fingerprint(q: &impl TensorQuery) -> Vec<u64> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// In-memory path, tolerance-driven: facade ≡ `st_hosvd`, bitwise.
     #[test]

@@ -77,7 +77,7 @@ fn assert_bit_identical(a: &SthosvdResult, b: &SthosvdResult, what: &str) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The headline acceptance criterion: streaming ≡ in-memory, bitwise,
     /// across slab widths (1, a prime, the full last mode) and thread

@@ -225,11 +225,12 @@ if [ "$gate_ok" -ne 1 ]; then
 fi
 echo "panic-grep gate OK"
 
-section "cargo clippy --workspace --lib --bins (warnings are errors)"
-# Library and binary targets are lint-clean; test and example targets are
-# not yet (ROADMAP O(c)). Where a BLAS/LAPACK-style signature is the
-# contract, the function carries an `#[expect(clippy::…, reason = …)]`.
-cargo clippy --workspace --lib --bins --quiet -- -D warnings
+section "cargo clippy --workspace --all-targets (warnings are errors)"
+# Every target — libraries, binaries, tests, examples, benches — is
+# lint-clean. Where a BLAS/LAPACK-style signature is the contract, or a
+# literal is data that only looks like a constant, the item carries an
+# `#[expect(clippy::…, reason = …)]`.
+cargo clippy --workspace --all-targets --quiet -- -D warnings
 
 section "cargo fmt --check"
 cargo fmt --check

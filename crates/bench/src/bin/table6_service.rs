@@ -17,6 +17,11 @@
 //!   bit-for-bit (`f64::to_bits`) against a direct in-process
 //!   [`TensorQuery`] reader on the same artifact. Any mismatch exits
 //!   non-zero — the service layer must be a transport, not an approximation.
+//!   A mismatch prints the op, the artifact and the window asked for.
+//! * **Listing gate (hard, counted apart):** a `list` names every registered
+//!   artifact once; a `stats` names only registered artifacts, none twice
+//!   (readers open on first use, so it lists those opened so far); and a
+//!   final `stats` after every client has finished names all of them.
 //! * **Liveness gate (hard):** a watchdog aborts with a distinct exit code
 //!   if the run wedges (lost reply, dead worker, stuck drain).
 //! * Reported: per-operation p50/p99 latency, aggregate queries/sec, `Busy`
@@ -148,7 +153,30 @@ struct ClientOutcome {
     latencies: Vec<(Op, Duration)>,
     attempts: WireAttempts,
     busy_retries: u64,
+    /// Data responses that differ from the direct reader.
     mismatches: u64,
+    /// `stats`/`list` responses that break the daemon's listing contract.
+    control_misses: u64,
+}
+
+/// What one request got wrong, in words that name the op, the artifact and
+/// the window asked for.
+enum Miss {
+    Data(String),
+    Control(String),
+}
+
+/// The daemon's listing contract: every listed name is registered, and none
+/// appears twice.
+fn lists_registered_once<'a>(listed: impl IntoIterator<Item = &'a str>, names: &[String]) -> bool {
+    let mut seen: Vec<&str> = Vec::new();
+    for name in listed {
+        if !names.iter().any(|n| n == name) || seen.contains(&name) {
+            return false;
+        }
+        seen.push(name);
+    }
+    true
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -172,6 +200,7 @@ fn run_client(
         attempts: WireAttempts::default(),
         busy_retries: 0,
         mismatches: 0,
+        control_misses: 0,
     };
 
     // Warm the connection with one untimed control request: the daemon's
@@ -192,14 +221,18 @@ fn run_client(
             .map(|&(op, _)| op)
             .unwrap_or(Op::Element);
         let started = Instant::now();
-        let identical = match op {
+        let miss = match op {
             Op::Element => {
                 let idx: Vec<usize> = dims.iter().map(|&d| rng.below(d)).collect();
                 let got = retry_busy(&mut out.busy_retries, &mut out.attempts.element, || {
                     client.element(name, &idx)
                 })?;
                 let want = reader.element(&idx)?;
-                got.to_bits() == want.to_bits()
+                (got.to_bits() != want.to_bits()).then(|| {
+                    Miss::Data(format!(
+                        "element of {name} at {idx:?}: daemon {got:e}, reader {want:e}"
+                    ))
+                })
             }
             Op::Elements => {
                 let count = 4 + rng.below(13);
@@ -217,7 +250,8 @@ fn run_client(
                     .iter()
                     .map(|p| reader.element(p))
                     .collect::<Result<_, _>>()?;
-                bits_equal(&got, &want)
+                (!bits_equal(&got, &want))
+                    .then(|| Miss::Data(format!("elements of {name} at {points:?}")))
             }
             Op::Range => {
                 let ranges: Vec<(usize, usize)> = dims
@@ -231,7 +265,8 @@ fn run_client(
                     client.reconstruct_range(name, &ranges)
                 })?;
                 let want = reader.reconstruct_range(&ranges)?;
-                got.dims() == want.dims() && bits_equal(got.as_slice(), want.as_slice())
+                let same = got.dims() == want.dims() && bits_equal(got.as_slice(), want.as_slice());
+                (!same).then(|| Miss::Data(format!("range of {name} over (start, len) {ranges:?}")))
             }
             Op::Slice => {
                 let mode = rng.below(dims.len());
@@ -240,22 +275,44 @@ fn run_client(
                     client.reconstruct_slice(name, mode, index)
                 })?;
                 let want = reader.reconstruct_slice(mode, index)?;
-                got.dims() == want.dims() && bits_equal(got.as_slice(), want.as_slice())
+                let same = got.dims() == want.dims() && bits_equal(got.as_slice(), want.as_slice());
+                (!same).then(|| Miss::Data(format!("slice of {name}, mode {mode} index {index}")))
             }
             Op::Control => {
                 if rng.next().is_multiple_of(2) {
+                    // Readers open on first use and only then join the
+                    // shared cache, so `stats` lists the artifacts some
+                    // client has touched so far — not yet all of them.
                     out.attempts.stats += 1;
                     let stats = client.stats()?;
-                    stats.artifacts.len() == names.len()
+                    let listed: Vec<&str> =
+                        stats.artifacts.iter().map(|a| a.name.as_str()).collect();
+                    (!lists_registered_once(listed.iter().copied(), names))
+                        .then(|| Miss::Control(format!("stats listed {listed:?}")))
                 } else {
+                    // `list` shows the whole registry, opened or not.
                     out.attempts.list += 1;
-                    client.list()?.len() == names.len()
+                    let listed: Vec<String> = client.list()?.into_iter().map(|a| a.name).collect();
+                    let whole = listed.len() == names.len()
+                        && lists_registered_once(listed.iter().map(String::as_str), names);
+                    (!whole).then(|| Miss::Control(format!("list returned {listed:?}")))
                 }
             }
         };
         out.latencies.push((op, started.elapsed()));
-        if !identical {
-            out.mismatches += 1;
+        match miss {
+            Some(Miss::Data(what)) => {
+                eprintln!("client {id}: not byte-identical to the direct reader: {what}");
+                out.mismatches += 1;
+            }
+            Some(Miss::Control(what)) => {
+                eprintln!(
+                    "client {id}: {} broke the listing contract: {what}",
+                    op.name()
+                );
+                out.control_misses += 1;
+            }
+            None => {}
         }
     }
     Ok(out)
@@ -439,6 +496,7 @@ fn main() {
     let total_ops: usize = outcomes.iter().map(|o| o.latencies.len()).sum();
     let busy_retries: u64 = outcomes.iter().map(|o| o.busy_retries).sum();
     let mismatches: u64 = outcomes.iter().map(|o| o.mismatches).sum();
+    let control_misses: u64 = outcomes.iter().map(|o| o.control_misses).sum();
 
     let widths = [12usize, 10, 12, 12];
     print_header(&["op", "count", "p50 (ms)", "p99 (ms)"], &widths);
@@ -485,6 +543,11 @@ fn main() {
     let stats = probe.stats().expect("stats probe answers");
     drop(probe);
     let stats_at_close = handle.shutdown();
+    // Every client has finished, and every artifact was queried, so every
+    // reader has opened: the final `stats` lists each registered name once.
+    let final_names: Vec<&str> = stats.artifacts.iter().map(|a| a.name.as_str()).collect();
+    let final_stats_whole = final_names.len() == names.len()
+        && lists_registered_once(final_names.iter().copied(), &names);
     let resident: u64 = stats.artifacts.iter().map(|a| a.resident_chunks).sum();
     println!(
         "server: served {} responses, {} busy rejections, {} protocol errors",
@@ -596,6 +659,20 @@ fn main() {
         eprintln!(
             "table6_service: FAILED — {mismatches} response(s) were not byte-identical \
              to the direct reader"
+        );
+        failed = true;
+    }
+    if control_misses > 0 {
+        eprintln!(
+            "table6_service: FAILED — {control_misses} stats/list response(s) listed an \
+             unregistered or repeated artifact"
+        );
+        failed = true;
+    }
+    if !final_stats_whole {
+        eprintln!(
+            "table6_service: FAILED — the final stats listed {final_names:?}, \
+             not every registered artifact once ({names:?})"
         );
         failed = true;
     }

@@ -160,6 +160,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::approx_constant,
+        reason = "3.14159 is a decimal to format, not π"
+    )]
     fn eng_formatting() {
         assert_eq!(eng(0.0, 2), "0");
         assert!(eng(12345.0, 2).contains('e'));

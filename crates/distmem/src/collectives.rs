@@ -454,7 +454,7 @@ mod tests {
             for r in results {
                 let mut expected = Vec::new();
                 for pos in 0..p {
-                    expected.extend(std::iter::repeat(pos as f64).take(3));
+                    expected.extend(std::iter::repeat_n(pos as f64, 3));
                 }
                 assert_eq!(r, expected);
             }
@@ -469,7 +469,7 @@ mod tests {
             all_gather(g, &data)
         });
         let expected: Vec<f64> = (0..p)
-            .flat_map(|pos| std::iter::repeat(pos as f64).take(pos + 1))
+            .flat_map(|pos| std::iter::repeat_n(pos as f64, pos + 1))
             .collect();
         for r in results {
             assert_eq!(r, expected);

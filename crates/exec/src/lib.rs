@@ -20,6 +20,10 @@
 //!   tensors every sweep, plus 64-byte-aligned [`AlignedBuf`] buffers
 //!   ([`Workspace::take_aligned`]) for the GEMM/SYRK panel packing of
 //!   `tucker-linalg`.
+//! * [`zeroed`] — the one constructor of large zeroed `f64` buffers: a plain
+//!   `vec![0.0; len]` whose whole 2 MiB pages are advised for transparent
+//!   huge pages on Linux x86-64 once it spans 8 MiB, so one first-touch
+//!   fault maps 2 MiB instead of 4 KB.
 //!
 //! The pool size of the global context is `TUCKER_THREADS` when set to a
 //! positive integer, otherwise `std::thread::available_parallelism()`.
@@ -28,8 +32,10 @@
 //! with [`ExecContext::with_budget`], so the total worker count stays bounded
 //! by the machine, not by `ranks × threads`.
 
+mod pages;
 pub mod pool;
 pub mod workspace;
 
+pub use pages::zeroed;
 pub use pool::{chunk_ranges, triangle_row_chunks, ExecContext, ScopedJob, PAR_MIN_WORK};
 pub use workspace::{AlignedBuf, Workspace, BUFFER_ALIGN};

@@ -155,7 +155,7 @@ impl Workspace {
         let mut buf = match best {
             Some(i) => self.free.swap_remove(i),
             // An empty pool hands out allocator-zeroed memory: no fill pass.
-            None => return vec![0.0; len],
+            None => return crate::zeroed(len),
         };
         // Only growth beyond the retained length is zero-filled.
         buf.truncate(len);
@@ -273,7 +273,7 @@ mod tests {
     }
 
     fn is_aligned(buf: &AlignedBuf) -> bool {
-        (buf.as_slice().as_ptr() as usize) % BUFFER_ALIGN == 0
+        (buf.as_slice().as_ptr() as usize).is_multiple_of(BUFFER_ALIGN)
     }
 
     #[test]

@@ -299,8 +299,8 @@ mod tests {
     #[test]
     fn detected_caches_are_plausible() {
         let (l1, l2, l3) = detected_caches();
-        assert!(l1 >= 4 * 1024 && l1 <= 1 << 24);
-        assert!(l2 >= 64 * 1024 && l2 <= 1 << 28);
-        assert!(l3 >= 256 * 1024 && l3 <= 1 << 32);
+        assert!((4 * 1024..=1 << 24).contains(&l1));
+        assert!((64 * 1024..=1 << 28).contains(&l2));
+        assert!((256 * 1024..=1 << 32).contains(&l3));
     }
 }

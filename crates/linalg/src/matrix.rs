@@ -23,7 +23,7 @@ impl Matrix {
         Matrix {
             rows,
             cols,
-            data: vec![0.0; rows * cols],
+            data: tucker_exec::zeroed(rows * cols),
         }
     }
 

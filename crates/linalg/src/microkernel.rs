@@ -472,6 +472,10 @@ mod tests {
     use crate::simd::supported_tiers;
 
     /// The contract recurrence, written independently of the kernels.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the tile kernels' own argument list: packed A and B, C with its leading dimension, the tile shape and the triangle cut"
+    )]
     fn reference_tile(
         kb: usize,
         a: &[f64],

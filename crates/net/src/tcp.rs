@@ -641,7 +641,7 @@ mod tests {
             f64::NEG_INFINITY,
             f64::from_bits(0x7ff8_0000_0000_0001), // a NaN with payload bits
             f64::MIN_POSITIVE / 2.0,               // subnormal
-            1.000000000000000222e0,
+            1.0 + f64::EPSILON,                    // one ulp above 1
         ];
         std::thread::scope(|s| {
             let p2 = payload.clone();

@@ -90,7 +90,7 @@ impl CombustionSlabSource {
     pub fn materialize(&self) -> DenseTensor {
         let stride = self.slab_stride();
         let last = self.last_dim();
-        let mut data = vec![0.0f64; stride * last];
+        let mut data = tucker_exec::zeroed(stride * last);
         if last > 0 {
             self.fill_slab(0, last, &mut data);
         }

@@ -199,6 +199,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::approx_constant,
+        reason = "3.14159 is a sample value to round-trip, not π"
+    )]
     fn f64_is_bit_exact() {
         let values = [1.0, -2.5, 1e-300, f64::MIN_POSITIVE, 0.0, 3.14159];
         let (decoded, sq_err) = round_trip(Codec::F64, &values);

@@ -658,7 +658,7 @@ impl TkrReader {
     /// `TuckerTensor`. Escape hatch for callers that decide the core fits
     /// after all.
     pub fn into_tucker(self) -> Result<tucker_core::TuckerTensor, QueryError> {
-        let mut core_data = vec![0.0f64; self.core_total];
+        let mut core_data = tucker_exec::zeroed(self.core_total);
         self.for_each_chunk(|entry, data| {
             core_data[entry.start..entry.start + entry.len].copy_from_slice(data);
         })?;

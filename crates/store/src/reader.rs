@@ -67,7 +67,7 @@ impl TkrArtifact {
             file,
             file_bytes,
         } = scan_artifact(path)?;
-        let mut core_data = vec![0.0f64; core_total];
+        let mut core_data = tucker_exec::zeroed(core_total);
         decode_all_chunks(header.codec, ctx, &chunks, &file, &mut core_data)?;
         let core = DenseTensor::from_vec(&header.ranks, core_data);
         Ok(TkrArtifact {

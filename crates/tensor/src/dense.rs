@@ -50,7 +50,9 @@ pub struct DenseTensor {
 }
 
 impl DenseTensor {
-    /// Creates a tensor of zeros with the given dimensions.
+    /// Creates a tensor of zeros with the given dimensions. The buffer comes
+    /// from [`tucker_exec::zeroed`], so a large one is advised for
+    /// transparent huge pages before its first touch.
     ///
     /// # Panics
     /// Panics if `dims` is empty.
@@ -59,7 +61,7 @@ impl DenseTensor {
         let len: usize = dims.iter().product();
         DenseTensor {
             dims: dims.to_vec(),
-            data: vec![0.0; len],
+            data: tucker_exec::zeroed(len),
         }
     }
 

@@ -189,7 +189,7 @@ mod tests {
     fn get_matches_materialized() {
         let dims = [3usize, 2, 4, 2];
         let t = DenseTensor::from_fn(&dims, |idx| {
-            (idx[0] * 1 + idx[1] * 7 + idx[2] * 13 + idx[3] * 31) as f64
+            (idx[0] + idx[1] * 7 + idx[2] * 13 + idx[3] * 31) as f64
         });
         for n in 0..4 {
             let u = Unfolding::new(&dims, n);

@@ -112,13 +112,18 @@ impl SlabSource for DenseTensor {
 
 /// Materializes a slab from `src` into an owned [`DenseTensor`], reusing the
 /// allocation of `buf` (which is drained). The returned tensor has the
-/// source's dimensions with the last mode replaced by `len`.
+/// source's dimensions with the last mode replaced by `len`. Without an
+/// allocation to reuse, the slab is allocated by [`tucker_exec::zeroed`].
 pub fn take_slab(src: &impl SlabSource, start: usize, len: usize, buf: Vec<f64>) -> DenseTensor {
     let stride = src.slab_stride();
     let mut dims = src.dims().to_vec();
     let last = dims.len() - 1;
     dims[last] = len;
-    let mut data = buf;
+    let mut data = if buf.capacity() == 0 {
+        tucker_exec::zeroed(len * stride)
+    } else {
+        buf
+    };
     data.resize(len * stride, 0.0);
     if let Some(borrowed) = src.borrow_slab(start, len) {
         data.copy_from_slice(borrowed);

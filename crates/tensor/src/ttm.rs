@@ -674,8 +674,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(50);
         let dims = [4usize, 5, 3, 6];
         let x = random_tensor(&mut rng, &dims);
-        for mode in 0..4 {
-            let v = random_matrix(&mut rng, 7, dims[mode]);
+        for (mode, &d) in dims.iter().enumerate() {
+            let v = random_matrix(&mut rng, 7, d);
             let fast = ttm(&x, &v, mode, TtmTranspose::NoTranspose);
             let slow = ttm_reference(&x, &v, mode, TtmTranspose::NoTranspose);
             assert_tensor_close(&fast, &slow, 1e-11);
@@ -688,8 +688,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(51);
         let dims = [3usize, 6, 4];
         let x = random_tensor(&mut rng, &dims);
-        for mode in 0..3 {
-            let v = random_matrix(&mut rng, dims[mode], 5);
+        for (mode, &d) in dims.iter().enumerate() {
+            let v = random_matrix(&mut rng, d, 5);
             let fast = ttm(&x, &v, mode, TtmTranspose::Transpose);
             let slow = ttm_reference(&x, &v, mode, TtmTranspose::Transpose);
             assert_tensor_close(&fast, &slow, 1e-11);
@@ -702,8 +702,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(52);
         let dims = [4usize, 3, 5];
         let x = random_tensor(&mut rng, &dims);
-        for mode in 0..3 {
-            let i = Matrix::identity(dims[mode]);
+        for (mode, &d) in dims.iter().enumerate() {
+            let i = Matrix::identity(d);
             let y = ttm(&x, &i, mode, TtmTranspose::NoTranspose);
             assert_tensor_close(&x, &y, 1e-14);
         }
@@ -807,16 +807,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(59);
         for dims in [vec![2usize, 5, 97], vec![3, 4, 5, 13], vec![7, 3, 41]] {
             let x = random_tensor(&mut rng, &dims);
-            for mode in 1..dims.len() {
+            for (mode, &d) in dims.iter().enumerate().skip(1) {
                 for (trans, v) in [
-                    (
-                        TtmTranspose::NoTranspose,
-                        random_matrix(&mut rng, 6, dims[mode]),
-                    ),
-                    (
-                        TtmTranspose::Transpose,
-                        random_matrix(&mut rng, dims[mode], 6),
-                    ),
+                    (TtmTranspose::NoTranspose, random_matrix(&mut rng, 6, d)),
+                    (TtmTranspose::Transpose, random_matrix(&mut rng, d, 6)),
                 ] {
                     let fast = ttm(&x, &v, mode, trans);
                     let slow = ttm_reference(&x, &v, mode, trans);
@@ -833,8 +827,8 @@ mod tests {
         let dims = [24usize, 20, 18, 16];
         let x = random_tensor(&mut rng, &dims);
         let seq = tucker_exec::ExecContext::new(1);
-        for mode in 0..dims.len() {
-            let v = random_matrix(&mut rng, 5, dims[mode]);
+        for (mode, &d) in dims.iter().enumerate() {
+            let v = random_matrix(&mut rng, 5, d);
             let baseline = ttm_ctx(&seq, &x, &v, mode, TtmTranspose::NoTranspose);
             for threads in [2usize, 4, 16] {
                 let ctx = tucker_exec::ExecContext::new(threads);

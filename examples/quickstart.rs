@@ -28,6 +28,10 @@ fn main() -> Result<(), TuckerError> {
         dims.iter().product::<usize>(),
         dims.iter().product::<usize>() as f64 * 8.0 / 1e6
     );
+    #[expect(
+        clippy::approx_constant,
+        reason = "6.28 is the background's wave number, kept as written so the field's bits stay"
+    )]
     let x = DenseTensor::from_fn(&dims, |idx| {
         let (i, j, v, t) = (
             idx[0] as f64 / 40.0,

@@ -112,12 +112,16 @@ fn write_chunked(t: &TuckerTensor, codec: Codec, widths: &[usize]) -> (PathBuf, 
     (path, chunks)
 }
 
+type ElementQuery<'a> = Box<dyn FnMut(&[usize]) -> f64 + 'a>;
+type ElementsQuery<'a> = Box<dyn FnMut(&[&[usize]]) -> Vec<f64> + 'a>;
+type RangeQuery<'a> = Box<dyn FnMut(&[(usize, usize)]) -> DenseTensor + 'a>;
+
 /// The four query shapes of one read path, as closures over it.
 struct ReadPath<'a> {
     label: String,
-    element: Box<dyn FnMut(&[usize]) -> f64 + 'a>,
-    elements: Box<dyn FnMut(&[&[usize]]) -> Vec<f64> + 'a>,
-    range: Box<dyn FnMut(&[(usize, usize)]) -> DenseTensor + 'a>,
+    element: ElementQuery<'a>,
+    elements: ElementsQuery<'a>,
+    range: RangeQuery<'a>,
 }
 
 /// Windows to sweep besides the unit ones: one that is mixed whenever the
@@ -242,7 +246,7 @@ fn check_path(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn element_unit_window_and_full_reconstruction_agree_bit_for_bit_on_every_read_path(

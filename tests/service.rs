@@ -556,16 +556,21 @@ proptest! {
 //    never a panic or an unbounded hang.
 // ---------------------------------------------------------------------------
 
-/// A stub server that accepts one connection, reads (some of) the request,
-/// writes `reply`, and optionally slams the connection shut.
+/// A stub server that accepts one connection, reads one whole request frame
+/// (the length prefix, then that many bytes), writes `reply`, and closes
+/// the connection.
 fn stub_server(reply: Vec<u8>) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("stub binds");
     let addr = listener.local_addr().expect("stub addr");
     std::thread::spawn(move || {
         if let Ok((mut sock, _)) = listener.accept() {
-            let mut sink = [0u8; 4096];
-            sock.read(&mut sink).ok();
-            sock.write_all(&reply).ok();
+            let mut prefix = [0u8; 4];
+            if sock.read_exact(&mut prefix).is_ok() {
+                let mut request = vec![0u8; u32::from_le_bytes(prefix) as usize];
+                if sock.read_exact(&mut request).is_ok() {
+                    sock.write_all(&reply).ok();
+                }
+            }
         }
     });
     addr

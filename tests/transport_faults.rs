@@ -147,7 +147,7 @@ proptest! {
         let declared = [0u64, 1, 7, 1 << 40, u64::MAX][sel];
         let declared = if declared == real && extra == 0 { real + 1 } else { declared };
         declared.encode(&mut body);
-        body.extend(std::iter::repeat(0x5a).take(words * 8 + extra));
+        body.extend(std::iter::repeat_n(0x5a, words * 8 + extra));
         match decode_msg(&body) {
             Err(NetError::Malformed { detail }) => prop_assert!(detail.contains("words")),
             other => prop_assert!(false, "count {declared} over {} bytes: {other:?}", words * 8 + extra),

@@ -186,7 +186,8 @@ section "panic-grep gate on the fallible-surface modules"
 # The try_* validation layers promise "every failure is a returned value".
 # The microkernel hot-path modules (pack/microkernel/simd) make the same
 # promise: misconfiguration warns and falls back, it never aborts a kernel.
-# So does the store's read side (codec/lazy/shared): a query on an opened
+# So does the whole store (codec/format/writer/reader/lazy/shared): every
+# open, parse and write returns a StoreError, and a query on an opened
 # artifact fails with a typed error or not at all. And so does every file
 # the decode path of both wires runs through: the frame codec (net/frame),
 # the shared body cursor (distmem/transport), the mesh reader (net/tcp), the
@@ -198,7 +199,8 @@ for f in crates/api/src/lib.rs crates/api/src/error.rs \
          crates/api/src/compressor.rs crates/api/src/query.rs \
          crates/core/src/validate.rs crates/store/src/error.rs \
          crates/store/src/codec.rs crates/store/src/lazy.rs \
-         crates/store/src/shared.rs \
+         crates/store/src/shared.rs crates/store/src/writer.rs \
+         crates/store/src/reader.rs crates/store/src/format.rs \
          crates/serve/src/proto.rs crates/serve/src/client.rs \
          crates/serve/src/server.rs crates/serve/src/metrics.rs \
          crates/net/src/tcp.rs crates/distmem/src/transport.rs \

@@ -3,7 +3,7 @@
 //! The workspace has three compression drivers — the ST-HOSVD and HOOI loops
 //! of `tucker_core::dist` (which the in-memory entries run on a one-rank
 //! world) and the streaming ST-HOSVD — plus the `.tkr` writers
-//! (`write_tucker{,_ctx}`, `compress_streaming`, `gather_and_write`). This
+//! (`write_tucker_ctx`, `compress_streaming`, `gather_and_write`). This
 //! module adds nothing algorithmic on top of them. A [`Compressor`]
 //! composes *which* of them to run:
 //!
@@ -18,7 +18,7 @@
 //!
 //! and both sinks — [`CompressionPlan::run`] (in-memory result) and
 //! [`CompressionPlan::write_to`] (a `.tkr` artifact via
-//! `try_write_tucker_ctx`) — dispatch to those existing kernels, so the
+//! `write_tucker_ctx`) — dispatch to those existing kernels, so the
 //! output is **bit-identical** to calling them directly (pinned by
 //! `tests/api_equivalence.rs`). All validation happens at
 //! [`Compressor::plan`] time through the `tucker_core::validate` /
@@ -36,7 +36,7 @@ use tucker_core::{
 use tucker_distmem::runtime::spmd_with_grid_handle;
 use tucker_distmem::ProcGrid;
 use tucker_exec::ExecContext;
-use tucker_store::{try_write_tucker_ctx, Codec, EncodeReport, StoreOptions, TkrMetadata};
+use tucker_store::{write_tucker_ctx, Codec, EncodeReport, StoreOptions, TkrMetadata};
 use tucker_tensor::{DenseTensor, SlabSource};
 
 /// Where the input tensor lives.
@@ -608,11 +608,11 @@ impl CompressionPlan<'_> {
     /// Runs the planned pipeline and writes the decomposition to `path` as a
     /// `.tkr` artifact with the configured codec and metadata. The bytes are
     /// identical to running the corresponding direct pipeline and calling
-    /// `write_tucker` (or `compress_streaming` / `gather_and_write`, which
+    /// `write_tucker_ctx` (or `compress_streaming` / `gather_and_write`, which
     /// serialize through the same writer) — for every thread count.
     pub fn write_to(&self, path: impl AsRef<Path>) -> Result<Written, TuckerError> {
         let compressed = self.run()?;
-        let report = try_write_tucker_ctx(path, compressed.tucker(), &self.store, &self.exec())?;
+        let report = write_tucker_ctx(path, compressed.tucker(), &self.store, &self.exec())?;
         Ok(Written { compressed, report })
     }
 }

@@ -10,13 +10,13 @@
 //! | [`TuckerError::Shape`]  | `tucker_core::validate::ShapeError`  | empty/zero-extent shape, bad mode order, bad grid |
 //! | [`TuckerError::Rank`]   | `tucker_core::validate::RankError`   | ranks exceeding dims, bad tolerance |
 //! | [`TuckerError::Codec`]  | `tucker_store::CodecError`           | unknown codec id |
-//! | [`TuckerError::Format`] | `tucker_store::FormatError`          | container-contract violations, corrupt artifacts |
+//! | [`TuckerError::Format`] | `tucker_store::FormatError`          | container-contract violations, corrupt or truncated artifacts |
 //! | [`TuckerError::Query`]  | `tucker_store::QueryError`           | out-of-range reconstruction requests |
 //! | [`TuckerError::Slab`]   | `tucker_tensor::SlabRangeError`      | last-mode slab windows outside the tensor |
 //! | [`TuckerError::Plan`]   | this crate                           | an unsatisfiable [`Compressor`](crate::Compressor) or [`Open`](crate::Open) configuration (no target, refine-on-streaming, zero cache) |
 //! | [`TuckerError::Protocol`] | this crate                         | malformed service frames (either side of the `tucker-serve` wire) |
 //! | [`TuckerError::Busy`]   | `tucker-serve`                       | a service rejecting a request at its admission cap |
-//! | [`TuckerError::Io`]     | `std::io::Error`                     | filesystem failures |
+//! | [`TuckerError::Io`]     | `std::io::Error`                     | filesystem failures (not found, permission, a full disk) |
 
 use std::fmt;
 use std::io;
@@ -38,9 +38,8 @@ pub enum PlanError {
     /// refinement).
     RefineNeedsResident,
     /// [`cache_chunks(0)`](crate::Open::cache_chunks): a lazy reader needs
-    /// at least one resident chunk, and `0` has historically been a silent
-    /// clamp-to-1, never "unbounded" — the facade rejects it instead of
-    /// guessing.
+    /// at least one resident chunk, and `0` does not mean "unbounded" — the
+    /// facade rejects it on both backends.
     ZeroCacheChunks,
 }
 
@@ -258,16 +257,5 @@ impl From<io::Error> for TuckerError {
 impl From<SlabRangeError> for TuckerError {
     fn from(e: SlabRangeError) -> Self {
         TuckerError::Slab(e)
-    }
-}
-
-/// Maps an artifact-open `io::Error` into the facade hierarchy:
-/// `InvalidData` (the readers' verdict for corrupt or truncated artifacts)
-/// becomes a typed [`FormatError::Invalid`]; everything else stays IO.
-pub(crate) fn open_error(e: io::Error) -> TuckerError {
-    if e.kind() == io::ErrorKind::InvalidData {
-        TuckerError::Format(FormatError::Invalid(e.to_string()))
-    } else {
-        TuckerError::Io(e)
     }
 }

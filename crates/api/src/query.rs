@@ -18,7 +18,7 @@
 //! # Ok::<(), tucker_api::TuckerError>(())
 //! ```
 
-use crate::error::{open_error, PlanError, TuckerError};
+use crate::error::{PlanError, TuckerError};
 use std::path::Path;
 use tucker_core::TuckerTensor;
 use tucker_exec::ExecContext;
@@ -304,8 +304,7 @@ impl Open {
     ///
     /// `0` is rejected with a typed [`PlanError::ZeroCacheChunks`] at
     /// [`open`](Open::open) — a lazy reader needs at least one resident
-    /// chunk, and the historical "0 silently clamps to 1" sentinel is gone
-    /// from this surface.
+    /// chunk.
     pub fn cache_chunks(mut self, k: usize) -> Open {
         self.cache_chunks = k;
         self
@@ -356,18 +355,12 @@ impl Open {
             Some(n) => global.with_budget(n),
             None => global.clone(),
         };
-        match self.mode {
-            OpenMode::Eager => TkrArtifact::open_ctx(path, &ctx)
-                .map(Reader::Eager)
-                .map_err(open_error),
-            OpenMode::Lazy => match &self.shared {
-                Some((cache, key)) => TkrReader::open_shared(path, key, cache, &ctx)
-                    .map(Reader::Lazy)
-                    .map_err(open_error),
-                None => TkrReader::open_with(path, self.cache_chunks, &ctx)
-                    .map(Reader::Lazy)
-                    .map_err(open_error),
-            },
-        }
+        Ok(match self.mode {
+            OpenMode::Eager => Reader::Eager(TkrArtifact::open_ctx(path, &ctx)?),
+            OpenMode::Lazy => Reader::Lazy(match &self.shared {
+                Some((cache, key)) => TkrReader::open_shared(path, key, cache, &ctx)?,
+                None => TkrReader::open_with(path, self.cache_chunks, &ctx)?,
+            }),
+        })
     }
 }

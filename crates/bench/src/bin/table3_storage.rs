@@ -28,7 +28,7 @@
 use tucker_bench::{eng, print_header, print_row, timed};
 use tucker_core::prelude::*;
 use tucker_scidata::DatasetPreset;
-use tucker_store::{write_tucker, Codec, StoreOptions, TkrArtifact, TkrMetadata};
+use tucker_store::{write_tucker_ctx, Codec, StoreOptions, TkrArtifact, TkrMetadata};
 use tucker_tensor::relative_error;
 
 fn main() {
@@ -79,10 +79,19 @@ fn main() {
                 codec.name()
             ));
             let opts = StoreOptions::new(codec, eps).with_meta(TkrMetadata::for_dataset(&ds));
-            let (report, enc_s) = timed(|| write_tucker(&path, &result.tucker, &opts).unwrap());
+            let (report, enc_s) = timed(|| {
+                write_tucker_ctx(
+                    &path,
+                    &result.tucker,
+                    &opts,
+                    tucker_exec::ExecContext::global(),
+                )
+                .unwrap()
+            });
             let file_ratio = report.compression_ratio(&dims);
 
-            let (artifact, dec_s) = timed(|| TkrArtifact::open(&path).unwrap());
+            let (artifact, dec_s) =
+                timed(|| TkrArtifact::open_ctx(&path, tucker_exec::ExecContext::global()).unwrap());
             std::fs::remove_file(&path).ok();
 
             let (sub, query_s) = timed(|| artifact.reconstruct_range(&window).unwrap());
@@ -156,8 +165,14 @@ fn main() {
             std::process::id(),
             preset.name()
         ));
-        write_tucker(&path, &result.tucker, &StoreOptions::new(Codec::F64, eps)).unwrap();
-        let artifact = TkrArtifact::open(&path).unwrap();
+        write_tucker_ctx(
+            &path,
+            &result.tucker,
+            &StoreOptions::new(Codec::F64, eps),
+            tucker_exec::ExecContext::global(),
+        )
+        .unwrap();
+        let artifact = TkrArtifact::open_ctx(&path, tucker_exec::ExecContext::global()).unwrap();
         std::fs::remove_file(&path).ok();
 
         let n_points = 512usize;

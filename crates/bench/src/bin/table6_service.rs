@@ -401,8 +401,12 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .filter(|&c| c >= 1)
         .unwrap_or(8);
+    // The smoke shape's 8 × 160 ops give every op class the percentile
+    // cross-check covers at least 100 client samples (slices, the rarest,
+    // draw 131), so a nearest-rank p99 is never the single largest sample
+    // and one descheduled request cannot set it.
     let (dims, ops_per_client, eps) = if smoke {
-        (vec![14usize, 12, 16], 40usize, 1e-3)
+        (vec![14usize, 12, 16], 160usize, 1e-3)
     } else {
         (vec![24usize, 20, 32], 250usize, 1e-4)
     };

@@ -25,7 +25,7 @@ use tucker_core::sthosvd::SthosvdOptions;
 use tucker_distmem::{Communicator, ProcGrid, SpmdHandle};
 use tucker_net::{env_ranks, spmd_transport, TransportKind};
 use tucker_obs::metrics::Histogram;
-use tucker_store::{write_tucker, Codec, StoreOptions};
+use tucker_store::{write_tucker_ctx, Codec, StoreOptions};
 use tucker_tensor::DenseTensor;
 
 // Same-name statics resolve to the same registry slots the collectives
@@ -95,8 +95,13 @@ fn run_backend(
                 Some(t) => {
                     let path = std::env::temp_dir()
                         .join(format!("table7_{}_{tag}.tkr", std::process::id()));
-                    write_tucker(&path, &t, &StoreOptions::new(Codec::F64, 1e-6))
-                        .expect("write .tkr");
+                    write_tucker_ctx(
+                        &path,
+                        &t,
+                        &StoreOptions::new(Codec::F64, 1e-6),
+                        tucker_exec::ExecContext::global(),
+                    )
+                    .expect("write .tkr");
                     let bytes = std::fs::read(&path).expect("read .tkr back");
                     let _ = std::fs::remove_file(&path);
                     bytes

@@ -35,16 +35,6 @@ impl MachineParams {
         }
     }
 
-    /// Parameters for a commodity multicore node (used when calibrating the
-    /// model against the in-process runtime on the host machine).
-    pub fn laptop_like() -> Self {
-        MachineParams {
-            alpha: 2.0e-7,
-            beta: 2.0e-10,
-            gamma: 1.0 / 4.0e9,
-        }
-    }
-
     /// Builds parameters from measured per-core peak flops, latency, and bandwidth.
     pub fn from_measurements(flops_per_sec: f64, latency_sec: f64, words_per_sec: f64) -> Self {
         MachineParams {

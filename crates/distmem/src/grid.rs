@@ -123,14 +123,6 @@ impl ProcGrid {
         self.coords(rank)[n]
     }
 
-    /// Position of `rank` within its mode-`n` row.
-    pub fn row_position(&self, rank: usize, n: usize) -> usize {
-        let row = self.mode_row(rank, n);
-        row.iter()
-            .position(|&r| r == rank)
-            .expect("rank not in its own row")
-    }
-
     /// Splits a global extent `len` into `parts` near-equal contiguous pieces and
     /// returns the `(offset, size)` of piece `idx`. Earlier pieces get the
     /// remainder, so sizes differ by at most one — this is how tensor modes are

@@ -63,12 +63,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Creates a matrix with entries drawn from the given closure over a flat index.
-    pub fn from_iter(rows: usize, cols: usize, iter: impl IntoIterator<Item = f64>) -> Self {
-        let data: Vec<f64> = iter.into_iter().take(rows * cols).collect();
-        Self::from_vec(rows, cols, data)
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {

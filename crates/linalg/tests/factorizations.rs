@@ -141,7 +141,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Blocked-tridiagonalization sym_eig ≡ reference bitwise just past the
     /// blocked cutoff, including ragged last panels.
@@ -158,7 +158,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Blocked one-sided Jacobi SVD ≡ reference bitwise past the blocked
     /// cutoff (the m/n jitter also exercises the transpose dispatch).

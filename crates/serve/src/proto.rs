@@ -473,7 +473,7 @@ impl Response {
                 let dims = d.u64s(n)?;
                 let ranks = d.u64s(n)?;
                 let codec_id = d.u8()?;
-                let codec = Codec::try_from_id(codec_id).map_err(|_| {
+                let codec = Codec::from_id(codec_id).map_err(|_| {
                     ProtocolError::Malformed(format!("unknown codec id {codec_id}"))
                 })?;
                 Response::Open(RemoteHeader {

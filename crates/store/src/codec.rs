@@ -16,7 +16,7 @@
 //!   squared error it introduced, which the writer accumulates into the
 //!   artifact's quantization-error bound (checked against the ε budget).
 
-use std::io::{self, Read, Write};
+use crate::error::CodecError;
 use tucker_obs::metrics::Counter;
 
 /// Codec throughput accounting (see `tucker-obs`): blocks and on-disk
@@ -57,18 +57,12 @@ impl Codec {
     }
 
     /// Inverse of [`Codec::id`].
-    pub fn from_id(id: u8) -> io::Result<Codec> {
-        Codec::try_from_id(id)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-    }
-
-    /// Inverse of [`Codec::id`], with a typed error.
-    pub fn try_from_id(id: u8) -> Result<Codec, crate::error::CodecError> {
+    pub fn from_id(id: u8) -> Result<Codec, CodecError> {
         match id {
             0 => Ok(Codec::F64),
             1 => Ok(Codec::F32),
             2 => Ok(Codec::Q16),
-            _ => Err(crate::error::CodecError::UnknownId(id)),
+            _ => Err(CodecError::UnknownId(id)),
         }
     }
 
@@ -90,23 +84,25 @@ impl Codec {
         }
     }
 
-    /// Encodes one block of values, returning the squared error introduced.
+    /// Appends the encoding of one block of values to `out`, returning the
+    /// squared error introduced.
     ///
     /// The on-disk layout is `[scale: f64]` (Q16 only) followed by the packed
     /// values; the caller is responsible for recording the block length.
-    pub fn encode_block(&self, w: &mut impl Write, values: &[f64]) -> io::Result<f64> {
+    pub fn encode_block(&self, out: &mut Vec<u8>, values: &[f64]) -> f64 {
         let mut sq_err = 0.0;
+        out.reserve(self.block_bytes(values.len()));
         match self {
             Codec::F64 => {
                 for &v in values {
-                    w.write_all(&v.to_le_bytes())?;
+                    out.extend_from_slice(&v.to_le_bytes());
                 }
             }
             Codec::F32 => {
                 for &v in values {
                     let q = v as f32;
                     sq_err += (v - q as f64) * (v - q as f64);
-                    w.write_all(&q.to_le_bytes())?;
+                    out.extend_from_slice(&q.to_le_bytes());
                 }
             }
             Codec::Q16 => {
@@ -116,7 +112,7 @@ impl Codec {
                 } else {
                     0.0
                 };
-                w.write_all(&scale.to_le_bytes())?;
+                out.extend_from_slice(&scale.to_le_bytes());
                 for &v in values {
                     let q = if scale > 0.0 {
                         (v / scale).round().clamp(-Q16_MAX, Q16_MAX) as i16
@@ -125,24 +121,13 @@ impl Codec {
                     };
                     let back = q as f64 * scale;
                     sq_err += (v - back) * (v - back);
-                    w.write_all(&q.to_le_bytes())?;
+                    out.extend_from_slice(&q.to_le_bytes());
                 }
             }
         }
         ENCODE_BLOCKS.inc();
         ENCODE_BYTES.add(self.block_bytes(values.len()) as u64);
-        Ok(sq_err)
-    }
-
-    /// Decodes a block of `len` values previously written by
-    /// [`Codec::encode_block`]: one bulk read of the block's payload, then
-    /// [`Codec::decode_into`].
-    pub fn decode_block(&self, r: &mut impl Read, len: usize) -> io::Result<Vec<f64>> {
-        let mut payload = vec![0u8; self.block_bytes(len)];
-        r.read_exact(&mut payload)?;
-        let mut out = vec![0.0f64; len];
-        self.decode_into(&payload, &mut out);
-        Ok(out)
+        sq_err
     }
 
     /// Decodes an in-memory block payload (the [`Codec::block_bytes`] bytes
@@ -190,11 +175,10 @@ mod tests {
 
     fn round_trip(codec: Codec, values: &[f64]) -> (Vec<f64>, f64) {
         let mut buf = Vec::new();
-        let sq_err = codec.encode_block(&mut buf, values).unwrap();
+        let sq_err = codec.encode_block(&mut buf, values);
         assert_eq!(buf.len(), codec.block_bytes(values.len()));
-        let decoded = codec
-            .decode_block(&mut io::Cursor::new(buf), values.len())
-            .unwrap();
+        let mut decoded = vec![f64::NAN; values.len()];
+        codec.decode_into(&buf, &mut decoded);
         (decoded, sq_err)
     }
 
@@ -246,12 +230,11 @@ mod tests {
     fn decode_into_is_total_on_mis_sized_payloads() {
         for codec in Codec::all() {
             let mut buf = Vec::new();
-            codec.encode_block(&mut buf, &[1.5, -2.25, 3.0]).unwrap();
-            // Exactly sized: every value lands, as `decode_block` reads it.
-            let values = codec.decode_block(&mut io::Cursor::new(&buf), 3).unwrap();
-            let mut out = [f64::NAN; 3];
-            codec.decode_into(&buf, &mut out);
-            assert_eq!(&out[..], &values[..], "{}", codec.name());
+            codec.encode_block(&mut buf, &[1.5, -2.25, 3.0]);
+            // Exactly sized: every value lands.
+            let mut values = [f64::NAN; 3];
+            codec.decode_into(&buf, &mut values);
+            assert!(values.iter().all(|v| !v.is_nan()), "{}", codec.name());
             // Short payloads (down to empty) decode a prefix and never panic.
             for cut in 0..buf.len() {
                 let mut out = [f64::NAN; 3];
@@ -276,6 +259,6 @@ mod tests {
         for c in Codec::all() {
             assert_eq!(Codec::from_id(c.id()).unwrap(), c);
         }
-        assert!(Codec::from_id(42).is_err());
+        assert_eq!(Codec::from_id(42), Err(CodecError::UnknownId(42)));
     }
 }

@@ -1,13 +1,17 @@
-//! Typed errors of the fallible (`try_*`) storage API.
+//! Typed errors of the storage API.
 //!
-//! The historical writer surface enforces its format contract with `assert!`
-//! — fine for a pipeline whose inputs were produced by this workspace, fatal
-//! for a service accepting artifacts and write requests from outside. The
-//! `try_*` twins ([`crate::TkrWriter::try_write_core_chunk`],
-//! [`crate::try_write_tucker`], …) validate the same contract and return a
-//! [`StoreError`] instead; the panicking/`io::Result` names are retained as
-//! thin wrappers so existing call sites keep compiling and keep their exact
-//! behavior.
+//! [`StoreError`] is the one error type that every open, parse and write
+//! entry point of this crate returns. A write request that does not fit its
+//! header, or a file that does not parse, is a [`FormatError`]; an unknown
+//! codec id is a [`CodecError`]; only a failure of the filesystem itself
+//! (not found, permission denied, `EIO`, a full disk) is
+//! [`StoreError::Io`].
+//!
+//! A file that ends early is a format violation, not an IO failure: every
+//! read of an artifact's framing goes through one helper in
+//! [`crate::format`], which turns a short read (`UnexpectedEof`) into
+//! [`FormatError::Invalid`]`("truncated artifact: …")`. Chunk reads by a
+//! query on an already opened artifact report [`crate::QueryError::Io`].
 //!
 //! This module is covered by the CI panic-grep gate: no `panic!`, `unwrap`,
 //! `expect`, or `assert` may appear here — every failure is a returned value.
@@ -117,8 +121,8 @@ pub enum FormatError {
         /// Total core elements declared by the header.
         total: usize,
     },
-    /// An artifact (or header) that fails to parse — the read-side
-    /// `InvalidData` diagnostics surfaced as a typed value.
+    /// An artifact (or header) that fails to parse, a truncated artifact,
+    /// or a request the header serializer cannot represent.
     Invalid(String),
 }
 
@@ -171,28 +175,15 @@ impl fmt::Display for FormatError {
 
 impl std::error::Error for FormatError {}
 
-/// Why a fallible storage operation failed.
+/// Why a storage operation failed.
 #[derive(Debug)]
 pub enum StoreError {
-    /// A container-contract violation.
+    /// A container-contract violation (including a truncated artifact).
     Format(FormatError),
     /// An encoding problem.
     Codec(CodecError),
-    /// An IO failure.
+    /// A filesystem failure.
     Io(io::Error),
-}
-
-impl StoreError {
-    /// Collapses into the historical `io::Error` surface: format and codec
-    /// violations become `InvalidData`, IO errors pass through unchanged —
-    /// exactly what the pre-`try_*` API reported.
-    pub fn into_io(self) -> io::Error {
-        match self {
-            StoreError::Io(e) => e,
-            StoreError::Format(e) => io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
-            StoreError::Codec(e) => io::Error::new(io::ErrorKind::InvalidData, e.to_string()),
-        }
-    }
 }
 
 impl fmt::Display for StoreError {
@@ -238,14 +229,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn display_and_into_io() {
+    fn display_names_the_violation() {
         let e = StoreError::from(FormatError::MisalignedChunk { len: 3, stride: 4 });
         assert!(format!("{e}").contains("3 elements"));
-        assert_eq!(e.into_io().kind(), io::ErrorKind::InvalidData);
         let e = StoreError::from(CodecError::UnknownId(9));
-        assert_eq!(e.into_io().kind(), io::ErrorKind::InvalidData);
-        let io_err = StoreError::from(io::Error::new(io::ErrorKind::NotFound, "gone"));
-        assert_eq!(io_err.into_io().kind(), io::ErrorKind::NotFound);
+        assert_eq!(format!("{e}"), "unknown codec id 9");
+        let e = StoreError::from(io::Error::new(io::ErrorKind::NotFound, "gone"));
+        assert!(matches!(&e, StoreError::Io(io) if io.kind() == io::ErrorKind::NotFound));
+        assert_eq!(format!("{e}"), "IO error: gone");
     }
 
     #[test]

@@ -34,18 +34,19 @@
 //! silently skipped, because every block affects the reconstruction).
 
 use crate::codec::Codec;
-use std::io::{self, Read, Write};
+use crate::error::{FormatError, StoreError};
+use std::io::{self, Read};
 use tucker_scidata::{GeneratedDataset, Normalization};
 
 /// Upper bound on the tensor order a header may declare — far above any real
 /// tensor, low enough that a corrupt `ndims` cannot drive giant allocations.
 pub const MAX_NDIMS: usize = 64;
-/// Upper bound on header strings and label counts (see `read_string`).
+/// Upper bound on header strings (see `read_string`).
 const MAX_STRING_LEN: usize = 1 << 20;
 /// Upper bound on normalization slice count (the species mode size).
 const MAX_NORM_SLICES: usize = 1 << 24;
 /// Upper bound on declared core elements (`∏ R_n`); a corrupt header must
-/// fail with `InvalidData`, not a 100-GB allocation in the reader.
+/// fail with a [`FormatError`], not a 100-GB allocation in the reader.
 pub const MAX_CORE_ELEMS: u64 = 1 << 40;
 
 /// File magic, first 4 bytes of every `.tkr` file.
@@ -90,14 +91,23 @@ impl TkrMetadata {
     /// Validates this metadata against a tensor order, with the same rules
     /// the header serializer enforces — so callers can reject a malformed
     /// request *before* any file is created or any kernel runs.
-    pub fn validate(&self, ndims: usize) -> Result<(), crate::error::FormatError> {
-        use crate::error::FormatError;
+    pub fn validate(&self, ndims: usize) -> Result<(), FormatError> {
         if !self.mode_labels.is_empty() && self.mode_labels.len() != ndims {
             return Err(FormatError::Invalid(format!(
                 "{} mode labels for a {}-mode tensor (must be absent or one per mode)",
                 self.mode_labels.len(),
                 ndims
             )));
+        }
+        // Mirror of the read-side guard: never produce a file our own reader
+        // refuses to open.
+        for s in std::iter::once(&self.dataset).chain(&self.mode_labels) {
+            if s.len() > MAX_STRING_LEN {
+                return Err(FormatError::Invalid(format!(
+                    "header string of {} bytes exceeds the {MAX_STRING_LEN}-byte limit",
+                    s.len()
+                )));
+            }
         }
         if let Some(n) = &self.normalization {
             if n.means.len() != n.stds.len() {
@@ -150,99 +160,108 @@ impl TkrHeader {
         self.dims.len()
     }
 
-    /// Serializes the header (with `quant_error_bound` as currently set).
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        assert_eq!(
-            self.dims.len(),
-            self.ranks.len(),
-            "TkrHeader: dims/ranks arity mismatch"
-        );
+    /// Checks the header against the container contract: a sane tensor
+    /// order, matching dims/ranks arity, no zero extents or ranks, no rank
+    /// exceeding its mode's extent, and metadata consistent with the shape.
+    /// This is the one check of the write side: a header that passes here
+    /// serializes, and [`crate::TkrWriter::create`] runs it before the file
+    /// is created, so a rejected request never touches the destination.
+    pub(crate) fn validate(&self) -> Result<(), FormatError> {
         if self.dims.is_empty() || self.dims.len() > MAX_NDIMS {
-            return Err(invalid(&format!(
+            return Err(FormatError::Invalid(format!(
                 "tensor order {} outside 1..={MAX_NDIMS}",
                 self.dims.len()
             )));
         }
-        if !self.meta.mode_labels.is_empty() && self.meta.mode_labels.len() != self.dims.len() {
-            return Err(invalid(&format!(
-                "{} mode labels for a {}-mode tensor (must be absent or one per mode)",
-                self.meta.mode_labels.len(),
-                self.dims.len()
-            )));
+        if self.dims.len() != self.ranks.len() {
+            return Err(FormatError::DimsRanksArity {
+                dims: self.dims.len(),
+                ranks: self.ranks.len(),
+            });
         }
-        w.write_all(MAGIC)?;
-        w.write_all(&VERSION.to_le_bytes())?;
-        w.write_all(&[self.codec.id()])?;
-        w.write_all(&[u8::from(self.meta.normalization.is_some())])?;
-        write_u32(w, self.dims.len() as u32)?;
-        write_u32(w, 0)?; // reserved
-        w.write_all(&self.eps.to_le_bytes())?;
-        w.write_all(&self.quant_error_bound.to_le_bytes())?;
+        self.meta.validate(self.dims.len())?;
+        for (mode, (&d, &r)) in self.dims.iter().zip(self.ranks.iter()).enumerate() {
+            if d == 0 {
+                return Err(FormatError::ZeroDim { mode });
+            }
+            if r == 0 {
+                return Err(FormatError::ZeroRank { mode });
+            }
+            if r > d {
+                return Err(FormatError::RankExceedsDim {
+                    mode,
+                    rank: r,
+                    dim: d,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends the serialized header (with `quant_error_bound` as currently
+    /// set) to `out`. The header is first checked against the container
+    /// contract (shape, ranks, metadata); nothing is appended if it is
+    /// rejected.
+    pub fn write_to(&self, out: &mut Vec<u8>) -> Result<(), FormatError> {
+        self.validate()?;
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.push(self.codec.id());
+        out.push(u8::from(self.meta.normalization.is_some()));
+        put_u32(out, self.dims.len() as u32);
+        put_u32(out, 0); // reserved
+        out.extend_from_slice(&self.eps.to_le_bytes());
+        out.extend_from_slice(&self.quant_error_bound.to_le_bytes());
         for (&d, &r) in self.dims.iter().zip(self.ranks.iter()) {
-            write_u64(w, d as u64)?;
-            write_u64(w, r as u64)?;
+            put_u64(out, d as u64);
+            put_u64(out, r as u64);
         }
-        write_string(w, &self.meta.dataset)?;
-        write_u32(w, self.meta.mode_labels.len() as u32)?;
+        put_string(out, &self.meta.dataset);
+        put_u32(out, self.meta.mode_labels.len() as u32);
         for label in &self.meta.mode_labels {
-            write_string(w, label)?;
+            put_string(out, label);
         }
         if let Some(n) = &self.meta.normalization {
-            assert_eq!(
-                n.means.len(),
-                n.stds.len(),
-                "TkrHeader: normalization means/stds length mismatch"
-            );
-            // Mirror of the read-side guard (see read_from).
-            if n.mode >= self.dims.len() || n.means.len() > MAX_NORM_SLICES {
-                return Err(invalid(&format!(
-                    "normalization mode {} / {} slices invalid for a {}-mode tensor",
-                    n.mode,
-                    n.means.len(),
-                    self.dims.len()
-                )));
-            }
-            write_u32(w, n.mode as u32)?;
-            write_u32(w, n.means.len() as u32)?;
-            for &m in &n.means {
-                w.write_all(&m.to_le_bytes())?;
-            }
-            for &s in &n.stds {
-                w.write_all(&s.to_le_bytes())?;
+            put_u32(out, n.mode as u32);
+            put_u32(out, n.means.len() as u32);
+            for &v in n.means.iter().chain(&n.stds) {
+                out.extend_from_slice(&v.to_le_bytes());
             }
         }
         Ok(())
     }
 
     /// Parses a header, validating magic, version, and codec.
-    pub fn read_from(r: &mut impl Read) -> io::Result<TkrHeader> {
+    pub fn read_from(r: &mut impl Read) -> Result<TkrHeader, StoreError> {
         let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
+        read_exact(r, &mut magic)?;
         if &magic != MAGIC {
-            return Err(invalid("not a .tkr file (bad magic)"));
+            return Err(FormatError::Invalid("not a .tkr file (bad magic)".to_string()).into());
         }
         let mut v = [0u8; 2];
-        r.read_exact(&mut v)?;
+        read_exact(r, &mut v)?;
         let version = u16::from_le_bytes(v);
         if version != VERSION {
-            return Err(invalid(&format!(
+            return Err(FormatError::Invalid(format!(
                 "unsupported .tkr version {version} (reader supports {VERSION})"
-            )));
+            ))
+            .into());
         }
         let mut b = [0u8; 1];
-        r.read_exact(&mut b)?;
+        read_exact(r, &mut b)?;
         let codec = Codec::from_id(b[0])?;
-        r.read_exact(&mut b)?;
+        read_exact(r, &mut b)?;
         let has_norm = match b[0] {
             0 => false,
             1 => true,
-            x => return Err(invalid(&format!("bad normalization flag {x}"))),
+            x => return Err(FormatError::Invalid(format!("bad normalization flag {x}")).into()),
         };
         let ndims = read_u32(r)? as usize;
         if ndims == 0 || ndims > MAX_NDIMS {
-            return Err(invalid(&format!(
+            return Err(FormatError::Invalid(format!(
                 "tensor order {ndims} outside 1..={MAX_NDIMS}"
-            )));
+            ))
+            .into());
         }
         let _reserved = read_u32(r)?;
         let eps = read_f64(r)?;
@@ -256,23 +275,29 @@ impl TkrHeader {
         let mut core_elems: u64 = 1;
         for (n, (&d, &rk)) in dims.iter().zip(ranks.iter()).enumerate() {
             if d == 0 || rk == 0 || rk > d {
-                return Err(invalid(&format!(
+                return Err(FormatError::Invalid(format!(
                     "mode {n}: invalid dim {d} / rank {rk} pair"
-                )));
+                ))
+                .into());
             }
             // Checked: a corrupt header must not overflow the core size the
             // reader allocates from, nor declare an absurd allocation.
             core_elems = core_elems
                 .checked_mul(rk as u64)
                 .filter(|&c| c <= MAX_CORE_ELEMS)
-                .ok_or_else(|| invalid("declared core size overflows the reader's limit"))?;
+                .ok_or_else(|| {
+                    FormatError::Invalid(
+                        "declared core size overflows the reader's limit".to_string(),
+                    )
+                })?;
         }
         let dataset = read_string(r)?;
         let nlabels = read_u32(r)? as usize;
         if nlabels != 0 && nlabels != ndims {
-            return Err(invalid(&format!(
+            return Err(FormatError::Invalid(format!(
                 "{nlabels} mode labels for a {ndims}-mode tensor"
-            )));
+            ))
+            .into());
         }
         let mut mode_labels = Vec::with_capacity(nlabels);
         for _ in 0..nlabels {
@@ -282,7 +307,10 @@ impl TkrHeader {
             let mode = read_u32(r)? as usize;
             let count = read_u32(r)? as usize;
             if mode >= ndims || count > MAX_NORM_SLICES {
-                return Err(invalid("unreasonable normalization statistics"));
+                return Err(FormatError::Invalid(
+                    "unreasonable normalization statistics".to_string(),
+                )
+                .into());
             }
             let mut means = Vec::with_capacity(count);
             for _ in 0..count {
@@ -311,63 +339,72 @@ impl TkrHeader {
     }
 }
 
-/// Builds an `InvalidData` IO error (the format-violation error kind).
-pub fn invalid(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
+/// Classifies an IO error from reading an artifact: a short read
+/// (`UnexpectedEof`) means the file ends before its framing says it does —
+/// a truncated artifact, so a [`FormatError`]. Every other error (not found,
+/// permission, `EIO`) is a filesystem failure and stays [`StoreError::Io`].
+pub(crate) fn read_error(e: io::Error) -> StoreError {
+    if e.kind() == io::ErrorKind::UnexpectedEof {
+        FormatError::Invalid(format!("truncated artifact: {e}")).into()
+    } else {
+        StoreError::Io(e)
+    }
 }
 
-pub(crate) fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+/// Fills `buf` from the artifact: the one read of the framing, classified
+/// by [`read_error`].
+pub(crate) fn read_exact(r: &mut impl Read, buf: &mut [u8]) -> Result<(), StoreError> {
+    r.read_exact(buf).map_err(read_error)
 }
 
-pub(crate) fn write_u64(w: &mut impl Write, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn read_u32(r: &mut impl Read) -> io::Result<u32> {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+pub(crate) fn read_u32(r: &mut impl Read) -> Result<u32, StoreError> {
     let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
+    read_exact(r, &mut b)?;
     Ok(u32::from_le_bytes(b))
 }
 
-pub(crate) fn read_u64(r: &mut impl Read) -> io::Result<u64> {
+pub(crate) fn read_u64(r: &mut impl Read) -> Result<u64, StoreError> {
     let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
+    read_exact(r, &mut b)?;
     Ok(u64::from_le_bytes(b))
 }
 
-pub(crate) fn read_f64(r: &mut impl Read) -> io::Result<f64> {
+fn read_f64(r: &mut impl Read) -> Result<f64, StoreError> {
     let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
+    read_exact(r, &mut b)?;
     Ok(f64::from_le_bytes(b))
 }
 
-fn write_string(w: &mut impl Write, s: &str) -> io::Result<()> {
-    // Mirror of the read-side guard: never produce a file our own reader
-    // refuses to open.
-    if s.len() > MAX_STRING_LEN {
-        return Err(invalid(&format!(
-            "header string of {} bytes exceeds the {MAX_STRING_LEN}-byte limit",
-            s.len()
-        )));
-    }
-    write_u32(w, s.len() as u32)?;
-    w.write_all(s.as_bytes())
+fn put_string(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
 }
 
-fn read_string(r: &mut impl Read) -> io::Result<String> {
+fn read_string(r: &mut impl Read) -> Result<String, StoreError> {
     let len = read_u32(r)? as usize;
     if len > MAX_STRING_LEN {
-        return Err(invalid("unreasonable string length in header"));
+        return Err(
+            FormatError::Invalid("unreasonable string length in header".to_string()).into(),
+        );
     }
     let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    String::from_utf8(buf).map_err(|_| invalid("header string is not UTF-8"))
+    read_exact(r, &mut buf)?;
+    String::from_utf8(buf)
+        .map_err(|_| FormatError::Invalid("header string is not UTF-8".to_string()).into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::assert_invalid;
     use std::io::Cursor;
 
     fn sample_header() -> TkrHeader {
@@ -420,8 +457,7 @@ mod tests {
         let mut buf = Vec::new();
         sample_header().write_to(&mut buf).unwrap();
         buf[0] = b'X';
-        let err = TkrHeader::read_from(&mut Cursor::new(buf)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_invalid(TkrHeader::read_from(&mut Cursor::new(buf)), "bad magic");
     }
 
     #[test]
@@ -429,16 +465,51 @@ mod tests {
         let mut buf = Vec::new();
         sample_header().write_to(&mut buf).unwrap();
         buf[4] = 99;
-        assert!(TkrHeader::read_from(&mut Cursor::new(buf)).is_err());
+        assert_invalid(TkrHeader::read_from(&mut Cursor::new(buf)), "version 99");
+    }
+
+    #[test]
+    fn unknown_codec_id_is_a_codec_error() {
+        let mut buf = Vec::new();
+        sample_header().write_to(&mut buf).unwrap();
+        buf[6] = 42;
+        assert!(matches!(
+            TkrHeader::read_from(&mut Cursor::new(buf)),
+            Err(StoreError::Codec(crate::error::CodecError::UnknownId(42)))
+        ));
     }
 
     #[test]
     fn rank_exceeding_dim_is_rejected() {
+        // The writer refuses it before serializing anything…
         let mut h = sample_header();
         h.ranks[0] = h.dims[0] + 1;
         let mut buf = Vec::new();
-        h.write_to(&mut buf).unwrap();
-        assert!(TkrHeader::read_from(&mut Cursor::new(buf)).is_err());
+        assert_eq!(
+            h.write_to(&mut buf),
+            Err(FormatError::RankExceedsDim {
+                mode: 0,
+                rank: 49,
+                dim: 48
+            })
+        );
+        assert!(buf.is_empty());
+        // …and the reader refuses a file that declares it anyway.
+        sample_header().write_to(&mut buf).unwrap();
+        buf[40..48].copy_from_slice(&49u64.to_le_bytes()); // mode 0's rank
+        assert_invalid(TkrHeader::read_from(&mut Cursor::new(buf)), "rank 49");
+    }
+
+    #[test]
+    fn every_truncated_header_is_a_format_error() {
+        let mut buf = Vec::new();
+        sample_header().write_to(&mut buf).unwrap();
+        for cut in 0..buf.len() {
+            assert_invalid(
+                TkrHeader::read_from(&mut Cursor::new(&buf[..cut])),
+                "truncated artifact",
+            );
+        }
     }
 
     #[test]
@@ -463,13 +534,28 @@ mod tests {
         let mut h = sample_header();
         h.meta.dataset = "x".repeat((1 << 20) + 1);
         let mut buf = Vec::new();
-        assert!(h.write_to(&mut buf).is_err());
+        assert!(matches!(h.write_to(&mut buf), Err(FormatError::Invalid(_))));
 
         let mut h = sample_header();
         h.dims = vec![2; MAX_NDIMS + 1];
         h.ranks = vec![1; MAX_NDIMS + 1];
+        assert!(matches!(h.write_to(&mut buf), Err(FormatError::Invalid(_))));
+        assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn mismatched_arity_and_normalization_are_rejected_at_write_time() {
+        let mut h = sample_header();
+        h.ranks.pop();
         let mut buf = Vec::new();
-        assert!(h.write_to(&mut buf).is_err());
+        assert_eq!(
+            h.write_to(&mut buf),
+            Err(FormatError::DimsRanksArity { dims: 4, ranks: 3 })
+        );
+        let mut h = sample_header();
+        h.meta.normalization.as_mut().unwrap().stds.pop();
+        assert!(matches!(h.write_to(&mut buf), Err(FormatError::Invalid(_))));
+        assert!(buf.is_empty());
     }
 
     #[test]
@@ -477,7 +563,7 @@ mod tests {
         let mut h = sample_header();
         h.meta.normalization.as_mut().unwrap().mode = h.dims.len();
         let mut buf = Vec::new();
-        assert!(h.write_to(&mut buf).is_err());
+        assert!(matches!(h.write_to(&mut buf), Err(FormatError::Invalid(_))));
     }
 
     #[test]
@@ -494,8 +580,10 @@ mod tests {
             buf[off..off + 8].copy_from_slice(&big);
             buf[off + 8..off + 16].copy_from_slice(&big);
         }
-        let err = TkrHeader::read_from(&mut Cursor::new(buf)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_invalid(
+            TkrHeader::read_from(&mut Cursor::new(buf)),
+            "declared core size",
+        );
     }
 
     #[test]
@@ -503,7 +591,6 @@ mod tests {
         let mut buf = Vec::new();
         sample_header().write_to(&mut buf).unwrap();
         buf[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
-        let err = TkrHeader::read_from(&mut Cursor::new(buf)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_invalid(TkrHeader::read_from(&mut Cursor::new(buf)), "tensor order");
     }
 }

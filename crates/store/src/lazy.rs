@@ -1,9 +1,9 @@
 //! The lazy, chunk-cached artifact reader.
 //!
-//! [`crate::TkrArtifact::open`] decodes the whole core up front — fine when
+//! [`crate::TkrArtifact::open_ctx`] decodes the whole core up front — fine when
 //! the core fits comfortably in memory, a wall when it does not (the ROADMAP
 //! open item this module resolves). [`TkrReader`] keeps the core **on
-//! disk**: `open` makes one scan pass that parses the header, decodes the
+//! disk**: opening makes one scan pass that parses the header, decodes the
 //! (small) factor matrices, and builds a *chunk directory* — the file offset
 //! and core range of every `TAG_CORE_CHUNK` block — without reading any
 //! core payload. Queries then stream the chunks past in ascending order, in
@@ -48,12 +48,14 @@
 
 use crate::codec::Codec;
 use crate::error::{FormatError, StoreError};
-use crate::format::{invalid, read_u32, read_u64, TkrHeader, TAG_CORE_CHUNK, TAG_END, TAG_FACTOR};
+use crate::format::{
+    read_exact, read_u32, read_u64, TkrHeader, TAG_CORE_CHUNK, TAG_END, TAG_FACTOR,
+};
 use crate::query::{validate_point, validate_ranges, validate_slice, validate_spec, QueryError};
 use crate::shared::{CacheSession, SharedChunkCache};
 use crate::writer::codec_wave_chunks;
 use std::fs::File;
-use std::io::{self, BufReader, Read, Seek};
+use std::io::{self, BufReader, Seek};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::Arc;
@@ -116,9 +118,11 @@ pub(crate) fn read_chunk(
 }
 
 /// Parses the framing of a `.tkr` file: validates the header and every
-/// block's bookkeeping exactly like the historical eager reader, decodes
-/// factor blocks, and records — but does not read — core chunk payloads.
-pub(crate) fn scan_artifact(path: impl AsRef<Path>) -> io::Result<ScannedArtifact> {
+/// block's bookkeeping, decodes factor blocks, and records — but does not
+/// read — core chunk payloads. Every framing read goes through
+/// [`read_exact`], so a file cut short anywhere is a [`FormatError`]; only a
+/// failing filesystem is [`StoreError::Io`].
+pub(crate) fn scan_artifact(path: impl AsRef<Path>) -> Result<ScannedArtifact, StoreError> {
     let file = File::open(&path)?;
     let file_bytes = file.metadata()?.len();
     let mut r = BufReader::new(file);
@@ -135,12 +139,15 @@ pub(crate) fn scan_artifact(path: impl AsRef<Path>) -> io::Result<ScannedArtifac
         .iter()
         .try_fold(1usize, |acc, &rk| acc.checked_mul(rk))
         .filter(|&c| c <= max_vals)
-        .ok_or_else(|| invalid("declared core is larger than the file itself"))?;
+        .ok_or_else(|| {
+            FormatError::Invalid("declared core is larger than the file itself".to_string())
+        })?;
     for (n, (&d, &rk)) in header.dims.iter().zip(header.ranks.iter()).enumerate() {
         if d.checked_mul(rk).is_none_or(|v| v > max_vals) {
-            return Err(invalid(&format!(
+            return Err(FormatError::Invalid(format!(
                 "declared factor {n} is larger than the file itself"
-            )));
+            ))
+            .into());
         }
     }
 
@@ -148,41 +155,45 @@ pub(crate) fn scan_artifact(path: impl AsRef<Path>) -> io::Result<ScannedArtifac
     let mut chunks: Vec<ChunkEntry> = Vec::new();
     let mut core_filled = 0usize;
     let mut saw_end = false;
-    // The format contract (and the writer's assertions): every core chunk is
-    // a non-empty run of whole last-mode slabs. Enforce it here so the lazy
+    // The format contract (and the writer's checks): every core chunk is a
+    // non-empty run of whole last-mode slabs. Enforce it here so the lazy
     // reader's slab-shaped chunk math can never be handed a misaligned
     // chunk at query time.
     let slab_stride: usize = header.ranks[..ndims - 1].iter().product::<usize>().max(1);
 
     while !saw_end {
         let mut tag = [0u8; 1];
-        r.read_exact(&mut tag).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                invalid("truncated artifact: missing end marker")
-            } else {
-                e
-            }
-        })?;
+        read_exact(&mut r, &mut tag)?;
         match tag[0] {
             TAG_FACTOR => {
                 let mode = read_u32(&mut r)? as usize;
                 let rows = read_u64(&mut r)? as usize;
                 let cols = read_u64(&mut r)? as usize;
                 if mode >= ndims {
-                    return Err(invalid(&format!("factor block for mode {mode} of {ndims}")));
+                    return Err(FormatError::Invalid(format!(
+                        "factor block for mode {mode} of {ndims}"
+                    ))
+                    .into());
                 }
                 if factors[mode].is_some() {
-                    return Err(invalid(&format!("duplicate factor block for mode {mode}")));
+                    return Err(FormatError::Invalid(format!(
+                        "duplicate factor block for mode {mode}"
+                    ))
+                    .into());
                 }
                 if rows != header.dims[mode] || cols != header.ranks[mode] {
-                    return Err(invalid(&format!(
+                    return Err(FormatError::Invalid(format!(
                         "factor {mode} is {rows}×{cols}, header says {}×{}",
                         header.dims[mode], header.ranks[mode]
-                    )));
+                    ))
+                    .into());
                 }
                 let mut u = Matrix::zeros(rows, cols);
+                let mut payload = vec![0u8; codec.block_bytes(rows)];
+                let mut col = vec![0.0f64; rows];
                 for j in 0..cols {
-                    let col = codec.decode_block(&mut r, rows)?;
+                    read_exact(&mut r, &mut payload)?;
+                    codec.decode_into(&payload, &mut col);
                     for (i, &v) in col.iter().enumerate() {
                         u.set(i, j, v);
                     }
@@ -193,19 +204,23 @@ pub(crate) fn scan_artifact(path: impl AsRef<Path>) -> io::Result<ScannedArtifac
                 let start = read_u64(&mut r)? as usize;
                 let len = read_u64(&mut r)? as usize;
                 if start != core_filled {
-                    return Err(invalid(&format!(
+                    return Err(FormatError::Invalid(format!(
                         "core chunk at {start}, expected next offset {core_filled}"
-                    )));
+                    ))
+                    .into());
                 }
                 // Overflow-safe: start == core_filled <= core_total here.
                 if len > core_total - start {
-                    return Err(invalid("core chunk overruns the core"));
+                    return Err(
+                        FormatError::Invalid("core chunk overruns the core".to_string()).into(),
+                    );
                 }
                 if len == 0 || !len.is_multiple_of(slab_stride) {
-                    return Err(invalid(&format!(
+                    return Err(FormatError::Invalid(format!(
                         "core chunk of {len} elements is not a whole number of \
                          last-mode slabs (stride {slab_stride})"
-                    )));
+                    ))
+                    .into());
                 }
                 let payload = codec.block_bytes(len) as u64;
                 let offset = r.stream_position()?;
@@ -216,7 +231,10 @@ pub(crate) fn scan_artifact(path: impl AsRef<Path>) -> io::Result<ScannedArtifac
                     .checked_add(payload)
                     .is_none_or(|end| end > file_bytes)
                 {
-                    return Err(invalid("truncated artifact: core chunk payload cut short"));
+                    return Err(FormatError::Invalid(
+                        "truncated artifact: core chunk payload cut short".to_string(),
+                    )
+                    .into());
                 }
                 r.seek_relative(payload as i64)?;
                 chunks.push(ChunkEntry { start, len, offset });
@@ -225,25 +243,29 @@ pub(crate) fn scan_artifact(path: impl AsRef<Path>) -> io::Result<ScannedArtifac
             TAG_END => {
                 let declared = read_u64(&mut r)? as usize;
                 if declared != core_total {
-                    return Err(invalid(&format!(
+                    return Err(FormatError::Invalid(format!(
                         "end marker declares {declared} core elements, header implies {core_total}"
-                    )));
+                    ))
+                    .into());
                 }
                 saw_end = true;
             }
-            t => return Err(invalid(&format!("unknown block tag {t:#x}"))),
+            t => return Err(FormatError::Invalid(format!("unknown block tag {t:#x}")).into()),
         }
     }
     if core_filled != core_total {
-        return Err(invalid(&format!(
+        return Err(FormatError::Invalid(format!(
             "core incomplete: {core_filled} of {core_total} elements"
-        )));
+        ))
+        .into());
     }
     let factors: Vec<Matrix> = factors
         .into_iter()
         .enumerate()
-        .map(|(n, f)| f.ok_or_else(|| invalid(&format!("missing factor block for mode {n}"))))
-        .collect::<io::Result<_>>()?;
+        .map(|(n, f)| {
+            f.ok_or_else(|| FormatError::Invalid(format!("missing factor block for mode {n}")))
+        })
+        .collect::<Result<_, _>>()?;
     Ok(ScannedArtifact {
         header,
         factors,
@@ -274,53 +296,26 @@ pub struct TkrReader {
 }
 
 impl TkrReader {
-    /// Opens an artifact lazily with the default cache size, decoding on the
-    /// global pool. One scan pass validates the complete framing (identical
-    /// checks to the eager reader); no core payload is read.
-    pub fn open(path: impl AsRef<Path>) -> io::Result<TkrReader> {
-        TkrReader::open_with(path, DEFAULT_CACHE_CHUNKS, ExecContext::global())
-    }
-
-    /// [`TkrReader::open`] with an explicit cache capacity (in chunks) and
-    /// execution context for parallel decode.
-    ///
-    /// For backwards compatibility this surface **clamps** `cache_chunks` to
-    /// at least 1 — `0` is not "unbounded", it is a single-chunk cache. Use
-    /// [`TkrReader::try_open_with`] to get a typed error for `0` instead of
-    /// the clamp.
+    /// Opens an artifact lazily with a private cache of `cache_chunks`
+    /// decoded chunks (see [`DEFAULT_CACHE_CHUNKS`]) and `ctx` for parallel
+    /// decode. One scan pass validates the complete framing (identical
+    /// checks to the eager reader); no core payload is read. A capacity of
+    /// `0` chunks is a typed [`FormatError::Invalid`]: a lazy reader needs
+    /// at least one resident chunk.
     pub fn open_with(
-        path: impl AsRef<Path>,
-        cache_chunks: usize,
-        ctx: &ExecContext,
-    ) -> io::Result<TkrReader> {
-        let key = path.as_ref().display().to_string();
-        let cache = SharedChunkCache::new(cache_chunks.max(1), 1).register(&key);
-        TkrReader::open_session(path, cache, ctx)
-    }
-
-    /// [`TkrReader::open_with`] on the fallible surface: a cache capacity of
-    /// `0` chunks is rejected with a typed [`StoreError`] (the historical
-    /// surface silently clamps it to 1), and read-side parse failures come
-    /// back as [`FormatError::Invalid`] instead of a bare
-    /// `io::ErrorKind::InvalidData`.
-    pub fn try_open_with(
         path: impl AsRef<Path>,
         cache_chunks: usize,
         ctx: &ExecContext,
     ) -> Result<TkrReader, StoreError> {
         if cache_chunks == 0 {
-            return Err(StoreError::Format(FormatError::Invalid(
+            return Err(FormatError::Invalid(
                 "cache capacity of 0 chunks (a lazy reader needs at least 1 resident chunk)"
                     .to_string(),
-            )));
+            )
+            .into());
         }
-        TkrReader::open_with(path, cache_chunks, ctx).map_err(|e| {
-            if e.kind() == io::ErrorKind::InvalidData {
-                StoreError::Format(FormatError::Invalid(e.to_string()))
-            } else {
-                StoreError::Io(e)
-            }
-        })
+        let key = path.as_ref().display().to_string();
+        TkrReader::open_shared(path, &key, &SharedChunkCache::new(cache_chunks, 1), ctx)
     }
 
     /// Opens an artifact lazily with its chunk cache registered in `cache`
@@ -334,15 +329,8 @@ impl TkrReader {
         key: &str,
         cache: &SharedChunkCache,
         ctx: &ExecContext,
-    ) -> io::Result<TkrReader> {
-        TkrReader::open_session(path, cache.register(key), ctx)
-    }
-
-    fn open_session(
-        path: impl AsRef<Path>,
-        cache: CacheSession,
-        ctx: &ExecContext,
-    ) -> io::Result<TkrReader> {
+    ) -> Result<TkrReader, StoreError> {
+        // Scan first: an artifact that fails to open registers nothing.
         let scanned = scan_artifact(path)?;
         Ok(TkrReader {
             header: scanned.header,
@@ -351,7 +339,7 @@ impl TkrReader {
             core_total: scanned.core_total,
             file_bytes: scanned.file_bytes,
             file: scanned.file,
-            cache,
+            cache: cache.register(key),
             ctx: ctx.clone(),
         })
     }

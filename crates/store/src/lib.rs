@@ -33,7 +33,8 @@
 //!
 //! ```
 //! use tucker_core::prelude::*;
-//! use tucker_store::{Codec, StoreOptions, TkrArtifact, write_tucker};
+//! use tucker_exec::ExecContext;
+//! use tucker_store::{Codec, StoreOptions, TkrArtifact, TkrReader, write_tucker_ctx};
 //! use tucker_tensor::DenseTensor;
 //!
 //! let x = DenseTensor::from_fn(&[12, 10, 8], |idx| {
@@ -43,10 +44,12 @@
 //! let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
 //!
 //! let path = std::env::temp_dir().join("tucker_store_doctest.tkr");
-//! let report = write_tucker(&path, &result.tucker, &StoreOptions::new(Codec::F32, eps)).unwrap();
+//! let ctx = ExecContext::global();
+//! let opts = StoreOptions::new(Codec::F32, eps);
+//! let report = write_tucker_ctx(&path, &result.tucker, &opts, ctx).unwrap();
 //! assert!(report.quant_error_bound < eps);
 //!
-//! let artifact = TkrArtifact::open(&path).unwrap();
+//! let artifact = TkrArtifact::open_ctx(&path, ctx).unwrap();
 //! // One element, one slice, one window — no full reconstruction anywhere.
 //! let window = artifact.reconstruct_range(&[(2, 3), (0, 10), (5, 2)]).unwrap();
 //! assert_eq!(window.dims(), &[3, 10, 2]);
@@ -55,7 +58,7 @@
 //!
 //! // The lazy reader answers the same queries byte-identically while
 //! // decoding only the core chunks it touches.
-//! let reader = tucker_store::TkrReader::open(&path).unwrap();
+//! let reader = TkrReader::open_with(&path, tucker_store::DEFAULT_CACHE_CHUNKS, ctx).unwrap();
 //! assert_eq!(reader.reconstruct_range(&[(2, 3), (0, 10), (5, 2)]).unwrap(), window);
 //! std::fs::remove_file(&path).ok();
 //! ```
@@ -77,8 +80,7 @@ pub use query::QueryError;
 pub use reader::TkrArtifact;
 pub use shared::{ArtifactCacheStats, CacheSession, SharedChunkCache};
 pub use writer::{
-    compress_streaming, gather_and_write, try_write_tucker, try_write_tucker_ctx, write_tucker,
-    write_tucker_ctx, EncodeReport, StoreOptions, TkrWriter,
+    compress_streaming, gather_and_write, write_tucker_ctx, EncodeReport, StoreOptions, TkrWriter,
 };
 
 #[cfg(test)]
@@ -93,6 +95,7 @@ mod tests {
     use tucker_core::TuckerTensor;
     use tucker_distmem::runtime::spmd_with_grid;
     use tucker_distmem::ProcGrid;
+    use tucker_exec::ExecContext;
     use tucker_tensor::{extract_subtensor, relative_error, DenseTensor, SubtensorSpec};
 
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -116,6 +119,17 @@ mod tests {
         })
     }
 
+    /// Asserts a read-side rejection: a typed [`FormatError::Invalid`]
+    /// whose message mentions `what`.
+    pub(crate) fn assert_invalid<T: std::fmt::Debug>(r: Result<T, StoreError>, what: &str) {
+        match r {
+            Err(StoreError::Format(FormatError::Invalid(msg))) => {
+                assert!(msg.contains(what), "{msg:?} does not mention {what:?}")
+            }
+            other => panic!("expected FormatError::Invalid({what:?}…), got {other:?}"),
+        }
+    }
+
     fn compressed(dims: &[usize], eps: f64) -> (DenseTensor, TuckerTensor) {
         let x = wavy(dims);
         let r = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
@@ -126,8 +140,14 @@ mod tests {
     fn f64_round_trip_is_bit_exact() {
         let (_, t) = compressed(&[10, 9, 8], 1e-5);
         let path = temp_tkr("f64");
-        write_tucker(&path, &t, &StoreOptions::new(Codec::F64, 1e-5)).unwrap();
-        let artifact = TkrArtifact::open(&path).unwrap();
+        write_tucker_ctx(
+            &path,
+            &t,
+            &StoreOptions::new(Codec::F64, 1e-5),
+            ExecContext::global(),
+        )
+        .unwrap();
+        let artifact = TkrArtifact::open_ctx(&path, ExecContext::global()).unwrap();
         assert_eq!(artifact.tucker(), &t);
         assert_eq!(artifact.header().quant_error_bound, 0.0);
         std::fs::remove_file(&path).ok();
@@ -139,8 +159,14 @@ mod tests {
         let (x, t) = compressed(&[12, 10, 8], eps);
         for codec in Codec::all() {
             let path = temp_tkr(codec.name());
-            let report = write_tucker(&path, &t, &StoreOptions::new(codec, eps)).unwrap();
-            let artifact = TkrArtifact::open(&path).unwrap();
+            let report = write_tucker_ctx(
+                &path,
+                &t,
+                &StoreOptions::new(codec, eps),
+                ExecContext::global(),
+            )
+            .unwrap();
+            let artifact = TkrArtifact::open_ctx(&path, ExecContext::global()).unwrap();
             let rec = artifact.reconstruct();
             let err = relative_error(&x, &rec);
             assert!(
@@ -165,7 +191,13 @@ mod tests {
         let mut sizes = Vec::new();
         for codec in Codec::all() {
             let path = temp_tkr(&format!("size_{}", codec.name()));
-            let report = write_tucker(&path, &t, &StoreOptions::new(codec, 1e-4)).unwrap();
+            let report = write_tucker_ctx(
+                &path,
+                &t,
+                &StoreOptions::new(codec, 1e-4),
+                ExecContext::global(),
+            )
+            .unwrap();
             assert_eq!(report.bytes, std::fs::metadata(&path).unwrap().len());
             sizes.push(report.bytes);
             std::fs::remove_file(&path).ok();
@@ -182,8 +214,14 @@ mod tests {
         let (_, t) = compressed(&[12, 10, 8], 1e-4);
         for codec in Codec::all() {
             let path = temp_tkr(&format!("window_{}", codec.name()));
-            write_tucker(&path, &t, &StoreOptions::new(codec, 1e-4)).unwrap();
-            let artifact = TkrArtifact::open(&path).unwrap();
+            write_tucker_ctx(
+                &path,
+                &t,
+                &StoreOptions::new(codec, 1e-4),
+                ExecContext::global(),
+            )
+            .unwrap();
+            let artifact = TkrArtifact::open_ctx(&path, ExecContext::global()).unwrap();
             let full = artifact.reconstruct();
             let window = artifact
                 .reconstruct_range(&[(3, 4), (2, 5), (0, 8)])
@@ -218,8 +256,14 @@ mod tests {
         let eps = 1e-5;
         let (x, t) = compressed(&[11, 9, 7], eps);
         let path = temp_tkr("queries");
-        write_tucker(&path, &t, &StoreOptions::new(Codec::F64, eps)).unwrap();
-        let artifact = TkrArtifact::open(&path).unwrap();
+        write_tucker_ctx(
+            &path,
+            &t,
+            &StoreOptions::new(Codec::F64, eps),
+            ExecContext::global(),
+        )
+        .unwrap();
+        let artifact = TkrArtifact::open_ctx(&path, ExecContext::global()).unwrap();
         let slice = artifact.reconstruct_slice(1, 4).unwrap();
         assert_eq!(slice.dims(), &[11, 1, 7]);
         for i in [0usize, 5, 10] {
@@ -237,7 +281,7 @@ mod tests {
         let (_, t) = compressed(&[9, 8, 10], 1e-4);
         let opts = StoreOptions::new(Codec::Q16, 1e-4);
         let one = temp_tkr("oneshot");
-        write_tucker(&one, &t, &opts).unwrap();
+        write_tucker_ctx(&one, &t, &opts, ExecContext::global()).unwrap();
 
         // Hand-driven streaming path: factors, then the core one last-mode
         // slab (one "timestep") at a time.
@@ -260,8 +304,8 @@ mod tests {
         }
         w.finish().unwrap();
 
-        let a = TkrArtifact::open(&one).unwrap();
-        let b = TkrArtifact::open(&streamed).unwrap();
+        let a = TkrArtifact::open_ctx(&one, ExecContext::global()).unwrap();
+        let b = TkrArtifact::open_ctx(&streamed, ExecContext::global()).unwrap();
         // Same decoded decomposition regardless of chunking... but Q16 core
         // chunks carry per-chunk scales, so compare reconstructions instead of
         // bytes: both must decode to cores within the quantization step.
@@ -298,7 +342,7 @@ mod tests {
         assert_eq!(results.iter().filter(|&&wrote| wrote).count(), 1);
         assert!(results[0]);
 
-        let artifact = TkrArtifact::open(&path).unwrap();
+        let artifact = TkrArtifact::open_ctx(&path, ExecContext::global()).unwrap();
         let rec = artifact.reconstruct();
         let err = relative_error(&seq_rec, &rec);
         assert!(err < 1e-8, "distributed artifact deviates by {err}");
@@ -313,8 +357,8 @@ mod tests {
         let r = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
         let path = temp_tkr("meta");
         let opts = StoreOptions::new(Codec::F32, eps).with_meta(TkrMetadata::for_dataset(&ds));
-        write_tucker(&path, &r.tucker, &opts).unwrap();
-        let artifact = TkrArtifact::open(&path).unwrap();
+        write_tucker_ctx(&path, &r.tucker, &opts, ExecContext::global()).unwrap();
+        let artifact = TkrArtifact::open_ctx(&path, ExecContext::global()).unwrap();
         let meta = &artifact.header().meta;
         assert_eq!(meta.dataset, "SP");
         assert_eq!(meta.mode_labels.len(), 5);
@@ -349,7 +393,7 @@ mod tests {
             }
             w.finish().unwrap();
 
-            let eager = TkrArtifact::open(&path).unwrap();
+            let eager = TkrArtifact::open_ctx(&path, ExecContext::global()).unwrap();
             let lazy = TkrReader::open_with(&path, 2, tucker_exec::ExecContext::global()).unwrap();
             std::fs::remove_file(&path).ok();
             assert_eq!(lazy.chunk_count(), last);
@@ -421,9 +465,16 @@ mod tests {
         use crate::query::QueryError;
         let (_, t) = compressed(&[6, 5, 4], 1e-3);
         let path = temp_tkr("typed_errors");
-        write_tucker(&path, &t, &StoreOptions::new(Codec::F64, 1e-3)).unwrap();
-        let eager = TkrArtifact::open(&path).unwrap();
-        let lazy = TkrReader::open(&path).unwrap();
+        write_tucker_ctx(
+            &path,
+            &t,
+            &StoreOptions::new(Codec::F64, 1e-3),
+            ExecContext::global(),
+        )
+        .unwrap();
+        let eager = TkrArtifact::open_ctx(&path, ExecContext::global()).unwrap();
+        let lazy = TkrReader::open_with(&path, crate::DEFAULT_CACHE_CHUNKS, ExecContext::global())
+            .unwrap();
         std::fs::remove_file(&path).ok();
 
         // Wrong arity.
@@ -513,9 +564,12 @@ mod tests {
         bytes.extend_from_slice(&[0u8; 24]);
         let path = temp_tkr("misaligned_chunk");
         std::fs::write(&path, &bytes).unwrap();
-        let err = TkrArtifact::open(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        assert!(TkrReader::open(&path).is_err());
+        let what = "not a whole number of last-mode slabs";
+        assert_invalid(TkrArtifact::open_ctx(&path, ExecContext::global()), what);
+        assert_invalid(
+            TkrReader::open_with(&path, DEFAULT_CACHE_CHUNKS, ExecContext::global()),
+            what,
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -524,9 +578,16 @@ mod tests {
         let eps = 1e-4;
         let (x, t) = compressed(&[12, 10, 8], eps);
         let path = temp_tkr("batched");
-        write_tucker(&path, &t, &StoreOptions::new(Codec::F64, eps)).unwrap();
-        let artifact = TkrArtifact::open(&path).unwrap();
-        let lazy = TkrReader::open(&path).unwrap();
+        write_tucker_ctx(
+            &path,
+            &t,
+            &StoreOptions::new(Codec::F64, eps),
+            ExecContext::global(),
+        )
+        .unwrap();
+        let artifact = TkrArtifact::open_ctx(&path, ExecContext::global()).unwrap();
+        let lazy = TkrReader::open_with(&path, crate::DEFAULT_CACHE_CHUNKS, ExecContext::global())
+            .unwrap();
         std::fs::remove_file(&path).ok();
 
         // An empty batch is free on both readers (no chunk is decoded).
@@ -558,10 +619,17 @@ mod tests {
     fn core_declared_larger_than_file_is_rejected_not_allocated() {
         // Patch a valid small artifact's header so it declares a core of
         // ~2^36 elements (passing the per-mode rank <= dim checks): open()
-        // must fail with InvalidData, not attempt a half-terabyte allocation.
+        // must fail with a format error, not attempt a half-terabyte
+        // allocation.
         let (_, t) = compressed(&[6, 6, 6], 1e-3);
         let path = temp_tkr("absurd_core");
-        write_tucker(&path, &t, &StoreOptions::new(Codec::F64, 1e-3)).unwrap();
+        write_tucker_ctx(
+            &path,
+            &t,
+            &StoreOptions::new(Codec::F64, 1e-3),
+            ExecContext::global(),
+        )
+        .unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let big = (1u64 << 12).to_le_bytes();
         for n in 0..3 {
@@ -570,16 +638,18 @@ mod tests {
             bytes[off + 8..off + 16].copy_from_slice(&big); // rank
         }
         std::fs::write(&path, &bytes).unwrap();
-        let err = TkrArtifact::open(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_invalid(
+            TkrArtifact::open_ctx(&path, ExecContext::global()),
+            "larger than the file itself",
+        );
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn overflowing_core_chunk_length_is_rejected_not_allocated() {
         // A crafted file whose first block is a core chunk with len close to
-        // u64::MAX: open() must return InvalidData, not wrap the bounds check
-        // and attempt a giant allocation.
+        // u64::MAX: open() must return a format error, not wrap the bounds
+        // check and attempt a giant allocation.
         use crate::format::TAG_CORE_CHUNK;
         let header = TkrHeader {
             dims: vec![6, 6, 6],
@@ -596,8 +666,10 @@ mod tests {
         bytes.extend_from_slice(&u64::MAX.to_le_bytes()); // len
         let path = temp_tkr("overflow_chunk");
         std::fs::write(&path, &bytes).unwrap();
-        let err = TkrArtifact::open(&path).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_invalid(
+            TkrArtifact::open_ctx(&path, ExecContext::global()),
+            "overruns the core",
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -645,29 +717,33 @@ mod tests {
             mode_labels: vec!["only one".into()],
             normalization: None,
         };
-        let err = write_tucker(
-            &path,
-            &t,
-            &StoreOptions::new(Codec::F64, 1e-3).with_meta(meta),
-        )
-        .unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-        std::fs::remove_file(&path).ok();
+        let opts = StoreOptions::new(Codec::F64, 1e-3).with_meta(meta);
+        match write_tucker_ctx(&path, &t, &opts, ExecContext::global()) {
+            Err(StoreError::Format(FormatError::Invalid(msg))) => {
+                assert!(msg.contains("1 mode labels for a 3-mode tensor"), "{msg}")
+            }
+            other => panic!("expected a typed label-count error, got {other:?}"),
+        }
+        // Rejected before the file was created.
+        assert!(!path.exists());
     }
 
     #[test]
     fn truncated_file_is_rejected() {
         let (_, t) = compressed(&[6, 6, 6], 1e-3);
         let path = temp_tkr("trunc");
-        write_tucker(&path, &t, &StoreOptions::new(Codec::F64, 1e-3)).unwrap();
+        let opts = StoreOptions::new(Codec::F64, 1e-3);
+        write_tucker_ctx(&path, &t, &opts, ExecContext::global()).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 20]).unwrap();
-        assert!(TkrArtifact::open(&path).is_err());
+        assert_invalid(
+            TkrArtifact::open_ctx(&path, ExecContext::global()),
+            "truncated artifact",
+        );
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    #[should_panic]
     fn writer_rejects_incomplete_core() {
         let (_, t) = compressed(&[6, 6, 6], 1e-3);
         let path = temp_tkr("incomplete");
@@ -683,10 +759,17 @@ mod tests {
         for (n, u) in t.factors.iter().enumerate() {
             w.write_factor(n, u).unwrap();
         }
-        // Only one slab of the core written: finish() must panic.
-        let r = w.write_core_chunk(t.core.last_mode_slab(0, 1));
-        r.unwrap();
-        let _ = w.finish();
+        // Only one slab of the core written: finish() is a typed error.
+        w.write_core_chunk(t.core.last_mode_slab(0, 1)).unwrap();
+        let slab: usize = t.ranks()[..2].iter().product();
+        match w.finish() {
+            Err(StoreError::Format(FormatError::CoreIncomplete { written, total })) => {
+                assert_eq!(written, slab);
+                assert_eq!(total, t.core.len());
+            }
+            other => panic!("expected CoreIncomplete, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     /// Writes `t` one last-mode slab per chunk (the multi-chunk layout the
@@ -754,7 +837,7 @@ mod tests {
         // live under the concurrent load.
         let cache = SharedChunkCache::new(5, 2);
         let reader = std::sync::Arc::new(TkrReader::open_shared(&path, "x", &cache, ctx).unwrap());
-        let expected = TkrArtifact::open(&path).unwrap();
+        let expected = TkrArtifact::open_ctx(&path, ExecContext::global()).unwrap();
         std::fs::remove_file(&path).ok();
         let want_full = expected.reconstruct();
 
@@ -877,24 +960,16 @@ mod tests {
     }
 
     #[test]
-    fn zero_cache_chunks_is_a_typed_error_on_the_try_path_and_a_clamp_on_the_old_one() {
+    fn zero_cache_chunks_is_a_typed_error() {
         let (_, t) = compressed(&[6, 6, 6], 1e-3);
         let path = write_chunked("zero_cache", &t, Codec::F64);
-        let ctx = tucker_exec::ExecContext::global();
-        // try_ path: typed rejection, before any IO interpretation.
-        match TkrReader::try_open_with(&path, 0, ctx) {
-            Err(StoreError::Format(FormatError::Invalid(msg))) => {
-                assert!(msg.contains("cache capacity"), "unhelpful message: {msg}")
-            }
-            other => panic!("expected a typed Format error, got {other:?}"),
-        }
-        // try_ path succeeds for any positive capacity.
-        let r = TkrReader::try_open_with(&path, 1, ctx).unwrap();
-        // Historical path: 0 documentedly clamps to a single-chunk cache.
-        let clamped = TkrReader::open_with(&path, 0, ctx).unwrap();
+        let ctx = ExecContext::global();
+        // Refused before the file is even opened.
+        assert_invalid(TkrReader::open_with(&path, 0, ctx), "cache capacity");
+        // Any positive capacity opens; one chunk is the legal minimum.
+        let minimal = TkrReader::open_with(&path, 1, ctx).unwrap();
         std::fs::remove_file(&path).ok();
-        clamped.reconstruct().unwrap();
-        assert!(clamped.resident_chunks() <= 1);
-        assert_eq!(r.reconstruct().unwrap(), t.reconstruct());
+        assert_eq!(minimal.reconstruct().unwrap(), t.reconstruct());
+        assert!(minimal.resident_chunks() <= 1);
     }
 }

@@ -1,6 +1,6 @@
 //! Opening `.tkr` artifacts and serving partial-reconstruction queries.
 //!
-//! [`TkrArtifact::open`] is the *eager* reader: one framing scan (shared
+//! [`TkrArtifact::open_ctx`] is the *eager* reader: one framing scan (shared
 //! with the lazy [`crate::TkrReader`] — see [`crate::lazy`]), then every
 //! core chunk decoded up front. Queries then never touch the original data
 //! size: [`TkrArtifact::reconstruct_range`] /
@@ -20,6 +20,8 @@
 //! reader validates identically.
 
 use crate::codec::Codec;
+use crate::error::StoreError;
+use crate::format::read_error;
 use crate::lazy::{read_chunk, scan_artifact, ChunkEntry, ScannedArtifact};
 use crate::query::{validate_point, validate_ranges, validate_slice, validate_spec, QueryError};
 use crate::writer::codec_wave_chunks;
@@ -47,18 +49,15 @@ pub struct TkrArtifact {
 }
 
 impl TkrArtifact {
-    /// Opens and fully validates an artifact (decoding on the global pool).
-    pub fn open(path: impl AsRef<Path>) -> io::Result<TkrArtifact> {
-        TkrArtifact::open_ctx(path, ExecContext::global())
-    }
-
-    /// [`TkrArtifact::open`] on an explicit execution context: the shared
+    /// Opens and fully validates an artifact, decoding on `ctx`: the shared
     /// scan pass reads and validates the framing and builds the chunk
     /// directory, then every core chunk is codec-decoded in parallel waves
     /// into its disjoint range of the core. Decoded values are bit-identical
     /// for every thread count. The eager reader is exactly the lazy reader's
-    /// scan plus a decode-everything pass — one code path validates both.
-    pub fn open_ctx(path: impl AsRef<Path>, ctx: &ExecContext) -> io::Result<TkrArtifact> {
+    /// scan plus a decode-everything pass — one code path validates both. A
+    /// corrupt or truncated artifact is a [`StoreError::Format`]; only a
+    /// failing filesystem is [`StoreError::Io`].
+    pub fn open_ctx(path: impl AsRef<Path>, ctx: &ExecContext) -> Result<TkrArtifact, StoreError> {
         let ScannedArtifact {
             header,
             factors,
@@ -165,7 +164,7 @@ fn decode_all_chunks(
     chunks: &[ChunkEntry],
     file: &File,
     core_data: &mut [f64],
-) -> io::Result<()> {
+) -> Result<(), StoreError> {
     /// One chunk of a wave: where it comes from, where it decodes to.
     struct Slot<'a> {
         entry: &'a ChunkEntry,
@@ -193,7 +192,7 @@ fn decode_all_chunks(
             s.read = read_chunk(file, codec, s.entry, s.payload, s.dst);
         });
         for slot in slots {
-            slot.read?;
+            slot.read.map_err(read_error)?;
         }
     }
     Ok(())

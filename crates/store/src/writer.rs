@@ -5,10 +5,14 @@
 //! one timestep at a time), then an end marker. Nothing requires the whole
 //! core in memory at once, so a decomposition whose core is produced
 //! timestep-by-timestep — or gathered piecewise from a distributed run — can
-//! be serialized as it arrives. [`write_tucker`] is the convenience wrapper
-//! for an in-memory [`TuckerTensor`]; [`gather_and_write`] funnels a
-//! [`DistTucker`] from any processor grid into the same byte-identical
-//! format.
+//! be serialized as it arrives. [`write_tucker_ctx`] writes an in-memory
+//! [`TuckerTensor`]; [`gather_and_write`] funnels a [`DistTucker`] from any
+//! processor grid into the same byte-identical format.
+//!
+//! Every entry point returns a [`StoreError`] and none panics: a request that
+//! breaks the format contract (a bad header, a factor written twice, a chunk
+//! that is not whole slabs, `finish` on an incomplete core) is a typed
+//! [`FormatError`], and only a failing filesystem is [`StoreError::Io`].
 //!
 //! The writer tracks the exact squared error every quantized block
 //! introduces and patches a first-order **relative reconstruction error
@@ -26,11 +30,11 @@
 use crate::codec::Codec;
 use crate::error::{FormatError, StoreError};
 use crate::format::{
-    write_u32, write_u64, TkrHeader, TkrMetadata, QUANT_BOUND_OFFSET, TAG_CORE_CHUNK, TAG_END,
+    put_u32, put_u64, TkrHeader, TkrMetadata, QUANT_BOUND_OFFSET, TAG_CORE_CHUNK, TAG_END,
     TAG_FACTOR,
 };
 use std::fs::File;
-use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 use tucker_core::dist::DistTucker;
 use tucker_core::sthosvd::{SthosvdOptions, SthosvdResult};
@@ -41,7 +45,7 @@ use tucker_exec::ExecContext;
 use tucker_linalg::Matrix;
 use tucker_tensor::{DenseTensor, SlabSource};
 
-/// Target elements per core chunk used by [`write_tucker`] (whole slabs are
+/// Target elements per core chunk used by [`write_tucker_ctx`] (whole slabs are
 /// never split, so actual chunks may be larger when one slab exceeds this).
 const CHUNK_TARGET_ELEMS: usize = 1 << 16;
 
@@ -126,63 +130,17 @@ pub struct TkrWriter<W: Write + Seek> {
     bytes: u64,
 }
 
-/// Validates a header against the writer's structural contract: a sane
-/// tensor order, matching dims/ranks arity, no zero extents, no zero
-/// ranks, no rank exceeding its mode's extent, and metadata consistent
-/// with the shape. This is a superset of what header serialization
-/// enforces, so a header that passes here cannot fail later — which is
-/// what lets [`TkrWriter::try_create`] promise that rejected requests
-/// never touch the destination file.
-fn validate_header(header: &TkrHeader) -> Result<(), FormatError> {
-    if header.dims.is_empty() || header.dims.len() > crate::format::MAX_NDIMS {
-        return Err(FormatError::Invalid(format!(
-            "tensor order {} outside 1..={}",
-            header.dims.len(),
-            crate::format::MAX_NDIMS
-        )));
-    }
-    if header.dims.len() != header.ranks.len() {
-        return Err(FormatError::DimsRanksArity {
-            dims: header.dims.len(),
-            ranks: header.ranks.len(),
-        });
-    }
-    header.meta.validate(header.dims.len())?;
-    for (mode, (&d, &r)) in header.dims.iter().zip(header.ranks.iter()).enumerate() {
-        if d == 0 {
-            return Err(FormatError::ZeroDim { mode });
-        }
-        if r == 0 {
-            return Err(FormatError::ZeroRank { mode });
-        }
-        if r > d {
-            return Err(FormatError::RankExceedsDim {
-                mode,
-                rank: r,
-                dim: d,
-            });
-        }
-    }
-    Ok(())
-}
-
 impl TkrWriter<BufWriter<File>> {
-    /// Creates the file and writes the header (with a zero quantization bound,
-    /// patched at [`TkrWriter::finish`]).
-    pub fn create(path: impl AsRef<Path>, header: TkrHeader) -> io::Result<Self> {
-        TkrWriter::try_create(path, header).map_err(StoreError::into_io)
-    }
-
-    /// Fallible [`TkrWriter::create`]: a structurally invalid header (zero
-    /// extents or ranks, rank exceeding a mode) is a typed
-    /// [`FormatError`] instead of an opaque
-    /// `InvalidData`. The header is validated **before** the file is
-    /// created, so a rejected request never truncates an existing artifact
-    /// at `path`.
-    pub fn try_create(path: impl AsRef<Path>, header: TkrHeader) -> Result<Self, StoreError> {
-        validate_header(&header)?;
+    /// Creates the file and writes the header (with a zero quantization
+    /// bound, patched at [`TkrWriter::finish`]). A structurally invalid
+    /// header (zero extents or ranks, a rank exceeding its mode, metadata
+    /// that does not fit the shape) is a typed [`FormatError`], found
+    /// **before** the file is created, so a rejected request never truncates
+    /// an existing artifact at `path`.
+    pub fn create(path: impl AsRef<Path>, header: TkrHeader) -> Result<Self, StoreError> {
+        header.validate()?;
         let file = File::create(path)?;
-        TkrWriter::try_new(BufWriter::new(file), header)
+        TkrWriter::new(BufWriter::new(file), header)
     }
 }
 
@@ -190,17 +148,12 @@ impl<W: Write + Seek> TkrWriter<W> {
     /// Wraps an arbitrary seekable sink and writes the header at the sink's
     /// **current** position (so a `.tkr` section can be embedded into a
     /// larger container; the finish-time patch is relative to that base).
-    pub fn new(w: W, header: TkrHeader) -> io::Result<Self> {
-        TkrWriter::try_new(w, header).map_err(StoreError::into_io)
-    }
-
-    /// Fallible [`TkrWriter::new`]; see [`TkrWriter::try_create`].
-    pub fn try_new(mut w: W, mut header: TkrHeader) -> Result<Self, StoreError> {
-        validate_header(&header)?;
-        let base = w.stream_position()?;
+    /// The header is validated as in [`TkrWriter::create`].
+    pub fn new(mut w: W, mut header: TkrHeader) -> Result<Self, StoreError> {
         header.quant_error_bound = 0.0;
         let mut head = Vec::new();
         header.write_to(&mut head)?;
+        let base = w.stream_position()?;
         w.write_all(&head)?;
         let ndims = header.ndims();
         let core_total: usize = header.ranks.iter().product();
@@ -221,23 +174,10 @@ impl<W: Write + Seek> TkrWriter<W> {
     }
 
     /// Writes the factor matrix of `mode` (`I_n × R_n`), one codec block per
-    /// column so quantization scales adapt per column.
-    ///
-    /// # Panics
-    /// Panics if the mode was already written or the shape disagrees with the
-    /// header; use [`TkrWriter::try_write_factor`] for a typed error.
-    pub fn write_factor(&mut self, mode: usize, u: &Matrix) -> io::Result<()> {
-        match self.try_write_factor(mode, u) {
-            Ok(()) => Ok(()),
-            Err(StoreError::Io(e)) => Err(e),
-            Err(e) => panic!("write_factor: {e}"),
-        }
-    }
-
-    /// Fallible [`TkrWriter::write_factor`]: a factor for an out-of-range
-    /// mode, a mode written twice, or a shape disagreeing with the header is
-    /// a typed [`FormatError`] instead of a panic.
-    pub fn try_write_factor(&mut self, mode: usize, u: &Matrix) -> Result<(), StoreError> {
+    /// column so quantization scales adapt per column. A factor for an
+    /// out-of-range mode, a mode written twice, or a shape disagreeing with
+    /// the header is a typed [`FormatError`], and nothing is written.
+    pub fn write_factor(&mut self, mode: usize, u: &Matrix) -> Result<(), StoreError> {
         if mode >= self.header.ndims() {
             return Err(FormatError::ModeOutOfRange {
                 mode,
@@ -258,14 +198,13 @@ impl<W: Write + Seek> TkrWriter<W> {
             }
             .into());
         }
-        let mut block = Vec::new();
-        block.push(TAG_FACTOR);
-        write_u32(&mut block, mode as u32)?;
-        write_u64(&mut block, u.rows() as u64)?;
-        write_u64(&mut block, u.cols() as u64)?;
+        let mut block = vec![TAG_FACTOR];
+        put_u32(&mut block, mode as u32);
+        put_u64(&mut block, u.rows() as u64);
+        put_u64(&mut block, u.cols() as u64);
         let mut sq_err = 0.0;
         for j in 0..u.cols() {
-            sq_err += self.header.codec.encode_block(&mut block, &u.col(j))?;
+            sq_err += self.header.codec.encode_block(&mut block, &u.col(j));
         }
         self.w.write_all(&block)?;
         self.bytes += block.len() as u64;
@@ -276,36 +215,11 @@ impl<W: Write + Seek> TkrWriter<W> {
 
     /// Appends the next run of whole last-mode core slabs (natural order).
     /// Chunks must arrive in order and cover the core exactly by
-    /// [`TkrWriter::finish`] time.
-    ///
-    /// # Panics
-    /// Panics if the chunk is not a positive multiple of the slab stride or
-    /// overruns the core; use [`TkrWriter::try_write_core_chunk`] for a
-    /// typed error.
-    pub fn write_core_chunk(&mut self, slab: &[f64]) -> io::Result<()> {
-        match self.try_write_core_chunk(slab) {
-            Ok(()) => Ok(()),
-            Err(StoreError::Io(e)) => Err(e),
-            Err(e) => panic!("write_core_chunk: {e}"),
-        }
-    }
-
-    /// Fallible [`TkrWriter::write_core_chunk`]: a zero-size chunk, a chunk
-    /// that is not a whole number of last-mode slabs, or a chunk overrunning
-    /// the declared core is a typed [`FormatError`]
-    /// instead of a panic. Nothing is written when the chunk is rejected.
-    pub fn try_write_core_chunk(&mut self, slab: &[f64]) -> Result<(), StoreError> {
-        self.validate_chunk(self.core_elems_written, slab)?;
-        let mut block = Vec::new();
-        block.push(TAG_CORE_CHUNK);
-        write_u64(&mut block, self.core_elems_written as u64)?;
-        write_u64(&mut block, slab.len() as u64)?;
-        self.core_sq_err += self.header.codec.encode_block(&mut block, slab)?;
-        self.w.write_all(&block)?;
-        self.bytes += block.len() as u64;
-        self.core_norm_sq += slab.iter().map(|&v| v * v).sum::<f64>();
-        self.core_elems_written += slab.len();
-        Ok(())
+    /// [`TkrWriter::finish`] time. A zero-size chunk, a chunk that is not a
+    /// whole number of last-mode slabs, or a chunk overrunning the declared
+    /// core is a typed [`FormatError`], and nothing is written.
+    pub fn write_core_chunk(&mut self, slab: &[f64]) -> Result<(), StoreError> {
+        self.write_core_chunks_ctx(&[slab], &ExecContext::sequential())
     }
 
     /// The shared chunk contract: positive, slab-aligned, within the core.
@@ -333,29 +247,16 @@ impl<W: Write + Seek> TkrWriter<W> {
     /// on `ctx` before streaming them out in order. Byte-for-byte identical
     /// to calling [`TkrWriter::write_core_chunk`] on each chunk in turn (the
     /// framing, the per-block quantization scales, and the error accounting
-    /// all depend only on per-chunk data and the fixed chunk order).
+    /// all depend only on per-chunk data and the fixed chunk order). Every
+    /// chunk is validated up front with the rules of
+    /// [`TkrWriter::write_core_chunk`], so a bad chunk cannot leave earlier
+    /// ones written.
     ///
     /// Encoding proceeds in bounded **waves** of a few chunks per pool
     /// thread, each wave written out before the next is encoded — peak
     /// memory stays at a handful of encoded chunks, preserving the streaming
     /// rationale of this writer even for cores much larger than RAM headroom.
     pub fn write_core_chunks_ctx(
-        &mut self,
-        chunks: &[&[f64]],
-        ctx: &ExecContext,
-    ) -> io::Result<()> {
-        match self.try_write_core_chunks_ctx(chunks, ctx) {
-            Ok(()) => Ok(()),
-            Err(StoreError::Io(e)) => Err(e),
-            Err(e) => panic!("write_core_chunk: {e}"),
-        }
-    }
-
-    /// Fallible [`TkrWriter::write_core_chunks_ctx`]: every chunk is
-    /// validated up front with the same rules as
-    /// [`TkrWriter::try_write_core_chunk`], so a bad chunk cannot leave
-    /// earlier ones written.
-    pub fn try_write_core_chunks_ctx(
         &mut self,
         chunks: &[&[f64]],
         ctx: &ExecContext,
@@ -382,11 +283,9 @@ impl<W: Write + Seek> TkrWriter<W> {
                 let slab = batch[i];
                 let mut block = Vec::with_capacity(17 + codec.block_bytes(slab.len()));
                 block.push(TAG_CORE_CHUNK);
-                write_u64(&mut block, batch_starts[i] as u64).expect("Vec write is infallible");
-                write_u64(&mut block, slab.len() as u64).expect("Vec write is infallible");
-                let sq_err = codec
-                    .encode_block(&mut block, slab)
-                    .expect("Vec write is infallible");
+                put_u64(&mut block, batch_starts[i] as u64);
+                put_u64(&mut block, slab.len() as u64);
+                let sq_err = codec.encode_block(&mut block, slab);
                 let norm_sq = slab.iter().map(|&v| v * v).sum::<f64>();
                 *slot = (block, sq_err, norm_sq);
             });
@@ -407,23 +306,10 @@ impl<W: Write + Seek> TkrWriter<W> {
     }
 
     /// Writes the end marker, patches the quantization-error bound into the
-    /// header, flushes, and reports what was encoded.
-    ///
-    /// # Panics
-    /// Panics if a factor is missing or the core is incomplete; use
-    /// [`TkrWriter::try_finish`] for a typed error.
-    pub fn finish(self) -> io::Result<EncodeReport> {
-        match self.try_finish() {
-            Ok(r) => Ok(r),
-            Err(StoreError::Io(e)) => Err(e),
-            Err(e) => panic!("finish: {e}"),
-        }
-    }
-
-    /// Fallible [`TkrWriter::finish`]: a missing factor or an incomplete
-    /// core is a typed [`FormatError`] instead of a
-    /// panic (and the end marker is not written).
-    pub fn try_finish(mut self) -> Result<EncodeReport, StoreError> {
+    /// header, flushes, and reports what was encoded. A missing factor or
+    /// an incomplete core is a typed [`FormatError`] (and the end marker is
+    /// not written).
+    pub fn finish(mut self) -> Result<EncodeReport, StoreError> {
         for (n, &written) in self.factor_written.iter().enumerate() {
             if !written {
                 return Err(FormatError::MissingFactor { mode: n }.into());
@@ -436,9 +322,8 @@ impl<W: Write + Seek> TkrWriter<W> {
             }
             .into());
         }
-        let mut end = Vec::new();
-        end.push(TAG_END);
-        write_u64(&mut end, self.core_total as u64)?;
+        let mut end = vec![TAG_END];
+        put_u64(&mut end, self.core_total as u64);
         self.w.write_all(&end)?;
         self.bytes += end.len() as u64;
 
@@ -473,40 +358,12 @@ impl<W: Write + Seek> TkrWriter<W> {
 }
 
 /// Writes an in-memory Tucker decomposition to `path`, streaming the core in
-/// bounded chunks of whole last-mode slabs (encoded on the global pool).
-pub fn write_tucker(
-    path: impl AsRef<Path>,
-    t: &TuckerTensor,
-    opts: &StoreOptions,
-) -> io::Result<EncodeReport> {
-    write_tucker_ctx(path, t, opts, ExecContext::global())
-}
-
-/// [`write_tucker`] on an explicit execution context: core chunks are
-/// codec-encoded in parallel, then written in order — the produced file is
-/// byte-identical for every thread count.
+/// bounded chunks of whole last-mode slabs: core chunks are codec-encoded
+/// in parallel on `ctx`, then written in order — the produced file is
+/// byte-identical for every thread count. A degenerate decomposition (zero
+/// extents or ranks) or inconsistent metadata is a typed [`FormatError`],
+/// found before `path` is created.
 pub fn write_tucker_ctx(
-    path: impl AsRef<Path>,
-    t: &TuckerTensor,
-    opts: &StoreOptions,
-    ctx: &ExecContext,
-) -> io::Result<EncodeReport> {
-    try_write_tucker_ctx(path, t, opts, ctx).map_err(StoreError::into_io)
-}
-
-/// Fallible [`write_tucker`]: a degenerate decomposition (zero extents or
-/// ranks) or inconsistent metadata is a typed
-/// [`StoreError`] instead of an opaque `InvalidData`.
-pub fn try_write_tucker(
-    path: impl AsRef<Path>,
-    t: &TuckerTensor,
-    opts: &StoreOptions,
-) -> Result<EncodeReport, StoreError> {
-    try_write_tucker_ctx(path, t, opts, ExecContext::global())
-}
-
-/// Fallible [`write_tucker_ctx`]; see [`try_write_tucker`].
-pub fn try_write_tucker_ctx(
     path: impl AsRef<Path>,
     t: &TuckerTensor,
     opts: &StoreOptions,
@@ -520,12 +377,12 @@ pub fn try_write_tucker_ctx(
         quant_error_bound: 0.0,
         meta: opts.meta.clone(),
     };
-    let mut w = TkrWriter::try_create(path, header)?;
+    let mut w = TkrWriter::create(path, header)?;
     for (n, u) in t.factors.iter().enumerate() {
-        w.try_write_factor(n, u)?;
+        w.write_factor(n, u)?;
     }
-    w.try_write_core_chunks_ctx(&core_slab_chunks(&t.core), ctx)?;
-    w.try_finish()
+    w.write_core_chunks_ctx(&core_slab_chunks(&t.core), ctx)?;
+    w.finish()
 }
 
 /// Groups a core into runs of whole last-mode slabs of about
@@ -534,7 +391,7 @@ pub fn try_write_tucker_ctx(
 /// serializes through it).
 fn core_slab_chunks(core: &DenseTensor) -> Vec<&[f64]> {
     let stride = core.last_mode_stride().max(1);
-    let last = *core.dims().last().expect("core has at least one mode");
+    let last = core.len() / stride;
     let slabs_per_chunk = (CHUNK_TARGET_ELEMS / stride).max(1);
     let mut chunks = Vec::with_capacity(last.div_ceil(slabs_per_chunk));
     let mut s = 0;
@@ -563,7 +420,7 @@ pub fn compress_streaming(
     stream: &StreamingOptions,
     opts: &StoreOptions,
     ctx: &ExecContext,
-) -> io::Result<(SthosvdResult, EncodeReport)> {
+) -> Result<(SthosvdResult, EncodeReport), StoreError> {
     let result = st_hosvd_streaming_ctx(src, sth, stream, ctx);
     let report = write_tucker_ctx(path, &result.tucker, opts, ctx)?;
     Ok((result, report))
@@ -578,9 +435,9 @@ pub fn gather_and_write(
     t: &DistTucker,
     path: impl AsRef<Path>,
     opts: &StoreOptions,
-) -> io::Result<Option<EncodeReport>> {
+) -> Result<Option<EncodeReport>, StoreError> {
     match t.gather_to_root(comm) {
-        Some(tucker) => write_tucker(path, &tucker, opts).map(Some),
+        Some(tucker) => write_tucker_ctx(path, &tucker, opts, ExecContext::global()).map(Some),
         None => Ok(None),
     }
 }

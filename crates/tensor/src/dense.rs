@@ -280,13 +280,6 @@ impl DenseTensor {
         tucker_linalg::blas1::sumsq(&self.data)
     }
 
-    /// Fills the tensor with values drawn from the closure over the linear offset.
-    pub fn fill_with(&mut self, mut f: impl FnMut(usize) -> f64) {
-        for (off, v) in self.data.iter_mut().enumerate() {
-            *v = f(off);
-        }
-    }
-
     /// Elementwise difference `self - other` as a new tensor.
     ///
     /// # Panics

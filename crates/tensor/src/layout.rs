@@ -78,13 +78,6 @@ impl Unfolding {
         &data[t * b..(t + 1) * b]
     }
 
-    /// Mutable view of subblock `t`.
-    #[inline]
-    pub fn block_mut<'a>(&self, data: &'a mut [f64], t: usize) -> &'a mut [f64] {
-        let b = self.block_len();
-        &mut data[t * b..(t + 1) * b]
-    }
-
     /// Materializes the unfolded matrix explicitly (row-major `I_n × Î_n`).
     ///
     /// Only used by tests and small reference computations — production kernels

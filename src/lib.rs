@@ -76,8 +76,8 @@ pub mod prelude {
     pub use tucker_scidata::{DatasetPreset, NoisyLowRank, SpectralDecay};
     pub use tucker_serve::{serve, ServeClient, ServeConfig, ServerHandle};
     pub use tucker_store::{
-        gather_and_write, try_write_tucker, write_tucker, Codec, SharedChunkCache, StoreOptions,
-        TkrArtifact, TkrMetadata, TkrReader,
+        gather_and_write, write_tucker_ctx, Codec, SharedChunkCache, StoreOptions, TkrArtifact,
+        TkrMetadata, TkrReader,
     };
     pub use tucker_tensor::{
         normalized_rms_error, DenseTensor, SlabSource, SubtensorSpec, TtmTranspose,

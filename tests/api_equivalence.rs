@@ -4,7 +4,7 @@
 //!   tolerance / fixed-ranks, with and without HOOI refinement — is
 //!   **bit-identical** to the corresponding direct-call pipeline;
 //! * `CompressionPlan::write_to` produces artifacts **byte-identical** to
-//!   the direct `write_tucker` / `compress_streaming` / `gather_and_write`
+//!   the direct `write_tucker_ctx` / `compress_streaming` / `gather_and_write`
 //!   pipelines, for every codec (f64 / f32 / q16);
 //! * the eager and lazy `TensorQuery` backends answer every query shape
 //!   byte-for-byte identically, through generic code that cannot tell them
@@ -24,8 +24,8 @@ use tucker_distmem::runtime::spmd_with_grid;
 use tucker_distmem::ProcGrid;
 use tucker_exec::ExecContext;
 use tucker_store::{
-    compress_streaming, gather_and_write, write_tucker, Codec, FormatError, StoreOptions,
-    TkrHeader, TkrMetadata, TkrWriter,
+    compress_streaming, gather_and_write, write_tucker_ctx, Codec, FormatError, SharedChunkCache,
+    StoreError, StoreOptions, TkrArtifact, TkrHeader, TkrMetadata, TkrReader, TkrWriter,
 };
 use tucker_tensor::DenseTensor;
 
@@ -193,7 +193,7 @@ proptest! {
     }
 
     /// The write sink, all three codecs: facade artifacts are byte-identical
-    /// to `write_tucker` on the direct decomposition — and, for the
+    /// to `write_tucker_ctx` on the direct decomposition — and, for the
     /// streaming source, to the `compress_streaming` pipeline.
     #[test]
     fn write_to_is_byte_identical_for_every_codec(x in arbitrary_tensor()) {
@@ -201,7 +201,7 @@ proptest! {
         let direct = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
         for codec in Codec::all() {
             let direct_path = temp_tkr(&format!("direct_{}", codec.name()));
-            write_tucker(&direct_path, &direct.tucker, &StoreOptions::new(codec, eps)).unwrap();
+            write_tucker_ctx(&direct_path, &direct.tucker, &StoreOptions::new(codec, eps), ExecContext::global()).unwrap();
 
             let facade_path = temp_tkr(&format!("facade_{}", codec.name()));
             let written = Compressor::new(&x)
@@ -505,40 +505,39 @@ fn writer_contract_violations_are_typed_errors() {
         meta: TkrMetadata::default(),
     };
     let path = temp_tkr("writer_contract");
-    let mut w = TkrWriter::try_create(&path, header.clone()).expect("valid header");
+    let mut w = TkrWriter::create(&path, header.clone()).expect("valid header");
 
     // The satellite case: a zero-size chunk is a typed error, not an abort —
     // and surfaces as TuckerError through the facade's From conversions.
-    let err: TuckerError = w.try_write_core_chunk(&[]).unwrap_err().into();
+    let err: TuckerError = w.write_core_chunk(&[]).unwrap_err().into();
     assert!(matches!(err, TuckerError::Format(FormatError::EmptyChunk)));
 
     // Misaligned and overrunning chunks.
     let stride: usize = t.ranks()[..2].iter().product();
     assert!(matches!(
-        w.try_write_core_chunk(&vec![0.0; stride + 1]).unwrap_err(),
+        w.write_core_chunk(&vec![0.0; stride + 1]).unwrap_err(),
         tucker_store::StoreError::Format(FormatError::MisalignedChunk { .. })
     ));
     let total: usize = t.ranks().iter().product();
     assert!(matches!(
-        w.try_write_core_chunk(&vec![0.0; total + stride])
-            .unwrap_err(),
+        w.write_core_chunk(&vec![0.0; total + stride]).unwrap_err(),
         tucker_store::StoreError::Format(FormatError::CoreOverrun { .. })
     ));
 
     // Factor violations.
     assert!(matches!(
-        w.try_write_factor(7, &t.factors[0]).unwrap_err(),
+        w.write_factor(7, &t.factors[0]).unwrap_err(),
         tucker_store::StoreError::Format(FormatError::ModeOutOfRange { mode: 7, .. })
     ));
-    w.try_write_factor(0, &t.factors[0]).expect("first write");
+    w.write_factor(0, &t.factors[0]).expect("first write");
     assert!(matches!(
-        w.try_write_factor(0, &t.factors[0]).unwrap_err(),
+        w.write_factor(0, &t.factors[0]).unwrap_err(),
         tucker_store::StoreError::Format(FormatError::FactorRewritten { mode: 0 })
     ));
 
     // Premature finish.
     assert!(matches!(
-        w.try_finish().unwrap_err(),
+        w.finish().unwrap_err(),
         tucker_store::StoreError::Format(FormatError::MissingFactor { mode: 1 })
     ));
     std::fs::remove_file(&path).ok();
@@ -548,7 +547,7 @@ fn writer_contract_violations_are_typed_errors() {
     bad_header.ranks[1] = bad_header.dims[1] + 2;
     let path2 = temp_tkr("bad_header");
     assert!(matches!(
-        TkrWriter::try_create(&path2, bad_header).err(),
+        TkrWriter::create(&path2, bad_header).err(),
         Some(tucker_store::StoreError::Format(
             FormatError::RankExceedsDim { mode: 1, .. }
         ))
@@ -613,6 +612,110 @@ fn open_and_query_failures_are_typed_errors() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Every prefix of a valid artifact — cut at every byte offset, through
+/// the header, the factor blocks, the chunk framing, the chunk payloads and
+/// the end marker — fails to open with a typed format (or codec) error on
+/// every open path: both store readers, the shared-cache reader, and both
+/// facade backends. A short file is a corrupt artifact, never an IO error
+/// and never a panic; only a missing file is IO.
+#[test]
+fn every_truncated_artifact_is_a_format_error_on_every_open_path() {
+    let x = DenseTensor::from_fn(&[6, 5, 4], |idx| {
+        ((idx[0] + 2 * idx[1]) as f64 * 0.3).sin() + 0.5 * idx[2] as f64
+    });
+    let t = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![3, 3, 3])).tucker;
+    let ctx = ExecContext::global();
+    let cut_path = temp_tkr("cut");
+    let cache = SharedChunkCache::new(4, 1);
+    let mut opens = 0usize;
+    for codec in Codec::all() {
+        // One slab per chunk: three core chunks behind three factor blocks.
+        let path = temp_tkr("whole");
+        let header = TkrHeader {
+            dims: t.original_dims(),
+            ranks: t.ranks(),
+            eps: 1e-3,
+            codec,
+            quant_error_bound: 0.0,
+            meta: TkrMetadata::default(),
+        };
+        let mut w = TkrWriter::create(&path, header).unwrap();
+        for (n, u) in t.factors.iter().enumerate() {
+            w.write_factor(n, u).unwrap();
+        }
+        for s in 0..t.core.dims()[2] {
+            w.write_core_chunk(t.core.last_mode_slab(s, 1)).unwrap();
+        }
+        w.finish().unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        std::fs::write(&cut_path, &bytes).unwrap();
+        assert_eq!(
+            TkrReader::open_with(&cut_path, 4, ctx)
+                .unwrap()
+                .chunk_count(),
+            3
+        );
+
+        for cut in 0..bytes.len() {
+            std::fs::write(&cut_path, &bytes[..cut]).unwrap();
+            let key = format!("{}-{cut}", codec.name());
+            let store_opens = [
+                (
+                    "TkrArtifact::open_ctx",
+                    TkrArtifact::open_ctx(&cut_path, ctx).map(drop),
+                ),
+                (
+                    "TkrReader::open_with",
+                    TkrReader::open_with(&cut_path, 4, ctx).map(drop),
+                ),
+                (
+                    "TkrReader::open_shared",
+                    TkrReader::open_shared(&cut_path, &key, &cache, ctx).map(drop),
+                ),
+            ];
+            for (how, r) in store_opens {
+                assert!(
+                    matches!(r, Err(StoreError::Format(_) | StoreError::Codec(_))),
+                    "{} artifact cut at {cut} of {}: {how} gave {r:?}",
+                    codec.name(),
+                    bytes.len()
+                );
+                opens += 1;
+            }
+            for (how, builder) in [("Open::eager", Open::eager()), ("Open::lazy", Open::lazy())] {
+                let r = builder.open(&cut_path).map(drop);
+                assert!(
+                    matches!(r, Err(TuckerError::Format(_) | TuckerError::Codec(_))),
+                    "{} artifact cut at {cut} of {}: {how} gave {r:?}",
+                    codec.name(),
+                    bytes.len()
+                );
+                opens += 1;
+            }
+        }
+    }
+    std::fs::remove_file(&cut_path).ok();
+    assert!(opens > 3000, "only {opens} truncated opens were tried");
+    // A failed open leaves no session behind in the shared cache.
+    assert_eq!(cache.artifacts(), vec![]);
+
+    // A missing file is still a filesystem error, on every path.
+    let missing = temp_tkr("missing");
+    let not_found = |r: Result<(), StoreError>| matches!(r, Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound);
+    assert!(not_found(TkrArtifact::open_ctx(&missing, ctx).map(drop)));
+    assert!(not_found(TkrReader::open_with(&missing, 4, ctx).map(drop)));
+    assert!(not_found(
+        TkrReader::open_shared(&missing, "missing", &cache, ctx).map(drop)
+    ));
+    for builder in [Open::eager(), Open::lazy()] {
+        assert!(matches!(
+            builder.open(&missing).map(drop),
+            Err(TuckerError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound
+        ));
+    }
+}
+
 #[test]
 fn rejected_header_does_not_truncate_an_existing_artifact() {
     // A service re-using an output path must not lose the previous artifact
@@ -633,7 +736,7 @@ fn rejected_header_does_not_truncate_an_existing_artifact() {
         quant_error_bound: 0.0,
         meta: TkrMetadata::default(),
     };
-    assert!(TkrWriter::try_create(&path, bad).is_err());
+    assert!(TkrWriter::create(&path, bad).is_err());
     assert_eq!(
         std::fs::read(&path).unwrap(),
         before,
@@ -650,7 +753,7 @@ fn rejected_header_does_not_truncate_an_existing_artifact() {
         meta: TkrMetadata::default(),
     };
     assert!(matches!(
-        TkrWriter::try_create(&path, empty),
+        TkrWriter::create(&path, empty),
         Err(tucker_store::StoreError::Format(FormatError::Invalid(_)))
     ));
     let bad_labels = TkrHeader {
@@ -666,7 +769,7 @@ fn rejected_header_does_not_truncate_an_existing_artifact() {
         },
     };
     assert!(matches!(
-        TkrWriter::try_create(&path, bad_labels),
+        TkrWriter::create(&path, bad_labels),
         Err(tucker_store::StoreError::Format(FormatError::Invalid(_)))
     ));
     assert_eq!(

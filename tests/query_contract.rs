@@ -265,7 +265,7 @@ proptest! {
 
         for codec in Codec::all() {
             let (file, chunks) = write_chunked(&t, codec, &widths);
-            let eager = TkrArtifact::open(&file).expect("eager open");
+            let eager = TkrArtifact::open_ctx(&file, ExecContext::global()).expect("eager open");
             let want = eager.reconstruct();
             let want_windows: Vec<DenseTensor> = windows
                 .iter()

@@ -23,7 +23,9 @@ use tucker_core::reconstruct::window_roundoff_bound;
 use tucker_distmem::runtime::spmd_with_grid;
 use tucker_distmem::ProcGrid;
 use tucker_scidata::DatasetPreset;
-use tucker_store::{gather_and_write, write_tucker, Codec, StoreOptions, TkrArtifact, TkrMetadata};
+use tucker_store::{
+    gather_and_write, write_tucker_ctx, Codec, StoreOptions, TkrArtifact, TkrMetadata,
+};
 use tucker_tensor::{extract_subtensor, relative_error, DenseTensor, SubtensorSpec};
 
 static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -102,8 +104,8 @@ proptest! {
         );
         for codec in Codec::all() {
             let path = temp_tkr(codec.name());
-            let report = write_tucker(&path, &t, &StoreOptions::new(codec, eps)).unwrap();
-            let artifact = TkrArtifact::open(&path).unwrap();
+            let report = write_tucker_ctx(&path, &t, &StoreOptions::new(codec, eps), tucker_exec::ExecContext::global()).unwrap();
+            let artifact = TkrArtifact::open_ctx(&path, tucker_exec::ExecContext::global()).unwrap();
             std::fs::remove_file(&path).ok();
 
             // Partial == sliced full reconstruction, bitwise unless mixed.
@@ -136,8 +138,8 @@ proptest! {
     fn f64_artifact_is_exactly_the_tucker(x in arbitrary_tensor()) {
         let t = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-3)).tucker;
         let path = temp_tkr("exact");
-        write_tucker(&path, &t, &StoreOptions::new(Codec::F64, 1e-3)).unwrap();
-        let artifact = TkrArtifact::open(&path).unwrap();
+        write_tucker_ctx(&path, &t, &StoreOptions::new(Codec::F64, 1e-3), tucker_exec::ExecContext::global()).unwrap();
+        let artifact = TkrArtifact::open_ctx(&path, tucker_exec::ExecContext::global()).unwrap();
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(artifact.tucker(), &t);
     }
@@ -160,8 +162,14 @@ fn sp_surrogate_round_trips_within_eps_for_all_codecs() {
     for codec in [Codec::F64, Codec::F32, Codec::Q16] {
         let path = temp_tkr(&format!("sp_{}", codec.name()));
         let opts = StoreOptions::new(codec, eps).with_meta(TkrMetadata::for_dataset(&ds));
-        write_tucker(&path, &result.tucker, &opts).unwrap();
-        let artifact = TkrArtifact::open(&path).unwrap();
+        write_tucker_ctx(
+            &path,
+            &result.tucker,
+            &opts,
+            tucker_exec::ExecContext::global(),
+        )
+        .unwrap();
+        let artifact = TkrArtifact::open_ctx(&path, tucker_exec::ExecContext::global()).unwrap();
         std::fs::remove_file(&path).ok();
 
         let full = artifact.reconstruct();
@@ -205,7 +213,7 @@ fn sp_dist_tucker_round_trips_on_nontrivial_grid() {
         });
         assert_eq!(wrote.iter().filter(|&&w| w).count(), 1);
 
-        let artifact = TkrArtifact::open(&path).unwrap();
+        let artifact = TkrArtifact::open_ctx(&path, tucker_exec::ExecContext::global()).unwrap();
         std::fs::remove_file(&path).ok();
         let full = artifact.reconstruct();
         // Within ε of the original, and consistent with the sequential run.
@@ -318,7 +326,7 @@ fn lazy_reader_is_byte_identical_to_eager_on_sp_surrogate() {
         }
         w.finish().unwrap();
 
-        let eager = TkrArtifact::open(&path).unwrap();
+        let eager = TkrArtifact::open_ctx(&path, tucker_exec::ExecContext::global()).unwrap();
         let lazy = tucker_store::TkrReader::open_with(&path, 3, tucker_exec::ExecContext::global())
             .unwrap();
         std::fs::remove_file(&path).ok();

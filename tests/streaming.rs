@@ -148,7 +148,7 @@ proptest! {
             }
             w.finish().unwrap();
 
-            let eager = TkrArtifact::open(&path).unwrap();
+            let eager = TkrArtifact::open_ctx(&path, ExecContext::global()).unwrap();
             let lazy = TkrReader::open_with(&path, 2, &ExecContext::new(4)).unwrap();
             std::fs::remove_file(&path).ok();
 

@@ -192,8 +192,13 @@ fn tcp_artifact_bytes_identical_on_2x2_grid() {
                 Some(t) => {
                     let path = std::env::temp_dir()
                         .join(format!("transport_{}_{tag}.tkr", std::process::id()));
-                    write_tucker(&path, &t, &StoreOptions::new(Codec::F64, 1e-6))
-                        .expect("write .tkr");
+                    write_tucker_ctx(
+                        &path,
+                        &t,
+                        &StoreOptions::new(Codec::F64, 1e-6),
+                        tucker_exec::ExecContext::global(),
+                    )
+                    .expect("write .tkr");
                     let bytes = std::fs::read(&path).expect("read .tkr back");
                     let _ = std::fs::remove_file(&path);
                     bytes

@@ -36,6 +36,14 @@ section_summary() {
 section "cargo build --release"
 cargo build --release
 
+section "cargo check bench_e2e (standalone package)"
+# BENCHMARK.json builds the ledger binary from its own manifest, not
+# through the workspace. Check it the same way, so a library name it calls
+# going away (or a crate it needs) fails here, not in a benchmark run. Its
+# own target dir keeps the workspace build untouched.
+cargo check --offline --manifest-path crates/bench/src/bin/bench_e2e/Cargo.toml \
+  --target-dir target/bench_e2e
+
 # The whole suite runs twice: single-threaded and on a 4-thread pool. The
 # execution layer's determinism contract says results are bit-identical, so
 # both runs must pass the *same* assertions.

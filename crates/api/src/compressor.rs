@@ -110,7 +110,8 @@ pub enum KernelPath {
 }
 
 impl KernelPath {
-    /// The name of the underlying entry point (for logs and reports).
+    /// A short label of the pipeline for logs and reports: the algorithm's
+    /// name, prefixed `dist_` on a processor grid.
     pub fn name(&self) -> &'static str {
         match self {
             KernelPath::InMemory => "st_hosvd",
@@ -525,7 +526,7 @@ impl CompressionPlan<'_> {
     /// The distributed dispatch: an SPMD region over the grid, each rank
     /// compressing its block with the parallel kernels (hybrid
     /// ranks × threads on the shared pool), the decomposition gathered to
-    /// root exactly as the direct `dist_st_hosvd` + `gather_to_root` calls
+    /// root exactly as the direct `try_dist_st_hosvd_ctx` + `gather_to_root` calls
     /// would.
     fn run_distributed(
         &self,

@@ -9,6 +9,7 @@
 //! |---|---|---|
 //! | [`TuckerError::Shape`]  | `tucker_core::validate::ShapeError`  | empty/zero-extent shape, bad mode order, bad grid |
 //! | [`TuckerError::Rank`]   | `tucker_core::validate::RankError`   | ranks exceeding dims, bad tolerance |
+//! | [`TuckerError::NonFinite`] | `tucker_core::CoreError::NonFinite` | a NaN or infinite entry, or squares that overflow |
 //! | [`TuckerError::Codec`]  | `tucker_store::CodecError`           | unknown codec id |
 //! | [`TuckerError::Format`] | `tucker_store::FormatError`          | container-contract violations, corrupt or truncated artifacts |
 //! | [`TuckerError::Query`]  | `tucker_store::QueryError`           | out-of-range reconstruction requests |
@@ -124,6 +125,13 @@ pub enum TuckerError {
     Shape(ShapeError),
     /// An invalid rank selection or tolerance.
     Rank(RankError),
+    /// The input's squared norm `‖X‖²` is NaN or infinite: it holds a NaN or
+    /// an infinite entry, or entries whose squares overflow. Refused before
+    /// any eigensolve.
+    NonFinite {
+        /// The trace of the first processed mode's Gram.
+        norm_x_sq: f64,
+    },
     /// An invalid or unsupported value encoding.
     Codec(CodecError),
     /// A `.tkr` container-contract violation or corrupt artifact.
@@ -153,6 +161,13 @@ impl fmt::Display for TuckerError {
         match self {
             TuckerError::Shape(e) => write!(f, "shape error: {e}"),
             TuckerError::Rank(e) => write!(f, "rank error: {e}"),
+            TuckerError::NonFinite { norm_x_sq } => write!(
+                f,
+                "non-finite input: {}",
+                CoreError::NonFinite {
+                    norm_x_sq: *norm_x_sq
+                }
+            ),
             TuckerError::Codec(e) => write!(f, "codec error: {e}"),
             TuckerError::Format(e) => write!(f, "format error: {e}"),
             TuckerError::Query(e) => write!(f, "query error: {e}"),
@@ -175,6 +190,7 @@ impl std::error::Error for TuckerError {
         match self {
             TuckerError::Shape(e) => Some(e),
             TuckerError::Rank(e) => Some(e),
+            TuckerError::NonFinite { .. } => None,
             TuckerError::Codec(e) => Some(e),
             TuckerError::Format(e) => Some(e),
             TuckerError::Query(e) => Some(e),
@@ -204,6 +220,7 @@ impl From<CoreError> for TuckerError {
         match e {
             CoreError::Shape(s) => TuckerError::Shape(s),
             CoreError::Rank(r) => TuckerError::Rank(r),
+            CoreError::NonFinite { norm_x_sq } => TuckerError::NonFinite { norm_x_sq },
         }
     }
 }

@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use tucker_core::dist::{dist_st_hosvd, DistTensor};
-use tucker_core::hooi::{hooi, HooiOptions};
+use tucker_core::dist::{hybrid_ctx, try_dist_st_hosvd_ctx, DistTensor};
+use tucker_core::hooi::{try_hooi_ctx, HooiOptions};
 use tucker_core::prelude::*;
 use tucker_distmem::{spmd_with_grid, ProcGrid};
 use tucker_scidata::NoisyLowRank;
@@ -27,7 +27,14 @@ fn bench_sthosvd(c: &mut Criterion) {
     for scale in [1usize, 2] {
         let x = test_tensor(scale);
         group.bench_with_input(BenchmarkId::from_parameter(scale), &scale, |bencher, _| {
-            bencher.iter(|| st_hosvd(black_box(&x), &SthosvdOptions::with_tolerance(1e-3)));
+            bencher.iter(|| {
+                try_st_hosvd_ctx(
+                    black_box(&x),
+                    &SthosvdOptions::with_tolerance(1e-3),
+                    ExecContext::global(),
+                )
+                .unwrap()
+            });
         });
     }
     group.finish();
@@ -40,7 +47,14 @@ fn bench_hooi(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     let x = test_tensor(1);
     group.bench_function("scale_1", |bencher| {
-        bencher.iter(|| hooi(black_box(&x), &HooiOptions::with_ranks(vec![4, 4, 3, 3], 1)));
+        bencher.iter(|| {
+            try_hooi_ctx(
+                black_box(&x),
+                &HooiOptions::with_ranks(vec![4, 4, 3, 3], 1),
+                ExecContext::global(),
+            )
+            .unwrap()
+        });
     });
     group.finish();
 }
@@ -59,8 +73,13 @@ fn bench_dist_sthosvd(c: &mut Criterion) {
                 let x = x.clone();
                 spmd_with_grid(ProcGrid::new(g), move |comm| {
                     let dx = DistTensor::from_global(&comm, &x);
-                    let r =
-                        dist_st_hosvd(&comm, &dx, &SthosvdOptions::with_ranks(vec![4, 4, 3, 3]));
+                    let r = try_dist_st_hosvd_ctx(
+                        &comm,
+                        &dx,
+                        &SthosvdOptions::with_ranks(vec![4, 4, 3, 3]),
+                        &hybrid_ctx(&comm),
+                    )
+                    .unwrap();
                     r.ranks
                 })
             });

@@ -7,12 +7,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+use tucker_exec::ExecContext;
 use tucker_linalg::eig::sym_eig_desc;
 use tucker_linalg::gemm::{gemm, Transpose};
 use tucker_linalg::syrk::syrk;
 use tucker_linalg::Matrix;
 use tucker_scidata::random_low_rank;
-use tucker_tensor::{gram, ttm, DenseTensor, TtmTranspose};
+use tucker_tensor::{gram_ctx, ttm_ctx, DenseTensor, TtmTranspose};
 
 fn bench_gemm(c: &mut Criterion) {
     let mut group = c.benchmark_group("gemm");
@@ -64,7 +65,15 @@ fn bench_local_ttm(c: &mut Criterion) {
     for mode in 0..3usize {
         let v = Matrix::from_fn(8, 32, |i, j| ((i * 5 + j) as f64 * 0.03).sin());
         group.bench_with_input(BenchmarkId::new("mode", mode), &mode, |bencher, &m| {
-            bencher.iter(|| ttm(black_box(&x), black_box(&v), m, TtmTranspose::NoTranspose));
+            bencher.iter(|| {
+                ttm_ctx(
+                    ExecContext::global(),
+                    black_box(&x),
+                    black_box(&v),
+                    m,
+                    TtmTranspose::NoTranspose,
+                )
+            });
         });
     }
     group.finish();
@@ -78,7 +87,7 @@ fn bench_local_gram(c: &mut Criterion) {
     let x = random_low_rank(2, &[32, 32, 32], &[8, 8, 8]);
     for mode in 0..3usize {
         group.bench_with_input(BenchmarkId::new("mode", mode), &mode, |bencher, &m| {
-            bencher.iter(|| gram(black_box(&x), m));
+            bencher.iter(|| gram_ctx(ExecContext::global(), black_box(&x), m));
         });
     }
     group.finish();
@@ -91,7 +100,7 @@ fn bench_eigensolver(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     for &n in &[32usize, 96] {
         let x = DenseTensor::from_fn(&[n, 64], |idx| ((idx[0] * 3 + idx[1]) as f64 * 0.01).sin());
-        let s = gram(&x, 0);
+        let s = gram_ctx(ExecContext::global(), &x, 0);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bencher, _| {
             bencher.iter(|| sym_eig_desc(black_box(&s)));
         });

@@ -28,8 +28,13 @@ fn main() {
     );
     let mut last_ratio = 0.0;
     for eps in [1e-6, 1e-5, 1e-4, 1e-3, 1e-2] {
-        let result = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
-        let rec = result.tucker.reconstruct();
+        let result = try_st_hosvd_ctx(
+            &ds.data,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        )
+        .unwrap();
+        let rec = result.tucker.reconstruct_ctx(ExecContext::global());
         let err = normalized_rms_error(&ds.data, &rec);
         let ratio = result.tucker.compression_ratio(&dims);
         print_row(

@@ -22,8 +22,13 @@ fn main() {
         let dims = ds.data.dims().to_vec();
         let mut series = Vec::new();
         for &eps in &epsilons {
-            let result = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
-            let rec = result.tucker.reconstruct();
+            let result = try_st_hosvd_ctx(
+                &ds.data,
+                &SthosvdOptions::with_tolerance(eps),
+                ExecContext::global(),
+            )
+            .unwrap();
+            let rec = result.tucker.reconstruct_ctx(ExecContext::global());
             let err = normalized_rms_error(&ds.data, &rec);
             let ratio = result.tucker.compression_ratio(&dims);
             series.push((err, ratio));

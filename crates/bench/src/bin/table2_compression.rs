@@ -10,7 +10,7 @@
 //! Run: `cargo run --release -p tucker-bench --bin table2_compression`
 
 use tucker_bench::{eng, print_header, print_row};
-use tucker_core::hooi::{hooi, HooiOptions};
+use tucker_core::hooi::{try_hooi_ctx, HooiOptions};
 use tucker_core::prelude::*;
 use tucker_scidata::DatasetPreset;
 use tucker_tensor::{max_abs_diff, normalized_rms_error};
@@ -36,13 +36,23 @@ fn main() {
         let ds = preset.generate(1, 2024);
         let dims = ds.data.dims().to_vec();
 
-        let st = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
-        let st_rec = st.tucker.reconstruct();
+        let st = try_st_hosvd_ctx(
+            &ds.data,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        )
+        .unwrap();
+        let st_rec = st.tucker.reconstruct_ctx(ExecContext::global());
         let st_err = normalized_rms_error(&ds.data, &st_rec);
         let st_max = max_abs_diff(&ds.data, &st_rec);
 
-        let ho = hooi(&ds.data, &HooiOptions::with_ranks(st.ranks.clone(), 2));
-        let ho_rec = ho.tucker.reconstruct();
+        let ho = try_hooi_ctx(
+            &ds.data,
+            &HooiOptions::with_ranks(st.ranks.clone(), 2),
+            ExecContext::global(),
+        )
+        .unwrap();
+        let ho_rec = ho.tucker.reconstruct_ctx(ExecContext::global());
         let ho_err = normalized_rms_error(&ds.data, &ho_rec);
         let ho_max = max_abs_diff(&ds.data, &ho_rec);
 

@@ -53,7 +53,12 @@ fn main() {
     for preset in DatasetPreset::all() {
         let ds = preset.generate(1, 2024);
         let dims = ds.data.dims().to_vec();
-        let result = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
+        let result = try_st_hosvd_ctx(
+            &ds.data,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        )
+        .unwrap();
         let model_ratio = result.tucker.compression_ratio(&dims);
 
         // A ~1% window: one third of every spatial mode, half of the rest.
@@ -159,7 +164,12 @@ fn main() {
     for preset in DatasetPreset::all() {
         let ds = preset.generate(1, 2024);
         let dims = ds.data.dims().to_vec();
-        let result = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
+        let result = try_st_hosvd_ctx(
+            &ds.data,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        )
+        .unwrap();
         let path = tmp.join(format!(
             "table3_pts_{}_{}.tkr",
             std::process::id(),

@@ -27,7 +27,7 @@
 //!   2-lane/4-lane ceiling and is not a stable gate.) Skipped with a
 //!   message when the detected tier is below AVX2.
 //! * **Blocked factorization speedup (hard, ISSUE 9):** the blocked
-//!   `householder_qr` and `sym_eig` must beat their **pinned pre-blocking
+//!   `householder_qr_ctx` and `sym_eig_ctx` must beat their **pinned pre-blocking
 //!   recurrences** (`householder_qr_unblocked` / `sym_eig_unblocked`) by
 //!   ≥2× at n = 512 on a single thread. This gate compares two algorithms
 //!   on the *same* tier, so it holds on any host, scalar included, and
@@ -45,16 +45,16 @@
 //! (set `TUCKER_TABLE4_SMOKE=1` for the quick CI shape).
 
 use tucker_bench::{print_header, print_row, timed};
-use tucker_core::st_hosvd_ctx;
 use tucker_core::sthosvd::SthosvdOptions;
+use tucker_core::try_st_hosvd_ctx;
 use tucker_exec::ExecContext;
 use tucker_linalg::blocking::{force_blocking, Blocking};
 use tucker_linalg::gemm::{gemm, gemm_slices_reference, Transpose};
 use tucker_linalg::simd::{detected_tier, force_tier, supported_tiers, SimdTier};
 use tucker_linalg::syrk::{syrk, syrk_slices_reference};
 use tucker_linalg::{
-    householder_qr, householder_qr_ctx, householder_qr_unblocked, jacobi_svd, jacobi_svd_ctx,
-    jacobi_svd_unblocked, sym_eig, sym_eig_ctx, sym_eig_unblocked, Matrix, QrFactors, Svd, SymEig,
+    householder_qr_ctx, householder_qr_unblocked, jacobi_svd_ctx, jacobi_svd_unblocked,
+    sym_eig_ctx, sym_eig_unblocked, Matrix, QrFactors, Svd, SymEig,
 };
 use tucker_obs::metrics::Counter;
 use tucker_tensor::{gram_ctx, ttm_ctx, DenseTensor, TtmTranspose};
@@ -167,7 +167,7 @@ fn main() {
             {
                 let f0 = kernel_flops();
                 let n = reps.min(2);
-                let (r, s) = best_of(n, || st_hosvd_ctx(&x, &opts, &ctx));
+                let (r, s) = best_of(n, || try_st_hosvd_ctx(&x, &opts, &ctx).unwrap());
                 (
                     r.tucker.core.into_vec(),
                     s,
@@ -405,8 +405,8 @@ fn svd_bits_eq(x: &Svd, y: &Svd) -> bool {
 }
 
 /// Blocked Level-3 factorization speedup vs the pinned pre-blocking
-/// recurrences (ISSUE 9). Hard ≥2× gate on `householder_qr` and `sym_eig`
-/// at n = 512; the blocked SVD is reported but not gated. Also re-checks
+/// recurrences. Hard ≥2× gate on `householder_qr_ctx` and
+/// `sym_eig_ctx` at n = 512; the blocked SVD is reported but not gated. Also re-checks
 /// that the factorization bits are invariant to the SIMD tier (every tier
 /// the host supports), to a shrunken `TUCKER_BLOCK` override, and to the
 /// pool thread count.
@@ -448,13 +448,17 @@ fn factorization_speedup_section(smoke: bool) {
 
     let blocked_reps = 2usize;
     let f0 = QR_FLOPS.value();
-    let (qr_blk, qr_s) = best_of(blocked_reps, || householder_qr(&a));
+    let (qr_blk, qr_s) = best_of(blocked_reps, || {
+        householder_qr_ctx(ExecContext::global(), &a)
+    });
     let qr_flops = (QR_FLOPS.value() - f0) / blocked_reps as u64;
     let f0 = EIG_FLOPS.value();
-    let (eig_blk, eig_s) = best_of(blocked_reps, || sym_eig(&g));
+    let (eig_blk, eig_s) = best_of(blocked_reps, || sym_eig_ctx(ExecContext::global(), &g));
     let eig_flops = (EIG_FLOPS.value() - f0) / blocked_reps as u64;
     let f0 = SVD_FLOPS.value();
-    let (svd_blk, svd_s) = best_of(blocked_reps, || jacobi_svd(&asvd));
+    let (svd_blk, svd_s) = best_of(blocked_reps, || {
+        jacobi_svd_ctx(ExecContext::global(), &asvd)
+    });
     let svd_flops = (SVD_FLOPS.value() - f0) / blocked_reps as u64;
 
     // Cross-configuration bit-identity: every supported tier, a shrunken
@@ -476,9 +480,9 @@ fn factorization_speedup_section(smoke: bool) {
         assert!(force_tier(tier), "cannot force supported tier");
         check(
             format!("tier {}", tier.name()),
-            &householder_qr(&a),
-            &sym_eig(&g),
-            &jacobi_svd(&asvd),
+            &householder_qr_ctx(ExecContext::global(), &a),
+            &sym_eig_ctx(ExecContext::global(), &g),
+            &jacobi_svd_ctx(ExecContext::global(), &asvd),
         );
     }
     force_tier(detected_tier());
@@ -489,9 +493,9 @@ fn factorization_speedup_section(smoke: bool) {
     });
     check(
         "TUCKER_BLOCK=16,16,16".to_string(),
-        &householder_qr(&a),
-        &sym_eig(&g),
-        &jacobi_svd(&asvd),
+        &householder_qr_ctx(ExecContext::global(), &a),
+        &sym_eig_ctx(ExecContext::global(), &g),
+        &jacobi_svd_ctx(ExecContext::global(), &asvd),
     );
     force_blocking(prev);
     let ctx4 = ExecContext::new(4);

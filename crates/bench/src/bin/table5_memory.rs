@@ -1,15 +1,15 @@
 //! Tab. V (this repo's extension) — peak-memory gate for the out-of-core
 //! pipeline.
 //!
-//! The whole point of `st_hosvd_streaming` + `compress_streaming` is that
+//! The whole point of `try_st_hosvd_streaming_ctx` + `compress_streaming` is that
 //! neither compression nor serialization ever holds the full tensor: peak
 //! memory is `O(slab + truncated tensor)` instead of `O(full tensor)` (the
-//! in-memory pipeline is ≥ 2× the tensor on its own — `st_hosvd` clones its
-//! input). This harness *measures* that claim with a tracking global
+//! in-memory pipeline holds the whole tensor plus its first TTM output).
+//! This harness *measures* that claim with a tracking global
 //! allocator and enforces it:
 //!
 //! * **in-memory**  — materialize the HCCI surrogate slab source, run
-//!   `st_hosvd_ctx`, `write_tucker` the result;
+//!   `try_st_hosvd_ctx`, `write_tucker` the result;
 //! * **streaming**  — run `compress_streaming` on the same slab source (the
 //!   field is generated slab by slab, never materialized);
 //! * **gate**       — the run **exits non-zero** unless the streaming peak
@@ -125,11 +125,11 @@ fn main() {
         mib(field_bytes),
     );
 
-    // In-memory pipeline: materialize → st_hosvd_ctx → write_tucker.
+    // In-memory pipeline: materialize → try_st_hosvd_ctx → write_tucker.
     let base = TrackingAlloc::reset_peak();
     let inmem_report = {
         let x = src.materialize();
-        let result = st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(eps), ctx);
+        let result = try_st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(eps), ctx).unwrap();
         write_tucker_ctx(
             &path_mem,
             &result.tucker,

@@ -421,7 +421,12 @@ fn main() {
     let mut total_chunks = 0usize;
     for (i, codec) in codecs.iter().enumerate() {
         let x = wavy(&dims, 0.3 + 0.7 * i as f64);
-        let r = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+        let r = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        )
+        .unwrap();
         let path = tmp.join(format!("table6_{pid}_{}.tkr", codec.name()));
         write_slab_chunked(&path, &r.tucker, *codec, eps);
         // Slab-per-chunk: the chunk inventory is the truncated last-mode rank.

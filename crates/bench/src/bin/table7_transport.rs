@@ -20,7 +20,7 @@
 //! Run: `TUCKER_RANKS=4 cargo run --release -p tucker-bench --bin table7_transport`
 
 use tucker_bench::{print_header, print_row};
-use tucker_core::dist::{dist_st_hosvd, DistTensor};
+use tucker_core::dist::{hybrid_ctx, try_dist_st_hosvd_ctx, DistTensor};
 use tucker_core::sthosvd::SthosvdOptions;
 use tucker_distmem::{Communicator, ProcGrid, SpmdHandle};
 use tucker_net::{env_ranks, spmd_transport, TransportKind};
@@ -70,7 +70,7 @@ fn structured_tensor(dims: &[usize]) -> DenseTensor {
     })
 }
 
-/// Runs dist_st_hosvd on `kind`, returning rank 0's artifact bytes (shipped
+/// Runs `try_dist_st_hosvd_ctx` on `kind`, returning rank 0's artifact bytes (shipped
 /// through the region result table, so the comparison below happens in the
 /// launcher *and* in every worker process identically).
 fn run_backend(
@@ -90,7 +90,7 @@ fn run_backend(
         exec_args,
         move |comm: Communicator| -> Vec<u8> {
             let dx = DistTensor::from_global(&comm, &x);
-            let r = dist_st_hosvd(&comm, &dx, &opts);
+            let r = try_dist_st_hosvd_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm)).unwrap();
             match r.tucker.gather_to_root(&comm) {
                 Some(t) => {
                     let path = std::env::temp_dir()

@@ -8,7 +8,7 @@
 //! return its kernel-timing breakdown.
 
 use std::time::Instant;
-use tucker_core::dist::{dist_st_hosvd, DistTensor, KernelTimings};
+use tucker_core::dist::{hybrid_ctx, try_dist_st_hosvd_ctx, DistTensor, KernelTimings};
 use tucker_core::sthosvd::SthosvdOptions;
 use tucker_distmem::{CostModel, MachineParams, ProcGrid, StatsSnapshot};
 use tucker_net::{spmd_transport, transport_from_env, TransportKind};
@@ -108,7 +108,8 @@ pub fn run_dist_sthosvd(
     let opts = opts.clone();
     let handle = spmd_transport(kind, "dist_sthosvd", grid, &exec_args, move |comm| {
         let dx = DistTensor::from_global(&comm, &data);
-        let result = dist_st_hosvd(&comm, &dx, &opts);
+        let result = try_dist_st_hosvd_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm))
+            .expect("valid distributed ST-HOSVD input");
         (result.ranks.clone(), result.timings.clone())
     });
     // Use the slowest rank's per-kernel breakdown (critical path).

@@ -5,25 +5,31 @@
 //! contiguous block of every mode given by [`ProcGrid::local_range`]. On top
 //! of it this module implements the paper's parallel kernels and drivers:
 //!
-//! * [`parallel_ttm`] — Alg. 3: local TTM against the owned slice of the
-//!   matrix, sum-reduction across the mode-`n` processor column, then
+//! * [`parallel_ttm_ctx`] — Alg. 3: local TTM against the owned slice of
+//!   the matrix, sum-reduction across the mode-`n` processor column, then
 //!   re-blocking of the shrunken mode.
-//! * [`parallel_gram`] — Alg. 4: a ring (shifted sendrecv) over the mode-`n`
-//!   processor column to build this rank's row block of `S = Y(n)·Y(n)ᵀ`,
-//!   followed by an all-reduce across the mode-`n` processor row. It runs on
-//!   the in-place `gram`/`gram_pair` kernels and moves blocks in their
-//!   natural layout.
-//! * [`parallel_evecs`] — Alg. 5: the Gram row blocks are all-gathered within
-//!   the processor column and the (small) `I_n × I_n` eigenproblem is solved
-//!   redundantly on every rank, which keeps the factor matrices replicated.
-//! * [`dist_st_hosvd`] / [`dist_hooi`] — the ST-HOSVD (Alg. 1) and HOOI
-//!   (Alg. 2) drivers. They are the only implementation of either algorithm:
-//!   the sequential [`crate::sthosvd::st_hosvd_ctx`] and
-//!   [`crate::hooi::hooi_ctx`] run them on [`Communicator::single_rank`], the
-//!   `1 × … × 1` world, over their input borrowed as its one block. There
-//!   every processor group has one member, so no kernel communicates and no
-//!   block is copied.
-//! * [`dist_reconstruct`] — distributed reconstruction `X̂ = G ×₁ U⁽¹⁾ ⋯ ×_N U⁽ᴺ⁾`.
+//! * [`parallel_gram_ctx`] — Alg. 4: a ring (shifted sendrecv) over the
+//!   mode-`n` processor column to build this rank's row block of
+//!   `S = Y(n)·Y(n)ᵀ`, followed by an all-reduce across the mode-`n`
+//!   processor row. It runs on the in-place `gram_ctx`/`gram_pair_ctx`
+//!   kernels and moves blocks in their natural layout.
+//! * Alg. 5, inside both drivers: the Gram row blocks are all-gathered
+//!   within the processor column and the (small) `I_n × I_n` eigenproblem is
+//!   solved redundantly on every rank, which keeps the factor matrices
+//!   replicated.
+//! * [`try_dist_st_hosvd_ctx`] / [`try_dist_hooi_ctx`] — the ST-HOSVD
+//!   (Alg. 1) and HOOI (Alg. 2) drivers. They are the only implementation of
+//!   either algorithm: the sequential [`crate::sthosvd::try_st_hosvd_ctx`]
+//!   and [`crate::hooi::try_hooi_ctx`] run them on
+//!   [`Communicator::single_rank`], the `1 × … × 1` world, over their input
+//!   borrowed as its one block. There every processor group has one member,
+//!   so no kernel communicates and no block is copied.
+//! * [`dist_reconstruct_ctx`] — distributed reconstruction
+//!   `X̂ = G ×₁ U⁽¹⁾ ⋯ ×_N U⁽ᴺ⁾`.
+//!
+//! Every kernel and driver takes the rank's execution context explicitly;
+//! [`hybrid_ctx`] is the even share of the global pool a rank uses when the
+//! caller has no other budget in mind.
 //!
 //! Factor matrices are small (`I_n × R_n`) and kept **replicated** on every
 //! rank, exactly as the paper stores them; only the tensor (and the core) is
@@ -39,7 +45,7 @@ use crate::validate::{self, CoreError};
 use tucker_distmem::collectives::{all_gather, all_reduce, reduce_scatter_blocks};
 use tucker_distmem::{Communicator, ProcGrid, SubCommunicator};
 use tucker_exec::{ExecContext, Workspace};
-use tucker_linalg::eig::{sym_eig_desc, SymEig};
+use tucker_linalg::eig::sym_eig_desc;
 use tucker_linalg::Matrix;
 use tucker_obs::metrics::Counter;
 use tucker_tensor::slice::insert_subtensor;
@@ -181,7 +187,7 @@ impl<'a> DistTensor<'a> {
     /// The drivers use it for the core only (HOOI's fit): the input's `‖X‖²`
     /// is the trace of the first processed mode's Gram, see
     /// [`try_dist_st_hosvd_ctx`].
-    pub fn global_norm_sq(&self, comm: &Communicator) -> f64 {
+    fn global_norm_sq(&self, comm: &Communicator) -> f64 {
         let group = SubCommunicator::world_group(comm);
         all_reduce(&group, &[self.local.norm_sq()])[0]
     }
@@ -221,11 +227,12 @@ impl DistTucker {
 /// scaling harnesses.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelTimings {
-    /// Seconds in [`parallel_gram`] (Alg. 4), indexed by mode.
+    /// Seconds in [`parallel_gram_ctx`] (Alg. 4), indexed by mode.
     pub gram: Vec<f64>,
-    /// Seconds in [`parallel_evecs`] (Alg. 5), indexed by mode.
+    /// Seconds assembling the Gram and solving its eigenproblem (Alg. 5),
+    /// indexed by mode.
     pub evecs: Vec<f64>,
-    /// Seconds in [`parallel_ttm`] (Alg. 3), indexed by mode.
+    /// Seconds in [`parallel_ttm_ctx`] (Alg. 3), indexed by mode.
     pub ttm: Vec<f64>,
     /// The per-rank thread budget the run executed with (hybrid
     /// ranks × threads accounting; 1 when no pool was used).
@@ -280,7 +287,7 @@ impl tucker_distmem::Wire for KernelTimings {
     }
 }
 
-/// Result of [`dist_st_hosvd`] on one rank.
+/// Result of [`try_dist_st_hosvd_ctx`] on one rank.
 #[derive(Debug, Clone)]
 pub struct DistSthosvdResult {
     /// The decomposition (distributed core, replicated factors).
@@ -301,7 +308,7 @@ pub struct DistSthosvdResult {
     pub timings: KernelTimings,
 }
 
-/// Result of [`dist_hooi`] on one rank.
+/// Result of [`try_dist_hooi_ctx`] on one rank.
 #[derive(Debug, Clone)]
 pub struct DistHooiResult {
     /// The refined decomposition (distributed core, replicated factors).
@@ -327,19 +334,10 @@ pub struct DistHooiResult {
 /// charges for Alg. 3 (an all-reduce would move twice that and then discard
 /// all but the owned block).
 ///
+/// The local TTM runs on `ctx`, this rank's share of the shared pool
+/// (hybrid ranks × threads).
+///
 /// [`CostModel::ttm`]: tucker_distmem::CostModel::ttm
-pub fn parallel_ttm(
-    comm: &Communicator,
-    y: &DistTensor,
-    v: &Matrix,
-    n: usize,
-    trans: TtmTranspose,
-) -> DistTensor<'static> {
-    parallel_ttm_ctx(comm, y, v, n, trans, &hybrid_ctx(comm))
-}
-
-/// [`parallel_ttm`] on an explicit per-rank execution context: the local TTM
-/// runs on this rank's share of the shared pool (hybrid ranks × threads).
 pub fn parallel_ttm_ctx(
     comm: &Communicator,
     y: &DistTensor,
@@ -456,12 +454,7 @@ fn parallel_ttm_ws(
 /// on the local block in place) and each received block goes through
 /// [`gram_pair_ctx`]. Both sum over the unfolding columns in ascending
 /// order, so on a grid that splits only mode `n` the rows equal those of
-/// the sequential `gram` bit for bit.
-pub fn parallel_gram(comm: &Communicator, y: &DistTensor, n: usize) -> Matrix {
-    parallel_gram_ctx(comm, y, n, &hybrid_ctx(comm))
-}
-
-/// [`parallel_gram`] on an explicit per-rank execution context.
+/// the sequential [`gram_ctx`] bit for bit. The local kernels run on `ctx`.
 pub fn parallel_gram_ctx(
     comm: &Communicator,
     y: &DistTensor,
@@ -529,21 +522,14 @@ fn place_columns(s: &mut Matrix, col_off: usize, block: &Matrix) {
     }
 }
 
-/// Parallel leading-eigenvector computation (Alg. 5).
-///
-/// The row blocks produced by [`parallel_gram`] are all-gathered within the
-/// mode-`n` processor column so every rank holds the full (small) `I_n × I_n`
-/// Gram matrix, and the symmetric eigenproblem is solved **redundantly** on
-/// every rank — the paper's choice, which keeps the factors replicated and
-/// costs `β·(P_n−1)/P_n·I_n²` words instead of a distributed eigensolver.
-pub fn parallel_evecs(comm: &Communicator, y: &DistTensor, n: usize, s_block: &Matrix) -> SymEig {
-    let s = assemble_gram(comm, y, n, s_block);
-    sym_eig_desc(&s)
-}
-
-/// All-gathers the per-rank row blocks of the mode-`n` Gram matrix into the
-/// full `I_n × I_n` matrix (identical on every rank of the processor column).
-pub fn assemble_gram(comm: &Communicator, y: &DistTensor, n: usize, s_block: &Matrix) -> Matrix {
+/// The communication half of the parallel leading-eigenvector computation
+/// (Alg. 5): all-gathers the per-rank row blocks of the mode-`n` Gram
+/// matrix from [`parallel_gram_ctx`] into the full `I_n × I_n` matrix,
+/// identical on every rank of the processor column. The drivers then solve
+/// the symmetric eigenproblem **redundantly** on every rank — the paper's
+/// choice, which keeps the factors replicated and costs
+/// `β·(P_n−1)/P_n·I_n²` words instead of a distributed eigensolver.
+fn assemble_gram(comm: &Communicator, y: &DistTensor, n: usize, s_block: &Matrix) -> Matrix {
     let in_total = y.global_dims()[n];
     let col_group = SubCommunicator::mode_column(comm, n);
     if col_group.size() == 1 {
@@ -574,35 +560,15 @@ pub(crate) fn on_one_rank<R>(
 /// selection → truncating TTM. Rank selection is driven by the global
 /// `‖X‖²`, taken as the trace of the first processed mode's assembled Gram
 /// (no separate pass over X, no extra collective), so every rank picks the
-/// same ranks.
+/// same ranks. The kernels run on `ctx`, this rank's execution context
+/// (hybrid ranks × threads; [`KernelTimings::thread_budget`] records the
+/// budget).
 ///
-/// # Panics
-/// Panics on structurally invalid input, with the message of
-/// [`crate::sthosvd::st_hosvd`]; use [`try_dist_st_hosvd_ctx`] for a
-/// [`CoreError`] instead.
-pub fn dist_st_hosvd(
-    comm: &Communicator,
-    x: &DistTensor,
-    opts: &SthosvdOptions,
-) -> DistSthosvdResult {
-    dist_st_hosvd_ctx(comm, x, opts, &hybrid_ctx(comm))
-}
-
-/// [`dist_st_hosvd`] on an explicit per-rank execution context (hybrid
-/// ranks × threads; [`KernelTimings::thread_budget`] records the budget).
-pub fn dist_st_hosvd_ctx(
-    comm: &Communicator,
-    x: &DistTensor,
-    opts: &SthosvdOptions,
-    ctx: &ExecContext,
-) -> DistSthosvdResult {
-    crate::valid_or_panic("st_hosvd", try_dist_st_hosvd_ctx(comm, x, opts, ctx))
-}
-
-/// Fallible [`dist_st_hosvd_ctx`]: validates the global shape, mode order,
-/// rank selection and processor grid, returning a [`CoreError`] instead of
-/// panicking. Every rank of the grid must call this (it is itself
-/// collective); on valid input the result is the same, bit for bit.
+/// Validates the global shape, mode order, rank selection and processor
+/// grid first, and refuses an input whose `‖X‖²` is not finite before the
+/// first eigensolve; each failure is a [`CoreError`], returned by every
+/// rank at the same step. Every rank of the grid must call this (it is
+/// itself collective).
 pub fn try_dist_st_hosvd_ctx(
     comm: &Communicator,
     x: &DistTensor,
@@ -662,6 +628,7 @@ pub fn try_dist_st_hosvd_ctx(
                 // The assembled Gram is bitwise the same on every rank (the
                 // redundant eigensolve relies on it), so is its trace.
                 norm_x_sq = s.trace();
+                validate::finite_norm(norm_x_sq)?;
             }
             let eig = sym_eig_desc(&s);
             timings.evecs[n] += t0.elapsed().as_secs_f64();
@@ -705,31 +672,28 @@ pub fn try_dist_st_hosvd_ctx(
     })
 }
 
-/// Distributed HOOI (Alg. 2 over Algs. 3–5), initialized with
-/// [`dist_st_hosvd`]. The fit `‖X‖² − ‖G‖²` is computed from globally
-/// reduced norms, so every rank makes the same convergence decision.
+/// [`try_dist_st_hosvd_ctx`] on [`hybrid_ctx`] that panics with the
+/// [`CoreError`]'s message instead of returning it.
 ///
-/// # Panics
-/// Panics on structurally invalid input, with the message of
-/// [`crate::hooi::hooi`]; use [`try_dist_hooi_ctx`] for a [`CoreError`]
-/// instead.
-pub fn dist_hooi(comm: &Communicator, x: &DistTensor, opts: &HooiOptions) -> DistHooiResult {
-    dist_hooi_ctx(comm, x, opts, &hybrid_ctx(comm))
-}
-
-/// [`dist_hooi`] on an explicit per-rank execution context.
-pub fn dist_hooi_ctx(
+/// Kept only because the end-to-end benchmark binary (`bench_e2e`), whose
+/// sources change only together with the benchmark definition, calls it by
+/// this name. Everything else calls [`try_dist_st_hosvd_ctx`].
+pub fn dist_st_hosvd(
     comm: &Communicator,
     x: &DistTensor,
-    opts: &HooiOptions,
-    ctx: &ExecContext,
-) -> DistHooiResult {
-    crate::valid_or_panic("hooi", try_dist_hooi_ctx(comm, x, opts, ctx))
+    opts: &SthosvdOptions,
+) -> DistSthosvdResult {
+    crate::valid_or_panic(
+        "st_hosvd",
+        try_dist_st_hosvd_ctx(comm, x, opts, &hybrid_ctx(comm)),
+    )
 }
 
-/// Fallible [`dist_hooi_ctx`]: validates like [`try_dist_st_hosvd_ctx`]
-/// (which is its initialization) and returns a [`CoreError`] instead of
-/// panicking.
+/// Distributed HOOI (Alg. 2 over Algs. 3–5), initialized with
+/// [`try_dist_st_hosvd_ctx`] on `ctx`. The fit `‖X‖² − ‖G‖²` is computed
+/// from globally reduced norms, so every rank makes the same convergence
+/// decision. Validates like its initialization and returns a [`CoreError`]
+/// instead of panicking.
 ///
 /// The TTM chain of every factor update runs through a [`Workspace`]: the
 /// shrinking intermediates of Alg. 2 line 5 ping-pong between recycled
@@ -782,7 +746,7 @@ pub fn try_dist_hooi_ctx(
             }
             let current = y.as_ref().unwrap_or(x);
             let s_block = parallel_gram_ctx(comm, current, n, ctx);
-            let eig = parallel_evecs(comm, current, n, &s_block);
+            let eig = sym_eig_desc(&assemble_gram(comm, current, n, &s_block));
             factors[n] = eig.leading_vectors(ranks[n]);
             // Line 9 (on the last mode): the current Y already has every
             // product but mode n's, so the new core is Y ×_n U⁽ⁿ⁾ᵀ.
@@ -825,13 +789,8 @@ pub fn try_dist_hooi_ctx(
 }
 
 /// Distributed reconstruction `X̂ = G ×₁ U⁽¹⁾ ⋯ ×_N U⁽ᴺ⁾`: a chain of
-/// parallel TTMs that grows the distributed core back to the original
-/// (distributed) dimensions.
-pub fn dist_reconstruct(comm: &Communicator, t: &DistTucker) -> DistTensor<'static> {
-    dist_reconstruct_ctx(comm, t, &hybrid_ctx(comm))
-}
-
-/// [`dist_reconstruct`] on an explicit per-rank execution context.
+/// parallel TTMs on `ctx` that grows the distributed core back to the
+/// original (distributed) dimensions.
 pub fn dist_reconstruct_ctx(
     comm: &Communicator,
     t: &DistTucker,
@@ -847,7 +806,7 @@ pub fn dist_reconstruct_ctx(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sthosvd::st_hosvd;
+    use crate::sthosvd::try_st_hosvd_ctx;
     use tucker_distmem::runtime::spmd_with_grid;
     use tucker_tensor::normalized_rms_error;
 
@@ -907,7 +866,14 @@ mod tests {
         let x = wavy(&dims);
         let results = spmd_with_grid(ProcGrid::new(&[2, 2, 1]), move |comm| {
             let dx = DistTensor::from_global(&comm, &x);
-            dist_st_hosvd(&comm, &dx, &SthosvdOptions::with_ranks(vec![3, 3, 3])).timings
+            try_dist_st_hosvd_ctx(
+                &comm,
+                &dx,
+                &SthosvdOptions::with_ranks(vec![3, 3, 3]),
+                &hybrid_ctx(&comm),
+            )
+            .unwrap()
+            .timings
         });
         for t in results {
             assert_eq!(t.gram.len(), 3);
@@ -919,15 +885,22 @@ mod tests {
 
     #[test]
     fn dist_reconstruct_matches_gathered_sequential_reconstruction() {
+        let ctx = ExecContext::global();
         let dims = [8usize, 7, 6];
         let x = wavy(&dims);
         let x2 = x.clone();
-        let seq = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![3, 3, 3]));
-        let seq_rec = seq.tucker.reconstruct();
+        let seq = try_st_hosvd_ctx(&x, &SthosvdOptions::with_ranks(vec![3, 3, 3]), ctx).unwrap();
+        let seq_rec = seq.tucker.reconstruct_ctx(ctx);
         let results = spmd_with_grid(ProcGrid::new(&[1, 2, 2]), move |comm| {
             let dx = DistTensor::from_global(&comm, &x2);
-            let r = dist_st_hosvd(&comm, &dx, &SthosvdOptions::with_ranks(vec![3, 3, 3]));
-            dist_reconstruct(&comm, &r.tucker).gather_to_root(&comm)
+            let r = try_dist_st_hosvd_ctx(
+                &comm,
+                &dx,
+                &SthosvdOptions::with_ranks(vec![3, 3, 3]),
+                &hybrid_ctx(&comm),
+            )
+            .unwrap();
+            dist_reconstruct_ctx(&comm, &r.tucker, &hybrid_ctx(&comm)).gather_to_root(&comm)
         });
         let rec = results[0].as_ref().expect("root gathers reconstruction");
         assert!(normalized_rms_error(&seq_rec, rec) < 1e-9);
@@ -936,17 +909,24 @@ mod tests {
     #[test]
     fn uneven_blocks_are_handled() {
         // 3 does not divide 7, and P_n exceeds the truncated rank in mode 1.
+        let ctx = ExecContext::global();
         let dims = [7usize, 5, 4];
         let x = wavy(&dims);
         let x2 = x.clone();
-        let seq = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![3, 2, 2]));
-        let seq_rec = seq.tucker.reconstruct();
+        let seq = try_st_hosvd_ctx(&x, &SthosvdOptions::with_ranks(vec![3, 2, 2]), ctx).unwrap();
+        let seq_rec = seq.tucker.reconstruct_ctx(ctx);
         let results = spmd_with_grid(ProcGrid::new(&[3, 3, 1]), move |comm| {
             let dx = DistTensor::from_global(&comm, &x2);
-            let r = dist_st_hosvd(&comm, &dx, &SthosvdOptions::with_ranks(vec![3, 2, 2]));
+            let r = try_dist_st_hosvd_ctx(
+                &comm,
+                &dx,
+                &SthosvdOptions::with_ranks(vec![3, 2, 2]),
+                &hybrid_ctx(&comm),
+            )
+            .unwrap();
             r.tucker.gather_to_root(&comm)
         });
-        let rec = results[0].as_ref().unwrap().reconstruct();
+        let rec = results[0].as_ref().unwrap().reconstruct_ctx(ctx);
         assert!(normalized_rms_error(&seq_rec, &rec) < 1e-8);
     }
 }

@@ -10,12 +10,12 @@
 //! * the rank vector implied by a tolerance ε, read off the error curves —
 //!   exactly how the paper annotates Fig. 6 with the `ε/√N` threshold line.
 
-use serde::{Deserialize, Serialize};
+use tucker_exec::ExecContext;
 use tucker_linalg::eig::sym_eig_desc;
-use tucker_tensor::{gram, DenseTensor};
+use tucker_tensor::{gram_ctx, DenseTensor};
 
 /// The mode-wise error curve of one tensor mode (one line of Fig. 6).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ModeErrorCurve {
     /// The mode this curve describes.
     pub mode: usize,
@@ -44,7 +44,7 @@ pub fn mode_wise_error_curves(x: &DenseTensor) -> Vec<ModeErrorCurve> {
     let norm = x.norm();
     (0..x.ndims())
         .map(|n| {
-            let s = gram(x, n);
+            let s = gram_ctx(ExecContext::global(), x, n);
             let eig = sym_eig_desc(&s);
             let eigenvalues: Vec<f64> = eig.values.iter().map(|&v| v.max(0.0)).collect();
             let tail_error = tail_errors(&eigenvalues, norm);
@@ -59,7 +59,7 @@ pub fn mode_wise_error_curves(x: &DenseTensor) -> Vec<ModeErrorCurve> {
 
 /// Converts descending eigenvalues into normalized tail errors
 /// `tail[r] = sqrt(Σ_{i ≥ r} λᵢ)/‖X‖` for `r = 0 … len`.
-pub fn tail_errors(eigenvalues_desc: &[f64], norm_x: f64) -> Vec<f64> {
+fn tail_errors(eigenvalues_desc: &[f64], norm_x: f64) -> Vec<f64> {
     let n = eigenvalues_desc.len();
     let mut tails = vec![0.0f64; n + 1];
     let mut acc = 0.0;
@@ -117,7 +117,7 @@ pub fn compression_ratio(original_dims: &[usize], ranks: &[usize]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sthosvd::{st_hosvd, SthosvdOptions};
+    use crate::sthosvd::{try_st_hosvd_ctx, SthosvdOptions};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tucker_tensor::normalized_rms_error;
@@ -157,13 +157,14 @@ mod tests {
 
     #[test]
     fn error_bound_dominates_actual_error() {
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(111);
         let x = random_tensor(&mut rng, &[9, 8, 7]);
         let curves = mode_wise_error_curves(&x);
         let ranks = vec![5, 4, 4];
         let bound = error_bound(&curves, &ranks, x.norm());
-        let st = st_hosvd(&x, &SthosvdOptions::with_ranks(ranks));
-        let err = normalized_rms_error(&x, &st.tucker.reconstruct());
+        let st = try_st_hosvd_ctx(&x, &SthosvdOptions::with_ranks(ranks), ctx).unwrap();
+        let err = normalized_rms_error(&x, &st.tucker.reconstruct_ctx(ctx));
         assert!(err <= bound + 1e-10, "error {err} exceeds bound {bound}");
     }
 
@@ -176,7 +177,12 @@ mod tests {
         let curves = mode_wise_error_curves(&x);
         let eps = 0.3;
         let curve_ranks = ranks_for_tolerance(&curves, eps);
-        let st = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+        let st = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        )
+        .unwrap();
         for (n, (&cr, &sr)) in curve_ranks.iter().zip(st.ranks.iter()).enumerate() {
             assert!(
                 sr <= cr + 1,

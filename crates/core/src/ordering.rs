@@ -11,10 +11,8 @@
 //! applies one TTM per mode, in any order, and the order decides how large
 //! the intermediates grow. [`window_order`] picks it for every window query.
 
-use serde::{Deserialize, Serialize};
-
 /// A strategy for choosing the ST-HOSVD mode-processing order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ModeOrder {
     /// Process modes `0, 1, …, N−1` as written in Alg. 1.
     Natural,

@@ -6,10 +6,8 @@
 //! maximum-rank caps are also supported (the performance experiments of
 //! Sec. VIII use fixed ranks).
 
-use serde::{Deserialize, Serialize};
-
 /// How the reduced dimensions `R_n` are chosen.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RankSelection {
     /// Use exactly these ranks (clamped to the mode sizes).
     Fixed(Vec<usize>),

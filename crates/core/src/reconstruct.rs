@@ -24,15 +24,10 @@ use tucker_tensor::{multi_ttm_ctx, DenseTensor, SubtensorSpec, TtmTranspose};
 /// The modes are contracted in [`window_order`]: narrow modes first when the
 /// window is mixed (a hyperslice), natural order otherwise. So a point-sized
 /// or full window is bit-identical to the same entries of
-/// [`TuckerTensor::reconstruct`], and a mixed one agrees with them within
+/// [`TuckerTensor::reconstruct_ctx`], and a mixed one agrees with them within
 /// [`window_roundoff_bound`]. Like the full reconstruction, a window whose
 /// order ends in growing modes `m..N−1` runs them as the fused expanding
 /// tail of [`multi_ttm_ctx`], tile by tile on `ctx` — same bits.
-pub fn reconstruct_subtensor(t: &TuckerTensor, spec: &SubtensorSpec) -> DenseTensor {
-    reconstruct_subtensor_ctx(t, spec, ExecContext::global())
-}
-
-/// [`reconstruct_subtensor`] on an explicit execution context.
 pub fn reconstruct_subtensor_ctx(
     t: &TuckerTensor,
     spec: &SubtensorSpec,
@@ -88,7 +83,11 @@ pub fn window_roundoff_bound(t: &TuckerTensor, spec: &SubtensorSpec) -> DenseTen
         .iter()
         .map(|u| Matrix::from_vec(u.rows(), u.cols(), abs(u.as_slice())))
         .collect();
-    let magnitude = reconstruct_subtensor(&TuckerTensor::new(core, factors), spec);
+    let magnitude = reconstruct_subtensor_ctx(
+        &TuckerTensor::new(core, factors),
+        spec,
+        ExecContext::global(),
+    );
     let k = t.ranks().iter().sum::<usize>() as f64;
     let gamma = k * f64::EPSILON / 2.0 / (1.0 - k * f64::EPSILON / 2.0);
     let scale = 2.0 * gamma / (1.0 - gamma);
@@ -101,7 +100,7 @@ pub fn window_roundoff_bound(t: &TuckerTensor, spec: &SubtensorSpec) -> DenseTen
 pub fn reconstruct_slice(t: &TuckerTensor, mode: usize, idx: usize) -> DenseTensor {
     let dims = t.original_dims();
     let spec = SubtensorSpec::all(&dims).restrict_mode(mode, vec![idx]);
-    reconstruct_subtensor(t, &spec)
+    reconstruct_subtensor_ctx(t, &spec, ExecContext::global())
 }
 
 /// Reconstructs a single element `X̃[idx]` by contracting the core against one
@@ -111,8 +110,8 @@ pub fn reconstruct_slice(t: &TuckerTensor, mode: usize, idx: usize) -> DenseTens
 /// Cost is `O(∏ R_n)` — it never touches the original dimensions, which is
 /// what makes random-access queries against a compressed artifact cheap
 /// (Sec. II-C of the paper; the `tucker-store` query engine is built on this).
-/// The value is bit-identical to the same entry of [`TuckerTensor::reconstruct`] and of
-/// the unit [`reconstruct_subtensor`] window at `idx` — and of any window that
+/// The value is bit-identical to the same entry of [`TuckerTensor::reconstruct_ctx`] and of
+/// the unit [`reconstruct_subtensor_ctx`] window at `idx` — and of any window that
 /// [`window_order`] contracts in natural order (see [`PointContraction`]).
 ///
 /// # Panics
@@ -292,13 +291,13 @@ pub fn reconstruct_coarse(t: &TuckerTensor, coarse_modes: &[usize], stride: usiz
         let indices: Vec<usize> = (0..dims[m]).step_by(stride).collect();
         spec = spec.restrict_mode(m, indices);
     }
-    reconstruct_subtensor(t, &spec)
+    reconstruct_subtensor_ctx(t, &spec, ExecContext::global())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sthosvd::{st_hosvd, SthosvdOptions};
+    use crate::sthosvd::{try_st_hosvd_ctx, SthosvdOptions};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tucker_tensor::extract_subtensor;
@@ -315,17 +314,23 @@ mod tests {
             }
             v + 0.01 * rng.gen_range(-1.0..1.0)
         });
-        let r = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+        let r = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        )
+        .unwrap();
         (x, r.tucker)
     }
 
     #[test]
     fn subtensor_matches_full_reconstruction() {
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(100);
         let (_, t) = compressed_random(&mut rng, &[12, 10, 8], 1e-6);
-        let full = t.reconstruct();
+        let full = t.reconstruct_ctx(ctx);
         let spec = SubtensorSpec::from_indices(vec![vec![0, 5, 11], vec![2, 3], vec![7]]);
-        let partial = reconstruct_subtensor(&t, &spec);
+        let partial = reconstruct_subtensor_ctx(&t, &spec, ctx);
         let expected = extract_subtensor(&full, &spec);
         assert_eq!(partial.dims(), expected.dims());
         for (a, b) in partial.as_slice().iter().zip(expected.as_slice()) {
@@ -337,7 +342,7 @@ mod tests {
     fn slice_reconstruction_matches_full() {
         let mut rng = StdRng::seed_from_u64(101);
         let (_, t) = compressed_random(&mut rng, &[9, 8, 7], 1e-6);
-        let full = t.reconstruct();
+        let full = t.reconstruct_ctx(ExecContext::global());
         let slice = reconstruct_slice(&t, 1, 3);
         assert_eq!(slice.dims(), &[9, 1, 7]);
         for i in 0..9 {
@@ -351,7 +356,7 @@ mod tests {
     fn coarse_reconstruction_strides_spatial_modes() {
         let mut rng = StdRng::seed_from_u64(102);
         let (_, t) = compressed_random(&mut rng, &[10, 10, 6], 1e-6);
-        let full = t.reconstruct();
+        let full = t.reconstruct_ctx(ExecContext::global());
         let coarse = reconstruct_coarse(&t, &[0, 1], 2);
         assert_eq!(coarse.dims(), &[5, 5, 6]);
         for i in 0..5 {
@@ -370,7 +375,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(103);
         let (x, t) = compressed_random(&mut rng, &[14, 12, 10], 1e-4);
         let spec = SubtensorSpec::from_ranges(&[(2, 5), (0, 12), (4, 3)]);
-        let approx = reconstruct_subtensor(&t, &spec);
+        let approx = reconstruct_subtensor_ctx(&t, &spec, ExecContext::global());
         let exact = extract_subtensor(&x, &spec);
         let err = tucker_tensor::relative_error(&exact, &approx);
         assert!(err < 1e-2, "partial reconstruction error too large: {err}");
@@ -380,7 +385,7 @@ mod tests {
     fn element_matches_full_reconstruction() {
         let mut rng = StdRng::seed_from_u64(105);
         let (_, t) = compressed_random(&mut rng, &[9, 7, 8], 1e-6);
-        let full = t.reconstruct();
+        let full = t.reconstruct_ctx(ExecContext::global());
         for idx in [[0usize, 0, 0], [8, 6, 7], [4, 3, 2], [1, 6, 0]] {
             let e = reconstruct_element(&t, &idx);
             assert!(
@@ -393,10 +398,11 @@ mod tests {
 
     #[test]
     fn element_equals_full_and_unit_window_bit_for_bit_for_any_core_split() {
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(107);
         for dims in [vec![9usize, 7, 8], vec![6, 5, 4, 7], vec![13, 11], vec![17]] {
             let (_, t) = compressed_random(&mut rng, &dims, 1e-6);
-            let full = t.reconstruct();
+            let full = t.reconstruct_ctx(ctx);
             let points: Vec<Vec<usize>> = (0..12)
                 .map(|_| dims.iter().map(|&d| rng.gen_range(0..d)).collect())
                 .collect();
@@ -409,7 +415,7 @@ mod tests {
                 assert_eq!(reconstruct_element(&t, p).to_bits(), want, "{dims:?} {p:?}");
                 assert_eq!(b.to_bits(), want, "batched {dims:?} {p:?}");
                 let unit: Vec<(usize, usize)> = p.iter().map(|&i| (i, 1)).collect();
-                let window = reconstruct_subtensor(&t, &SubtensorSpec::from_ranges(&unit));
+                let window = reconstruct_subtensor_ctx(&t, &SubtensorSpec::from_ranges(&unit), ctx);
                 assert_eq!(
                     window.as_slice()[0].to_bits(),
                     want,
@@ -456,6 +462,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(104);
         let (_, t) = compressed_random(&mut rng, &[6, 6, 6], 1e-3);
         let spec = SubtensorSpec::from_ranges(&[(0, 2), (0, 2)]);
-        reconstruct_subtensor(&t, &spec);
+        reconstruct_subtensor_ctx(&t, &spec, ExecContext::global());
     }
 }

@@ -6,7 +6,7 @@
 //! truncation of earlier modes makes later modes cheaper — the property the
 //! mode-ordering experiments (Fig. 8b) exploit.
 //!
-//! The algorithm itself lives once, in [`crate::dist`]: [`st_hosvd_ctx`]
+//! The algorithm itself lives once, in [`crate::dist`]: [`try_st_hosvd_ctx`]
 //! validates its input and runs [`crate::dist::try_dist_st_hosvd_ctx`] on the
 //! one-rank world, over the input borrowed as that world's only block. The
 //! input is therefore read in place: the first processed mode's Gram and TTM
@@ -20,12 +20,11 @@ use crate::ordering::ModeOrder;
 use crate::rank::RankSelection;
 use crate::tucker::TuckerTensor;
 use crate::validate::CoreError;
-use serde::{Deserialize, Serialize};
 use tucker_exec::ExecContext;
 use tucker_tensor::DenseTensor;
 
 /// Options controlling ST-HOSVD.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SthosvdOptions {
     /// How the reduced dimensions are chosen.
     pub rank: RankSelection,
@@ -104,30 +103,13 @@ impl SthosvdResult {
     }
 }
 
-/// Computes the ST-HOSVD of `x` (Alg. 1) on the global execution context.
+/// Computes the ST-HOSVD of `x` (Alg. 1) on `ctx`: the Gram and TTM kernels
+/// of every mode run on the context's share of the process pool. Results
+/// are bit-identical for every thread count (see `docs/ARCHITECTURE.md` §4).
 ///
-/// # Panics
-/// Panics on structurally invalid input (empty/zero-extent shape, fixed
-/// ranks exceeding the mode dims, a non-permutation custom order); use
-/// [`try_st_hosvd_ctx`] for a [`CoreError`] instead.
-pub fn st_hosvd(x: &DenseTensor, opts: &SthosvdOptions) -> SthosvdResult {
-    st_hosvd_ctx(x, opts, ExecContext::global())
-}
-
-/// [`st_hosvd`] on an explicit execution context: the Gram and TTM kernels of
-/// every mode run on the context's share of the process pool. Results are
-/// bit-identical for every thread count (see `docs/ARCHITECTURE.md` §4).
-///
-/// # Panics
-/// Panics on structurally invalid input; use [`try_st_hosvd_ctx`] for a
-/// [`CoreError`] instead.
-pub fn st_hosvd_ctx(x: &DenseTensor, opts: &SthosvdOptions, ctx: &ExecContext) -> SthosvdResult {
-    crate::valid_or_panic("st_hosvd", try_st_hosvd_ctx(x, opts, ctx))
-}
-
-/// Fallible [`st_hosvd_ctx`]: validates the input shape, mode order, and rank
-/// selection, returning a [`CoreError`] instead of panicking. On valid input
-/// the result is the same, bit for bit.
+/// Validates the input shape, mode order and rank selection first, and
+/// refuses an input whose `‖X‖²` is not finite (a NaN or infinite entry, or
+/// entries whose squares overflow); each failure is a [`CoreError`].
 pub fn try_st_hosvd_ctx(
     x: &DenseTensor,
     opts: &SthosvdOptions,
@@ -139,27 +121,38 @@ pub fn try_st_hosvd_ctx(
     .map(SthosvdResult::from_one_rank)
 }
 
+/// [`try_st_hosvd_ctx`] that panics with the [`CoreError`]'s message
+/// instead of returning it.
+///
+/// Kept only because the end-to-end benchmark binary (`bench_e2e`), whose
+/// sources change only together with the benchmark definition, calls it by
+/// this name. Everything else calls [`try_st_hosvd_ctx`].
+pub fn st_hosvd_ctx(x: &DenseTensor, opts: &SthosvdOptions, ctx: &ExecContext) -> SthosvdResult {
+    crate::valid_or_panic("st_hosvd", try_st_hosvd_ctx(x, opts, ctx))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use tucker_linalg::Matrix;
-    use tucker_tensor::{normalized_rms_error, ttm_chain, TtmTranspose};
+    use tucker_tensor::{normalized_rms_error, ttm_chain_ctx, TtmTranspose};
 
     /// Builds an exactly low-rank tensor: random core × random orthonormal factors.
     fn low_rank_tensor(rng: &mut StdRng, dims: &[usize], ranks: &[usize]) -> DenseTensor {
+        let ctx = ExecContext::global();
         let core = DenseTensor::from_fn(ranks, |_| rng.gen_range(-1.0..1.0));
         let factors: Vec<Matrix> = dims
             .iter()
             .zip(ranks.iter())
             .map(|(&d, &r)| {
                 let m = Matrix::from_fn(d, r, |_, _| rng.gen_range(-1.0..1.0));
-                tucker_linalg::qr::householder_qr(&m).q
+                tucker_linalg::qr::householder_qr_ctx(ctx, &m).q
             })
             .collect();
         let refs: Vec<&Matrix> = factors.iter().collect();
-        ttm_chain(&core, &refs, TtmTranspose::NoTranspose)
+        ttm_chain_ctx(ctx, &core, &refs, TtmTranspose::NoTranspose)
     }
 
     fn random_tensor(rng: &mut StdRng, dims: &[usize]) -> DenseTensor {
@@ -170,11 +163,12 @@ mod tests {
     fn exact_recovery_of_low_rank_tensor() {
         // Note: ε cannot be pushed to machine precision with the Gram-matrix
         // approach (the paper's Sec. II-B / IX caveat), so use 1e-6.
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(70);
         let x = low_rank_tensor(&mut rng, &[12, 10, 8], &[3, 4, 2]);
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-6));
+        let result = try_st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(1e-6), ctx).unwrap();
         assert_eq!(result.ranks, vec![3, 4, 2]);
-        let rec = result.tucker.reconstruct();
+        let rec = result.tucker.reconstruct_ctx(ctx);
         assert!(normalized_rms_error(&x, &rec) < 1e-6);
     }
 
@@ -182,7 +176,12 @@ mod tests {
     fn fixed_ranks_are_respected() {
         let mut rng = StdRng::seed_from_u64(71);
         let x = random_tensor(&mut rng, &[10, 9, 8]);
-        let result = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![4, 3, 2]));
+        let result = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_ranks(vec![4, 3, 2]),
+            ExecContext::global(),
+        )
+        .unwrap();
         assert_eq!(result.ranks, vec![4, 3, 2]);
         assert_eq!(result.tucker.core.dims(), &[4, 3, 2]);
         assert_eq!(result.tucker.factors[0].shape(), (10, 4));
@@ -192,11 +191,12 @@ mod tests {
     fn error_bound_holds_for_random_data() {
         // eq. (3): the actual reconstruction error is bounded by the bound
         // derived from discarded eigenvalues, and also by eps itself.
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(72);
         let x = random_tensor(&mut rng, &[12, 11, 10]);
         for eps in [0.5, 0.2, 0.05] {
-            let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
-            let rec = result.tucker.reconstruct();
+            let result = try_st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(eps), ctx).unwrap();
+            let rec = result.tucker.reconstruct_ctx(ctx);
             let err = normalized_rms_error(&x, &rec);
             assert!(
                 err <= result.error_bound() + 1e-10,
@@ -209,10 +209,11 @@ mod tests {
 
     #[test]
     fn tighter_tolerance_gives_larger_ranks() {
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(73);
         let x = random_tensor(&mut rng, &[14, 12, 10]);
-        let loose = st_hosvd(&x, &SthosvdOptions::with_tolerance(0.5));
-        let tight = st_hosvd(&x, &SthosvdOptions::with_tolerance(0.01));
+        let loose = try_st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(0.5), ctx).unwrap();
+        let tight = try_st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(0.01), ctx).unwrap();
         for n in 0..3 {
             assert!(tight.ranks[n] >= loose.ranks[n]);
         }
@@ -222,12 +223,18 @@ mod tests {
     fn factors_have_orthonormal_columns() {
         let mut rng = StdRng::seed_from_u64(74);
         let x = random_tensor(&mut rng, &[9, 8, 7]);
-        let result = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![4, 4, 4]));
+        let result = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_ranks(vec![4, 4, 4]),
+            ExecContext::global(),
+        )
+        .unwrap();
         assert!(result.tucker.factors_orthonormal(1e-8));
     }
 
     #[test]
     fn mode_order_does_not_change_exact_recovery() {
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(75);
         let x = low_rank_tensor(&mut rng, &[10, 8, 9], &[2, 3, 2]);
         for order in [
@@ -237,8 +244,8 @@ mod tests {
             ModeOrder::SmallestFirst,
         ] {
             let opts = SthosvdOptions::with_tolerance(1e-6).order(order);
-            let result = st_hosvd(&x, &opts);
-            let rec = result.tucker.reconstruct();
+            let result = try_st_hosvd_ctx(&x, &opts, ctx).unwrap();
+            let rec = result.tucker.reconstruct_ctx(ctx);
             assert!(normalized_rms_error(&x, &rec) < 1e-6);
             assert_eq!(result.ranks, vec![2, 3, 2]);
         }
@@ -248,7 +255,12 @@ mod tests {
     fn eigenvalues_are_recorded_per_mode() {
         let mut rng = StdRng::seed_from_u64(76);
         let x = random_tensor(&mut rng, &[6, 5, 4]);
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(0.1));
+        let result = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(0.1),
+            ExecContext::global(),
+        )
+        .unwrap();
         // The first processed mode sees the full tensor: its eigenvalues sum to ‖X‖².
         let first = result.processed_order[0];
         let sum: f64 = result.mode_eigenvalues[first].iter().sum();
@@ -264,7 +276,12 @@ mod tests {
         // and exactly bounded by it).
         let mut rng = StdRng::seed_from_u64(77);
         let x = random_tensor(&mut rng, &[8, 8, 8]);
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(0.3));
+        let result = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(0.3),
+            ExecContext::global(),
+        )
+        .unwrap();
         let lost = x.norm_sq() - result.tucker.core.norm_sq();
         assert!(lost >= -1e-9);
         assert!(lost <= result.discarded_energy + 1e-9 * x.norm_sq());
@@ -272,6 +289,7 @@ mod tests {
 
     #[test]
     fn compression_ratio_improves_with_looser_tolerance() {
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(78);
         // A tensor with decaying spectrum so tolerance actually changes ranks.
         let base = low_rank_tensor(&mut rng, &[16, 14, 12], &[5, 5, 5]);
@@ -281,8 +299,8 @@ mod tests {
         for (xi, ni) in x.as_mut_slice().iter_mut().zip(noise.as_slice()) {
             *xi += scale * ni;
         }
-        let loose = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-1));
-        let tight = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-6));
+        let loose = try_st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(1e-1), ctx).unwrap();
+        let tight = try_st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(1e-6), ctx).unwrap();
         assert!(
             loose.tucker.compression_ratio(x.dims()) >= tight.tucker.compression_ratio(x.dims())
         );

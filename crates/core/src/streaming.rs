@@ -1,6 +1,7 @@
 //! Out-of-core ST-HOSVD: the two-phase streaming driver.
 //!
-//! [`st_hosvd`](crate::sthosvd::st_hosvd) needs the full tensor resident
+//! [`try_st_hosvd_ctx`](crate::sthosvd::try_st_hosvd_ctx) needs the full
+//! tensor resident
 //! (it reads its input borrowed, without a copy, but all of it at once). This
 //! module computes the *identical* decomposition from a [`SlabSource`] that yields
 //! whole last-mode slabs on demand, so peak memory is
@@ -24,7 +25,7 @@
 //!
 //! **Bit-identity contract.** The output — factors, core, ranks,
 //! eigenvalues, discarded energy, error bound — is bit-identical to
-//! [`st_hosvd_ctx`](crate::sthosvd::st_hosvd_ctx) on the materialized tensor,
+//! [`try_st_hosvd_ctx`](crate::sthosvd::try_st_hosvd_ctx) on the materialized tensor,
 //! for every slab width and thread count. This rests on two kernel
 //! invariants (see `crates/tensor/src/stream.rs` and
 //! `docs/ARCHITECTURE.md` §6): non-last-mode TTM maps slabs to slabs
@@ -39,7 +40,6 @@ use crate::rank::discarded_tail;
 use crate::sthosvd::{SthosvdOptions, SthosvdResult};
 use crate::tucker::TuckerTensor;
 use crate::validate::{self, CoreError};
-use serde::{Deserialize, Serialize};
 use tucker_exec::ExecContext;
 use tucker_linalg::eig::sym_eig_desc;
 use tucker_linalg::Matrix;
@@ -50,7 +50,7 @@ use tucker_tensor::{
 
 /// Options of the streaming driver (everything algorithmic lives in
 /// [`SthosvdOptions`]; this only shapes the IO pattern).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingOptions {
     /// Last-mode steps per slab. Larger slabs amortize per-slab overhead at
     /// the cost of a proportionally larger resident buffer; the *results*
@@ -74,28 +74,36 @@ impl Default for StreamingOptions {
     }
 }
 
-/// Computes the ST-HOSVD of a slab source on the global execution context.
-/// See [`st_hosvd_streaming_ctx`].
-pub fn st_hosvd_streaming(
+/// Computes the ST-HOSVD of a slab source on `ctx`.
+///
+/// The result is **bit-identical** to
+/// [`try_st_hosvd_ctx`](crate::sthosvd::try_st_hosvd_ctx) on the
+/// materialized tensor for every slab width and thread count (see the
+/// module docs for why).
+///
+/// Validates the source shape, the mode order and the rank selection
+/// first. The source needs at least two modes, and the resolved order must
+/// process the streaming (last) mode last: the last mode's Gram couples
+/// every pair of slabs, so it can only be processed once the others have
+/// shrunk the tensor into memory (`ModeOrder::Natural` always does). A
+/// source whose `‖X‖²` is not finite is refused after the first sweep,
+/// before any eigensolve. Each failure is a [`CoreError`].
+pub fn try_st_hosvd_streaming_ctx(
     src: &impl SlabSource,
     opts: &SthosvdOptions,
     stream: &StreamingOptions,
-) -> SthosvdResult {
-    st_hosvd_streaming_ctx(src, opts, stream, ExecContext::global())
+    ctx: &ExecContext,
+) -> Result<SthosvdResult, CoreError> {
+    validate::validate_streaming_inputs(src.dims(), opts)?;
+    st_hosvd_streaming_unchecked(src, opts, stream, ctx)
 }
 
-/// [`st_hosvd_streaming`] on an explicit execution context.
+/// [`try_st_hosvd_streaming_ctx`] that panics with the [`CoreError`]'s
+/// message instead of returning it.
 ///
-/// The result is **bit-identical** to
-/// [`st_hosvd_ctx`](crate::sthosvd::st_hosvd_ctx) on the materialized tensor
-/// for every slab width and thread count (see the module docs for why).
-///
-/// # Panics
-/// Panics if the source has fewer than two modes, or if the resolved mode
-/// order does not process the streaming (last) mode last — the last mode's
-/// Gram couples every pair of slabs, so it can only be processed once the
-/// others have shrunk the tensor into memory. `ModeOrder::Natural` always
-/// satisfies this.
+/// Kept only because the end-to-end benchmark binary (`bench_e2e`), whose
+/// sources change only together with the benchmark definition, calls it by
+/// this name. Everything else calls [`try_st_hosvd_streaming_ctx`].
 pub fn st_hosvd_streaming_ctx(
     src: &impl SlabSource,
     opts: &SthosvdOptions,
@@ -108,27 +116,13 @@ pub fn st_hosvd_streaming_ctx(
     )
 }
 
-/// Fallible [`st_hosvd_streaming_ctx`]: validates the source shape, mode
-/// order (which must process the streaming mode last), and rank selection,
-/// returning a [`CoreError`] instead of panicking. On valid input the result
-/// is the same, bit for bit.
-pub fn try_st_hosvd_streaming_ctx(
-    src: &impl SlabSource,
-    opts: &SthosvdOptions,
-    stream: &StreamingOptions,
-    ctx: &ExecContext,
-) -> Result<SthosvdResult, CoreError> {
-    validate::validate_streaming_inputs(src.dims(), opts)?;
-    Ok(st_hosvd_streaming_unchecked(src, opts, stream, ctx))
-}
-
 /// The two-phase streaming kernel itself; inputs have been validated.
 fn st_hosvd_streaming_unchecked(
     src: &impl SlabSource,
     opts: &SthosvdOptions,
     stream: &StreamingOptions,
     ctx: &ExecContext,
-) -> SthosvdResult {
+) -> Result<SthosvdResult, CoreError> {
     let dims = src.dims().to_vec();
     let nmodes = dims.len();
     let _span = tucker_obs::span!(
@@ -189,6 +183,7 @@ fn st_hosvd_streaming_unchecked(
         }
         if step == 0 {
             norm_x_sq = s.trace();
+            validate::finite_norm(norm_x_sq)?;
         }
         let eig = sym_eig_desc(&s);
         let r = opts.rank.select(n, &eig.values, norm_x_sq, nmodes);
@@ -233,14 +228,14 @@ fn st_hosvd_streaming_unchecked(
         .into_iter()
         .map(|f| f.expect("every mode was processed"))
         .collect();
-    SthosvdResult {
+    Ok(SthosvdResult {
         tucker: TuckerTensor::new(core, factors),
         ranks,
         mode_eigenvalues,
         discarded_energy,
         norm_x_sq,
         processed_order: order,
-    }
+    })
 }
 
 /// Applies every already-found factor (transposed, in processing order) to a
@@ -276,7 +271,8 @@ fn shrink_slab(
 mod tests {
     use super::*;
     use crate::ordering::ModeOrder;
-    use crate::sthosvd::st_hosvd_ctx;
+    use crate::sthosvd::try_st_hosvd_ctx;
+    use crate::validate::ShapeError;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -301,14 +297,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(90);
         let x = random_tensor(&mut rng, &[9, 7, 8, 6]);
         let opts = SthosvdOptions::with_tolerance(0.2);
-        let baseline = st_hosvd_ctx(&x, &opts, &ExecContext::new(1));
+        let baseline = try_st_hosvd_ctx(&x, &opts, &ExecContext::new(1)).unwrap();
         for w in [1usize, 3, 6] {
-            let r = st_hosvd_streaming_ctx(
+            let r = try_st_hosvd_streaming_ctx(
                 &x,
                 &opts,
                 &StreamingOptions::with_slab_width(w),
                 &ExecContext::new(1),
-            );
+            )
+            .unwrap();
             assert_results_bit_identical(&r, &baseline);
         }
     }
@@ -319,8 +316,8 @@ mod tests {
         let x = random_tensor(&mut rng, &[10, 9, 7]);
         let opts = SthosvdOptions::with_ranks(vec![4, 3, 2]);
         let ctx = ExecContext::new(4);
-        let baseline = st_hosvd_ctx(&x, &opts, &ctx);
-        let r = st_hosvd_streaming_ctx(&x, &opts, &StreamingOptions::default(), &ctx);
+        let baseline = try_st_hosvd_ctx(&x, &opts, &ctx).unwrap();
+        let r = try_st_hosvd_streaming_ctx(&x, &opts, &StreamingOptions::default(), &ctx).unwrap();
         assert_results_bit_identical(&r, &baseline);
     }
 
@@ -329,32 +326,50 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(92);
         let x = random_tensor(&mut rng, &[6, 7, 5]);
         let opts = SthosvdOptions::with_tolerance(0.3).order(ModeOrder::Custom(vec![1, 0, 2]));
-        let baseline = st_hosvd_ctx(&x, &opts, &ExecContext::new(1));
-        let r = st_hosvd_streaming_ctx(
+        let baseline = try_st_hosvd_ctx(&x, &opts, &ExecContext::new(1)).unwrap();
+        let r = try_st_hosvd_streaming_ctx(
             &x,
             &opts,
             &StreamingOptions::with_slab_width(2),
             &ExecContext::new(1),
-        );
+        )
+        .unwrap();
         assert_results_bit_identical(&r, &baseline);
     }
 
     #[test]
-    #[should_panic]
-    fn order_not_ending_in_streaming_mode_panics() {
+    fn order_not_ending_in_streaming_mode_is_a_shape_error() {
         let x = DenseTensor::zeros(&[4, 4, 4]);
         let opts = SthosvdOptions::with_tolerance(0.1).order(ModeOrder::Custom(vec![2, 1, 0]));
-        st_hosvd_streaming(&x, &opts, &StreamingOptions::default());
+        let err = try_st_hosvd_streaming_ctx(
+            &x,
+            &opts,
+            &StreamingOptions::default(),
+            ExecContext::global(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::Shape(ShapeError::StreamingOrderNotLast {
+                order: vec![2, 1, 0],
+                last: 2
+            })
+        );
     }
 
     #[test]
-    #[should_panic]
-    fn one_way_tensor_panics() {
+    fn one_way_tensor_is_a_shape_error() {
         let x = DenseTensor::zeros(&[4]);
-        st_hosvd_streaming(
+        let err = try_st_hosvd_streaming_ctx(
             &x,
             &SthosvdOptions::with_tolerance(0.1),
             &StreamingOptions::default(),
+            ExecContext::global(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            CoreError::Shape(ShapeError::TooFewModes { need: 2, got: 1 })
         );
     }
 }

@@ -10,9 +10,10 @@
 
 use crate::rank::{discarded_tail, RankSelection};
 use crate::tucker::TuckerTensor;
+use tucker_exec::ExecContext;
 use tucker_linalg::eig::sym_eig_desc;
 use tucker_linalg::Matrix;
-use tucker_tensor::{gram, multi_ttm, DenseTensor, TtmTranspose};
+use tucker_tensor::{gram_ctx, multi_ttm_ctx, DenseTensor, TtmTranspose};
 
 /// Result of a T-HOSVD computation.
 #[derive(Debug, Clone)]
@@ -54,7 +55,7 @@ pub fn t_hosvd(x: &DenseTensor, rank: &RankSelection) -> ThosvdResult {
 
     // Every factor comes from the original tensor.
     for n in 0..nmodes {
-        let s = gram(x, n);
+        let s = gram_ctx(ExecContext::global(), x, n);
         if n == 0 {
             norm_x_sq = s.trace();
         }
@@ -69,7 +70,13 @@ pub fn t_hosvd(x: &DenseTensor, rank: &RankSelection) -> ThosvdResult {
     // Core: G = X ×₁ U⁽¹⁾ᵀ ⋯ ×_N U⁽ᴺ⁾ᵀ.
     let opts: Vec<Option<&Matrix>> = factors.iter().map(Some).collect();
     let order: Vec<usize> = (0..nmodes).collect();
-    let core = multi_ttm(x, &opts, TtmTranspose::Transpose, &order);
+    let core = multi_ttm_ctx(
+        ExecContext::global(),
+        x,
+        &opts,
+        TtmTranspose::Transpose,
+        &order,
+    );
 
     ThosvdResult {
         tucker: TuckerTensor::new(core, factors),
@@ -83,27 +90,28 @@ pub fn t_hosvd(x: &DenseTensor, rank: &RankSelection) -> ThosvdResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sthosvd::{st_hosvd, SthosvdOptions};
+    use crate::sthosvd::{try_st_hosvd_ctx, SthosvdOptions};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use tucker_tensor::{normalized_rms_error, ttm_chain};
+    use tucker_tensor::{normalized_rms_error, ttm_chain_ctx};
 
     fn random_tensor(rng: &mut StdRng, dims: &[usize]) -> DenseTensor {
         DenseTensor::from_fn(dims, |_| rng.gen_range(-1.0..1.0))
     }
 
     fn low_rank_tensor(rng: &mut StdRng, dims: &[usize], ranks: &[usize]) -> DenseTensor {
+        let ctx = ExecContext::global();
         let core = DenseTensor::from_fn(ranks, |_| rng.gen_range(-1.0..1.0));
         let factors: Vec<Matrix> = dims
             .iter()
             .zip(ranks.iter())
             .map(|(&d, &r)| {
                 let m = Matrix::from_fn(d, r, |_, _| rng.gen_range(-1.0..1.0));
-                tucker_linalg::qr::householder_qr(&m).q
+                tucker_linalg::qr::householder_qr_ctx(ctx, &m).q
             })
             .collect();
         let refs: Vec<&Matrix> = factors.iter().collect();
-        ttm_chain(&core, &refs, TtmTranspose::NoTranspose)
+        ttm_chain_ctx(ctx, &core, &refs, TtmTranspose::NoTranspose)
     }
 
     #[test]
@@ -112,7 +120,7 @@ mod tests {
         let x = low_rank_tensor(&mut rng, &[10, 9, 8], &[3, 2, 4]);
         let result = t_hosvd(&x, &RankSelection::Tolerance(1e-6));
         assert_eq!(result.ranks, vec![3, 2, 4]);
-        let rec = result.tucker.reconstruct();
+        let rec = result.tucker.reconstruct_ctx(ExecContext::global());
         assert!(normalized_rms_error(&x, &rec) < 1e-6);
     }
 
@@ -122,7 +130,7 @@ mod tests {
         let x = random_tensor(&mut rng, &[10, 10, 10]);
         for eps in [0.6, 0.3, 0.1] {
             let result = t_hosvd(&x, &RankSelection::Tolerance(eps));
-            let rec = result.tucker.reconstruct();
+            let rec = result.tucker.reconstruct_ctx(ExecContext::global());
             let err = normalized_rms_error(&x, &rec);
             assert!(err <= result.error_bound() + 1e-10);
             assert!(err <= eps + 1e-10);
@@ -133,12 +141,13 @@ mod tests {
     fn sthosvd_error_not_worse_than_thosvd_bound() {
         // The paper (Sec. VII-B) notes the ST-HOSVD error is bounded above by
         // the T-HOSVD bound when using the same ranks.
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(82);
         let x = random_tensor(&mut rng, &[9, 9, 9]);
         let th = t_hosvd(&x, &RankSelection::Fixed(vec![4, 4, 4]));
-        let st = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![4, 4, 4]));
-        let th_err = normalized_rms_error(&x, &th.tucker.reconstruct());
-        let st_err = normalized_rms_error(&x, &st.tucker.reconstruct());
+        let st = try_st_hosvd_ctx(&x, &SthosvdOptions::with_ranks(vec![4, 4, 4]), ctx).unwrap();
+        let th_err = normalized_rms_error(&x, &th.tucker.reconstruct_ctx(ctx));
+        let st_err = normalized_rms_error(&x, &st.tucker.reconstruct_ctx(ctx));
         assert!(st_err <= th.error_bound() + 1e-10);
         // Both are valid approximations of comparable quality.
         assert!(th_err < 1.0 && st_err < 1.0);
@@ -160,7 +169,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(84);
         let x = random_tensor(&mut rng, &[5, 6, 4]);
         let result = t_hosvd(&x, &RankSelection::Fixed(vec![5, 6, 4]));
-        let rec = result.tucker.reconstruct();
+        let rec = result.tucker.reconstruct_ctx(ExecContext::global());
         assert!(normalized_rms_error(&x, &rec) < 1e-10);
         assert!((result.error_bound()).abs() < 1e-7);
     }

@@ -1,6 +1,5 @@
 //! The Tucker tensor: a core tensor plus one factor matrix per mode.
 
-use serde::{Deserialize, Serialize};
 use tucker_linalg::Matrix;
 use tucker_tensor::{DenseTensor, TtmTranspose};
 
@@ -8,7 +7,7 @@ use tucker_tensor::{DenseTensor, TtmTranspose};
 ///
 /// `core` has dimensions `R_1 × … × R_N` and `factors[n]` is `I_n × R_n` with
 /// (approximately) orthonormal columns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TuckerTensor {
     /// The core tensor `G`.
     pub core: DenseTensor,
@@ -71,7 +70,8 @@ impl TuckerTensor {
         full / self.storage() as f64
     }
 
-    /// Reconstructs the full tensor `X̃ = G × {U⁽ⁿ⁾}` (eq. (1) of the paper).
+    /// Reconstructs the full tensor `X̃ = G × {U⁽ⁿ⁾}` (eq. (1) of the paper)
+    /// on `ctx`.
     ///
     /// The products run in natural mode order ([`tucker_tensor::ttm_chain_ctx`]).
     /// The trailing modes whose factors grow them form the chain's fused
@@ -79,11 +79,6 @@ impl TuckerTensor {
     /// buffers, so their intermediates are never formed and each output
     /// element is written once. The bits are those of applying the
     /// products one by one.
-    pub fn reconstruct(&self) -> DenseTensor {
-        self.reconstruct_ctx(tucker_exec::ExecContext::global())
-    }
-
-    /// [`TuckerTensor::reconstruct`] on an explicit execution context.
     pub fn reconstruct_ctx(&self, ctx: &tucker_exec::ExecContext) -> DenseTensor {
         let refs: Vec<&Matrix> = self.factors.iter().collect();
         tucker_tensor::ttm_chain_ctx(ctx, &self.core, &refs, TtmTranspose::NoTranspose)
@@ -105,6 +100,7 @@ impl TuckerTensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tucker_exec::ExecContext;
 
     fn small_tucker() -> TuckerTensor {
         // Core 2x2, factors 4x2 and 3x2 (orthonormal columns from identity blocks).
@@ -133,7 +129,7 @@ mod tests {
     #[test]
     fn reconstruction_embeds_core() {
         let t = small_tucker();
-        let x = t.reconstruct();
+        let x = t.reconstruct_ctx(ExecContext::global());
         assert_eq!(x.dims(), &[4, 3]);
         // With identity-block factors, the top-left 2x2 of X is the core.
         assert_eq!(x.get(&[0, 0]), t.core.get(&[0, 0]));
@@ -144,7 +140,7 @@ mod tests {
     #[test]
     fn core_norm_equals_reconstruction_norm_for_orthonormal_factors() {
         let t = small_tucker();
-        let x = t.reconstruct();
+        let x = t.reconstruct_ctx(ExecContext::global());
         assert!((t.core_norm() - x.norm()).abs() < 1e-12);
         assert!(t.factors_orthonormal(1e-12));
     }

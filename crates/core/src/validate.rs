@@ -6,10 +6,12 @@
 //! *before* touching a kernel, so malformed input (an empty shape, a
 //! zero-length mode, fixed ranks exceeding the mode dimensions, a mode order
 //! that is not a permutation, a processor grid finer than the tensor)
-//! surfaces as a [`CoreError`] instead of a panic deep inside a GEMM. The
-//! panicking names (`st_hosvd`, `dist_st_hosvd`, `hooi`, …) are thin
-//! wrappers over the `try_*` forms that panic with the same diagnostic, so
-//! the two surfaces can never drift apart.
+//! surfaces as a [`CoreError`] instead of a panic deep inside a GEMM. Input
+//! whose `‖X‖²` is not finite is refused as [`CoreError::NonFinite`] once
+//! the first Gram has measured it, before any eigensolve. The three
+//! panicking names the benchmark binary keeps (`st_hosvd_ctx`,
+//! `st_hosvd_streaming_ctx`, `dist_st_hosvd`) unwrap the `try_*` forms with
+//! the same diagnostic, so the two surfaces can never drift apart.
 //!
 //! This module is covered by the CI panic-grep gate: no `panic!`, `unwrap`,
 //! `expect`, or `assert` may appear here — every failure is a returned value.
@@ -170,6 +172,14 @@ pub enum CoreError {
     Shape(ShapeError),
     /// The rank selection or tolerance is invalid.
     Rank(RankError),
+    /// `‖X‖²` of the input is NaN or infinite: the tensor holds a NaN or an
+    /// infinite entry, or entries whose squares overflow. Refused before the
+    /// first eigensolve, on every rank at the same step (the Gram whose
+    /// trace is `‖X‖²` is bitwise the same on every rank).
+    NonFinite {
+        /// The trace of the first processed mode's Gram.
+        norm_x_sq: f64,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -177,6 +187,11 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::Shape(e) => write!(f, "{e}"),
             CoreError::Rank(e) => write!(f, "{e}"),
+            CoreError::NonFinite { norm_x_sq } => write!(
+                f,
+                "the input's squared norm is {norm_x_sq}: it holds a NaN or an \
+                 infinite entry, or entries whose squares overflow"
+            ),
         }
     }
 }
@@ -186,6 +201,7 @@ impl std::error::Error for CoreError {
         match self {
             CoreError::Shape(e) => Some(e),
             CoreError::Rank(e) => Some(e),
+            CoreError::NonFinite { .. } => None,
         }
     }
 }
@@ -218,7 +234,7 @@ pub fn validate_shape(dims: &[usize]) -> Result<(), ShapeError> {
 
 /// Validates a [`ModeOrder`] against the number of modes (a custom order
 /// must be a permutation of `0..ndims`; every strategy is fine).
-pub fn validate_mode_order(order: &ModeOrder, ndims: usize) -> Result<(), ShapeError> {
+fn validate_mode_order(order: &ModeOrder, ndims: usize) -> Result<(), ShapeError> {
     if let ModeOrder::Custom(order) = order {
         let mut seen = vec![false; ndims];
         if order.len() != ndims {
@@ -244,7 +260,7 @@ pub fn validate_mode_order(order: &ModeOrder, ndims: usize) -> Result<(), ShapeE
 /// name one positive rank per mode, none exceeding the mode's extent;
 /// tolerances must be finite and non-negative; caps must be positive and
 /// cover every mode.
-pub fn validate_rank_selection(sel: &RankSelection, dims: &[usize]) -> Result<(), RankError> {
+fn validate_rank_selection(sel: &RankSelection, dims: &[usize]) -> Result<(), RankError> {
     let check_eps = |eps: f64| -> Result<(), RankError> {
         if !eps.is_finite() || eps < 0.0 {
             return Err(RankError::BadTolerance { eps });
@@ -309,6 +325,16 @@ pub fn validate_grid(dims: &[usize], grid_dims: &[usize]) -> Result<(), ShapeErr
         }
     }
     Ok(())
+}
+
+/// Refuses a non-finite `‖X‖²` (the drivers' rank selection divides by it,
+/// and the eigensolver cannot order NaN eigenvalues).
+pub(crate) fn finite_norm(norm_x_sq: f64) -> Result<(), CoreError> {
+    if norm_x_sq.is_finite() {
+        Ok(())
+    } else {
+        Err(CoreError::NonFinite { norm_x_sq })
+    }
 }
 
 /// The rank hint the drivers feed to greedy mode orderings: the fixed ranks

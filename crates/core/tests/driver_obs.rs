@@ -7,11 +7,12 @@
 //! The trace sink and the counters are process-wide, so this binary holds a
 //! single test.
 
-use tucker_core::dist::{dist_hooi, dist_st_hosvd, DistTensor};
-use tucker_core::hooi::{hooi, HooiOptions};
-use tucker_core::sthosvd::{st_hosvd, SthosvdOptions};
+use tucker_core::dist::{hybrid_ctx, try_dist_hooi_ctx, try_dist_st_hosvd_ctx, DistTensor};
+use tucker_core::hooi::{try_hooi_ctx, HooiOptions};
+use tucker_core::sthosvd::{try_st_hosvd_ctx, SthosvdOptions};
 use tucker_distmem::runtime::spmd_with_grid;
 use tucker_distmem::ProcGrid;
+use tucker_exec::ExecContext;
 use tucker_obs::metrics::Counter;
 use tucker_tensor::DenseTensor;
 
@@ -20,6 +21,7 @@ static ITERATIONS: Counter = Counter::new("core.hooi.iterations");
 
 #[test]
 fn drivers_open_one_span_family_and_count_once_per_rank() {
+    let ctx = ExecContext::global();
     let x = DenseTensor::from_fn(&[9, 8, 7], |idx| {
         idx.iter()
             .enumerate()
@@ -40,12 +42,12 @@ fn drivers_open_one_span_family_and_count_once_per_rank() {
 
     // One rank, then two: one ST-HOSVD run and one HOOI run (plus its
     // ST-HOSVD initialization) on each rank.
-    st_hosvd(&x, &sth);
-    hooi(&x, &hooi_opts);
+    try_st_hosvd_ctx(&x, &sth, ctx).unwrap();
+    try_hooi_ctx(&x, &hooi_opts, ctx).unwrap();
     spmd_with_grid(ProcGrid::new(&[2, 1, 1]), |comm| {
         let dx = DistTensor::from_global(&comm, &x);
-        dist_st_hosvd(&comm, &dx, &sth);
-        dist_hooi(&comm, &dx, &hooi_opts);
+        try_dist_st_hosvd_ctx(&comm, &dx, &sth, &hybrid_ctx(&comm)).unwrap();
+        try_dist_hooi_ctx(&comm, &dx, &hooi_opts, &hybrid_ctx(&comm)).unwrap();
     });
 
     let (runs, iterations) = (RUNS.value() - runs0, ITERATIONS.value() - iterations0);

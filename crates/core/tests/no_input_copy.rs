@@ -1,6 +1,6 @@
 //! ST-HOSVD and HOOI read their input in place. A counting global allocator
-//! records the largest single allocation made while `st_hosvd_ctx`,
-//! `hooi_ctx` or the distributed driver on a 1×…×1 grid runs, and it must
+//! records the largest single allocation made while `try_st_hosvd_ctx`,
+//! `try_hooi_ctx` or the distributed driver on a 1×…×1 grid runs, and it must
 //! stay below the size of the input: every Gram and TTM that touches the
 //! input reads the borrowed tensor, and only already-shrunk tensors are ever
 //! owned.
@@ -15,10 +15,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
-use tucker_core::dist::{dist_st_hosvd_ctx, DistTensor};
-use tucker_core::hooi::{hooi_ctx, HooiOptions};
+use tucker_core::dist::{try_dist_st_hosvd_ctx, DistTensor};
+use tucker_core::hooi::{try_hooi_ctx, HooiOptions};
 use tucker_core::ordering::ModeOrder;
-use tucker_core::sthosvd::{st_hosvd_ctx, SthosvdOptions};
+use tucker_core::sthosvd::{try_st_hosvd_ctx, SthosvdOptions};
 use tucker_core::TuckerTensor;
 use tucker_distmem::runtime::spmd_with_grid;
 use tucker_distmem::ProcGrid;
@@ -114,7 +114,8 @@ fn st_hosvd_never_allocates_a_buffer_as_large_as_its_input() {
     for order in [ModeOrder::Natural, ModeOrder::Custom(vec![3, 1, 0, 2])] {
         let opts = SthosvdOptions::with_ranks(vec![6, 5, 4, 3]).order(order);
         for ctx in &contexts {
-            let (result, largest) = largest_allocation(|| st_hosvd_ctx(&x, &opts, ctx));
+            let (result, largest) =
+                largest_allocation(|| try_st_hosvd_ctx(&x, &opts, ctx).unwrap());
             assert_eq!(result.tucker.core.dims(), &[6, 5, 4, 3]);
             assert!(
                 largest < input_bytes,
@@ -137,7 +138,8 @@ fn dist_st_hosvd_on_one_rank_never_allocates_a_buffer_as_large_as_its_input() {
         for ctx in &contexts {
             let results = spmd_with_grid(ProcGrid::new(&[1, 1, 1, 1]), |comm| {
                 let dx = DistTensor::from_global(&comm, &x);
-                let (r, largest) = largest_allocation(|| dist_st_hosvd_ctx(&comm, &dx, &opts, ctx));
+                let (r, largest) =
+                    largest_allocation(|| try_dist_st_hosvd_ctx(&comm, &dx, &opts, ctx).unwrap());
                 (r.ranks, r.processed_order, largest)
             });
             let (ranks, order, largest) = &results[0];
@@ -158,7 +160,7 @@ fn hooi_never_allocates_a_buffer_as_large_as_its_input() {
     let input_bytes = x.len() * std::mem::size_of::<f64>();
     let opts = HooiOptions::with_ranks(vec![6, 5, 4, 3], 2);
     for ctx in [ExecContext::new(1), ExecContext::new(2)] {
-        let (result, largest) = largest_allocation(|| hooi_ctx(&x, &opts, &ctx));
+        let (result, largest) = largest_allocation(|| try_hooi_ctx(&x, &opts, &ctx).unwrap());
         assert_eq!(result.tucker.core.dims(), &[6, 5, 4, 3]);
         assert!(
             largest < input_bytes,

@@ -10,10 +10,9 @@
 //! machine (Figs. 9a/9b).
 
 use crate::grid::ProcGrid;
-use serde::{Deserialize, Serialize};
 
 /// Machine parameters for the α-β-γ model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineParams {
     /// Latency per message, in seconds.
     pub alpha: f64,
@@ -46,7 +45,7 @@ impl MachineParams {
 }
 
 /// A decomposed cost: message count (latency), word count (bandwidth) and flops.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KernelCost {
     /// Number of α-charged message start-ups on the critical path.
     pub messages: f64,

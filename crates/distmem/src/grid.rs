@@ -11,10 +11,8 @@
 //! * the **processor row** (all ranks sharing coordinate `n`): the `P̂_n = P/P_n`
 //!   ranks across which the Gram result is all-reduced.
 
-use serde::{Deserialize, Serialize};
-
 /// An N-way Cartesian processor grid.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcGrid {
     shape: Vec<usize>,
 }

@@ -14,7 +14,6 @@
 //! `wire_bytes == frames·overhead + words·8` hold with equality.
 
 use crate::transport::{Wire, WireError, WireReader};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tucker_obs::metrics::Counter;
@@ -42,7 +41,7 @@ pub struct CommStats {
 }
 
 /// An immutable snapshot of a rank's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Number of point-to-point messages sent (collective-internal sends included).
     pub messages_sent: u64,

@@ -32,9 +32,8 @@
 //! encoding used by the multi-process launcher to ship per-rank closure
 //! results and [`crate::stats::StatsSnapshot`]s between processes.
 
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 /// A typed failure from a [`Transport`] operation.
 ///
@@ -153,7 +152,7 @@ impl InProcTransport {
                 to_peer
                     .iter_mut()
                     .map(|senders| {
-                        let (tx, rx) = unbounded();
+                        let (tx, rx) = channel();
                         senders.push(tx);
                         rx
                     })

@@ -27,10 +27,10 @@
 //! scheduling, never values: results are bit-identical for every thread
 //! count, including oversubscription (`threads > cores`).
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::any::Any;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 use tucker_obs::metrics::{Counter, Gauge};
@@ -71,7 +71,7 @@ struct PoolInner {
 }
 
 fn spawn_workers(workers: usize) -> Sender<Job> {
-    let (tx, rx) = unbounded::<Job>();
+    let (tx, rx) = channel::<Job>();
     let rx = Arc::new(Mutex::new(rx));
     for i in 0..workers {
         let rx: Arc<Mutex<Receiver<Job>>> = Arc::clone(&rx);
@@ -212,7 +212,7 @@ impl ExecContext {
         let sent = jobs.len();
         SCATTER_CALLS.inc();
         SCATTER_JOBS.add(sent as u64 + 1);
-        let (done_tx, done_rx) = unbounded::<Result<(), Box<dyn Any + Send>>>();
+        let (done_tx, done_rx) = channel::<Result<(), Box<dyn Any + Send>>>();
         {
             let submit = pool.submit.lock().unwrap_or_else(|e| e.into_inner());
             for job in jobs {

@@ -45,7 +45,7 @@ use crate::pack::with_scratch;
 use tucker_exec::ExecContext;
 use tucker_obs::metrics::Counter;
 
-/// Total `sym_eig` invocations (either path).
+/// Total `sym_eig_ctx` invocations (either path).
 pub static EIG_CALLS: Counter = Counter::new("linalg.eig.calls");
 /// Nominal flops of those calls, `9n³` per call — the standard accounting
 /// for a full symmetric eigendecomposition with eigenvectors.
@@ -257,14 +257,11 @@ fn tql2(d: &mut [f64], e: &mut [f64], z: &mut Matrix) -> Result<(), String> {
 /// (see module docs); results are bit-identical to [`sym_eig_reference`]
 /// either way.
 ///
+/// `ctx` schedules the Level-3 updates; it only affects scheduling, never
+/// bits.
+///
 /// # Panics
 /// Panics if `a` is not square.
-pub fn sym_eig(a: &Matrix) -> SymEig {
-    sym_eig_ctx(ExecContext::global(), a)
-}
-
-/// [`sym_eig`] with an explicit execution context for the Level-3 updates.
-/// The context only affects scheduling, never bits.
 pub fn sym_eig_ctx(ctx: &ExecContext, a: &Matrix) -> SymEig {
     let n = a.rows();
     assert_eq!(n, a.cols(), "sym_eig: matrix must be square");
@@ -316,7 +313,7 @@ pub fn sym_eig_unblocked(a: &Matrix) -> SymEig {
 /// order required by the Tucker rank-selection rule (Alg. 1 line 5), which
 /// discards trailing eigenvalues.
 pub fn sym_eig_desc(a: &Matrix) -> SymEig {
-    let mut asc = sym_eig(a);
+    let mut asc = sym_eig_ctx(ExecContext::global(), a);
     let n = asc.values.len();
     asc.values.reverse();
     let vectors = Matrix::from_fn(n, n, |i, j| asc.vectors.get(i, n - 1 - j));
@@ -739,7 +736,7 @@ fn sym_eig_blocked(ctx: &ExecContext, a: &Matrix) -> SymEig {
 /// pinned scalar leaves are shared verbatim: the small-problem path *is* the
 /// pre-blocking scalar solver ([`sym_eig_unblocked`]), the panel recurrence
 /// is `tridiag_factor_panel`, the tridiagonal solve is `tql2_rows`, and
-/// the QL-failure fallback is [`jacobi_eig`]. The production [`sym_eig`]
+/// the QL-failure fallback is `jacobi_eig`. The production [`sym_eig_ctx`]
 /// must match this function bit for bit on every input, every SIMD tier,
 /// every `TUCKER_BLOCK` setting, and every thread count.
 pub fn sym_eig_reference(a: &Matrix) -> SymEig {
@@ -888,7 +885,7 @@ pub fn sym_eig_reference(a: &Matrix) -> SymEig {
 /// Cyclic Jacobi eigenvalue algorithm (ascending order). Slower than the
 /// tridiagonal path but essentially bulletproof; used as a fallback and as an
 /// independent reference in tests.
-pub fn jacobi_eig(a: &Matrix) -> SymEig {
+fn jacobi_eig(a: &Matrix) -> SymEig {
     let n = a.rows();
     assert_eq!(n, a.cols(), "jacobi_eig: matrix must be square");
     let mut m = a.clone();
@@ -979,7 +976,7 @@ mod tests {
     #[test]
     fn diagonal_matrix_eigenvalues() {
         let a = Matrix::from_fn(4, 4, |i, j| if i == j { (i + 1) as f64 } else { 0.0 });
-        let e = sym_eig(&a);
+        let e = sym_eig_ctx(ExecContext::global(), &a);
         for (i, v) in e.values.iter().enumerate() {
             assert!((v - (i + 1) as f64).abs() < 1e-12);
         }
@@ -989,7 +986,7 @@ mod tests {
     fn known_2x2() {
         // [[2,1],[1,2]] has eigenvalues 1 and 3.
         let a = Matrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 2.0]);
-        let e = sym_eig(&a);
+        let e = sym_eig_ctx(ExecContext::global(), &a);
         assert!((e.values[0] - 1.0).abs() < 1e-12);
         assert!((e.values[1] - 3.0).abs() < 1e-12);
     }
@@ -999,7 +996,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         for n in [2usize, 5, 13, 40, 80] {
             let a = random_symmetric(&mut rng, n);
-            let e = sym_eig(&a);
+            let e = sym_eig_ctx(ExecContext::global(), &a);
             assert!(
                 reconstruction_error(&a, &e) < 1e-10,
                 "reconstruction failed for n={n}"
@@ -1012,7 +1009,7 @@ mod tests {
     fn ascending_order() {
         let mut rng = StdRng::seed_from_u64(22);
         let a = random_symmetric(&mut rng, 25);
-        let e = sym_eig(&a);
+        let e = sym_eig_ctx(ExecContext::global(), &a);
         for w in e.values.windows(2) {
             assert!(w[0] <= w[1] + 1e-12);
         }
@@ -1022,7 +1019,7 @@ mod tests {
     fn descending_variant_matches() {
         let mut rng = StdRng::seed_from_u64(23);
         let a = random_symmetric(&mut rng, 15);
-        let asc = sym_eig(&a);
+        let asc = sym_eig_ctx(ExecContext::global(), &a);
         let desc = sym_eig_desc(&a);
         for w in desc.values.windows(2) {
             assert!(w[0] >= w[1] - 1e-12);
@@ -1035,7 +1032,7 @@ mod tests {
     fn jacobi_agrees_with_ql() {
         let mut rng = StdRng::seed_from_u64(24);
         let a = random_symmetric(&mut rng, 20);
-        let e1 = sym_eig(&a);
+        let e1 = sym_eig_ctx(ExecContext::global(), &a);
         let e2 = jacobi_eig(&a);
         for (x, y) in e1.values.iter().zip(e2.values.iter()) {
             assert!((x - y).abs() < 1e-9);
@@ -1078,10 +1075,11 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        let e = sym_eig(&Matrix::zeros(0, 0));
+        let ctx = ExecContext::global();
+        let e = sym_eig_ctx(ctx, &Matrix::zeros(0, 0));
         assert!(e.values.is_empty());
         let a = Matrix::from_vec(1, 1, vec![7.5]);
-        let e = sym_eig(&a);
+        let e = sym_eig_ctx(ctx, &a);
         assert_eq!(e.values, vec![7.5]);
         assert_eq!(e.vectors.get(0, 0), 1.0);
     }
@@ -1108,7 +1106,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(28);
         for n in [150usize, 200] {
             let a = random_symmetric(&mut rng, n);
-            let e = sym_eig(&a);
+            let e = sym_eig_ctx(ExecContext::global(), &a);
             assert!(
                 reconstruction_error(&a, &e) < 1e-9,
                 "blocked reconstruction failed for n={n}"
@@ -1140,7 +1138,7 @@ mod tests {
         // 150 is not a multiple of EIG_BLOCK: the last panel is ragged.
         for n in [150usize, 192] {
             let a = random_symmetric(&mut rng, n);
-            let fast = sym_eig(&a);
+            let fast = sym_eig_ctx(ExecContext::global(), &a);
             let refr = sym_eig_reference(&a);
             assert_eig_bitwise_eq(&fast, &refr, &format!("n={n}"));
         }
@@ -1150,7 +1148,7 @@ mod tests {
     fn small_path_is_the_unblocked_solver_bitwise() {
         let mut rng = StdRng::seed_from_u64(34);
         let a = random_symmetric(&mut rng, 64);
-        let fast = sym_eig(&a);
+        let fast = sym_eig_ctx(ExecContext::global(), &a);
         let unb = sym_eig_unblocked(&a);
         assert_eig_bitwise_eq(&fast, &unb, "n=64");
         let refr = sym_eig_reference(&a);
@@ -1159,15 +1157,16 @@ mod tests {
 
     #[test]
     fn blocked_bits_are_invariant_to_gemm_blocking() {
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(35);
         let a = random_symmetric(&mut rng, 160);
-        let base = sym_eig(&a);
+        let base = sym_eig_ctx(ctx, &a);
         let prev = crate::blocking::force_blocking(crate::blocking::Blocking {
             mc: 16,
             kc: 16,
             nc: 16,
         });
-        let shrunk = sym_eig(&a);
+        let shrunk = sym_eig_ctx(ctx, &a);
         crate::blocking::force_blocking(prev);
         assert_eig_bitwise_eq(&base, &shrunk, "TUCKER_BLOCK shrink");
     }
@@ -1176,7 +1175,7 @@ mod tests {
     fn blocked_agrees_with_unblocked_numerically() {
         let mut rng = StdRng::seed_from_u64(37);
         let a = random_symmetric(&mut rng, 150);
-        let blocked = sym_eig(&a);
+        let blocked = sym_eig_ctx(ExecContext::global(), &a);
         let unb = sym_eig_unblocked(&a);
         for (x, y) in blocked.values.iter().zip(unb.values.iter()) {
             assert!((x - y).abs() < 1e-9, "{x} vs {y}");
@@ -1186,11 +1185,12 @@ mod tests {
     #[test]
     fn repeated_eigenvalues() {
         // 3x3 with a double eigenvalue: diag(2,2,5) rotated.
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(27);
         let q = {
             // random orthogonal via QR of random matrix
             let m = Matrix::from_fn(3, 3, |_, _| rng.gen_range(-1.0..1.0));
-            crate::qr::householder_qr(&m).q
+            crate::qr::householder_qr_ctx(ctx, &m).q
         };
         let d = Matrix::from_fn(3, 3, |i, j| {
             if i == j {
@@ -1205,7 +1205,7 @@ mod tests {
         });
         let qd = gemm(Transpose::No, Transpose::No, 1.0, &q, &d);
         let a = gemm(Transpose::No, Transpose::Yes, 1.0, &qd, &q);
-        let e = sym_eig(&a);
+        let e = sym_eig_ctx(ctx, &a);
         assert!((e.values[0] - 2.0).abs() < 1e-9);
         assert!((e.values[1] - 2.0).abs() < 1e-9);
         assert!((e.values[2] - 5.0).abs() < 1e-9);

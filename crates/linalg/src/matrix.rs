@@ -6,11 +6,10 @@
 //! Row-major storage matches the paper's choice for local factor-matrix blocks
 //! (Sec. IV-B: "the local matrices are stored in row-major order").
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense matrix of `f64` stored in row-major order.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -235,17 +234,6 @@ impl Matrix {
             .collect()
     }
 
-    /// Matrix product `self · other` (convenience wrapper over [`crate::gemm()`]).
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        crate::gemm::gemm(
-            crate::gemm::Transpose::No,
-            crate::gemm::Transpose::No,
-            1.0,
-            self,
-            other,
-        )
-    }
-
     /// Returns `true` if the columns of this matrix are orthonormal to within `tol`.
     pub fn has_orthonormal_columns(&self, tol: f64) -> bool {
         for j in 0..self.cols {
@@ -357,7 +345,8 @@ mod tests {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
         let b = Matrix::identity(2);
-        assert_eq!(a.matmul(&b), a);
+        let no = crate::gemm::Transpose::No;
+        assert_eq!(crate::gemm::gemm(no, no, 1.0, &a, &b), a);
     }
 
     #[test]

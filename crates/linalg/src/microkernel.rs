@@ -23,12 +23,12 @@
 //!
 //! Ragged tiles (block edges) and the diagonal-crossing tiles of SYRK's
 //! lower triangle run the same vector kernel on an `MR × NR` scratch tile
-//! ([`ukr_masked`]): live elements are seeded from C, the panels fill the
+//! (`ukr_masked`): live elements are seeded from C, the panels fill the
 //! rest, and only live elements are written back — so edge elements round
 //! exactly like interior ones, at vector speed.
 //!
 //! This file is covered by the `ci.sh` panic-free grep gate: no `assert`-
-//! family macros, no `unwrap`/`expect`. [`ukr_full`] checks the panel and
+//! family macros, no `unwrap`/`expect`. `ukr_full` checks the panel and
 //! tile bounds before it enters a vector tier; everything else is safe
 //! slice indexing.
 
@@ -48,7 +48,7 @@ pub static TILES_AVX2: Counter = Counter::new("linalg.kernel.tiles.avx2");
 pub static TILES_SSE2: Counter = Counter::new("linalg.kernel.tiles.sse2");
 /// Full `MR × NR` tiles retired by the scalar kernel (process-wide).
 pub static TILES_SCALAR: Counter = Counter::new("linalg.kernel.tiles.scalar");
-/// Ragged / triangle-masked tiles retired through [`ukr_masked`] (any tier).
+/// Ragged / triangle-masked tiles retired through `ukr_masked` (any tier).
 pub static TILES_EDGE: Counter = Counter::new("linalg.kernel.tiles.edge");
 
 /// Updates one full `MR × NR` tile: `c[i·ldc + j] += Σ_p a[p·sa + i]·b[p·sb + j]`
@@ -62,7 +62,7 @@ pub static TILES_EDGE: Counter = Counter::new("linalg.kernel.tiles.edge");
 /// they take the portable tier, whose slice indexing panics.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-pub fn ukr_full(
+fn ukr_full(
     tier: SimdTier,
     kb: usize,
     a: &[f64],
@@ -295,7 +295,7 @@ unsafe fn ukr_full_avx512(
 
 /// Masked tile for ragged and diagonal-crossing tiles: updates the live
 /// elements of an `mr × nr` (`mr ≤ MR`, `nr ≤ NR`) corner of C through the
-/// full-width [`ukr_full`] on an `MR × NR` scratch tile.
+/// full-width `ukr_full` on an `MR × NR` scratch tile.
 ///
 /// `tri_cut` masks columns to the lower triangle in tile-local terms: the
 /// element `(i, j)` is live only when `j ≤ i + tri_cut` (callers pass
@@ -307,11 +307,11 @@ unsafe fn ukr_full_avx512(
 /// columns are never read or written. The panels carry values (zero
 /// padding, or real data past the live edge) in the dead rows/columns, and
 /// every lane is an independent accumulator, so each live element follows
-/// exactly the [`ukr_full`] recurrence. `a`/`b` satisfy the `ukr_full`
+/// exactly the `ukr_full` recurrence. `a`/`b` satisfy the `ukr_full`
 /// panel bounds at strides `sa`/`sb`; `c` holds at least `(mr-1)·ldc + nr`
 /// values.
 #[allow(clippy::too_many_arguments)]
-pub fn ukr_masked(
+fn ukr_masked(
     tier: SimdTier,
     kb: usize,
     a: &[f64],
@@ -396,8 +396,8 @@ impl Panels<'_> {
 ///
 /// `tri = Some((row0, col0))` gives the block's global position inside a
 /// lower-triangular output: tiles fully above the diagonal are skipped,
-/// tiles crossing it run [`ukr_masked`], and full tiles fully on/below it
-/// run [`ukr_full`] in place. Ragged tiles also run [`ukr_masked`]. `tri =
+/// tiles crossing it run `ukr_masked`, and full tiles fully on/below it
+/// run `ukr_full` in place. Ragged tiles also run `ukr_masked`. `tri =
 /// None` is a plain dense block.
 ///
 /// Returns `(full_tiles, masked_tiles)` retired, for the tier counters.

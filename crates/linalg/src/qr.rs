@@ -37,7 +37,7 @@ use crate::pack::with_scratch;
 use tucker_exec::ExecContext;
 use tucker_obs::metrics::Counter;
 
-/// Total `householder_qr` invocations (either path).
+/// Total `householder_qr_ctx` invocations (either path).
 pub static QR_CALLS: Counter = Counter::new("linalg.qr.calls");
 /// Estimated flops of those calls (factor + explicit-Q formation),
 /// `2mnk − (m+n)k² + 2k³/3 + 4mk² − 2k³` with `k = min(m, n)`.
@@ -69,13 +69,8 @@ fn qr_flops(m: usize, n: usize, k: usize) -> u64 {
 /// Returns `Q` of size `m × k` and `R` of size `k × n` with `k = min(m, n)`,
 /// such that `A ≈ Q·R` and `QᵀQ = I`. Dispatches to the blocked compact-WY
 /// path when `k > QR_PANEL` (see module docs); results are bit-identical to
-/// [`householder_qr_reference`] either way.
-pub fn householder_qr(a: &Matrix) -> QrFactors {
-    householder_qr_ctx(ExecContext::global(), a)
-}
-
-/// [`householder_qr`] with an explicit execution context for the Level-3
-/// updates. The context only affects scheduling, never bits.
+/// [`householder_qr_reference`] either way. `ctx` schedules the Level-3
+/// updates; it only affects scheduling, never bits.
 pub fn householder_qr_ctx(ctx: &ExecContext, a: &Matrix) -> QrFactors {
     QR_CALLS.add(1);
     let k = a.rows().min(a.cols());
@@ -408,7 +403,7 @@ fn householder_qr_blocked(ctx: &ExecContext, a: &Matrix) -> QrFactors {
 /// pre-blocking recurrence ([`householder_qr_unblocked`]), and the blocked
 /// path is re-derived here with plain `Vec` storage and
 /// [`crate::gemm::gemm_slices_reference`] for every Level-3 update. The
-/// production [`householder_qr`] must match this function bit for bit on
+/// production [`householder_qr_ctx`] must match this function bit for bit on
 /// every input, every SIMD tier, every `TUCKER_BLOCK` setting, and every
 /// thread count.
 pub fn householder_qr_reference(a: &Matrix) -> QrFactors {
@@ -617,7 +612,7 @@ mod tests {
     }
 
     fn check_qr(a: &Matrix, tol: f64) {
-        let QrFactors { q, r } = householder_qr(a);
+        let QrFactors { q, r } = householder_qr_ctx(ExecContext::global(), a);
         let k = a.rows().min(a.cols());
         assert_eq!(q.shape(), (a.rows(), k));
         assert_eq!(r.shape(), (k, a.cols()));
@@ -668,7 +663,7 @@ mod tests {
     fn rank_deficient_matrix() {
         // Two identical columns.
         let a = Matrix::from_fn(8, 3, |i, j| if j == 2 { i as f64 } else { (i * 2) as f64 });
-        let QrFactors { q, r } = householder_qr(&a);
+        let QrFactors { q, r } = householder_qr_ctx(ExecContext::global(), &a);
         let rec = gemm(Transpose::No, Transpose::No, 1.0, &q, &r);
         assert!(a.sub(&rec).frob_norm() < 1e-9);
     }
@@ -676,7 +671,7 @@ mod tests {
     #[test]
     fn zero_matrix() {
         let a = Matrix::zeros(5, 3);
-        let QrFactors { q, r } = householder_qr(&a);
+        let QrFactors { q, r } = householder_qr_ctx(ExecContext::global(), &a);
         let rec = gemm(Transpose::No, Transpose::No, 1.0, &q, &r);
         assert!(rec.frob_norm() < 1e-12);
     }
@@ -712,7 +707,7 @@ mod tests {
             (100, 97),
         ] {
             let a = random_matrix(&mut rng, m, n);
-            let fast = householder_qr(&a);
+            let fast = householder_qr_ctx(ExecContext::global(), &a);
             let refr = householder_qr_reference(&a);
             assert_bitwise_eq(&fast, &refr, &format!("{m}x{n}"));
         }
@@ -723,7 +718,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(41);
         for (m, n) in [(8usize, 8usize), (32, 32), (40, 20), (20, 40)] {
             let a = random_matrix(&mut rng, m, n);
-            let fast = householder_qr(&a);
+            let fast = householder_qr_ctx(ExecContext::global(), &a);
             let unb = householder_qr_unblocked(&a);
             assert_bitwise_eq(&fast, &unb, &format!("{m}x{n}"));
             let refr = householder_qr_reference(&a);
@@ -742,7 +737,7 @@ mod tests {
             a.set(i, 32, 0.0);
             a.set(i, 33, 0.0);
         }
-        let fast = householder_qr(&a);
+        let fast = householder_qr_ctx(ExecContext::global(), &a);
         let refr = householder_qr_reference(&a);
         assert_bitwise_eq(&fast, &refr, "zero columns");
         let rec = gemm(Transpose::No, Transpose::No, 1.0, &fast.q, &fast.r);
@@ -752,15 +747,16 @@ mod tests {
 
     #[test]
     fn blocked_bits_are_invariant_to_gemm_blocking() {
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(43);
         let a = random_matrix(&mut rng, 80, 72);
-        let base = householder_qr(&a);
+        let base = householder_qr_ctx(ctx, &a);
         let prev = crate::blocking::force_blocking(crate::blocking::Blocking {
             mc: 16,
             kc: 16,
             nc: 16,
         });
-        let shrunk = householder_qr(&a);
+        let shrunk = householder_qr_ctx(ctx, &a);
         crate::blocking::force_blocking(prev);
         assert_bitwise_eq(&base, &shrunk, "TUCKER_BLOCK shrink");
     }

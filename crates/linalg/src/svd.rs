@@ -34,7 +34,7 @@ use crate::pack::with_scratch;
 use tucker_exec::ExecContext;
 use tucker_obs::metrics::Counter;
 
-/// Total `jacobi_svd` invocations (top-level, not internal dispatch).
+/// Total `jacobi_svd_ctx` invocations (top-level, not internal dispatch).
 pub static SVD_CALLS: Counter = Counter::new("linalg.svd.calls");
 /// Nominal flops of those calls, `4mk² + 8k³` per call (`k = min(m, n)`) —
 /// the standard accounting for a thin SVD with both factor matrices.
@@ -73,13 +73,8 @@ pub struct Svd {
 /// When `a` has at least twice as many rows as columns, a QR factorization is
 /// performed first and the Jacobi sweeps run on the small `R` factor — this is
 /// the "QR as preprocessing" strategy from the paper's Sec. IX. Results are
-/// bit-identical to [`jacobi_svd_reference`].
-pub fn jacobi_svd(a: &Matrix) -> Svd {
-    jacobi_svd_ctx(ExecContext::global(), a)
-}
-
-/// [`jacobi_svd`] with an explicit execution context for the Level-3
-/// updates. The context only affects scheduling, never bits.
+/// bit-identical to [`jacobi_svd_reference`]. `ctx` schedules the Level-3
+/// updates; it only affects scheduling, never bits.
 pub fn jacobi_svd_ctx(ctx: &ExecContext, a: &Matrix) -> Svd {
     SVD_CALLS.add(1);
     let (m, k) = (a.rows() as f64, a.rows().min(a.cols()) as f64);
@@ -148,7 +143,7 @@ fn svd_inner(ctx: &ExecContext, a: &Matrix) -> Svd {
 /// tall-skinny preprocessing done with the unblocked QR.
 ///
 /// This is the pinned pre-blocking baseline the benchmark compares the
-/// blocked path against (it is *not* required to match [`jacobi_svd`]
+/// blocked path against (it is *not* required to match [`jacobi_svd_ctx`]
 /// bitwise — the blocked determinism contract is [`jacobi_svd_reference`]).
 pub fn jacobi_svd_unblocked(a: &Matrix) -> Svd {
     use crate::gemm::gemm;
@@ -452,9 +447,9 @@ fn pair_is_converged(gram: &[f64], pn: usize, s: usize, tfrob: f64) -> bool {
 /// [`crate::qr::householder_qr_reference`] for the tall-skinny preprocessing,
 /// plain `Vec` storage and [`crate::gemm::gemm_slices_reference`] for every
 /// Level-3 update of the blocked sweeps, the scalar sweep path
-/// ([`jacobi_svd`]'s own direct path) for small dispatched problems, and the
+/// ([`jacobi_svd_ctx`]'s own direct path) for small dispatched problems, and the
 /// scalar solver [`crate::eig::sym_eig_unblocked`] for the pivot Gram
-/// eigenproblems. The production [`jacobi_svd`] must match this function bit
+/// eigenproblems. The production [`jacobi_svd_ctx`] must match this function bit
 /// for bit on every input, every SIMD tier, every `TUCKER_BLOCK` setting,
 /// and every thread count.
 pub fn jacobi_svd_reference(a: &Matrix) -> Svd {
@@ -624,7 +619,7 @@ mod tests {
     }
 
     fn check_svd(a: &Matrix, tol: f64) {
-        let Svd { u, s, v } = jacobi_svd(a);
+        let Svd { u, s, v } = jacobi_svd_ctx(ExecContext::global(), a);
         let k = a.rows().min(a.cols());
         assert_eq!(u.shape(), (a.rows(), k));
         assert_eq!(v.shape(), (a.cols(), k));
@@ -668,7 +663,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(46);
         // Column counts past SVD_BLOCKED_MIN, including a ragged last block.
         check_svd(&random_matrix(&mut rng, 200, 200), 1e-8);
-        let svd = jacobi_svd(&random_matrix(&mut rng, 210, 193));
+        let svd = jacobi_svd_ctx(ExecContext::global(), &random_matrix(&mut rng, 210, 193));
         assert!(svd.u.has_orthonormal_columns(1e-8));
         assert!(svd.v.has_orthonormal_columns(1e-8));
     }
@@ -677,7 +672,7 @@ mod tests {
     fn singular_values_match_eig_of_gram() {
         let mut rng = StdRng::seed_from_u64(44);
         let a = random_matrix(&mut rng, 25, 10);
-        let svd = jacobi_svd(&a);
+        let svd = jacobi_svd_ctx(ExecContext::global(), &a);
         let gram = crate::syrk::syrk(&a.transpose()); // AᵀA, 10x10
         let eig = crate::eig::sym_eig_desc(&gram);
         for (sv, ev) in svd.s.iter().zip(eig.values.iter()) {
@@ -690,7 +685,7 @@ mod tests {
         let u = [1.0, 2.0, 3.0];
         let v = [4.0, 5.0];
         let a = Matrix::from_fn(3, 2, |i, j| u[i] * v[j]);
-        let svd = jacobi_svd(&a);
+        let svd = jacobi_svd_ctx(ExecContext::global(), &a);
         assert!(svd.s[0] > 1.0);
         assert!(
             svd.s[1].abs() < 1e-10,
@@ -701,14 +696,14 @@ mod tests {
     #[test]
     fn zero_matrix() {
         let a = Matrix::zeros(4, 3);
-        let svd = jacobi_svd(&a);
+        let svd = jacobi_svd_ctx(ExecContext::global(), &a);
         assert!(svd.s.iter().all(|&v| v == 0.0));
     }
 
     #[test]
     fn empty_matrix() {
         let a = Matrix::zeros(0, 3);
-        let svd = jacobi_svd(&a);
+        let svd = jacobi_svd_ctx(ExecContext::global(), &a);
         assert!(svd.s.is_empty());
     }
 
@@ -716,7 +711,7 @@ mod tests {
     fn orthonormal_factors() {
         let mut rng = StdRng::seed_from_u64(45);
         let a = random_matrix(&mut rng, 20, 12);
-        let svd = jacobi_svd(&a);
+        let svd = jacobi_svd_ctx(ExecContext::global(), &a);
         assert!(svd.u.has_orthonormal_columns(1e-8));
         assert!(svd.v.has_orthonormal_columns(1e-8));
     }
@@ -741,7 +736,7 @@ mod tests {
         // feeds a blocked square sweep.
         for (m, n) in [(210usize, 193usize), (400, 200)] {
             let a = random_matrix(&mut rng, m, n);
-            let fast = jacobi_svd(&a);
+            let fast = jacobi_svd_ctx(ExecContext::global(), &a);
             let refr = jacobi_svd_reference(&a);
             assert_svd_bitwise_eq(&fast, &refr, &format!("{m}x{n}"));
         }
@@ -754,7 +749,7 @@ mod tests {
         // in both the production and pre-blocking entry points.
         for n in [60usize, 120] {
             let a = random_matrix(&mut rng, n, n);
-            let fast = jacobi_svd(&a);
+            let fast = jacobi_svd_ctx(ExecContext::global(), &a);
             let unb = jacobi_svd_unblocked(&a);
             assert_svd_bitwise_eq(&fast, &unb, &format!("{n}x{n}"));
             let refr = jacobi_svd_reference(&a);
@@ -770,22 +765,23 @@ mod tests {
         // SVD_MAX_SWEEPS (and drift bitwise from the reference's stall).
         let a = Matrix::from_fn(210, 200, |i, j| ((i * 11 + j * 3) as f64 * 0.27).sin());
         check_svd(&a, 1e-8);
-        let fast = jacobi_svd(&a);
+        let fast = jacobi_svd_ctx(ExecContext::global(), &a);
         let refr = jacobi_svd_reference(&a);
         assert_svd_bitwise_eq(&fast, &refr, "smooth 210x200");
     }
 
     #[test]
     fn blocked_bits_are_invariant_to_gemm_blocking() {
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(49);
         let a = random_matrix(&mut rng, 200, 193);
-        let base = jacobi_svd(&a);
+        let base = jacobi_svd_ctx(ctx, &a);
         let prev = crate::blocking::force_blocking(crate::blocking::Blocking {
             mc: 16,
             kc: 16,
             nc: 16,
         });
-        let shrunk = jacobi_svd(&a);
+        let shrunk = jacobi_svd_ctx(ctx, &a);
         crate::blocking::force_blocking(prev);
         assert_svd_bitwise_eq(&base, &shrunk, "TUCKER_BLOCK shrink");
     }

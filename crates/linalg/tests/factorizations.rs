@@ -1,7 +1,7 @@
 //! Proptest battery for the blocked Level-3 factorizations (ISSUE 9).
 //!
-//! The renegotiated determinism contract says: `householder_qr`, `sym_eig`,
-//! and `jacobi_svd` are defined bit-for-bit by their `*_reference`
+//! The renegotiated determinism contract says: `householder_qr_ctx`,
+//! `sym_eig_ctx` and `jacobi_svd_ctx` are defined bit-for-bit by their `*_reference`
 //! restatements — on **every** SIMD tier, **every** `MC/KC/NC` blocking
 //! (including `TUCKER_BLOCK` overrides), and **every** thread count, for
 //! every input shape, including shapes that straddle the fixed panel widths
@@ -17,11 +17,10 @@ use proptest::prelude::*;
 use std::sync::Mutex;
 use tucker_exec::ExecContext;
 use tucker_linalg::blocking::{force_blocking, Blocking};
-use tucker_linalg::qr::{householder_qr, householder_qr_ctx, householder_qr_reference, QrFactors};
+use tucker_linalg::qr::{householder_qr_ctx, householder_qr_reference, QrFactors};
 use tucker_linalg::simd::{detected_tier, force_tier, supported_tiers};
 use tucker_linalg::{
-    jacobi_svd, jacobi_svd_ctx, jacobi_svd_reference, sym_eig, sym_eig_ctx, sym_eig_reference,
-    Matrix, Svd, SymEig,
+    jacobi_svd_ctx, jacobi_svd_reference, sym_eig_ctx, sym_eig_reference, Matrix, Svd, SymEig,
 };
 
 static TIER_LOCK: Mutex<()> = Mutex::new(());
@@ -135,7 +134,7 @@ proptest! {
     ) {
         let a = random_matrix(m, n, seed);
         let want = householder_qr_reference(&a);
-        let r = check_invariance(|| householder_qr(&a), &want, qr_eq);
+        let r = check_invariance(|| householder_qr_ctx(ExecContext::global(), &a), &want, qr_eq);
         prop_assert!(r.is_ok(), "{m}x{n}: {}", r.unwrap_err());
     }
 }
@@ -143,7 +142,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Blocked-tridiagonalization sym_eig ≡ reference bitwise just past the
+    /// Blocked-tridiagonalization sym_eig_ctx ≡ reference bitwise just past the
     /// blocked cutoff, including ragged last panels.
     #[test]
     fn sym_eig_matches_reference_bitwise(
@@ -152,7 +151,7 @@ proptest! {
     ) {
         let a = random_symmetric(n, seed);
         let want = sym_eig_reference(&a);
-        let r = check_invariance(|| sym_eig(&a), &want, eig_eq);
+        let r = check_invariance(|| sym_eig_ctx(ExecContext::global(), &a), &want, eig_eq);
         prop_assert!(r.is_ok(), "n={n}: {}", r.unwrap_err());
     }
 }
@@ -170,7 +169,7 @@ proptest! {
     ) {
         let a = random_matrix(m + extra, m, seed);
         let want = jacobi_svd_reference(&a);
-        let r = check_invariance(|| jacobi_svd(&a), &want, svd_eq);
+        let r = check_invariance(|| jacobi_svd_ctx(ExecContext::global(), &a), &want, svd_eq);
         prop_assert!(r.is_ok(), "{}x{m}: {}", a.rows(), r.unwrap_err());
     }
 }
@@ -185,15 +184,16 @@ proptest! {
         n in 2usize..=32,
         seed in 0u64..=u64::MAX / 2,
     ) {
+        let ctx = ExecContext::global();
         let a = random_matrix(n, n, seed);
-        let qr = householder_qr(&a);
+        let qr = householder_qr_ctx(ctx, &a);
         let r = qr_eq(&qr, &tucker_linalg::householder_qr_unblocked(&a), "qr direct");
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
         let s = random_symmetric(n, seed ^ 0xee);
-        let e = sym_eig(&s);
+        let e = sym_eig_ctx(ctx, &s);
         let r = eig_eq(&e, &tucker_linalg::sym_eig_unblocked(&s), "eig direct");
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
-        let sv = jacobi_svd(&a);
+        let sv = jacobi_svd_ctx(ctx, &a);
         let r = svd_eq(&sv, &tucker_linalg::jacobi_svd_unblocked(&a), "svd direct");
         prop_assert!(r.is_ok(), "{}", r.unwrap_err());
     }

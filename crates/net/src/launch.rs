@@ -71,7 +71,7 @@ use crate::tcp::{send_abort, PeerLink, TcpTransport};
 /// Which backend an SPMD region runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
-    /// Ranks as threads over crossbeam channels (the default; the
+    /// Ranks as threads over in-process channels (the default; the
     /// bit-identity reference backend).
     InProc,
     /// Ranks as spawned processes over a loopback TCP mesh.

@@ -1,7 +1,7 @@
 //! # tucker-net — the real multi-process distributed backend
 //!
 //! Everything below `tucker-distmem`'s [`Transport`] trait, made real: rank
-//! threads become rank *processes*, crossbeam channels become a full mesh of
+//! threads become rank *processes*, in-process channels become a full mesh of
 //! loopback TCP sockets, and the paper's communication volumes become bytes
 //! you can watch cross a socket. The SPMD surface is unchanged — the same
 //! closure that runs under `spmd_with_grid_handle` runs under

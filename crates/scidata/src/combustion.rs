@@ -30,7 +30,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use tucker_exec::{chunk_ranges, ExecContext};
 use tucker_tensor::DenseTensor;
 
@@ -41,7 +40,7 @@ use tucker_tensor::DenseTensor;
 const TILE_WORDS: usize = 1 << 13;
 
 /// Configuration of the surrogate combustion field generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CombustionConfig {
     /// Spatial grid sizes (1–3 dimensions).
     pub grid: Vec<usize>,
@@ -390,7 +389,7 @@ impl CombustionConfig {
 mod tests {
     use super::*;
     use tucker_linalg::eig::sym_eig_desc;
-    use tucker_tensor::gram;
+    use tucker_tensor::gram_ctx;
 
     fn small_config() -> CombustionConfig {
         CombustionConfig {
@@ -427,7 +426,7 @@ mod tests {
     #[test]
     fn species_mode_has_low_rank() {
         let field = small_config().generate();
-        let eig = sym_eig_desc(&gram(&field.data, 2));
+        let eig = sym_eig_desc(&gram_ctx(ExecContext::global(), &field.data, 2));
         let max = eig.values[0];
         // species_rank latent modes + smooth background: a handful of
         // significant eigenvalues out of 8.
@@ -454,7 +453,7 @@ mod tests {
         }
         .generate();
         let tail_fraction = |x: &DenseTensor| {
-            let eig = sym_eig_desc(&gram(x, 0));
+            let eig = sym_eig_desc(&gram_ctx(ExecContext::global(), x, 0));
             let total: f64 = eig.values.iter().sum();
             let tail: f64 = eig.values[4..].iter().sum();
             tail / total
@@ -478,7 +477,7 @@ mod tests {
         }
         .generate();
         let floor = |x: &DenseTensor| {
-            let eig = sym_eig_desc(&gram(x, 0));
+            let eig = sym_eig_desc(&gram_ctx(ExecContext::global(), x, 0));
             eig.values.last().copied().unwrap_or(0.0).max(0.0) / eig.values[0]
         };
         assert!(floor(&noisy.data) > floor(&clean.data));

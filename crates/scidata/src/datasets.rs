@@ -13,11 +13,10 @@
 
 use crate::combustion::{CombustionConfig, CombustionField};
 use crate::normalize::{normalize_per_slice, Normalization};
-use serde::{Deserialize, Serialize};
 use tucker_tensor::DenseTensor;
 
 /// The three combustion datasets of the paper, as surrogate presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetPreset {
     /// Homogeneous Charge Compression Ignition: 2-D grid, 33 variables, long
     /// time horizon; moderately compressible.

@@ -13,7 +13,6 @@
 //! the slices spread over the global execution pool; the transform applies
 //! one slice's constants to a whole run, blocks of runs spread over the pool.
 
-use serde::{Deserialize, Serialize};
 use tucker_exec::{chunk_ranges, ExecContext};
 use tucker_tensor::DenseTensor;
 
@@ -21,7 +20,7 @@ use tucker_tensor::DenseTensor;
 pub const STD_GUARD: f64 = 1e-10;
 
 /// Per-slice statistics recorded during normalization.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Normalization {
     /// The mode whose slices were normalized (the variables/species mode).
     pub mode: usize,

@@ -11,7 +11,7 @@
 //! linear offset), making every element a pure function of `(seed, offset)`:
 //!
 //! * slabs of any width, requested in any order, repeatedly, always agree —
-//!   the precondition for `st_hosvd_streaming`'s "bit-identical for every
+//!   the precondition for `try_st_hosvd_streaming_ctx`'s "bit-identical for every
 //!   slab width" contract;
 //! * [`CombustionSlabSource::materialize`] produces exactly the tensor the
 //!   streaming path sees, so the in-memory and out-of-core pipelines can be

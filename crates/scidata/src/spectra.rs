@@ -6,10 +6,8 @@
 //! surrogate dataset can be made to match the qualitative behaviour of the
 //! paper's datasets (e.g. SP's steep spatial decay vs TJLR's flat one).
 
-use serde::{Deserialize, Serialize};
-
 /// A parametric singular-value decay profile for one tensor mode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SpectralDecay {
     /// `σ_i = exp(−rate · i)`: fast, smooth decay (highly compressible mode).
     Exponential {

@@ -14,9 +14,10 @@
 use crate::spectra::SpectralDecay;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tucker_linalg::qr::householder_qr;
+use tucker_exec::ExecContext;
+use tucker_linalg::qr::householder_qr_ctx;
 use tucker_linalg::Matrix;
-use tucker_tensor::{ttm_chain, DenseTensor, TtmTranspose};
+use tucker_tensor::{ttm_chain_ctx, DenseTensor, TtmTranspose};
 
 /// Configuration for an exactly-low-rank tensor plus noise.
 #[derive(Debug, Clone)]
@@ -65,14 +66,19 @@ fn low_rank_from_rng(rng: &mut StdRng, dims: &[usize], ranks: &[usize]) -> Dense
         .map(|(&d, &r)| random_orthonormal(rng, d, r))
         .collect();
     let refs: Vec<&Matrix> = factors.iter().collect();
-    ttm_chain(&core, &refs, TtmTranspose::NoTranspose)
+    ttm_chain_ctx(
+        ExecContext::global(),
+        &core,
+        &refs,
+        TtmTranspose::NoTranspose,
+    )
 }
 
 /// A random `rows × cols` matrix with orthonormal columns (thin Q of a QR).
 pub fn random_orthonormal(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
     assert!(cols <= rows, "random_orthonormal: need cols <= rows");
     let m = Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0));
-    householder_qr(&m).q
+    householder_qr_ctx(ExecContext::global(), &m).q
 }
 
 /// Generates a tensor whose mode-n unfolding has (approximately) the singular
@@ -108,20 +114,25 @@ pub fn random_tucker_with_spectra(
         .map(|&d| random_orthonormal(&mut rng, d, d))
         .collect();
     let refs: Vec<&Matrix> = factors.iter().collect();
-    ttm_chain(&core, &refs, TtmTranspose::NoTranspose)
+    ttm_chain_ctx(
+        ExecContext::global(),
+        &core,
+        &refs,
+        TtmTranspose::NoTranspose,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tucker_linalg::eig::sym_eig_desc;
-    use tucker_tensor::gram;
+    use tucker_tensor::gram_ctx;
 
     #[test]
     fn low_rank_tensor_has_exact_rank() {
         let x = random_low_rank(7, &[12, 10, 8], &[3, 2, 4]);
         for (n, &expected) in [3usize, 2, 4].iter().enumerate() {
-            let eig = sym_eig_desc(&gram(&x, n));
+            let eig = sym_eig_desc(&gram_ctx(ExecContext::global(), &x, n));
             let max = eig.values[0];
             let numerical_rank = eig.values.iter().filter(|&&v| v > 1e-10 * max).count();
             assert_eq!(numerical_rank, expected, "mode {n}");
@@ -176,7 +187,7 @@ mod tests {
         ];
         let x = random_tucker_with_spectra(5, &dims, &spectra);
         let decay_at = |mode: usize, k: usize| -> f64 {
-            let eig = sym_eig_desc(&gram(&x, mode));
+            let eig = sym_eig_desc(&gram_ctx(ExecContext::global(), &x, mode));
             eig.values[k].max(1e-300) / eig.values[0]
         };
         // After 10 indices, the fast mode has decayed by orders of magnitude

@@ -41,10 +41,10 @@
 //!     (0.3 * idx[0] as f64).sin() + (0.2 * idx[1] as f64 * idx[2] as f64).cos()
 //! });
 //! let eps = 1e-4;
-//! let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+//! let ctx = ExecContext::global();
+//! let result = try_st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(eps), ctx).unwrap();
 //!
 //! let path = std::env::temp_dir().join("tucker_store_doctest.tkr");
-//! let ctx = ExecContext::global();
 //! let opts = StoreOptions::new(Codec::F32, eps);
 //! let report = write_tucker_ctx(&path, &result.tucker, &opts, ctx).unwrap();
 //! assert!(report.quant_error_bound < eps);
@@ -88,10 +88,10 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use tucker_core::dist::{dist_st_hosvd, DistTensor};
+    use tucker_core::dist::{hybrid_ctx, try_dist_st_hosvd_ctx, DistTensor};
     use tucker_core::ordering::window_order;
     use tucker_core::reconstruct::window_roundoff_bound;
-    use tucker_core::sthosvd::{st_hosvd, SthosvdOptions};
+    use tucker_core::sthosvd::{try_st_hosvd_ctx, SthosvdOptions};
     use tucker_core::TuckerTensor;
     use tucker_distmem::runtime::spmd_with_grid;
     use tucker_distmem::ProcGrid;
@@ -132,7 +132,12 @@ mod tests {
 
     fn compressed(dims: &[usize], eps: f64) -> (DenseTensor, TuckerTensor) {
         let x = wavy(dims);
-        let r = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+        let r = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        )
+        .unwrap();
         (x, r.tucker)
     }
 
@@ -187,7 +192,13 @@ mod tests {
     fn quantized_codecs_shrink_the_file() {
         // Fixed ranks so the payload dominates the fixed header overhead.
         let x = wavy(&[14, 12, 10]);
-        let t = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![8, 8, 8])).tucker;
+        let t = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_ranks(vec![8, 8, 8]),
+            ExecContext::global(),
+        )
+        .unwrap()
+        .tucker;
         let mut sizes = Vec::new();
         for codec in Codec::all() {
             let path = temp_tkr(&format!("size_{}", codec.name()));
@@ -321,14 +332,25 @@ mod tests {
         let dims = [8usize, 9, 6];
         let x = wavy(&dims);
         let eps = 1e-4;
-        let seq = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
-        let seq_rec = seq.tucker.reconstruct();
+        let seq = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        )
+        .unwrap();
+        let seq_rec = seq.tucker.reconstruct_ctx(ExecContext::global());
 
         let path = temp_tkr("dist");
         let path2 = path.clone();
         let results = spmd_with_grid(ProcGrid::new(&[2, 2, 1]), move |comm| {
             let dx = DistTensor::from_global(&comm, &x);
-            let r = dist_st_hosvd(&comm, &dx, &SthosvdOptions::with_tolerance(eps));
+            let r = try_dist_st_hosvd_ctx(
+                &comm,
+                &dx,
+                &SthosvdOptions::with_tolerance(eps),
+                &hybrid_ctx(&comm),
+            )
+            .unwrap();
             gather_and_write(
                 &comm,
                 &r.tucker,
@@ -354,7 +376,12 @@ mod tests {
         use tucker_scidata::DatasetPreset;
         let ds = DatasetPreset::Sp.generate(1, 42);
         let eps = 1e-2;
-        let r = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
+        let r = try_st_hosvd_ctx(
+            &ds.data,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        )
+        .unwrap();
         let path = temp_tkr("meta");
         let opts = StoreOptions::new(Codec::F32, eps).with_meta(TkrMetadata::for_dataset(&ds));
         write_tucker_ctx(&path, &r.tucker, &opts, ExecContext::global()).unwrap();
@@ -901,10 +928,12 @@ mod tests {
         // exactly the chunks the next one needed first (0 hits, 10 decodes,
         // forever). Under the admission rule each query after the first is
         // served 4 chunks from memory and decodes the other 6.
-        let t = st_hosvd(
+        let t = try_st_hosvd_ctx(
             &wavy(&[8, 7, 10]),
             &SthosvdOptions::with_ranks(vec![3, 3, 10]),
+            ExecContext::global(),
         )
+        .unwrap()
         .tucker;
         let path = write_chunked("scan_resistant", &t, Codec::F32);
         let lazy = TkrReader::open_with(&path, 4, tucker_exec::ExecContext::global()).unwrap();
@@ -969,7 +998,7 @@ mod tests {
         // Any positive capacity opens; one chunk is the legal minimum.
         let minimal = TkrReader::open_with(&path, 1, ctx).unwrap();
         std::fs::remove_file(&path).ok();
-        assert_eq!(minimal.reconstruct().unwrap(), t.reconstruct());
+        assert_eq!(minimal.reconstruct().unwrap(), t.reconstruct_ctx(ctx));
         assert!(minimal.resident_chunks() <= 1);
     }
 }

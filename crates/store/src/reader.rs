@@ -28,7 +28,9 @@ use crate::writer::codec_wave_chunks;
 use std::fs::File;
 use std::io;
 use std::path::Path;
-use tucker_core::reconstruct::{reconstruct_elements, reconstruct_slice, reconstruct_subtensor};
+use tucker_core::reconstruct::{
+    reconstruct_elements, reconstruct_slice, reconstruct_subtensor_ctx,
+};
 use tucker_core::TuckerTensor;
 use tucker_exec::ExecContext;
 use tucker_tensor::{DenseTensor, SubtensorSpec};
@@ -112,7 +114,7 @@ impl TkrArtifact {
 
     /// Reconstructs the full field (only sensible when it fits in memory).
     pub fn reconstruct(&self) -> DenseTensor {
-        self.tucker.reconstruct()
+        self.tucker.reconstruct_ctx(ExecContext::global())
     }
 
     /// Reconstructs the window given by per-mode `(start, len)` ranges without
@@ -126,7 +128,11 @@ impl TkrArtifact {
     /// Reconstructs an arbitrary (possibly non-contiguous) subtensor.
     pub fn reconstruct_subtensor(&self, spec: &SubtensorSpec) -> Result<DenseTensor, QueryError> {
         validate_spec(spec, &self.header.dims)?;
-        Ok(reconstruct_subtensor(&self.tucker, spec))
+        Ok(reconstruct_subtensor_ctx(
+            &self.tucker,
+            spec,
+            ExecContext::global(),
+        ))
     }
 
     /// Reconstructs the single mode-`mode` slice at `idx` (one species, one

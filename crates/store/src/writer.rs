@@ -34,11 +34,11 @@ use crate::format::{
     TAG_FACTOR,
 };
 use std::fs::File;
-use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 use tucker_core::dist::DistTucker;
 use tucker_core::sthosvd::{SthosvdOptions, SthosvdResult};
-use tucker_core::streaming::{st_hosvd_streaming_ctx, StreamingOptions};
+use tucker_core::streaming::{try_st_hosvd_streaming_ctx, StreamingOptions};
 use tucker_core::TuckerTensor;
 use tucker_distmem::Communicator;
 use tucker_exec::ExecContext;
@@ -404,15 +404,19 @@ fn core_slab_chunks(core: &DenseTensor) -> Vec<&[f64]> {
 }
 
 /// The out-of-core compression pipeline end to end: streams `src` through
-/// the two-phase [`st_hosvd_streaming_ctx`] (peak memory `O(slab +
+/// the two-phase [`try_st_hosvd_streaming_ctx`] (peak memory `O(slab +
 /// truncated tensor)` — the full tensor is never resident) and writes the
 /// resulting decomposition to `path`, core slabs chunked straight into the
 /// [`TkrWriter`].
 ///
 /// The artifact is **byte-identical** to materializing the source, running
-/// `st_hosvd_ctx`, and calling [`write_tucker_ctx`] — the decomposition is
-/// bit-identical, and serialization *is* `write_tucker_ctx` — for every
+/// `try_st_hosvd_ctx`, and calling [`write_tucker_ctx`] — the decomposition
+/// is bit-identical, and serialization *is* `write_tucker_ctx` — for every
 /// slab width and thread count (pinned in `tests/streaming.rs`).
+///
+/// A source or options the driver refuses (its `CoreError`) come back as
+/// [`StoreError::Io`] of kind [`io::ErrorKind::InvalidInput`] carrying that
+/// error; nothing is written then.
 pub fn compress_streaming(
     path: impl AsRef<Path>,
     src: &impl SlabSource,
@@ -421,7 +425,8 @@ pub fn compress_streaming(
     opts: &StoreOptions,
     ctx: &ExecContext,
 ) -> Result<(SthosvdResult, EncodeReport), StoreError> {
-    let result = st_hosvd_streaming_ctx(src, sth, stream, ctx);
+    let result = try_st_hosvd_streaming_ctx(src, sth, stream, ctx)
+        .map_err(|e| StoreError::Io(io::Error::new(io::ErrorKind::InvalidInput, e)))?;
     let report = write_tucker_ctx(path, &result.tucker, opts, ctx)?;
     Ok((result, report))
 }

@@ -25,12 +25,8 @@ use tucker_obs::metrics::Counter;
 static GRAM_CALLS: Counter = Counter::new("tensor.gram.calls");
 static GRAM_FLOPS: Counter = Counter::new("tensor.gram.flops");
 
-/// Computes the symmetric Gram matrix `S = Y(n) Y(n)ᵀ` of size `I_n × I_n`.
-pub fn gram(y: &DenseTensor, mode: usize) -> Matrix {
-    gram_ctx(ExecContext::global(), y, mode)
-}
-
-/// [`gram`] on an explicit execution context.
+/// Computes the symmetric Gram matrix `S = Y(n) Y(n)ᵀ` of size `I_n × I_n`
+/// on `ctx` (see [`gram_into_ctx`] for the parallel schedule).
 pub fn gram_ctx(ctx: &ExecContext, y: &DenseTensor, mode: usize) -> Matrix {
     let dims = y.dims();
     assert!(mode < dims.len(), "gram: mode {mode} out of range");
@@ -40,12 +36,7 @@ pub fn gram_ctx(ctx: &ExecContext, y: &DenseTensor, mode: usize) -> Matrix {
     s
 }
 
-/// Accumulating variant: `S ← Y(n) Y(n)ᵀ` written into a preallocated matrix.
-pub fn gram_into(y: &DenseTensor, mode: usize, s: &mut Matrix) {
-    gram_into_ctx(ExecContext::global(), y, mode, s)
-}
-
-/// [`gram_into`] on an explicit execution context.
+/// `S ← Y(n) Y(n)ᵀ` written into a preallocated `I_n × I_n` matrix.
 ///
 /// Parallelism: every mode scatters **area-balanced lower-triangle row
 /// ranges** of `S` via [`triangular_scatter_mirror`] — every thread walks
@@ -60,12 +51,7 @@ pub fn gram_into_ctx(ctx: &ExecContext, y: &DenseTensor, mode: usize, s: &mut Ma
     gram_accumulate_ctx(ctx, y, mode, s);
 }
 
-/// Accumulating Gram kernel: `S ← S + Y(n) Y(n)ᵀ` on the global pool.
-pub fn gram_accumulate(y: &DenseTensor, mode: usize, s: &mut Matrix) {
-    gram_accumulate_ctx(ExecContext::global(), y, mode, s)
-}
-
-/// [`gram_accumulate`] on an explicit execution context — the streaming
+/// Accumulating Gram kernel `S ← S + Y(n) Y(n)ᵀ` on `ctx` — the streaming
 /// building block of the out-of-core ST-HOSVD.
 ///
 /// When `y` is one last-mode slab of a larger tensor and `mode` is **not**
@@ -120,13 +106,10 @@ pub fn gram_accumulate_ctx(ctx: &ExecContext, y: &DenseTensor, mode: usize, s: &
 /// received from another processor in the same mode-n processor "column".
 /// Differing sizes in the contracted (non-`n`) modes are not supported: the
 /// members of a processor column own the same non-`n` ranges.
-pub fn gram_pair(y: &DenseTensor, w: &DenseTensor, mode: usize) -> Matrix {
-    gram_pair_ctx(ExecContext::global(), y, w, mode)
-}
-
-/// [`gram_pair`] on an explicit execution context: scatters row ranges of
-/// the `ny × nw` result, each thread walking all blocks in ascending order,
-/// so results are bit-identical across thread counts.
+///
+/// Parallelism: scatters row ranges of the `ny × nw` result, each thread
+/// walking all blocks in ascending order, so results are bit-identical
+/// across thread counts.
 pub fn gram_pair_ctx(ctx: &ExecContext, y: &DenseTensor, w: &DenseTensor, mode: usize) -> Matrix {
     // The two tensors must agree in every mode except possibly the unfolding
     // mode itself: the distributed Gram (Alg. 4) exchanges local blocks whose
@@ -248,7 +231,7 @@ mod tests {
         let dims = [4usize, 5, 3, 2];
         let y = random_tensor(&mut rng, &dims);
         for mode in 0..4 {
-            let fast = gram(&y, mode);
+            let fast = gram_ctx(ExecContext::global(), &y, mode);
             let slow = gram_reference(&y, mode);
             assert_matrix_close(&fast, &slow, 1e-10);
         }
@@ -259,7 +242,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(61);
         let y = random_tensor(&mut rng, &[6, 4, 5]);
         for mode in 0..3 {
-            let s = gram(&y, mode);
+            let s = gram_ctx(ExecContext::global(), &y, mode);
             for i in 0..s.rows() {
                 assert!(s.get(i, i) >= -1e-12);
                 for j in 0..s.cols() {
@@ -276,7 +259,7 @@ mod tests {
         let y = random_tensor(&mut rng, &[3, 7, 4]);
         let ns = y.norm_sq();
         for mode in 0..3 {
-            let s = gram(&y, mode);
+            let s = gram_ctx(ExecContext::global(), &y, mode);
             let trace: f64 = (0..s.rows()).map(|i| s.get(i, i)).sum();
             assert!((trace - ns).abs() < 1e-10 * (1.0 + ns));
         }
@@ -284,11 +267,12 @@ mod tests {
 
     #[test]
     fn gram_pair_with_self_matches_gram() {
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(63);
         let y = random_tensor(&mut rng, &[4, 3, 5]);
         for mode in 0..3 {
-            let s1 = gram(&y, mode);
-            let s2 = gram_pair(&y, &y, mode);
+            let s1 = gram_ctx(ctx, &y, mode);
+            let s2 = gram_pair_ctx(ctx, &y, &y, mode);
             assert_matrix_close(&s1, &s2, 1e-10);
         }
     }
@@ -300,7 +284,7 @@ mod tests {
         let y = random_tensor(&mut rng, &dims);
         let w = random_tensor(&mut rng, &dims);
         for mode in 0..4 {
-            let s = gram_pair(&y, &w, mode);
+            let s = gram_pair_ctx(ExecContext::global(), &y, &w, mode);
             let ym = Unfolding::new(&dims, mode).materialize(&y);
             let wm = Unfolding::new(&dims, mode).materialize(&w);
             let expected = tucker_linalg::gemm::gemm(Transpose::No, Transpose::Yes, 1.0, &ym, &wm);
@@ -345,14 +329,14 @@ mod tests {
     fn slab_accumulation_is_bit_identical_for_every_width() {
         // Accumulating the Gram slab by slab (any slab width, any thread
         // count) must reproduce the full-tensor Gram *bitwise* for every
-        // non-last mode — the contract `st_hosvd_streaming` is built on.
+        // non-last mode — the contract `try_st_hosvd_streaming_ctx` is built on.
         let mut rng = StdRng::seed_from_u64(68);
         // Large enough that mode 0 clears the parallel GEMM threshold.
         let dims = [19usize, 7, 5, 23];
         let y = random_tensor(&mut rng, &dims);
         let stride = y.last_mode_stride();
         for mode in 0..3 {
-            let full = gram(&y, mode);
+            let full = gram_ctx(ExecContext::global(), &y, mode);
             for width in [1usize, 3, 23] {
                 for threads in [1usize, 4] {
                     let ctx = tucker_exec::ExecContext::new(threads);
@@ -431,16 +415,17 @@ mod tests {
         // Splitting a tensor along the last mode and summing the Grams of the
         // pieces equals the Gram of the whole — the property the distributed
         // Gram (Alg. 4) relies on.
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(65);
         let dims = [4usize, 3, 6];
         let y = random_tensor(&mut rng, &dims);
-        let full = gram(&y, 0);
+        let full = gram_ctx(ctx, &y, 0);
 
         // Split along mode 2 into two halves (contiguous in memory).
         let half_len = y.len() / 2;
         let first = DenseTensor::from_vec(&[4, 3, 3], y.as_slice()[..half_len].to_vec());
         let second = DenseTensor::from_vec(&[4, 3, 3], y.as_slice()[half_len..].to_vec());
-        let sum = gram(&first, 0).add(&gram(&second, 0));
+        let sum = gram_ctx(ctx, &first, 0).add(&gram_ctx(ctx, &second, 0));
         assert_matrix_close(&full, &sum, 1e-10);
     }
 
@@ -448,7 +433,7 @@ mod tests {
     fn two_way_tensor_first_mode() {
         // For a matrix (2-way tensor), gram in mode 0 is X·Xᵀ.
         let x = DenseTensor::from_fn(&[3, 4], |idx| (idx[0] * 4 + idx[1]) as f64);
-        let s = gram(&x, 0);
+        let s = gram_ctx(ExecContext::global(), &x, 0);
         for i in 0..3 {
             for j in 0..3 {
                 let mut expected = 0.0;

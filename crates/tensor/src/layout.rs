@@ -64,7 +64,7 @@ impl Unfolding {
 
     /// Number of elements in one contiguous subblock (`left · I_n`).
     #[inline]
-    pub fn block_len(&self) -> usize {
+    fn block_len(&self) -> usize {
         self.left * self.mode_dim
     }
 

@@ -27,15 +27,9 @@ pub mod stream;
 pub mod ttm;
 
 pub use dense::{DenseTensor, SlabRangeError};
-pub use gram::{
-    gram, gram_accumulate, gram_accumulate_ctx, gram_ctx, gram_into, gram_into_ctx, gram_pair,
-    gram_pair_ctx,
-};
+pub use gram::{gram_accumulate_ctx, gram_ctx, gram_into_ctx, gram_pair_ctx};
 pub use layout::Unfolding;
 pub use norms::{frob_norm, max_abs_diff, normalized_rms_error, relative_error};
 pub use slice::{extract_subtensor, SubtensorSpec};
 pub use stream::{take_slab, ttm_slab_chain_ctx, ttm_slab_ctx, SlabSource};
-pub use ttm::{
-    multi_ttm, multi_ttm_ctx, ttm, ttm_chain, ttm_chain_ctx, ttm_ctx, ttm_into, ttm_into_ctx,
-    ttm_slice_ctx, TtmTranspose,
-};
+pub use ttm::{multi_ttm_ctx, ttm_chain_ctx, ttm_ctx, ttm_into_ctx, ttm_slice_ctx, TtmTranspose};

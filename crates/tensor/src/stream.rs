@@ -21,7 +21,7 @@
 //!   contraction dimension), so summing over consecutive slabs reproduces
 //!   the full-tensor Gram bit for bit, for every slab width.
 //!
-//! `tucker_core::streaming::st_hosvd_streaming` is the driver that turns
+//! `tucker_core::streaming::try_st_hosvd_streaming_ctx` is the driver that turns
 //! these invariants into an out-of-core ST-HOSVD whose output is
 //! bit-identical to the in-memory algorithm.
 

@@ -64,13 +64,11 @@ pub enum TtmTranspose {
 /// The result has the same dimensions as `X` except mode `n` becomes `K`.
 ///
 /// # Panics
+/// The kernel runs on `ctx` (hybrid runs hand each simulated rank a
+/// budget-limited context; everything else uses the global one).
+///
+/// # Panics
 /// Panics if the matrix dimensions are incompatible with mode `n` of `X`.
-pub fn ttm(x: &DenseTensor, v: &Matrix, mode: usize, trans: TtmTranspose) -> DenseTensor {
-    ttm_ctx(ExecContext::global(), x, v, mode, trans)
-}
-
-/// [`ttm`] on an explicit execution context (hybrid runs hand each simulated
-/// rank a budget-limited context; everything else uses the global one).
 pub fn ttm_ctx(
     ctx: &ExecContext,
     x: &DenseTensor,
@@ -124,21 +122,10 @@ pub fn ttm_slice_ctx(
     y
 }
 
-/// In-place variant of [`ttm`]: writes the result into a preallocated tensor
-/// whose dimensions must already be correct (every element of `y` is
+/// In-place variant of [`ttm_ctx`]: writes the result into a preallocated
+/// tensor whose dimensions must already be correct (every element of `y` is
 /// overwritten). Used by the distributed kernels and the workspace-reusing
 /// HOOI loop to avoid repeated allocation.
-pub fn ttm_into(
-    x: &DenseTensor,
-    v: &Matrix,
-    mode: usize,
-    trans: TtmTranspose,
-    y: &mut DenseTensor,
-) {
-    ttm_into_ctx(ExecContext::global(), x, v, mode, trans, y)
-}
-
-/// [`ttm_into`] on an explicit execution context.
 ///
 /// Parallelism: the first mode is one large GEMM scattered over row panels;
 /// every other mode scatters contiguous ranges of the `right` block loop,
@@ -372,18 +359,8 @@ impl<'a> BlockMul<'a> {
 ///
 /// The multiplications are applied in the order given by `order` (a permutation
 /// of the non-`None` modes); since TTMs in distinct modes commute (Sec. II-A),
-/// the order only affects intermediate sizes, not the result.
-pub fn multi_ttm(
-    x: &DenseTensor,
-    matrices: &[Option<&Matrix>],
-    trans: TtmTranspose,
-    order: &[usize],
-) -> DenseTensor {
-    multi_ttm_ctx(ExecContext::global(), x, matrices, trans, order)
-}
-
-/// [`multi_ttm`] on an explicit execution context. `x` is read in place
-/// until the first product; only intermediate results are owned.
+/// the order only affects intermediate sizes, not the result. `x` is read in
+/// place until the first product; only intermediate results are owned.
 ///
 /// When the chain ends in an expanding tail (module docs), the products
 /// before it run mode by mode and the tail runs over tiles of the leading
@@ -595,12 +572,8 @@ impl<'a> ExpandingTail<'a> {
     }
 }
 
-/// Convenience wrapper: applies `op(V_n)` for every mode `n` in natural order.
-pub fn ttm_chain(x: &DenseTensor, matrices: &[&Matrix], trans: TtmTranspose) -> DenseTensor {
-    ttm_chain_ctx(ExecContext::global(), x, matrices, trans)
-}
-
-/// [`ttm_chain`] on an explicit execution context.
+/// Applies `op(V_n)` for every mode `n` in natural order ([`multi_ttm_ctx`]
+/// with every mode present).
 pub fn ttm_chain_ctx(
     ctx: &ExecContext,
     x: &DenseTensor,
@@ -676,7 +649,13 @@ mod tests {
         let x = random_tensor(&mut rng, &dims);
         for (mode, &d) in dims.iter().enumerate() {
             let v = random_matrix(&mut rng, 7, d);
-            let fast = ttm(&x, &v, mode, TtmTranspose::NoTranspose);
+            let fast = ttm_ctx(
+                ExecContext::global(),
+                &x,
+                &v,
+                mode,
+                TtmTranspose::NoTranspose,
+            );
             let slow = ttm_reference(&x, &v, mode, TtmTranspose::NoTranspose);
             assert_tensor_close(&fast, &slow, 1e-11);
             assert_eq!(fast.dim(mode), 7);
@@ -690,7 +669,7 @@ mod tests {
         let x = random_tensor(&mut rng, &dims);
         for (mode, &d) in dims.iter().enumerate() {
             let v = random_matrix(&mut rng, d, 5);
-            let fast = ttm(&x, &v, mode, TtmTranspose::Transpose);
+            let fast = ttm_ctx(ExecContext::global(), &x, &v, mode, TtmTranspose::Transpose);
             let slow = ttm_reference(&x, &v, mode, TtmTranspose::Transpose);
             assert_tensor_close(&fast, &slow, 1e-11);
             assert_eq!(fast.dim(mode), 5);
@@ -704,7 +683,13 @@ mod tests {
         let x = random_tensor(&mut rng, &dims);
         for (mode, &d) in dims.iter().enumerate() {
             let i = Matrix::identity(d);
-            let y = ttm(&x, &i, mode, TtmTranspose::NoTranspose);
+            let y = ttm_ctx(
+                ExecContext::global(),
+                &x,
+                &i,
+                mode,
+                TtmTranspose::NoTranspose,
+            );
             assert_tensor_close(&x, &y, 1e-14);
         }
     }
@@ -717,7 +702,13 @@ mod tests {
         let x = random_tensor(&mut rng, &dims);
         let mode = 1;
         let v = random_matrix(&mut rng, 6, dims[mode]);
-        let y = ttm(&x, &v, mode, TtmTranspose::NoTranspose);
+        let y = ttm_ctx(
+            ExecContext::global(),
+            &x,
+            &v,
+            mode,
+            TtmTranspose::NoTranspose,
+        );
         let xu = Unfolding::new(&dims, mode).materialize(&x);
         let yu = Unfolding::new(y.dims(), mode).materialize(&y);
         let expected = tucker_linalg::gemm::gemm(Transpose::No, Transpose::No, 1.0, &v, &xu);
@@ -730,19 +721,22 @@ mod tests {
 
     #[test]
     fn modes_commute() {
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(54);
         let dims = [4usize, 5, 6];
         let x = random_tensor(&mut rng, &dims);
         let v0 = random_matrix(&mut rng, 2, 4);
         let v2 = random_matrix(&mut rng, 3, 6);
-        let a = ttm(
-            &ttm(&x, &v0, 0, TtmTranspose::NoTranspose),
+        let a = ttm_ctx(
+            ctx,
+            &ttm_ctx(ctx, &x, &v0, 0, TtmTranspose::NoTranspose),
             &v2,
             2,
             TtmTranspose::NoTranspose,
         );
-        let b = ttm(
-            &ttm(&x, &v2, 2, TtmTranspose::NoTranspose),
+        let b = ttm_ctx(
+            ctx,
+            &ttm_ctx(ctx, &x, &v2, 2, TtmTranspose::NoTranspose),
             &v0,
             0,
             TtmTranspose::NoTranspose,
@@ -752,20 +746,23 @@ mod tests {
 
     #[test]
     fn multi_ttm_respects_order_and_skips_none() {
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(55);
         let dims = [3usize, 4, 5];
         let x = random_tensor(&mut rng, &dims);
         let v0 = random_matrix(&mut rng, 2, 3);
         let v2 = random_matrix(&mut rng, 2, 5);
-        let out = multi_ttm(
+        let out = multi_ttm_ctx(
+            ctx,
             &x,
             &[Some(&v0), None, Some(&v2)],
             TtmTranspose::NoTranspose,
             &[2, 0],
         );
         assert_eq!(out.dims(), &[2, 4, 2]);
-        let manual = ttm(
-            &ttm(&x, &v2, 2, TtmTranspose::NoTranspose),
+        let manual = ttm_ctx(
+            ctx,
+            &ttm_ctx(ctx, &x, &v2, 2, TtmTranspose::NoTranspose),
             &v0,
             0,
             TtmTranspose::NoTranspose,
@@ -783,19 +780,20 @@ mod tests {
             .map(|&d| random_matrix(&mut rng, 2, d))
             .collect();
         let refs: Vec<&Matrix> = ms.iter().collect();
-        let y = ttm_chain(&x, &refs, TtmTranspose::NoTranspose);
+        let y = ttm_chain_ctx(ExecContext::global(), &x, &refs, TtmTranspose::NoTranspose);
         assert_eq!(y.dims(), &[2, 2, 2]);
     }
 
     #[test]
     fn norm_contraction_with_orthonormal_rows() {
         // Multiplying by a matrix with orthonormal rows cannot increase the norm.
+        let ctx = ExecContext::global();
         let mut rng = StdRng::seed_from_u64(57);
         let dims = [6usize, 5, 4];
         let x = random_tensor(&mut rng, &dims);
         // Build a 3x6 matrix with orthonormal rows from a QR factorization.
-        let q = tucker_linalg::qr::householder_qr(&random_matrix(&mut rng, 6, 3)).q; // 6x3
-        let y = ttm(&x, &q, 0, TtmTranspose::Transpose); // multiply by qᵀ (3x6)
+        let q = tucker_linalg::qr::householder_qr_ctx(ctx, &random_matrix(&mut rng, 6, 3)).q; // 6x3
+        let y = ttm_ctx(ctx, &x, &q, 0, TtmTranspose::Transpose); // multiply by qᵀ (3x6)
         assert!(y.norm() <= x.norm() + 1e-12);
     }
 
@@ -812,7 +810,7 @@ mod tests {
                     (TtmTranspose::NoTranspose, random_matrix(&mut rng, 6, d)),
                     (TtmTranspose::Transpose, random_matrix(&mut rng, d, 6)),
                 ] {
-                    let fast = ttm(&x, &v, mode, trans);
+                    let fast = ttm_ctx(ExecContext::global(), &x, &v, mode, trans);
                     let slow = ttm_reference(&x, &v, mode, trans);
                     assert_tensor_close(&fast, &slow, 1e-11);
                 }
@@ -959,7 +957,7 @@ mod tests {
     fn dimension_mismatch_panics() {
         let x = DenseTensor::zeros(&[2, 3]);
         let v = Matrix::zeros(4, 4);
-        ttm(&x, &v, 0, TtmTranspose::NoTranspose);
+        ttm_ctx(ExecContext::global(), &x, &v, 0, TtmTranspose::NoTranspose);
     }
 
     #[test]
@@ -967,7 +965,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(58);
         let x = random_tensor(&mut rng, &[4, 5]);
         let v = random_matrix(&mut rng, 3, 4);
-        let y = ttm(&x, &v, 0, TtmTranspose::NoTranspose);
+        let y = ttm_ctx(ExecContext::global(), &x, &v, 0, TtmTranspose::NoTranspose);
         // X as a matrix is 4x5 column-major; Y should equal V·X.
         for i in 0..3 {
             for j in 0..5 {

@@ -30,7 +30,7 @@ fn main() -> Result<(), TuckerError> {
         );
         for eps in [1e-2, 1e-3, 1e-4] {
             let result = Compressor::new(&ds.data).tolerance(eps).run()?;
-            let rec = result.tucker().reconstruct();
+            let rec = result.tucker().reconstruct_ctx(ExecContext::global());
             let err = normalized_rms_error(&ds.data, &rec);
             let max_err = max_abs_diff(&ds.data, &rec);
             println!(
@@ -51,8 +51,14 @@ fn main() -> Result<(), TuckerError> {
             .ranks(st.ranks().to_vec())
             .refine(Refine::sweeps(2))
             .run()?;
-        let st_err = normalized_rms_error(&ds.data, &st.tucker().reconstruct());
-        let ho_err = normalized_rms_error(&ds.data, &ho.tucker().reconstruct());
+        let st_err = normalized_rms_error(
+            &ds.data,
+            &st.tucker().reconstruct_ctx(ExecContext::global()),
+        );
+        let ho_err = normalized_rms_error(
+            &ds.data,
+            &ho.tucker().reconstruct_ctx(ExecContext::global()),
+        );
         println!(
             "    HOOI refinement at eps=1e-3: {:.4e} -> {:.4e} (improvement {:.2}%)\n",
             st_err,

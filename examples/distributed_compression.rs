@@ -33,7 +33,7 @@ fn main() -> Result<(), TuckerError> {
     let t0 = std::time::Instant::now();
     let seq = Compressor::new(&x).tolerance(1e-2).run()?;
     let seq_time = t0.elapsed().as_secs_f64();
-    let seq_err = normalized_rms_error(&x, &seq.tucker().reconstruct());
+    let seq_err = normalized_rms_error(&x, &seq.tucker().reconstruct_ctx(ExecContext::global()));
     println!(
         "\nSequential ST-HOSVD:   ranks {:?}, error {:.2e}, {:.3} s",
         seq.ranks(),
@@ -52,7 +52,7 @@ fn main() -> Result<(), TuckerError> {
         let grid = ProcGrid::new(&grid_shape);
         let p = grid.size();
         let result = Compressor::distributed(&x, grid).tolerance(1e-2).run()?;
-        let err = normalized_rms_error(&x, &result.tucker().reconstruct());
+        let err = normalized_rms_error(&x, &result.tucker().reconstruct_ctx(ExecContext::global()));
         let info = result
             .dist_info()
             .expect("distributed runs carry communication accounting");

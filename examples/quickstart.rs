@@ -6,8 +6,8 @@
 //! with ε-driven rank selection (Alg. 1), HOOI refinement (Alg. 2), and
 //! partial reconstruction from the compressed form (eq. (1), Sec. II-C).
 //! Everything goes through [`Compressor`]: the builder validates the inputs
-//! and dispatches to the exact same kernels the lower-level `st_hosvd` /
-//! `hooi` calls would run, bit for bit.
+//! and dispatches to the exact same kernels the lower-level
+//! `try_st_hosvd_ctx` / `try_hooi_ctx` calls would run, bit for bit.
 //!
 //! Run with:
 //! ```text
@@ -56,7 +56,7 @@ fn main() -> Result<(), TuckerError> {
     );
     for eps in [1e-2, 1e-4, 1e-6] {
         let result = Compressor::new(&x).tolerance(eps).run()?;
-        let rec = result.tucker().reconstruct();
+        let rec = result.tucker().reconstruct_ctx(ExecContext::global());
         let err = normalized_rms_error(&x, &rec);
         println!(
             "{:<10.0e} {:>18} {:>13.1}x {:>14.2e}",
@@ -78,8 +78,8 @@ fn main() -> Result<(), TuckerError> {
         .ranks(st.ranks().to_vec())
         .refine(Refine::sweeps(3))
         .run()?;
-    let st_err = normalized_rms_error(&x, &st.tucker().reconstruct());
-    let ho_err = normalized_rms_error(&x, &ho.tucker().reconstruct());
+    let st_err = normalized_rms_error(&x, &st.tucker().reconstruct_ctx(ExecContext::global()));
+    let ho_err = normalized_rms_error(&x, &ho.tucker().reconstruct_ctx(ExecContext::global()));
     let iterations = ho.hooi().map_or(0, |h| h.iterations);
     println!(
         "\nST-HOSVD error {:.3e}  →  HOOI error {:.3e}  ({} iterations)",
@@ -92,7 +92,7 @@ fn main() -> Result<(), TuckerError> {
     let spec = SubtensorSpec::all(&dims)
         .restrict_mode(2, vec![3])
         .restrict_mode(3, vec![19]);
-    let sub = tucker_core::reconstruct_subtensor(st.tucker(), &spec);
+    let sub = tucker_core::reconstruct_subtensor_ctx(st.tucker(), &spec, ExecContext::global());
     println!(
         "\nReconstructed a single variable/time-step slice of shape {:?} \
          without forming the full tensor.",

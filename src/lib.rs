@@ -60,8 +60,8 @@ pub mod prelude {
         TensorQuery, TuckerError, Written,
     };
     pub use tucker_core::dist::{
-        dist_hooi, dist_reconstruct, dist_st_hosvd, hybrid_ctx, try_dist_hooi_ctx,
-        try_dist_st_hosvd_ctx, DistTensor, DistTucker,
+        dist_reconstruct_ctx, hybrid_ctx, try_dist_hooi_ctx, try_dist_st_hosvd_ctx, DistTensor,
+        DistTucker,
     };
     pub use tucker_core::prelude::*;
     pub use tucker_distmem::{
@@ -90,16 +90,22 @@ mod tests {
 
     #[test]
     fn facade_reexports_work_together() {
+        let ctx = ExecContext::global();
         let x = DenseTensor::from_fn(&[8, 7, 6], |idx| (idx[0] + idx[1] * idx[2]) as f64);
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-3));
-        let rec = result.tucker.reconstruct();
+        let result = try_st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(1e-3), ctx).unwrap();
+        let rec = result.tucker.reconstruct_ctx(ctx);
         assert!(normalized_rms_error(&x, &rec) <= 1e-3);
     }
 
     #[test]
     fn builder_facade_matches_direct_call() {
         let x = DenseTensor::from_fn(&[8, 7, 6], |idx| (idx[0] + idx[1] * idx[2]) as f64);
-        let direct = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-3));
+        let direct = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(1e-3),
+            ExecContext::global(),
+        )
+        .unwrap();
         let built = Compressor::new(&x)
             .tolerance(1e-3)
             .run()

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tucker_api::{Compressor, KernelPath, Open, PlanError, Refine, TensorQuery, TuckerError};
-use tucker_core::dist::{dist_hooi, dist_st_hosvd, DistTensor};
+use tucker_core::dist::{hybrid_ctx, try_dist_hooi_ctx, try_dist_st_hosvd_ctx, DistTensor};
 use tucker_core::prelude::*;
 use tucker_core::validate::{RankError, ShapeError};
 use tucker_distmem::runtime::spmd_with_grid;
@@ -105,30 +105,45 @@ fn query_fingerprint(q: &impl TensorQuery) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// In-memory path, tolerance-driven: facade ≡ `st_hosvd`, bitwise.
+    /// In-memory path, tolerance-driven: facade ≡ `try_st_hosvd_ctx`, bitwise.
     #[test]
     fn in_memory_tolerance_matches_direct(x in arbitrary_tensor()) {
-        let direct = st_hosvd(&x, &SthosvdOptions::with_tolerance(0.2));
+        let direct = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(0.2),
+            ExecContext::global(),
+        )
+        .unwrap();
         let facade = Compressor::new(&x).tolerance(0.2).run().expect("valid plan");
         assert_eq!(facade.kernel(), KernelPath::InMemory);
         assert_sthosvd_bits(&facade, &direct, "in-memory tolerance");
     }
 
-    /// In-memory path, fixed ranks: facade ≡ `st_hosvd`, bitwise.
+    /// In-memory path, fixed ranks: facade ≡ `try_st_hosvd_ctx`, bitwise.
     #[test]
     fn in_memory_fixed_ranks_matches_direct(x in arbitrary_tensor()) {
         let ranks: Vec<usize> = x.dims().iter().map(|&d| d.min(3)).collect();
-        let direct = st_hosvd(&x, &SthosvdOptions::with_ranks(ranks.clone()));
+        let direct = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_ranks(ranks.clone()),
+            ExecContext::global(),
+        )
+        .unwrap();
         let facade = Compressor::new(&x).ranks(ranks).run().expect("valid plan");
         assert_sthosvd_bits(&facade, &direct, "in-memory fixed ranks");
     }
 
-    /// Refined path: facade `.refine(..)` ≡ `hooi`, bitwise, including the
+    /// Refined path: facade `.refine(..)` ≡ `try_hooi_ctx`, bitwise, including the
     /// fit history.
     #[test]
     fn refined_matches_direct_hooi(x in arbitrary_tensor()) {
         let ranks: Vec<usize> = x.dims().iter().map(|&d| d.min(2)).collect();
-        let direct = hooi(&x, &HooiOptions::with_ranks(ranks.clone(), 2));
+        let direct = try_hooi_ctx(
+            &x,
+            &HooiOptions::with_ranks(ranks.clone(), 2),
+            ExecContext::global(),
+        )
+        .unwrap();
         let facade = Compressor::new(&x)
             .ranks(ranks)
             .refine(Refine::sweeps(2))
@@ -142,11 +157,16 @@ proptest! {
         assert_tucker_bits(&h.tucker, &direct.tucker, "hooi");
     }
 
-    /// Streaming path across slab widths: facade ≡ `st_hosvd_streaming`
-    /// ≡ `st_hosvd`, bitwise.
+    /// Streaming path across slab widths: facade ≡
+    /// `try_st_hosvd_streaming_ctx` ≡ `try_st_hosvd_ctx`, bitwise.
     #[test]
     fn streaming_matches_direct(x in arbitrary_tensor()) {
-        let in_memory = st_hosvd(&x, &SthosvdOptions::with_tolerance(0.2));
+        let in_memory = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(0.2),
+            ExecContext::global(),
+        )
+        .unwrap();
         let last = *x.dims().last().unwrap();
         for width in [1usize, 3, last] {
             let facade = Compressor::from_slabs(&x)
@@ -159,7 +179,7 @@ proptest! {
         }
     }
 
-    /// Distributed path on a 2×1×…grid: facade ≡ `dist_st_hosvd` + gather,
+    /// Distributed path on a 2×1×…grid: facade ≡ `try_dist_st_hosvd_ctx` + gather,
     /// bitwise, for tolerance and fixed-rank selection.
     #[test]
     fn distributed_matches_direct(x in arbitrary_tensor()) {
@@ -171,7 +191,7 @@ proptest! {
             let sel2 = sel.clone();
             let direct = spmd_with_grid(ProcGrid::new(&grid_shape), move |comm| {
                 let dx = DistTensor::from_global(&comm, &x2);
-                let r = dist_st_hosvd(&comm, &dx, &sel2);
+                let r = try_dist_st_hosvd_ctx(&comm, &dx, &sel2, &hybrid_ctx(&comm)).unwrap();
                 r.tucker.gather_to_root(&comm).map(|t| (t, r.ranks))
             })
             .into_iter()
@@ -198,7 +218,12 @@ proptest! {
     #[test]
     fn write_to_is_byte_identical_for_every_codec(x in arbitrary_tensor()) {
         let eps = 1e-2;
-        let direct = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+        let direct = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        )
+        .unwrap();
         for codec in Codec::all() {
             let direct_path = temp_tkr(&format!("direct_{}", codec.name()));
             write_tucker_ctx(&direct_path, &direct.tucker, &StoreOptions::new(codec, eps), ExecContext::global()).unwrap();
@@ -307,7 +332,13 @@ fn distributed_write_matches_gather_and_write() {
     let x2 = x.clone();
     spmd_with_grid(ProcGrid::new(&grid_shape), move |comm| {
         let dx = DistTensor::from_global(&comm, &x2);
-        let r = dist_st_hosvd(&comm, &dx, &SthosvdOptions::with_tolerance(eps));
+        let r = try_dist_st_hosvd_ctx(
+            &comm,
+            &dx,
+            &SthosvdOptions::with_tolerance(eps),
+            &hybrid_ctx(&comm),
+        )
+        .unwrap();
         gather_and_write(&comm, &r.tucker, &p2, &StoreOptions::new(Codec::Q16, eps)).unwrap();
     });
 
@@ -339,7 +370,13 @@ fn distributed_refined_matches_direct_dist_hooi() {
     let x2 = x.clone();
     let direct = spmd_with_grid(ProcGrid::new(&grid_shape), move |comm| {
         let dx = DistTensor::from_global(&comm, &x2);
-        let r = dist_hooi(&comm, &dx, &HooiOptions::with_ranks(r2.clone(), 2));
+        let r = try_dist_hooi_ctx(
+            &comm,
+            &dx,
+            &HooiOptions::with_ranks(r2.clone(), 2),
+            &hybrid_ctx(&comm),
+        )
+        .unwrap();
         r.tucker.gather_to_root(&comm)
     })
     .into_iter()
@@ -492,10 +529,87 @@ fn bad_orders_grids_and_refines_are_typed_errors() {
     ));
 }
 
+/// A tensor whose `‖X‖²` is not finite (one NaN entry, one `+∞` entry, or
+/// entries whose squares overflow) is refused with a typed error on every
+/// compression path, before any eigensolve — none of them panics.
+#[test]
+fn non_finite_input_is_a_typed_error_on_every_path() {
+    let smooth = DenseTensor::from_fn(&[12, 10, 8], |idx| {
+        (0.3 * idx[0] as f64).sin() + (0.2 * idx[1] as f64 * idx[2] as f64).cos() + 2.0
+    });
+    let with_entry = |v: f64| {
+        let mut x = smooth.clone();
+        x.set(&[5, 4, 3], v);
+        x
+    };
+    let mut huge = smooth.clone();
+    huge.scale(1e160);
+    let cases = [
+        ("one NaN entry", with_entry(f64::NAN)),
+        ("one +inf entry", with_entry(f64::INFINITY)),
+        ("scaled by 1e160", huge),
+    ];
+    let refused = |what: &str, path: &str, r: Result<tucker_api::Compressed, TuckerError>| match r {
+        Err(TuckerError::NonFinite { norm_x_sq }) => {
+            assert!(!norm_x_sq.is_finite(), "{what}, {path}: {norm_x_sq}")
+        }
+        Err(e) => panic!("{what}, {path}: wrong error {e}"),
+        Ok(_) => panic!("{what}, {path}: accepted"),
+    };
+    for (what, x) in &cases {
+        refused(what, "new", Compressor::new(x).tolerance(1e-3).run());
+        refused(
+            what,
+            "new + refine",
+            Compressor::new(x)
+                .tolerance(1e-3)
+                .refine(Refine::sweeps(2))
+                .run(),
+        );
+        refused(
+            what,
+            "from_slabs",
+            Compressor::from_slabs(x).tolerance(1e-3).run(),
+        );
+        for grid in [vec![1usize, 1, 1], vec![2, 1, 1], vec![2, 2, 1]] {
+            refused(
+                what,
+                "distributed",
+                Compressor::distributed(x, ProcGrid::new(&grid))
+                    .tolerance(1e-3)
+                    .run(),
+            );
+            refused(
+                what,
+                "distributed + refine",
+                Compressor::distributed(x, ProcGrid::new(&grid))
+                    .ranks(vec![3, 3, 3])
+                    .refine(Refine::sweeps(2))
+                    .run(),
+            );
+        }
+        // The core entry points return the CoreError the facade maps.
+        assert!(matches!(
+            try_st_hosvd_ctx(
+                x,
+                &SthosvdOptions::with_tolerance(1e-3),
+                ExecContext::global()
+            ),
+            Err(CoreError::NonFinite { .. })
+        ));
+    }
+}
+
 #[test]
 fn writer_contract_violations_are_typed_errors() {
     let x = DenseTensor::from_fn(&[6, 6, 6], |idx| (idx[0] + idx[1] + idx[2]) as f64);
-    let t = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-3)).tucker;
+    let t = try_st_hosvd_ctx(
+        &x,
+        &SthosvdOptions::with_tolerance(1e-3),
+        ExecContext::global(),
+    )
+    .unwrap()
+    .tucker;
     let header = TkrHeader {
         dims: t.original_dims(),
         ranks: t.ranks(),
@@ -623,8 +737,10 @@ fn every_truncated_artifact_is_a_format_error_on_every_open_path() {
     let x = DenseTensor::from_fn(&[6, 5, 4], |idx| {
         ((idx[0] + 2 * idx[1]) as f64 * 0.3).sin() + 0.5 * idx[2] as f64
     });
-    let t = st_hosvd(&x, &SthosvdOptions::with_ranks(vec![3, 3, 3])).tucker;
     let ctx = ExecContext::global();
+    let t = try_st_hosvd_ctx(&x, &SthosvdOptions::with_ranks(vec![3, 3, 3]), ctx)
+        .unwrap()
+        .tucker;
     let cut_path = temp_tkr("cut");
     let cache = SharedChunkCache::new(4, 1);
     let mut opens = 0usize;
@@ -803,7 +919,12 @@ fn declared_eps_is_stamped_into_fixed_rank_artifacts() {
     // Fixed ranks carry no intrinsic tolerance; the caller declares the
     // bound it knows, and readers' error budgets reflect it.
     let ranks = vec![3usize, 3, 3];
-    let direct = st_hosvd(&x, &SthosvdOptions::with_ranks(ranks.clone()));
+    let direct = try_st_hosvd_ctx(
+        &x,
+        &SthosvdOptions::with_ranks(ranks.clone()),
+        ExecContext::global(),
+    )
+    .unwrap();
     let declared = direct.error_bound();
     Compressor::new(&x)
         .ranks(ranks.clone())

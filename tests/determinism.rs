@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 use tucker_core::hooi::HooiOptions;
 use tucker_core::sthosvd::SthosvdOptions;
-use tucker_core::{hooi_ctx, st_hosvd_ctx};
+use tucker_core::{try_hooi_ctx, try_st_hosvd_ctx};
 use tucker_exec::ExecContext;
 use tucker_linalg::Matrix;
 use tucker_tensor::{gram_ctx, ttm_ctx, DenseTensor, TtmTranspose};
@@ -83,9 +83,9 @@ proptest! {
     #[test]
     fn st_hosvd_is_bit_identical_across_thread_counts(x in arbitrary_tensor()) {
         let opts = SthosvdOptions::with_tolerance(0.2);
-        let baseline = st_hosvd_ctx(&x, &opts, &ExecContext::new(1));
+        let baseline = try_st_hosvd_ctx(&x, &opts, &ExecContext::new(1)).unwrap();
         for threads in THREAD_COUNTS {
-            let r = st_hosvd_ctx(&x, &opts, &ExecContext::new(threads));
+            let r = try_st_hosvd_ctx(&x, &opts, &ExecContext::new(threads)).unwrap();
             prop_assert_eq!(&r.ranks, &baseline.ranks);
             prop_assert_eq!(
                 r.tucker.core.as_slice(),
@@ -102,9 +102,9 @@ proptest! {
     fn hooi_is_bit_identical_across_thread_counts(x in arbitrary_tensor()) {
         let ranks: Vec<usize> = x.dims().iter().map(|&d| d.min(2)).collect();
         let opts = HooiOptions::with_ranks(ranks, 2);
-        let baseline = hooi_ctx(&x, &opts, &ExecContext::new(1));
+        let baseline = try_hooi_ctx(&x, &opts, &ExecContext::new(1)).unwrap();
         for threads in THREAD_COUNTS {
-            let r = hooi_ctx(&x, &opts, &ExecContext::new(threads));
+            let r = try_hooi_ctx(&x, &opts, &ExecContext::new(threads)).unwrap();
             prop_assert_eq!(r.iterations, baseline.iterations);
             prop_assert_eq!(&r.fit_history, &baseline.fit_history);
             prop_assert_eq!(
@@ -131,10 +131,10 @@ fn large_kernels_are_bit_identical_across_thread_counts() {
         v
     });
     let opts = SthosvdOptions::with_ranks(vec![9, 8, 7]);
-    let baseline = st_hosvd_ctx(&x, &opts, &ExecContext::new(1));
+    let baseline = try_st_hosvd_ctx(&x, &opts, &ExecContext::new(1)).unwrap();
     for threads in [2usize, 4, 8, 32] {
         let ctx = ExecContext::new(threads);
-        let r = st_hosvd_ctx(&x, &opts, &ctx);
+        let r = try_st_hosvd_ctx(&x, &opts, &ctx).unwrap();
         assert_eq!(r.tucker.core.as_slice(), baseline.tucker.core.as_slice());
         for (a, b) in r.tucker.factors.iter().zip(baseline.tucker.factors.iter()) {
             assert_eq!(a.as_slice(), b.as_slice());
@@ -153,7 +153,7 @@ fn large_kernels_are_bit_identical_across_thread_counts() {
 /// the ranks are threads or spawned processes.
 #[test]
 fn env_transport_repeated_dist_runs_are_bit_identical() {
-    use tucker_core::dist::{dist_st_hosvd, DistTensor};
+    use tucker_core::dist::{hybrid_ctx, try_dist_st_hosvd_ctx, DistTensor};
     use tucker_distmem::{Communicator, ProcGrid};
     use tucker_net::{env_ranks, spmd_transport, test_exec_args, transport_from_env, SpmdHandle};
 
@@ -185,7 +185,7 @@ fn env_transport_repeated_dist_runs_are_bit_identical() {
             &exec,
             move |comm: Communicator| {
                 let dx = DistTensor::from_global(&comm, &x);
-                let r = dist_st_hosvd(&comm, &dx, &opts);
+                let r = try_dist_st_hosvd_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm)).unwrap();
                 match r.tucker.gather_to_root(&comm) {
                     Some(t) => {
                         let mut out: Vec<f64> = t.core.as_slice().to_vec();

@@ -5,14 +5,14 @@
 
 use parallel_tucker::prelude::*;
 use tucker_core::dist::{
-    dist_hooi, dist_hooi_ctx, dist_reconstruct, dist_st_hosvd_ctx, hybrid_ctx, parallel_gram,
-    parallel_gram_ctx, parallel_ttm,
+    dist_reconstruct_ctx, hybrid_ctx, parallel_gram_ctx, parallel_ttm_ctx, try_dist_hooi_ctx,
+    try_dist_st_hosvd_ctx,
 };
-use tucker_core::hooi::{hooi, hooi_ctx, HooiOptions};
+use tucker_core::hooi::{try_hooi_ctx, HooiOptions};
 use tucker_distmem::runtime::spmd_with_grid_handle;
 use tucker_exec::ExecContext;
 use tucker_linalg::Matrix;
-use tucker_tensor::{gram, gram_ctx, ttm};
+use tucker_tensor::{gram_ctx, ttm_ctx};
 
 fn structured_tensor(dims: &[usize]) -> DenseTensor {
     DenseTensor::from_fn(dims, |idx| {
@@ -26,11 +26,12 @@ fn structured_tensor(dims: &[usize]) -> DenseTensor {
 
 #[test]
 fn distributed_sthosvd_matches_sequential_on_many_grids() {
+    let ctx = ExecContext::global();
     let dims = [12usize, 10, 8];
     let x = structured_tensor(&dims);
     let opts = SthosvdOptions::with_ranks(vec![4, 3, 3]);
-    let seq = st_hosvd(&x, &opts);
-    let seq_rec = seq.tucker.reconstruct();
+    let seq = try_st_hosvd_ctx(&x, &opts, ctx).unwrap();
+    let seq_rec = seq.tucker.reconstruct_ctx(ctx);
 
     for grid_shape in [
         vec![1usize, 1, 1],
@@ -43,10 +44,10 @@ fn distributed_sthosvd_matches_sequential_on_many_grids() {
         let opts2 = opts.clone();
         let results = spmd_with_grid(ProcGrid::new(&grid_shape), move |comm| {
             let dx = DistTensor::from_global(&comm, &x2);
-            let r = dist_st_hosvd(&comm, &dx, &opts2);
+            let r = try_dist_st_hosvd_ctx(&comm, &dx, &opts2, &hybrid_ctx(&comm)).unwrap();
             r.tucker.gather_to_root(&comm)
         });
-        let dist_rec = results[0].as_ref().unwrap().reconstruct();
+        let dist_rec = results[0].as_ref().unwrap().reconstruct_ctx(ctx);
         let diff = normalized_rms_error(&seq_rec, &dist_rec);
         assert!(
             diff < 1e-8,
@@ -57,18 +58,25 @@ fn distributed_sthosvd_matches_sequential_on_many_grids() {
 
 #[test]
 fn distributed_hooi_matches_sequential() {
+    let ctx = ExecContext::global();
     let dims = [10usize, 9, 8];
     let x = structured_tensor(&dims);
     let opts = HooiOptions::with_ranks(vec![3, 3, 2], 2);
-    let seq_err = normalized_rms_error(&x, &hooi(&x, &opts).tucker.reconstruct());
+    let seq_err = normalized_rms_error(
+        &x,
+        &try_hooi_ctx(&x, &opts, ctx)
+            .unwrap()
+            .tucker
+            .reconstruct_ctx(ctx),
+    );
 
     let x2 = x.clone();
     let results = spmd_with_grid(ProcGrid::new(&[2, 1, 2]), move |comm| {
         let dx = DistTensor::from_global(&comm, &x2);
-        let r = dist_hooi(&comm, &dx, &opts);
+        let r = try_dist_hooi_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm)).unwrap();
         r.tucker.gather_to_root(&comm)
     });
-    let dist_err = normalized_rms_error(&x, &results[0].as_ref().unwrap().reconstruct());
+    let dist_err = normalized_rms_error(&x, &results[0].as_ref().unwrap().reconstruct_ctx(ctx));
     assert!(
         (seq_err - dist_err).abs() < 1e-8 * (1.0 + seq_err),
         "sequential {seq_err} vs distributed {dist_err}"
@@ -82,8 +90,14 @@ fn distributed_reconstruction_round_trip() {
     let x2 = x.clone();
     let results = spmd_with_grid(ProcGrid::new(&[2, 2, 1]), move |comm| {
         let dx = DistTensor::from_global(&comm, &x2);
-        let r = dist_st_hosvd(&comm, &dx, &SthosvdOptions::with_tolerance(1e-5));
-        let rec = dist_reconstruct(&comm, &r.tucker);
+        let r = try_dist_st_hosvd_ctx(
+            &comm,
+            &dx,
+            &SthosvdOptions::with_tolerance(1e-5),
+            &hybrid_ctx(&comm),
+        )
+        .unwrap();
+        let rec = dist_reconstruct_ctx(&comm, &r.tucker, &hybrid_ctx(&comm));
         rec.gather_to_root(&comm)
     });
     let rec = results[0].as_ref().unwrap();
@@ -92,19 +106,27 @@ fn distributed_reconstruction_round_trip() {
 
 #[test]
 fn parallel_kernels_match_sequential_on_a_4way_tensor() {
+    let ctx = ExecContext::global();
     let dims = [8usize, 6, 6, 4];
     let x = structured_tensor(&dims);
     let v = Matrix::from_fn(dims[1], 3, |i, j| ((i + 2 * j) as f64 * 0.3).cos());
 
     // Sequential references.
-    let seq_ttm = ttm(&x, &v, 1, TtmTranspose::Transpose);
-    let seq_gram = gram(&x, 2);
+    let seq_ttm = ttm_ctx(ctx, &x, &v, 1, TtmTranspose::Transpose);
+    let seq_gram = gram_ctx(ctx, &x, 2);
 
     let x2 = x.clone();
     let results = spmd_with_grid(ProcGrid::new(&[2, 1, 2, 1]), move |comm| {
         let dx = DistTensor::from_global(&comm, &x2);
-        let z = parallel_ttm(&comm, &dx, &v, 1, TtmTranspose::Transpose);
-        let s_block = parallel_gram(&comm, &dx, 2);
+        let z = parallel_ttm_ctx(
+            &comm,
+            &dx,
+            &v,
+            1,
+            TtmTranspose::Transpose,
+            &hybrid_ctx(&comm),
+        );
+        let s_block = parallel_gram_ctx(&comm, &dx, 2, &hybrid_ctx(&comm));
         (z.gather_to_root(&comm), dx.ranges()[2], s_block)
     });
 
@@ -208,7 +230,7 @@ fn communication_volume_tracks_cost_model() {
 
     let handle = spmd_with_grid_handle(ProcGrid::new(&grid_shape), move |comm| {
         let dx = DistTensor::from_global(&comm, &x);
-        let _ = parallel_gram(&comm, &dx, mode);
+        let _ = parallel_gram_ctx(&comm, &dx, mode, &hybrid_ctx(&comm));
     });
     let measured_words_per_rank =
         handle.total_stats().words_sent as f64 / handle.stats.len() as f64;
@@ -228,7 +250,7 @@ fn communication_volume_tracks_cost_model() {
 
 #[test]
 fn ttm_communication_volume_matches_cost_model() {
-    // The mode-aware reduce-scatter in `parallel_ttm` must move exactly the
+    // The mode-aware reduce-scatter in `parallel_ttm_ctx` must move exactly the
     // β volume `(P_n − 1)·Ĵ_n·K/P` that `CostModel::ttm` (Alg. 3) charges per
     // rank — not the 2× volume of an all-reduce. Dimensions and grid are
     // chosen so every block divides evenly and the match is exact.
@@ -241,7 +263,14 @@ fn ttm_communication_volume_matches_cost_model() {
 
     let handle = spmd_with_grid_handle(ProcGrid::new(&grid_shape), move |comm| {
         let dx = DistTensor::from_global(&comm, &x);
-        let _ = parallel_ttm(&comm, &dx, &v, mode, TtmTranspose::Transpose);
+        let _ = parallel_ttm_ctx(
+            &comm,
+            &dx,
+            &v,
+            mode,
+            TtmTranspose::Transpose,
+            &hybrid_ctx(&comm),
+        );
     });
     let measured = handle.total_stats().words_sent as f64 / handle.stats.len() as f64;
 
@@ -260,7 +289,14 @@ fn ttm_communication_volume_matches_cost_model() {
     let v = Matrix::from_fn(dims[mode], k, |i, j| ((2 * i + j) as f64 * 0.15).cos());
     let handle = spmd_with_grid_handle(ProcGrid::new(&grid_shape), move |comm| {
         let dx = DistTensor::from_global(&comm, &x);
-        let _ = parallel_ttm(&comm, &dx, &v, mode, TtmTranspose::Transpose);
+        let _ = parallel_ttm_ctx(
+            &comm,
+            &dx,
+            &v,
+            mode,
+            TtmTranspose::Transpose,
+            &hybrid_ctx(&comm),
+        );
     });
     let measured = handle.total_stats().words_sent as f64 / handle.stats.len() as f64;
     let predicted = model.ttm(&dims, mode, k).words;
@@ -313,12 +349,12 @@ fn single_rank_distributed_run_is_exactly_sequential() {
             for threads in [1, 2, 4] {
                 let ctx = ExecContext::new(threads);
                 let label = format!("{dims:?}, {opts:?}, {threads} threads");
-                let st = st_hosvd_ctx(&x, opts, &ctx);
-                let ho = hooi_ctx(&x, &hooi_opts, &ctx);
+                let st = try_st_hosvd_ctx(&x, opts, &ctx).unwrap();
+                let ho = try_hooi_ctx(&x, &hooi_opts, &ctx).unwrap();
                 let mut results = spmd_with_grid(ProcGrid::new(&vec![1; dims.len()]), |comm| {
                     let dx = DistTensor::from_global(&comm, &x);
-                    let dst = dist_st_hosvd_ctx(&comm, &dx, opts, &ctx);
-                    let dho = dist_hooi_ctx(&comm, &dx, &hooi_opts, &ctx);
+                    let dst = try_dist_st_hosvd_ctx(&comm, &dx, opts, &ctx).unwrap();
+                    let dho = try_dist_hooi_ctx(&comm, &dx, &hooi_opts, &ctx).unwrap();
                     let st_tucker = dst.tucker.gather_to_root(&comm).expect("one rank");
                     let ho_tucker = dho.tucker.gather_to_root(&comm).expect("one rank");
                     (dst, st_tucker, dho, ho_tucker)
@@ -351,43 +387,31 @@ fn single_rank_distributed_run_is_exactly_sequential() {
 }
 
 /// Every entry validates: on any grid, the distributed drivers reject what
-/// the sequential ones reject, with the same panic message and the same
-/// typed error.
+/// the sequential ones reject, with the same typed error. The one panicking
+/// distributed form left, `dist_st_hosvd`, panics with that error's message.
 #[test]
 fn distributed_entries_validate_like_the_sequential_ones() {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    use tucker_core::dist::{try_dist_hooi_ctx, try_dist_st_hosvd_ctx};
+    use tucker_core::dist::{dist_st_hosvd, try_dist_hooi_ctx, try_dist_st_hosvd_ctx};
     use tucker_core::hooi::try_hooi_ctx;
     use tucker_core::sthosvd::try_st_hosvd_ctx;
+    use tucker_core::validate::{CoreError, RankError};
     use tucker_distmem::try_spmd_with_grid_handle;
 
     let x = structured_tensor(&[6, 5, 4]);
     let opts = SthosvdOptions::with_ranks(vec![9, 2, 2]);
     let hooi_opts = HooiOptions::with_ranks(vec![9, 2, 2], 2);
-    let panic_message = |f: &dyn Fn()| -> String {
-        let payload = catch_unwind(AssertUnwindSafe(f)).expect_err("invalid input must panic");
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default()
-    };
-    let st_message = panic_message(&|| {
-        st_hosvd(&x, &opts);
-    });
-    let hooi_message = panic_message(&|| {
-        hooi(&x, &hooi_opts);
-    });
-    assert!(
-        st_message.starts_with("st_hosvd: invalid input"),
-        "{st_message}"
-    );
-    assert!(
-        hooi_message.starts_with("hooi: invalid input"),
-        "{hooi_message}"
-    );
     let st_error = try_st_hosvd_ctx(&x, &opts, ExecContext::global()).err();
     let hooi_error = try_hooi_ctx(&x, &hooi_opts, ExecContext::global()).err();
-    assert!(st_error.is_some() && hooi_error == st_error);
+    assert_eq!(
+        st_error,
+        Some(CoreError::Rank(RankError::ExceedsDim {
+            mode: 0,
+            rank: 9,
+            dim: 6
+        }))
+    );
+    assert_eq!(hooi_error, st_error);
+    let st_message = format!("st_hosvd: invalid input: {}", st_error.clone().unwrap());
 
     for grid in [vec![1usize, 1, 1], vec![2, 1, 1]] {
         let st_panic = try_spmd_with_grid_handle(ProcGrid::new(&grid), |comm| {
@@ -395,11 +419,6 @@ fn distributed_entries_validate_like_the_sequential_ones() {
         })
         .expect_err("dist_st_hosvd must reject ranks above an extent");
         assert_eq!(st_panic.message, st_message, "grid {grid:?}");
-        let hooi_panic = try_spmd_with_grid_handle(ProcGrid::new(&grid), |comm| {
-            dist_hooi(&comm, &DistTensor::from_global(&comm, &x), &hooi_opts);
-        })
-        .expect_err("dist_hooi must reject ranks above an extent");
-        assert_eq!(hooi_panic.message, hooi_message, "grid {grid:?}");
 
         let errors = spmd_with_grid(ProcGrid::new(&grid), |comm| {
             let dx = DistTensor::from_global(&comm, &x);
@@ -422,6 +441,7 @@ fn distributed_entries_validate_like_the_sequential_ones() {
 /// processes have to land on the same fit as the in-process reference.
 #[test]
 fn env_transport_distributed_hooi_matches_sequential() {
+    let ctx = ExecContext::global();
     use tucker_net::{
         env_ranks, spmd_transport, test_exec_args, transport_from_env, TransportKind,
     };
@@ -438,7 +458,13 @@ fn env_transport_distributed_hooi_matches_sequential() {
     let dims = [10usize, 9, 8];
     let x = structured_tensor(&dims);
     let opts = HooiOptions::with_ranks(vec![3, 3, 2], 2);
-    let seq_err = normalized_rms_error(&x, &hooi(&x, &opts).tucker.reconstruct());
+    let seq_err = normalized_rms_error(
+        &x,
+        &try_hooi_ctx(&x, &opts, ctx)
+            .unwrap()
+            .tucker
+            .reconstruct_ctx(ctx),
+    );
 
     let x2 = x.clone();
     let exec = test_exec_args("env_transport_distributed_hooi_matches_sequential");
@@ -449,9 +475,9 @@ fn env_transport_distributed_hooi_matches_sequential() {
         &exec,
         move |comm: Communicator| -> Vec<f64> {
             let dx = DistTensor::from_global(&comm, &x2);
-            let r = dist_hooi(&comm, &dx, &opts);
+            let r = try_dist_hooi_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm)).unwrap();
             match r.tucker.gather_to_root(&comm) {
-                Some(t) => t.reconstruct().as_slice().to_vec(),
+                Some(t) => t.reconstruct_ctx(ctx).as_slice().to_vec(),
                 None => vec![],
             }
         },

@@ -3,7 +3,7 @@
 
 use parallel_tucker::prelude::*;
 use tucker_core::error::{error_bound, mode_wise_error_curves, ranks_for_tolerance};
-use tucker_core::hooi::{hooi, HooiOptions};
+use tucker_core::hooi::{try_hooi_ctx, HooiOptions};
 use tucker_core::thosvd::t_hosvd;
 use tucker_core::RankSelection;
 use tucker_scidata::normalize_per_slice;
@@ -25,10 +25,11 @@ fn small_dataset() -> DenseTensor {
 
 #[test]
 fn tolerance_guarantee_holds_across_epsilons() {
+    let ctx = ExecContext::global();
     let x = small_dataset();
     for eps in [1e-1, 1e-2, 1e-3, 1e-4] {
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
-        let rec = result.tucker.reconstruct();
+        let result = try_st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(eps), ctx).unwrap();
+        let rec = result.tucker.reconstruct_ctx(ctx);
         let err = normalized_rms_error(&x, &rec);
         assert!(
             err <= eps + 1e-12,
@@ -43,7 +44,12 @@ fn compression_improves_monotonically_with_epsilon() {
     let x = small_dataset();
     let mut previous_ratio = f64::INFINITY;
     for eps in [1e-1, 1e-2, 1e-3, 1e-4] {
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
+        let result = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        )
+        .unwrap();
         let ratio = result.tucker.compression_ratio(x.dims());
         assert!(
             ratio <= previous_ratio + 1e-12,
@@ -55,11 +61,12 @@ fn compression_improves_monotonically_with_epsilon() {
 
 #[test]
 fn hooi_never_degrades_sthosvd() {
+    let ctx = ExecContext::global();
     let x = small_dataset();
-    let st = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-2));
-    let ho = hooi(&x, &HooiOptions::with_ranks(st.ranks.clone(), 3));
-    let st_err = normalized_rms_error(&x, &st.tucker.reconstruct());
-    let ho_err = normalized_rms_error(&x, &ho.tucker.reconstruct());
+    let st = try_st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(1e-2), ctx).unwrap();
+    let ho = try_hooi_ctx(&x, &HooiOptions::with_ranks(st.ranks.clone(), 3), ctx).unwrap();
+    let st_err = normalized_rms_error(&x, &st.tucker.reconstruct_ctx(ctx));
+    let ho_err = normalized_rms_error(&x, &ho.tucker.reconstruct_ctx(ctx));
     assert!(ho_err <= st_err + 1e-12);
     for w in ho.fit_history.windows(2) {
         assert!(w[1] <= w[0] + 1e-9 * x.norm_sq());
@@ -70,6 +77,7 @@ fn hooi_never_degrades_sthosvd() {
 fn thosvd_sthosvd_and_hooi_agree_on_well_separated_data() {
     // For data with clear low-rank structure the three algorithms find
     // essentially the same approximation quality at fixed ranks.
+    let ctx = ExecContext::global();
     let x = NoisyLowRank {
         dims: vec![16, 14, 12],
         ranks: vec![4, 3, 3],
@@ -79,11 +87,11 @@ fn thosvd_sthosvd_and_hooi_agree_on_well_separated_data() {
     .generate();
     let ranks = vec![4usize, 3, 3];
     let th = t_hosvd(&x, &RankSelection::Fixed(ranks.clone()));
-    let st = st_hosvd(&x, &SthosvdOptions::with_ranks(ranks.clone()));
-    let ho = hooi(&x, &HooiOptions::with_ranks(ranks, 3));
-    let eth = normalized_rms_error(&x, &th.tucker.reconstruct());
-    let est = normalized_rms_error(&x, &st.tucker.reconstruct());
-    let eho = normalized_rms_error(&x, &ho.tucker.reconstruct());
+    let st = try_st_hosvd_ctx(&x, &SthosvdOptions::with_ranks(ranks.clone()), ctx).unwrap();
+    let ho = try_hooi_ctx(&x, &HooiOptions::with_ranks(ranks, 3), ctx).unwrap();
+    let eth = normalized_rms_error(&x, &th.tucker.reconstruct_ctx(ctx));
+    let est = normalized_rms_error(&x, &st.tucker.reconstruct_ctx(ctx));
+    let eho = normalized_rms_error(&x, &ho.tucker.reconstruct_ctx(ctx));
     assert!((eth - est).abs() < 0.2 * eth.max(est));
     assert!(eho <= est + 1e-12);
     assert!(eho <= eth + 1e-12);
@@ -91,6 +99,7 @@ fn thosvd_sthosvd_and_hooi_agree_on_well_separated_data() {
 
 #[test]
 fn mode_wise_curves_predict_achievable_ranks() {
+    let ctx = ExecContext::global();
     let x = small_dataset();
     let curves = mode_wise_error_curves(&x);
     let eps = 1e-2;
@@ -99,8 +108,8 @@ fn mode_wise_curves_predict_achievable_ranks() {
     // bound itself respects eps.
     let bound = error_bound(&curves, &curve_ranks, x.norm());
     assert!(bound <= eps + 1e-12);
-    let st = st_hosvd(&x, &SthosvdOptions::with_ranks(curve_ranks));
-    let err = normalized_rms_error(&x, &st.tucker.reconstruct());
+    let st = try_st_hosvd_ctx(&x, &SthosvdOptions::with_ranks(curve_ranks), ctx).unwrap();
+    let err = normalized_rms_error(&x, &st.tucker.reconstruct_ctx(ctx));
     assert!(err <= bound + 1e-12);
 }
 
@@ -108,6 +117,7 @@ fn mode_wise_curves_predict_achievable_ranks() {
 fn normalization_then_compression_round_trips_to_physical_units() {
     // Compress normalized data, reconstruct, de-normalize, and compare with the
     // original physical-units field — the full pipeline a user would run.
+    let ctx = ExecContext::global();
     let cfg = tucker_scidata::CombustionConfig {
         grid: vec![16, 16],
         n_variables: 6,
@@ -123,8 +133,8 @@ fn normalization_then_compression_round_trips_to_physical_units() {
     let mut normalized = physical.clone();
     let norm = normalize_per_slice(&mut normalized, 2);
 
-    let result = st_hosvd(&normalized, &SthosvdOptions::with_tolerance(1e-5));
-    let mut rec = result.tucker.reconstruct();
+    let result = try_st_hosvd_ctx(&normalized, &SthosvdOptions::with_tolerance(1e-5), ctx).unwrap();
+    let mut rec = result.tucker.reconstruct_ctx(ctx);
     norm.invert(&mut rec);
 
     let err = normalized_rms_error(&physical, &rec);
@@ -146,7 +156,12 @@ fn relative_compressibility_ordering_matches_paper() {
         cfg.n_timesteps = cfg.n_timesteps.min(8);
         let mut data = cfg.generate().data;
         normalize_per_slice(&mut data, cfg.grid.len());
-        let result = st_hosvd(&data, &SthosvdOptions::with_tolerance(eps));
+        let result = try_st_hosvd_ctx(
+            &data,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        )
+        .unwrap();
         tucker_core::compression_ratio(data.dims(), &result.ranks)
     };
     let sp = ratio_for(DatasetPreset::Sp);

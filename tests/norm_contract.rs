@@ -14,8 +14,8 @@
 //! tiers and a tiny blocking.
 
 use parallel_tucker::prelude::*;
-use tucker_core::dist::dist_st_hosvd_ctx;
-use tucker_core::streaming::{st_hosvd_streaming_ctx, StreamingOptions};
+use tucker_core::dist::try_dist_st_hosvd_ctx;
+use tucker_core::streaming::{try_st_hosvd_streaming_ctx, StreamingOptions};
 use tucker_tensor::gram_ctx;
 
 /// Deterministic fill with mixed signs and magnitudes over nine decades, so
@@ -69,7 +69,7 @@ fn in_memory_norm_is_the_trace_of_the_first_processed_gram() {
             let opts = SthosvdOptions::with_tolerance(1e-2).order(order.clone());
             let mut expected = None;
             for threads in [1, 2, 4] {
-                let r = st_hosvd_ctx(&x, &opts, &ExecContext::new(threads));
+                let r = try_st_hosvd_ctx(&x, &opts, &ExecContext::new(threads)).unwrap();
                 let want = *expected.get_or_insert_with(|| trace_bits(&x, r.processed_order[0]));
                 assert_eq!(
                     r.norm_x_sq.to_bits(),
@@ -99,12 +99,13 @@ fn streaming_norm_is_the_trace_of_the_first_processed_gram() {
             let want = trace_bits(&x, first);
             for width in [1, 3, dims[last]] {
                 for threads in [1, 4] {
-                    let r = st_hosvd_streaming_ctx(
+                    let r = try_st_hosvd_streaming_ctx(
                         &x,
                         &opts,
                         &StreamingOptions::with_slab_width(width),
                         &ExecContext::new(threads),
-                    );
+                    )
+                    .unwrap();
                     assert_eq!(r.processed_order[0], first);
                     assert_eq!(
                         r.norm_x_sq.to_bits(),
@@ -137,12 +138,13 @@ fn every_rank_reports_the_same_norm_bits() {
     let x = fill(&dims, 31);
     for order in [ModeOrder::Natural, ModeOrder::LargestFirst] {
         let opts = SthosvdOptions::with_tolerance(1e-2).order(order.clone());
-        let seq = st_hosvd_ctx(&x, &opts, &ExecContext::new(1));
+        let seq = try_st_hosvd_ctx(&x, &opts, &ExecContext::new(1)).unwrap();
         for grid in [[2usize, 1, 1], [1, 2, 2], [2, 2, 1]] {
             let (x2, opts2) = (x.clone(), opts.clone());
             let norms = spmd_with_grid(ProcGrid::new(&grid), move |comm| {
                 let dx = DistTensor::from_global(&comm, &x2);
-                dist_st_hosvd_ctx(&comm, &dx, &opts2, &ExecContext::new(1))
+                try_dist_st_hosvd_ctx(&comm, &dx, &opts2, &ExecContext::new(1))
+                    .unwrap()
                     .norm_x_sq
                     .to_bits()
             });
@@ -186,7 +188,7 @@ fn norm_is_within_1e_14_of_a_compensated_sum() {
     let exact = compensated_sum_of_squares(x.as_slice());
     let opts = SthosvdOptions::with_ranks(vec![2, 2, 2]);
     for threads in [1, 2] {
-        let r = st_hosvd_ctx(&x, &opts, &ExecContext::new(threads));
+        let r = try_st_hosvd_ctx(&x, &opts, &ExecContext::new(threads)).unwrap();
         let rel = (r.norm_x_sq - exact).abs() / exact;
         assert!(rel < 1e-14, "{threads} threads: {rel:e} relative error");
     }

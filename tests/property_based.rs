@@ -12,7 +12,8 @@ use tucker_core::rank::select_rank_by_threshold;
 use tucker_linalg::Matrix;
 use tucker_tensor::layout::{unfold_index, Unfolding};
 use tucker_tensor::{
-    extract_subtensor, gram, normalized_rms_error, ttm, DenseTensor, SubtensorSpec, TtmTranspose,
+    extract_subtensor, gram_ctx, normalized_rms_error, ttm_ctx, DenseTensor, SubtensorSpec,
+    TtmTranspose,
 };
 
 /// Strategy: a small tensor shape of 2–4 modes with dims in 2..=7.
@@ -49,13 +50,14 @@ proptest! {
 
     #[test]
     fn ttm_is_linear_in_the_tensor(x in arbitrary_tensor(), mode_sel in 0usize..4, scale in -2.0f64..2.0) {
+        let ctx = ExecContext::global();
         let mode = mode_sel % x.ndims();
         let k = 3usize;
         let v = Matrix::from_fn(k, x.dim(mode), |i, j| ((i * 7 + j * 3) as f64 * 0.1).sin());
-        let y1 = ttm(&x, &v, mode, TtmTranspose::NoTranspose);
+        let y1 = ttm_ctx(ctx, &x, &v, mode, TtmTranspose::NoTranspose);
         let mut xs = x.clone();
         xs.scale(scale);
-        let y2 = ttm(&xs, &v, mode, TtmTranspose::NoTranspose);
+        let y2 = ttm_ctx(ctx, &xs, &v, mode, TtmTranspose::NoTranspose);
         for (a, b) in y1.as_slice().iter().zip(y2.as_slice()) {
             prop_assert!((a * scale - b).abs() < 1e-9);
         }
@@ -63,11 +65,14 @@ proptest! {
 
     #[test]
     fn ttm_in_distinct_modes_commutes(x in arbitrary_tensor()) {
+        let ctx = ExecContext::global();
         prop_assume!(x.ndims() >= 2);
         let v0 = Matrix::from_fn(2, x.dim(0), |i, j| ((i + j) as f64 * 0.2).cos());
         let v1 = Matrix::from_fn(2, x.dim(1), |i, j| ((2 * i + j) as f64 * 0.15).sin());
-        let a = ttm(&ttm(&x, &v0, 0, TtmTranspose::NoTranspose), &v1, 1, TtmTranspose::NoTranspose);
-        let b = ttm(&ttm(&x, &v1, 1, TtmTranspose::NoTranspose), &v0, 0, TtmTranspose::NoTranspose);
+        let inner = ttm_ctx(ctx, &x, &v0, 0, TtmTranspose::NoTranspose);
+        let a = ttm_ctx(ctx, &inner, &v1, 1, TtmTranspose::NoTranspose);
+        let inner = ttm_ctx(ctx, &x, &v1, 1, TtmTranspose::NoTranspose);
+        let b = ttm_ctx(ctx, &inner, &v0, 0, TtmTranspose::NoTranspose);
         for (p, q) in a.as_slice().iter().zip(b.as_slice()) {
             prop_assert!((p - q).abs() < 1e-10);
         }
@@ -76,7 +81,7 @@ proptest! {
     #[test]
     fn gram_is_symmetric_positive_semidefinite(x in arbitrary_tensor(), mode_sel in 0usize..4) {
         let mode = mode_sel % x.ndims();
-        let s = gram(&x, mode);
+        let s = gram_ctx(ExecContext::global(), &x, mode);
         for i in 0..s.rows() {
             prop_assert!(s.get(i, i) >= -1e-10);
             for j in 0..s.cols() {
@@ -90,9 +95,10 @@ proptest! {
 
     #[test]
     fn sthosvd_respects_the_tolerance(x in arbitrary_tensor(), eps_exp in 1u32..4) {
+        let ctx = ExecContext::global();
         let eps = 10f64.powi(-(eps_exp as i32));
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps));
-        let rec = result.tucker.reconstruct();
+        let result = try_st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(eps), ctx).unwrap();
+        let rec = result.tucker.reconstruct_ctx(ctx);
         let err = normalized_rms_error(&x, &rec);
         prop_assert!(err <= eps + 1e-10, "error {} above tolerance {}", err, eps);
         // Factors are orthonormal and ranks never exceed dims.
@@ -104,21 +110,23 @@ proptest! {
 
     #[test]
     fn full_rank_decomposition_is_exact(x in arbitrary_tensor()) {
+        let ctx = ExecContext::global();
         let ranks = x.dims().to_vec();
-        let result = st_hosvd(&x, &SthosvdOptions::with_ranks(ranks));
-        let rec = result.tucker.reconstruct();
+        let result = try_st_hosvd_ctx(&x, &SthosvdOptions::with_ranks(ranks), ctx).unwrap();
+        let rec = result.tucker.reconstruct_ctx(ctx);
         prop_assert!(normalized_rms_error(&x, &rec) < 1e-9);
     }
 
     #[test]
     fn partial_reconstruction_agrees_with_full(x in arbitrary_tensor()) {
-        let result = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-2));
-        let full = result.tucker.reconstruct();
+        let ctx = ExecContext::global();
+        let result = try_st_hosvd_ctx(&x, &SthosvdOptions::with_tolerance(1e-2), ctx).unwrap();
+        let full = result.tucker.reconstruct_ctx(ctx);
         // Take the first half of every mode.
         let spec = SubtensorSpec::from_ranges(
             &x.dims().iter().map(|&d| (0, (d / 2).max(1))).collect::<Vec<_>>(),
         );
-        let partial = tucker_core::reconstruct_subtensor(&result.tucker, &spec);
+        let partial = tucker_core::reconstruct_subtensor_ctx(&result.tucker, &spec, ctx);
         let expected = extract_subtensor(&full, &spec);
         for (a, b) in partial.as_slice().iter().zip(expected.as_slice()) {
             prop_assert!((a - b).abs() < 1e-9);

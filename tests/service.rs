@@ -48,7 +48,12 @@ fn wavy(dims: &[usize], phase: f64) -> DenseTensor {
 /// artifact has a deep chunk directory and the shared cache actually cycles.
 fn chunked_artifact(tag: &str, dims: &[usize], codec: Codec, phase: f64) -> PathBuf {
     let x = wavy(dims, phase);
-    let r = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-4));
+    let r = try_st_hosvd_ctx(
+        &x,
+        &SthosvdOptions::with_tolerance(1e-4),
+        ExecContext::global(),
+    )
+    .unwrap();
     let t = &r.tucker;
     let path = temp_tkr(tag);
     let header = TkrHeader {

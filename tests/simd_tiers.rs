@@ -13,8 +13,8 @@
 //! mutex and restore the detected tier before releasing it.
 
 use std::sync::Mutex;
-use tucker_core::st_hosvd_ctx;
 use tucker_core::sthosvd::SthosvdOptions;
+use tucker_core::try_st_hosvd_ctx;
 use tucker_exec::ExecContext;
 use tucker_linalg::blocking::{force_blocking, Blocking};
 use tucker_linalg::simd::{detected_tier, force_tier, supported_tiers, SimdTier};
@@ -47,7 +47,7 @@ fn pipelines_are_bit_identical_across_simd_tiers() {
 
     assert!(force_tier(SimdTier::Scalar));
     let ctx1 = ExecContext::new(1);
-    let baseline = st_hosvd_ctx(&x, &opts, &ctx1);
+    let baseline = try_st_hosvd_ctx(&x, &opts, &ctx1).unwrap();
     let baseline_gram = gram_ctx(&ctx1, &x, 0);
     let baseline_rec = baseline.tucker.reconstruct_ctx(&ctx1);
 
@@ -55,7 +55,7 @@ fn pipelines_are_bit_identical_across_simd_tiers() {
         assert!(force_tier(tier), "cannot force supported tier");
         for threads in [1usize, 4, 32] {
             let ctx = ExecContext::new(threads);
-            let r = st_hosvd_ctx(&x, &opts, &ctx);
+            let r = try_st_hosvd_ctx(&x, &opts, &ctx).unwrap();
             assert_eq!(
                 r.tucker.core.as_slice(),
                 baseline.tucker.core.as_slice(),
@@ -101,7 +101,7 @@ fn artifacts_are_byte_identical_across_simd_tiers() {
     assert!(force_tier(SimdTier::Scalar));
     let ctx1 = ExecContext::new(1);
     let baseline_path = tmp("scalar_t1");
-    let baseline = st_hosvd_ctx(&x, &sth, &ctx1);
+    let baseline = try_st_hosvd_ctx(&x, &sth, &ctx1).unwrap();
     write_tucker_ctx(
         &baseline_path,
         &baseline.tucker,
@@ -117,7 +117,7 @@ fn artifacts_are_byte_identical_across_simd_tiers() {
         for threads in [1usize, 4] {
             let ctx = ExecContext::new(threads);
             let path = tmp(&format!("{}_t{threads}", tier.name()));
-            let r = st_hosvd_ctx(&x, &sth, &ctx);
+            let r = try_st_hosvd_ctx(&x, &sth, &ctx).unwrap();
             write_tucker_ctx(&path, &r.tucker, &StoreOptions::new(Codec::F64, eps), &ctx).unwrap();
             let bytes = std::fs::read(&path).unwrap();
             std::fs::remove_file(&path).ok();
@@ -146,7 +146,7 @@ fn artifacts_are_byte_identical_across_blocking_overrides() {
     let write = |tag: &str, threads: usize| -> Vec<u8> {
         let ctx = ExecContext::new(threads);
         let path = tmp(tag);
-        let r = st_hosvd_ctx(&x, &sth, &ctx);
+        let r = try_st_hosvd_ctx(&x, &sth, &ctx).unwrap();
         write_tucker_ctx(&path, &r.tucker, &StoreOptions::new(Codec::F64, eps), &ctx).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();

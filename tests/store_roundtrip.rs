@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tucker_core::dist::{dist_st_hosvd, DistTensor};
+use tucker_core::dist::{hybrid_ctx, try_dist_st_hosvd_ctx, DistTensor};
 use tucker_core::ordering::window_order;
 use tucker_core::prelude::*;
 use tucker_core::reconstruct::window_roundoff_bound;
@@ -97,8 +97,14 @@ proptest! {
     #[test]
     fn write_read_reconstruct_subtensor_matches_direct(x in arbitrary_tensor()) {
         let eps = 1e-2;
-        let t = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps)).tucker;
-        let direct = t.reconstruct();
+        let t = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        )
+        .unwrap()
+        .tucker;
+        let direct = t.reconstruct_ctx(ExecContext::global());
         let spec = SubtensorSpec::from_ranges(
             &x.dims().iter().map(|&d| (d / 3, (d / 2).max(1))).collect::<Vec<_>>(),
         );
@@ -136,7 +142,13 @@ proptest! {
     /// is indistinguishable from the in-memory `TuckerTensor`.
     #[test]
     fn f64_artifact_is_exactly_the_tucker(x in arbitrary_tensor()) {
-        let t = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-3)).tucker;
+        let t = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(1e-3),
+            ExecContext::global(),
+        )
+        .unwrap()
+        .tucker;
         let path = temp_tkr("exact");
         write_tucker_ctx(&path, &t, &StoreOptions::new(Codec::F64, 1e-3), tucker_exec::ExecContext::global()).unwrap();
         let artifact = TkrArtifact::open_ctx(&path, tucker_exec::ExecContext::global()).unwrap();
@@ -154,7 +166,12 @@ proptest! {
 fn sp_surrogate_round_trips_within_eps_for_all_codecs() {
     let eps = 1e-3;
     let ds = DatasetPreset::Sp.generate(1, 2024);
-    let result = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
+    let result = try_st_hosvd_ctx(
+        &ds.data,
+        &SthosvdOptions::with_tolerance(eps),
+        ExecContext::global(),
+    )
+    .unwrap();
 
     // A ~1% window of the 24×24×24×8×16 field.
     let window_ranges: Vec<(usize, usize)> = vec![(6, 6), (9, 6), (0, 6), (2, 4), (5, 5)];
@@ -197,8 +214,13 @@ fn sp_dist_tucker_round_trips_on_nontrivial_grid() {
     let eps = 1e-3;
     let ds = DatasetPreset::Sp.generate(1, 2024);
     let data = ds.data.clone();
-    let seq = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
-    let seq_rec = seq.tucker.reconstruct();
+    let seq = try_st_hosvd_ctx(
+        &ds.data,
+        &SthosvdOptions::with_tolerance(eps),
+        ExecContext::global(),
+    )
+    .unwrap();
+    let seq_rec = seq.tucker.reconstruct_ctx(ExecContext::global());
 
     for codec in [Codec::F64, Codec::Q16] {
         let path = temp_tkr(&format!("sp_dist_{}", codec.name()));
@@ -206,7 +228,13 @@ fn sp_dist_tucker_round_trips_on_nontrivial_grid() {
         let data2 = data.clone();
         let wrote = spmd_with_grid(ProcGrid::new(&[2, 1, 2, 1, 1]), move |comm| {
             let dx = DistTensor::from_global(&comm, &data2);
-            let r = dist_st_hosvd(&comm, &dx, &SthosvdOptions::with_tolerance(eps));
+            let r = try_dist_st_hosvd_ctx(
+                &comm,
+                &dx,
+                &SthosvdOptions::with_tolerance(eps),
+                &hybrid_ctx(&comm),
+            )
+            .unwrap();
             gather_and_write(&comm, &r.tucker, &path2, &StoreOptions::new(codec, eps))
                 .unwrap()
                 .is_some()
@@ -246,7 +274,12 @@ fn parallel_encode_and_decode_are_byte_and_bit_identical() {
     use tucker_store::write_tucker_ctx;
 
     let ds = DatasetPreset::Sp.generate(1, 77);
-    let result = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(1e-3));
+    let result = try_st_hosvd_ctx(
+        &ds.data,
+        &SthosvdOptions::with_tolerance(1e-3),
+        ExecContext::global(),
+    )
+    .unwrap();
     for codec in Codec::all() {
         let seq = ExecContext::new(1);
         let path_seq = temp_tkr(&format!("par_{}_t1", codec.name()));
@@ -300,7 +333,12 @@ fn parallel_encode_and_decode_are_byte_and_bit_identical() {
 fn lazy_reader_is_byte_identical_to_eager_on_sp_surrogate() {
     let eps = 1e-3;
     let ds = DatasetPreset::Sp.generate(1, 2024);
-    let result = st_hosvd(&ds.data, &SthosvdOptions::with_tolerance(eps));
+    let result = try_st_hosvd_ctx(
+        &ds.data,
+        &SthosvdOptions::with_tolerance(eps),
+        ExecContext::global(),
+    )
+    .unwrap();
     let window: Vec<(usize, usize)> = vec![(6, 6), (9, 6), (0, 6), (2, 4), (5, 5)];
 
     for codec in Codec::all() {

@@ -1,7 +1,7 @@
 //! The out-of-core pipeline's contracts (ISSUE 4 acceptance criteria):
 //!
-//! * `st_hosvd_streaming` output — factors, core, ranks, eigenvalues,
-//!   discarded energy, error bound — is **bit-identical** to `st_hosvd_ctx`
+//! * `try_st_hosvd_streaming_ctx` output — factors, core, ranks, eigenvalues,
+//!   discarded energy, error bound — is **bit-identical** to `try_st_hosvd_ctx`
 //!   on the same data for every slab width (1, a prime, the full last mode)
 //!   and every thread count including oversubscription (the CI runs this
 //!   suite under `TUCKER_THREADS=32` as well);
@@ -85,16 +85,17 @@ proptest! {
     #[test]
     fn streaming_is_bit_identical_across_slab_widths_and_threads(x in arbitrary_tensor()) {
         let opts = SthosvdOptions::with_tolerance(0.2);
-        let baseline = st_hosvd_ctx(&x, &opts, &ExecContext::new(1));
+        let baseline = try_st_hosvd_ctx(&x, &opts, &ExecContext::new(1)).unwrap();
         let last = *x.dims().last().unwrap();
         for width in [1usize, 3, last] {
             for threads in [1usize, 4, 32] {
-                let r = st_hosvd_streaming_ctx(
+                let r = try_st_hosvd_streaming_ctx(
                     &x,
                     &opts,
                     &StreamingOptions::with_slab_width(width),
                     &ExecContext::new(threads),
-                );
+                )
+                .unwrap();
                 assert_bit_identical(&r, &baseline, &format!("width {width}, threads {threads}"));
             }
         }
@@ -106,14 +107,15 @@ proptest! {
     fn streaming_with_fixed_ranks_is_bit_identical(x in arbitrary_tensor()) {
         let ranks: Vec<usize> = x.dims().iter().map(|&d| d.min(3)).collect();
         let opts = SthosvdOptions::with_ranks(ranks);
-        let baseline = st_hosvd_ctx(&x, &opts, &ExecContext::new(1));
+        let baseline = try_st_hosvd_ctx(&x, &opts, &ExecContext::new(1)).unwrap();
         for width in [1usize, 2] {
-            let r = st_hosvd_streaming_ctx(
+            let r = try_st_hosvd_streaming_ctx(
                 &x,
                 &opts,
                 &StreamingOptions::with_slab_width(width),
                 &ExecContext::new(4),
-            );
+            )
+            .unwrap();
             assert_bit_identical(&r, &baseline, &format!("fixed ranks, width {width}"));
         }
     }
@@ -123,7 +125,13 @@ proptest! {
     #[test]
     fn every_codec_round_trips_through_the_lazy_reader(x in arbitrary_tensor()) {
         let eps = 1e-2;
-        let t = st_hosvd(&x, &SthosvdOptions::with_tolerance(eps)).tucker;
+        let t = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions::with_tolerance(eps),
+            ExecContext::global(),
+        )
+        .unwrap()
+        .tucker;
         let last = *t.core.dims().last().unwrap();
         let dims = x.dims();
         let window: Vec<(usize, usize)> =
@@ -189,12 +197,17 @@ fn large_streaming_decomposition_is_bit_identical() {
         v
     });
     let opts = SthosvdOptions::with_ranks(vec![9, 8, 7]);
-    let baseline = st_hosvd_ctx(&x, &opts, &ExecContext::new(1));
+    let baseline = try_st_hosvd_ctx(&x, &opts, &ExecContext::new(1)).unwrap();
     for threads in [2usize, 8, 32] {
         let ctx = ExecContext::new(threads);
         for width in [1usize, 5, 34] {
-            let r =
-                st_hosvd_streaming_ctx(&x, &opts, &StreamingOptions::with_slab_width(width), &ctx);
+            let r = try_st_hosvd_streaming_ctx(
+                &x,
+                &opts,
+                &StreamingOptions::with_slab_width(width),
+                &ctx,
+            )
+            .unwrap();
             assert_bit_identical(&r, &baseline, &format!("threads {threads}, width {width}"));
         }
     }
@@ -225,7 +238,7 @@ fn streaming_compression_artifact_is_byte_identical_to_in_memory() {
             let opts = StoreOptions::new(codec, eps);
 
             let path_mem = temp_tkr(&format!("mem_{}_{threads}", codec.name()));
-            let result = st_hosvd_ctx(&x, &sth, &ctx);
+            let result = try_st_hosvd_ctx(&x, &sth, &ctx).unwrap();
             write_tucker_ctx(&path_mem, &result.tucker, &opts, &ctx).unwrap();
 
             let path_str = temp_tkr(&format!("str_{}_{threads}", codec.name()));
@@ -261,7 +274,13 @@ fn lazy_reader_decode_accounting() {
     let x = DenseTensor::from_fn(&[9, 8, 13], |idx| {
         ((idx[0] + 2 * idx[1]) as f64 * 0.31).sin() + 0.1 * idx[2] as f64
     });
-    let t = st_hosvd(&x, &SthosvdOptions::with_tolerance(1e-3)).tucker;
+    let t = try_st_hosvd_ctx(
+        &x,
+        &SthosvdOptions::with_tolerance(1e-3),
+        ExecContext::global(),
+    )
+    .unwrap()
+    .tucker;
     let last = *t.core.dims().last().unwrap();
     let path = temp_tkr("accounting");
     let header = TkrHeader {
@@ -318,10 +337,15 @@ fn surrogate_slab_source_streams_to_the_in_memory_bits() {
     let x = src.materialize();
     let opts = SthosvdOptions::with_tolerance(1e-3);
     let ctx = ExecContext::new(4);
-    let baseline = st_hosvd_ctx(&x, &opts, &ctx);
+    let baseline = try_st_hosvd_ctx(&x, &opts, &ctx).unwrap();
     for width in [1usize, 3, 8] {
-        let r =
-            st_hosvd_streaming_ctx(&src, &opts, &StreamingOptions::with_slab_width(width), &ctx);
+        let r = try_st_hosvd_streaming_ctx(
+            &src,
+            &opts,
+            &StreamingOptions::with_slab_width(width),
+            &ctx,
+        )
+        .unwrap();
         assert_bit_identical(&r, &baseline, &format!("surrogate width {width}"));
     }
 }

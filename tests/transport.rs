@@ -141,7 +141,7 @@ fn tcp_dist_sthosvd_matches_inproc_bitwise() {
         let opts = opts.clone();
         move |comm: Communicator| -> Vec<f64> {
             let dx = DistTensor::from_global(&comm, &x);
-            let r = dist_st_hosvd(&comm, &dx, &opts);
+            let r = try_dist_st_hosvd_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm)).unwrap();
             match r.tucker.gather_to_root(&comm) {
                 Some(t) => tucker_bits(&t),
                 None => vec![],
@@ -172,7 +172,7 @@ fn tcp_dist_sthosvd_matches_inproc_bitwise() {
 
 #[test]
 fn tcp_artifact_bytes_identical_on_2x2_grid() {
-    // The PR's acceptance capstone: dist_st_hosvd on a 2×2 process grid must
+    // The transport contract's capstone: `try_dist_st_hosvd_ctx` on a 2×2 grid must
     // produce a byte-identical `.tkr` whether the four ranks are threads or
     // spawned processes. Rank 0 writes the artifact and ships its raw bytes
     // through the result table, so every *process* (launcher and workers
@@ -187,7 +187,7 @@ fn tcp_artifact_bytes_identical_on_2x2_grid() {
         let opts = opts.clone();
         move |comm: Communicator| -> Vec<u8> {
             let dx = DistTensor::from_global(&comm, &x);
-            let r = dist_st_hosvd(&comm, &dx, &opts);
+            let r = try_dist_st_hosvd_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm)).unwrap();
             match r.tucker.gather_to_root(&comm) {
                 Some(t) => {
                     let path = std::env::temp_dir()
@@ -307,6 +307,7 @@ fn env_selected_transport_runs_distributed_equivalence() {
     // the backend and process count come from the environment, the
     // assertions don't change. Under the default (inproc) env this still
     // verifies the sequential/distributed agreement.
+    let ctx = ExecContext::global();
     let kind = transport_from_env();
     let p = if kind == TransportKind::Tcp {
         env_ranks()
@@ -323,7 +324,10 @@ fn env_selected_transport_runs_distributed_equivalence() {
     let dims = [12usize, 10, 8];
     let x = structured_tensor(&dims);
     let opts = SthosvdOptions::with_ranks(vec![4, 3, 3]);
-    let seq_rec = st_hosvd(&x, &opts).tucker.reconstruct();
+    let seq_rec = try_st_hosvd_ctx(&x, &opts, ctx)
+        .unwrap()
+        .tucker
+        .reconstruct_ctx(ctx);
     let exec = test_exec_args("env_selected_transport_runs_distributed_equivalence");
     let h: SpmdHandle<Vec<f64>> =
         spmd_transport(kind, "env-equivalence", ProcGrid::new(&grid), &exec, {
@@ -331,9 +335,9 @@ fn env_selected_transport_runs_distributed_equivalence() {
             let opts = opts.clone();
             move |comm: Communicator| -> Vec<f64> {
                 let dx = DistTensor::from_global(&comm, &x);
-                let r = dist_st_hosvd(&comm, &dx, &opts);
+                let r = try_dist_st_hosvd_ctx(&comm, &dx, &opts, &hybrid_ctx(&comm)).unwrap();
                 match r.tucker.gather_to_root(&comm) {
-                    Some(t) => t.reconstruct().as_slice().to_vec(),
+                    Some(t) => t.reconstruct_ctx(ctx).as_slice().to_vec(),
                     None => vec![],
                 }
             }

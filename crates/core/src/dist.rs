@@ -44,14 +44,14 @@ use crate::tucker::TuckerTensor;
 use crate::validate::{self, CoreError};
 use tucker_distmem::collectives::{all_gather, all_reduce, reduce_scatter_blocks};
 use tucker_distmem::{Communicator, ProcGrid, SubCommunicator};
-use tucker_exec::{ExecContext, Workspace};
+use tucker_exec::{zeroed, ExecContext, Workspace};
 use tucker_linalg::eig::sym_eig_desc;
 use tucker_linalg::Matrix;
 use tucker_obs::metrics::Counter;
 use tucker_tensor::slice::insert_subtensor;
 use tucker_tensor::{
     extract_subtensor, gram_ctx, gram_pair_ctx, ttm_into_ctx, DenseTensor, SubtensorSpec,
-    TtmTranspose, Unfolding,
+    TtmTranspose,
 };
 
 /// Completed ST-HOSVD runs, once per run and rank (see `tucker-obs`).
@@ -327,12 +327,13 @@ pub struct DistHooiResult {
 /// it is `I_n × K` (the factor-matrix convention of ST-HOSVD). Each rank
 /// multiplies its block against its owned slice of `op(V)`, the partial
 /// products are sum-reduced across the mode-`n` processor column with a
-/// **mode-aware reduce-scatter** — the partial product is re-indexed so each
-/// column member's mode-`n` block is contiguous, and the ring reduce-scatter
-/// delivers to every rank only the fully summed block it owns. Per rank this
-/// moves `(P_n − 1)·Ĵ_n·K/P` words, exactly the β term [`CostModel::ttm`]
-/// charges for Alg. 3 (an all-reduce would move twice that and then discard
-/// all but the owned block).
+/// **mode-aware reduce-scatter** — each rank computes its partial product
+/// as one block per column member (the rows of `op(V)` giving that
+/// member's mode-`n` indices), so every block is contiguous as computed,
+/// and the ring reduce-scatter delivers to every rank only the fully summed
+/// block it owns. Per rank this moves `(P_n − 1)·Ĵ_n·K/P` words, exactly
+/// the β term [`CostModel::ttm`] charges for Alg. 3 (an all-reduce would
+/// move twice that and then discard all but the owned block).
 ///
 /// The local TTM runs on `ctx`, this rank's share of the shared pool
 /// (hybrid ranks × threads).
@@ -349,8 +350,10 @@ pub fn parallel_ttm_ctx(
     parallel_ttm_ws(comm, y, v, n, trans, ctx, &mut Workspace::new())
 }
 
-/// [`parallel_ttm_ctx`] whose local product is written into a buffer taken
-/// from `ws` — the HOOI loop's recycled intermediates.
+/// [`parallel_ttm_ctx`] whose local product, when this rank's processor
+/// column keeps it whole, is written into a buffer taken from `ws` — the
+/// HOOI loop's recycled intermediates. Blocks bound for the reduce-scatter
+/// are sent away, so they come from `zeroed` instead.
 fn parallel_ttm_ws(
     comm: &Communicator,
     y: &DistTensor,
@@ -380,64 +383,74 @@ fn parallel_ttm_ws(
         TtmTranspose::NoTranspose => v.col_block(off, off + len),
         TtmTranspose::Transpose => v.row_block(off, off + len),
     };
-    let mut partial_dims = y.local().dims().to_vec();
-    partial_dims[n] = k;
-    let partial_len = partial_dims.iter().product();
-    let mut partial = DenseTensor::from_vec(&partial_dims, ws.take(partial_len));
-    if y.local().is_empty() || partial.is_empty() {
-        // A rank owning none of mode n contributes zeros.
-        partial.as_mut_slice().fill(0.0);
-    } else {
-        ttm_into_ctx(ctx, y.local(), &v_slice, n, trans, &mut partial);
-    }
-
     let mut new_dims = y.global_dims().to_vec();
     new_dims[n] = k;
 
     let col_group = SubCommunicator::mode_column(comm, n);
-    if col_group.size() == 1 {
+    let pn = col_group.size();
+    if pn == 1 {
         // Single processor column: the partial product is already the result,
         // and this rank keeps the whole mode (bit-identical to the sequential
         // TTM on one rank).
+        let partial = local_ttm(ctx, y, &v_slice, n, trans, k, |len| ws.take(len));
         let mut new_ranges = y.ranges().to_vec();
         new_ranges[n] = (0, k);
         return DistTensor::from_parts(new_dims, new_ranges, partial);
     }
 
-    // Re-index the partial product into block-major order along mode n: the
-    // slab owned by column member q (mode-n indices `block_range(k, P_n, q)`)
-    // becomes one contiguous chunk, flattened in natural order. In every
-    // unfolding block those indices are one contiguous run of `qlen · left`
-    // elements, so the chunk is the concatenation of `right` runs.
-    let pn = col_group.size();
-    let unf = Unfolding::new(partial.dims(), n);
-    let data = partial.as_slice();
-    let mut packed = Vec::with_capacity(partial.len());
-    let mut counts = Vec::with_capacity(pn);
-    for q in 0..pn {
-        let (qoff, qlen) = ProcGrid::block_range(k, pn, q);
-        counts.push(qlen * unf.cols());
-        for t in 0..unf.right {
-            packed
-                .extend_from_slice(&unf.block(data, t)[qoff * unf.left..(qoff + qlen) * unf.left]);
-        }
-    }
-    let mut local_dims = partial.dims().to_vec();
-    // Freed before the reduce-scatter allocates, not recycled: keeping it
-    // would raise every rank's peak by a partial product.
-    drop(partial);
+    // One partial product per column member q, over the rows of op(V) that
+    // give q's mode-n indices `block_range(k, P_n, q)`: it is q's block,
+    // already contiguous and flattened in natural order, so no re-indexing
+    // pass follows. Each output element is the same inner product over the
+    // owned mode-n slice whichever rows share its GEMM, so the blocks hold
+    // the bits of the undivided product.
+    let chunks = (0..pn)
+        .map(|q| {
+            let (qoff, qlen) = ProcGrid::block_range(k, pn, q);
+            let v_q = match trans {
+                TtmTranspose::NoTranspose => v_slice.row_block(qoff, qoff + qlen),
+                TtmTranspose::Transpose => v_slice.col_block(qoff, qoff + qlen),
+            };
+            local_ttm(ctx, y, &v_q, n, trans, qlen, zeroed).into_vec()
+        })
+        .collect();
 
     // Mode-aware reduce-scatter: each member receives exactly its own fully
     // summed block, already flattened in the natural order of the local tensor.
-    let mine = reduce_scatter_blocks(&col_group, packed, &counts);
+    let mine = reduce_scatter_blocks(&col_group, chunks);
 
     let (ks, kl) = comm.grid().local_range(comm.rank(), n, k);
+    let mut local_dims = y.local().dims().to_vec();
     local_dims[n] = kl;
     let local = DenseTensor::from_vec(&local_dims, mine);
 
     let mut new_ranges = y.ranges().to_vec();
     new_ranges[n] = (ks, kl);
     DistTensor::from_parts(new_dims, new_ranges, local)
+}
+
+/// This rank's partial product `Y_local ×_n op(V_part)`, whose mode `n` has
+/// `k` entries, written into the buffer `take(len)` returns (any contents;
+/// every element is overwritten). A rank owning none of mode `n`
+/// contributes zeros.
+fn local_ttm(
+    ctx: &ExecContext,
+    y: &DistTensor,
+    v_part: &Matrix,
+    n: usize,
+    trans: TtmTranspose,
+    k: usize,
+    take: impl FnOnce(usize) -> Vec<f64>,
+) -> DenseTensor {
+    let mut dims = y.local().dims().to_vec();
+    dims[n] = k;
+    let mut partial = DenseTensor::from_vec(&dims, take(dims.iter().product()));
+    if y.local().is_empty() || partial.is_empty() {
+        partial.as_mut_slice().fill(0.0);
+    } else {
+        ttm_into_ctx(ctx, y.local(), v_part, n, trans, &mut partial);
+    }
+    partial
 }
 
 /// Parallel Gram `S = Y(n)·Y(n)ᵀ` (Alg. 4): returns this rank's **row block**

@@ -206,63 +206,45 @@ fn all_gather_lengths(group: &SubCommunicator<'_>, len: usize) -> Vec<usize> {
 /// chunk of the sum.
 pub fn reduce_scatter(group: &SubCommunicator<'_>, data: &[f64]) -> Vec<f64> {
     let p = group.size();
-    let counts: Vec<usize> = (0..p).map(|i| chunk_range(data.len(), p, i).1).collect();
-    reduce_scatter_blocks(group, data.to_vec(), &counts)
+    let chunks = (0..p)
+        .map(|i| {
+            let (off, len) = chunk_range(data.len(), p, i);
+            data[off..off + len].to_vec()
+        })
+        .collect();
+    reduce_scatter_blocks(group, chunks)
 }
 
-/// Ring reduce-scatter with caller-specified chunk boundaries: the elementwise
-/// sum of all members' equal-length buffers is computed, and member `i`
-/// returns the contiguous chunk of `counts[i]` elements starting at
-/// `counts[..i].sum()`. This is the "mode-aware" variant used by the parallel
-/// TTM (Alg. 3), where the chunks are the mode-`n` tensor blocks owned by each
-/// member of a processor column and therefore not near-equal in general.
+/// Ring reduce-scatter over caller-specified chunks: `chunks[i]` is this
+/// member's contribution to member `i`'s block, the chunks of all members
+/// agree in length position by position, and member `i` returns the
+/// elementwise sum of everyone's `chunks[i]`. This is the "mode-aware"
+/// variant used by the parallel TTM (Alg. 3), where the chunks are the
+/// mode-`n` tensor blocks owned by each member of a processor column and
+/// therefore not near-equal in general.
 ///
-/// The buffer is taken by value: partial sums accumulate in it, outgoing
-/// chunks are sent straight from it, and the returned chunk reuses its
-/// allocation, so the collective copies no buffer of its own.
+/// The chunks are taken by value and travel by move: a chunk is dead once
+/// sent, so it is handed to the transport as it is, and each partial sum
+/// is accumulated into the buffer it arrived in, which is then sent on or
+/// returned. The collective copies no buffer of its own.
 ///
 /// # Panics
-/// Panics if `counts.len() != group.size()` or the counts do not sum to
-/// `data.len()`.
-pub fn reduce_scatter_blocks(
-    group: &SubCommunicator<'_>,
-    data: Vec<f64>,
-    counts: &[usize],
-) -> Vec<f64> {
+/// Panics if `chunks.len() != group.size()` or a received partial sum
+/// differs in length from the local chunk it is added to.
+pub fn reduce_scatter_blocks(group: &SubCommunicator<'_>, chunks: Vec<Vec<f64>>) -> Vec<f64> {
     timed(&REDUCE_SCATTER_US, || {
-        reduce_scatter_blocks_inner(group, data, counts)
+        reduce_scatter_blocks_inner(group, chunks)
     })
 }
 
-fn reduce_scatter_blocks_inner(
-    group: &SubCommunicator<'_>,
-    mut work: Vec<f64>,
-    counts: &[usize],
-) -> Vec<f64> {
+fn reduce_scatter_blocks_inner(group: &SubCommunicator<'_>, mut chunks: Vec<Vec<f64>>) -> Vec<f64> {
     group.note_collective();
     let p = group.size();
     assert_eq!(
-        counts.len(),
+        chunks.len(),
         p,
-        "reduce_scatter_blocks: need one chunk size per member"
+        "reduce_scatter_blocks: need one chunk per member"
     );
-    let total: usize = counts.iter().sum();
-    assert_eq!(
-        total,
-        work.len(),
-        "reduce_scatter_blocks: chunk sizes must cover the buffer"
-    );
-    if p == 1 {
-        return work;
-    }
-    let offsets: Vec<usize> = counts
-        .iter()
-        .scan(0usize, |acc, &c| {
-            let o = *acc;
-            *acc += c;
-            Some(o)
-        })
-        .collect();
     let me = group.pos();
     let right = (me + 1) % p;
     let left = (me + p - 1) % p;
@@ -276,23 +258,25 @@ fn reduce_scatter_blocks_inner(
     for s in 0..p - 1 {
         let send_idx = (me + 2 * p - s - 1) % p;
         let recv_idx = (me + 2 * p - s - 2) % p;
-        let (soff, slen) = (offsets[send_idx], counts[send_idx]);
-        let received = group.sendrecv(right, &work[soff..soff + slen], left);
-        let (roff, rlen) = (offsets[recv_idx], counts[recv_idx]);
+        group.send_vec(right, std::mem::take(&mut chunks[send_idx]));
+        let mut received = group.recv(left);
+        let local = &chunks[recv_idx];
         assert_eq!(
             received.len(),
-            rlen,
+            local.len(),
             "reduce_scatter_blocks: length mismatch"
         );
-        for (w, r) in work[roff..roff + rlen].iter_mut().zip(received.iter()) {
-            *w += r;
+        // local + received, into the arrived buffer.
+        #[expect(
+            clippy::assign_op_pattern,
+            reason = "the local partial stays the left operand, so even NaN payloads keep their bits"
+        )]
+        for (r, w) in received.iter_mut().zip(local) {
+            *r = *w + *r;
         }
+        chunks[recv_idx] = received;
     }
-    // Keep only the owned chunk, in the buffer it was reduced in.
-    work.truncate(offsets[me] + counts[me]);
-    work.drain(..offsets[me]);
-    work.shrink_to_fit();
-    work
+    std::mem::take(&mut chunks[me])
 }
 
 /// All-reduce (elementwise sum): every member returns the full sum.
@@ -503,7 +487,16 @@ mod tests {
         let total: usize = counts.iter().sum();
         let results = with_group(4, |g| {
             let data: Vec<f64> = (0..total).map(|i| (i * (g.pos() + 1)) as f64).collect();
-            reduce_scatter_blocks(g, data, &counts)
+            let mut rest = &data[..];
+            let chunks = counts
+                .iter()
+                .map(|&c| {
+                    let (chunk, tail) = rest.split_at(c);
+                    rest = tail;
+                    chunk.to_vec()
+                })
+                .collect();
+            reduce_scatter_blocks(g, chunks)
         });
         let sum_factor = (4 * 5 / 2) as f64;
         let mut reassembled = Vec::new();

@@ -275,6 +275,15 @@ pub fn sym_eig_ctx(ctx: &ExecContext, a: &Matrix) -> SymEig {
     }
 }
 
+/// The order every eigenvalue sort uses: `partial_cmp`'s on every non-NaN
+/// pair (adding `+0.0` turns `−0` into `+0`, so `±0` tie and a stable sort
+/// keeps their columns in place), extended by `total_cmp` to NaN, which
+/// sorts after `+∞` (or before `−∞` when its sign bit is set), so a
+/// non-finite input never panics a sort.
+fn ascending(x: f64, y: f64) -> std::cmp::Ordering {
+    (x + 0.0).total_cmp(&(y + 0.0))
+}
+
 /// The pre-blocking scalar path: Householder tridiagonalization +
 /// implicit-shift QL (cyclic Jacobi fallback on the rare QL non-convergence).
 ///
@@ -303,7 +312,7 @@ pub fn sym_eig_unblocked(a: &Matrix) -> SymEig {
     }
     // Sort ascending (tql2 output is not guaranteed sorted).
     let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&i, &j| d[i].partial_cmp(&d[j]).unwrap());
+    idx.sort_by(|&i, &j| ascending(d[i], d[j]));
     let values: Vec<f64> = idx.iter().map(|&i| d[i]).collect();
     let vectors = Matrix::from_fn(n, n, |i, j| z.get(i, idx[j]));
     SymEig { values, vectors }
@@ -717,7 +726,7 @@ fn sym_eig_blocked(ctx: &ExecContext, a: &Matrix) -> SymEig {
             }
             // Sort ascending (pure selection, no arithmetic).
             let mut idx: Vec<usize> = (0..n).collect();
-            idx.sort_by(|&i, &j| d[i].partial_cmp(&d[j]).unwrap());
+            idx.sort_by(|&i, &j| ascending(d[i], d[j]));
             let values: Vec<f64> = idx.iter().map(|&i| d[i]).collect();
             let vectors = Matrix::from_fn(n, n, |i, j| zq[i * n + idx[j]]);
             Some(SymEig { values, vectors })
@@ -876,7 +885,7 @@ pub fn sym_eig_reference(a: &Matrix) -> SymEig {
         );
     }
     let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&i, &j| d[i].partial_cmp(&d[j]).unwrap());
+    idx.sort_by(|&i, &j| ascending(d[i], d[j]));
     let values: Vec<f64> = idx.iter().map(|&i| d[i]).collect();
     let vectors = Matrix::from_fn(n, n, |i, j| zq[i * n + idx[j]]);
     SymEig { values, vectors }
@@ -943,7 +952,7 @@ fn jacobi_eig(a: &Matrix) -> SymEig {
     }
     let mut d: Vec<f64> = (0..n).map(|i| m.get(i, i)).collect();
     let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&i, &j| d[i].partial_cmp(&d[j]).unwrap());
+    idx.sort_by(|&i, &j| ascending(d[i], d[j]));
     d = idx.iter().map(|&i| m.get(i, i)).collect();
     let vectors = Matrix::from_fn(n, n, |i, j| v.get(i, idx[j]));
     SymEig { values: d, vectors }
@@ -1179,6 +1188,59 @@ mod tests {
         let unb = sym_eig_unblocked(&a);
         for (x, y) in blocked.values.iter().zip(unb.values.iter()) {
             assert!((x - y).abs() < 1e-9, "{x} vs {y}");
+        }
+    }
+
+    #[test]
+    fn ascending_is_partial_cmp_on_every_non_nan_pair() {
+        let vals = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -f64::MIN_POSITIVE / 4.0,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 4.0,
+            2.0,
+            f64::INFINITY,
+        ];
+        for x in vals {
+            for y in vals {
+                assert_eq!(Some(ascending(x, y)), x.partial_cmp(&y), "{x:?} vs {y:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn signed_zero_ties_keep_their_column_order() {
+        // diag(+0, 1, −0, −0, +0, −1): tql2 returns the diagonal as is, so
+        // the sort meets four tied zeros of both signs. The stable sort with
+        // ±0 equal keeps them in index order: ascending columns e5, e0, e2,
+        // e3, e4, e1, and sym_eig_desc reverses that.
+        let diag = [0.0, 1.0, -0.0, -0.0, 0.0, -1.0];
+        let a = Matrix::from_fn(6, 6, |i, j| if i == j { diag[i] } else { 0.0 });
+        let e = sym_eig_desc(&a);
+        let column_of = |j: usize| (0..6).position(|i| e.vectors.get(i, j) != 0.0);
+        let order: Vec<_> = (0..6).map(|j| column_of(j).expect("unit vector")).collect();
+        assert_eq!(order, vec![1, 4, 3, 2, 0, 5]);
+        let bits: Vec<u64> = e.values.iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u64> = [1.0, 0.0, -0.0, -0.0, 0.0, -1.0]
+            .iter()
+            .map(|v: &f64| v.to_bits())
+            .collect();
+        assert_eq!(bits, want);
+    }
+
+    #[test]
+    fn sym_eig_desc_with_a_nan_entry_returns() {
+        // Both the unblocked and the blocked path, each falling back to
+        // Jacobi; neither may panic on its sort.
+        let mut rng = StdRng::seed_from_u64(29);
+        for n in [5usize, EIG_BLOCKED_MIN + 2] {
+            let mut a = random_symmetric(&mut rng, n);
+            a.set(1, 3, f64::NAN);
+            a.set(3, 1, f64::NAN);
+            let e = sym_eig_desc(&a);
+            assert_eq!((e.values.len(), e.vectors.rows()), (n, n));
         }
     }
 

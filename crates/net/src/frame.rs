@@ -12,10 +12,17 @@
 //! [`MAX_FRAME`] here, `MAX_REQUEST_FRAME` / `MAX_RESPONSE_FRAME` in
 //! `tucker-serve`.
 //!
-//! `MSG` frames carry the bulk data and have a single-pass codec of their
-//! own ([`encode_msg_frame`] / [`decode_msg`]): one buffer per frame on the
-//! way out, one conversion on the way in, and the same bytes the generic
-//! [`tucker_distmem::Wire`] encoding of `(region, Vec<f64>)` would produce.
+//! `MSG` frames carry the bulk data and are streamed through a 64 KiB
+//! staging buffer that each mesh link owns and reuses: `write_msg`
+//! converts the words of the caller's `Vec<f64>` into the staging buffer one
+//! chunk at a time and writes each chunk, and the mesh reader checks the
+//! 21-byte head (prefix, opcode, region, count) and then decodes the words
+//! chunk by chunk, as they arrive, into one `tucker_exec::zeroed` buffer.
+//! No frame-sized byte buffer exists on either side. [`encode_msg_frame`]
+//! and [`decode_msg`] are the same writer and reader over an in-memory
+//! buffer, so the bytes they pin are the bytes a live link moves: exactly
+//! those of the generic [`tucker_distmem::Wire`] encoding of
+//! `(region, Vec<f64>)`.
 //!
 //! Every mesh byte that crosses a socket is counted here ([`write_encoded`],
 //! [`note_sent`], `recv_frame`), in both the process-wide `tucker-obs`
@@ -27,7 +34,7 @@
 use crate::error::NetError;
 use std::io::{ErrorKind, Read, Write};
 use std::time::{Duration, Instant};
-use tucker_distmem::{CommStats, WireReader};
+use tucker_distmem::CommStats;
 use tucker_obs::metrics::Counter;
 
 /// Process-wide on-wire byte counters (both directions), frame overhead
@@ -74,6 +81,17 @@ pub const OP_ABORT: u8 = 0x17;
 /// Bytes of a `MSG` body ahead of its words: the `u64` region stamp and the
 /// `u64` word count.
 const MSG_HEADER: usize = 16;
+
+/// Bytes of a `MSG` payload ahead of its words: the opcode and the header.
+const MSG_HEAD: usize = 1 + MSG_HEADER;
+
+/// Words a `MSG` moves per `write` or `read` call (64 KiB).
+const CHUNK_WORDS: usize = 8192;
+
+/// Size of a mesh link's staging buffer: the opcode and header of a `MSG`
+/// and one chunk of its words. A frame's first read fills at most this much,
+/// so a small frame of either kind arrives in one `read` after its prefix.
+pub(crate) const STAGING: usize = MSG_HEAD + 8 * CHUNK_WORDS;
 
 /// Checks a payload length against `1..=cap`.
 fn payload_len(len: usize, cap: u32) -> Result<u32, NetError> {
@@ -123,49 +141,131 @@ pub fn put_words(out: &mut Vec<u8>, words: impl Iterator<Item = u64>) {
     out.extend(words.flat_map(u64::to_le_bytes));
 }
 
-/// Encodes one `MSG` frame — `length ‖ OP_MSG ‖ region ‖ count ‖ words` —
-/// into a single buffer, refusing payloads over [`MAX_FRAME`] before
-/// allocating: the header is written once and the words in one pass, each
-/// as its little-endian bit pattern. The bytes are exactly those of
-/// `encode_frame(OP_MSG, &(region, words).to_wire_bytes())`.
-pub fn encode_msg_frame(region: u64, words: &[f64]) -> Result<Vec<u8>, NetError> {
-    let body_len = words.len().saturating_mul(8).saturating_add(MSG_HEADER);
-    payload_len(body_len.saturating_add(1), MAX_FRAME)?;
-    encode_with(MAX_FRAME, |frame| {
-        frame.push(OP_MSG);
-        frame.extend_from_slice(&region.to_le_bytes());
-        frame.extend_from_slice(&(words.len() as u64).to_le_bytes());
-        put_words(frame, words.iter().map(|w| w.to_bits()));
-    })
+/// The on-wire size of a `MSG` frame of `words` words (prefix, opcode,
+/// header and words), refusing one whose payload exceeds [`MAX_FRAME`].
+pub(crate) fn msg_frame_len(words: usize) -> Result<u64, NetError> {
+    let body_len = words.saturating_mul(8).saturating_add(MSG_HEADER);
+    let payload = payload_len(body_len.saturating_add(1), MAX_FRAME)?;
+    Ok(4 + u64::from(payload))
 }
 
-/// Decodes a `MSG` body into `(region, words)` in one pass.
+/// Writes one `MSG` frame — `length ‖ OP_MSG ‖ region ‖ count ‖ words` —
+/// through `staging`, refusing payloads over [`MAX_FRAME`] before writing:
+/// each write carries one chunk of `CHUNK_WORDS` words converted to their
+/// little-endian bit patterns, and the first also carries the 21-byte head,
+/// so a small message is one `write_all`. `staging` is cleared and reused;
+/// nothing the size of the frame is allocated.
+pub(crate) fn write_msg(
+    w: &mut impl Write,
+    region: u64,
+    words: &[f64],
+    staging: &mut Vec<u8>,
+) -> Result<(), NetError> {
+    let payload = msg_frame_len(words.len())? - 4;
+    staging.clear();
+    staging.extend_from_slice(&(payload as u32).to_le_bytes());
+    staging.push(OP_MSG);
+    staging.extend_from_slice(&region.to_le_bytes());
+    staging.extend_from_slice(&(words.len() as u64).to_le_bytes());
+    let mut rest = words;
+    loop {
+        let (now, later) = rest.split_at(rest.len().min(CHUNK_WORDS));
+        put_words(staging, now.iter().map(|w| w.to_bits()));
+        w.write_all(staging)
+            .map_err(|e| NetError::from_io(&e, "write frame"))?;
+        staging.clear();
+        rest = later;
+        if rest.is_empty() {
+            return Ok(());
+        }
+    }
+}
+
+/// Encodes one `MSG` frame into a buffer: `write_msg` over a `Vec<u8>`.
+/// The bytes are exactly those of
+/// `encode_frame(OP_MSG, &(region, words).to_wire_bytes())`.
+pub fn encode_msg_frame(region: u64, words: &[f64]) -> Result<Vec<u8>, NetError> {
+    let mut frame = Vec::with_capacity(msg_frame_len(words.len())? as usize);
+    write_msg(&mut frame, region, words, &mut Vec::new())?;
+    Ok(frame)
+}
+
+/// Decodes a `MSG` body into `(region, words)`: the mesh reader's `MSG`
+/// path over an in-memory body.
 ///
 /// The declared word count must match the body length exactly; the words
 /// are allocated from the body length, never from the declared count, so a
 /// lying header cannot make the decoder allocate.
 pub fn decode_msg(body: &[u8]) -> Result<(u64, Vec<f64>), NetError> {
-    if body.len() < MSG_HEADER {
+    let len = body.len() + 1;
+    let first = len.min(STAGING);
+    let mut staging = Box::new([0u8; STAGING]);
+    staging[0] = OP_MSG;
+    staging[1..first].copy_from_slice(&body[..first - 1]);
+    let mut rest = &body[first - 1..];
+    let mut never = || false;
+    let mut inc = Incoming::new(&mut rest, Duration::ZERO, &mut never);
+    read_msg(&mut inc, len, &mut staging, first)
+}
+
+/// Reads the rest of a `MSG` payload of `len` bytes whose first `first`
+/// bytes, opcode first, are in `staging`. The header is checked before
+/// anything is allocated: the body must hold the 16-byte header and exactly
+/// the declared count of words. The words are then decoded chunk by chunk
+/// as they arrive, into one `tucker_exec::zeroed` buffer sized from `len`.
+fn read_msg(
+    inc: &mut Incoming<'_, impl Read>,
+    len: usize,
+    staging: &mut [u8; STAGING],
+    first: usize,
+) -> Result<(u64, Vec<f64>), NetError> {
+    if len < MSG_HEAD {
         return Err(NetError::Malformed {
             detail: format!(
                 "MSG body of {} bytes is shorter than its {MSG_HEADER}-byte header",
-                body.len()
+                len - 1
             ),
         });
     }
-    let mut r = WireReader::new(body);
-    let region = r.u64()?;
-    let count = r.u64()?;
-    let words = r.remaining() / 8;
-    if count != words as u64 || words * 8 != r.remaining() {
+    let region = le_u64(&staging[1..9]);
+    let count = le_u64(&staging[9..MSG_HEAD]);
+    let bytes = len - MSG_HEAD;
+    if !bytes.is_multiple_of(8) || count != (bytes / 8) as u64 {
+        // Read the rest of the frame first, as a whole-frame read would:
+        // the stream stays at a frame boundary, and a frame cut short is
+        // reported as such.
+        inc.skip(len - first, staging)?;
         return Err(NetError::Malformed {
-            detail: format!(
-                "MSG declares {count} words but carries {} payload bytes",
-                r.remaining()
-            ),
+            detail: format!("MSG declares {count} words but carries {bytes} payload bytes"),
         });
     }
-    Ok((region, r.f64s(words)?))
+    let mut words = tucker_exec::zeroed(bytes / 8);
+    // The first read brought the head and the first chunk; each later read
+    // brings one chunk.
+    let mut chunks = words.chunks_mut(CHUNK_WORDS);
+    if let Some(out) = chunks.next() {
+        decode_words(&staging[MSG_HEAD..first], out);
+    }
+    for out in chunks {
+        let buf = &mut staging[..8 * out.len()];
+        inc.fill(buf)?;
+        decode_words(buf, out);
+    }
+    Ok((region, words))
+}
+
+/// Decodes little-endian words from `bytes` into `out`, one per 8 bytes.
+fn decode_words(bytes: &[u8], out: &mut [f64]) {
+    for (w, b) in out.iter_mut().zip(bytes.as_chunks::<8>().0) {
+        *w = f64::from_le_bytes(*b);
+    }
+}
+
+/// The little-endian `u64` in the 8 bytes of `b`.
+fn le_u64(b: &[u8]) -> u64 {
+    let mut a = [0u8; 8];
+    a.copy_from_slice(b);
+    u64::from_le_bytes(a)
 }
 
 /// Writes an already-encoded frame, bumping the global and (optionally) the
@@ -218,75 +318,145 @@ pub fn read_frame(
     patience: Duration,
     mut keep_waiting: impl FnMut() -> bool,
 ) -> Result<Vec<u8>, NetError> {
-    let mut prefix = [0u8; 4];
-    let mut started = false;
-    fill(r, &mut prefix, &mut started, patience, &mut keep_waiting)?;
-    let len = payload_len(u32::from_le_bytes(prefix) as usize, cap)?;
-    let mut payload = vec![0u8; len as usize];
-    fill(r, &mut payload, &mut started, patience, &mut keep_waiting)?;
+    let mut inc = Incoming::new(r, patience, &mut keep_waiting);
+    let len = inc.prefix(cap)?;
+    let mut payload = vec![0u8; len];
+    inc.fill(&mut payload)?;
     Ok(payload)
 }
 
-/// Fills `buf` for [`read_frame`]; `started` records whether any byte of the
-/// frame has arrived.
-fn fill(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    started: &mut bool,
+/// The read side of one frame: the caller's timeout policy, and whether any
+/// byte of the frame has arrived yet.
+struct Incoming<'a, R> {
+    r: &'a mut R,
+    started: bool,
     patience: Duration,
-    keep_waiting: &mut impl FnMut() -> bool,
-) -> Result<(), NetError> {
-    let mut filled = 0usize;
-    let mut stalled_since: Option<Instant> = None;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) if !*started => {
-                return Err(NetError::Closed {
-                    detail: "EOF at a frame boundary".into(),
-                })
-            }
-            Ok(0) => {
-                return Err(NetError::Truncated {
-                    detail: format!("EOF inside a frame ({filled}/{} bytes)", buf.len()),
-                })
-            }
-            Ok(n) => {
-                filled += n;
-                *started = true;
-                stalled_since = None;
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                let wait = if *started {
-                    stalled_since.get_or_insert_with(Instant::now).elapsed() < patience
-                } else {
-                    keep_waiting()
-                };
-                if !wait {
-                    return Err(NetError::from_io(&e, "read frame"));
-                }
-            }
-            Err(e) => return Err(NetError::from_io(&e, "read frame")),
-        }
-    }
-    Ok(())
+    keep_waiting: &'a mut dyn FnMut() -> bool,
 }
 
-/// Reads one mesh frame: [`MAX_FRAME`] cap, and the socket's read deadline
-/// is final at a frame boundary and inside a frame alike. Counts the full
-/// on-wire size (prefix included) like [`write_encoded`].
+impl<'a, R: Read> Incoming<'a, R> {
+    fn new(
+        r: &'a mut R,
+        patience: Duration,
+        keep_waiting: &'a mut dyn FnMut() -> bool,
+    ) -> Incoming<'a, R> {
+        Incoming {
+            r,
+            started: false,
+            patience,
+            keep_waiting,
+        }
+    }
+
+    /// Reads the length prefix and checks it against `1..=cap`.
+    fn prefix(&mut self, cap: u32) -> Result<usize, NetError> {
+        let mut prefix = [0u8; 4];
+        self.fill(&mut prefix)?;
+        Ok(payload_len(u32::from_le_bytes(prefix) as usize, cap)? as usize)
+    }
+
+    /// Reads and drops the frame's next `n` bytes through `buf`.
+    fn skip(&mut self, mut n: usize, buf: &mut [u8]) -> Result<(), NetError> {
+        while n > 0 {
+            let m = n.min(buf.len());
+            self.fill(&mut buf[..m])?;
+            n -= m;
+        }
+        Ok(())
+    }
+
+    /// Fills `buf` with the frame's next bytes (see [`read_frame`] for the
+    /// timeout and close policy).
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), NetError> {
+        let mut filled = 0usize;
+        let mut stalled_since: Option<Instant> = None;
+        while filled < buf.len() {
+            match self.r.read(&mut buf[filled..]) {
+                Ok(0) if !self.started => {
+                    return Err(NetError::Closed {
+                        detail: "EOF at a frame boundary".into(),
+                    })
+                }
+                Ok(0) => {
+                    return Err(NetError::Truncated {
+                        detail: format!("EOF inside a frame ({filled}/{} bytes)", buf.len()),
+                    })
+                }
+                Ok(n) => {
+                    filled += n;
+                    self.started = true;
+                    stalled_since = None;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    let wait = if self.started {
+                        stalled_since.get_or_insert_with(Instant::now).elapsed() < self.patience
+                    } else {
+                        (self.keep_waiting)()
+                    };
+                    if !wait {
+                        return Err(NetError::from_io(&e, "read frame"));
+                    }
+                }
+                Err(e) => return Err(NetError::from_io(&e, "read frame")),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One frame read off a mesh socket by [`recv_frame`].
+#[derive(Debug)]
+pub(crate) enum Inbound {
+    /// A `MSG`: its region stamp and its words, decoded while read.
+    Msg(u64, Vec<f64>),
+    /// Any other frame: its payload, opcode first.
+    Control(Vec<u8>),
+}
+
+impl Inbound {
+    /// The payload of a control frame; a `MSG` (whose words only the data
+    /// path wants) reduces to its opcode.
+    pub(crate) fn into_control(self) -> Vec<u8> {
+        match self {
+            Inbound::Msg(..) => vec![OP_MSG],
+            Inbound::Control(payload) => payload,
+        }
+    }
+}
+
+/// Reads one mesh frame through the link's `staging` buffer: [`MAX_FRAME`]
+/// cap, and the socket's read deadline is final at a frame boundary and
+/// inside a frame alike. The first read after the prefix fills at most
+/// [`STAGING`] bytes; a `MSG` then streams its words (see the module docs),
+/// any other frame reads the rest of its payload. Counts the full on-wire
+/// size (prefix included) like [`write_encoded`].
 pub(crate) fn recv_frame(
     r: &mut impl Read,
+    staging: &mut [u8; STAGING],
     stats: Option<&CommStats>,
-) -> Result<Vec<u8>, NetError> {
-    let payload = read_frame(r, MAX_FRAME, Duration::ZERO, || false)?;
-    let on_wire = 4 + payload.len() as u64;
+) -> Result<Inbound, NetError> {
+    let mut never = || false;
+    let mut inc = Incoming::new(r, Duration::ZERO, &mut never);
+    let len = inc.prefix(MAX_FRAME)?;
+    let first = len.min(STAGING);
+    inc.fill(&mut staging[..first])?;
+    let frame = if staging[0] == OP_MSG {
+        let (region, words) = read_msg(&mut inc, len, staging, first)?;
+        Inbound::Msg(region, words)
+    } else {
+        let mut payload = vec![0u8; len];
+        payload[..first].copy_from_slice(&staging[..first]);
+        inc.fill(&mut payload[first..])?;
+        Inbound::Control(payload)
+    };
+    let on_wire = 4 + len as u64;
     NET_BYTES_RECV.add(on_wire);
     NET_FRAMES_RECV.inc();
     if let Some(s) = stats {
         s.record_wire_recv(on_wire);
     }
-    Ok(payload)
+    Ok(frame)
 }
 
 /// Splits a payload from [`read_frame`] into its opcode and body. Opcode 0
@@ -304,15 +474,69 @@ mod tests {
     use std::io::Cursor;
 
     fn read_mesh(bytes: &[u8]) -> Result<Vec<u8>, NetError> {
-        recv_frame(&mut Cursor::new(bytes), None)
+        recv_frame(&mut Cursor::new(bytes), &mut Box::new([0; STAGING]), None)
+            .map(Inbound::into_control)
     }
 
     #[test]
     fn frame_round_trip() {
-        let frame = encode_frame(OP_MSG, &[1, 2, 3]).unwrap();
+        let frame = encode_frame(OP_RESULT, &[1, 2, 3]).unwrap();
         assert_eq!(frame.len(), 4 + 1 + 3);
         let payload = read_mesh(&frame).unwrap();
-        assert_eq!(split_op(&payload), (OP_MSG, &[1u8, 2, 3][..]));
+        assert_eq!(split_op(&payload), (OP_RESULT, &[1u8, 2, 3][..]));
+    }
+
+    /// Hands out at most `step` bytes per `read`, so every fill of the
+    /// streaming reader is split across calls.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn streamed_msgs_round_trip_across_chunk_boundaries() {
+        let mut staging = Box::new([0; STAGING]);
+        for len in [
+            0,
+            1,
+            CHUNK_WORDS - 1,
+            CHUNK_WORDS,
+            CHUNK_WORDS + 1,
+            2 * CHUNK_WORDS + 5,
+        ] {
+            let words: Vec<f64> = (0..len)
+                .map(|i| f64::from_bits(i as u64 * 0x9e37_79b9))
+                .collect();
+            let frame = encode_msg_frame(9, &words).unwrap();
+            assert_eq!(frame.len() as u64, msg_frame_len(len).unwrap());
+            // A second frame behind the first must be left where it is.
+            let mut wire = frame.clone();
+            wire.extend_from_slice(&encode_frame(OP_BARRIER, &[]).unwrap());
+            for step in [7, 4096, usize::MAX] {
+                let mut r = Trickle { bytes: &wire, step };
+                match recv_frame(&mut r, &mut staging, None).unwrap() {
+                    Inbound::Msg(region, back) => {
+                        assert_eq!(region, 9);
+                        let bits = |v: &[f64]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&back), bits(&words), "len {len} step {step}");
+                    }
+                    other => panic!("len {len}: expected a MSG, got {other:?}"),
+                }
+                let next = recv_frame(&mut r, &mut staging, None).unwrap();
+                assert_eq!(next.into_control(), vec![OP_BARRIER]);
+            }
+            let (region, back) = decode_msg(&frame[5..]).unwrap();
+            assert_eq!((region, back.len()), (9, len));
+        }
     }
 
     #[test]
@@ -347,13 +571,19 @@ mod tests {
     #[test]
     fn stats_count_full_on_wire_size() {
         let stats = CommStats::new_shared();
-        let frame = encode_frame(OP_MSG, &[0u8; 11]).unwrap();
+        let frame = encode_frame(OP_RESULT, &[0u8; 11]).unwrap();
         let mut sink = Vec::new();
         write_encoded(&mut sink, &frame, Some(&stats)).unwrap();
-        recv_frame(&mut Cursor::new(&sink), Some(&stats)).unwrap();
+        let msg = encode_msg_frame(0, &[1.0, 2.0, 3.0]).unwrap();
+        write_encoded(&mut sink, &msg, Some(&stats)).unwrap();
+        let mut r = Cursor::new(&sink);
+        let mut staging = Box::new([0; STAGING]);
+        for _ in 0..2 {
+            recv_frame(&mut r, &mut staging, Some(&stats)).unwrap();
+        }
         let snap = stats.snapshot();
-        assert_eq!(snap.wire_bytes_sent, 4 + 1 + 11);
-        assert_eq!(snap.wire_bytes_received, 4 + 1 + 11);
+        assert_eq!(snap.wire_bytes_sent, (4 + 1 + 11) + (21 + 3 * 8));
+        assert_eq!(snap.wire_bytes_received, (4 + 1 + 11) + (21 + 3 * 8));
     }
 
     /// Serves `script` one step per `read`: `Some(bytes)` delivers them,

@@ -64,7 +64,7 @@ use tucker_distmem::{
 use crate::error::NetError;
 use crate::frame::{
     encode_frame, recv_frame, split_op, write_frame, NET_CONNECT, OP_ABORT, OP_ADDRS, OP_BARRIER,
-    OP_HELLO, OP_MSG, OP_PANIC, OP_PEER, OP_REGION, OP_RELEASE, OP_RESULT, OP_TABLE,
+    OP_HELLO, OP_MSG, OP_PANIC, OP_PEER, OP_REGION, OP_RELEASE, OP_RESULT, OP_TABLE, STAGING,
 };
 use crate::tcp::{send_abort, PeerLink, TcpTransport};
 
@@ -551,7 +551,7 @@ pub(crate) fn recv_handshake<T: Wire>(
     op: u8,
     name: &str,
 ) -> Result<T, NetError> {
-    let payload = recv_frame(s, None)?;
+    let payload = recv_frame(s, &mut Box::new([0; STAGING]), None)?.into_control();
     match split_op(&payload) {
         (got, body) if got == op => Ok(T::from_wire_bytes(body)?),
         (got, _) => Err(NetError::Handshake {

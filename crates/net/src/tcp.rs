@@ -12,9 +12,11 @@
 //! freedom. A naive `write_all` would break it: two ranks pushing large ring
 //! chunks at each other can both fill their kernel socket buffers and wedge.
 //! Each link therefore owns a *writer thread* fed by an unbounded queue —
-//! `send` enqueues the encoded frame and returns, restoring the eager
-//! contract; wire bytes are counted at enqueue time against the rank's
-//! [`CommStats`].
+//! `send` enqueues the message and returns, restoring the eager contract;
+//! wire bytes are counted at enqueue time against the rank's [`CommStats`].
+//! A message travels as the owned `Vec<f64>` the caller handed over
+//! (`send_vec`) or one copy of the caller's slice (`send`); the writer
+//! thread streams it onto the socket through its own staging buffer.
 //!
 //! # Barriers
 //!
@@ -38,8 +40,8 @@ use tucker_distmem::{CommStats, Wire};
 
 use crate::error::NetError;
 use crate::frame::{
-    decode_msg, encode_frame, encode_msg_frame, note_sent, recv_frame, split_op, write_frame,
-    NET_CONNECT, OP_ABORT, OP_BARRIER, OP_MSG, OP_PANIC, OP_PEER, OP_RELEASE,
+    encode_frame, msg_frame_len, note_sent, recv_frame, split_op, write_frame, write_msg, Inbound,
+    NET_CONNECT, OP_ABORT, OP_BARRIER, OP_PANIC, OP_PEER, OP_RELEASE, STAGING,
 };
 
 /// Locks a mutex, riding through poisoning (a panicked peer thread must not
@@ -48,10 +50,12 @@ fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Reader-side state of one peer socket: the stream plus queues for frames
-/// that arrived while a different kind was being waited for.
+/// Reader-side state of one peer socket: the stream, the staging buffer
+/// frames are read through, and queues for frames that arrived while a
+/// different kind was being waited for.
 struct ReadState {
     stream: TcpStream,
+    staging: Box<[u8; STAGING]>,
     /// Buffered `MSG` payloads: `(region, words)`.
     inbox: VecDeque<(u64, Vec<f64>)>,
     /// Buffered `BARRIER` tokens: `(region, seq)`.
@@ -60,10 +64,12 @@ struct ReadState {
     releases: VecDeque<(u64, u64)>,
 }
 
-/// What flows to the writer thread: a frame to put on the wire, or a flush
-/// marker whose ack proves every earlier frame reached `write_all`.
+/// What flows to the writer thread: an encoded control frame or a `MSG`'s
+/// words to put on the wire, or a flush marker whose ack proves every
+/// earlier frame reached `write_all`.
 enum WriterMsg {
     Frame(Vec<u8>),
+    Msg { region: u64, words: Vec<f64> },
     Flush(mpsc::Sender<()>),
 }
 
@@ -94,27 +100,34 @@ impl PeerLink {
             .name("tucker-net-writer".into())
             .spawn(move || {
                 use std::io::Write as _;
+                let mut staging = Vec::with_capacity(4 + STAGING);
                 while let Ok(msg) = rx.recv() {
-                    match msg {
+                    let written = match msg {
                         WriterMsg::Frame(frame) => {
-                            if let Err(e) = write_half.write_all(&frame) {
-                                *lock_clean(&err_slot) = Some(e.to_string());
-                                // Keep draining so senders never see a full
-                                // queue; frames are dropped, the error is
-                                // reported on the next enqueue, and flush
-                                // acks still fire so nobody blocks.
-                                while let Ok(m) = rx.recv() {
-                                    if let WriterMsg::Flush(ack) = m {
-                                        let _ = ack.send(());
-                                    }
-                                }
-                                return;
-                            }
+                            write_half.write_all(&frame).map_err(|e| e.to_string())
+                        }
+                        WriterMsg::Msg { region, words } => {
+                            write_msg(&mut write_half, region, &words, &mut staging)
+                                .map_err(|e| e.to_string())
                         }
                         WriterMsg::Flush(ack) => {
                             let _ = write_half.flush();
                             let _ = ack.send(());
+                            continue;
                         }
+                    };
+                    if let Err(e) = written {
+                        *lock_clean(&err_slot) = Some(e);
+                        // Keep draining so senders never see a full queue;
+                        // frames are dropped, the error is reported on the
+                        // next enqueue, and flush acks still fire so nobody
+                        // blocks.
+                        while let Ok(m) = rx.recv() {
+                            if let WriterMsg::Flush(ack) = m {
+                                let _ = ack.send(());
+                            }
+                        }
+                        return;
                     }
                 }
                 let _ = write_half.flush();
@@ -127,6 +140,7 @@ impl PeerLink {
             writer_err,
             read: Mutex::new(ReadState {
                 stream,
+                staging: Box::new([0; STAGING]),
                 inbox: VecDeque::new(),
                 barriers: VecDeque::new(),
                 releases: VecDeque::new(),
@@ -137,15 +151,35 @@ impl PeerLink {
     /// Enqueues an encoded frame for the writer thread (eager send). Counts
     /// the frame's full on-wire size against `stats` at enqueue time.
     pub fn enqueue(&self, frame: Vec<u8>, stats: Option<&CommStats>) -> Result<(), NetError> {
+        let len = frame.len() as u64;
+        self.push(WriterMsg::Frame(frame), len, stats)
+    }
+
+    /// Enqueues `words` as one `MSG` frame stamped `region` (eager send):
+    /// the writer thread streams them from this buffer, so nothing is
+    /// copied or encoded here. A message over [`crate::frame::MAX_FRAME`]
+    /// is refused before it is queued. Counts the frame's full on-wire size
+    /// against `stats` at enqueue time.
+    pub fn enqueue_msg(
+        &self,
+        region: u64,
+        words: Vec<f64>,
+        stats: Option<&CommStats>,
+    ) -> Result<(), NetError> {
+        let len = msg_frame_len(words.len())?;
+        self.push(WriterMsg::Msg { region, words }, len, stats)
+    }
+
+    /// Queues `msg` of `len` on-wire bytes for the writer thread.
+    fn push(&self, msg: WriterMsg, len: u64, stats: Option<&CommStats>) -> Result<(), NetError> {
         if let Some(e) = lock_clean(&self.writer_err).clone() {
             return Err(NetError::Closed {
                 detail: format!("writer failed earlier: {e}"),
             });
         }
-        let len = frame.len() as u64;
         let guard = lock_clean(&self.write_tx);
         match guard.as_ref() {
-            Some(tx) => match tx.send(WriterMsg::Frame(frame)) {
+            Some(tx) => match tx.send(msg) {
                 Ok(()) => {
                     note_sent(len, stats);
                     Ok(())
@@ -214,9 +248,12 @@ impl PeerLink {
     }
 
     /// Receives the next `MSG` payload for `region`, buffering any barrier
-    /// traffic that arrives first.
+    /// traffic that arrives first. The words are decoded while they are read
+    /// (see [`crate::frame`]): the returned buffer is the only one the size
+    /// of the message.
     pub fn recv_msg(&self, region: u64, stats: Option<&CommStats>) -> Result<Vec<f64>, NetError> {
-        let mut st = lock_clean(&self.read);
+        let mut guard = lock_clean(&self.read);
+        let st = &mut *guard;
         if let Some((r, data)) = st.inbox.pop_front() {
             if r == region {
                 return Ok(data);
@@ -226,11 +263,8 @@ impl PeerLink {
             });
         }
         loop {
-            let payload = recv_frame(&mut st.stream, stats)?;
-            let (op, body) = split_op(&payload);
-            match op {
-                OP_MSG => {
-                    let (r, data) = decode_msg(body)?;
+            let payload = match recv_frame(&mut st.stream, &mut st.staging, stats)? {
+                Inbound::Msg(r, data) => {
                     if r != region {
                         return Err(NetError::Malformed {
                             detail: format!("message stamped region {r}, expected {region}"),
@@ -238,6 +272,10 @@ impl PeerLink {
                     }
                     return Ok(data);
                 }
+                Inbound::Control(payload) => payload,
+            };
+            let (op, body) = split_op(&payload);
+            match op {
                 OP_BARRIER => st.barriers.push_back(Self::decode_token(body)?),
                 OP_RELEASE => st.releases.push_back(Self::decode_token(body)?),
                 // A peer announcing its death unblocks us with the rank
@@ -281,7 +319,8 @@ impl PeerLink {
         stats: Option<&CommStats>,
         release: bool,
     ) -> Result<(), NetError> {
-        let mut st = lock_clean(&self.read);
+        let mut guard = lock_clean(&self.read);
+        let st = &mut *guard;
         let queue = if release {
             &mut st.releases
         } else {
@@ -297,10 +336,15 @@ impl PeerLink {
             });
         }
         loop {
-            let payload = recv_frame(&mut st.stream, stats)?;
+            let payload = match recv_frame(&mut st.stream, &mut st.staging, stats)? {
+                Inbound::Msg(r, data) => {
+                    st.inbox.push_back((r, data));
+                    continue;
+                }
+                Inbound::Control(payload) => payload,
+            };
             let (op, body) = split_op(&payload);
             match op {
-                OP_MSG => st.inbox.push_back(decode_msg(body)?),
                 OP_BARRIER | OP_RELEASE => {
                     let tok = Self::decode_token(body)?;
                     if (op == OP_RELEASE) == release {
@@ -331,11 +375,14 @@ impl PeerLink {
     }
 
     /// Reads one control frame (region/result/table handshakes) and returns
-    /// its payload, opcode first (see [`split_op`]). Used only at region
-    /// boundaries, where no message or barrier traffic is in flight on a
-    /// correct SPMD program — anything unexpected is a typed protocol error.
+    /// its payload, opcode first (see [`split_op`]); a stray `MSG` is read
+    /// and returned as its opcode alone. Used only at region boundaries,
+    /// where no message or barrier traffic is in flight on a correct SPMD
+    /// program — anything unexpected is a typed protocol error.
     pub fn read_control(&self, stats: Option<&CommStats>) -> Result<Vec<u8>, NetError> {
-        recv_frame(&mut lock_clean(&self.read).stream, stats)
+        let mut guard = lock_clean(&self.read);
+        let st = &mut *guard;
+        recv_frame(&mut st.stream, &mut st.staging, stats).map(Inbound::into_control)
     }
 }
 
@@ -412,10 +459,19 @@ impl Transport for TcpTransport {
         "tcp"
     }
 
+    /// Copies `data` once, into a [`tucker_exec::zeroed`] buffer (huge
+    /// pages when large), so the send stays eager; see [`Self::send_vec`].
     fn send(&self, dst: usize, data: &[f64]) -> Result<(), TransportError> {
-        let link = self.link(dst)?;
-        let frame = encode_msg_frame(self.region, data).map_err(|e| e.into_transport(dst))?;
-        link.enqueue(frame, Some(&self.stats))
+        let mut words = tucker_exec::zeroed(data.len());
+        words.copy_from_slice(data);
+        self.send_vec(dst, words)
+    }
+
+    /// Hands `data` to the link's writer thread, which streams it onto the
+    /// socket: no copy.
+    fn send_vec(&self, dst: usize, data: Vec<f64>) -> Result<(), TransportError> {
+        self.link(dst)?
+            .enqueue_msg(self.region, data, Some(&self.stats))
             .map_err(|e| e.into_transport(dst))
     }
 

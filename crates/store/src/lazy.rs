@@ -58,7 +58,7 @@ use std::fs::File;
 use std::io::{self, BufReader, Seek};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use tucker_core::ordering::window_order;
 use tucker_core::reconstruct::{window_span, PointContraction};
 use tucker_exec::ExecContext;
@@ -93,6 +93,12 @@ pub(crate) struct ScannedArtifact {
     pub core_total: usize,
     pub file: File,
     pub file_bytes: u64,
+}
+
+/// Locks `m`, riding through poisoning: the guarded data is a pool of
+/// spare buffers, valid whatever a panicking holder left in it.
+fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Fetches core chunk `entry` with one positional read into `payload` (a
@@ -293,6 +299,10 @@ pub struct TkrReader {
     file: File,
     cache: CacheSession,
     ctx: ExecContext,
+    /// Decoded chunks the cache did not keep, recycled for the next misses
+    /// (at most one wave of them), so a miss reuses mapped memory instead
+    /// of faulting in a fresh buffer.
+    spare: Mutex<Vec<Vec<f64>>>,
 }
 
 impl TkrReader {
@@ -341,6 +351,7 @@ impl TkrReader {
             file: scanned.file,
             cache: cache.register(key),
             ctx: ctx.clone(),
+            spare: Mutex::new(Vec::new()),
         })
     }
 
@@ -457,7 +468,7 @@ impl TkrReader {
                 .collect();
             self.ctx.for_each_slot(&mut misses, |_, (i, miss)| {
                 let entry = &wave[*i];
-                miss.values = vec![0.0; entry.len];
+                miss.values = self.spare_buffer(entry.len);
                 miss.read = read_chunk(&self.file, codec, entry, miss.payload, &mut miss.values);
             });
             for (i, (entry, slot)) in wave.iter().zip(slots).enumerate() {
@@ -470,11 +481,34 @@ impl TkrReader {
                         data
                     }
                 };
-                let _span = span!("store.chunk_contract", chunk = base + i);
-                f(entry, &data);
+                {
+                    let _span = span!("store.chunk_contract", chunk = base + i);
+                    f(entry, &data);
+                }
+                // Unshared once `f` is done: the cache did not admit it.
+                if let Ok(values) = Arc::try_unwrap(data) {
+                    let mut spare = lock_clean(&self.spare);
+                    if spare.len() < wave_len {
+                        spare.push(values);
+                    }
+                }
             }
         }
         Ok(())
+    }
+
+    /// A buffer of `len` values for a missed chunk: a recycled one when one
+    /// is spare, with stale contents (only growth is zero-filled), since
+    /// [`read_chunk`] overwrites every value before anything reads them.
+    fn spare_buffer(&self, len: usize) -> Vec<f64> {
+        match lock_clean(&self.spare).pop() {
+            Some(mut values) => {
+                values.truncate(len);
+                values.resize(len, 0.0);
+                values
+            }
+            None => vec![0.0; len],
+        }
     }
 
     /// Reconstructs the window given by per-mode `(start, len)` ranges —

@@ -8,12 +8,15 @@
 //! errors ([`NetError`] / [`TransportError`]), within their deadlines.
 //!
 //! Three layers, mirroring `tests/service.rs`:
-//! 1. cursor-level proptest over the one frame codec, at each wire's caps;
+//! 1. cursor-level proptest over the one frame codec, at each wire's caps,
+//!    and the same `MSG` properties against a live link's streaming reader;
 //! 2. real-socket injection through [`TcpTransport::over_streams`], with an
 //!    attacker-held [`TcpStream`] as the "peer";
 //! 3. the full multi-process launcher, with a worker killed mid-region.
 
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{Cursor, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
@@ -25,8 +28,8 @@ use tucker_net::frame::{
     decode_msg, encode_frame, encode_msg_frame, read_frame, split_op, MAX_FRAME, OP_ABORT, OP_MSG,
 };
 use tucker_net::{
-    local_mesh, test_exec_args, try_spmd_transport, NetError, SpmdHandle, TcpTransport, Transport,
-    TransportKind,
+    local_mesh, test_exec_args, try_spmd_transport, NetError, PeerLink, SpmdHandle, TcpTransport,
+    Transport, TransportKind,
 };
 use tucker_serve::proto::{MAX_REQUEST_FRAME, MAX_RESPONSE_FRAME};
 
@@ -188,6 +191,211 @@ fn msg_bodies_shorter_than_the_header_are_malformed() {
         matches!(victim.recv(1), Err(TransportError::Protocol { .. })),
         "a short MSG body must be Protocol"
     );
+}
+
+// ---------------------------------------------------------------------------
+// 1b. The same MSG properties against a live link's streaming reader, which
+//     decodes the words while it reads them.
+// ---------------------------------------------------------------------------
+
+/// The system allocator, recording the largest request made by a thread
+/// while that thread has armed it (see [`largest_allocation`]).
+struct Watched;
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the thread-locals
+// are const-initialized `Cell`s with no destructor, so touching them
+// neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for Watched {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_request(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_request(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static WATCHED: Watched = Watched;
+
+fn note_request(size: usize) {
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+        }
+    });
+}
+
+/// Runs `f` and returns its result with the largest allocation this thread
+/// requested meanwhile.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|l| l.set(0));
+    ARMED.with(|a| a.set(true));
+    let out = f();
+    ARMED.with(|a| a.set(false));
+    (out, LARGEST.with(Cell::get))
+}
+
+/// A victim link whose peer is an attacker-held raw socket.
+fn rigged_link(timeout: Duration) -> (PeerLink, TcpStream) {
+    let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let attacker = TcpStream::connect(l.local_addr().expect("addr")).expect("connect");
+    let (victim_side, _) = l.accept().expect("accept");
+    let link = PeerLink::new(victim_side, timeout).expect("link over rigged stream");
+    (link, attacker)
+}
+
+/// Writes `bytes` from the attacker's side on its own thread and hangs up,
+/// while the victim link receives the region-0 `MSG` it expects.
+fn feed_and_receive(bytes: &[u8]) -> Result<Vec<f64>, NetError> {
+    let (link, mut attacker) = rigged_link(Duration::from_secs(5));
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            // The victim may refuse the frame early and stop reading.
+            let _ = attacker.write_all(bytes);
+        });
+        link.recv_msg(0, None)
+    })
+}
+
+/// A `MSG` frame of `words` words spans the head (21 bytes) and chunks of
+/// 8192 words; these cut points cover every place a frame can stop: before
+/// it, inside and at the end of the prefix, the opcode and the header,
+/// inside and at the end of the first chunk, inside a later one, and one
+/// byte short of the end.
+fn cut_classes(frame_len: usize) -> Vec<usize> {
+    let chunk = 8 * 8192;
+    let mut cuts = vec![0, 1, 3, 4, 5, 6, 13, 20, 21, 22, 29, 21 + chunk / 2];
+    cuts.extend([
+        21 + chunk - 1,
+        21 + chunk,
+        21 + chunk + 1,
+        21 + chunk + chunk / 3,
+    ]);
+    cuts.push(frame_len - 1);
+    cuts.retain(|&c| c < frame_len);
+    cuts
+}
+
+#[test]
+fn a_live_msg_cut_at_every_offset_class_is_closed_or_truncated() {
+    for words in [0usize, 3, 8192, 2 * 8192 + 3] {
+        let payload: Vec<f64> = (0..words).map(|i| i as f64 - 0.5).collect();
+        let frame = encode_msg_frame(0, &payload).unwrap();
+        for cut in cut_classes(frame.len()) {
+            match feed_and_receive(&frame[..cut]) {
+                Err(NetError::Closed { .. }) => assert_eq!(cut, 0, "{words} words"),
+                Err(NetError::Truncated { .. }) => assert!(cut >= 1),
+                other => panic!("{words} words cut at {cut} must be typed, got {other:?}"),
+            }
+        }
+        // Uncut, the same bytes arrive whole; through the transport a cut
+        // is a dead peer.
+        let back = feed_and_receive(&frame).expect("whole frame");
+        assert!(back
+            .iter()
+            .zip(&payload)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        let (victim, mut attacker) = rigged_pair(Duration::from_secs(5));
+        attacker.write_all(&frame[..frame.len() - 1]).unwrap();
+        drop(attacker);
+        assert_eq!(victim.recv(1), Err(TransportError::PeerGone { peer: 1 }));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A well-formed `MSG` frame cut at any byte, on a live socket, is
+    /// `Closed` (nothing read) or `Truncated` (mid-frame).
+    #[test]
+    fn a_live_msg_cut_anywhere_is_closed_or_truncated(
+        words in 0usize..3 * 8192,
+        cut_frac in 0.0f64..1.0,
+    ) {
+        let payload: Vec<f64> = (0..words).map(|i| i as f64).collect();
+        let frame = encode_msg_frame(0, &payload).unwrap();
+        let cut = ((frame.len() - 1) as f64 * cut_frac) as usize;
+        match feed_and_receive(&frame[..cut]) {
+            Err(NetError::Closed { .. }) => prop_assert!(cut == 0),
+            Err(NetError::Truncated { .. }) => prop_assert!(cut >= 1),
+            other => prop_assert!(false, "cut at {cut} must be typed, got {other:?}"),
+        }
+    }
+
+    /// A live `MSG` whose declared count disagrees with its length is
+    /// `Malformed` on the link and `Protocol` through the transport, and
+    /// the reader allocates nothing from the declared count. Bodies run
+    /// past one staging buffer too.
+    #[test]
+    fn a_live_msg_count_disagreeing_with_the_body_is_malformed(
+        small in 0usize..16,
+        big in 0usize..2,
+        sel in 0usize..5,
+        extra in 0usize..8,
+    ) {
+        let words = small + big * 9000;
+        let mut body = Vec::new();
+        0u64.encode(&mut body);
+        let real = words as u64;
+        let declared = [0u64, 1, 7, 1 << 40, u64::MAX][sel];
+        let declared = if declared == real && extra == 0 { real + 1 } else { declared };
+        declared.encode(&mut body);
+        body.extend(std::iter::repeat_n(0x5a, words * 8 + extra));
+        let frame = encode_frame(OP_MSG, &body).unwrap();
+
+        let (link, mut attacker) = rigged_link(Duration::from_secs(5));
+        attacker.write_all(&frame).unwrap();
+        attacker.write_all(&encode_msg_frame(0, &[2.5]).unwrap()).unwrap();
+        let (got, largest) = largest_allocation(|| link.recv_msg(0, None));
+        match got {
+            Err(NetError::Malformed { detail }) => prop_assert!(detail.contains("words")),
+            other => prop_assert!(false, "count {declared} over {} bytes: {other:?}", words * 8 + extra),
+        }
+        prop_assert!(largest < 1024, "the reader allocated {largest} bytes");
+        // The refused frame was read whole: the next one still parses.
+        prop_assert_eq!(link.recv_msg(0, None).unwrap(), vec![2.5]);
+
+        let (victim, mut attacker) = rigged_pair(Duration::from_secs(5));
+        attacker.write_all(&frame).unwrap();
+        let through = victim.recv(1);
+        prop_assert!(
+            matches!(through, Err(TransportError::Protocol { .. })),
+            "a lying count must be Protocol, got {:?}",
+            through
+        );
+    }
+
+    /// A live link refuses every length past the mesh cap with
+    /// `FrameTooLarge`, before it allocates anything for the frame.
+    #[test]
+    fn a_live_oversized_length_is_refused_before_allocation(raw in 0u32..=u32::MAX) {
+        let len = MAX_FRAME + 1 + raw % (u32::MAX - MAX_FRAME);
+        let (link, mut attacker) = rigged_link(Duration::from_secs(5));
+        attacker.write_all(&len.to_le_bytes()).unwrap();
+        attacker.write_all(&[OP_MSG; 64]).unwrap();
+        let (got, largest) = largest_allocation(|| link.recv_msg(0, None));
+        match got {
+            Err(NetError::FrameTooLarge { len: got, max }) => {
+                prop_assert_eq!((got, max), (len as u64, MAX_FRAME as u64));
+            }
+            other => prop_assert!(false, "expected FrameTooLarge, got {other:?}"),
+        }
+        prop_assert!(largest < 1024, "the reader allocated {largest} bytes");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -236,7 +236,7 @@ fi
 echo "panic-grep gate OK"
 
 section "cargo clippy --workspace --all-targets (warnings are errors)"
-# Every target — libraries, binaries, tests, examples, benches — is
+# Every target — libraries, binaries, tests and examples — is
 # lint-clean. Where a BLAS/LAPACK-style signature is the contract, or a
 # literal is data that only looks like a constant, the item carries an
 # `#[expect(clippy::…, reason = …)]`.

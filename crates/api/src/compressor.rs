@@ -3,7 +3,7 @@
 //! The workspace has three compression drivers — the ST-HOSVD and HOOI loops
 //! of `tucker_core::dist` (which the in-memory entries run on a one-rank
 //! world) and the streaming ST-HOSVD — plus the `.tkr` writers
-//! (`write_tucker_ctx`, `compress_streaming`, `gather_and_write`). This
+//! (`write_tucker_ctx`, `gather_and_write`). This
 //! module adds nothing algorithmic on top of them. A [`Compressor`]
 //! composes *which* of them to run:
 //!
@@ -188,11 +188,6 @@ impl Compressed {
     /// The full diagnostics of the kernel that ran.
     pub fn output(&self) -> &CompressedOutput {
         &self.output
-    }
-
-    /// Consumes the result, returning the kernel diagnostics.
-    pub fn into_output(self) -> CompressedOutput {
-        self.output
     }
 
     /// The ST-HOSVD diagnostics, when no refinement ran.
@@ -608,9 +603,11 @@ impl CompressionPlan<'_> {
 
     /// Runs the planned pipeline and writes the decomposition to `path` as a
     /// `.tkr` artifact with the configured codec and metadata. The bytes are
-    /// identical to running the corresponding direct pipeline and calling
-    /// `write_tucker_ctx` (or `compress_streaming` / `gather_and_write`, which
-    /// serialize through the same writer) — for every thread count.
+    /// identical to running the corresponding direct driver and calling
+    /// `write_tucker_ctx` (or `gather_and_write`, which serializes through
+    /// the same writer) — for every thread count. A streaming plan is the
+    /// out-of-core compress-and-write pipeline: the full tensor is never
+    /// resident, and its artifact equals the in-memory one byte for byte.
     pub fn write_to(&self, path: impl AsRef<Path>) -> Result<Written, TuckerError> {
         let compressed = self.run()?;
         let report = write_tucker_ctx(path, compressed.tucker(), &self.store, &self.exec())?;

@@ -177,14 +177,6 @@ impl Reader {
         }
     }
 
-    /// The eager artifact, when that backend was chosen.
-    pub fn as_eager(&self) -> Option<&TkrArtifact> {
-        match self {
-            Reader::Eager(a) => Some(a),
-            Reader::Lazy(_) => None,
-        }
-    }
-
     /// The lazy reader, when that backend was chosen.
     pub fn as_lazy(&self) -> Option<&TkrReader> {
         match self {

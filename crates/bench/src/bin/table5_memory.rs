@@ -1,17 +1,18 @@
 //! Tab. V (this repo's extension) — peak-memory gate for the out-of-core
 //! pipeline.
 //!
-//! The whole point of `try_st_hosvd_streaming_ctx` + `compress_streaming` is that
-//! neither compression nor serialization ever holds the full tensor: peak
-//! memory is `O(slab + truncated tensor)` instead of `O(full tensor)` (the
-//! in-memory pipeline holds the whole tensor plus its first TTM output).
-//! This harness *measures* that claim with a tracking global
-//! allocator and enforces it:
+//! The whole point of the streaming pipeline (`Compressor::from_slabs`, which
+//! runs `try_st_hosvd_streaming_ctx` and writes through the chunked `.tkr`
+//! writer) is that neither compression nor serialization ever holds the
+//! full tensor: peak memory is `O(slab + truncated tensor)` instead of
+//! `O(full tensor)` (the in-memory pipeline holds the whole tensor plus its
+//! first TTM output). This harness *measures* that claim with a tracking
+//! global allocator and enforces it:
 //!
 //! * **in-memory**  — materialize the HCCI surrogate slab source, run
-//!   `try_st_hosvd_ctx`, `write_tucker` the result;
-//! * **streaming**  — run `compress_streaming` on the same slab source (the
-//!   field is generated slab by slab, never materialized);
+//!   `try_st_hosvd_ctx`, `write_tucker_ctx` the result;
+//! * **streaming**  — `Compressor::from_slabs(..).write_to(..)` on the same
+//!   slab source (the field is generated slab by slab, never materialized);
 //! * **gate**       — the run **exits non-zero** unless the streaming peak
 //!   is below 50% of the in-memory peak and the two artifacts are
 //!   byte-identical.
@@ -25,11 +26,12 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use tucker_api::Compressor;
 use tucker_bench::{print_header, print_row};
 use tucker_core::prelude::*;
 use tucker_exec::ExecContext;
 use tucker_scidata::DatasetPreset;
-use tucker_store::{compress_streaming, write_tucker_ctx, Codec, StoreOptions};
+use tucker_store::{write_tucker_ctx, Codec, StoreOptions};
 use tucker_tensor::SlabSource;
 
 /// Live heap bytes and the high-water mark above the last reset.
@@ -125,7 +127,7 @@ fn main() {
         mib(field_bytes),
     );
 
-    // In-memory pipeline: materialize → try_st_hosvd_ctx → write_tucker.
+    // In-memory pipeline: materialize → try_st_hosvd_ctx → write_tucker_ctx.
     let base = TrackingAlloc::reset_peak();
     let inmem_report = {
         let x = src.materialize();
@@ -142,15 +144,13 @@ fn main() {
 
     // Streaming pipeline: the source is generated slab by slab.
     let base = TrackingAlloc::reset_peak();
-    let (stream_result, stream_report) = compress_streaming(
-        &path_str,
-        &src,
-        &SthosvdOptions::with_tolerance(eps),
-        &StreamingOptions::with_slab_width(slab_width),
-        &StoreOptions::new(Codec::F32, eps),
-        ctx,
-    )
-    .expect("streaming write failed");
+    let streamed = Compressor::from_slabs(&src)
+        .tolerance(eps)
+        .slab_width(slab_width)
+        .codec(Codec::F32)
+        .write_to(&path_str)
+        .expect("streaming write failed");
+    let stream_report = streamed.report;
     let stream_peak = TrackingAlloc::peak_above(base);
 
     let widths = [12usize, 12, 14, 12];
@@ -183,8 +183,12 @@ fn main() {
     println!(
         "\nartifacts byte-identical ({} bytes, ranks {:?}, error bound {:.2e})",
         bytes_mem.len(),
-        stream_result.ranks,
-        stream_result.error_bound()
+        streamed.compressed.ranks(),
+        streamed
+            .compressed
+            .sthosvd()
+            .expect("the streaming pipeline runs ST-HOSVD")
+            .error_bound()
     );
 
     // Gate 2: streaming peak below 50% of the in-memory pipeline.

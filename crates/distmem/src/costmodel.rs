@@ -83,29 +83,11 @@ impl KernelCost {
     pub fn time(&self, m: &MachineParams) -> f64 {
         m.alpha * self.messages + m.beta * self.words + m.gamma * self.flops
     }
-
-    /// Predicted time split into (latency, bandwidth, compute) seconds.
-    pub fn time_breakdown(&self, m: &MachineParams) -> (f64, f64, f64) {
-        (
-            m.alpha * self.messages,
-            m.beta * self.words,
-            m.gamma * self.flops,
-        )
-    }
 }
 
 /// Costs of the collectives in Tab. I, for `p` participants and `w` words.
 pub mod collective_cost {
     use super::KernelCost;
-
-    /// Point-to-point send/receive of `w` words.
-    pub fn send_recv(w: f64) -> KernelCost {
-        KernelCost {
-            messages: 1.0,
-            words: w,
-            flops: 0.0,
-        }
-    }
 
     /// All-gather of a combined `w` words over `p` ranks.
     pub fn all_gather(p: f64, w: f64) -> KernelCost {
@@ -312,29 +294,6 @@ impl CostModel {
     pub fn hooi_iteration_time(&self, dims: &[usize], ranks: &[usize]) -> f64 {
         self.hooi_iteration(dims, ranks).time(&self.params)
     }
-
-    /// Upper bound on per-rank memory (in `f64` words) for ST-HOSVD / HOOI,
-    /// eq. (2) of the paper: `2·I/P + Σ R_n·I_n/P_n + max I_n² + max R_n·I_n`.
-    pub fn memory_bound_words(&self, dims: &[usize], ranks: &[usize]) -> f64 {
-        let p = self.grid.size() as f64;
-        let i: f64 = dims.iter().map(|&d| d as f64).product();
-        let factors: f64 = dims
-            .iter()
-            .zip(ranks.iter())
-            .enumerate()
-            .map(|(n, (&d, &r))| (d as f64) * (r as f64) / self.grid.dim(n) as f64)
-            .sum();
-        let max_in2 = dims
-            .iter()
-            .map(|&d| (d as f64) * (d as f64))
-            .fold(0.0, f64::max);
-        let max_rnin = dims
-            .iter()
-            .zip(ranks.iter())
-            .map(|(&d, &r)| (d as f64) * (r as f64))
-            .fold(0.0, f64::max);
-        2.0 * i / p + factors + max_in2 + max_rnin
-    }
 }
 
 #[cfg(test)]
@@ -432,16 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_bound_matches_eq2_structure() {
-        let m = model(&[2, 2]);
-        let dims = [100usize, 100];
-        let ranks = [10usize, 10];
-        let bound = m.memory_bound_words(&dims, &ranks);
-        let expected = 2.0 * 10_000.0 / 4.0 + 2.0 * (100.0 * 10.0 / 2.0) + 10_000.0 + 1000.0;
-        assert!((bound - expected).abs() < 1e-9);
-    }
-
-    #[test]
     fn collective_costs_match_table1_shapes() {
         use super::collective_cost::*;
         let c = all_reduce(8.0, 1000.0);
@@ -451,9 +400,6 @@ mod tests {
         assert!((r.words - 7.0 / 8.0 * 1000.0).abs() < 1e-9);
         let g = all_gather(1.0, 1000.0);
         assert_eq!(g.words, 0.0);
-        let s = send_recv(123.0);
-        assert_eq!(s.messages, 1.0);
-        assert_eq!(s.words, 123.0);
     }
 
     #[test]
@@ -473,7 +419,5 @@ mod tests {
             gamma: 0.01,
         };
         assert!((a.time(&p) - (1.0 + 1.0 + 1.0)).abs() < 1e-12);
-        let (l, w, f) = a.time_breakdown(&p);
-        assert!((l - 1.0).abs() < 1e-12 && (w - 1.0).abs() < 1e-12 && (f - 1.0).abs() < 1e-12);
     }
 }

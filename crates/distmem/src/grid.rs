@@ -57,12 +57,6 @@ impl ProcGrid {
         self.shape.iter().product()
     }
 
-    /// `P̂_n = P / P_n` — the number of ranks in all modes but `n`.
-    #[inline]
-    pub fn cosize(&self, n: usize) -> usize {
-        self.size() / self.shape[n]
-    }
-
     /// Converts a rank to its grid coordinates (first mode fastest, matching the
     /// tensor storage order so that block distributions are contiguous in rank).
     pub fn coords(&self, rank: usize) -> Vec<usize> {
@@ -114,11 +108,6 @@ impl ProcGrid {
         (0..self.size())
             .filter(|&r| self.coords(r)[n] == pin)
             .collect()
-    }
-
-    /// Position of `rank` within its mode-`n` column (its coordinate `p_n`).
-    pub fn column_position(&self, rank: usize, n: usize) -> usize {
-        self.coords(rank)[n]
     }
 
     /// Splits a global extent `len` into `parts` near-equal contiguous pieces and
@@ -183,9 +172,6 @@ mod tests {
     fn size_and_cosize() {
         let g = ProcGrid::new(&[4, 3, 2]);
         assert_eq!(g.size(), 24);
-        assert_eq!(g.cosize(0), 6);
-        assert_eq!(g.cosize(1), 8);
-        assert_eq!(g.cosize(2), 12);
     }
 
     #[test]
@@ -232,7 +218,7 @@ mod tests {
         for r in 0..g.size() {
             for n in 0..3 {
                 let row = g.mode_row(r, n);
-                assert_eq!(row.len(), g.cosize(n));
+                assert_eq!(row.len(), g.size() / g.dim(n));
                 assert!(row.contains(&r));
             }
         }
@@ -244,7 +230,7 @@ mod tests {
         for n in 0..2 {
             let mut seen = vec![false; g.size()];
             for r in 0..g.size() {
-                if g.column_position(r, n) == 0 {
+                if g.coords(r)[n] == 0 {
                     for &m in &g.mode_column(r, n) {
                         assert!(!seen[m], "rank {m} in two mode-{n} columns");
                         seen[m] = true;

@@ -100,17 +100,6 @@ impl CommStats {
         self.wire_bytes_received.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.messages_sent.store(0, Ordering::Relaxed);
-        self.words_sent.store(0, Ordering::Relaxed);
-        self.messages_received.store(0, Ordering::Relaxed);
-        self.words_received.store(0, Ordering::Relaxed);
-        self.collective_calls.store(0, Ordering::Relaxed);
-        self.wire_bytes_sent.store(0, Ordering::Relaxed);
-        self.wire_bytes_received.store(0, Ordering::Relaxed);
-    }
-
     /// Takes an immutable snapshot of the counters.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -211,16 +200,6 @@ mod tests {
         assert_eq!(snap.words_sent, 10);
         assert_eq!(snap.wire_bytes_sent, 101);
         assert_eq!(snap.wire_bytes_received, 13);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let s = CommStats::default();
-        s.record_send(10);
-        s.record_recv(10);
-        s.record_wire_sent(99);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]

@@ -367,7 +367,7 @@ impl ExecContext {
 
 /// Parses a `TUCKER_THREADS` value: positive integers are accepted (capped at
 /// an internal maximum), everything else falls back to auto-detection.
-pub fn parse_threads(s: &str) -> Option<usize> {
+fn parse_threads(s: &str) -> Option<usize> {
     s.trim()
         .parse::<usize>()
         .ok()

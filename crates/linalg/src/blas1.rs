@@ -76,17 +76,6 @@ pub fn fiber_dots(row: &[f64], x: &[f64], out: &mut [f64]) {
     }
 }
 
-/// `y ← a·x + y`.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn axpy(a: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += a * xi;
-    }
-}
-
 /// `x ← a·x`.
 pub fn scal(a: f64, x: &mut [f64]) {
     for xi in x.iter_mut() {
@@ -117,37 +106,6 @@ pub fn nrm2(x: &[f64]) -> f64 {
 /// Sum of squares of a slice (no overflow guard; used on normalized data).
 pub fn sumsq(x: &[f64]) -> f64 {
     x.iter().map(|v| v * v).sum()
-}
-
-/// Index of the element with the largest absolute value, or `None` if empty.
-pub fn iamax(x: &[f64]) -> Option<usize> {
-    if x.is_empty() {
-        return None;
-    }
-    let mut best = 0usize;
-    let mut bestval = x[0].abs();
-    for (i, &v) in x.iter().enumerate().skip(1) {
-        if v.abs() > bestval {
-            best = i;
-            bestval = v.abs();
-        }
-    }
-    Some(best)
-}
-
-/// Copies `x` into `y`.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn copy(x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "copy: length mismatch");
-    y.copy_from_slice(x);
-}
-
-/// Swaps the contents of two slices.
-pub fn swap(x: &mut [f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "swap: length mismatch");
-    x.swap_with_slice(y);
 }
 
 #[cfg(test)]
@@ -220,14 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_basic() {
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [10.0, 20.0, 30.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0, 36.0]);
-    }
-
-    #[test]
     fn scal_basic() {
         let mut x = [1.0, -2.0, 3.0];
         scal(-0.5, &mut x);
@@ -263,26 +213,7 @@ mod tests {
     }
 
     #[test]
-    fn iamax_basic() {
-        assert_eq!(iamax(&[1.0, -5.0, 3.0]), Some(1));
-        assert_eq!(iamax(&[]), None);
-    }
-
-    #[test]
     fn sumsq_basic() {
         assert!(approx_eq(sumsq(&[1.0, 2.0, 2.0]), 9.0, 1e-15));
-    }
-
-    #[test]
-    fn copy_and_swap() {
-        let x = [1.0, 2.0];
-        let mut y = [0.0, 0.0];
-        copy(&x, &mut y);
-        assert_eq!(y, [1.0, 2.0]);
-        let mut a = [1.0, 2.0];
-        let mut b = [3.0, 4.0];
-        swap(&mut a, &mut b);
-        assert_eq!(a, [3.0, 4.0]);
-        assert_eq!(b, [1.0, 2.0]);
     }
 }

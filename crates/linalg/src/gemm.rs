@@ -3,8 +3,8 @@
 //! The local TTM and Gram kernels of the Tucker algorithm are cast as GEMM
 //! calls over sub-blocks of unfolded tensors (paper Sec. IV-C / V-B). Those
 //! call sites work on raw slices with explicit leading dimensions, so the
-//! primary entry point here is [`gemm_slices`]; [`gemm`] / [`gemm_into`] are
-//! `Matrix`-typed conveniences. [`gemm_slices_ctx`] / [`gemm_ctx`] run the
+//! primary entry point here is [`gemm_slices`]; [`gemm`] is the
+//! `Matrix`-typed convenience. [`gemm_slices_ctx`] / [`gemm_ctx`] run the
 //! same kernel over row panels scattered onto the shared `tucker-exec` pool
 //! (one panel per thread, no per-call spawning).
 //!
@@ -300,7 +300,7 @@ pub fn gemm(ta: Transpose, tb: Transpose, alpha: f64, a: &Matrix, b: &Matrix) ->
 }
 
 /// Computes `C ← alpha · op(A) · op(B) + beta · C` for [`Matrix`] operands.
-pub fn gemm_into(
+fn gemm_into(
     ta: Transpose,
     tb: Transpose,
     alpha: f64,
@@ -458,7 +458,7 @@ pub fn gemm_ctx(
 
 /// Pool-backed [`gemm_into`]: `C ← alpha · op(A) · op(B) + beta · C`.
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_into_ctx(
+fn gemm_into_ctx(
     ctx: &ExecContext,
     ta: Transpose,
     tb: Transpose,

@@ -31,15 +31,15 @@ pub mod simd;
 pub mod svd;
 pub mod syrk;
 
-pub use blas1::{axpy, dot, nrm2, scal};
+pub use blas1::{dot, nrm2, scal};
 pub use blocking::{current_blocking, detected_caches, force_blocking, Blocking};
 pub use eig::{sym_eig_ctx, sym_eig_desc, sym_eig_reference, sym_eig_unblocked, SymEig};
-pub use gemm::{gemm, gemm_ctx, gemm_into, gemm_into_ctx, gemm_slices_ctx, Transpose};
+pub use gemm::{gemm, gemm_ctx, gemm_slices_ctx, Transpose};
 pub use matrix::Matrix;
 pub use qr::{householder_qr_ctx, householder_qr_reference, householder_qr_unblocked, QrFactors};
 pub use simd::{current_tier, detected_tier, force_tier, supported_tiers, SimdTier};
 pub use svd::{jacobi_svd_ctx, jacobi_svd_reference, jacobi_svd_unblocked, Svd};
-pub use syrk::{syrk, syrk_ctx, syrk_into, syrk_rows_slices, triangular_scatter_mirror};
+pub use syrk::{syrk, syrk_ctx, syrk_rows_slices, triangular_scatter_mirror};
 
 /// Machine-epsilon-scale tolerance used by iterative kernels in this crate.
 pub const EPS: f64 = f64::EPSILON;

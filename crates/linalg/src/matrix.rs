@@ -226,14 +226,6 @@ impl Matrix {
         crate::blas1::scal(a, &mut self.data);
     }
 
-    /// Matrix-vector product `self · x`.
-    pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.cols, "matvec: dimension mismatch");
-        (0..self.rows)
-            .map(|i| crate::blas1::dot(self.row(i), x))
-            .collect()
-    }
-
     /// Returns `true` if the columns of this matrix are orthonormal to within `tol`.
     pub fn has_orthonormal_columns(&self, tol: f64) -> bool {
         for j in 0..self.cols {
@@ -343,7 +335,6 @@ mod tests {
     #[test]
     fn matvec_and_matmul() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
         let b = Matrix::identity(2);
         let no = crate::gemm::Transpose::No;
         assert_eq!(crate::gemm::gemm(no, no, 1.0, &a, &b), a);

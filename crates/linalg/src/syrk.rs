@@ -101,7 +101,7 @@ pub fn syrk(a: &Matrix) -> Matrix {
 }
 
 /// `C ← alpha·A·Aᵀ + beta·C` for [`Matrix`] operands.
-pub fn syrk_into(alpha: f64, a: &Matrix, beta: f64, c: &mut Matrix) {
+fn syrk_into(alpha: f64, a: &Matrix, beta: f64, c: &mut Matrix) {
     assert_eq!(
         c.shape(),
         (a.rows(), a.rows()),

@@ -24,7 +24,7 @@
 //! those of the generic [`tucker_distmem::Wire`] encoding of
 //! `(region, Vec<f64>)`.
 //!
-//! Every mesh byte that crosses a socket is counted here ([`write_encoded`],
+//! Every mesh byte that crosses a socket is counted here (`write_encoded`,
 //! [`note_sent`], `recv_frame`), in both the process-wide `tucker-obs`
 //! counters (`net.bytes_sent` / `net.bytes_recv`) and, when the caller passes
 //! the rank's [`CommStats`], in the per-rank wire-byte counters — *including*
@@ -270,7 +270,7 @@ fn le_u64(b: &[u8]) -> u64 {
 
 /// Writes an already-encoded frame, bumping the global and (optionally) the
 /// per-rank wire counters by the full frame length.
-pub fn write_encoded(
+fn write_encoded(
     w: &mut impl Write,
     frame: &[u8],
     stats: Option<&CommStats>,

@@ -66,7 +66,7 @@ use crate::frame::{
     encode_frame, recv_frame, split_op, write_frame, NET_CONNECT, OP_ABORT, OP_ADDRS, OP_BARRIER,
     OP_HELLO, OP_MSG, OP_PANIC, OP_PEER, OP_REGION, OP_RELEASE, OP_RESULT, OP_TABLE, STAGING,
 };
-use crate::tcp::{send_abort, PeerLink, TcpTransport};
+use crate::tcp::{lock_clean, send_abort, PeerLink, TcpTransport};
 
 /// Which backend an SPMD region runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +112,7 @@ pub fn in_worker() -> bool {
 }
 
 /// Rendezvous/read deadline: `TUCKER_NET_TIMEOUT_MS`, default 60 s.
-pub fn net_timeout() -> Duration {
+fn net_timeout() -> Duration {
     let ms = std::env::var("TUCKER_NET_TIMEOUT_MS")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
@@ -191,7 +191,7 @@ impl NetSession {
     }
 
     fn check_poisoned(&self) -> Result<(), NetError> {
-        match &*lock(&self.poisoned) {
+        match &*lock_clean(&self.poisoned) {
             Some(why) => Err(NetError::SessionPoisoned {
                 detail: why.clone(),
             }),
@@ -200,18 +200,14 @@ impl NetSession {
     }
 
     fn poison(&self, why: &str) {
-        let mut slot = lock(&self.poisoned);
+        let mut slot = lock_clean(&self.poisoned);
         if slot.is_none() {
             *slot = Some(why.to_string());
         }
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = e.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = e.downcast_ref::<String>() {
@@ -255,7 +251,7 @@ fn parent_sessions() -> &'static SessionMap {
 
 fn parent_session(exec_args: &[String], world: usize) -> Result<Arc<NetSession>, NetError> {
     let key = (exec_args.join("\u{1f}"), world);
-    let mut map = lock(parent_sessions());
+    let mut map = lock_clean(parent_sessions());
     if let Some(s) = map.get(&key) {
         return Ok(Arc::clone(s));
     }
@@ -628,7 +624,7 @@ where
     let mut stats_tab: Vec<Option<StatsSnapshot>> = (0..p).map(|_| None).collect();
     let mut fails: Vec<(usize, String)> = Vec::new();
     if let Err(payload) = &own {
-        let msg = panic_message_ref(payload);
+        let msg = panic_message(&**payload);
         // Unblock workers that are waiting on rank 0's data *before*
         // collecting, or the collection below would stall until their read
         // deadlines instead of cascading promptly.
@@ -735,16 +731,6 @@ where
         stats: stats_vec,
         elapsed: start.elapsed().as_secs_f64(),
     })
-}
-
-fn panic_message_ref(e: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
 }
 
 fn decode_results<R: Wire>(res_vec: &[Vec<u8>]) -> Result<Vec<R>, NetError> {
@@ -861,7 +847,7 @@ where
             }
         }
         Err(payload) => {
-            let msg = panic_message(payload);
+            let msg = panic_message(&*payload);
             // Fail every peer's blocking data-plane calls with the rank
             // attribution — rank 0 included, since it may be inside its own
             // closure right now — then report to the launcher (the PANIC

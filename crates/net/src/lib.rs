@@ -33,7 +33,8 @@
 //! The fault battery (`tests/transport_faults.rs`) pins the failure surface:
 //! truncated, oversized and garbage frames fail decode with typed errors;
 //! a peer that dies mid-collective fails the survivors' blocking calls
-//! within the deadline ([`net_timeout`]) — never a hang, never a panic.
+//! within the deadline (`TUCKER_NET_TIMEOUT_MS`, default 60 s) — never a
+//! hang, never a panic.
 
 #![deny(missing_docs)]
 
@@ -44,8 +45,8 @@ pub mod tcp;
 
 pub use error::NetError;
 pub use launch::{
-    env_ranks, in_worker, net_timeout, spmd_transport, test_exec_args, transport_from_env,
-    try_spmd_transport, NetSession, TransportKind,
+    env_ranks, in_worker, spmd_transport, test_exec_args, transport_from_env, try_spmd_transport,
+    NetSession, TransportKind,
 };
 pub use tcp::{local_mesh, PeerLink, TcpTransport};
 

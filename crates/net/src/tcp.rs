@@ -46,7 +46,7 @@ use crate::frame::{
 
 /// Locks a mutex, riding through poisoning (a panicked peer thread must not
 /// turn into a second panic here — errors stay typed).
-fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -160,7 +160,7 @@ impl PeerLink {
     /// copied or encoded here. A message over [`crate::frame::MAX_FRAME`]
     /// is refused before it is queued. Counts the frame's full on-wire size
     /// against `stats` at enqueue time.
-    pub fn enqueue_msg(
+    fn enqueue_msg(
         &self,
         region: u64,
         words: Vec<f64>,
@@ -293,7 +293,7 @@ impl PeerLink {
 
     /// Waits for the peer's `BARRIER` token for `(region, seq)`, buffering
     /// messages that arrive first.
-    pub fn wait_barrier(
+    fn wait_barrier(
         &self,
         region: u64,
         seq: u64,
@@ -303,7 +303,7 @@ impl PeerLink {
     }
 
     /// Waits for rank 0's `RELEASE` token for `(region, seq)`.
-    pub fn wait_release(
+    fn wait_release(
         &self,
         region: u64,
         seq: u64,

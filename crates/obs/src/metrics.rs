@@ -226,7 +226,7 @@ pub fn bucket_index(us: u64) -> usize {
 
 /// Inclusive upper bound (µs) of bucket `idx`; `u64::MAX` for the overflow
 /// slot (and any out-of-range index).
-pub fn bucket_upper_bound_us(idx: usize) -> u64 {
+fn bucket_upper_bound_us(idx: usize) -> u64 {
     if idx >= HIST_BUCKETS - 1 {
         u64::MAX
     } else {

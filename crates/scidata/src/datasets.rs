@@ -139,28 +139,6 @@ impl DatasetPreset {
     }
 }
 
-impl GeneratedDataset {
-    /// Undoes the per-species normalization on a reconstruction (or any
-    /// subtensor that keeps the species mode intact), in place.
-    ///
-    /// This is the analyst-side final step of the storage pipeline: the
-    /// normalization statistics travel in the `.tkr` header (see
-    /// `tucker-store`), a subtensor is reconstructed from the compressed
-    /// artifact, and this puts it back in physical units.
-    ///
-    /// # Panics
-    /// Panics if the species mode of `x` does not have one slice per recorded
-    /// variable.
-    pub fn denormalize(&self, x: &mut DenseTensor) {
-        assert_eq!(
-            x.dim(self.normalization.mode),
-            self.normalization.means.len(),
-            "denormalize: species mode size does not match the recorded statistics"
-        );
-        self.normalization.invert(x);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,10 +188,11 @@ mod tests {
     fn denormalize_restores_physical_units() {
         let preset = DatasetPreset::Hcci;
         let ds = preset.generate(1, 11);
-        // Regenerate the raw field and compare against a denormalized copy.
+        // Regenerate the raw field and compare against a copy put back in
+        // physical units by the recorded statistics.
         let raw = preset.surrogate_config(1, 11).generate().data;
         let mut back = ds.data.clone();
-        ds.denormalize(&mut back);
+        ds.normalization.invert(&mut back);
         for (a, b) in back.as_slice().iter().zip(raw.as_slice()) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }

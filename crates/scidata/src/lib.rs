@@ -11,7 +11,7 @@
 //! and do not reproduce.
 //!
 //! * [`spectra`]   — prescribed singular-value decay profiles.
-//! * [`synthetic`] — random Tucker tensors with prescribed per-mode spectra.
+//! * [`synthetic`] — random low-multilinear-rank Tucker tensors plus noise.
 //! * [`combustion`]— the HCCI / TJLR / SP surrogate field generators.
 //! * [`normalize`] — per-variable centering and scaling (Sec. VII-A).
 //! * [`datasets`]  — named presets mirroring the paper's dataset shapes.
@@ -30,4 +30,4 @@ pub use datasets::{DatasetPreset, GeneratedDataset};
 pub use normalize::{normalize_per_slice, Normalization};
 pub use slab::CombustionSlabSource;
 pub use spectra::SpectralDecay;
-pub use synthetic::{random_low_rank, random_tucker_with_spectra, NoisyLowRank};
+pub use synthetic::{random_low_rank, NoisyLowRank};

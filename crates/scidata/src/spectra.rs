@@ -57,14 +57,6 @@ impl SpectralDecay {
             })
             .collect()
     }
-
-    /// The effective rank: the number of singular values at least `threshold`
-    /// times the largest one.
-    pub fn effective_rank(&self, n: usize, threshold: f64) -> usize {
-        let s = self.generate(n);
-        let max = s.first().copied().unwrap_or(0.0);
-        s.iter().filter(|&&v| v >= threshold * max).count().max(1)
-    }
 }
 
 #[cfg(test)]
@@ -108,21 +100,6 @@ mod tests {
         .generate(20);
         assert!(s.iter().all(|&v| v >= 1e-3));
         assert!((s[0] - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn effective_rank_counts_above_threshold() {
-        let d = SpectralDecay::Step {
-            rank: 4,
-            floor: 1e-8,
-        };
-        assert_eq!(d.effective_rank(10, 1e-4), 4);
-        let e = SpectralDecay::Exponential {
-            rate: f64::ln(10.0),
-        };
-        // σ_i = 10^-i: values ≥ 9e-3 are i = 0,1,2 (a strict 1e-2 cutoff would
-        // sit exactly on the floating-point boundary of σ_2).
-        assert_eq!(e.effective_rank(10, 9e-3), 3);
     }
 
     #[test]

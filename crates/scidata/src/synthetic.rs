@@ -1,17 +1,11 @@
 //! Random Tucker tensors with controlled structure.
 //!
-//! Two families are provided:
-//!
-//! * [`random_low_rank`] / [`NoisyLowRank`] — an exactly low-multilinear-rank
-//!   tensor (random core times random orthonormal factors) plus optional white
-//!   noise. Used throughout the test suites and in the weak/strong scaling
-//!   experiments (the paper's scaling runs also use synthetic data with a known
-//!   core size, Sec. VIII-C/D/E).
-//! * [`random_tucker_with_spectra`] — a tensor whose mode-wise singular values
-//!   follow prescribed [`SpectralDecay`] profiles, used to emulate datasets of
-//!   different compressibility.
+//! [`random_low_rank`] / [`NoisyLowRank`] give an exactly
+//! low-multilinear-rank tensor (random core times random orthonormal
+//! factors) plus optional white noise. Used throughout the test suites and in
+//! the weak/strong scaling experiments (the paper's scaling runs also use
+//! synthetic data with a known core size, Sec. VIII-C/D/E).
 
-use crate::spectra::SpectralDecay;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tucker_exec::ExecContext;
@@ -75,51 +69,10 @@ fn low_rank_from_rng(rng: &mut StdRng, dims: &[usize], ranks: &[usize]) -> Dense
 }
 
 /// A random `rows × cols` matrix with orthonormal columns (thin Q of a QR).
-pub fn random_orthonormal(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
+fn random_orthonormal(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
     assert!(cols <= rows, "random_orthonormal: need cols <= rows");
     let m = Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0));
     householder_qr_ctx(ExecContext::global(), &m).q
-}
-
-/// Generates a tensor whose mode-n unfolding has (approximately) the singular
-/// value profile `spectra[n]`.
-///
-/// Construction: full orthonormal factors `Q_n` (size `I_n × I_n`) and a core
-/// whose entry at multi-index `(i_1, …, i_N)` is a standard normal draw scaled
-/// by `∏_n σ_n(i_n)`. The mode-n Gram matrix of the result then has expected
-/// eigenvalues proportional to `σ_n(i)²` (up to the cross-mode constant), so
-/// the relative decay per mode — which is what determines compressibility — is
-/// exactly the prescribed profile.
-pub fn random_tucker_with_spectra(
-    seed: u64,
-    dims: &[usize],
-    spectra: &[SpectralDecay],
-) -> DenseTensor {
-    assert_eq!(dims.len(), spectra.len());
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sigmas: Vec<Vec<f64>> = dims
-        .iter()
-        .zip(spectra.iter())
-        .map(|(&d, s)| s.generate(d))
-        .collect();
-    // Core with per-index scaling.
-    let core = DenseTensor::from_fn(dims, |idx| {
-        let scale: f64 = idx.iter().enumerate().map(|(n, &i)| sigmas[n][i]).product();
-        // Box-Muller-free normal-ish draw: sum of uniforms is close enough and cheap.
-        let g: f64 = (0..4).map(|_| rng.gen_range(-0.5..0.5)).sum::<f64>();
-        scale * g
-    });
-    let factors: Vec<Matrix> = dims
-        .iter()
-        .map(|&d| random_orthonormal(&mut rng, d, d))
-        .collect();
-    let refs: Vec<&Matrix> = factors.iter().collect();
-    ttm_chain_ctx(
-        ExecContext::global(),
-        &core,
-        &refs,
-        TtmTranspose::NoTranspose,
-    )
 }
 
 #[cfg(test)]
@@ -173,31 +126,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let q = random_orthonormal(&mut rng, 20, 7);
         assert!(q.has_orthonormal_columns(1e-10));
-    }
-
-    #[test]
-    fn spectra_control_mode_wise_decay() {
-        // Mode 0 decays fast, mode 1 decays slowly: the Gram eigenvalue decay
-        // must reflect that ordering.
-        let dims = [20usize, 20, 6];
-        let spectra = [
-            SpectralDecay::Exponential { rate: 1.0 },
-            SpectralDecay::Power { exponent: 0.25 },
-            SpectralDecay::Exponential { rate: 0.1 },
-        ];
-        let x = random_tucker_with_spectra(5, &dims, &spectra);
-        let decay_at = |mode: usize, k: usize| -> f64 {
-            let eig = sym_eig_desc(&gram_ctx(ExecContext::global(), &x, mode));
-            eig.values[k].max(1e-300) / eig.values[0]
-        };
-        // After 10 indices, the fast mode has decayed by orders of magnitude
-        // more than the slow mode.
-        let fast = decay_at(0, 10);
-        let slow = decay_at(1, 10);
-        assert!(
-            fast < slow * 1e-3,
-            "expected mode 0 ({fast:e}) to decay much faster than mode 1 ({slow:e})"
-        );
     }
 
     #[test]

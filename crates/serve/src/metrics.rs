@@ -36,21 +36,6 @@ static ELEMENTS_US: Histogram = Histogram::new("serve.op.elements.us");
 static STATS_US: Histogram = Histogram::new("serve.op.stats.us");
 static METRICS_US: Histogram = Histogram::new("serve.op.metrics.us");
 
-/// The short exposition name of a request's opcode (matches the CLI
-/// subcommand names).
-pub fn op_name(request: &Request) -> &'static str {
-    match request {
-        Request::Open { .. } => "open",
-        Request::List => "list",
-        Request::ReconstructRange { .. } => "range",
-        Request::ReconstructSlice { .. } => "slice",
-        Request::Element { .. } => "element",
-        Request::Elements { .. } => "elements",
-        Request::Stats => "stats",
-        Request::Metrics => "metrics",
-    }
-}
-
 /// The latency histogram a request's opcode reports into
 /// (`serve.op.<name>.us`).
 pub fn op_histogram(request: &Request) -> &'static Histogram {
@@ -96,11 +81,13 @@ mod tests {
             Request::Stats,
             Request::Metrics,
         ];
-        let mut names: Vec<&str> = requests.iter().map(op_name).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), requests.len(), "opcode names must be unique");
-        for r in &requests {
+        for (i, r) in requests.iter().enumerate() {
+            for other in &requests[..i] {
+                assert!(
+                    !std::ptr::eq(op_histogram(r), op_histogram(other)),
+                    "every opcode must have its own histogram"
+                );
+            }
             let h = op_histogram(r);
             let before = h.snapshot().count;
             h.observe_us(1);

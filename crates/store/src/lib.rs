@@ -19,9 +19,10 @@
 //!    budget.
 //! 3. **Writer & query engine** ([`writer`], [`reader`], [`lazy`]) — a
 //!    streaming chunked [`TkrWriter`] (core serialized slab-by-slab, so
-//!    fields larger than memory stream through), [`compress_streaming`]
-//!    wiring the out-of-core ST-HOSVD straight into it,
-//!    [`gather_and_write`] for distributed output, and two readers:
+//!    fields larger than memory stream through; the facade's
+//!    `Compressor::from_slabs(..).write_to(..)` feeds it the out-of-core
+//!    ST-HOSVD's result), [`gather_and_write`] for distributed output, and
+//!    two readers:
 //!    the eager [`TkrArtifact`] (core decoded at open) and the lazy
 //!    [`TkrReader`] (chunk directory at open, chunks decoded on demand
 //!    behind a bounded, scan-resistant chunk cache) — both serving
@@ -79,9 +80,7 @@ pub use lazy::{TkrReader, DEFAULT_CACHE_CHUNKS};
 pub use query::QueryError;
 pub use reader::TkrArtifact;
 pub use shared::{ArtifactCacheStats, CacheSession, SharedChunkCache};
-pub use writer::{
-    compress_streaming, gather_and_write, write_tucker_ctx, EncodeReport, StoreOptions, TkrWriter,
-};
+pub use writer::{gather_and_write, write_tucker_ctx, EncodeReport, StoreOptions, TkrWriter};
 
 #[cfg(test)]
 mod tests {

@@ -34,16 +34,14 @@ use crate::format::{
     TAG_FACTOR,
 };
 use std::fs::File;
-use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::Path;
 use tucker_core::dist::DistTucker;
-use tucker_core::sthosvd::{SthosvdOptions, SthosvdResult};
-use tucker_core::streaming::{try_st_hosvd_streaming_ctx, StreamingOptions};
 use tucker_core::TuckerTensor;
 use tucker_distmem::Communicator;
 use tucker_exec::ExecContext;
 use tucker_linalg::Matrix;
-use tucker_tensor::{DenseTensor, SlabSource};
+use tucker_tensor::DenseTensor;
 
 /// Target elements per core chunk used by [`write_tucker_ctx`] (whole slabs are
 /// never split, so actual chunks may be larger when one slab exceeds this).
@@ -256,7 +254,7 @@ impl<W: Write + Seek> TkrWriter<W> {
     /// thread, each wave written out before the next is encoded — peak
     /// memory stays at a handful of encoded chunks, preserving the streaming
     /// rationale of this writer even for cores much larger than RAM headroom.
-    pub fn write_core_chunks_ctx(
+    fn write_core_chunks_ctx(
         &mut self,
         chunks: &[&[f64]],
         ctx: &ExecContext,
@@ -387,8 +385,7 @@ pub fn write_tucker_ctx(
 
 /// Groups a core into runs of whole last-mode slabs of about
 /// [`CHUNK_TARGET_ELEMS`] elements — the chunking policy of
-/// [`write_tucker_ctx`] (and therefore of [`compress_streaming`], which
-/// serializes through it).
+/// [`write_tucker_ctx`].
 fn core_slab_chunks(core: &DenseTensor) -> Vec<&[f64]> {
     let stride = core.last_mode_stride().max(1);
     let last = core.len() / stride;
@@ -401,34 +398,6 @@ fn core_slab_chunks(core: &DenseTensor) -> Vec<&[f64]> {
         s += len;
     }
     chunks
-}
-
-/// The out-of-core compression pipeline end to end: streams `src` through
-/// the two-phase [`try_st_hosvd_streaming_ctx`] (peak memory `O(slab +
-/// truncated tensor)` — the full tensor is never resident) and writes the
-/// resulting decomposition to `path`, core slabs chunked straight into the
-/// [`TkrWriter`].
-///
-/// The artifact is **byte-identical** to materializing the source, running
-/// `try_st_hosvd_ctx`, and calling [`write_tucker_ctx`] — the decomposition
-/// is bit-identical, and serialization *is* `write_tucker_ctx` — for every
-/// slab width and thread count (pinned in `tests/streaming.rs`).
-///
-/// A source or options the driver refuses (its `CoreError`) come back as
-/// [`StoreError::Io`] of kind [`io::ErrorKind::InvalidInput`] carrying that
-/// error; nothing is written then.
-pub fn compress_streaming(
-    path: impl AsRef<Path>,
-    src: &impl SlabSource,
-    sth: &SthosvdOptions,
-    stream: &StreamingOptions,
-    opts: &StoreOptions,
-    ctx: &ExecContext,
-) -> Result<(SthosvdResult, EncodeReport), StoreError> {
-    let result = try_st_hosvd_streaming_ctx(src, sth, stream, ctx)
-        .map_err(|e| StoreError::Io(io::Error::new(io::ErrorKind::InvalidInput, e)))?;
-    let report = write_tucker_ctx(path, &result.tucker, opts, ctx)?;
-    Ok((result, report))
 }
 
 /// Distributed export (the paper's Sec. VI output step): gathers the

@@ -26,7 +26,14 @@ static GRAM_CALLS: Counter = Counter::new("tensor.gram.calls");
 static GRAM_FLOPS: Counter = Counter::new("tensor.gram.flops");
 
 /// Computes the symmetric Gram matrix `S = Y(n) Y(n)ᵀ` of size `I_n × I_n`
-/// on `ctx` (see [`gram_into_ctx`] for the parallel schedule).
+/// on `ctx`.
+///
+/// Parallelism: every mode scatters **area-balanced lower-triangle row
+/// ranges** of `S` via [`triangular_scatter_mirror`] — every thread walks
+/// the whole unfolding in the same ascending order and owns its rows
+/// exclusively, then the strict upper triangle is mirrored once. Each
+/// element of `S` accumulates in exactly the sequential order, so results
+/// are bit-identical across thread counts.
 pub fn gram_ctx(ctx: &ExecContext, y: &DenseTensor, mode: usize) -> Matrix {
     let dims = y.dims();
     assert!(mode < dims.len(), "gram: mode {mode} out of range");
@@ -37,14 +44,7 @@ pub fn gram_ctx(ctx: &ExecContext, y: &DenseTensor, mode: usize) -> Matrix {
 }
 
 /// `S ← Y(n) Y(n)ᵀ` written into a preallocated `I_n × I_n` matrix.
-///
-/// Parallelism: every mode scatters **area-balanced lower-triangle row
-/// ranges** of `S` via [`triangular_scatter_mirror`] — every thread walks
-/// the whole unfolding in the same ascending order and owns its rows
-/// exclusively, then the strict upper triangle is mirrored once. Each
-/// element of `S` accumulates in exactly the sequential order, so results
-/// are bit-identical across thread counts.
-pub fn gram_into_ctx(ctx: &ExecContext, y: &DenseTensor, mode: usize, s: &mut Matrix) {
+fn gram_into_ctx(ctx: &ExecContext, y: &DenseTensor, mode: usize, s: &mut Matrix) {
     let n = y.dim(mode);
     assert_eq!(s.shape(), (n, n), "gram_into: output must be I_n × I_n");
     s.as_mut_slice().fill(0.0);
@@ -57,7 +57,7 @@ pub fn gram_into_ctx(ctx: &ExecContext, y: &DenseTensor, mode: usize, s: &mut Ma
 /// When `y` is one last-mode slab of a larger tensor and `mode` is **not**
 /// the last mode, the slab's unfolding blocks are a contiguous run of the
 /// full tensor's blocks, so accumulating consecutive slabs in order performs
-/// exactly the per-element additions of [`gram_into_ctx`] on the full tensor:
+/// exactly the per-element additions of [`gram_ctx`] on the full tensor:
 /// the result is **bit-identical** for every slab width. Each element is one
 /// running sum over the contraction index in ascending order, and a slab
 /// boundary only splits that index range between two calls.

@@ -27,7 +27,7 @@ pub mod stream;
 pub mod ttm;
 
 pub use dense::{DenseTensor, SlabRangeError};
-pub use gram::{gram_accumulate_ctx, gram_ctx, gram_into_ctx, gram_pair_ctx};
+pub use gram::{gram_accumulate_ctx, gram_ctx, gram_pair_ctx};
 pub use layout::Unfolding;
 pub use norms::{frob_norm, max_abs_diff, normalized_rms_error, relative_error};
 pub use slice::{extract_subtensor, SubtensorSpec};

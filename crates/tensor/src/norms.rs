@@ -48,15 +48,6 @@ pub fn max_abs_diff(x: &DenseTensor, y: &DenseTensor) -> f64 {
         .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()))
 }
 
-/// Root-mean-square of the entries of a tensor.
-pub fn rms(x: &DenseTensor) -> f64 {
-    if x.is_empty() {
-        0.0
-    } else {
-        (x.norm_sq() / x.len() as f64).sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,12 +79,6 @@ mod tests {
         let x = DenseTensor::from_vec(&[3], vec![1.0, 2.0, 3.0]);
         let y = DenseTensor::from_vec(&[3], vec![1.5, 2.0, 0.0]);
         assert_eq!(max_abs_diff(&x, &y), 3.0);
-    }
-
-    #[test]
-    fn rms_of_constant_tensor() {
-        let x = DenseTensor::from_fn(&[5, 5], |_| 2.0);
-        assert!((rms(&x) - 2.0).abs() < 1e-14);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!   tolerance / fixed-ranks, with and without HOOI refinement — is
 //!   **bit-identical** to the corresponding direct-call pipeline;
 //! * `CompressionPlan::write_to` produces artifacts **byte-identical** to
-//!   the direct `write_tucker_ctx` / `compress_streaming` / `gather_and_write`
-//!   pipelines, for every codec (f64 / f32 / q16);
+//!   the direct `write_tucker_ctx` (after the in-memory or streaming driver)
+//!   / `gather_and_write` pipelines, for every codec (f64 / f32 / q16);
 //! * the eager and lazy `TensorQuery` backends answer every query shape
 //!   byte-for-byte identically, through generic code that cannot tell them
 //!   apart;
@@ -24,8 +24,8 @@ use tucker_distmem::runtime::spmd_with_grid;
 use tucker_distmem::ProcGrid;
 use tucker_exec::ExecContext;
 use tucker_store::{
-    compress_streaming, gather_and_write, write_tucker_ctx, Codec, FormatError, SharedChunkCache,
-    StoreError, StoreOptions, TkrArtifact, TkrHeader, TkrMetadata, TkrReader, TkrWriter,
+    gather_and_write, write_tucker_ctx, Codec, FormatError, SharedChunkCache, StoreError,
+    StoreOptions, TkrArtifact, TkrHeader, TkrMetadata, TkrReader, TkrWriter,
 };
 use tucker_tensor::DenseTensor;
 
@@ -117,6 +117,17 @@ proptest! {
         let facade = Compressor::new(&x).tolerance(0.2).run().expect("valid plan");
         assert_eq!(facade.kernel(), KernelPath::InMemory);
         assert_sthosvd_bits(&facade, &direct, "in-memory tolerance");
+
+        // Tolerance with per-mode caps, the facade's `rank_selection` route.
+        let capped = RankSelection::ToleranceWithMax(0.2, x.dims().iter().map(|&d| d.min(2)).collect());
+        let direct = try_st_hosvd_ctx(
+            &x,
+            &SthosvdOptions { rank: capped.clone(), order: ModeOrder::Natural },
+            ExecContext::global(),
+        )
+        .unwrap();
+        let facade = Compressor::new(&x).rank_selection(capped).run().expect("valid plan");
+        assert_sthosvd_bits(&facade, &direct, "in-memory capped tolerance");
     }
 
     /// In-memory path, fixed ranks: facade ≡ `try_st_hosvd_ctx`, bitwise.
@@ -214,7 +225,8 @@ proptest! {
 
     /// The write sink, all three codecs: facade artifacts are byte-identical
     /// to `write_tucker_ctx` on the direct decomposition — and, for the
-    /// streaming source, to the `compress_streaming` pipeline.
+    /// streaming source, to `write_tucker_ctx` after the direct streaming
+    /// driver.
     #[test]
     fn write_to_is_byte_identical_for_every_codec(x in arbitrary_tensor()) {
         let eps = 1e-2;
@@ -240,14 +252,19 @@ proptest! {
             assert_eq!(direct_bytes, facade_bytes, "{}: artifact bytes", codec.name());
             assert_eq!(written.report.bytes as usize, facade_bytes.len());
 
-            // Streaming source → same bytes again (compress_streaming is the
-            // direct-call equivalent).
+            // Streaming source → same bytes again (the streaming driver plus
+            // `write_tucker_ctx` is the direct-call equivalent).
             let stream_path = temp_tkr(&format!("stream_{}", codec.name()));
-            let (_, report) = compress_streaming(
-                &stream_path,
+            let streamed = try_st_hosvd_streaming_ctx(
                 &x,
                 &SthosvdOptions::with_tolerance(eps),
                 &StreamingOptions::with_slab_width(2),
+                ExecContext::global(),
+            )
+            .unwrap();
+            let report = write_tucker_ctx(
+                &stream_path,
+                &streamed.tucker,
                 &StoreOptions::new(codec, eps),
                 ExecContext::global(),
             )
@@ -287,11 +304,25 @@ proptest! {
                 .expect("valid plan");
             let eager = Open::eager().open(&path).expect("eager open");
             let lazy = Open::lazy().cache_chunks(2).open(&path).expect("lazy open");
+            let facade_cache = SharedChunkCache::new(2, 1);
+            let shared = Open::lazy()
+                .shared_cache(&facade_cache, "query")
+                .open(&path)
+                .expect("shared open");
+            let direct_cache = SharedChunkCache::new(2, 1);
+            let direct_shared = TkrReader::open_shared(&path, "query", &direct_cache, ExecContext::global())
+                .expect("direct shared open");
             std::fs::remove_file(&path).ok();
             assert_eq!(
                 query_fingerprint(&eager),
                 query_fingerprint(&lazy),
                 "{}: eager vs lazy disagree",
+                codec.name()
+            );
+            assert_eq!(
+                query_fingerprint(&shared),
+                query_fingerprint(&direct_shared),
+                "{}: facade shared-cache reader vs TkrReader::open_shared disagree",
                 codec.name()
             );
             // Batched elements: one point-contraction routine behind both

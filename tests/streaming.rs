@@ -5,8 +5,9 @@
 //!   on the same data for every slab width (1, a prime, the full last mode)
 //!   and every thread count including oversubscription (the CI runs this
 //!   suite under `TUCKER_THREADS=32` as well);
-//! * `compress_streaming` produces artifacts **byte-identical** to the
-//!   in-memory `write_tucker` pipeline;
+//! * the facade's streaming pipeline (`Compressor::from_slabs(..).write_to`)
+//!   produces artifacts **byte-identical** to the in-memory
+//!   `write_tucker_ctx` pipeline;
 //! * every codec round-trips through the lazy `TkrReader` with byte-identical
 //!   query answers while decoding no more than the touched chunks and
 //!   keeping at most the cache capacity resident;
@@ -16,12 +17,13 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use tucker_api::Compressor;
 use tucker_core::prelude::*;
 use tucker_exec::ExecContext;
 use tucker_scidata::CombustionConfig;
 use tucker_store::{
-    compress_streaming, write_tucker_ctx, Codec, StoreOptions, TkrArtifact, TkrHeader, TkrMetadata,
-    TkrReader, TkrWriter,
+    write_tucker_ctx, Codec, StoreOptions, TkrArtifact, TkrHeader, TkrMetadata, TkrReader,
+    TkrWriter,
 };
 use tucker_tensor::DenseTensor;
 
@@ -213,8 +215,9 @@ fn large_streaming_decomposition_is_bit_identical() {
     }
 }
 
-/// `compress_streaming` writes byte-for-byte the artifact of the in-memory
-/// pipeline, for every codec and thread count.
+/// The streaming pipeline (`Compressor::from_slabs(..).write_to`) writes
+/// byte-for-byte the artifact of the in-memory pipeline, for every codec and
+/// thread count.
 #[test]
 fn streaming_compression_artifact_is_byte_identical_to_in_memory() {
     let cfg = CombustionConfig {
@@ -242,15 +245,13 @@ fn streaming_compression_artifact_is_byte_identical_to_in_memory() {
             write_tucker_ctx(&path_mem, &result.tucker, &opts, &ctx).unwrap();
 
             let path_str = temp_tkr(&format!("str_{}_{threads}", codec.name()));
-            let (stream_result, _) = compress_streaming(
-                &path_str,
-                &src,
-                &sth,
-                &StreamingOptions::with_slab_width(3),
-                &opts,
-                &ctx,
-            )
-            .unwrap();
+            let streamed = Compressor::from_slabs(&src)
+                .tolerance(eps)
+                .slab_width(3)
+                .threads(threads)
+                .codec(codec)
+                .write_to(&path_str)
+                .unwrap();
 
             let bytes_mem = std::fs::read(&path_mem).unwrap();
             let bytes_str = std::fs::read(&path_str).unwrap();
@@ -262,7 +263,7 @@ fn streaming_compression_artifact_is_byte_identical_to_in_memory() {
                 "{} at {threads} threads: artifacts differ",
                 codec.name()
             );
-            assert_eq!(stream_result.ranks, result.ranks);
+            assert_eq!(streamed.compressed.ranks(), &result.ranks[..]);
         }
     }
 }
